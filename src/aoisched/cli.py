@@ -296,13 +296,36 @@ def _sisp_table(cfg: LoadedConfig, space, actions):
     return values, table, copied
 
 
+def _joint_mdp(cfg: LoadedConfig, cache: dict) -> tuple:
+    """(space, actions, kernels, cost) of the joint MDP, built once per cache."""
+    if "joint" not in cache:
+        system = cfg.system
+        space = _check_state_budget(cfg)
+        actions = mdp.ActionSet(system.n_sensors, system.m_budget)
+        kernels = mdp.build_kernels(system, space, actions)
+        cache["joint"] = (space, actions, kernels, mdp.cost_vector(space, system))
+    return cache["joint"]
+
+
+def _solve_optimal(cfg: LoadedConfig, cache: dict) -> tuple:
+    space, actions, kernels, cost = _joint_mdp(cfg, cache)
+    vt, pt = mdp.relative_value_iteration(
+        kernels, cost, space.reference_index(), action_set=actions
+    )
+    return space, vt, pt
+
+
 def _build_policy(name: str, cfg: LoadedConfig, cache: dict) -> pol.Policy:
+    """Build policy `name` once per cache; the cache also holds the joint MDP."""
     system = cfg.system
+    if name not in pol.POLICY_NAMES:
+        raise ConfigError(
+            f"unknown policy '{name}'; choose from {', '.join(pol.POLICY_NAMES)}"
+        )
     if name in cache:
         return cache[name]
     if name == "optimal":
-        space = _check_state_budget(cfg)
-        _, _, vt, pt = mdp.solve_optimal_policy(system)
+        space, _, pt = _solve_optimal(cfg, cache)
         policy = pol.TablePolicy("optimal", space, pt)
     elif name == "sisp":
         space = _check_state_budget(cfg)
@@ -320,12 +343,8 @@ def _build_policy(name: str, cfg: LoadedConfig, cache: dict) -> pol.Policy:
     elif name == "rand":
         p_r = cfg.p_r or decomposed.default_randomized_probs(system)
         policy = pol.RandomizedSchedule(p_r, system.m_budget)
-    elif name == "idle":
+    else:  # idle
         policy = pol.IdlePolicy(system.n_sensors)
-    else:
-        raise ConfigError(
-            f"unknown policy '{name}'; choose from {', '.join(pol.POLICY_NAMES)}"
-        )
     cache[name] = policy
     return policy
 
@@ -336,8 +355,7 @@ def cmd_solve(args) -> int:
     system = cfg.system
     t0 = time.perf_counter()
     if args.policy == "optimal":
-        space = _check_state_budget(cfg)
-        _, _, vt, pt = mdp.solve_optimal_policy(system)
+        space, vt, pt = _solve_optimal(cfg, {})
         values, gain, iters = vt.values, vt.gain, vt.iterations
         extra = {}
     elif args.policy == "sisp":
@@ -356,9 +374,9 @@ def cmd_solve(args) -> int:
             n = system.n_sensors
             w.writerow(["state_index"] + [f"aori_{i+1}" for i in range(n)] + ["theta", "action_bits"])
             for idx in range(model.space.n_states):
-                aoris, theta = model.space.decode(idx)
+                js = model.space.decode(idx)
                 bits = "".join(str(d) for d in model.table.action_of(idx))
-                w.writerow([idx, *aoris, theta, bits])
+                w.writerow([idx, *(st.aori for st in js.sensors), js.theta, bits])
         fh, w = _open_output(out_dir, "myopic_summary.csv", cfg.config_hash)
         with fh:
             w.writerow(["policy", "states", "gain", "wall_time_s"])
@@ -393,11 +411,10 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _policy_list(args, cfg) -> list:
+def _policy_list(args, cfg, cache: dict) -> list:
     names = [p.strip() for p in args.policies.split(",") if p.strip()]
     if not names:
         raise ConfigError("--policies: expected a comma separated list")
-    cache = {}
     return [_build_policy(name, cfg, cache) for name in names]
 
 
@@ -425,7 +442,7 @@ def cmd_simulate(args) -> int:
         for r in probe:
             print(f"cap {r.cap}: mean {_fmt(r.mean)} +- {_fmt(r.ci95)} (95% CI)")
         return 0
-    policies = _policy_list(args, cfg)
+    policies = _policy_list(args, cfg, {})
     plan = sim.ExperimentPlan(
         cfg.system, policies, horizon, replications, seed, warmup=cfg.warmup
     )
@@ -522,12 +539,9 @@ def cmd_compare(args) -> int:
     horizon = args.horizon or cfg.horizon
     replications = args.replications or cfg.replications
     system = cfg.system
-    policies = _policy_list(args, cfg)
-
-    space = _check_state_budget(cfg)
-    actions = mdp.ActionSet(system.n_sensors, system.m_budget)
-    kernels = mdp.build_kernels(system, space, actions)
-    cost = mdp.cost_vector(space, system)
+    cache = {}
+    policies = _policy_list(args, cfg, cache)
+    space, actions, kernels, cost = _joint_mdp(cfg, cache)
     start = space.reference_index()
 
     exact = {}

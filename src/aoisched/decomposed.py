@@ -238,42 +238,35 @@ def build_policy_table_with_pruning(
     actions: ActionSet,
     spec: SystemSpec,
 ) -> tuple:
-    """SISP table exploiting threshold persistence; returns (table, n_copied).
+    """SISP table and its threshold persistence; returns (table, n_copied).
 
-    States are visited in increasing index order, which is monotone in every
-    age coordinate. If the state one monitor-age step below (all else equal)
-    was decided and its action schedules that sensor, the decision persists
-    and is copied without evaluating the argmin.
+    A pruned construction visits states in increasing index order, which is
+    monotone in every age coordinate, and copies the action of the state one
+    monitor-age step below (all else equal, first such sensor in index
+    order) whenever that action schedules the sensor. n_copied counts the
+    states it would copy rather than evaluate. Persistence is checked on the
+    argmin table: every such state must choose its source's action. When it
+    holds, the pruned table is the argmin table, so it is returned; when it
+    fails, RuntimeError is raised rather than returning a different table.
     """
-    idle_cols, tx_cols = _eq_columns(values, space)
-    n = space.n_states
-    aori_arrs = [space.aori_array(i) for i in range(spec.n_sensors)]
-    strides = [space.aori_stride(i) for i in range(spec.n_sensors)]
-    acts = actions.actions
-    table = np.zeros(n, dtype=np.int64)
-    copied = 0
-    for idx in range(n):
-        chosen = -1
-        for i in range(spec.n_sensors):
-            if aori_arrs[i][idx] >= 2:
-                below = table[idx - strides[i]]
-                if acts[below][i] == 1:
-                    chosen = below
-                    break
-        if chosen >= 0:
-            copied += 1
-        else:
-            best_val = math.inf
-            chosen = 0
-            for k, action in enumerate(acts):
-                val = 0.0
-                for i in range(spec.n_sensors):
-                    val += tx_cols[i][idx] if action[i] else idle_cols[i][idx]
-                if val < best_val:
-                    best_val = val
-                    chosen = k
-        table[idx] = chosen
-    return PolicyTable(table, actions), copied
+    table = build_policy_table(values, space, actions, spec)
+    chosen = table.action_index
+    scheduled = np.array(actions.actions, dtype=bool)[chosen]
+    idx = np.arange(space.n_states)
+    source = np.full(space.n_states, -1)
+    for i in range(spec.n_sensors):
+        below = idx - space.aori_stride(i)
+        hit = (source < 0) & (space.aori_array(i) >= 2)
+        hit[hit] = scheduled[below[hit], i]
+        source[hit] = below[hit]
+    copied = source >= 0
+    broken = np.nonzero(copied & (chosen != chosen[source]))[0]
+    if len(broken):
+        raise RuntimeError(
+            f"threshold persistence fails at {len(broken)} states, first state "
+            f"{broken[0]} (copies from {source[broken[0]]})"
+        )
+    return table, int(copied.sum())
 
 
 @dataclass

@@ -5,6 +5,13 @@ per-sensor case table, with a Markov-arrival variant), relative value
 iteration for the average-cost optimal policy, a value-monotonicity checker,
 and exact policy evaluation through the stationary distribution of the
 policy-induced chain.
+
+build_kernels is the one kernel builder: the joint solver, exact policy
+evaluation, the per-sensor SISP solves, the randomized chain and the myopic
+baseline all read from it. It assembles each kernel from the per-sensor
+successor tables by broadcasting, and its CSR arrays are byte-identical to a
+state-by-state assembly from transition_distribution (build_kernels says
+why that matters).
 """
 
 from __future__ import annotations
@@ -138,9 +145,6 @@ class StateSpace:
                 arr.reverse()
             self._coords = (theta, aoli, aori, g, psi)
         return self._coords
-
-    def theta_array(self) -> np.ndarray:
-        return self._coordinate_arrays()[0]
 
     def aoli_array(self, i: int) -> np.ndarray:
         return self._coordinate_arrays()[1][i]
@@ -297,61 +301,99 @@ def cost_vector(space: StateSpace, spec: SystemSpec) -> np.ndarray:
     return cost
 
 
-def build_kernels(spec: SystemSpec, space: StateSpace, actions: ActionSet) -> list:
-    """Sparse transition matrix per action, rows summing to one."""
-    n = space.n_states
-    # per-sensor lookup: succ[i][theta][a][sub] = [(sub', prob)]
-    succ = []
-    for i, s in enumerate(spec.sensors):
-        by_theta = []
-        for theta in (0, 1):
-            by_action = []
-            for a in (0, 1):
-                rows = []
-                for sub in range(space.sub_sizes[i]):
-                    g = sub % space.g_sizes[i]
-                    t = sub // space.g_sizes[i]
-                    aori = t % space.r_sizes[i] + 1
-                    aoli = t // space.r_sizes[i]
-                    rows.append(
-                        [
-                            (space.sensor_sub_index(i, l2, r2, g2), pr)
-                            for (l2, r2, g2), pr in sensor_delta_transitions(
-                                s, aoli, aori, g, theta, bool(a)
-                            )
-                        ]
-                    )
-                by_action.append(rows)
-            by_theta.append(by_action)
-        succ.append(by_theta)
+def _successor_table(space: StateSpace, i: int, sensor: SensorSpec, scheduled: bool) -> tuple:
+    """Sensor i's successors for one scheduling decision, as padded arrays.
 
-    theta_arr = space.theta_array()
-    sub_arrs = [
-        (space.per_sensor_index_array(i) - theta_arr) // 2 for i in range(space.n_sensors)
+    Returns (offset, prob, valid), each of shape (sub_size, 2, k): entry
+    [sub, theta, c] is the c-th pair of sensor_delta_transitions, in its own
+    order, from sub-index sub under pre-transition channel state theta, with
+    the successor given as its offset in the joint index. k is the longest
+    list; `valid` marks the real entries.
+    """
+    g_size, r_size = space.g_sizes[i], space.r_sizes[i]
+    rows = [
+        [
+            sensor_delta_transitions(
+                sensor,
+                sub // g_size // r_size,
+                sub // g_size % r_size + 1,
+                sub % g_size,
+                theta,
+                scheduled,
+            )
+            for theta in (0, 1)
+        ]
+        for sub in range(space.sub_sizes[i])
     ]
-    omega = spec.channel.omega()
+    shape = (space.sub_sizes[i], 2, max(len(row) for pair in rows for row in pair))
+    offset = np.zeros(shape, dtype=np.int64)
+    prob = np.zeros(shape)
+    valid = np.zeros(shape, dtype=bool)
+    for sub, pair in enumerate(rows):
+        for theta, row in enumerate(pair):
+            for c, (key, pr) in enumerate(row):
+                offset[sub, theta, c] = space.sensor_sub_index(i, *key) * space.sub_strides[i]
+                prob[sub, theta, c] = pr
+                valid[sub, theta, c] = True
+    return offset, prob, valid
+
+
+def build_kernels(spec: SystemSpec, space: StateSpace, actions: ActionSet) -> list:
+    """Sparse transition matrix per action, rows summing to one.
+
+    Assembled from the factors by broadcasting: each sensor's successor table
+    is built once per (theta, scheduled), and one action's entries form a
+    grid with axes (sub_1..sub_N, theta, theta', c_1..c_N). The first N + 1
+    axes flatten to the row index, and the rest enumerate a row's entries
+    in the order of transition_distribution. Each value is multiplied in the
+    fixed order ((Omega[theta, theta'] * p_1) * p_2) * ..., and padding is
+    dropped by the per-sensor masks, never by value. The entries then pass
+    through coo_matrix(...).tocsr() and sum_duplicates(), so `indptr`,
+    `indices` and `data` are byte-identical to a state-by-state assembly
+    from transition_distribution. This matters because the optimal policy
+    has exactly tied actions, and a last-bit change in a kernel entry can
+    flip which one the argmin picks.
+    """
+    n = space.n_states
+    n_sensors = space.n_sensors
+    ndim = 2 * n_sensors + 2
+    index_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+
+    def on_axes(arr, axes):
+        shape = [1] * ndim
+        for ax, size in zip(axes, arr.shape):
+            shape[ax] = size
+        return arr.reshape(shape)
+
+    # per sensor and decision: (column offset, prob, valid) on the grid axes
+    factors = []
+    for i, s in enumerate(spec.sensors):
+        axes = (i, n_sensors, n_sensors + 2 + i)
+        by_action = []
+        for scheduled in (False, True):
+            offset, prob, valid = _successor_table(space, i, s, scheduled)
+            by_action.append(
+                [on_axes(t, axes) for t in (offset.astype(index_dtype), prob, valid)]
+            )
+        factors.append(by_action)
+
+    omega = on_axes(spec.channel.omega(), (n_sensors, n_sensors + 1))
+    theta_next = on_axes(np.arange(2, dtype=index_dtype), (n_sensors + 1,))
+    row_index = on_axes(
+        np.arange(n, dtype=index_dtype).reshape(*space.sub_sizes, 2), range(n_sensors + 1)
+    )
     kernels = []
     for action in actions.actions:
-        rows, cols, vals = [], [], []
-        for idx in range(n):
-            theta = theta_arr[idx]
-            lists = [
-                succ[i][theta][action[i]][sub_arrs[i][idx]]
-                for i in range(space.n_sensors)
-            ]
-            for theta_next in (0, 1):
-                ch = omega[theta, theta_next]
-                for combo in itertools.product(*lists):
-                    j = theta_next
-                    prob = ch
-                    stride_pos = 0
-                    for i, (sub2, pr) in enumerate(combo):
-                        prob *= pr
-                        stride_pos = stride_pos * space.sub_sizes[i] + sub2
-                    j += stride_pos * 2
-                    rows.append(idx)
-                    cols.append(j)
-                    vals.append(prob)
+        vals, cols, mask = omega, theta_next, True
+        for i in range(n_sensors):
+            offset, prob, valid = factors[i][action[i]]
+            vals = vals * prob
+            cols = cols + offset
+            mask = mask & valid
+        mask = np.broadcast_to(mask, vals.shape)
+        rows = np.broadcast_to(row_index, vals.shape)[mask]
+        cols = cols[mask]
+        vals = vals[mask]
         mat = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
         mat.sum_duplicates()
         kernels.append(mat)

@@ -8,15 +8,15 @@ thinning, the myopic single-age baseline, and always-idle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy import sparse
 
 from .dynamics import JointState
-from .mdp import ActionSet, PolicyTable, StateSpace, relative_value_iteration
-from .model import SystemSpec, penalty_table
+from .mdp import ActionSet, PolicyTable, StateSpace, solve_optimal_policy
+from .model import BernoulliArrival, SystemSpec, penalty_table
 
 __all__ = [
     "Policy",
@@ -217,32 +217,9 @@ class IdlePolicy(Policy):
         return self.action
 
 
-class _ReducedSpace:
-    """Codec over (aori_1..N, theta) for the myopic baseline."""
-
-    def __init__(self, r_sizes: Sequence[int]):
-        self.r_sizes = list(r_sizes)
-        self.n_states = 2 * int(np.prod(self.r_sizes))
-
-    def encode(self, aoris: Sequence[int], theta: int) -> int:
-        idx = 0
-        for size, aori in zip(self.r_sizes, aoris):
-            idx = idx * size + (aori - 1)
-        return idx * 2 + theta
-
-    def decode(self, idx: int) -> tuple:
-        theta = idx % 2
-        rest = idx // 2
-        aoris = [0] * len(self.r_sizes)
-        for i in range(len(self.r_sizes) - 1, -1, -1):
-            aoris[i] = rest % self.r_sizes[i] + 1
-            rest //= self.r_sizes[i]
-        return tuple(aoris), theta
-
-
 @dataclass
 class MyopicModel:
-    space: _ReducedSpace
+    space: StateSpace
     table: PolicyTable
     gain: float
 
@@ -253,51 +230,20 @@ def build_myopic_policy(
     """Solve the single-age generate-at-will model on (aori, theta) only.
 
     A successful delivery is assumed to reset the monitor age to one, i.e.
-    the buffer always holds fresh data. The resulting table deliberately
+    the buffer always holds fresh data. That model is the joint MDP of the
+    same system with certain arrivals and no buffer age (every sensor gets
+    BernoulliArrival(1.0) and max_aoli = 0), so its space is indexed by the
+    monitor ages and the channel alone. The resulting table deliberately
     ignores buffer staleness; evaluating it under the true dual-age dynamics
     quantifies that model mismatch.
     """
-    space = _ReducedSpace([s.max_aori for s in spec.sensors])
-    actions = ActionSet(spec.n_sensors, spec.m_budget)
-    n = space.n_states
-    cost = np.zeros(n)
-    tables = [penalty_table(s.penalty, s.max_aori) for s in spec.sensors]
-    for idx in range(n):
-        aoris, _ = space.decode(idx)
-        cost[idx] = sum(tables[i][aoris[i]] for i in range(spec.n_sensors))
-    kernels = []
-    omega = spec.channel.omega()
-    for action in actions.actions:
-        rows, cols, vals = [], [], []
-        for idx in range(n):
-            aoris, theta = space.decode(idx)
-            per_sensor = []
-            for i, s in enumerate(spec.sensors):
-                aged = min(aoris[i] + 1, s.max_aori)
-                if action[i]:
-                    p = s.success_prob(theta)
-                    entries = {}
-                    entries[1] = entries.get(1, 0.0) + p
-                    entries[aged] = entries.get(aged, 0.0) + (1.0 - p)
-                    per_sensor.append(list(entries.items()))
-                else:
-                    per_sensor.append([(aged, 1.0)])
-            for theta_next in (0, 1):
-                ch = omega[theta, theta_next]
-                for combo in itertools.product(*per_sensor):
-                    prob = ch
-                    new_aoris = []
-                    for aori2, pr in combo:
-                        prob *= pr
-                        new_aoris.append(aori2)
-                    rows.append(idx)
-                    cols.append(space.encode(new_aoris, theta_next))
-                    vals.append(prob)
-        mat = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        mat.sum_duplicates()
-        kernels.append(mat)
-    ref = space.encode([1] * spec.n_sensors, 0)
-    vt, pt = relative_value_iteration(kernels, cost, ref, epsilon, max_iter, actions)
+    reduced = replace(
+        spec,
+        sensors=tuple(
+            replace(s, arrival=BernoulliArrival(1.0), max_aoli=0) for s in spec.sensors
+        ),
+    )
+    space, _, vt, pt = solve_optimal_policy(reduced, epsilon, max_iter)
     return MyopicModel(space, pt, vt.gain)
 
 
@@ -306,9 +252,12 @@ class MyopicPolicy(Policy):
 
     def __init__(self, model: MyopicModel):
         self.model = model
+        self._strides = [model.space.aori_stride(i) for i in range(model.space.n_sensors)]
 
     def decide(self, state: JointState) -> tuple:
-        idx = self.model.space.encode([st.aori for st in state.sensors], state.theta)
+        idx = state.theta
+        for st, stride in zip(state.sensors, self._strides):
+            idx += (st.aori - 1) * stride
         return self.model.table.action_of(idx)
 
 
