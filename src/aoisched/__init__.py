@@ -18,7 +18,6 @@ from .model import (
     PenaltyFunction,
     SensorSpec,
     SystemSpec,
-    eval_penalty,
     solve_steady_state_covariance,
     spectral_radius,
 )

@@ -276,14 +276,14 @@ def load_config(path) -> LoadedConfig:
     )
 
 
-def _check_state_budget(cfg: LoadedConfig) -> mdp.StateSpace:
-    space = mdp.StateSpace(cfg.system)
-    if space.n_states > cfg.max_states:
+def _check_state_budget(system: SystemSpec, max_states: int) -> mdp.StateSpace:
+    space = mdp.StateSpace(system)
+    if space.n_states > max_states:
         raise ConfigError(
-            f"state space too large: N={cfg.system.n_sensors}, "
-            f"caps={[(s.max_aoli, s.max_aori) for s in cfg.system.sensors]}, "
-            f"budget={cfg.system.m_budget}: {space.n_states} states "
-            f"> max_states {cfg.max_states}"
+            f"state space too large: N={system.n_sensors}, "
+            f"caps={[(s.max_aoli, s.max_aori) for s in system.sensors]}, "
+            f"budget={system.m_budget}: {space.n_states} states "
+            f"> max_states {max_states}"
         )
     return space
 
@@ -300,7 +300,7 @@ def _joint_mdp(cfg: LoadedConfig, cache: dict) -> tuple:
     """(space, actions, kernels, cost) of the joint MDP, built once per cache."""
     if "joint" not in cache:
         system = cfg.system
-        space = _check_state_budget(cfg)
+        space = _check_state_budget(system, cfg.max_states)
         actions = mdp.ActionSet(system.n_sensors, system.m_budget)
         kernels = mdp.build_kernels(system, space, actions)
         cache["joint"] = (space, actions, kernels, mdp.cost_vector(space, system))
@@ -328,7 +328,7 @@ def _build_policy(name: str, cfg: LoadedConfig, cache: dict) -> pol.Policy:
         space, _, pt = _solve_optimal(cfg, cache)
         policy = pol.TablePolicy("optimal", space, pt)
     elif name == "sisp":
-        space = _check_state_budget(cfg)
+        space = _check_state_budget(system, cfg.max_states)
         actions = mdp.ActionSet(system.n_sensors, system.m_budget)
         _, table, _ = _sisp_table(cfg, space, actions)
         policy = pol.TablePolicy("sisp", space, table)
@@ -359,7 +359,7 @@ def cmd_solve(args) -> int:
         values, gain, iters = vt.values, vt.gain, vt.iterations
         extra = {}
     elif args.policy == "sisp":
-        space = _check_state_budget(cfg)
+        space = _check_state_budget(system, cfg.max_states)
         actions = mdp.ActionSet(system.n_sensors, system.m_budget)
         sensor_values, pt, copied = _sisp_table(cfg, space, actions)
         values = None
@@ -431,6 +431,8 @@ def cmd_simulate(args) -> int:
             raise ConfigError("--caps: expected a comma separated list of integers") from None
         if not caps or any(c < 1 for c in caps):
             raise ConfigError("--caps: need positive truncation caps")
+        for cap in caps:
+            _check_state_budget(sim.with_caps(cfg.system, cap), cfg.max_states)
         probe = sim.divergence_probe(
             cfg.system, caps, horizon, seed, replications, warmup=cfg.warmup
         )

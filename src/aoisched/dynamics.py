@@ -25,7 +25,6 @@ __all__ = [
     "apply_step",
     "step_system",
     "step_system_traced",
-    "sensor_penalties",
     "TRAJECTORY_HEADER",
 ]
 
@@ -179,11 +178,6 @@ def step_system_traced(
     draws = draw_step(state, action, spec, rng, predraw_delivery)
     nxt, cost = apply_step(state, action, draws, spec)
     return nxt, cost, draws
-
-
-def sensor_penalties(state: JointState, spec: SystemSpec) -> list:
-    """Per-sensor penalty at the state's monitor-side ages."""
-    return [s.penalty(state.sensors[i].aori) for i, s in enumerate(spec.sensors)]
 
 
 # One row per (slot, sensor) in trajectory dumps.

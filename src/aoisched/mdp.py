@@ -4,7 +4,8 @@ State enumeration, the factored transition kernel (channel factor times
 per-sensor case table, with a Markov-arrival variant), relative value
 iteration for the average-cost optimal policy, a value-monotonicity checker,
 and exact policy evaluation through the stationary distribution of the
-policy-induced chain.
+policy-induced chain: one pinned sparse solve on the single closed class
+reachable from the start state (stationary_distribution).
 
 build_kernels is the one kernel builder: the joint solver, exact policy
 evaluation, the per-sensor SISP solves, the randomized chain and the myopic
@@ -17,12 +18,13 @@ why that matters).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 from scipy.sparse.linalg import spsolve
 
 from .dynamics import JointState, SensorState, initial_state
@@ -69,7 +71,9 @@ class StateSpace:
         self.sub_sizes = [
             l * r * g for l, r, g in zip(self.l_sizes, self.r_sizes, self.g_sizes)
         ]
-        self.n_states = 2 * int(np.prod(self.sub_sizes))
+        # exact integer product: an int64 product wraps at large caps and
+        # would slip past the state budget
+        self.n_states = 2 * math.prod(self.sub_sizes)
         # joint stride of one unit of sensor i's sub-index
         self.sub_strides = []
         stride = 2
@@ -504,65 +508,45 @@ def mixture_chain_matrix(weights: Sequence[float], kernels: Sequence) -> sparse.
     return out.tocsr()
 
 
-def _reachable_set(p: sparse.csr_matrix, start: int) -> np.ndarray:
-    n = p.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[start] = True
-    frontier = [start]
-    indptr, indices = p.indptr, p.indices
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in indices[indptr[x] : indptr[x + 1]]:
-                if not seen[y]:
-                    seen[y] = True
-                    nxt.append(int(y))
-        frontier = nxt
-    return np.nonzero(seen)[0]
-
-
 def stationary_distribution(p: sparse.csr_matrix, start_index: int) -> np.ndarray:
     """Stationary distribution of the recurrent class reachable from start.
 
-    Restricts to states reachable from start_index, locates the closed
-    communicating classes there, and solves xi P = xi, sum xi = 1 on the
-    single closed class. Raises RuntimeError if several closed classes are
-    reachable (the long-run cost would then depend on chance).
+    Breadth-first search from start_index gives the reachable states; their
+    strongly connected components that no edge leaves are the closed
+    classes. Raises RuntimeError unless exactly one closed class is
+    reachable (the long-run cost would otherwise depend on chance).
+    Transient and unreachable states get zero mass.
+
+    On that class, with transition matrix Q, the balance equations are
+    A xi = 0 with A = (I - Q)^T, which fix xi only up to scale. The first
+    state is pinned to xi_0 = 1 and its equation dropped, leaving one solve
+    A[1:, 1:] xi[1:] = -A[1:, 0] (Stewart 1994, ch. 2); the pin is valid
+    because every state of an irreducible class has positive mass. The
+    solve is sparse for every class size: A keeps the kernels' few nonzeros
+    per row, and one path gives small and large chains the same arithmetic.
+    A one-state class gets mass 1 without a solve.
     """
     n = p.shape[0]
-    reach = _reachable_set(p, start_index)
+    reach = np.sort(breadth_first_order(p, start_index, return_predecessors=False))
     sub = p[np.ix_(reach, reach)].tocsr()
     n_comp, labels = connected_components(sub, directed=True, connection="strong")
-    closed = []
-    for comp in range(n_comp):
-        members = np.nonzero(labels == comp)[0]
-        outgoing = sub[members].tocoo()
-        if np.all(np.isin(outgoing.col, members)):
-            closed.append(members)
+    edges = sub.tocoo()
+    leaving = labels[edges.row] != labels[edges.col]
+    is_closed = np.ones(n_comp, dtype=bool)
+    is_closed[labels[edges.row[leaving]]] = False
+    closed = np.flatnonzero(is_closed)
     if len(closed) != 1:
         raise RuntimeError(
             f"{len(closed)} recurrent classes reachable from state {start_index}"
         )
-    members = closed[0]
-    m = len(members)
+    members = np.flatnonzero(labels == closed[0])
+    xi = np.ones(len(members))
+    if len(members) > 1:
+        q = sub[np.ix_(members, members)]
+        a = (sparse.identity(len(members), format="csr") - q).T.tocsc()
+        xi[1:] = spsolve(a[1:, 1:], -a[1:, 0].toarray().ravel())
     xi_full = np.zeros(n)
-    if m == 1:
-        xi_full[reach[members[0]]] = 1.0
-        return xi_full
-    q = sub[np.ix_(members, members)]
-    if m <= 600:
-        a = q.toarray().T - np.eye(m)
-        a[-1, :] = 1.0
-        b = np.zeros(m)
-        b[-1] = 1.0
-        xi = np.linalg.solve(a, b)
-    else:
-        a = (q.T - sparse.identity(m, format="csr")).tolil()
-        a[-1, :] = 1.0
-        b = np.zeros(m)
-        b[-1] = 1.0
-        xi = spsolve(a.tocsc(), b)
-    xi_full[reach[members]] = xi
+    xi_full[reach[members]] = xi / xi.sum()
     return xi_full
 
 

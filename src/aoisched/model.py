@@ -21,7 +21,6 @@ __all__ = [
     "ExponentialPenalty",
     "EstimationTracePenalty",
     "PenaltyFunction",
-    "eval_penalty",
     "penalty_table",
     "SensorSpec",
     "SystemSpec",
@@ -206,11 +205,6 @@ class EstimationTracePenalty:
 
 
 PenaltyFunction = Union[ExponentialPenalty, EstimationTracePenalty]
-
-
-def eval_penalty(pf: PenaltyFunction, delta: int) -> float:
-    """Evaluate the aging penalty at an integer age. Nondecreasing in delta."""
-    return pf(delta)
 
 
 def penalty_table(pf: PenaltyFunction, max_delta: int) -> np.ndarray:

@@ -28,7 +28,6 @@ from .model import (
 
 __all__ = [
     "StabilityReport",
-    "effective_arrival_rate",
     "stability_check",
     "system_stability",
     "FeasibleRegion",
@@ -43,11 +42,6 @@ class StabilityReport:
     bound: float
     satisfied: bool
     criterion: str  # trace-penalty | exponential-penalty | markov-arrival
-
-
-def effective_arrival_rate(arrival) -> float:
-    """Arrival rate entering the stability test (worst case for Markov)."""
-    return arrival.effective_rate()
 
 
 def _stability_matrix(channel: ChannelSpec, lam_hat: float, p0: float, p1: float):
@@ -67,7 +61,7 @@ def stability_check(
     The bound defaults to the sensor's own penalty: 1/rho(A)^2 for the trace
     penalty, 1/e^r for the exponential one. Pass a_matrix or r to override.
     """
-    lam_hat = effective_arrival_rate(sensor.arrival)
+    lam_hat = sensor.arrival.effective_rate()
     rho = spectral_radius(_stability_matrix(channel, lam_hat, sensor.p0, sensor.p1))
     if a_matrix is not None:
         bound = 1.0 / spectral_radius(a_matrix) ** 2

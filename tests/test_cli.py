@@ -1,4 +1,5 @@
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +115,30 @@ def test_state_budget_cap(tmp_path, capsys):
     cfg, _ = write_config(tmp_path, capped)
     assert cli.main(["solve", "--config", str(cfg)]) == 2
     assert "state space too large" in capsys.readouterr().err
+
+
+def test_state_budget_refuses_count_beyond_int64(tmp_path, capsys):
+    # 2 * (1501 * 1500)^3 states: an int64 product wraps to a negative count
+    shipped = (Path(__file__).parents[1] / "configs" / "threesensor.yaml").read_text()
+    huge = shipped.replace("max_aori: 7\n  max_aoli: 7", "max_aori: 1500\n  max_aoli: 1500")
+    assert huge != shipped
+    cfg, out = write_config(tmp_path, huge)
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "state space too large" in capsys.readouterr().err
+
+
+def test_simulate_caps_checks_state_budget(tmp_path, capsys):
+    capped = TWO_SENSOR_YAML.replace(
+        "truncation:\n  max_aori: 7\n  max_aoli: 7",
+        "truncation:\n  max_aori: 7\n  max_aoli: 7\n  max_states: 1000",
+    )
+    cfg, out = write_config(tmp_path, capped)
+    # cap 3 fits (2 * (4 * 3)^2 = 288 states), cap 7 does not (6272)
+    code = cli.main(["simulate", "--config", str(cfg), "--caps", "3,7",
+                     "--replications", "2", "--horizon", "50"])
+    assert code == 2
+    assert "state space too large" in capsys.readouterr().err
+    assert not (out / "divergence.csv").exists()
 
 
 def test_simulate_reproducible_and_traced(tmp_path):

@@ -26,6 +26,13 @@ def test_state_space_roundtrip_with_markov_arrivals(va_penalty):
         assert space.encode(space.decode(idx)) == idx
 
 
+def test_state_count_is_exact_beyond_int64(va_penalty):
+    # three sensors at cap 1500: 2 * (1501 * 1500)^3 is about 2.3e19 > 2^63
+    sensor = a.SensorSpec(a.BernoulliArrival(0.5), va_penalty, 0.4, 0.9, 1500, 1500)
+    spec = a.SystemSpec((sensor,) * 3, a.ChannelSpec(0.5, 0.8), 1)
+    assert mdp.StateSpace(spec).n_states == 2 * (1501 * 1500) ** 3
+
+
 def test_action_set_ordering_and_size():
     actions = mdp.ActionSet(3, 2)
     assert len(actions) == 1 + 3 + 3
