@@ -288,12 +288,14 @@ def _check_state_budget(system: SystemSpec, max_states: int) -> mdp.StateSpace:
     return space
 
 
-def _sisp_table(cfg: LoadedConfig, space, actions):
-    values = decomposed.solve_sisp_values(cfg.system, cfg.p_r)
-    table, copied = decomposed.build_policy_table_with_pruning(
-        values, space, actions, cfg.system
-    )
-    return values, table, copied
+def _sisp_table(cfg: LoadedConfig) -> tuple:
+    """(space, per-sensor values, table, n_copied) of the SISP table."""
+    system = cfg.system
+    space = _check_state_budget(system, cfg.max_states)
+    actions = mdp.ActionSet(system.n_sensors, system.m_budget)
+    values = decomposed.solve_sisp_values(system, cfg.p_r)
+    table, copied = decomposed.build_policy_table_with_pruning(values, space, actions, system)
+    return space, values, table, copied
 
 
 def _joint_mdp(cfg: LoadedConfig, cache: dict) -> tuple:
@@ -328,11 +330,10 @@ def _build_policy(name: str, cfg: LoadedConfig, cache: dict) -> pol.Policy:
         space, _, pt = _solve_optimal(cfg, cache)
         policy = pol.TablePolicy("optimal", space, pt)
     elif name == "sisp":
-        space = _check_state_budget(system, cfg.max_states)
-        actions = mdp.ActionSet(system.n_sensors, system.m_budget)
-        _, table, _ = _sisp_table(cfg, space, actions)
+        space, _, table, _ = _sisp_table(cfg)
         policy = pol.TablePolicy("sisp", space, table)
     elif name == "myopic":
+        _check_state_budget(pol.myopic_system(system), cfg.max_states)
         policy = pol.MyopicPolicy(pol.build_myopic_policy(system))
     elif name == "maf":
         policy = pol.MafPolicy(system.m_budget)
@@ -352,62 +353,35 @@ def _build_policy(name: str, cfg: LoadedConfig, cache: dict) -> pol.Policy:
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     out_dir = Path(args.out) if args.out else cfg.out_dir
-    system = cfg.system
     t0 = time.perf_counter()
+    # summary columns in file order; wall_time_s is set once the solve is done
     if args.policy == "optimal":
         space, vt, pt = _solve_optimal(cfg, {})
-        values, gain, iters = vt.values, vt.gain, vt.iterations
-        extra = {}
+        rows = mdp.table_rows(space, vt.values, pt)
+        summary = {"gain": vt.gain, "iterations": vt.iterations, "wall_time_s": None}
     elif args.policy == "sisp":
-        space = _check_state_budget(system, cfg.max_states)
-        actions = mdp.ActionSet(system.n_sensors, system.m_budget)
-        sensor_values, pt, copied = _sisp_table(cfg, space, actions)
-        values = None
+        space, sensor_values, pt, copied = _sisp_table(cfg)
+        rows = mdp.table_rows(space, None, pt)
         gain = sum(v.gain for v in sensor_values)
-        iters = ""
-        extra = {"pruned_states": copied}
-    else:  # myopic
-        model = pol.build_myopic_policy(system)
-        wall = time.perf_counter() - t0
-        fh, w = _open_output(out_dir, "myopic_table.csv", cfg.config_hash)
-        with fh:
-            n = system.n_sensors
-            w.writerow(["state_index"] + [f"aori_{i+1}" for i in range(n)] + ["theta", "action_bits"])
-            for idx in range(model.space.n_states):
-                js = model.space.decode(idx)
-                bits = "".join(str(d) for d in model.table.action_of(idx))
-                w.writerow([idx, *(st.aori for st in js.sensors), js.theta, bits])
-        fh, w = _open_output(out_dir, "myopic_summary.csv", cfg.config_hash)
-        with fh:
-            w.writerow(["policy", "states", "gain", "wall_time_s"])
-            w.writerow(["myopic", model.space.n_states, model.gain, wall])
-        print(f"myopic: {model.space.n_states} states, gain {_fmt(model.gain)}")
-        return 0
-    wall = time.perf_counter() - t0
+        summary = {"gain": gain, "iterations": "", "wall_time_s": None, "pruned_states": copied}
+    else:  # myopic: its own space has no buffer age and no value column
+        model = _build_policy("myopic", cfg, {}).model
+        space = model.space
+        columns = ("state_index", "aori", "theta", "action_bits")
+        rows = mdp.table_rows(space, None, model.table, columns)
+        summary = {"gain": model.gain, "wall_time_s": None}
+    wall = summary["wall_time_s"] = time.perf_counter() - t0
 
-    n = system.n_sensors
-    has_markov = any(s.has_markov_arrivals for s in system.sensors)
-    header = ["state_index"]
-    header += [f"aoli_{i+1}" for i in range(n)]
-    header += [f"aori_{i+1}" for i in range(n)]
-    if has_markov:
-        header += [f"arrmem_{i+1}" for i in range(n)]
-    header += ["theta", "value", "action_bits"]
     fh, w = _open_output(out_dir, f"{args.policy}_table.csv", cfg.config_hash)
     with fh:
-        w.writerow(header)
-        for row in mdp.table_rows(space, values, pt):
+        for row in rows:
             w.writerow(row)
     fh, w = _open_output(out_dir, f"{args.policy}_summary.csv", cfg.config_hash)
     with fh:
-        cols = ["policy", "states", "gain", "iterations", "wall_time_s"]
-        vals = [args.policy, space.n_states, gain, iters, wall]
-        for k, v in extra.items():
-            cols.append(k)
-            vals.append(v)
-        w.writerow(cols)
-        w.writerow(vals)
-    print(f"{args.policy}: {space.n_states} states, gain {_fmt(gain)}, {wall:.2f}s")
+        w.writerow(["policy", "states", *summary])
+        w.writerow([args.policy, space.n_states, *summary.values()])
+    line = f"{args.policy}: {space.n_states} states, gain {_fmt(summary['gain'])}"
+    print(line if args.policy == "myopic" else f"{line}, {wall:.2f}s")
     return 0
 
 

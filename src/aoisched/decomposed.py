@@ -81,8 +81,12 @@ def default_randomized_probs(spec: SystemSpec) -> tuple:
     return tuple(float(x) for x in p)
 
 
-def _single_sensor_system(sensor: SensorSpec, channel: ChannelSpec) -> SystemSpec:
-    return SystemSpec(sensors=(sensor,), channel=channel, m_budget=1)
+def _single_sensor_kernels(sensor: SensorSpec, channel: ChannelSpec) -> tuple:
+    """(system, space, K_idle, K_transmit) of the sensor alone, kernels dense."""
+    system = SystemSpec(sensors=(sensor,), channel=channel, m_budget=1)
+    space = StateSpace(system)
+    k_idle, k_tx = (k.toarray() for k in build_kernels(system, space, ActionSet(1, 1)))
+    return system, space, k_idle, k_tx
 
 
 def per_sensor_kernel(
@@ -96,10 +100,7 @@ def per_sensor_kernel(
     """
     if not (0.0 <= p_r_i <= 1.0):
         raise ValueError(f"p_r must lie in [0,1], got {p_r_i}")
-    system = _single_sensor_system(sensor, channel)
-    space = StateSpace(system)
-    actions = ActionSet(1, 1)
-    k_idle, k_tx = (k.toarray() for k in build_kernels(system, space, actions))
+    _, _, k_idle, k_tx = _single_sensor_kernels(sensor, channel)
     return p_r_i * k_tx + (1.0 - p_r_i) * k_idle
 
 
@@ -137,10 +138,7 @@ def solve_per_sensor_value(
     Stage cost is the sensor's own penalty at its monitor-side age; the value
     is normalized to zero at the reference state ((0,1), bad channel).
     """
-    system = _single_sensor_system(sensor, channel)
-    space = StateSpace(system)
-    actions = ActionSet(1, 1)
-    k_idle, k_tx = (k.toarray() for k in build_kernels(system, space, actions))
+    system, space, k_idle, k_tx = _single_sensor_kernels(sensor, channel)
     mixed = p_r_i * k_tx + (1.0 - p_r_i) * k_idle
     cost = cost_vector(space, system)
     vt, _ = relative_value_iteration(

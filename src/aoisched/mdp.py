@@ -52,6 +52,10 @@ __all__ = [
     "table_rows",
 ]
 
+# Column groups of a full state table, and the rows table_rows converts at once
+TABLE_COLUMNS = ("state_index", "aoli", "aori", "arrmem", "theta", "value", "action_bits")
+TABLE_CHUNK = 1 << 14
+
 
 class StateSpace:
     """Bijective index <-> JointState codec over the truncated rectangle.
@@ -120,10 +124,6 @@ class StateSpace:
             sensors.append(SensorState(aoli, aori))
             prev.append(bool(g) if self.g_sizes[i] == 2 else aoli == 0)
         return JointState(tuple(sensors), theta, tuple(prev))
-
-    def states(self):
-        for idx in range(self.n_states):
-            yield self.decode(idx)
 
     def reference_index(self) -> int:
         """Index of the canonical start state (all sensors (0,1), bad channel)."""
@@ -576,25 +576,38 @@ def average_cost_by_sensor(
     return out
 
 
-def table_rows(space: StateSpace, values: Optional[np.ndarray], policy: Optional[PolicyTable]):
-    """Rows for value/policy CSV dumps.
+def table_rows(
+    space: StateSpace,
+    values: Optional[np.ndarray],
+    policy: PolicyTable,
+    columns: Sequence[str] = TABLE_COLUMNS,
+):
+    """Header, then one row per state, for the CSV table dumps.
 
-    Yields (state_index, aoli_1..N, aori_1..N, [arrmem_1..N,] theta, value,
-    action_bits); the arrival-memory columns appear only when some sensor has
-    Markov arrivals.
+    `columns` picks column groups in order: state_index; aoli, aori and
+    arrmem give one column per sensor (arrmem only when some sensor has
+    Markov arrivals: the memory bit for those sensors, aoli == 0 for the
+    others); theta; value, blank when values is None; action_bits. Cells are
+    read from the cached coordinate arrays and turned into Python objects
+    TABLE_CHUNK rows at a time.
     """
-    has_markov = any(g == 2 for g in space.g_sizes)
-    for idx in range(space.n_states):
-        js = space.decode(idx)
-        row = [idx]
-        row.extend(st.aoli for st in js.sensors)
-        row.extend(st.aori for st in js.sensors)
-        if has_markov:
-            row.extend(int(b) for b in js.prev_arrival)
-        row.append(js.theta)
-        row.append(values[idx] if values is not None else "")
-        if policy is not None:
-            row.append("".join(str(d) for d in policy.action_of(idx)))
-        else:
-            row.append("")
-        yield row
+    n = space.n_states
+    sensors = range(space.n_sensors)
+    theta, aoli, aori, g, _ = space._coordinate_arrays()
+    bits = np.array(["".join(map(str, a)) for a in policy.action_set.actions], dtype=object)
+    if values is None:
+        values = np.broadcast_to(np.array("", dtype=object), (n,))
+    groups = {
+        "state_index": [("state_index", np.arange(n))],
+        "aoli": [(f"aoli_{i+1}", aoli[i]) for i in sensors],
+        "aori": [(f"aori_{i+1}", aori[i]) for i in sensors],
+        "arrmem": [(f"arrmem_{i+1}", g[i] if space.g_sizes[i] == 2 else aoli[i] == 0)
+                   for i in sensors if 2 in space.g_sizes],
+        "theta": [("theta", theta)],
+        "value": [("value", values)],
+        "action_bits": [("action_bits", bits[policy.action_index])],
+    }
+    cols = [col for group in columns for col in groups[group]]
+    yield [name for name, _ in cols]
+    for lo in range(0, n, TABLE_CHUNK):
+        yield from zip(*(col[lo : lo + TABLE_CHUNK].tolist() for _, col in cols))

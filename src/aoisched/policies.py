@@ -32,6 +32,7 @@ __all__ = [
     "randomized_action_weights",
     "IdlePolicy",
     "MyopicModel",
+    "myopic_system",
     "build_myopic_policy",
     "MyopicPolicy",
     "policy_to_table",
@@ -224,26 +225,30 @@ class MyopicModel:
     gain: float
 
 
+def myopic_system(spec: SystemSpec) -> SystemSpec:
+    """spec with certain arrivals and no buffer age: the myopic model's system."""
+    return replace(
+        spec,
+        sensors=tuple(
+            replace(s, arrival=BernoulliArrival(1.0), max_aoli=0) for s in spec.sensors
+        ),
+    )
+
+
 def build_myopic_policy(
     spec: SystemSpec, epsilon: float = 1e-9, max_iter: int = 100000
 ) -> MyopicModel:
     """Solve the single-age generate-at-will model on (aori, theta) only.
 
     A successful delivery is assumed to reset the monitor age to one, i.e.
-    the buffer always holds fresh data. That model is the joint MDP of the
-    same system with certain arrivals and no buffer age (every sensor gets
-    BernoulliArrival(1.0) and max_aoli = 0), so its space is indexed by the
-    monitor ages and the channel alone. The resulting table deliberately
-    ignores buffer staleness; evaluating it under the true dual-age dynamics
-    quantifies that model mismatch.
+    the buffer always holds fresh data. That model is the joint MDP of
+    myopic_system(spec): every sensor gets BernoulliArrival(1.0) and
+    max_aoli = 0, so its space is indexed by the monitor ages and the
+    channel alone. The resulting table deliberately ignores buffer
+    staleness; evaluating it under the true dual-age dynamics quantifies
+    that model mismatch.
     """
-    reduced = replace(
-        spec,
-        sensors=tuple(
-            replace(s, arrival=BernoulliArrival(1.0), max_aoli=0) for s in spec.sensors
-        ),
-    )
-    space, _, vt, pt = solve_optimal_policy(reduced, epsilon, max_iter)
+    space, _, vt, pt = solve_optimal_policy(myopic_system(spec), epsilon, max_iter)
     return MyopicModel(space, pt, vt.gain)
 
 

@@ -117,6 +117,32 @@ def test_state_budget_cap(tmp_path, capsys):
     assert "state space too large" in capsys.readouterr().err
 
 
+def _myopic_over_budget(tmp_path):
+    # the myopic model's own space has 2 * 7^2 = 98 states
+    capped = TWO_SENSOR_YAML.replace(
+        "truncation:\n  max_aori: 7\n  max_aoli: 7",
+        "truncation:\n  max_aori: 7\n  max_aoli: 7\n  max_states: 50",
+    )
+    return write_config(tmp_path, capped)
+
+
+def test_solve_myopic_checks_state_budget(tmp_path, capsys):
+    cfg, out = _myopic_over_budget(tmp_path)
+    assert cli.main(["solve", "--config", str(cfg), "--policy", "myopic"]) == 2
+    err = capsys.readouterr().err
+    assert "state space too large" in err and "98 states > max_states 50" in err
+    assert not out.exists()
+
+
+def test_simulate_myopic_checks_state_budget(tmp_path, capsys):
+    cfg, out = _myopic_over_budget(tmp_path)
+    code = cli.main(["simulate", "--config", str(cfg), "--policies", "myopic",
+                     "--replications", "2", "--horizon", "50"])
+    assert code == 2
+    assert "98 states > max_states 50" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_state_budget_refuses_count_beyond_int64(tmp_path, capsys):
     # 2 * (1501 * 1500)^3 states: an int64 product wraps to a negative count
     shipped = (Path(__file__).parents[1] / "configs" / "threesensor.yaml").read_text()

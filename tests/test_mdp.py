@@ -300,7 +300,8 @@ def test_optimal_gain_dominates_all_deterministic_tables(tiny_solved):
 
 def test_table_rows_shape(tiny_solved):
     b = tiny_solved
-    rows = list(mdp.table_rows(b.space, b.vt.values, b.pt))
+    header, *rows = mdp.table_rows(b.space, b.vt.values, b.pt)
     assert len(rows) == b.space.n_states
     # state_index, aoli, aori, theta, value, action_bits for one sensor
-    assert len(rows[0]) == 6
+    assert header == ["state_index", "aoli_1", "aori_1", "theta", "value", "action_bits"]
+    assert {len(row) for row in rows} == {6}

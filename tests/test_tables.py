@@ -1,0 +1,122 @@
+"""Solve tables written by the CLI against a state-by-state oracle.
+
+The oracle decodes every index with StateSpace.decode and writes each row
+through cli._Writer: a state-by-state reference for the tables that
+mdp.table_rows builds from the coordinate arrays. Each table is compared
+byte for byte.
+"""
+
+import textwrap
+
+import pytest
+
+from aoisched import cli, decomposed, mdp, policies as pol
+
+DEFAULT_CHUNK = mdp.TABLE_CHUNK
+
+BERNOULLI_YAML = textwrap.dedent(
+    """
+    channel: {kappa00: 0.5, kappa11: 0.8}
+    budget: 1
+    truncation: {max_aori: 4, max_aoli: 3}
+    sensors:
+      - arrival: {kind: bernoulli, rate: 0.9}
+        penalty: {kind: exponential, r: 0.4}
+        p0: 0.5
+        p1: 1.0
+      - arrival: {kind: bernoulli, rate: 0.5}
+        penalty: {kind: exponential, r: 0.3}
+        p0: 0.4
+        p1: 0.9
+    output: {dir: OUTDIR}
+    """
+)
+
+# M = 2 with one Markov sensor: the arrmem columns hold its memory bit and
+# aoli == 0 for the two Bernoulli sensors.
+MARKOV_YAML = textwrap.dedent(
+    """
+    channel: {kappa00: 0.5, kappa11: 0.8}
+    budget: 2
+    truncation: {max_aori: 3, max_aoli: 1}
+    sensors:
+      - arrival: {kind: bernoulli, rate: 0.9}
+        penalty: {kind: exponential, r: 0.4}
+        p0: 0.5
+        p1: 1.0
+      - arrival: {kind: bernoulli, rate: 0.5}
+        penalty: {kind: exponential, r: 0.3}
+        p0: 0.4
+        p1: 0.9
+      - arrival: {kind: markov, stay_empty: 0.6, stay_active: 0.6}
+        penalty: {kind: exponential, r: 0.3}
+        p0: 0.3
+        p1: 0.8
+    output: {dir: OUTDIR}
+    """
+)
+
+
+def oracle_table(path, cfg, space, values, policy, myopic=False):
+    """The table as decoded state by state and written through cli._Writer."""
+    n = space.n_sensors
+    has_markov = any(s.has_markov_arrivals for s in cfg.system.sensors)
+    with path.open("w", newline="") as fh:
+        fh.write(f"# config_sha256={cfg.config_hash}\n")
+        w = cli._Writer(fh)
+        if myopic:
+            w.writerow(["state_index"] + [f"aori_{i+1}" for i in range(n)]
+                       + ["theta", "action_bits"])
+        else:
+            header = ["state_index"]
+            header += [f"aoli_{i+1}" for i in range(n)]
+            header += [f"aori_{i+1}" for i in range(n)]
+            if has_markov:
+                header += [f"arrmem_{i+1}" for i in range(n)]
+            w.writerow(header + ["theta", "value", "action_bits"])
+        for idx in range(space.n_states):
+            js = space.decode(idx)
+            bits = "".join(str(d) for d in policy.action_of(idx))
+            if myopic:
+                w.writerow([idx, *(st.aori for st in js.sensors), js.theta, bits])
+                continue
+            row = [idx]
+            row.extend(st.aoli for st in js.sensors)
+            row.extend(st.aori for st in js.sensors)
+            if has_markov:
+                row.extend(int(b) for b in js.prev_arrival)
+            row += [js.theta, values[idx] if values is not None else "", bits]
+            w.writerow(row)
+    return path.read_bytes()
+
+
+def expected_tables(cfg, tmp_path):
+    system = cfg.system
+    space, actions, vt, pt = mdp.solve_optimal_policy(system)
+    sisp, _ = decomposed.build_policy_table_with_pruning(
+        decomposed.solve_sisp_values(system, cfg.p_r), space, actions, system
+    )
+    myopic = pol.build_myopic_policy(system)
+    return {
+        "optimal": oracle_table(tmp_path / "o.csv", cfg, space, vt.values, pt),
+        "sisp": oracle_table(tmp_path / "s.csv", cfg, space, None, sisp),
+        "myopic": oracle_table(
+            tmp_path / "m.csv", cfg, myopic.space, None, myopic.table, myopic=True
+        ),
+    }
+
+
+@pytest.mark.parametrize("text", [BERNOULLI_YAML, MARKOV_YAML], ids=["bernoulli", "markov"])
+@pytest.mark.parametrize("chunk", [DEFAULT_CHUNK, 7], ids=["default_chunk", "chunk7"])
+def test_solve_tables_match_decode_oracle(tmp_path, monkeypatch, text, chunk):
+    monkeypatch.setattr(mdp, "TABLE_CHUNK", chunk)
+    out = tmp_path / "out"
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text.replace("OUTDIR", str(out)))
+    cfg = cli.load_config(path)
+    expected = expected_tables(cfg, tmp_path)
+    # every table spans more than one chunk of 7 rows, none fills the default
+    assert 7 < len(expected["myopic"].splitlines()) - 2 < DEFAULT_CHUNK
+    for policy, blob in expected.items():
+        assert cli.main(["solve", "--config", str(path), "--policy", policy]) == 0
+        assert (out / f"{policy}_table.csv").read_bytes() == blob, policy
