@@ -4,8 +4,9 @@ State enumeration, the factored transition kernel (channel factor times
 per-sensor case table, with a Markov-arrival variant), relative value
 iteration for the average-cost optimal policy, a value-monotonicity checker,
 and exact policy evaluation through the stationary distribution of the
-policy-induced chain: one pinned sparse solve on the single closed class
-reachable from the start state (stationary_distribution).
+policy-induced chain: restarted GMRES on the pinned balance equations of the
+single closed class reachable from the start state, certified by its L1
+balance residual, or ConvergenceError (stationary_distribution).
 
 build_kernels is the one kernel builder: the joint solver, exact policy
 evaluation, the per-sensor SISP solves, the randomized chain and the myopic
@@ -25,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import breadth_first_order, connected_components
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import gmres
 
 from .dynamics import JointState, SensorState, initial_state
 from .model import ConvergenceError, SensorSpec, SystemSpec, penalty_table
@@ -55,6 +56,14 @@ __all__ = [
 # Column groups of a full state table, and the rows table_rows converts at once
 TABLE_COLUMNS = ("state_index", "aoli", "aori", "arrmem", "theta", "value", "action_bits")
 TABLE_CHUNK = 1 << 14
+
+# Stationary solve: the L1 balance residual a returned distribution must meet,
+# and the GMRES restart length, tolerance, restart cycles and passes
+STATIONARY_RESIDUAL = 1e-12
+GMRES_RESTART = 20
+GMRES_RTOL = 1e-12
+GMRES_CYCLES = 100
+GMRES_PASSES = 2
 
 
 class StateSpace:
@@ -519,12 +528,21 @@ def stationary_distribution(p: sparse.csr_matrix, start_index: int) -> np.ndarra
 
     On that class, with transition matrix Q, the balance equations are
     A xi = 0 with A = (I - Q)^T, which fix xi only up to scale. The first
-    state is pinned to xi_0 = 1 and its equation dropped, leaving one solve
-    A[1:, 1:] xi[1:] = -A[1:, 0] (Stewart 1994, ch. 2); the pin is valid
-    because every state of an irreducible class has positive mass. The
-    solve is sparse for every class size: A keeps the kernels' few nonzeros
-    per row, and one path gives small and large chains the same arithmetic.
+    state is pinned to xi_0 = 1 and its equation dropped, leaving the
+    nonsingular system A[1:, 1:] xi[1:] = -A[1:, 0] (Stewart 1994, ch. 2);
+    the pin is valid because every state of an irreducible class has
+    positive mass. Restarted GMRES solves it (Saad & Schultz 1986), and a
+    second pass solves for the correction of the first pass's residual,
+    which takes the answer down to rounding level. Power iteration is not
+    used: it does not converge on periodic chains such as round robin's.
     A one-state class gets mass 1 without a solve.
+
+    GMRES's own convergence flag is not trusted (its tolerance is relative
+    to a right-hand side that can be tiny). The answer certifies itself
+    instead: after normalizing, the L1 balance residual |xi Q - xi|_1 must
+    be <= STATIONARY_RESIDUAL and every state of the class must have
+    positive mass, or ConvergenceError is raised with the residual and the
+    class size.
     """
     n = p.shape[0]
     reach = np.sort(breadth_first_order(p, start_index, return_predecessors=False))
@@ -540,13 +558,31 @@ def stationary_distribution(p: sparse.csr_matrix, start_index: int) -> np.ndarra
             f"{len(closed)} recurrent classes reachable from state {start_index}"
         )
     members = np.flatnonzero(labels == closed[0])
-    xi = np.ones(len(members))
-    if len(members) > 1:
+    m = len(members)
+    xi = np.ones(m)
+    if m > 1:
         q = sub[np.ix_(members, members)]
-        a = (sparse.identity(len(members), format="csr") - q).T.tocsc()
-        xi[1:] = spsolve(a[1:, 1:], -a[1:, 0].toarray().ravel())
+        a = (sparse.identity(m, format="csr") - q).T.tocsr()
+        a11 = a[1:, 1:]
+        b = -a[1:, 0].toarray().ravel()
+        x = np.zeros(m - 1)
+        for _ in range(GMRES_PASSES):
+            dx, _ = gmres(
+                a11, b - a11 @ x, rtol=GMRES_RTOL, atol=0.0,
+                restart=GMRES_RESTART, maxiter=GMRES_CYCLES,
+            )
+            x += dx
+        xi[1:] = x
+        xi /= xi.sum()
+        residual = float(np.abs(q.T @ xi - xi).sum())
+        if not (residual <= STATIONARY_RESIDUAL and np.all(xi > 0.0)):
+            raise ConvergenceError(
+                f"stationary solve: L1 residual {residual:.3e} (bound "
+                f"{STATIONARY_RESIDUAL:g}), smallest mass {xi.min():.3e}, "
+                f"on a {m}-state closed class"
+            )
     xi_full = np.zeros(n)
-    xi_full[reach[members]] = xi / xi.sum()
+    xi_full[reach[members]] = xi
     return xi_full
 
 

@@ -58,6 +58,15 @@ class Policy:
     def decide(self, state: JointState) -> tuple:
         raise NotImplementedError
 
+    def action_indices(self, space: StateSpace, actions: ActionSet) -> Optional[np.ndarray]:
+        """Index into `actions` of the decision at every state of `space`, by
+        array lookup; None when only decide can tabulate this policy."""
+        return None
+
+
+def _same_actions(table: PolicyTable, actions: ActionSet) -> bool:
+    return table.action_set is not None and table.action_set.actions == actions.actions
+
 
 class TablePolicy(Policy):
     """Lookup policy over the full truncated state space."""
@@ -69,6 +78,14 @@ class TablePolicy(Policy):
 
     def decide(self, state: JointState) -> tuple:
         return self.table.action_of(self.space.encode(state))
+
+    def action_indices(self, space: StateSpace, actions: ActionSet) -> Optional[np.ndarray]:
+        same_layout = (self.space.l_sizes, self.space.r_sizes, self.space.g_sizes) == (
+            space.l_sizes, space.r_sizes, space.g_sizes
+        )
+        if not (same_layout and _same_actions(self.table, actions)):
+            return None
+        return self.table.action_index.astype(np.int64)
 
 
 def _top_m(scores: Sequence[float], m: int) -> tuple:
@@ -217,6 +234,9 @@ class IdlePolicy(Policy):
     def decide(self, state: JointState) -> tuple:
         return self.action
 
+    def action_indices(self, space: StateSpace, actions: ActionSet) -> Optional[np.ndarray]:
+        return np.full(space.n_states, actions.index(self.action), dtype=np.int64)
+
 
 @dataclass
 class MyopicModel:
@@ -265,13 +285,27 @@ class MyopicPolicy(Policy):
             idx += (st.aori - 1) * stride
         return self.model.table.action_of(idx)
 
+    def action_indices(self, space: StateSpace, actions: ActionSet) -> Optional[np.ndarray]:
+        table = self.model.table
+        if not (space.r_sizes == self.model.space.r_sizes and _same_actions(table, actions)):
+            return None
+        idx = np.arange(space.n_states) % 2  # the channel bit is the fastest digit
+        for i, stride in enumerate(self._strides):
+            idx += (space.aori_array(i) - 1) * stride
+        return table.action_index[idx].astype(np.int64)
+
 
 def policy_to_table(policy: Policy, space: StateSpace, actions: ActionSet) -> PolicyTable:
     """Tabulate a stateless decision rule over the full truncated space.
 
     Only valid for policies whose decision is a pure function of the state
-    (not round robin, not randomized).
+    (not round robin, not randomized). Policies that hold a table (the
+    solved and structure-informed tables, myopic, idle) are read by array
+    lookup through action_indices; the others call decide state by state.
     """
+    table = policy.action_indices(space, actions)
+    if table is not None:
+        return PolicyTable(table, actions)
     table = np.empty(space.n_states, dtype=np.int64)
     for idx in range(space.n_states):
         table[idx] = actions.index(policy.decide(space.decode(idx)))

@@ -1,10 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import aoisched as a
-from aoisched import dynamics, mdp, policies as pol
+from aoisched import cli, dynamics, mdp, policies as pol
 
 from conftest import VA_CHANNEL, make_va_system
+from test_cli import write_config
+from test_tables import MARKOV_YAML
 
 
 def _state(sensor_states, theta=0):
@@ -175,3 +179,23 @@ def test_table_policy_round_trip(tiny_solved):
     policy = pol.TablePolicy("optimal", b.space, b.pt)
     for idx in range(b.space.n_states):
         assert policy.decide(b.space.decode(idx)) == b.pt.action_of(idx)
+
+
+@pytest.mark.parametrize("case", ["twosensor", "markov"])
+def test_policy_to_table_matches_decide(case, tmp_path):
+    if case == "twosensor":
+        path = Path(__file__).resolve().parents[1] / "configs" / "twosensor.yaml"
+    else:
+        path, _ = write_config(tmp_path, MARKOV_YAML)
+    cfg = cli.load_config(str(path))
+    cache = {}
+    space, actions, _, _ = cli._joint_mdp(cfg, cache)
+    for name in ("optimal", "sisp", "maf", "mef", "myopic", "idle"):
+        policy = cli._build_policy(name, cfg, cache)
+        # the table policies take the lookup path, the score rules decide
+        looked_up = policy.action_indices(space, actions) is not None
+        assert looked_up == (name not in ("maf", "mef")), name
+        expected = [actions.index(policy.decide(space.decode(i))) for i in range(space.n_states)]
+        table = pol.policy_to_table(policy, space, actions)
+        assert table.action_set is actions
+        np.testing.assert_array_equal(table.action_index, expected, err_msg=name)

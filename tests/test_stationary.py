@@ -1,12 +1,21 @@
 """mdp.stationary_distribution: class detection, mass placement and accuracy."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from aoisched import mdp, policies as pol
+import aoisched as a
+from aoisched import cli, mdp, policies as pol
+from aoisched.model import ConvergenceError
+
+from conftest import make_va_system, solve_bundle
+from test_cli import ONE_SENSOR_YAML, write_config
+from test_tables import MARKOV_YAML
 
 
 def chain(rows):
@@ -56,20 +65,67 @@ def test_round_robin_augmented_chain_residual(va_solved):
     assert residual(p_aug, xi) <= 1e-12
 
 
+def dense_solve(q):
+    """xi Q = xi with sum(xi) = 1, the last balance equation replaced by the sum."""
+    a = q.T - np.eye(len(q))
+    a[-1, :] = 1.0
+    rhs = np.zeros(len(q))
+    rhs[-1] = 1.0
+    return np.linalg.solve(a, rhs)
+
+
 def test_optimal_chain_matches_dense_solve(va_solved):
     p = mdp.policy_chain_matrix(va_solved.pt, va_solved.kernels)
     xi = mdp.stationary_distribution(p, va_solved.start)
     support = np.flatnonzero(xi > 0)
     # the support is closed: no edge leaves it
     assert np.all(np.isin(p[support].indices, support))
-    q = p[np.ix_(support, support)].toarray()
-    # xi Q = xi with sum(xi) = 1, the last balance equation replaced by the sum
-    a = q.T - np.eye(len(support))
-    a[-1, :] = 1.0
-    rhs = np.zeros(len(support))
-    rhs[-1] = 1.0
-    dense = np.linalg.solve(a, rhs)
+    dense = dense_solve(p[np.ix_(support, support)].toarray())
     np.testing.assert_allclose(xi[support], dense, rtol=0, atol=1e-12)
+
+
+def test_deterministic_three_cycle_gets_uniform_mass():
+    # period 3: power iteration would cycle forever on it
+    p = chain([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    np.testing.assert_allclose(mdp.stationary_distribution(p, 1), [1 / 3] * 3, rtol=0, atol=1e-15)
+
+
+def test_sticky_channel_matches_dense_solve(va_penalty):
+    # an asymmetric, slowly mixing channel: it stays bad for 2,000 slots and
+    # good for 500 on average
+    system = make_va_system(va_penalty, 0.9, 0.5, cap=4)
+    system = replace(system, channel=a.ChannelSpec(0.9995, 0.998))
+    b = solve_bundle(system)
+    chains = [
+        (mdp.policy_chain_matrix(b.pt, b.kernels), b.cost, b.start),
+        pol.round_robin_chain(b.space, b.kernels, b.cost, 2, 1),
+    ]
+    for p, cost, start in chains:
+        xi = mdp.stationary_distribution(p, start)
+        support = np.flatnonzero(xi > 0)
+        assert np.all(np.isin(p[support].indices, support))
+        dense = dense_solve(p[np.ix_(support, support)].toarray())
+        np.testing.assert_allclose(xi[support], dense, rtol=0, atol=1e-12)
+        assert float(xi @ cost) == pytest.approx(float(dense @ cost[support]), rel=1e-12)
+        assert residual(p, xi) <= 1e-12
+
+
+def wrong_gmres(a, b, **kwargs):
+    return np.ones_like(b), 0
+
+
+def test_wrong_solver_answer_raises(monkeypatch):
+    p = chain([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.6, 0.0, 0.4]])
+    monkeypatch.setattr(mdp, "gmres", wrong_gmres)
+    with pytest.raises(ConvergenceError, match=r"L1 residual \d.* on a 3-state closed class"):
+        mdp.stationary_distribution(p, 0)
+
+
+def test_compare_exits_1_on_wrong_solver_answer(tmp_path, monkeypatch, capsys):
+    cfg, _ = write_config(tmp_path, ONE_SENSOR_YAML)
+    monkeypatch.setattr(mdp, "gmres", wrong_gmres)
+    assert cli.main(["compare", "--config", str(cfg), "--policies", "maf"]) == 1
+    assert "solver error: stationary solve: L1 residual" in capsys.readouterr().err
 
 
 def closed_classes_reachable(p: np.ndarray, start: int) -> list:
@@ -118,3 +174,95 @@ def test_stationary_distribution_properties(case):
     assert residual(p, xi) <= 1e-12
     assert np.all(xi[outside] == 0.0)
     assert np.all(xi[members] > 0.0)
+
+
+# Exact costs of the eight compare policies, recorded from a direct sparse LU
+# solve (scipy spsolve) of the pinned balance equations.
+RECORDED_COSTS = {
+    "twosensor": {
+        "optimal": 9.863300489272607,
+        "sisp": 9.92138869950812,
+        "maf": 11.03952887355338,
+        "mef": 11.03952887355338,
+        "rr": 11.110607358734468,
+        "rand": 17.409168357838453,
+        "myopic": 10.97944924208072,
+        "idle": 40.256132350229585,
+    },
+    "markov": {
+        "optimal": 2.6047036365557026,
+        "sisp": 2.6047036365557026,
+        "maf": 2.7918221964707106,
+        "mef": 2.7918221964707106,
+        "rr": 2.9056863011812455,
+        "rand": 3.089630719006455,
+        "myopic": 2.736899126007043,
+        "idle": 5.239323145050447,
+    },
+}
+
+
+TWOSENSOR = Path(__file__).resolve().parents[1] / "configs" / "twosensor.yaml"
+
+
+def compare_chains(cfg) -> dict:
+    """{policy: (chain, cost, start)} for the eight policies, as cmd_compare builds them."""
+    cache = {}
+    system = cfg.system
+    space, actions, kernels, cost = cli._joint_mdp(cfg, cache)
+    start = space.reference_index()
+    out = {}
+    for name in pol.POLICY_NAMES:
+        policy = cli._build_policy(name, cfg, cache)
+        if name == "rr":
+            out[name] = pol.round_robin_chain(
+                space, kernels, cost, system.n_sensors, system.m_budget
+            )
+        elif name == "rand":
+            weights = pol.randomized_action_weights(policy.p, system.m_budget, actions)
+            out[name] = (mdp.mixture_chain_matrix(weights, kernels), cost, start)
+        else:
+            table = pol.policy_to_table(policy, space, actions)
+            out[name] = (mdp.policy_chain_matrix(table, kernels), cost, start)
+    return out
+
+
+@pytest.fixture(scope="module")
+def twosensor_chains():
+    return compare_chains(cli.load_config(str(TWOSENSOR)))
+
+
+@pytest.mark.parametrize("case", ["twosensor", "markov"])
+def test_exact_costs_match_recorded(case, tmp_path, twosensor_chains):
+    if case == "twosensor":
+        chains = twosensor_chains
+    else:
+        path, _ = write_config(tmp_path, MARKOV_YAML)
+        chains = compare_chains(cli.load_config(str(path)))
+    for name, recorded in RECORDED_COSTS[case].items():
+        cost = mdp.chain_average_cost(*chains[name])
+        assert cost == pytest.approx(recorded, rel=1e-12, abs=0), name
+
+
+def test_correction_pass_reaches_rounding_level(twosensor_chains):
+    # these chains spread their mass over 1e-13 .. 1e-2; one GMRES pass
+    # leaves residuals up to 1.5e-13, the correction pass about 1e-15
+    for name, (p, _, start) in twosensor_chains.items():
+        assert residual(p, mdp.stationary_distribution(p, start)) <= 1e-14, name
+
+
+def test_negative_mass_is_refused(monkeypatch):
+    # state 2 is entered with probability 1e-14 and holds about 5e-15 of the
+    # mass: flipping its sign keeps the residual far below the bound, so
+    # only the positivity check can refuse the answer
+    p = chain([[0.5, 0.5 - 1e-14, 1e-14], [0.5, 0.5, 0.0], [1.0, 0.0, 0.0]])
+    real_gmres = mdp.gmres
+
+    def flipped(a, b, **kwargs):
+        x, info = real_gmres(a, b, **kwargs)
+        x[-1] = -abs(x[-1])
+        return x, info
+
+    monkeypatch.setattr(mdp, "gmres", flipped)
+    with pytest.raises(ConvergenceError, match="smallest mass -"):
+        mdp.stationary_distribution(p, 0)
