@@ -6,7 +6,8 @@ iteration for the average-cost optimal policy, a value-monotonicity checker,
 and exact policy evaluation through the stationary distribution of the
 policy-induced chain: restarted GMRES on the pinned balance equations of the
 single closed class reachable from the start state, certified by its L1
-balance residual, or ConvergenceError (stationary_distribution).
+balance residual, with a sparse LU solve when GMRES misses the bound
+(stationary_distribution).
 
 build_kernels is the one kernel builder: the joint solver, exact policy
 evaluation, the per-sensor SISP solves, the randomized chain and the myopic
@@ -26,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import breadth_first_order, connected_components
-from scipy.sparse.linalg import gmres
+from scipy.sparse.linalg import gmres, spsolve
 
 from .dynamics import JointState, SensorState, initial_state
 from .model import ConvergenceError, SensorSpec, SystemSpec, penalty_table
@@ -517,6 +518,22 @@ def mixture_chain_matrix(weights: Sequence[float], kernels: Sequence) -> sparse.
     return out.tocsr()
 
 
+def _gmres_solve(a11: sparse.csr_matrix, b: np.ndarray) -> np.ndarray:
+    """Restarted GMRES on a11 x = b, then passes on the remaining residual."""
+    x = np.zeros(len(b))
+    for _ in range(GMRES_PASSES):
+        dx, _ = gmres(
+            a11, b - a11 @ x, rtol=GMRES_RTOL, atol=0.0,
+            restart=GMRES_RESTART, maxiter=GMRES_CYCLES,
+        )
+        x += dx
+    return x
+
+
+def _lu_solve(a11: sparse.csr_matrix, b: np.ndarray) -> np.ndarray:
+    return spsolve(a11.tocsc(), b)
+
+
 def stationary_distribution(p: sparse.csr_matrix, start_index: int) -> np.ndarray:
     """Stationary distribution of the recurrent class reachable from start.
 
@@ -541,8 +558,11 @@ def stationary_distribution(p: sparse.csr_matrix, start_index: int) -> np.ndarra
     to a right-hand side that can be tiny). The answer certifies itself
     instead: after normalizing, the L1 balance residual |xi Q - xi|_1 must
     be <= STATIONARY_RESIDUAL and every state of the class must have
-    positive mass, or ConvergenceError is raised with the residual and the
-    class size.
+    positive mass. Slowly mixing classes (a 50-state birth-death chain, say)
+    can stall restarted GMRES short of that; their system is then solved
+    again by sparse LU, whose cost does not depend on the mixing. If that
+    answer fails the same check too, ConvergenceError is raised with the
+    residual and the class size.
     """
     n = p.shape[0]
     reach = np.sort(breadth_first_order(p, start_index, return_predecessors=False))
@@ -559,27 +579,23 @@ def stationary_distribution(p: sparse.csr_matrix, start_index: int) -> np.ndarra
         )
     members = np.flatnonzero(labels == closed[0])
     m = len(members)
-    xi = np.ones(m)
+    xi = np.ones(1)
     if m > 1:
         q = sub[np.ix_(members, members)]
         a = (sparse.identity(m, format="csr") - q).T.tocsr()
         a11 = a[1:, 1:]
         b = -a[1:, 0].toarray().ravel()
-        x = np.zeros(m - 1)
-        for _ in range(GMRES_PASSES):
-            dx, _ = gmres(
-                a11, b - a11 @ x, rtol=GMRES_RTOL, atol=0.0,
-                restart=GMRES_RESTART, maxiter=GMRES_CYCLES,
-            )
-            x += dx
-        xi[1:] = x
-        xi /= xi.sum()
-        residual = float(np.abs(q.T @ xi - xi).sum())
-        if not (residual <= STATIONARY_RESIDUAL and np.all(xi > 0.0)):
+        for solve in (_gmres_solve, _lu_solve):
+            xi = np.concatenate(([1.0], solve(a11, b)))
+            xi /= xi.sum()
+            residual = float(np.abs(q.T @ xi - xi).sum())
+            if residual <= STATIONARY_RESIDUAL and np.all(xi > 0.0):
+                break
+        else:
             raise ConvergenceError(
                 f"stationary solve: L1 residual {residual:.3e} (bound "
                 f"{STATIONARY_RESIDUAL:g}), smallest mass {xi.min():.3e}, "
-                f"on a {m}-state closed class"
+                f"on a {m}-state closed class, by GMRES and by sparse LU"
             )
     xi_full = np.zeros(n)
     xi_full[reach[members]] = xi

@@ -64,10 +64,6 @@ class Policy:
         return None
 
 
-def _same_actions(table: PolicyTable, actions: ActionSet) -> bool:
-    return table.action_set is not None and table.action_set.actions == actions.actions
-
-
 class TablePolicy(Policy):
     """Lookup policy over the full truncated state space."""
 
@@ -80,12 +76,7 @@ class TablePolicy(Policy):
         return self.table.action_of(self.space.encode(state))
 
     def action_indices(self, space: StateSpace, actions: ActionSet) -> Optional[np.ndarray]:
-        same_layout = (self.space.l_sizes, self.space.r_sizes, self.space.g_sizes) == (
-            space.l_sizes, space.r_sizes, space.g_sizes
-        )
-        if not (same_layout and _same_actions(self.table, actions)):
-            return None
-        return self.table.action_index.astype(np.int64)
+        return self.table.action_index
 
 
 def _top_m(scores: Sequence[float], m: int) -> tuple:
@@ -286,13 +277,10 @@ class MyopicPolicy(Policy):
         return self.model.table.action_of(idx)
 
     def action_indices(self, space: StateSpace, actions: ActionSet) -> Optional[np.ndarray]:
-        table = self.model.table
-        if not (space.r_sizes == self.model.space.r_sizes and _same_actions(table, actions)):
-            return None
-        idx = np.arange(space.n_states) % 2  # the channel bit is the fastest digit
+        idx = space._coordinate_arrays()[0].copy()
         for i, stride in enumerate(self._strides):
             idx += (space.aori_array(i) - 1) * stride
-        return table.action_index[idx].astype(np.int64)
+        return self.model.table.action_index[idx]
 
 
 def policy_to_table(policy: Policy, space: StateSpace, actions: ActionSet) -> PolicyTable:

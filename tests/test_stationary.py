@@ -114,16 +114,68 @@ def wrong_gmres(a, b, **kwargs):
     return np.ones_like(b), 0
 
 
-def test_wrong_solver_answer_raises(monkeypatch):
+def wrong_lu(a, b):
+    return np.ones_like(b)
+
+
+@pytest.fixture
+def lu_calls(monkeypatch):
+    """Count the sparse LU solves behind the stationary solve."""
+    calls = []
+    real_spsolve = mdp.spsolve
+
+    def counted(a, b):
+        calls.append(a.shape[0])
+        return real_spsolve(a, b)
+
+    monkeypatch.setattr(mdp, "spsolve", counted)
+    return calls
+
+
+def birth_death(n, up):
+    """Reflecting walk on 0..n-1, one step up with probability up, else down."""
+    p = np.zeros((n, n))
+    for i in range(n):
+        p[i, min(i + 1, n - 1)] += up
+        p[i, max(i - 1, 0)] += 1.0 - up
+    return sparse.csr_matrix(p)
+
+
+def test_slowly_mixing_chain_falls_back_to_lu(lu_calls):
+    # restarted GMRES stalls far above the bound on this chain (L1 residual
+    # about 1e-2); the LU solve must take over and meet detailed balance,
+    # xi_{i+1} = 1.5 xi_i
+    p = birth_death(50, 0.6)
+    xi = mdp.stationary_distribution(p, 0)
+    assert lu_calls == [49]
+    exact = 1.5 ** np.arange(50)
+    np.testing.assert_allclose(xi, exact / exact.sum(), rtol=0, atol=1e-15)
+    assert residual(p, xi) <= 1e-12
+
+
+def test_wrong_gmres_answer_falls_back_to_lu(monkeypatch, lu_calls):
     p = chain([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.6, 0.0, 0.4]])
     monkeypatch.setattr(mdp, "gmres", wrong_gmres)
-    with pytest.raises(ConvergenceError, match=r"L1 residual \d.* on a 3-state closed class"):
+    xi = mdp.stationary_distribution(p, 0)
+    assert lu_calls == [2]
+    np.testing.assert_allclose(xi, dense_solve(p.toarray()), rtol=0, atol=1e-15)
+
+
+def test_wrong_answer_of_both_solvers_raises(monkeypatch):
+    p = chain([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.6, 0.0, 0.4]])
+    monkeypatch.setattr(mdp, "gmres", wrong_gmres)
+    monkeypatch.setattr(mdp, "spsolve", wrong_lu)
+    with pytest.raises(
+        ConvergenceError,
+        match=r"L1 residual \d.* on a 3-state closed class, by GMRES and by sparse LU",
+    ):
         mdp.stationary_distribution(p, 0)
 
 
 def test_compare_exits_1_on_wrong_solver_answer(tmp_path, monkeypatch, capsys):
     cfg, _ = write_config(tmp_path, ONE_SENSOR_YAML)
     monkeypatch.setattr(mdp, "gmres", wrong_gmres)
+    monkeypatch.setattr(mdp, "spsolve", wrong_lu)
     assert cli.main(["compare", "--config", str(cfg), "--policies", "maf"]) == 1
     assert "solver error: stationary solve: L1 residual" in capsys.readouterr().err
 
@@ -244,25 +296,40 @@ def test_exact_costs_match_recorded(case, tmp_path, twosensor_chains):
         assert cost == pytest.approx(recorded, rel=1e-12, abs=0), name
 
 
-def test_correction_pass_reaches_rounding_level(twosensor_chains):
+def test_correction_pass_reaches_rounding_level(twosensor_chains, lu_calls):
     # these chains spread their mass over 1e-13 .. 1e-2; one GMRES pass
-    # leaves residuals up to 1.5e-13, the correction pass about 1e-15
+    # leaves residuals up to 1.5e-13, the correction pass about 1e-15, so
+    # GMRES alone certifies every one of them
     for name, (p, _, start) in twosensor_chains.items():
         assert residual(p, mdp.stationary_distribution(p, start)) <= 1e-14, name
+    assert lu_calls == []
+
+
+def flip_last(solve):
+    """solve with the sign of its last entry forced negative."""
+    def flipped(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        x = out[0] if isinstance(out, tuple) else out
+        x[-1] = -abs(x[-1])
+        return out
+    return flipped
+
+
+# state 2 is entered with probability 1e-14 and holds about 5e-15 of the
+# mass: flipping its sign keeps the residual far below the bound, so only
+# the positivity check can refuse the answer
+TINY_MASS = [[0.5, 0.5 - 1e-14, 1e-14], [0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]
 
 
 def test_negative_mass_is_refused(monkeypatch):
-    # state 2 is entered with probability 1e-14 and holds about 5e-15 of the
-    # mass: flipping its sign keeps the residual far below the bound, so
-    # only the positivity check can refuse the answer
-    p = chain([[0.5, 0.5 - 1e-14, 1e-14], [0.5, 0.5, 0.0], [1.0, 0.0, 0.0]])
-    real_gmres = mdp.gmres
-
-    def flipped(a, b, **kwargs):
-        x, info = real_gmres(a, b, **kwargs)
-        x[-1] = -abs(x[-1])
-        return x, info
-
-    monkeypatch.setattr(mdp, "gmres", flipped)
+    monkeypatch.setattr(mdp, "gmres", flip_last(mdp.gmres))
+    monkeypatch.setattr(mdp, "spsolve", flip_last(mdp.spsolve))
     with pytest.raises(ConvergenceError, match="smallest mass -"):
-        mdp.stationary_distribution(p, 0)
+        mdp.stationary_distribution(chain(TINY_MASS), 0)
+
+
+def test_negative_gmres_mass_falls_back_to_lu(monkeypatch, lu_calls):
+    monkeypatch.setattr(mdp, "gmres", flip_last(mdp.gmres))
+    xi = mdp.stationary_distribution(chain(TINY_MASS), 0)
+    assert lu_calls == [2]
+    assert np.all(xi > 0.0)
