@@ -3,6 +3,11 @@
 A slot advances in a fixed draw order (channel, then per-sensor arrivals,
 then per-sensor deliveries in index order) so that a seed fully determines a
 trajectory and seeds stay comparable across policies.
+
+step_system is the scalar slot update, one state at a time; it is the
+oracle for step_lanes, which advances many independent lanes (Monte Carlo
+replications) by one slot from the same uniforms with the same comparisons,
+so a lane follows the scalar trajectory exactly.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .model import ArrivalProcess, ChannelSpec, SystemSpec
+from .model import ArrivalProcess, ChannelSpec, SystemSpec, penalty_rows
 
 __all__ = [
     "SensorState",
@@ -25,6 +30,12 @@ __all__ = [
     "apply_step",
     "step_system",
     "step_system_traced",
+    "LaneState",
+    "LaneTables",
+    "lane_state",
+    "lane_tables",
+    "step_lanes",
+    "lane_cost",
     "TRAJECTORY_HEADER",
 ]
 
@@ -178,6 +189,86 @@ def step_system_traced(
     draws = draw_step(state, action, spec, rng, predraw_delivery)
     nxt, cost = apply_step(state, action, draws, spec)
     return nxt, cost, draws
+
+
+class LaneState(NamedTuple):
+    """JointStates of many lanes: theta has one entry per lane, the others
+    one row per sensor (shape (N, lanes))."""
+
+    theta: np.ndarray
+    aoli: np.ndarray
+    aori: np.ndarray
+    arrival: np.ndarray  # bool; the previous slot's arrivals
+
+
+class LaneTables(NamedTuple):
+    """A system's slot parameters as arrays, looked up by step_lanes."""
+
+    stay: np.ndarray  # channel stay probability by theta
+    arrival_prob: np.ndarray  # (N, 2): by sensor, then previous arrival bit
+    success_prob: np.ndarray  # (N, 2): by sensor, then theta
+    max_aoli: np.ndarray  # (N, 1)
+    max_aori: np.ndarray  # (N, 1)
+    penalty: np.ndarray  # penalty_rows
+
+
+def lane_state(state: JointState, lanes: int) -> LaneState:
+    """`lanes` copies of one JointState."""
+    def rows(values, dtype):
+        return np.repeat(np.array(values, dtype=dtype)[:, None], lanes, axis=1)
+
+    return LaneState(
+        np.full(lanes, state.theta, dtype=np.int64),
+        rows([st.aoli for st in state.sensors], np.int64),
+        rows([st.aori for st in state.sensors], np.int64),
+        rows(state.prev_arrival, bool),
+    )
+
+
+def lane_tables(spec: SystemSpec) -> LaneTables:
+    ch = spec.channel
+    sensors = spec.sensors
+    return LaneTables(
+        np.array([ch.kappa00, ch.kappa11]),
+        np.array([[s.arrival.arrival_prob(False), s.arrival.arrival_prob(True)] for s in sensors]),
+        np.array([[s.success_prob(0), s.success_prob(1)] for s in sensors]),
+        np.array([[s.max_aoli] for s in sensors]),
+        np.array([[s.max_aori] for s in sensors]),
+        penalty_rows(sensors),
+    )
+
+
+def step_lanes(
+    lanes: LaneState, scheduled: np.ndarray, u: np.ndarray, tables: LaneTables
+) -> tuple:
+    """Advance every lane one slot; returns (next lanes, penalties).
+
+    u holds one lane's uniforms per column in the canonical order (channel,
+    N arrivals, N deliveries), so the predrawn stream of draw_step is one
+    column per slot. scheduled is the (N, lanes) schedule. The comparisons
+    and caps are those of step_system; penalties has shape (N, lanes) at the
+    post-transition monitor ages (lane_cost sums them).
+    """
+    n = len(tables.penalty)
+    theta = lanes.theta
+    arrived = u[1 : 1 + n] < np.where(
+        lanes.arrival, tables.arrival_prob[:, 1:], tables.arrival_prob[:, :1]
+    )
+    delivered = scheduled & (u[1 + n :] < tables.success_prob[:, theta])
+    aoli_up = lanes.aoli + 1
+    aori = np.minimum(np.where(delivered, aoli_up, lanes.aori + 1), tables.max_aori)
+    aoli = np.minimum(np.where(arrived, 0, aoli_up), tables.max_aoli)
+    theta = np.where(u[0] < tables.stay[theta], theta, 1 - theta)
+    penalties = tables.penalty[np.arange(n)[:, None], aori]
+    return LaneState(theta, aoli, aori, arrived), penalties
+
+
+def lane_cost(penalties: np.ndarray) -> np.ndarray:
+    """Stage cost per lane, summed sensor by sensor in index order as in apply_step."""
+    cost = penalties[0]
+    for row in penalties[1:]:
+        cost = cost + row
+    return cost
 
 
 # One row per (slot, sensor) in trajectory dumps.

@@ -115,6 +115,19 @@ class StateSpace:
             idx = idx * self.sub_sizes[i] + self.sensor_sub_index(i, st.aoli, st.aori, g)
         return idx * 2 + js.theta
 
+    def encode_array(self, theta, aoli, aori, arrival) -> np.ndarray:
+        """encode over arrays: theta is an int array, aoli, aori and arrival
+        hold one such array per sensor (the layout of _coordinate_arrays)."""
+        idx = theta
+        for i in range(self.n_sensors):
+            if aoli[i].max() >= self.l_sizes[i] or aori[i].max() > self.r_sizes[i]:
+                raise ValueError(f"sensor {i} state outside truncation")
+            sub = aoli[i] * self.r_sizes[i] + (aori[i] - 1)
+            if self.g_sizes[i] == 2:
+                sub = sub * 2 + arrival[i]
+            idx = idx + sub * self.sub_strides[i]
+        return idx
+
     def decode(self, idx: int) -> JointState:
         if not (0 <= idx < self.n_states):
             raise ValueError(f"state index {idx} out of range")
@@ -198,6 +211,9 @@ class ActionSet:
             tuple((mask >> i) & 1 for i in range(n)) for mask in masks
         )
         self._index = {a: k for k, a in enumerate(self.actions)}
+        # action index of every bitmask, -1 where the budget is exceeded
+        self.code_index = np.full(1 << n, -1, dtype=np.int64)
+        self.code_index[masks] = np.arange(len(masks))
 
     def __len__(self) -> int:
         return len(self.actions)

@@ -22,6 +22,7 @@ __all__ = [
     "EstimationTracePenalty",
     "PenaltyFunction",
     "penalty_table",
+    "penalty_rows",
     "SensorSpec",
     "SystemSpec",
     "solve_steady_state_covariance",
@@ -210,6 +211,18 @@ PenaltyFunction = Union[ExponentialPenalty, EstimationTracePenalty]
 def penalty_table(pf: PenaltyFunction, max_delta: int) -> np.ndarray:
     """Penalty values for delta = 0..max_delta as a lookup array."""
     return np.array([pf(d) for d in range(max_delta + 1)])
+
+
+def penalty_rows(sensors) -> np.ndarray:
+    """Each sensor's penalty_table up to its max_aori, one row per sensor.
+
+    Rows are padded with NaN to the longest table; a monitor age within the
+    sensor's cap never reads the padding.
+    """
+    rows = np.full((len(sensors), max(s.max_aori for s in sensors) + 1), np.nan)
+    for i, s in enumerate(sensors):
+        rows[i, : s.max_aori + 1] = penalty_table(s.penalty, s.max_aori)
+    return rows
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Baseline scheduling policies sharing one decide(state) -> action interface.
+"""Baseline scheduling policies sharing one decision interface.
 
 Covers the comparison set: the solved optimal table, the structure-informed
 table, max-age-first, max-error-first, round robin, randomized with budget
@@ -16,7 +16,7 @@ from scipy import sparse
 
 from .dynamics import JointState
 from .mdp import ActionSet, PolicyTable, StateSpace, solve_optimal_policy
-from .model import BernoulliArrival, SystemSpec, penalty_table
+from .model import BernoulliArrival, SystemSpec, penalty_rows
 
 __all__ = [
     "Policy",
@@ -44,10 +44,14 @@ POLICY_NAMES = ("optimal", "sisp", "maf", "mef", "rr", "rand", "myopic", "idle")
 
 
 class Policy:
-    """Decision interface used by the simulator.
+    """Decision interface of the simulator and of tabulation.
 
-    reset() is called at the start of every episode; stateful policies
-    (cursor, private randomness) reinitialize there.
+    decide_array is the decision rule: it maps the states of many lanes to
+    action indices at once, and serves both the Monte Carlo engine and
+    policy_to_table. decide is the same rule for one JointState; it drives
+    the scalar episode (sim.run_episode) and is the test oracle.
+    reset() is called at the start of every scalar episode; stateful
+    policies (cursor, private randomness) reinitialize there.
     """
 
     name = "policy"
@@ -58,10 +62,38 @@ class Policy:
     def decide(self, state: JointState) -> tuple:
         raise NotImplementedError
 
-    def action_indices(self, space: StateSpace, actions: ActionSet) -> Optional[np.ndarray]:
-        """Index into `actions` of the decision at every state of `space`, by
-        array lookup; None when only decide can tabulate this policy."""
-        return None
+    def decide_array(
+        self, actions: ActionSet, theta, aoli, aori, arrival, t: int = 0, rngs=None
+    ) -> np.ndarray:
+        """Index into `actions` of the decision in every lane.
+
+        theta is an int array over lanes; aoli, aori and arrival hold one such
+        array per sensor, the layout of StateSpace._coordinate_arrays(). t
+        counts the decisions since the episode start, and rngs holds one
+        policy stream per lane (the generator reset() would get). Raises
+        ValueError on a schedule over the budget of `actions`.
+        """
+        raise NotImplementedError
+
+
+def _action_code(action) -> int:
+    """Bitmask of a schedule, sensor 0 the low bit."""
+    return sum(bit << i for i, bit in enumerate(action))
+
+
+def _lane_actions(actions: ActionSet, codes) -> np.ndarray:
+    """Indices into `actions` of schedule bitmasks; an over-budget schedule
+    raises the ValueError of dynamics.step_system."""
+    idx = actions.code_index[codes]
+    if idx.min() < 0:
+        code = int(codes[np.argmin(idx)])
+        action = tuple((code >> i) & 1 for i in range(actions.n))
+        raise ValueError(f"infeasible action {action} (budget {actions.m} of {actions.n})")
+    return idx
+
+
+def _table_codes(table: PolicyTable) -> np.ndarray:
+    return np.array([_action_code(a) for a in table.action_set.actions])
 
 
 class TablePolicy(Policy):
@@ -71,12 +103,14 @@ class TablePolicy(Policy):
         self.name = name
         self.space = space
         self.table = table
+        self._codes = _table_codes(table)
 
     def decide(self, state: JointState) -> tuple:
         return self.table.action_of(self.space.encode(state))
 
-    def action_indices(self, space: StateSpace, actions: ActionSet) -> Optional[np.ndarray]:
-        return self.table.action_index
+    def decide_array(self, actions, theta, aoli, aori, arrival, t=0, rngs=None):
+        idx = self.space.encode_array(theta, aoli, aori, arrival)
+        return _lane_actions(actions, self._codes[self.table.action_index[idx]])
 
 
 def _top_m(scores: Sequence[float], m: int) -> tuple:
@@ -87,6 +121,13 @@ def _top_m(scores: Sequence[float], m: int) -> tuple:
     for i in order[:m]:
         action[i] = 1
     return tuple(action)
+
+
+def _top_m_array(actions: ActionSet, scores: np.ndarray, m: int) -> np.ndarray:
+    """_top_m in every lane: scores has one row per sensor. A stable sort
+    on -score keeps the lowest sensor index first among ties."""
+    top = np.argsort(-scores, axis=0, kind="stable")[:m]
+    return _lane_actions(actions, (1 << top).sum(axis=0))
 
 
 def maf_decide(state: JointState, m: int) -> tuple:
@@ -103,6 +144,9 @@ class MafPolicy(Policy):
     def decide(self, state: JointState) -> tuple:
         return maf_decide(state, self.m)
 
+    def decide_array(self, actions, theta, aoli, aori, arrival, t=0, rngs=None):
+        return _top_m_array(actions, np.asarray(aori), self.m)
+
 
 def mef_decide(state: JointState, m: int, spec: SystemSpec) -> tuple:
     """Schedule the m sensors with the largest current penalty."""
@@ -118,13 +162,15 @@ class MefPolicy(Policy):
     def __init__(self, spec: SystemSpec):
         self.spec = spec
         self.m = spec.m_budget
-        self._tables = [
-            penalty_table(s.penalty, s.max_aori) for s in spec.sensors
-        ]
+        self._tables = penalty_rows(spec.sensors)
 
     def decide(self, state: JointState) -> tuple:
         scores = [self._tables[i][st.aori] for i, st in enumerate(state.sensors)]
         return _top_m(scores, self.m)
+
+    def decide_array(self, actions, theta, aoli, aori, arrival, t=0, rngs=None):
+        rows = np.arange(len(self._tables))[:, None]
+        return _top_m_array(actions, self._tables[rows, np.asarray(aori)], self.m)
 
 
 def round_robin_decide(cursor: int, n: int, m: int) -> tuple:
@@ -151,6 +197,11 @@ class RoundRobinPolicy(Policy):
     def decide(self, state: JointState) -> tuple:
         action, self.cursor = round_robin_decide(self.cursor, self.n, self.m)
         return action
+
+    def decide_array(self, actions, theta, aoli, aori, arrival, t=0, rngs=None):
+        # after t decisions the cursor has advanced by t * m
+        action, _ = round_robin_decide(t * self.m % self.n, self.n, self.m)
+        return _lane_actions(actions, np.full(len(theta), _action_code(action)))
 
 
 def randomized_decide(p: Sequence[float], m: int, rng: np.random.Generator) -> tuple:
@@ -184,6 +235,11 @@ class RandomizedSchedule(Policy):
 
     def decide(self, state: JointState) -> tuple:
         return randomized_decide(self.p, self.m, self._rng)
+
+    def decide_array(self, actions, theta, aoli, aori, arrival, t=0, rngs=None):
+        # one scalar draw per lane keeps each lane's variable-length stream
+        codes = [_action_code(randomized_decide(self.p, self.m, rng)) for rng in rngs]
+        return _lane_actions(actions, np.array(codes))
 
 
 def randomized_action_weights(
@@ -225,8 +281,8 @@ class IdlePolicy(Policy):
     def decide(self, state: JointState) -> tuple:
         return self.action
 
-    def action_indices(self, space: StateSpace, actions: ActionSet) -> Optional[np.ndarray]:
-        return np.full(space.n_states, actions.index(self.action), dtype=np.int64)
+    def decide_array(self, actions, theta, aoli, aori, arrival, t=0, rngs=None):
+        return _lane_actions(actions, np.full(len(theta), _action_code(self.action)))
 
 
 @dataclass
@@ -269,6 +325,7 @@ class MyopicPolicy(Policy):
     def __init__(self, model: MyopicModel):
         self.model = model
         self._strides = [model.space.aori_stride(i) for i in range(model.space.n_sensors)]
+        self._codes = _table_codes(model.table)
 
     def decide(self, state: JointState) -> tuple:
         idx = state.theta
@@ -276,28 +333,21 @@ class MyopicPolicy(Policy):
             idx += (st.aori - 1) * stride
         return self.model.table.action_of(idx)
 
-    def action_indices(self, space: StateSpace, actions: ActionSet) -> Optional[np.ndarray]:
-        idx = space._coordinate_arrays()[0].copy()
+    def decide_array(self, actions, theta, aoli, aori, arrival, t=0, rngs=None):
+        idx = theta
         for i, stride in enumerate(self._strides):
-            idx += (space.aori_array(i) - 1) * stride
-        return self.model.table.action_index[idx]
+            idx = idx + (aori[i] - 1) * stride
+        return _lane_actions(actions, self._codes[self.model.table.action_index[idx]])
 
 
 def policy_to_table(policy: Policy, space: StateSpace, actions: ActionSet) -> PolicyTable:
     """Tabulate a stateless decision rule over the full truncated space.
 
     Only valid for policies whose decision is a pure function of the state
-    (not round robin, not randomized). Policies that hold a table (the
-    solved and structure-informed tables, myopic, idle) are read by array
-    lookup through action_indices; the others call decide state by state.
+    (not round robin, not randomized): decide_array at every state of space.
     """
-    table = policy.action_indices(space, actions)
-    if table is not None:
-        return PolicyTable(table, actions)
-    table = np.empty(space.n_states, dtype=np.int64)
-    for idx in range(space.n_states):
-        table[idx] = actions.index(policy.decide(space.decode(idx)))
-    return PolicyTable(table, actions)
+    theta, aoli, aori, arrival, _ = space._coordinate_arrays()
+    return PolicyTable(policy.decide_array(actions, theta, aoli, aori, arrival), actions)
 
 
 def round_robin_chain(

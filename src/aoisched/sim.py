@@ -3,6 +3,11 @@
 Seeded replications with common random numbers across policies, episode
 trajectory logging, time-average cost statistics, and the truncation-cap
 divergence probe used to corroborate the stability criterion.
+
+monte_carlo steps all replications of a policy together as lanes of
+dynamics.step_lanes. run_episode runs one replication slot by slot through
+dynamics.step_system_traced; it writes the --trace trajectories and is the
+oracle the lockstep engine matches bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +19,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import decomposed
-from .dynamics import initial_state, step_system_traced
+from .dynamics import (
+    initial_state,
+    lane_cost,
+    lane_state,
+    lane_tables,
+    step_lanes,
+    step_system_traced,
+)
+from .mdp import ActionSet, StateSpace
 from .model import SystemSpec
 from .policies import Policy, TablePolicy
 
@@ -30,6 +43,9 @@ __all__ = [
     "with_caps",
 ]
 
+# Replication-slots of environment uniforms that monte_carlo draws per block
+BLOCK_LANE_SLOTS = 1 << 16
+
 
 @dataclass
 class ExperimentPlan:
@@ -37,6 +53,7 @@ class ExperimentPlan:
 
     Replication r derives its random streams from base_seed + r, so every
     policy sees identical channel and arrival draws in a given replication.
+    With decompose, monte_carlo also reports each sensor's mean penalty.
     """
 
     system: SystemSpec
@@ -45,7 +62,6 @@ class ExperimentPlan:
     replications: int
     base_seed: int
     warmup: int = 0
-    predraw_delivery: bool = True
     decompose: bool = False
 
     def __post_init__(self) -> None:
@@ -59,7 +75,6 @@ class ExperimentPlan:
 class EpisodeResult:
     avg_cost: float
     final_state: object
-    per_sensor_avg: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -100,10 +115,8 @@ def run_episode(
     seed: int,
     warmup: int = 0,
     sink=None,
-    predraw_delivery: bool = True,
-    decompose: bool = False,
 ) -> EpisodeResult:
-    """Simulate one episode from the canonical start state.
+    """Simulate one episode from the canonical start state, slot by slot.
 
     Stage costs accrue at the post-transition state for slots after the
     warmup. If a sink (csv.writer-like) is attached, one row per
@@ -115,19 +128,11 @@ def run_episode(
     policy.reset(pol_rng)
     state = initial_state(spec)
     total = 0.0
-    per_sensor = np.zeros(spec.n_sensors) if decompose else None
-    measured = horizon - warmup
     for t in range(1, horizon + 1):
         action = policy.decide(state)
-        state, cost, draws = step_system_traced(
-            state, action, spec, env_rng, predraw_delivery
-        )
+        state, cost, draws = step_system_traced(state, action, spec, env_rng)
         if t > warmup:
-            if decompose:
-                for i, s in enumerate(spec.sensors):
-                    per_sensor[i] += s.penalty(state.sensors[i].aori)
-            else:
-                total += cost
+            total += cost
         if sink is not None:
             for i, s in enumerate(spec.sensors):
                 st = state.sensors[i]
@@ -145,42 +150,57 @@ def run_episode(
                         s.penalty(st.aori),
                     ]
                 )
-    if decompose:
-        per_sensor /= measured
-        return EpisodeResult(float(per_sensor.sum()), state, per_sensor)
-    return EpisodeResult(total / measured, state)
+    return EpisodeResult(total / (horizon - warmup), state)
 
 
 def monte_carlo(plan: ExperimentPlan) -> ExperimentResult:
     """Independent replications per policy with common random numbers.
 
-    Deterministic given the plan; the 95% interval half-width uses the
-    normal approximation over replication means.
+    Replication r is lane r: every policy's lanes start at the canonical
+    state and advance slot by slot together. Lane r's environment uniforms
+    come from the env stream of seed base_seed + r, drawn in blocks of whole
+    slots that every policy reads, and its policy stream (for the randomized
+    policy) is the one run_episode would reset the policy with. Each lane
+    thus replays run_episode(seed=base_seed + r) and its mean is bit for bit
+    the same. Deterministic given the plan; the 95% interval half-width uses
+    the normal approximation over replication means.
     """
+    spec = plan.system
+    n, reps = spec.n_sensors, plan.replications
+    seeds = range(plan.base_seed, plan.base_seed + reps)
+    actions = ActionSet(n, spec.m_budget)
+    schedules = np.array(actions.actions, dtype=bool).T
+    tables = lane_tables(spec)
+    policies = plan.policies
+    lanes = [lane_state(initial_state(spec), reps)] * len(policies)
+    policy_rngs = [[_episode_rngs(seed)[1] for seed in seeds] for _ in policies]
+    # per policy: summed stage cost per lane, or summed penalty per sensor and lane
+    sums = np.zeros((len(policies), n, reps) if plan.decompose else (len(policies), reps))
+    env_rngs = [_episode_rngs(seed)[0] for seed in seeds]
+    span = max(1, BLOCK_LANE_SLOTS // reps)
+    for start in range(0, plan.horizon, span):
+        slots = min(span, plan.horizon - start)
+        # block[s] holds slot start + s: one column of 1 + 2N uniforms per lane
+        block = np.stack([rng.random((slots, 1 + 2 * n)) for rng in env_rngs], axis=2)
+        for k, policy in enumerate(policies):
+            state = lanes[k]
+            for t, u in enumerate(block, start):
+                idx = policy.decide_array(
+                    actions, state.theta, state.aoli, state.aori, state.arrival, t, policy_rngs[k]
+                )
+                state, penalties = step_lanes(state, schedules[:, idx], u, tables)
+                if t >= plan.warmup:
+                    sums[k] += penalties if plan.decompose else lane_cost(penalties)
+            lanes[k] = state
+
+    measured = plan.horizon - plan.warmup
     stats = []
-    for policy in plan.policies:
-        rep_means = np.empty(plan.replications)
-        per_sensor = (
-            np.zeros((plan.replications, plan.system.n_sensors))
-            if plan.decompose
-            else None
-        )
-        for r in range(plan.replications):
-            episode = run_episode(
-                plan.system,
-                policy,
-                plan.horizon,
-                plan.base_seed + r,
-                plan.warmup,
-                predraw_delivery=plan.predraw_delivery,
-                decompose=plan.decompose,
-            )
-            rep_means[r] = episode.avg_cost
-            if plan.decompose:
-                per_sensor[r] = episode.per_sensor_avg
+    for policy, total in zip(policies, sums):
+        per_sensor = total / measured
+        rep_means = lane_cost(per_sensor) if plan.decompose else per_sensor
         mean = float(rep_means.mean())
-        sd = float(rep_means.std(ddof=1)) if plan.replications > 1 else 0.0
-        ci = 1.96 * sd / np.sqrt(plan.replications)
+        sd = float(rep_means.std(ddof=1)) if reps > 1 else 0.0
+        ci = 1.96 * sd / np.sqrt(reps)
         stats.append(
             PolicyStats(
                 policy.name,
@@ -188,7 +208,7 @@ def monte_carlo(plan: ExperimentPlan) -> ExperimentResult:
                 sd,
                 float(ci),
                 rep_means,
-                per_sensor.mean(axis=0) if plan.decompose else None,
+                per_sensor.mean(axis=1) if plan.decompose else None,
             )
         )
     return ExperimentResult(
@@ -216,8 +236,6 @@ class CapResult:
 
 
 def _default_sisp_factory(system: SystemSpec) -> Policy:
-    from .mdp import ActionSet, StateSpace
-
     values = decomposed.solve_sisp_values(system)
     space = StateSpace(system)
     actions = ActionSet(system.n_sensors, system.m_budget)

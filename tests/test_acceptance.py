@@ -280,6 +280,27 @@ def test_criterion_09_divergence_probe(va_penalty, va_system):
     )
 
 
+def _lane_counts(spec, space, state, action, samples, rng):
+    """Successor counts of `samples` slots from one (state, action) pair.
+
+    Each sample is one lane of dynamics.step_lanes. Without predrawn
+    deliveries a slot consumes 1 + N + |a| uniforms (channel, arrivals, then
+    the scheduled sensors' deliveries), so one block of that many columns
+    replays the stream of a scalar step_system(..., predraw_delivery=False)
+    loop sample for sample.
+    """
+    n = spec.n_sensors
+    block = rng.random((samples, 1 + n + sum(action)))
+    u = np.ones((1 + 2 * n, samples))  # unscheduled sensors draw no delivery
+    u[: 1 + n] = block[:, : 1 + n].T
+    u[[1 + n + i for i in range(n) if action[i]]] = block[:, 1 + n :].T
+    scheduled = np.repeat(np.array(action, dtype=bool)[:, None], samples, axis=1)
+    lanes = dynamics.lane_state(state, samples)
+    nxt, _ = dynamics.step_lanes(lanes, scheduled, u, dynamics.lane_tables(spec))
+    keys = space.encode_array(nxt.theta, nxt.aoli, nxt.aori, nxt.arrival)
+    return dict(zip(*(a.tolist() for a in np.unique(keys, return_counts=True))))
+
+
 def _empirical_agreement(spec, n_pairs, samples, rng):
     space = mdp.StateSpace(spec)
     actions = mdp.ActionSet(spec.n_sensors, spec.m_budget)
@@ -291,11 +312,7 @@ def _empirical_agreement(spec, n_pairs, samples, rng):
             space.encode(nxt): p
             for nxt, p in mdp.transition_distribution(state, action, spec)
         }
-        counts = {}
-        for _ in range(samples):
-            nxt, _ = dynamics.step_system(state, action, spec, rng, predraw_delivery=False)
-            key = space.encode(nxt)
-            counts[key] = counts.get(key, 0) + 1
+        counts = _lane_counts(spec, space, state, action, samples, rng)
         assert set(counts) <= set(expected), "sample outside kernel support"
         for key, q in expected.items():
             got = counts.get(key, 0)
@@ -311,18 +328,38 @@ def _empirical_agreement(spec, n_pairs, samples, rng):
     return checked
 
 
-def test_criterion_10_kernel_simulator_agreement(va_penalty, va_hetero):
-    rng = np.random.default_rng(424242)
-    bins_b = _empirical_agreement(va_hetero, 20, 100_000, rng)
-
+def _markov_spec(va_penalty):
     markov_sensors = (
         a.SensorSpec(a.MarkovArrival(0.6, 0.7), va_penalty, 0.5, 1.0, 3, 4),
         a.SensorSpec(a.MarkovArrival(0.3, 0.8), va_penalty, 0.4, 0.9, 3, 4),
     )
-    markov_spec = a.SystemSpec(markov_sensors, VA_CHANNEL, 1)
+    return a.SystemSpec(markov_sensors, VA_CHANNEL, 1)
+
+
+def test_criterion_10_kernel_simulator_agreement(va_penalty, va_hetero):
+    rng = np.random.default_rng(424242)
+    bins_b = _empirical_agreement(va_hetero, 20, 100_000, rng)
+
+    markov_spec = _markov_spec(va_penalty)
     bins_m = _empirical_agreement(markov_spec, 20, 100_000, rng)
     _report(
         10,
         f"empirical frequencies inside 3-sigma for {bins_b} Bernoulli and "
         f"{bins_m} Markov successor bins (20 state-action pairs each, 1e5 samples)",
     )
+
+
+def test_criterion_10_lane_counts_equal_scalar_loop(va_penalty, va_hetero):
+    """The batched sampler of criterion 10 reproduces the scalar loop's counts."""
+    for spec, state_index, action in ((va_hetero, 1234, (1, 0)), (_markov_spec(va_penalty), 201, (0, 1))):
+        space = mdp.StateSpace(spec)
+        state = space.decode(state_index)
+        rng = np.random.default_rng(state_index)
+        scalar = {}
+        for _ in range(20_000):
+            nxt, _ = dynamics.step_system(state, action, spec, rng, predraw_delivery=False)
+            key = space.encode(nxt)
+            scalar[key] = scalar.get(key, 0) + 1
+        lanes = _lane_counts(spec, space, state, action, 20_000, np.random.default_rng(state_index))
+        assert lanes == scalar
+        assert len(scalar) > 2

@@ -48,12 +48,9 @@ def test_episode_average_approaches_gain(tiny_solved):
     b = tiny_solved
     policy = pol.TablePolicy("optimal", b.space, b.pt)
     reps = 30
-    means = np.array(
-        [
-            sim.run_episode(b.system, policy, 20_000, seed=100 + r, warmup=500).avg_cost
-            for r in range(reps)
-        ]
-    )
+    # replication r replays run_episode(seed=100 + r) bit for bit
+    plan = sim.ExperimentPlan(b.system, [policy], 20_000, reps, base_seed=100, warmup=500)
+    means = sim.monte_carlo(plan).stats[0].rep_means
     se = means.std(ddof=1) / np.sqrt(reps)
     assert abs(means.mean() - b.vt.gain) <= 3 * se
 
