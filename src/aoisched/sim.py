@@ -43,8 +43,10 @@ __all__ = [
     "with_caps",
 ]
 
-# Replication-slots of environment uniforms that monte_carlo draws per block
-BLOCK_LANE_SLOTS = 1 << 16
+# Replication-slots of environment uniforms that monte_carlo draws per block:
+# it bounds the block to 8 (1 + 2N) times this many bytes, whatever the
+# horizon and the replication count
+BLOCK_LANE_SLOTS = 1 << 12
 
 
 @dataclass
@@ -181,7 +183,9 @@ def monte_carlo(plan: ExperimentPlan) -> ExperimentResult:
     for start in range(0, plan.horizon, span):
         slots = min(span, plan.horizon - start)
         # block[s] holds slot start + s: one column of 1 + 2N uniforms per lane
-        block = np.stack([rng.random((slots, 1 + 2 * n)) for rng in env_rngs], axis=2)
+        block = np.empty((slots, 1 + 2 * n, reps))
+        for r, rng in enumerate(env_rngs):
+            block[:, :, r] = rng.random((slots, 1 + 2 * n))
         for k, policy in enumerate(policies):
             state = lanes[k]
             for t, u in enumerate(block, start):
