@@ -200,8 +200,8 @@ def monte_carlo(plan: ExperimentPlan) -> ExperimentResult:
     measured = plan.horizon - plan.warmup
     stats = []
     for policy, total in zip(policies, sums):
-        per_sensor = total / measured
-        rep_means = lane_cost(per_sensor) if plan.decompose else per_sensor
+        means = total / measured
+        rep_means = lane_cost(means) if plan.decompose else means
         mean = float(rep_means.mean())
         sd = float(rep_means.std(ddof=1)) if reps > 1 else 0.0
         ci = 1.96 * sd / np.sqrt(reps)
@@ -212,7 +212,7 @@ def monte_carlo(plan: ExperimentPlan) -> ExperimentResult:
                 sd,
                 float(ci),
                 rep_means,
-                per_sensor.mean(axis=1) if plan.decompose else None,
+                means.mean(axis=1) if plan.decompose else None,
             )
         )
     return ExperimentResult(
