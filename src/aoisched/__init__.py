@@ -41,7 +41,6 @@ from .decomposed import (
     build_policy_table_with_pruning,
     default_randomized_probs,
     extract_thresholds,
-    sisp_decide,
     solve_per_sensor_value,
     solve_sisp_values,
 )

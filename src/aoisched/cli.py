@@ -408,7 +408,7 @@ def cmd_simulate(args) -> int:
         for cap in caps:
             _check_state_budget(sim.with_caps(cfg.system, cap), cfg.max_states)
         probe = sim.divergence_probe(
-            cfg.system, caps, horizon, seed, replications, warmup=cfg.warmup
+            cfg.system, caps, horizon, seed, replications, warmup=cfg.warmup, p_r=cfg.p_r
         )
         fh, w = _open_output(out_dir, "divergence.csv", cfg.config_hash)
         with fh:

@@ -11,7 +11,6 @@ pruned table construction exploits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -26,7 +25,6 @@ from .mdp import (
     cost_vector,
     mixture_chain_matrix,
     relative_value_iteration,
-    stage_cost,
 )
 from .model import ChannelSpec, SensorSpec, SystemSpec
 
@@ -37,7 +35,6 @@ __all__ = [
     "per_sensor_kernel",
     "solve_per_sensor_value",
     "solve_sisp_values",
-    "sisp_decide",
     "build_policy_table",
     "build_policy_table_with_pruning",
     "ThresholdTable",
@@ -126,12 +123,7 @@ class PerSensorValue:
 
 
 def solve_per_sensor_value(
-    sensor: SensorSpec,
-    channel: ChannelSpec,
-    p_r_i: float,
-    epsilon: float = 1e-9,
-    max_iter: int = 100000,
-    sensor_index: int = 0,
+    sensor: SensorSpec, channel: ChannelSpec, p_r_i: float, sensor_index: int = 0
 ) -> PerSensorValue:
     """Relative value iteration on the expected per-sensor kernel.
 
@@ -141,19 +133,12 @@ def solve_per_sensor_value(
     system, space, k_idle, k_tx = _single_sensor_kernels(sensor, channel)
     mixed = p_r_i * k_tx + (1.0 - p_r_i) * k_idle
     cost = cost_vector(space, system)
-    vt, _ = relative_value_iteration(
-        [mixed], cost, space.reference_index(), epsilon, max_iter
-    )
+    vt, _ = relative_value_iteration([mixed], cost, space.reference_index())
     eq = np.stack([k_idle @ vt.values, k_tx @ vt.values], axis=1)
     return PerSensorValue(sensor_index, space, vt.values, vt.gain, p_r_i, eq)
 
 
-def solve_sisp_values(
-    spec: SystemSpec,
-    p_r: Optional[Sequence[float]] = None,
-    epsilon: float = 1e-9,
-    max_iter: int = 100000,
-) -> list:
+def solve_sisp_values(spec: SystemSpec, p_r: Optional[Sequence[float]] = None) -> list:
     """Solve every sensor's decomposed value function.
 
     p_r defaults to arrival-rate-proportional probabilities; the per-sensor
@@ -165,52 +150,28 @@ def solve_sisp_values(
         raise ValueError("p_r length must match the number of sensors")
     RandomizedPolicy(tuple(p_r)).check_budget(spec.m_budget)
     return [
-        solve_per_sensor_value(s, spec.channel, p_r[i], epsilon, max_iter, i)
+        solve_per_sensor_value(s, spec.channel, p_r[i], i)
         for i, s in enumerate(spec.sensors)
     ]
 
 
-def _expected_values(state: JointState, values: Sequence[PerSensorValue]) -> np.ndarray:
-    """eq rows for the current joint state: shape (N, 2), columns idle/transmit."""
-    out = np.empty((len(values), 2))
-    for i, pv in enumerate(values):
-        x = pv.state_index(state.sensors[i], state.theta, state.prev_arrival[i])
-        out[i] = pv.eq[x]
-    return out
+def _action_scores(
+    values: Sequence[PerSensorValue], sensor_index: Sequence[np.ndarray], actions: ActionSet
+) -> np.ndarray:
+    """Summed per-sensor expected next values of every action at a set of states.
 
-
-def sisp_decide(
-    state: JointState,
-    values: Sequence[PerSensorValue],
-    actions: ActionSet,
-    spec: SystemSpec,
-) -> tuple:
-    """Action minimizing stage cost plus summed per-sensor expected values.
-
-    The joint expectation factorizes sensor by sensor, so each action is
-    scored in O(N) from the cached eq columns. Ties pick the lowest action
-    index, which favors idling.
+    sensor_index[i] holds each state's index in sensor i's own space. Row k
+    scores actions.actions[k]; the joint expectation factorizes sensor by
+    sensor, so each entry adds one cached eq column per sensor, in sensor
+    order. The stage cost is the same for every action and is left out, so
+    the argmin over rows is the SISP decision.
     """
-    eq = _expected_values(state, values)
-    base = stage_cost(state, spec)
-    best_idx, best_val = 0, math.inf
+    cols = [(pv.eq[x, 0], pv.eq[x, 1]) for pv, x in zip(values, sensor_index)]
+    scores = np.zeros((len(actions), len(sensor_index[0])))
     for k, action in enumerate(actions.actions):
-        val = base + sum(eq[i, action[i]] for i in range(len(values)))
-        if val < best_val:
-            best_idx, best_val = k, val
-    return actions.actions[best_idx]
-
-
-def _eq_columns(values: Sequence[PerSensorValue], space: StateSpace) -> tuple:
-    """Per-sensor idle/transmit expected-value vectors over the joint space."""
-    idle_cols, tx_cols = [], []
-    for i, pv in enumerate(values):
-        if pv.space.sub_sizes[0] != space.sub_sizes[i]:
-            raise ValueError(f"per-sensor space of sensor {i} does not match the system")
-        x = space.per_sensor_index_array(i)
-        idle_cols.append(pv.eq[x, 0])
-        tx_cols.append(pv.eq[x, 1])
-    return idle_cols, tx_cols
+        for (idle, tx), scheduled in zip(cols, action):
+            scores[k] += tx if scheduled else idle
+    return scores
 
 
 def build_policy_table(
@@ -219,15 +180,15 @@ def build_policy_table(
     actions: ActionSet,
     spec: SystemSpec,
 ) -> PolicyTable:
-    """SISP table by direct argmin at every state (no pruning)."""
-    idle_cols, tx_cols = _eq_columns(values, space)
-    theta = np.empty((len(actions), space.n_states))
-    for k, action in enumerate(actions.actions):
-        acc = np.zeros(space.n_states)
-        for i in range(spec.n_sensors):
-            acc += tx_cols[i] if action[i] else idle_cols[i]
-        theta[k] = acc
-    return PolicyTable(theta.argmin(axis=0), actions)
+    """SISP table by direct argmin at every state (no pruning).
+
+    Ties pick the lowest action index, which favors idling.
+    """
+    for i, pv in enumerate(values):
+        if pv.space.sub_sizes[0] != space.sub_sizes[i]:
+            raise ValueError(f"per-sensor space of sensor {i} does not match the system")
+    sensor_index = [space.per_sensor_index_array(i) for i in range(spec.n_sensors)]
+    return PolicyTable(_action_scores(values, sensor_index, actions).argmin(axis=0), actions)
 
 
 def build_policy_table_with_pruning(
@@ -286,38 +247,33 @@ class ThresholdTable:
                 yield (i + 1, theta, self.thresholds[i, theta])
 
 
-def extract_thresholds(
-    values: Sequence[PerSensorValue],
-    spec: SystemSpec,
-    actions: Optional[ActionSet] = None,
-    own_aoli: int = 0,
-    other_state: tuple = (0, 1),
-) -> ThresholdTable:
-    """Scan each sensor's monitor age for the first scheduled decision.
+def extract_thresholds(values: Sequence[PerSensorValue], spec: SystemSpec) -> ThresholdTable:
+    """First monitor age at which SISP schedules each sensor, per channel state.
 
-    Other sensors sit at `other_state`, the scanned sensor's buffer age is
-    pinned to `own_aoli`, and arrival memory mirrors (aoli == 0). The
-    threshold is the smallest age at which the decided action schedules the
-    sensor; inf if that never happens within the truncated range.
+    Sensor i is scanned over aori = 1..max_aori with its buffer age at 0;
+    every other sensor sits at (aoli, aori) = (0, 1), and every arrival
+    memory bit is 1 (the packet in each buffer is fresh). Those states are
+    scored by the same argmin that build_policy_table runs, so each
+    threshold is the first age at which the SISP table schedules sensor i
+    in that context; inf if it never does within the truncated range.
     """
-    if actions is None:
-        actions = ActionSet(spec.n_sensors, spec.m_budget)
     n = spec.n_sensors
+    actions = ActionSet(n, spec.m_budget)
+    schedules = np.array(actions.actions, dtype=bool)
     out = np.full((n, 2), np.inf)
     for i in range(n):
-        for theta in (0, 1):
-            for aori in range(1, spec.sensors[i].max_aori + 1):
-                sensors = []
-                for j in range(n):
-                    if j == i:
-                        sensors.append(SensorState(min(own_aoli, spec.sensors[j].max_aoli), aori))
-                    else:
-                        sensors.append(SensorState(other_state[0], other_state[1]))
-                prev = tuple(st.aoli == 0 for st in sensors)
-                state = JointState(tuple(sensors), theta, prev)
-                if sisp_decide(state, values, actions, spec)[i] == 1:
-                    out[i, theta] = aori
-                    break
+        cap = spec.sensors[i].max_aori
+        # the scanned states, bad channel first: theta = 0 then 1, aori = 1..cap
+        theta = np.repeat([0, 1], cap)
+        aori = np.tile(np.arange(1, cap + 1), 2)
+        zeros, ones = np.zeros_like(aori), np.ones_like(aori)
+        sensor_index = [
+            pv.space.encode_array(theta, [zeros], [aori if j == i else ones], [ones])
+            for j, pv in enumerate(values)
+        ]
+        chosen = _action_scores(values, sensor_index, actions).argmin(axis=0)
+        scheduled = schedules[chosen, i].reshape(2, cap)
+        out[i] = np.where(scheduled.any(axis=1), scheduled.argmax(axis=1) + 1, np.inf)
     return ThresholdTable(out)
 
 

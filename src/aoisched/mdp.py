@@ -179,9 +179,6 @@ class StateSpace:
     def aori_array(self, i: int) -> np.ndarray:
         return self._coordinate_arrays()[2][i]
 
-    def arrival_bit_array(self, i: int) -> np.ndarray:
-        return self._coordinate_arrays()[3][i]
-
     def per_sensor_index_array(self, i: int) -> np.ndarray:
         """Map joint index -> index in sensor i's own single-sensor space."""
         return self._coordinate_arrays()[4][i]
@@ -466,16 +463,14 @@ def relative_value_iteration(
     )
 
 
-def solve_optimal_policy(
-    spec: SystemSpec, epsilon: float = 1e-9, max_iter: int = 100000
-) -> tuple:
+def solve_optimal_policy(spec: SystemSpec) -> tuple:
     """Build the truncated MDP and solve it; returns (space, actions, vt, pt)."""
     space = StateSpace(spec)
     actions = ActionSet(spec.n_sensors, spec.m_budget)
     kernels = build_kernels(spec, space, actions)
     cost = cost_vector(space, spec)
     vt, pt = relative_value_iteration(
-        kernels, cost, space.reference_index(), epsilon, max_iter, actions
+        kernels, cost, space.reference_index(), action_set=actions
     )
     return space, actions, vt, pt
 

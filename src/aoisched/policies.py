@@ -302,9 +302,7 @@ def myopic_system(spec: SystemSpec) -> SystemSpec:
     )
 
 
-def build_myopic_policy(
-    spec: SystemSpec, epsilon: float = 1e-9, max_iter: int = 100000
-) -> MyopicModel:
+def build_myopic_policy(spec: SystemSpec) -> MyopicModel:
     """Solve the single-age generate-at-will model on (aori, theta) only.
 
     A successful delivery is assumed to reset the monitor age to one, i.e.
@@ -315,7 +313,7 @@ def build_myopic_policy(
     staleness; evaluating it under the true dual-age dynamics quantifies
     that model mismatch.
     """
-    space, _, vt, pt = solve_optimal_policy(myopic_system(spec), epsilon, max_iter)
+    space, _, vt, pt = solve_optimal_policy(myopic_system(spec))
     return MyopicModel(space, pt, vt.gain)
 
 

@@ -55,7 +55,6 @@ class ExperimentPlan:
 
     Replication r derives its random streams from base_seed + r, so every
     policy sees identical channel and arrival draws in a given replication.
-    With decompose, monte_carlo also reports each sensor's mean penalty.
     """
 
     system: SystemSpec
@@ -64,7 +63,6 @@ class ExperimentPlan:
     replications: int
     base_seed: int
     warmup: int = 0
-    decompose: bool = False
 
     def __post_init__(self) -> None:
         if self.horizon <= self.warmup:
@@ -86,7 +84,6 @@ class PolicyStats:
     sd: float
     ci95: float
     rep_means: np.ndarray
-    per_sensor_mean: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -176,8 +173,7 @@ def monte_carlo(plan: ExperimentPlan) -> ExperimentResult:
     policies = plan.policies
     lanes = [lane_state(initial_state(spec), reps)] * len(policies)
     policy_rngs = [[_episode_rngs(seed)[1] for seed in seeds] for _ in policies]
-    # per policy: summed stage cost per lane, or summed penalty per sensor and lane
-    sums = np.zeros((len(policies), n, reps) if plan.decompose else (len(policies), reps))
+    sums = np.zeros((len(policies), reps))  # summed stage cost per policy and lane
     env_rngs = [_episode_rngs(seed)[0] for seed in seeds]
     span = max(1, BLOCK_LANE_SLOTS // reps)
     for start in range(0, plan.horizon, span):
@@ -194,27 +190,17 @@ def monte_carlo(plan: ExperimentPlan) -> ExperimentResult:
                 )
                 state, penalties = step_lanes(state, schedules[:, idx], u, tables)
                 if t >= plan.warmup:
-                    sums[k] += penalties if plan.decompose else lane_cost(penalties)
+                    sums[k] += lane_cost(penalties)
             lanes[k] = state
 
     measured = plan.horizon - plan.warmup
     stats = []
     for policy, total in zip(policies, sums):
-        means = total / measured
-        rep_means = lane_cost(means) if plan.decompose else means
+        rep_means = total / measured
         mean = float(rep_means.mean())
         sd = float(rep_means.std(ddof=1)) if reps > 1 else 0.0
         ci = 1.96 * sd / np.sqrt(reps)
-        stats.append(
-            PolicyStats(
-                policy.name,
-                mean,
-                sd,
-                float(ci),
-                rep_means,
-                means.mean(axis=1) if plan.decompose else None,
-            )
-        )
+        stats.append(PolicyStats(policy.name, mean, sd, float(ci), rep_means))
     return ExperimentResult(
         stats, plan.horizon, plan.replications, plan.base_seed, plan.warmup
     )
@@ -239,14 +225,6 @@ class CapResult:
     ci95: float
 
 
-def _default_sisp_factory(system: SystemSpec) -> Policy:
-    values = decomposed.solve_sisp_values(system)
-    space = StateSpace(system)
-    actions = ActionSet(system.n_sensors, system.m_budget)
-    table = decomposed.build_policy_table(values, space, actions, system)
-    return TablePolicy("sisp", space, table)
-
-
 def divergence_probe(
     spec: SystemSpec,
     caps: Sequence[int],
@@ -254,21 +232,25 @@ def divergence_probe(
     seed: int,
     replications: int = 100,
     warmup: int = 0,
-    policy_factory=None,
+    p_r: Optional[Sequence[float]] = None,
 ) -> list:
-    """Simulated time-average cost across truncation caps.
+    """Simulated time-average cost of SISP across truncation caps.
 
     On a stable parameter point the cost plateaus as the cap grows; on a
     point violating the spectral-radius condition it keeps increasing, the
-    truncated signature of an unbounded objective. The scheduling policy is
-    rebuilt per cap (structure-informed by default).
+    truncated signature of an unbounded objective. The SISP argmin table is
+    rebuilt per cap from the per-sensor values under the scheduling
+    probabilities p_r (arrival-rate proportional when None); at the
+    system's own caps it is the table `simulate --policies sisp` runs.
     """
-    if policy_factory is None:
-        policy_factory = _default_sisp_factory
     out = []
     for cap in caps:
         system = with_caps(spec, cap)
-        policy = policy_factory(system)
+        space = StateSpace(system)
+        actions = ActionSet(system.n_sensors, system.m_budget)
+        values = decomposed.solve_sisp_values(system, p_r)
+        table = decomposed.build_policy_table(values, space, actions, system)
+        policy = TablePolicy("sisp", space, table)
         plan = ExperimentPlan(
             system, [policy], horizon, replications, seed, warmup=warmup
         )

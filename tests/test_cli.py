@@ -256,6 +256,25 @@ def test_simulate_caps_runs_divergence_probe(tmp_path):
     assert [l.split(",")[0] for l in lines[2:]] == ["3", "5"]
 
 
+def test_simulate_caps_uses_policy_p_r(tmp_path):
+    """With every cap already c, --caps c runs the SISP table that
+    --policies sisp runs, built from the config's policy.p_r."""
+    common = ["--seed", "5", "--horizon", "300", "--replications", "10"]
+
+    def sisp_mean(path, out, *extra):
+        assert cli.main(["simulate", "--config", str(path), *common, *extra]) == 0
+        name = "divergence.csv" if "--caps" in extra else "results.csv"
+        return read_lines(out / name)[2].split(",")[1]
+
+    cfg, out = write_config(tmp_path, TWO_SENSOR_YAML + "policy: {p_r: [0.2, 0.8]}\n")
+    default_cfg, _ = write_config(tmp_path, TWO_SENSOR_YAML, "default.yaml")
+    with_p_r = sisp_mean(cfg, out, "--policies", "sisp")
+    # the probabilities change the SISP table, so a probe that ignored them
+    # would run a different policy
+    assert with_p_r != sisp_mean(default_cfg, out, "--policies", "sisp")
+    assert sisp_mean(cfg, out, "--caps", "7") == with_p_r
+
+
 def test_simulate_caps_validation(tmp_path, capsys):
     cfg, _ = write_config(tmp_path, ONE_SENSOR_YAML)
     assert cli.main(["simulate", "--config", str(cfg), "--caps", "3,zero"]) == 2

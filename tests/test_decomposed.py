@@ -160,13 +160,14 @@ def _oracle_theta(state, values, actions, spec):
 
 
 def test_sisp_decide_matches_joint_expansion(small_solution):
+    """The production SISP table against the joint-kernel expansion."""
     system, values, space, actions = small_solution
+    table = decomposed.build_policy_table(values, space, actions, system)
     for idx in range(space.n_states):
         state = space.decode(idx)
-        decided = decomposed.sisp_decide(state, values, actions, system)
         oracle = _oracle_theta(state, values, actions, system)
         best = oracle.min()
-        k = actions.index(decided)
+        k = table.action_index[space.encode(state)]
         assert oracle[k] <= best + 1e-8
         others = np.delete(oracle, oracle.argmin())
         if others.min() - best > 1e-8:  # unique minimizer: exact agreement
@@ -178,6 +179,7 @@ def test_sisp_decide_swap_equivariance(va_penalty):
     values = decomposed.solve_sisp_values(spec, p_r=(0.45, 0.45))
     actions = mdp.ActionSet(2, 1)
     space = mdp.StateSpace(spec)
+    table = decomposed.build_policy_table(values, space, actions, spec)
     swap_action = {(0, 0): (0, 0), (1, 0): (0, 1), (0, 1): (1, 0)}
     for idx in range(space.n_states):
         state = space.decode(idx)
@@ -192,16 +194,15 @@ def test_sisp_decide_swap_equivariance(va_penalty):
         gap = np.partition(theta, 1)[1] - theta.min()
         if gap <= 1e-9:
             continue  # near-tie; index tie-breaking is not symmetric
-        lhs = decomposed.sisp_decide(swapped, values, actions, spec)
-        rhs = swap_action[decomposed.sisp_decide(state, values, actions, spec)]
+        lhs = table.action_of(space.encode(swapped))
+        rhs = swap_action[table.action_of(space.encode(state))]
         assert lhs == rhs
 
 
-def test_sisp_scheduling_region_is_staircase(va_hetero, va_hetero_sisp):
-    """Fixed buffer ages (7, 6), good channel: the region where each sensor
-    is scheduled is upward closed in its own monitor age."""
-    values = va_hetero_sisp.values
-    actions = mdp.ActionSet(2, 1)
+def test_sisp_scheduling_region_is_staircase(va_hetero_solved, va_hetero_sisp):
+    """Fixed buffer ages (7, 6), good channel: the region where the SISP
+    table schedules each sensor is upward closed in its own monitor age."""
+    space = va_hetero_solved.space
     decisions = {}
     for r1 in range(1, 8):
         for r2 in range(1, 8):
@@ -210,7 +211,7 @@ def test_sisp_scheduling_region_is_staircase(va_hetero, va_hetero_sisp):
                 1,
                 (False, False),
             )
-            decisions[(r1, r2)] = decomposed.sisp_decide(state, values, actions, va_hetero)
+            decisions[(r1, r2)] = va_hetero_sisp.table.action_of(space.encode(state))
     for r1 in range(1, 7):
         for r2 in range(1, 8):
             if decisions[(r1, r2)][0] == 1:
@@ -250,8 +251,7 @@ def test_threshold_definitional_single_sensor(va_penalty):
     sensor = a.SensorSpec(a.BernoulliArrival(1.0), va_penalty, 1.0, 1.0, 7, 7)
     system = a.SystemSpec((sensor,), VA_CHANNEL, 1)
     values = decomposed.solve_sisp_values(system, p_r=(0.5,))
-    actions = mdp.ActionSet(1, 1)
-    table = decomposed.extract_thresholds(values, system, actions)
+    table = decomposed.extract_thresholds(values, system)
     pv = values[0]
     for theta in (0, 1):
         expected = math.inf

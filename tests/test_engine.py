@@ -69,15 +69,6 @@ def test_markov_budget_two_with_overflowing_rand(tmp_path):
     assert_matches_episodes(cfg.system, [optimal, rand], horizon=400, reps=5, seed=3, warmup=25)
 
 
-def test_decomposed_means_sum_to_the_episode_means(twosensor):
-    spec, policies = twosensor
-    plan = sim.ExperimentPlan(spec, policies[:3], 200, 4, 11, warmup=20, decompose=True)
-    for policy, st in zip(policies[:3], sim.monte_carlo(plan).stats):
-        episodes = [sim.run_episode(spec, policy, 200, 11 + r, 20).avg_cost for r in range(4)]
-        np.testing.assert_allclose(st.rep_means, episodes, rtol=1e-12)
-        assert st.per_sensor_mean.shape == (2,)
-
-
 def test_infeasible_action_raises_like_the_scalar_step(twosensor):
     spec, _ = twosensor
     space = mdp.StateSpace(spec)

@@ -82,18 +82,6 @@ def test_trajectory_rows_and_delivery_reset(va_system, va_sisp):
     assert deliveries > 50
 
 
-def test_per_sensor_decomposition_sums_exactly(va_system, va_sisp):
-    space = mdp.StateSpace(va_system)
-    policy = pol.TablePolicy("sisp", space, va_sisp.pruned_table)
-    plan = sim.ExperimentPlan(
-        va_system, [policy], horizon=500, replications=5, base_seed=3, decompose=True
-    )
-    result = sim.monte_carlo(plan)
-    st = result.stats[0]
-    assert st.per_sensor_mean is not None
-    assert st.per_sensor_mean.sum() == pytest.approx(st.mean, abs=1e-12)
-
-
 def test_plan_validation(va_system):
     with pytest.raises(ValueError):
         sim.ExperimentPlan(va_system, [pol.IdlePolicy(2)], 100, 10, 0, warmup=100)

@@ -6,7 +6,9 @@ mdp.table_rows builds from the coordinate arrays. Each table is compared
 byte for byte.
 """
 
+import csv
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -120,3 +122,67 @@ def test_solve_tables_match_decode_oracle(tmp_path, monkeypatch, text, chunk):
     for policy, blob in expected.items():
         assert cli.main(["solve", "--config", str(path), "--policy", policy]) == 0
         assert (out / f"{policy}_table.csv").read_bytes() == blob, policy
+
+
+TWO_SENSOR = Path(__file__).resolve().parents[1] / "configs" / "twosensor.yaml"
+
+# A sensor with an almost blind bad channel: its thresholds depend on the
+# channel state, and in the bad state it is never scheduled.
+CHANNEL_YAML = textwrap.dedent(
+    """
+    channel: {kappa00: 0.5, kappa11: 0.8}
+    budget: 1
+    truncation: {max_aori: 4, max_aoli: 3}
+    sensors:
+      - arrival: {kind: bernoulli, rate: 0.9}
+        penalty: {kind: exponential, r: 0.4}
+        p0: 0.1
+        p1: 1.0
+      - arrival: {kind: bernoulli, rate: 0.5}
+        penalty: {kind: exponential, r: 0.5}
+        p0: 0.4
+        p1: 0.9
+    output: {dir: OUTDIR}
+    """
+)
+
+
+def first_scheduled_ages(table_csv):
+    """(sensor, theta, first aori) at which the table schedules each sensor
+    in the thresholds' context: every buffer age 0, every arrival memory 1,
+    every other sensor at monitor age 1; "inf" if it never does."""
+    rows = list(csv.DictReader(table_csv.read_text().splitlines()[1:]))
+    n = sum(1 for name in rows[0] if name.startswith("aori_"))
+    out = []
+    for i in range(1, n + 1):
+        for theta in ("0", "1"):
+            ages = [
+                int(r[f"aori_{i}"])
+                for r in rows
+                if r["theta"] == theta
+                and r["action_bits"][i - 1] == "1"
+                and all(
+                    r[f"aoli_{j}"] == "0"
+                    and r.get(f"arrmem_{j}", "1") == "1"
+                    and (j == i or r[f"aori_{j}"] == "1")
+                    for j in range(1, n + 1)
+                )
+            ]
+            out.append([str(i), theta, str(min(ages)) if ages else "inf"])
+    return out
+
+
+@pytest.mark.parametrize(
+    "text", [None, MARKOV_YAML, CHANNEL_YAML], ids=["twosensor", "markov", "channel"]
+)
+def test_thresholds_are_first_scheduled_ages_of_sisp_table(tmp_path, text):
+    out = tmp_path / "out"
+    path = TWO_SENSOR if text is None else tmp_path / "cfg.yaml"
+    if text is not None:
+        path.write_text(text.replace("OUTDIR", str(out)))
+    for command in (["thresholds"], ["solve", "--policy", "sisp"]):
+        assert cli.main([*command, "--config", str(path), "--out", str(out)]) == 0
+    thresholds = list(csv.reader((out / "thresholds.csv").read_text().splitlines()[2:]))
+    assert thresholds == first_scheduled_ages(out / "sisp_table.csv")
+    if text is CHANNEL_YAML:
+        assert [row[2] for row in thresholds] == ["inf", "2", "1", "1"]
