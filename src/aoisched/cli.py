@@ -48,7 +48,7 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return f"{value:.12g}"
+        return format(value, mdp.VALUE_FORMAT)
     if isinstance(value, (np.integer,)):
         return str(int(value))
     return str(value)
@@ -62,6 +62,17 @@ class _Writer:
 
     def writerow(self, row) -> None:
         self._w.writerow([_fmt(c) for c in row])
+
+
+def _write_table(fh, rows) -> None:
+    """The header of mdp.table_rows through _Writer, then its rows of ready
+    strings.
+
+    The cells need no quoting, so the bytes csv.writer would write are each
+    row joined by commas and ended by "\r\n".
+    """
+    _Writer(fh).writerow(next(rows))
+    fh.writelines(",".join(row) + "\r\n" for row in rows)
 
 
 def _open_output(out_dir: Path, name: str, config_hash: str):
@@ -372,10 +383,9 @@ def cmd_solve(args) -> int:
         summary = {"gain": model.gain, "wall_time_s": None}
     wall = summary["wall_time_s"] = time.perf_counter() - t0
 
-    fh, w = _open_output(out_dir, f"{args.policy}_table.csv", cfg.config_hash)
+    fh, _ = _open_output(out_dir, f"{args.policy}_table.csv", cfg.config_hash)
     with fh:
-        for row in rows:
-            w.writerow(row)
+        _write_table(fh, rows)
     fh, w = _open_output(out_dir, f"{args.policy}_summary.csv", cfg.config_hash)
     with fh:
         w.writerow(["policy", "states", *summary])

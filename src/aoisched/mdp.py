@@ -11,10 +11,13 @@ balance residual, with a sparse LU solve when GMRES misses the bound
 
 build_kernels is the one kernel builder: the joint solver, exact policy
 evaluation, the per-sensor SISP solves, the randomized chain and the myopic
-baseline all read from it. It assembles each kernel from the per-sensor
-successor tables by broadcasting, and its CSR arrays are byte-identical to a
-state-by-state assembly from transition_distribution (build_kernels says
-why that matters).
+baseline all read from it. It writes each kernel's CSR arrays straight from
+the per-sensor successor tables, whose entries it orders so that every row
+comes out sorted by column, with no COO step or duplicate summing; the
+arrays are byte-identical to a state-by-state assembly from
+transition_distribution (build_kernels says why that matters).
+table_rows turns the rows of every solve table into strings a column at a
+time.
 """
 
 from __future__ import annotations
@@ -54,9 +57,12 @@ __all__ = [
     "table_rows",
 ]
 
-# Column groups of a full state table, and the rows table_rows converts at once
+# Column groups of a full state table; the rows table_rows formats at once,
+# which is also about the rows build_kernels fills at once
 TABLE_COLUMNS = ("state_index", "aoli", "aori", "arrmem", "theta", "value", "action_bits")
 TABLE_CHUNK = 1 << 14
+# Floats in CSV cells and in printed results: 12 significant digits
+VALUE_FORMAT = ".12g"
 
 # Stationary solve: the L1 balance residual a returned distribution must meet,
 # and the GMRES restart length, tolerance, restart cycles and passes
@@ -332,21 +338,25 @@ def _successor_table(space: StateSpace, i: int, sensor: SensorSpec, scheduled: b
     """Sensor i's successors for one scheduling decision, as padded arrays.
 
     Returns (offset, prob, valid), each of shape (sub_size, 2, k): entry
-    [sub, theta, c] is the c-th pair of sensor_delta_transitions, in its own
-    order, from sub-index sub under pre-transition channel state theta, with
-    the successor given as its offset in the joint index. k is the longest
-    list; `valid` marks the real entries.
+    [sub, theta, c] is a pair of sensor_delta_transitions from sub-index sub
+    under pre-transition channel state theta, with the successor given as
+    its offset in the joint index. The pairs are sorted by offset, k is the
+    longest list, and `valid` marks the real entries, which come first.
     """
     g_size, r_size = space.g_sizes[i], space.r_sizes[i]
+    stride = space.sub_strides[i]
     rows = [
         [
-            sensor_delta_transitions(
-                sensor,
-                sub // g_size // r_size,
-                sub // g_size % r_size + 1,
-                sub % g_size,
-                theta,
-                scheduled,
+            sorted(
+                (space.sensor_sub_index(i, *key) * stride, pr)
+                for key, pr in sensor_delta_transitions(
+                    sensor,
+                    sub // g_size // r_size,
+                    sub // g_size % r_size + 1,
+                    sub % g_size,
+                    theta,
+                    scheduled,
+                )
             )
             for theta in (0, 1)
         ]
@@ -358,8 +368,8 @@ def _successor_table(space: StateSpace, i: int, sensor: SensorSpec, scheduled: b
     valid = np.zeros(shape, dtype=bool)
     for sub, pair in enumerate(rows):
         for theta, row in enumerate(pair):
-            for c, (key, pr) in enumerate(row):
-                offset[sub, theta, c] = space.sensor_sub_index(i, *key) * space.sub_strides[i]
+            for c, (off, pr) in enumerate(row):
+                offset[sub, theta, c] = off
                 prob[sub, theta, c] = pr
                 valid[sub, theta, c] = True
     return offset, prob, valid
@@ -368,23 +378,29 @@ def _successor_table(space: StateSpace, i: int, sensor: SensorSpec, scheduled: b
 def build_kernels(spec: SystemSpec, space: StateSpace, actions: ActionSet) -> list:
     """Sparse transition matrix per action, rows summing to one.
 
-    Assembled from the factors by broadcasting: each sensor's successor table
-    is built once per (theta, scheduled), and one action's entries form a
-    grid with axes (sub_1..sub_N, theta, theta', c_1..c_N). The first N + 1
-    axes flatten to the row index, and the rest enumerate a row's entries
-    in the order of transition_distribution. Each value is multiplied in the
-    fixed order ((Omega[theta, theta'] * p_1) * p_2) * ..., and padding is
-    dropped by the per-sensor masks, never by value. The entries then pass
-    through coo_matrix(...).tocsr() and sum_duplicates(), so `indptr`,
-    `indices` and `data` are byte-identical to a state-by-state assembly
-    from transition_distribution. This matters because the optimal policy
-    has exactly tied actions, and a last-bit change in a kernel entry can
-    flip which one the argmin picks.
+    Each sensor's successor table is built once per (theta, scheduled), and
+    one action's entries form a grid with axes (sub_1..sub_N, theta,
+    c_1..c_N, theta'). The first N + 1 axes flatten to the row index. A
+    successor's column is theta' plus the sensors' offsets, and the joint
+    index puts sensor 1 most significant and theta' fastest. With every
+    table sorted by offset, a row's entries in grid order therefore have
+    strictly increasing columns, so the grid flattens straight into CSR
+    order with no sort and no duplicates. Padding comes last in each table
+    and is dropped by the per-sensor masks, never by value, and each value
+    is multiplied in the fixed order ((Omega[theta, theta'] * p_1) * p_2)
+    * ....
+
+    A row holds 2 * prod_i k_i(sub_i, theta) entries, where k_i counts
+    sensor i's real successors, which gives `indptr`. `data` and `indices`
+    are then filled one block of whole leading-sensor sub-indices (about
+    TABLE_CHUNK rows) at a time. The arrays are byte-identical to a
+    state-by-state assembly from transition_distribution. This matters
+    because the optimal policy has exactly tied actions, and a last-bit
+    change in a kernel entry can flip which one the argmin picks.
     """
     n = space.n_states
     n_sensors = space.n_sensors
     ndim = 2 * n_sensors + 2
-    index_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
 
     def on_axes(arr, axes):
         shape = [1] * ndim
@@ -393,37 +409,47 @@ def build_kernels(spec: SystemSpec, space: StateSpace, actions: ActionSet) -> li
         return arr.reshape(shape)
 
     # per sensor and decision: (column offset, prob, valid) on the grid axes
-    factors = []
-    for i, s in enumerate(spec.sensors):
-        axes = (i, n_sensors, n_sensors + 2 + i)
-        by_action = []
-        for scheduled in (False, True):
-            offset, prob, valid = _successor_table(space, i, s, scheduled)
-            by_action.append(
-                [on_axes(t, axes) for t in (offset.astype(index_dtype), prob, valid)]
-            )
-        factors.append(by_action)
-
-    omega = on_axes(spec.channel.omega(), (n_sensors, n_sensors + 1))
-    theta_next = on_axes(np.arange(2, dtype=index_dtype), (n_sensors + 1,))
-    row_index = on_axes(
-        np.arange(n, dtype=index_dtype).reshape(*space.sub_sizes, 2), range(n_sensors + 1)
-    )
+    tables = [
+        [
+            [on_axes(t, (i, n_sensors, n_sensors + 1 + i))
+             for t in _successor_table(space, i, s, scheduled)]
+            for scheduled in (False, True)
+        ]
+        for i, s in enumerate(spec.sensors)
+    ]
+    omega = on_axes(spec.channel.omega(), (n_sensors, ndim - 1))
+    all_next = on_axes(np.ones(2, dtype=bool), (ndim - 1,))
+    lead_rows = n // space.sub_sizes[0]
+    step = max(1, TABLE_CHUNK // lead_rows)
     kernels = []
     for action in actions.actions:
-        vals, cols, mask = omega, theta_next, True
-        for i in range(n_sensors):
-            offset, prob, valid = factors[i][action[i]]
-            vals = vals * prob
-            cols = cols + offset
-            mask = mask & valid
-        mask = np.broadcast_to(mask, vals.shape)
-        rows = np.broadcast_to(row_index, vals.shape)[mask]
-        cols = cols[mask]
-        vals = vals[mask]
-        mat = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        mat.sum_duplicates()
-        kernels.append(mat)
+        factors = [tables[i][action[i]] for i in range(n_sensors)]
+        counts = 2
+        for i, (_, _, valid) in enumerate(factors):
+            counts = counts * valid.sum(axis=n_sensors + 1 + i, keepdims=True)
+        nnz = int(counts.sum())
+        index_dtype = np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
+        indptr = np.zeros(n + 1, dtype=index_dtype)
+        np.cumsum(counts.ravel(), out=indptr[1:])
+        indices = np.empty(nnz, dtype=index_dtype)
+        data = np.empty(nnz)
+        offsets = [offset.astype(index_dtype) for offset, _, _ in factors]
+        theta_next = on_axes(np.arange(2, dtype=index_dtype), (ndim - 1,))
+        for lo in range(0, space.sub_sizes[0], step):
+            block = slice(lo, lo + step)
+            # the mask starts on the theta' axis so that it ends up with the
+            # grid's full shape: boolean indexing by a broadcast mask is
+            # several times slower
+            vals, cols, mask = omega, theta_next, all_next
+            for i, (_, prob, valid) in enumerate(factors):
+                lead = block if i == 0 else slice(None)
+                vals = vals * prob[lead]
+                cols = cols + offsets[i][lead]
+                mask = mask & valid[lead]
+            span = slice(indptr[lo * lead_rows], indptr[min(n, (lo + step) * lead_rows)])
+            data[span] = vals[mask]
+            indices[span] = cols[mask]
+        kernels.append(sparse.csr_matrix((data, indices, indptr), shape=(n, n)))
     return kernels
 
 
@@ -639,6 +665,17 @@ def average_cost_by_sensor(
     return out
 
 
+def _lookup_cells(labels, codes):
+    """Column reader (lo, hi) -> the strings labels[codes[lo:hi]]."""
+    labels = np.array(labels, dtype=object)
+    return lambda lo, hi: labels[codes[lo:hi]].tolist()
+
+
+def _digit_cells(col: np.ndarray):
+    """Column reader for small non-negative integers, as decimal digits."""
+    return _lookup_cells([str(v) for v in range(int(col.max()) + 1)], col)
+
+
 def table_rows(
     space: StateSpace,
     values: Optional[np.ndarray],
@@ -649,28 +686,41 @@ def table_rows(
 
     `columns` picks column groups in order: state_index; aoli, aori and
     arrmem give one column per sensor (arrmem only when some sensor has
-    Markov arrivals: the memory bit for those sensors, aoli == 0 for the
-    others); theta; value, blank when values is None; action_bits. Cells are
-    read from the cached coordinate arrays and turned into Python objects
-    TABLE_CHUNK rows at a time.
+    Markov arrivals: the memory bit for those sensors, 1 where aoli == 0
+    for the others); theta; value, blank when values is None; action_bits.
+    Each row is a tuple of ready strings, the cells cli._Writer would print
+    for the same numbers. They are made TABLE_CHUNK rows at a time, a
+    column at a time: the coordinate columns and action_bits by lookup in a
+    table of their strings, state_index by str, and value by VALUE_FORMAT.
     """
     n = space.n_states
     sensors = range(space.n_sensors)
     theta, aoli, aori, g, _ = space._coordinate_arrays()
-    bits = np.array(["".join(map(str, a)) for a in policy.action_set.actions], dtype=object)
-    if values is None:
-        values = np.broadcast_to(np.array("", dtype=object), (n,))
+    bits = ["".join(map(str, a)) for a in policy.action_set.actions]
+
+    def index_cells(lo, hi):
+        return list(map(str, range(lo, hi)))
+
+    def value_cells(lo, hi):
+        if values is None:
+            return [""] * (hi - lo)
+        return [format(v, VALUE_FORMAT) for v in values[lo:hi].tolist()]
+
+    def arrmem(i):
+        return g[i] if space.g_sizes[i] == 2 else (aoli[i] == 0).astype(np.intp)
+
     groups = {
-        "state_index": [("state_index", np.arange(n))],
-        "aoli": [(f"aoli_{i+1}", aoli[i]) for i in sensors],
-        "aori": [(f"aori_{i+1}", aori[i]) for i in sensors],
-        "arrmem": [(f"arrmem_{i+1}", g[i] if space.g_sizes[i] == 2 else aoli[i] == 0)
+        "state_index": [("state_index", index_cells)],
+        "aoli": [(f"aoli_{i+1}", _digit_cells(aoli[i])) for i in sensors],
+        "aori": [(f"aori_{i+1}", _digit_cells(aori[i])) for i in sensors],
+        "arrmem": [(f"arrmem_{i+1}", _digit_cells(arrmem(i)))
                    for i in sensors if 2 in space.g_sizes],
-        "theta": [("theta", theta)],
-        "value": [("value", values)],
-        "action_bits": [("action_bits", bits[policy.action_index])],
+        "theta": [("theta", _digit_cells(theta))],
+        "value": [("value", value_cells)],
+        "action_bits": [("action_bits", _lookup_cells(bits, policy.action_index))],
     }
     cols = [col for group in columns for col in groups[group]]
     yield [name for name, _ in cols]
     for lo in range(0, n, TABLE_CHUNK):
-        yield from zip(*(col[lo : lo + TABLE_CHUNK].tolist() for _, col in cols))
+        hi = min(n, lo + TABLE_CHUNK)
+        yield from zip(*(cells(lo, hi) for _, cells in cols))

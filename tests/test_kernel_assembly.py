@@ -1,4 +1,4 @@
-"""The broadcast kernel assembly against a state-by-state oracle, and the
+"""The direct CSR kernel assembly against a state-by-state oracle, and the
 solvers routed through it (myopic reduction, SISP persistence count).
 
 Byte identity, not closeness, is asserted: the optimal policy has exactly
@@ -7,6 +7,8 @@ tied actions, and a last-bit difference in a kernel entry can flip them.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 import aoisched as a
@@ -86,9 +88,7 @@ KERNEL_SYSTEMS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(KERNEL_SYSTEMS))
-def test_kernels_byte_identical_to_oracle(name):
-    spec = KERNEL_SYSTEMS[name]
+def assert_kernels_match_oracle(spec):
     space = mdp.StateSpace(spec)
     actions = mdp.ActionSet(spec.n_sensors, spec.m_budget)
     built = mdp.build_kernels(spec, space, actions)
@@ -99,6 +99,61 @@ def test_kernels_byte_identical_to_oracle(name):
         for got, want in ((k.indptr, o.indptr), (k.indices, o.indices), (k.data, o.data)):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SYSTEMS))
+def test_kernels_byte_identical_to_oracle(name):
+    assert_kernels_match_oracle(KERNEL_SYSTEMS[name])
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SYSTEMS))
+def test_kernels_are_canonical_stochastic_csr(name):
+    """The builder sorts by construction, with no sum_duplicates pass."""
+    spec = KERNEL_SYSTEMS[name]
+    space = mdp.StateSpace(spec)
+    for k in mdp.build_kernels(spec, space, mdp.ActionSet(spec.n_sensors, spec.m_budget)):
+        assert k.indices.dtype == k.indptr.dtype == np.int32
+        assert k.has_canonical_format
+        # strictly increasing columns within every row
+        row_start = np.zeros(k.nnz, dtype=bool)
+        row_start[k.indptr[:-1][np.diff(k.indptr) > 0]] = True
+        assert np.all(np.diff(k.indices)[~row_start[1:]] > 0)
+        assert np.all(k.data != 0.0)
+        assert np.all(np.diff(k.indptr) > 0)
+        assert np.abs(np.asarray(k.sum(axis=1)).ravel() - 1.0).max() <= 1e-12
+
+
+# probabilities that include the ends, so successor lists merge and differ
+# in length, and the per-sensor tables carry padding
+PROBS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def small_systems(draw):
+    n = draw(st.integers(1, 3))
+    sensors = []
+    for _ in range(n):
+        if draw(st.booleans()):
+            arrival = a.MarkovArrival(draw(PROBS), draw(PROBS))
+        else:
+            arrival = a.BernoulliArrival(draw(PROBS))
+        sensors.append(
+            _sensor(arrival, draw(PROBS), draw(PROBS), draw(st.integers(0, 3)), draw(st.integers(1, 3)))
+        )
+    channel = a.ChannelSpec(draw(st.floats(0.01, 0.99)), draw(st.floats(0.01, 0.99)))
+    return a.SystemSpec(tuple(sensors), channel, draw(st.integers(1, n)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(small_systems(), st.integers(1, 40))
+def test_kernels_byte_identical_to_oracle_on_random_systems(spec, chunk):
+    space = mdp.StateSpace(spec)
+    # the oracle takes about 0.2 ms per state and action
+    assume(space.n_states * len(mdp.ActionSet(spec.n_sensors, spec.m_budget)) <= 1500)
+    # a chunk of a few rows fills the kernels a leading sub-index at a time
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mdp, "TABLE_CHUNK", chunk)
+        assert_kernels_match_oracle(spec)
 
 
 @pytest.mark.parametrize(
