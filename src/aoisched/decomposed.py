@@ -19,6 +19,7 @@ import numpy as np
 from .dynamics import JointState, SensorState
 from .mdp import (
     ActionSet,
+    Kernels,
     PolicyTable,
     StateSpace,
     build_kernels,
@@ -82,7 +83,8 @@ def _single_sensor_kernels(sensor: SensorSpec, channel: ChannelSpec) -> tuple:
     """(system, space, K_idle, K_transmit) of the sensor alone, kernels dense."""
     system = SystemSpec(sensors=(sensor,), channel=channel, m_budget=1)
     space = StateSpace(system)
-    k_idle, k_tx = (k.toarray() for k in build_kernels(system, space, ActionSet(1, 1)))
+    kernels = build_kernels(system, space, ActionSet(1, 1))
+    k_idle, k_tx = (kernels.assembled(a).toarray() for a in range(2))
     return system, space, k_idle, k_tx
 
 
@@ -133,7 +135,9 @@ def solve_per_sensor_value(
     system, space, k_idle, k_tx = _single_sensor_kernels(sensor, channel)
     mixed = p_r_i * k_tx + (1.0 - p_r_i) * k_idle
     cost = cost_vector(space, system)
-    vt, _ = relative_value_iteration([mixed], cost, space.reference_index())
+    # every state its own row: the dense mixed kernel is already assembled
+    kernels = Kernels((mixed,), np.arange(space.n_states))
+    vt, _ = relative_value_iteration(kernels, cost, space.reference_index())
     eq = np.stack([k_idle @ vt.values, k_tx @ vt.values], axis=1)
     return PerSensorValue(sensor_index, space, vt.values, vt.gain, p_r_i, eq)
 

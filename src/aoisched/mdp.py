@@ -11,11 +11,17 @@ balance residual, with a sparse LU solve when GMRES misses the bound
 
 build_kernels is the one kernel builder: the joint solver, exact policy
 evaluation, the per-sensor SISP solves, the randomized chain and the myopic
-baseline all read from it. It writes each kernel's CSR arrays straight from
-the per-sensor successor tables, whose entries it orders so that every row
-comes out sorted by column, with no COO step or duplicate summing; the
-arrays are byte-identical to a state-by-state assembly from
-transition_distribution (build_kernels says why that matters).
+baseline all read from it. Truncation saturates the ages, so most kernel
+rows repeat (a sensor's successors are the same one step below a cap as at
+it), and the builder returns Kernels: only the distinct rows of each
+action, plus row_of, the state -> distinct-row map all actions share.
+rows[a][row_of] is the assembled kernel K_a. RVI backs up the distinct rows
+and spreads them by row_of; the chain builders gather from them. The rows
+are written as CSR straight from the per-sensor successor tables, whose
+entries are ordered so that every row comes out sorted by column, with no
+COO step or duplicate summing; the assembled kernels are byte-identical to
+a state-by-state assembly from transition_distribution (build_kernels says
+why that matters).
 table_rows turns the rows of every solve table into strings a column at a
 time.
 """
@@ -44,6 +50,7 @@ __all__ = [
     "transition_distribution",
     "stage_cost",
     "cost_vector",
+    "Kernels",
     "build_kernels",
     "relative_value_iteration",
     "solve_optimal_policy",
@@ -375,26 +382,87 @@ def _successor_table(space: StateSpace, i: int, sensor: SensorSpec, scheduled: b
     return offset, prob, valid
 
 
-def build_kernels(spec: SystemSpec, space: StateSpace, actions: ActionSet) -> list:
-    """Sparse transition matrix per action, rows summing to one.
+@dataclass(frozen=True, eq=False)
+class Kernels:
+    """Every action's transition kernel, stored as its distinct rows.
+
+    rows[a] is a matrix of shape (n_rows, n_states), CSR from build_kernels,
+    and row_of maps each state to its distinct row, one map shared by every
+    action, so the assembled kernel K_a is rows[a][row_of]. Iterating yields
+    rows[a] in action order.
+    """
+
+    rows: tuple
+    row_of: np.ndarray
+
+    @property
+    def n_rows(self) -> int:
+        return self.rows[0].shape[0]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def assembled(self, a: int) -> sparse.csr_matrix:
+        """K_a with one row per state."""
+        return self.rows[a][self.row_of]
+
+
+def _row_classes(tables: Sequence) -> tuple:
+    """(class of each sub-index, first sub-index of each class) of one sensor.
+
+    Two sub-indices share a class when their padded successor tables (column
+    offsets, probability bytes and validity) agree under both decisions and
+    both channel states; classes are numbered by first occurrence.
+    """
+    n_sub = len(tables[0][0])
+    key = np.concatenate(
+        [t.reshape(n_sub, -1).view(np.uint8) for table in tables for t in table], axis=1
+    )
+    # a dict of row bytes keeps first occurrences in order with no sort;
+    # np.unique(axis=0) would build a dtype with one field per key byte,
+    # which cost a small command about 0.7 MiB of peak memory
+    first_of = {}
+    firsts = [first_of.setdefault(row.tobytes(), sub) for sub, row in enumerate(key)]
+    class_of = {sub: c for c, sub in enumerate(first_of.values())}
+    return np.array([class_of[sub] for sub in firsts]), np.array(list(first_of.values()))
+
+
+def build_kernels(spec: SystemSpec, space: StateSpace, actions: ActionSet) -> Kernels:
+    """Transition matrices of every action, built as their distinct rows.
+
+    Truncation makes most kernel rows copies of others: an age one step
+    below its cap steps to the cap, as the cap itself does, so on
+    threesensor (caps 7) a sensor's successors are the same at aoli in
+    {6, 7}, and again at aori in {6, 7}. So each sensor's sub-indices fall
+    into classes whose successor tables agree under both decisions and both
+    channel states (_row_classes; 42 classes out of 56 sub-indices per
+    threesensor sensor), and a joint state's row, for every action, depends
+    only on its sensors' classes and theta. The rows are
+    built once per class combination, indexed in mixed radix with sensor 1
+    most significant and theta fastest, and row_of maps each state to its
+    row: rows[a][row_of] is the assembled kernel K_a. On threesensor that is
+    148,176 rows out of 351,232 and 15.6 M nonzeros out of 36.6 M.
 
     Each sensor's successor table is built once per (theta, scheduled), and
-    one action's entries form a grid with axes (sub_1..sub_N, theta,
-    c_1..c_N, theta'). The first N + 1 axes flatten to the row index. A
-    successor's column is theta' plus the sensors' offsets, and the joint
-    index puts sensor 1 most significant and theta' fastest. With every
-    table sorted by offset, a row's entries in grid order therefore have
-    strictly increasing columns, so the grid flattens straight into CSR
-    order with no sort and no duplicates. Padding comes last in each table
-    and is dropped by the per-sensor masks, never by value, and each value
-    is multiplied in the fixed order ((Omega[theta, theta'] * p_1) * p_2)
-    * ....
+    one action's entries form a grid with axes (class_1..class_N, theta,
+    c_1..c_N, theta'), each class standing for its first sub-index. The
+    first N + 1 axes flatten to the row index. A successor's column is
+    theta' plus the sensors' offsets, and the joint index puts sensor 1
+    most significant and theta' fastest. With every table sorted by offset,
+    a row's entries in grid order therefore have strictly increasing
+    columns, so the grid flattens straight into CSR order with no sort and
+    no duplicates. Padding comes last in each table and is dropped by the
+    per-sensor masks, never by value, and each value is multiplied in the
+    fixed order ((Omega[theta, theta'] * p_1) * p_2) * ....
 
-    A row holds 2 * prod_i k_i(sub_i, theta) entries, where k_i counts
+    A row holds 2 * prod_i k_i(class_i, theta) entries, where k_i counts
     sensor i's real successors, which gives `indptr`. `data` and `indices`
-    are then filled one block of whole leading-sensor sub-indices (about
-    TABLE_CHUNK rows) at a time. The arrays are byte-identical to a
-    state-by-state assembly from transition_distribution. This matters
+    are then filled one block of whole leading-sensor classes (about
+    TABLE_CHUNK rows) at a time. The assembled kernels are byte-identical
+    to a state-by-state assembly from transition_distribution. This matters
     because the optimal policy has exactly tied actions, and a last-bit
     change in a kernel entry can flip which one the argmin picks.
     """
@@ -408,20 +476,26 @@ def build_kernels(spec: SystemSpec, space: StateSpace, actions: ActionSet) -> li
             shape[ax] = size
         return arr.reshape(shape)
 
-    # per sensor and decision: (column offset, prob, valid) on the grid axes
-    tables = [
-        [
-            [on_axes(t, (i, n_sensors, n_sensors + 1 + i))
-             for t in _successor_table(space, i, s, scheduled)]
-            for scheduled in (False, True)
-        ]
-        for i, s in enumerate(spec.sensors)
-    ]
+    # per sensor and decision: (column offset, prob, valid) of each class's
+    # first sub-index, on the grid axes
+    tables, class_of, n_classes = [], [], []
+    for i, s in enumerate(spec.sensors):
+        full = [_successor_table(space, i, s, scheduled) for scheduled in (False, True)]
+        classes, first = _row_classes(full)
+        class_of.append(classes)
+        n_classes.append(len(first))
+        tables.append([
+            [on_axes(t[first], (i, n_sensors, n_sensors + 1 + i)) for t in table]
+            for table in full
+        ])
+    n_rows = 2 * math.prod(n_classes)
+    row_of = np.ravel_multi_index(np.ix_(*class_of, [0, 1]), n_classes + [2]).ravel()
+
     omega = on_axes(spec.channel.omega(), (n_sensors, ndim - 1))
     all_next = on_axes(np.ones(2, dtype=bool), (ndim - 1,))
-    lead_rows = n // space.sub_sizes[0]
+    lead_rows = n_rows // n_classes[0]
     step = max(1, TABLE_CHUNK // lead_rows)
-    kernels = []
+    rows = []
     for action in actions.actions:
         factors = [tables[i][action[i]] for i in range(n_sensors)]
         counts = 2
@@ -429,13 +503,13 @@ def build_kernels(spec: SystemSpec, space: StateSpace, actions: ActionSet) -> li
             counts = counts * valid.sum(axis=n_sensors + 1 + i, keepdims=True)
         nnz = int(counts.sum())
         index_dtype = np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
-        indptr = np.zeros(n + 1, dtype=index_dtype)
+        indptr = np.zeros(n_rows + 1, dtype=index_dtype)
         np.cumsum(counts.ravel(), out=indptr[1:])
         indices = np.empty(nnz, dtype=index_dtype)
         data = np.empty(nnz)
         offsets = [offset.astype(index_dtype) for offset, _, _ in factors]
         theta_next = on_axes(np.arange(2, dtype=index_dtype), (ndim - 1,))
-        for lo in range(0, space.sub_sizes[0], step):
+        for lo in range(0, n_classes[0], step):
             block = slice(lo, lo + step)
             # the mask starts on the theta' axis so that it ends up with the
             # grid's full shape: boolean indexing by a broadcast mask is
@@ -446,15 +520,15 @@ def build_kernels(spec: SystemSpec, space: StateSpace, actions: ActionSet) -> li
                 vals = vals * prob[lead]
                 cols = cols + offsets[i][lead]
                 mask = mask & valid[lead]
-            span = slice(indptr[lo * lead_rows], indptr[min(n, (lo + step) * lead_rows)])
+            span = slice(indptr[lo * lead_rows], indptr[min(n_rows, (lo + step) * lead_rows)])
             data[span] = vals[mask]
             indices[span] = cols[mask]
-        kernels.append(sparse.csr_matrix((data, indices, indptr), shape=(n, n)))
-    return kernels
+        rows.append(sparse.csr_matrix((data, indices, indptr), shape=(n_rows, n)))
+    return Kernels(tuple(rows), row_of)
 
 
 def relative_value_iteration(
-    kernels: Sequence,
+    kernels: Kernels,
     cost: np.ndarray,
     ref_index: int,
     epsilon: float = 1e-9,
@@ -467,19 +541,31 @@ def relative_value_iteration(
     sup norm of successive iterates is <= epsilon. Returns (ValueTable,
     PolicyTable); the gain is min_a Theta(ref, a) at termination and argmin
     ties resolve to the lowest action index.
+
+    K_a Q is the backup of the distinct rows spread by row_of. Identical
+    rows give identical sums, so this is the assembled kernel's backup bit
+    for bit. Each action's backup is written into its row of a preallocated
+    stack, and the iterates swap two buffers, so an iteration allocates
+    only the matrix-vector products.
     """
     n = len(cost)
     q = np.zeros(n)
+    q_next = np.empty(n)
+    diff = np.empty(n)
     theta_stack = np.empty((len(kernels), n))
     sup_diff = np.inf
     for it in range(max_iter):
-        for a, k in enumerate(kernels):
-            theta_stack[a] = cost + k @ q
-        q_next = theta_stack.min(axis=0)
+        for a, rows in enumerate(kernels):
+            # mode="clip" is never clipping (row_of is in range) but, unlike
+            # the default, writes into out without a buffer
+            np.take(rows @ q, kernels.row_of, out=theta_stack[a], mode="clip")
+            np.add(cost, theta_stack[a], out=theta_stack[a])
+        np.min(theta_stack, axis=0, out=q_next)
         gain = q_next[ref_index]
         q_next -= gain
-        sup_diff = np.max(np.abs(q_next - q))
-        q = q_next
+        np.subtract(q_next, q, out=diff)
+        sup_diff = np.abs(diff, out=diff).max()
+        q, q_next = q_next, q
         if sup_diff <= epsilon:
             policy = theta_stack.argmin(axis=0)
             return ValueTable(q, float(gain), it + 1), PolicyTable(policy, action_set)
@@ -525,34 +611,29 @@ def check_value_monotonicity(values: np.ndarray, space: StateSpace, slack: float
     return violations
 
 
-def policy_chain_matrix(policy: PolicyTable, kernels: Sequence) -> sparse.csr_matrix:
-    """Markov matrix of the chain induced by a deterministic policy."""
-    n = kernels[0].shape[0]
-    rows, cols, vals = [], [], []
-    for a, k in enumerate(kernels):
-        sel = np.nonzero(policy.action_index == a)[0]
-        if len(sel) == 0:
-            continue
-        sub = k[sel].tocoo()
-        rows.append(sel[sub.row])
-        cols.append(sub.col)
-        vals.append(sub.data)
-    return sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
+def policy_chain_matrix(policy: PolicyTable, kernels: Kernels) -> sparse.csr_matrix:
+    """Markov matrix of the chain induced by a deterministic policy.
+
+    One row gather: state s takes row pi(s) * n_rows + row_of[s] of every
+    action's distinct rows stacked in action order.
+    """
+    stacked = sparse.vstack(kernels.rows, format="csr")
+    return stacked[policy.action_index * kernels.n_rows + kernels.row_of]
 
 
-def mixture_chain_matrix(weights: Sequence[float], kernels: Sequence) -> sparse.csr_matrix:
-    """Chain of a state-independent randomized policy: sum_a w_a K_a."""
+def mixture_chain_matrix(weights: Sequence[float], kernels: Kernels) -> sparse.csr_matrix:
+    """Chain of a state-independent randomized policy: sum_a w_a K_a.
+
+    The weighted sum is taken over the distinct rows, then spread by row_of.
+    """
     if len(weights) != len(kernels) or abs(sum(weights) - 1.0) > 1e-9:
         raise ValueError("weights must match kernels and sum to one")
     out = None
-    for w, k in zip(weights, kernels):
+    for w, rows in zip(weights, kernels):
         if w == 0.0:
             continue
-        out = w * k if out is None else out + w * k
-    return out.tocsr()
+        out = w * rows if out is None else out + w * rows
+    return out.tocsr()[kernels.row_of]
 
 
 def _gmres_solve(a11: sparse.csr_matrix, b: np.ndarray) -> np.ndarray:
@@ -646,7 +727,7 @@ def chain_average_cost(p: sparse.csr_matrix, cost: np.ndarray, start_index: int)
 
 def policy_average_cost(
     policy: PolicyTable,
-    kernels: Sequence,
+    kernels: Kernels,
     cost: np.ndarray,
     start_index: int,
 ) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import sparse
 
 from .dynamics import JointState
-from .mdp import ActionSet, PolicyTable, StateSpace, solve_optimal_policy
+from .mdp import ActionSet, Kernels, PolicyTable, StateSpace, solve_optimal_policy
 from .model import BernoulliArrival, SystemSpec, penalty_rows
 
 __all__ = [
@@ -349,22 +349,26 @@ def policy_to_table(policy: Policy, space: StateSpace, actions: ActionSet) -> Po
 
 
 def round_robin_chain(
-    space: StateSpace, kernels: Sequence, cost: np.ndarray, n: int, m: int
+    space: StateSpace, kernels: Kernels, cost: np.ndarray, n: int, m: int
 ) -> tuple:
     """Chain of round robin on the state space augmented with the cursor.
 
     The cursor advances by m (mod n) every slot independent of the state, so
     the augmented pair (state, cursor) is Markov. Returns (P, cost, start)
     over n_states * n_cursors augmented states, cursor-major blocks.
+
+    Block row `cursor` holds the distinct rows of its action in the block
+    column of the next cursor; a row gather by row_of then gives every
+    (cursor, state) pair its row.
     """
-    ns = space.n_states
     actions = ActionSet(n, m)
     blocks = []
     for cursor in range(n):
         action, nxt = round_robin_decide(cursor, n, m)
         row = [None] * n
-        row[nxt] = kernels[actions.index(action)]
+        row[nxt] = kernels.rows[actions.index(action)]
         blocks.append(row)
-    p_aug = sparse.bmat(blocks, format="csr")
+    spread = np.arange(n)[:, None] * kernels.n_rows + kernels.row_of
+    p_aug = sparse.bmat(blocks, format="csr")[spread.ravel()]
     cost_aug = np.tile(cost, n)
     return p_aug, cost_aug, space.reference_index()  # cursor 0 block comes first

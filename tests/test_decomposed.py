@@ -60,7 +60,8 @@ def test_per_sensor_kernel_boundaries(va_penalty):
     system = a.SystemSpec((sensor,), VA_CHANNEL, 1)
     space = mdp.StateSpace(system)
     actions = mdp.ActionSet(1, 1)
-    k_idle, k_tx = (k.toarray() for k in mdp.build_kernels(system, space, actions))
+    kernels = mdp.build_kernels(system, space, actions)
+    k_idle, k_tx = (kernels.assembled(a).toarray() for a in range(2))
     assert np.allclose(decomposed.per_sensor_kernel(sensor, VA_CHANNEL, 0.0), k_idle)
     assert np.allclose(decomposed.per_sensor_kernel(sensor, VA_CHANNEL, 1.0), k_tx)
     mixed = decomposed.per_sensor_kernel(sensor, VA_CHANNEL, 0.5)

@@ -5,6 +5,8 @@ Byte identity, not closeness, is asserted: the optimal policy has exactly
 tied actions, and a last-bit difference in a kernel entry can flip them.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -12,7 +14,9 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import aoisched as a
-from aoisched import decomposed, mdp, policies as pol
+from aoisched import cli, decomposed, mdp, policies as pol
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def oracle_kernels(spec, space, actions):
@@ -89,12 +93,16 @@ KERNEL_SYSTEMS = {
 
 
 def assert_kernels_match_oracle(spec):
+    """Every assembled kernel rows[a][row_of] equals the oracle's, dtype too."""
     space = mdp.StateSpace(spec)
     actions = mdp.ActionSet(spec.n_sensors, spec.m_budget)
     built = mdp.build_kernels(spec, space, actions)
     expected = oracle_kernels(spec, space, actions)
     assert len(built) == len(expected) == len(actions)
-    for k, o in zip(built, expected):
+    assert built.row_of.shape == (space.n_states,)
+    for a, o in enumerate(expected):
+        assert built.rows[a].shape == (built.n_rows, space.n_states)
+        k = built.assembled(a)
         assert k.shape == o.shape
         for got, want in ((k.indptr, o.indptr), (k.indices, o.indices), (k.data, o.data)):
             assert got.dtype == want.dtype
@@ -106,54 +114,147 @@ def test_kernels_byte_identical_to_oracle(name):
     assert_kernels_match_oracle(KERNEL_SYSTEMS[name])
 
 
+def assert_canonical_stochastic_csr(k):
+    assert k.indices.dtype == k.indptr.dtype == np.int32
+    assert k.has_canonical_format
+    # strictly increasing columns within every row
+    row_start = np.zeros(k.nnz, dtype=bool)
+    row_start[k.indptr[:-1][np.diff(k.indptr) > 0]] = True
+    assert np.all(np.diff(k.indices)[~row_start[1:]] > 0)
+    assert np.all(k.data != 0.0)
+    assert np.all(np.diff(k.indptr) > 0)
+    assert np.abs(np.asarray(k.sum(axis=1)).ravel() - 1.0).max() <= 1e-12
+
+
 @pytest.mark.parametrize("name", sorted(KERNEL_SYSTEMS))
 def test_kernels_are_canonical_stochastic_csr(name):
-    """The builder sorts by construction, with no sum_duplicates pass."""
+    """The builder sorts by construction, with no sum_duplicates pass, and
+    the expansion by row_of keeps that."""
     spec = KERNEL_SYSTEMS[name]
     space = mdp.StateSpace(spec)
-    for k in mdp.build_kernels(spec, space, mdp.ActionSet(spec.n_sensors, spec.m_budget)):
-        assert k.indices.dtype == k.indptr.dtype == np.int32
-        assert k.has_canonical_format
-        # strictly increasing columns within every row
-        row_start = np.zeros(k.nnz, dtype=bool)
-        row_start[k.indptr[:-1][np.diff(k.indptr) > 0]] = True
-        assert np.all(np.diff(k.indices)[~row_start[1:]] > 0)
-        assert np.all(k.data != 0.0)
-        assert np.all(np.diff(k.indptr) > 0)
-        assert np.abs(np.asarray(k.sum(axis=1)).ravel() - 1.0).max() <= 1e-12
+    kernels = mdp.build_kernels(spec, space, mdp.ActionSet(spec.n_sensors, spec.m_budget))
+    # row_of reaches every distinct row
+    assert np.array_equal(np.unique(kernels.row_of), np.arange(kernels.n_rows))
+    for a, rows in enumerate(kernels):
+        assert_canonical_stochastic_csr(rows)
+        assert_canonical_stochastic_csr(kernels.assembled(a))
+
+
+@pytest.mark.parametrize(
+    "config, n_rows, n_states, nnz, assembled_nnz",
+    [
+        ("twosensor", 3_528, 6_272, 108_864, 192_640),
+        # 42 of 56 sub-indices per sensor: 2 * 42**3 of 2 * 56**3
+        ("threesensor", 148_176, 351_232, 15_579_648, 36_628_480),
+    ],
+)
+def test_distinct_row_counts(config, n_rows, n_states, nnz, assembled_nnz):
+    system = cli.load_config(str(CONFIGS / f"{config}.yaml")).system
+    space = mdp.StateSpace(system)
+    kernels = mdp.build_kernels(system, space, mdp.ActionSet(system.n_sensors, system.m_budget))
+    assert (kernels.n_rows, space.n_states) == (n_rows, n_states)
+    assert sum(rows.nnz for rows in kernels) == nnz
+    assert sum(int(np.diff(rows.indptr)[kernels.row_of].sum()) for rows in kernels) == assembled_nnz
 
 
 # probabilities that include the ends, so successor lists merge and differ
 # in length, and the per-sensor tables carry padding
-PROBS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+ENDS = st.sampled_from([0.0, 1.0])
+PROBS = st.one_of(ENDS, st.floats(0.0, 1.0))
 
 
 @st.composite
-def small_systems(draw):
+def small_systems(draw, split=False):
+    """Systems with N <= 3 and caps <= 3. With split, sensor 1 has
+    max_aoli != max_aori and a success probability of 0 or 1, so its idle
+    and transmit tables repeat over different sub-indices and only classes
+    pooled over both decisions give the right rows."""
     n = draw(st.integers(1, 3))
     sensors = []
-    for _ in range(n):
+    for i in range(n):
         if draw(st.booleans()):
             arrival = a.MarkovArrival(draw(PROBS), draw(PROBS))
         else:
             arrival = a.BernoulliArrival(draw(PROBS))
-        sensors.append(
-            _sensor(arrival, draw(PROBS), draw(PROBS), draw(st.integers(0, 3)), draw(st.integers(1, 3)))
-        )
+        p0, p1 = draw(PROBS), draw(PROBS)
+        max_aoli, max_aori = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+        if split and i == 0:
+            max_aori = draw(st.integers(1, 3).filter(lambda cap: cap != max_aoli))
+            p0, p1 = (draw(ENDS), p1) if draw(st.booleans()) else (p0, draw(ENDS))
+        sensors.append(_sensor(arrival, p0, p1, max_aoli, max_aori))
     channel = a.ChannelSpec(draw(st.floats(0.01, 0.99)), draw(st.floats(0.01, 0.99)))
     return a.SystemSpec(tuple(sensors), channel, draw(st.integers(1, n)))
+
+
+def assume_oracle_is_quick(spec):
+    space = mdp.StateSpace(spec)
+    # the oracle takes about 0.2 ms per state and action
+    assume(space.n_states * len(mdp.ActionSet(spec.n_sensors, spec.m_budget)) <= 1500)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(small_systems(), st.integers(1, 40))
 def test_kernels_byte_identical_to_oracle_on_random_systems(spec, chunk):
-    space = mdp.StateSpace(spec)
-    # the oracle takes about 0.2 ms per state and action
-    assume(space.n_states * len(mdp.ActionSet(spec.n_sensors, spec.m_budget)) <= 1500)
+    assume_oracle_is_quick(spec)
     # a chunk of a few rows fills the kernels a leading sub-index at a time
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mdp, "TABLE_CHUNK", chunk)
         assert_kernels_match_oracle(spec)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_systems(split=True))
+def test_kernels_byte_identical_to_oracle_where_decisions_split(spec):
+    assume_oracle_is_quick(spec)
+    assert_kernels_match_oracle(spec)
+
+
+def oracle_rvi(kernels, cost, ref_index, epsilon, max_iter):
+    """RVI backing up assembled kernels, Theta_a = cost + K_a @ q, with the
+    same stopping rule: (values, gain, iterations, actions), or None if
+    max_iter runs out."""
+    q = np.zeros(len(cost))
+    theta_stack = np.empty((len(kernels), len(cost)))
+    for it in range(max_iter):
+        for a_idx, k in enumerate(kernels):
+            theta_stack[a_idx] = cost + k @ q
+        q_next = theta_stack.min(axis=0)
+        gain = q_next[ref_index]
+        q_next -= gain
+        sup_diff = np.max(np.abs(q_next - q))
+        q = q_next
+        if sup_diff <= epsilon:
+            return q, float(gain), it + 1, theta_stack.argmin(axis=0)
+    return None
+
+
+RVI_MAX_ITER = 3000
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_systems())
+def test_rvi_on_distinct_rows_matches_assembled_kernels(spec):
+    """Identical rows give identical sums, so every value, the gain, the
+    iteration count and every argmin, ties included, are the same."""
+    space = mdp.StateSpace(spec)
+    assume(space.n_states <= 3000)
+    actions = mdp.ActionSet(spec.n_sensors, spec.m_budget)
+    kernels = mdp.build_kernels(spec, space, actions)
+    cost = mdp.cost_vector(space, spec)
+    ref = space.reference_index()
+    assembled = [kernels.assembled(i) for i in range(len(kernels))]
+    want = oracle_rvi(assembled, cost, ref, 1e-9, RVI_MAX_ITER)
+    try:
+        vt, pt = mdp.relative_value_iteration(kernels, cost, ref, 1e-9, RVI_MAX_ITER)
+    except a.ConvergenceError:
+        assert want is None
+        return
+    assert want is not None
+    values, gain, iterations, policy = want
+    assert np.array_equal(vt.values.view(np.int64), values.view(np.int64))
+    assert vt.gain == gain
+    assert vt.iterations == iterations
+    assert np.array_equal(pt.action_index, policy)
 
 
 @pytest.mark.parametrize(

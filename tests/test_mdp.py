@@ -232,7 +232,9 @@ def test_rvi_degenerate_always_fresh(va_penalty):
 
 def test_rvi_bellman_residual(va_hetero_solved):
     b = va_hetero_solved
-    theta = np.stack([b.cost + k @ b.vt.values for k in b.kernels])
+    theta = np.stack(
+        [b.cost + b.kernels.assembled(a) @ b.vt.values for a in range(len(b.kernels))]
+    )
     residual = np.max(np.abs(theta.min(axis=0) - b.vt.gain - b.vt.values))
     assert residual <= 10 * 1e-9
     assert b.vt.gain > 0.0
