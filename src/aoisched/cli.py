@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration/validation error, 1 runtime error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import math
@@ -25,6 +26,7 @@ import numpy as np
 import yaml
 
 from . import decomposed, mdp, policies as pol, sim, stability
+from .dynamics import TRAJECTORY_HEADER
 from .model import (
     BernoulliArrival,
     ChannelSpec,
@@ -272,9 +274,7 @@ def load_config(path) -> LoadedConfig:
     horizon = _posint(simc.get("horizon", 1000), "simulation.horizon")
     replications = _posint(simc.get("replications", 500), "simulation.replications")
     warmup = _posint(simc.get("warmup", 0), "simulation.warmup", minimum=0)
-    seed = simc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("simulation.seed: expected an integer")
+    seed = _posint(simc.get("seed", 0), "simulation.seed", minimum=0)
     if horizon <= warmup:
         raise ConfigError("simulation.horizon must exceed simulation.warmup")
 
@@ -300,13 +300,22 @@ def _check_state_budget(system: SystemSpec, max_states: int) -> mdp.StateSpace:
 
 
 def _sisp_table(cfg: LoadedConfig) -> tuple:
-    """(space, per-sensor values, table, n_copied) of the SISP table."""
+    """(space, per-sensor values, table, n_copied, n_violations) of the SISP
+    table; stderr names the first state where threshold persistence fails."""
     system = cfg.system
     space = _check_state_budget(system, cfg.max_states)
     actions = mdp.ActionSet(system.n_sensors, system.m_budget)
     values = decomposed.solve_sisp_values(system, cfg.p_r)
-    table, copied = decomposed.build_policy_table_with_pruning(values, space, actions, system)
-    return space, values, table, copied
+    table, copied, violations = decomposed.build_policy_table_with_pruning(
+        values, space, actions, system
+    )
+    if len(violations):
+        print(
+            f"sisp: threshold persistence fails at {len(violations)} states, first "
+            f"state {violations[0]}; the table is the argmin at every state",
+            file=sys.stderr,
+        )
+    return space, values, table, copied, len(violations)
 
 
 def _joint_mdp(cfg: LoadedConfig, cache: dict) -> tuple:
@@ -341,7 +350,7 @@ def _build_policy(name: str, cfg: LoadedConfig, cache: dict) -> pol.Policy:
         space, _, pt = _solve_optimal(cfg, cache)
         policy = pol.TablePolicy("optimal", space, pt)
     elif name == "sisp":
-        space, _, table, _ = _sisp_table(cfg)
+        space, _, table, _, _ = _sisp_table(cfg)
         policy = pol.TablePolicy("sisp", space, table)
     elif name == "myopic":
         _check_state_budget(pol.myopic_system(system), cfg.max_states)
@@ -371,10 +380,11 @@ def cmd_solve(args) -> int:
         rows = mdp.table_rows(space, vt.values, pt)
         summary = {"gain": vt.gain, "iterations": vt.iterations, "wall_time_s": None}
     elif args.policy == "sisp":
-        space, sensor_values, pt, copied = _sisp_table(cfg)
+        space, sensor_values, pt, copied, violations = _sisp_table(cfg)
         rows = mdp.table_rows(space, None, pt)
         gain = sum(v.gain for v in sensor_values)
         summary = {"gain": gain, "iterations": "", "wall_time_s": None, "pruned_states": copied}
+        summary["persistence_violations"] = violations
     else:  # myopic: its own space has no buffer age and no value column
         model = _build_policy("myopic", cfg, {}).model
         space = model.space
@@ -395,6 +405,21 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _run_params(args, cfg: LoadedConfig) -> tuple:
+    """(seed, horizon, replications): each flag given overrides the config
+    and is checked as the config value is."""
+    seed = cfg.seed if args.seed is None else _posint(args.seed, "--seed", minimum=0)
+    horizon = cfg.horizon if args.horizon is None else _posint(args.horizon, "--horizon")
+    replications = (
+        cfg.replications
+        if args.replications is None
+        else _posint(args.replications, "--replications")
+    )
+    if horizon <= cfg.warmup:
+        raise ConfigError(f"--horizon: must exceed simulation.warmup {cfg.warmup}, got {horizon}")
+    return seed, horizon, replications
+
+
 def _policy_list(args, cfg, cache: dict) -> list:
     names = [p.strip() for p in args.policies.split(",") if p.strip()]
     if not names:
@@ -405,9 +430,7 @@ def _policy_list(args, cfg, cache: dict) -> list:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     out_dir = Path(args.out) if args.out else cfg.out_dir
-    seed = args.seed if args.seed is not None else cfg.seed
-    horizon = args.horizon or cfg.horizon
-    replications = args.replications or cfg.replications
+    seed, horizon, replications = _run_params(args, cfg)
     if args.caps:
         try:
             caps = [int(c) for c in args.caps.split(",") if c.strip()]
@@ -432,7 +455,16 @@ def cmd_simulate(args) -> int:
     plan = sim.ExperimentPlan(
         cfg.system, policies, horizon, replications, seed, warmup=cfg.warmup
     )
-    result = sim.monte_carlo(plan)
+    with contextlib.ExitStack() as files:
+        # replication 0 of each policy is its trajectory
+        sinks = {}
+        for name in [p.name for p in policies] if args.trace else []:
+            if name not in sinks:
+                fh, sinks[name] = _open_output(out_dir, f"trajectory_{name}.csv", cfg.config_hash)
+                files.enter_context(fh)
+                sinks[name].writerow(TRAJECTORY_HEADER)
+        # a repeated name gets its file's writer once, so the file is written once
+        result = sim.monte_carlo(plan, [sinks.pop(p.name, None) for p in policies])
     fh, w = _open_output(out_dir, "results.csv", cfg.config_hash)
     with fh:
         w.writerow(["policy", "mean_cost", "sd", "ci95", "replications", "horizon", "seed"])
@@ -440,16 +472,6 @@ def cmd_simulate(args) -> int:
             w.writerow([st.name, st.mean, st.sd, st.ci95, replications, horizon, seed])
     for st in result.stats:
         print(f"{st.name}: mean {_fmt(st.mean)} +- {_fmt(st.ci95)} (95% CI)")
-    if args.trace:
-        from .dynamics import TRAJECTORY_HEADER
-
-        for policy in policies:
-            fh, w = _open_output(out_dir, f"trajectory_{policy.name}.csv", cfg.config_hash)
-            with fh:
-                w.writerow(TRAJECTORY_HEADER)
-                sim.run_episode(
-                    cfg.system, policy, horizon, seed, warmup=0, sink=w
-                )
     return 0
 
 
@@ -518,32 +540,34 @@ def cmd_thresholds(args) -> int:
     return 0
 
 
+def _exact_cost(policy: pol.Policy, system: SystemSpec, joint: tuple) -> float:
+    """Exact average cost of one policy on the joint MDP (space, actions,
+    kernels, cost). Its chain is freed on return, before the next policy's
+    solve."""
+    space, actions, kernels, cost = joint
+    start = space.reference_index()
+    if policy.name == "rr":
+        p_aug, cost_aug, start_aug = pol.round_robin_chain(
+            space, kernels, cost, system.n_sensors, system.m_budget
+        )
+        return mdp.chain_average_cost(p_aug, cost_aug, start_aug)
+    if policy.name == "rand":
+        weights = pol.randomized_action_weights(policy.p, system.m_budget, actions)
+        chain = mdp.mixture_chain_matrix(weights, kernels)
+        return mdp.chain_average_cost(chain, cost, start)
+    table = pol.policy_to_table(policy, space, actions)
+    return mdp.policy_average_cost(table, kernels, cost, start)
+
+
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     out_dir = Path(args.out) if args.out else cfg.out_dir
-    seed = args.seed if args.seed is not None else cfg.seed
-    horizon = args.horizon or cfg.horizon
-    replications = args.replications or cfg.replications
+    seed, horizon, replications = _run_params(args, cfg)
     system = cfg.system
     cache = {}
     policies = _policy_list(args, cfg, cache)
-    space, actions, kernels, cost = _joint_mdp(cfg, cache)
-    start = space.reference_index()
-
-    exact = {}
-    for policy in policies:
-        if policy.name == "rr":
-            p_aug, cost_aug, start_aug = pol.round_robin_chain(
-                space, kernels, cost, system.n_sensors, system.m_budget
-            )
-            exact[policy.name] = mdp.chain_average_cost(p_aug, cost_aug, start_aug)
-        elif policy.name == "rand":
-            weights = pol.randomized_action_weights(policy.p, system.m_budget, actions)
-            chain = mdp.mixture_chain_matrix(weights, kernels)
-            exact[policy.name] = mdp.chain_average_cost(chain, cost, start)
-        else:
-            table = pol.policy_to_table(policy, space, actions)
-            exact[policy.name] = mdp.policy_average_cost(table, kernels, cost, start)
+    joint = _joint_mdp(cfg, cache)
+    exact = {policy.name: _exact_cost(policy, system, joint) for policy in policies}
 
     plan = sim.ExperimentPlan(system, policies, horizon, replications, seed, warmup=cfg.warmup)
     result = sim.monte_carlo(plan)

@@ -201,16 +201,18 @@ def build_policy_table_with_pruning(
     actions: ActionSet,
     spec: SystemSpec,
 ) -> tuple:
-    """SISP table and its threshold persistence; returns (table, n_copied).
+    """SISP table and its threshold persistence; returns (table, n_copied,
+    violations).
 
-    A pruned construction visits states in increasing index order, which is
-    monotone in every age coordinate, and copies the action of the state one
+    The table is the argmin at every state (build_policy_table). A pruned
+    construction visits states in increasing index order, which is monotone
+    in every age coordinate, and copies the action of the state one
     monitor-age step below (all else equal, first such sensor in index
     order) whenever that action schedules the sensor. n_copied counts the
     states it would copy rather than evaluate. Persistence is checked on the
-    argmin table: every such state must choose its source's action. When it
-    holds, the pruned table is the argmin table, so it is returned; when it
-    fails, RuntimeError is raised rather than returning a different table.
+    argmin table: every such state must choose its source's action, and
+    violations holds, in increasing order, the states that do not. Where it
+    is empty the pruned table is the argmin table.
     """
     table = build_policy_table(values, space, actions, spec)
     chosen = table.action_index
@@ -223,13 +225,8 @@ def build_policy_table_with_pruning(
         hit[hit] = scheduled[below[hit], i]
         source[hit] = below[hit]
     copied = source >= 0
-    broken = np.nonzero(copied & (chosen != chosen[source]))[0]
-    if len(broken):
-        raise RuntimeError(
-            f"threshold persistence fails at {len(broken)} states, first state "
-            f"{broken[0]} (copies from {source[broken[0]]})"
-        )
-    return table, int(copied.sum())
+    violations = np.nonzero(copied & (chosen != chosen[source]))[0]
+    return table, int(copied.sum()), violations
 
 
 @dataclass

@@ -193,7 +193,8 @@ def step_system_traced(
 
 class LaneState(NamedTuple):
     """JointStates of many lanes: theta has one entry per lane, the others
-    one row per sensor (shape (N, lanes))."""
+    one row per sensor (shape (N, lanes)). The field order is that of
+    Policy.decide_array's state arguments."""
 
     theta: np.ndarray
     aoli: np.ndarray
@@ -241,13 +242,14 @@ def lane_tables(spec: SystemSpec) -> LaneTables:
 def step_lanes(
     lanes: LaneState, scheduled: np.ndarray, u: np.ndarray, tables: LaneTables
 ) -> tuple:
-    """Advance every lane one slot; returns (next lanes, penalties).
+    """Advance every lane one slot; returns (next lanes, penalties, delivered).
 
     u holds one lane's uniforms per column in the canonical order (channel,
     N arrivals, N deliveries), so the predrawn stream of draw_step is one
     column per slot. scheduled is the (N, lanes) schedule. The comparisons
     and caps are those of step_system; penalties has shape (N, lanes) at the
-    post-transition monitor ages (lane_cost sums them).
+    post-transition monitor ages (lane_cost sums them), and delivered is the
+    (N, lanes) mask of scheduled sensors whose packet got through.
     """
     n = len(tables.penalty)
     theta = lanes.theta
@@ -260,7 +262,7 @@ def step_lanes(
     aoli = np.minimum(np.where(arrived, 0, aoli_up), tables.max_aoli)
     theta = np.where(u[0] < tables.stay[theta], theta, 1 - theta)
     penalties = tables.penalty[np.arange(n)[:, None], aori]
-    return LaneState(theta, aoli, aori, arrived), penalties
+    return LaneState(theta, aoli, aori, arrived), penalties, delivered
 
 
 def lane_cost(penalties: np.ndarray) -> np.ndarray:

@@ -3,13 +3,18 @@
 Covers the comparison set: the solved optimal table, the structure-informed
 table, max-age-first, max-error-first, round robin, randomized with budget
 thinning, the myopic single-age baseline, and always-idle.
+
+Each policy object is stateless and has one decision rule, decide_array.
+The module-level maf_decide, mef_decide, round_robin_decide and
+randomized_decide state the same rules for one state at a time; the tests
+check decide_array against them.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
@@ -47,20 +52,13 @@ class Policy:
     """Decision interface of the simulator and of tabulation.
 
     decide_array is the decision rule: it maps the states of many lanes to
-    action indices at once, and serves both the Monte Carlo engine and
-    policy_to_table. decide is the same rule for one JointState; it drives
-    the scalar episode (sim.run_episode) and is the test oracle.
-    reset() is called at the start of every scalar episode; stateful
-    policies (cursor, private randomness) reinitialize there.
+    action indices at once, and serves the Monte Carlo engine, the scalar
+    episode (sim.run_episode, one lane) and policy_to_table. A policy holds
+    no per-episode state: the slot count t and the per-lane policy streams
+    are arguments.
     """
 
     name = "policy"
-
-    def reset(self, rng: Optional[np.random.Generator] = None) -> None:
-        pass
-
-    def decide(self, state: JointState) -> tuple:
-        raise NotImplementedError
 
     def decide_array(
         self, actions: ActionSet, theta, aoli, aori, arrival, t: int = 0, rngs=None
@@ -70,7 +68,7 @@ class Policy:
         theta is an int array over lanes; aoli, aori and arrival hold one such
         array per sensor, the layout of StateSpace._coordinate_arrays(). t
         counts the decisions since the episode start, and rngs holds one
-        policy stream per lane (the generator reset() would get). Raises
+        policy stream per lane (only the randomized policy draws). Raises
         ValueError on a schedule over the budget of `actions`.
         """
         raise NotImplementedError
@@ -105,9 +103,6 @@ class TablePolicy(Policy):
         self.table = table
         self._codes = _table_codes(table)
 
-    def decide(self, state: JointState) -> tuple:
-        return self.table.action_of(self.space.encode(state))
-
     def decide_array(self, actions, theta, aoli, aori, arrival, t=0, rngs=None):
         idx = self.space.encode_array(theta, aoli, aori, arrival)
         return _lane_actions(actions, self._codes[self.table.action_index[idx]])
@@ -141,9 +136,6 @@ class MafPolicy(Policy):
     def __init__(self, m: int):
         self.m = m
 
-    def decide(self, state: JointState) -> tuple:
-        return maf_decide(state, self.m)
-
     def decide_array(self, actions, theta, aoli, aori, arrival, t=0, rngs=None):
         return _top_m_array(actions, np.asarray(aori), self.m)
 
@@ -160,13 +152,8 @@ class MefPolicy(Policy):
     name = "mef"
 
     def __init__(self, spec: SystemSpec):
-        self.spec = spec
         self.m = spec.m_budget
         self._tables = penalty_rows(spec.sensors)
-
-    def decide(self, state: JointState) -> tuple:
-        scores = [self._tables[i][st.aori] for i, st in enumerate(state.sensors)]
-        return _top_m(scores, self.m)
 
     def decide_array(self, actions, theta, aoli, aori, arrival, t=0, rngs=None):
         rows = np.arange(len(self._tables))[:, None]
@@ -189,14 +176,6 @@ class RoundRobinPolicy(Policy):
     def __init__(self, n: int, m: int):
         self.n = n
         self.m = m
-        self.cursor = 0
-
-    def reset(self, rng: Optional[np.random.Generator] = None) -> None:
-        self.cursor = 0
-
-    def decide(self, state: JointState) -> tuple:
-        action, self.cursor = round_robin_decide(self.cursor, self.n, self.m)
-        return action
 
     def decide_array(self, actions, theta, aoli, aori, arrival, t=0, rngs=None):
         # after t decisions the cursor has advanced by t * m
@@ -226,15 +205,6 @@ class RandomizedSchedule(Policy):
     def __init__(self, p: Sequence[float], m: int):
         self.p = tuple(p)
         self.m = m
-        self._rng = None
-
-    def reset(self, rng: Optional[np.random.Generator] = None) -> None:
-        if rng is None:
-            raise ValueError("randomized policy needs a random source at reset")
-        self._rng = rng
-
-    def decide(self, state: JointState) -> tuple:
-        return randomized_decide(self.p, self.m, self._rng)
 
     def decide_array(self, actions, theta, aoli, aori, arrival, t=0, rngs=None):
         # one scalar draw per lane keeps each lane's variable-length stream
@@ -277,9 +247,6 @@ class IdlePolicy(Policy):
 
     def __init__(self, n: int):
         self.action = tuple(0 for _ in range(n))
-
-    def decide(self, state: JointState) -> tuple:
-        return self.action
 
     def decide_array(self, actions, theta, aoli, aori, arrival, t=0, rngs=None):
         return _lane_actions(actions, np.full(len(theta), _action_code(self.action)))
@@ -325,12 +292,6 @@ class MyopicPolicy(Policy):
         self._strides = [model.space.aori_stride(i) for i in range(model.space.n_sensors)]
         self._codes = _table_codes(model.table)
 
-    def decide(self, state: JointState) -> tuple:
-        idx = state.theta
-        for st, stride in zip(state.sensors, self._strides):
-            idx += (st.aori - 1) * stride
-        return self.model.table.action_of(idx)
-
     def decide_array(self, actions, theta, aoli, aori, arrival, t=0, rngs=None):
         idx = theta
         for i, stride in enumerate(self._strides):
@@ -339,10 +300,11 @@ class MyopicPolicy(Policy):
 
 
 def policy_to_table(policy: Policy, space: StateSpace, actions: ActionSet) -> PolicyTable:
-    """Tabulate a stateless decision rule over the full truncated space.
+    """Tabulate a decision rule over the full truncated space.
 
-    Only valid for policies whose decision is a pure function of the state
-    (not round robin, not randomized): decide_array at every state of space.
+    Only valid for policies whose decision is a function of the state alone
+    (not round robin, which reads the slot count, not randomized):
+    decide_array at every state of space.
     """
     theta, aoli, aori, arrival, _ = space._coordinate_arrays()
     return PolicyTable(policy.decide_array(actions, theta, aoli, aori, arrival), actions)

@@ -5,9 +5,10 @@ trajectory logging, time-average cost statistics, and the truncation-cap
 divergence probe used to corroborate the stability criterion.
 
 monte_carlo steps all replications of a policy together as lanes of
-dynamics.step_lanes. run_episode runs one replication slot by slot through
-dynamics.step_system_traced; it writes the --trace trajectories and is the
-oracle the lockstep engine matches bit for bit.
+dynamics.step_lanes, and writes lane 0's trajectory (the --trace files) as
+it steps. run_episode runs one replication slot by slot through
+dynamics.step_system_traced, deciding on one lane; it is the oracle the
+lockstep engine matches bit for bit, means and trajectories alike.
 """
 
 from __future__ import annotations
@@ -117,18 +118,20 @@ def run_episode(
 ) -> EpisodeResult:
     """Simulate one episode from the canonical start state, slot by slot.
 
-    Stage costs accrue at the post-transition state for slots after the
-    warmup. If a sink (csv.writer-like) is attached, one row per
-    (slot, sensor) is emitted in the trajectory format.
+    The policy decides on the state as one lane. Stage costs accrue at the
+    post-transition state for slots after the warmup. If a sink
+    (csv.writer-like) is attached, one row per (slot, sensor) is emitted in
+    the trajectory format.
     """
     if horizon <= warmup:
         raise ValueError("horizon must exceed warmup")
     env_rng, pol_rng = _episode_rngs(seed)
-    policy.reset(pol_rng)
+    actions = ActionSet(spec.n_sensors, spec.m_budget)
     state = initial_state(spec)
     total = 0.0
     for t in range(1, horizon + 1):
-        action = policy.decide(state)
+        idx = policy.decide_array(actions, *lane_state(state, 1), t - 1, [pol_rng])
+        action = actions.actions[idx[0]]
         state, cost, draws = step_system_traced(state, action, spec, env_rng)
         if t > warmup:
             total += cost
@@ -152,17 +155,27 @@ def run_episode(
     return EpisodeResult(total / (horizon - warmup), state)
 
 
-def monte_carlo(plan: ExperimentPlan) -> ExperimentResult:
+def _write_lane0(sink, t: int, state, scheduled, delivered, penalties) -> None:
+    """Lane 0's rows of slot t, as run_episode writes them."""
+    cols = [a[:, 0] for a in (state.aoli, state.aori, scheduled, state.arrival, delivered)]
+    theta = int(state.theta[0])
+    for i, (row, penalty) in enumerate(zip(np.column_stack(cols).tolist(), penalties[:, 0])):
+        sink.writerow([t, theta, i + 1, *row, float(penalty)])
+
+
+def monte_carlo(plan: ExperimentPlan, sinks: Optional[Sequence] = None) -> ExperimentResult:
     """Independent replications per policy with common random numbers.
 
     Replication r is lane r: every policy's lanes start at the canonical
     state and advance slot by slot together. Lane r's environment uniforms
     come from the env stream of seed base_seed + r, drawn in blocks of whole
     slots that every policy reads, and its policy stream (for the randomized
-    policy) is the one run_episode would reset the policy with. Each lane
-    thus replays run_episode(seed=base_seed + r) and its mean is bit for bit
-    the same. Deterministic given the plan; the 95% interval half-width uses
-    the normal approximation over replication means.
+    policy) is the one run_episode draws from. Each lane thus replays
+    run_episode(seed=base_seed + r) and its mean is bit for bit the same.
+    sinks, if given, holds one csv.writer-like object or None per policy;
+    a policy's sink gets lane 0's rows, the rows run_episode(seed=base_seed,
+    sink=...) writes. Deterministic given the plan; the 95% interval
+    half-width uses the normal approximation over replication means.
     """
     spec = plan.system
     n, reps = spec.n_sensors, plan.replications
@@ -171,6 +184,7 @@ def monte_carlo(plan: ExperimentPlan) -> ExperimentResult:
     schedules = np.array(actions.actions, dtype=bool).T
     tables = lane_tables(spec)
     policies = plan.policies
+    sinks = [None] * len(policies) if sinks is None else sinks
     lanes = [lane_state(initial_state(spec), reps)] * len(policies)
     policy_rngs = [[_episode_rngs(seed)[1] for seed in seeds] for _ in policies]
     sums = np.zeros((len(policies), reps))  # summed stage cost per policy and lane
@@ -182,15 +196,16 @@ def monte_carlo(plan: ExperimentPlan) -> ExperimentResult:
         block = np.empty((slots, 1 + 2 * n, reps))
         for r, rng in enumerate(env_rngs):
             block[:, :, r] = rng.random((slots, 1 + 2 * n))
-        for k, policy in enumerate(policies):
+        for k, (policy, sink) in enumerate(zip(policies, sinks, strict=True)):
             state = lanes[k]
             for t, u in enumerate(block, start):
-                idx = policy.decide_array(
-                    actions, state.theta, state.aoli, state.aori, state.arrival, t, policy_rngs[k]
-                )
-                state, penalties = step_lanes(state, schedules[:, idx], u, tables)
+                idx = policy.decide_array(actions, *state, t, policy_rngs[k])
+                scheduled = schedules[:, idx]
+                state, penalties, delivered = step_lanes(state, scheduled, u, tables)
                 if t >= plan.warmup:
                     sums[k] += lane_cost(penalties)
+                if sink is not None:
+                    _write_lane0(sink, t + 1, state, scheduled, delivered, penalties)
             lanes[k] = state
 
     measured = plan.horizon - plan.warmup

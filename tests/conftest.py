@@ -87,6 +87,7 @@ class SispBundle:
     table: object  # unpruned construction
     pruned_table: object
     copied: int
+    violations: np.ndarray  # states where threshold persistence fails
 
 
 def sisp_bundle(bundle: SolvedBundle) -> SispBundle:
@@ -94,10 +95,10 @@ def sisp_bundle(bundle: SolvedBundle) -> SispBundle:
     table = decomposed.build_policy_table(
         values, bundle.space, bundle.actions, bundle.system
     )
-    pruned, copied = decomposed.build_policy_table_with_pruning(
+    pruned, copied, violations = decomposed.build_policy_table_with_pruning(
         values, bundle.space, bundle.actions, bundle.system
     )
-    return SispBundle(values, table, pruned, copied)
+    return SispBundle(values, table, pruned, copied, violations)
 
 
 @pytest.fixture(scope="session")

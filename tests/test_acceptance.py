@@ -97,6 +97,7 @@ def test_criterion_04_threshold_structure(va_solved, va_sisp, va_hetero_solved, 
     for bundle, sb in ((va_solved, va_sisp), (va_hetero_solved, va_hetero_sisp)):
         assert _scheduling_upward_closed(sb.table, bundle.space, bundle.actions) == 0
         assert np.array_equal(sb.table.action_index, sb.pruned_table.action_index)
+        assert sb.violations.size == 0
         assert sb.copied > 0
     _report(
         4,
@@ -296,7 +297,7 @@ def _lane_counts(spec, space, state, action, samples, rng):
     u[[1 + n + i for i in range(n) if action[i]]] = block[:, 1 + n :].T
     scheduled = np.repeat(np.array(action, dtype=bool)[:, None], samples, axis=1)
     lanes = dynamics.lane_state(state, samples)
-    nxt, _ = dynamics.step_lanes(lanes, scheduled, u, dynamics.lane_tables(spec))
+    nxt, _, _ = dynamics.step_lanes(lanes, scheduled, u, dynamics.lane_tables(spec))
     keys = space.encode_array(nxt.theta, nxt.aoli, nxt.aori, nxt.arrival)
     return dict(zip(*(a.tolist() for a in np.unique(keys, return_counts=True))))
 

@@ -296,3 +296,56 @@ def test_markov_arrival_config_roundtrip(tmp_path):
     assert cli.main(["solve", "--config", str(cfg), "--policy", "optimal"]) == 0
     header = read_lines(out / "optimal_table.csv")[1]
     assert "arrmem_1" in header
+
+
+def test_repeated_policy_traces_one_file(tmp_path):
+    cfg, out = write_config(tmp_path, TWO_SENSOR_YAML)
+    common = ["simulate", "--config", str(cfg), "--seed", "42", "--trace"]
+    assert cli.main([*common, "--policies", "maf"]) == 0
+    single = (out / "trajectory_maf.csv").read_bytes()
+    assert cli.main([*common, "--policies", "maf,maf"]) == 0
+    assert [l.split(",")[0] for l in read_lines(out / "results.csv")[2:]] == ["maf", "maf"]
+    assert sorted(p.name for p in out.glob("trajectory_*")) == ["trajectory_maf.csv"]
+    assert (out / "trajectory_maf.csv").read_bytes() == single
+    lines = read_lines(out / "trajectory_maf.csv")
+    assert lines[1] == "t,theta,sensor,aoli,aori,scheduled,arrived,delivered,penalty"
+    assert len(lines) == 2 + 200 * 2
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (["--replications", "0"], "--replications"),
+        (["--replications", "-3"], "--replications"),
+        (["--horizon", "0"], "--horizon"),
+        (["--horizon", "-1"], "--horizon"),
+        (["--seed", "-1"], "--seed"),
+    ],
+)
+def test_run_flags_checked_like_config_values(
+    tmp_path, capsys, monkeypatch, command, flags, name
+):
+    def no_solve(*args):
+        raise AssertionError("flags are checked before any solve")
+
+    monkeypatch.setattr(cli, "_joint_mdp", no_solve)
+    cfg, out = write_config(tmp_path, TWO_SENSOR_YAML)
+    assert cli.main([command, "--config", str(cfg), "--policies", "maf", *flags]) == 2
+    assert f"config error: {name}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_horizon_flag_must_exceed_warmup(tmp_path, capsys):
+    text = TWO_SENSOR_YAML.replace("horizon: 200", "horizon: 200\n  warmup: 50")
+    cfg, out = write_config(tmp_path, text)
+    assert cli.main(["simulate", "--config", str(cfg), "--horizon", "50"]) == 2
+    assert "--horizon: must exceed simulation.warmup 50" in capsys.readouterr().err
+    assert cli.main(["simulate", "--config", str(cfg), "--policies", "maf",
+                     "--horizon", "51", "--replications", "2"]) == 0
+
+
+def test_negative_config_seed_names_key(tmp_path, capsys):
+    cfg, _ = write_config(tmp_path, TWO_SENSOR_YAML.replace("seed: 42", "seed: -3"))
+    assert cli.main(["solve", "--config", str(cfg)]) == 2
+    assert "simulation.seed" in capsys.readouterr().err

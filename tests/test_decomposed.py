@@ -226,9 +226,10 @@ def test_sisp_scheduling_region_is_staircase(va_hetero_solved, va_hetero_sisp):
 def test_pruned_table_equals_unpruned(small_solution):
     system, values, space, actions = small_solution
     plain = decomposed.build_policy_table(values, space, actions, system)
-    pruned, copied = decomposed.build_policy_table_with_pruning(
+    pruned, copied, violations = decomposed.build_policy_table_with_pruning(
         values, space, actions, system
     )
+    assert violations.size == 0
     assert np.array_equal(plain.action_index, pruned.action_index)
     assert copied > 0
 
@@ -240,9 +241,10 @@ def test_pruning_impossible_on_minimal_age_range(va_penalty):
     values = decomposed.solve_sisp_values(system, p_r=(0.5,))
     space = mdp.StateSpace(system)
     actions = mdp.ActionSet(1, 1)
-    pruned, copied = decomposed.build_policy_table_with_pruning(
+    pruned, copied, violations = decomposed.build_policy_table_with_pruning(
         values, space, actions, system
     )
+    assert violations.size == 0
     plain = decomposed.build_policy_table(values, space, actions, system)
     assert copied == 0
     assert np.array_equal(plain.action_index, pruned.action_index)
@@ -315,9 +317,10 @@ def test_three_sensor_two_slot_budget():
 
     values = decomposed.solve_sisp_values(system)
     plain = decomposed.build_policy_table(values, space, actions, system)
-    pruned, copied = decomposed.build_policy_table_with_pruning(
+    pruned, copied, violations = decomposed.build_policy_table_with_pruning(
         values, space, actions, system
     )
+    assert violations.size == 0
     assert np.array_equal(plain.action_index, pruned.action_index)
     assert copied > 0
 
@@ -350,7 +353,10 @@ def test_decomposition_with_markov_arrivals():
     assert sum(v.gain for v in values) == pytest.approx(joint, abs=1e-6)
 
     plain = decomposed.build_policy_table(values, space, actions, spec)
-    pruned, copied = decomposed.build_policy_table_with_pruning(values, space, actions, spec)
+    pruned, copied, violations = decomposed.build_policy_table_with_pruning(
+        values, space, actions, spec
+    )
+    assert violations.size == 0
     assert np.array_equal(plain.action_index, pruned.action_index)
     assert copied > 0
     kernels = mdp.build_kernels(spec, space, actions)

@@ -3,7 +3,9 @@
 sim.monte_carlo advances all replications of a policy together through
 dynamics.step_lanes; sim.run_episode advances one replication slot by slot
 through dynamics.step_system_traced. With the same seeds every replication
-mean must be the same float.
+mean must be the same float, and the trajectory monte_carlo writes for
+replication 0 must be the rows run_episode writes, cell for cell as the CLI
+prints them.
 """
 
 import re
@@ -20,16 +22,32 @@ from test_tables import MARKOV_YAML
 TWO_SENSOR = Path(__file__).resolve().parents[1] / "configs" / "twosensor.yaml"
 
 
+class _CellSink:
+    """Rows as the CLI's writer formats their cells."""
+
+    def __init__(self):
+        self.rows = []
+
+    def writerow(self, row):
+        self.rows.append([cli._fmt(c) for c in row])
+
+
 def assert_matches_episodes(spec, policies, horizon, reps, seed, warmup=0):
     plan = sim.ExperimentPlan(spec, policies, horizon, reps, seed, warmup=warmup)
-    result = sim.monte_carlo(plan)
-    for policy, st in zip(policies, result.stats):
+    sinks = [_CellSink() for _ in policies]
+    result = sim.monte_carlo(plan, sinks)
+    for policy, st, sink in zip(policies, result.stats, sinks):
+        trace = _CellSink()
         episodes = [
+            sim.run_episode(spec, policy, horizon, seed, warmup, sink=trace).avg_cost
+        ] + [
             sim.run_episode(spec, policy, horizon, seed + r, warmup).avg_cost
-            for r in range(reps)
+            for r in range(1, reps)
         ]
         assert np.array_equal(st.rep_means, episodes), policy.name
         assert st.mean == float(np.mean(episodes)), policy.name
+        assert len(sink.rows) == horizon * spec.n_sensors, policy.name
+        assert sink.rows == trace.rows, policy.name
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +76,16 @@ def test_block_size_does_not_change_results(twosensor, monkeypatch, block):
     monkeypatch.setattr(sim, "BLOCK_LANE_SLOTS", block)
     spec, policies = twosensor
     assert_matches_episodes(spec, policies, horizon=61, reps=3, seed=5, warmup=10)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_markov_every_policy_with_warmup(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(sim, "BLOCK_LANE_SLOTS", block)
+    path, _ = write_config(tmp_path, MARKOV_YAML)
+    cfg = cli.load_config(str(path))
+    cache = {}
+    policies = [cli._build_policy(name, cfg, cache) for name in pol.POLICY_NAMES]
+    assert_matches_episodes(cfg.system, policies, horizon=45, reps=3, seed=13, warmup=25)
 
 
 def test_markov_budget_two_with_overflowing_rand(tmp_path):

@@ -5,6 +5,8 @@ Byte identity, not closeness, is asserted: the optimal policy has exactly
 tied actions, and a last-bit difference in a kernel entry can flip them.
 """
 
+import io
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -277,6 +279,7 @@ def test_myopic_decide_reads_monitor_ages_and_channel():
     model = pol.build_myopic_policy(spec)
     policy = pol.MyopicPolicy(model)
     full = mdp.StateSpace(spec)
+    table = pol.policy_to_table(policy, full, mdp.ActionSet(spec.n_sensors, spec.m_budget))
     for idx in range(full.n_states):
         js = full.decode(idx)
         reduced = a.JointState(
@@ -284,7 +287,7 @@ def test_myopic_decide_reads_monitor_ages_and_channel():
             js.theta,
             (True,) * spec.n_sensors,
         )
-        assert policy.decide(js) == model.table.action_of(model.space.encode(reduced))
+        assert table.action_of(idx) == model.table.action_of(model.space.encode(reduced))
 
 
 @pytest.mark.parametrize(
@@ -296,19 +299,69 @@ def test_pruning_count_matches_recorded(spec, copied):
     actions = mdp.ActionSet(spec.n_sensors, spec.m_budget)
     values = decomposed.solve_sisp_values(spec)
     plain = decomposed.build_policy_table(values, space, actions, spec)
-    pruned, n_copied = decomposed.build_policy_table_with_pruning(
+    pruned, n_copied, violations = decomposed.build_policy_table_with_pruning(
         values, space, actions, spec
     )
     assert n_copied == copied
+    assert violations.size == 0
     assert np.array_equal(plain.action_index, pruned.action_index)
 
 
-def test_pruning_raises_when_persistence_fails():
+# markov3_system(2) as a config file
+MARKOV3_M2_YAML = textwrap.dedent(
+    """
+    channel: {kappa00: 0.45, kappa11: 0.75}
+    budget: 2
+    sensors:
+      - arrival: {kind: bernoulli, rate: 0.8}
+        penalty: {kind: exponential, r: 0.5}
+        p0: 0.3
+        p1: 1.0
+        max_aoli: 2
+        max_aori: 3
+      - arrival: {kind: markov, stay_empty: 0.6, stay_active: 0.7}
+        penalty: {kind: exponential, r: 0.7}
+        p0: 0.5
+        p1: 0.9
+        max_aoli: 1
+        max_aori: 3
+      - arrival: {kind: bernoulli, rate: 0.5}
+        penalty: {kind: exponential, r: 0.3}
+        p0: 0.6
+        p1: 1.0
+        max_aoli: 2
+        max_aori: 2
+    """
+)
+
+
+def test_pruning_reports_persistence_violations(tmp_path, capsys):
     # with M=2 a copied pair can differ from the argmin: the sensor stays
     # scheduled one monitor-age step up, but its partner changes
     spec = markov3_system(2)
     space = mdp.StateSpace(spec)
     actions = mdp.ActionSet(3, 2)
     values = decomposed.solve_sisp_values(spec)
-    with pytest.raises(RuntimeError, match="threshold persistence fails at 4 states"):
-        decomposed.build_policy_table_with_pruning(values, space, actions, spec)
+    table, _, violations = decomposed.build_policy_table_with_pruning(
+        values, space, actions, spec
+    )
+    assert len(violations) == 4
+    assert np.all(np.diff(violations) > 0)
+    plain = decomposed.build_policy_table(values, space, actions, spec)
+    assert np.array_equal(table.action_index, plain.action_index)
+
+    # solve writes that argmin table and reports the count
+    path = tmp_path / "m2.yaml"
+    path.write_text(MARKOV3_M2_YAML)
+    assert cli.load_config(str(path)).system == spec
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", str(path), "--policy", "sisp", "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert f"threshold persistence fails at 4 states, first state {violations[0]};" in err
+    expected = io.StringIO(newline="")
+    cli._write_table(expected, mdp.table_rows(space, None, plain))
+    written = (out / "sisp_table.csv").read_bytes().decode()
+    assert written.split("\n", 1)[1] == expected.getvalue()
+    header, row = (out / "sisp_summary.csv").read_text().splitlines()[1:]
+    summary = dict(zip(header.split(","), row.split(",")))
+    assert summary["persistence_violations"] == "4"

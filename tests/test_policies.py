@@ -1,3 +1,4 @@
+import copy
 from pathlib import Path
 
 import numpy as np
@@ -32,10 +33,9 @@ def test_mef_decide_heterogeneous_penalties():
 
 def test_mef_equals_maf_on_homogeneous_system(va_system):
     space = mdp.StateSpace(va_system)
-    mef = pol.MefPolicy(va_system)
+    table = pol.policy_to_table(pol.MefPolicy(va_system), space, mdp.ActionSet(2, 1))
     for idx in range(space.n_states):
-        state = space.decode(idx)
-        assert mef.decide(state) == pol.maf_decide(state, 1)
+        assert table.action_of(idx) == pol.maf_decide(space.decode(idx), 1)
 
 
 def test_mef_full_budget_schedules_everyone(va_system):
@@ -60,10 +60,12 @@ def test_round_robin_sequences():
 
 def test_round_robin_visits_evenly():
     policy = pol.RoundRobinPolicy(3, 2)
-    policy.reset()
+    actions = mdp.ActionSet(3, 2)
+    lane = dynamics.lane_state(_state([(0, 1)] * 3), 1)
     counts = np.zeros(3, dtype=int)
-    for _ in range(3 * 10):  # ten full cycles
-        counts += policy.decide(_state([(0, 1)] * 3))
+    for t in range(3 * 10):  # ten full cycles
+        idx = policy.decide_array(actions, lane.theta, lane.aoli, lane.aori, lane.arrival, t)
+        counts += actions.actions[idx[0]]
     assert np.all(counts == 20)
 
 
@@ -138,26 +140,22 @@ def test_myopic_optimal_when_arrivals_certain(va_penalty):
 def test_every_policy_returns_feasible_actions(va_hetero, va_hetero_sisp):
     space = mdp.StateSpace(va_hetero)
     actions = mdp.ActionSet(2, 1)
-    rng = np.random.default_rng(1)
-    sisp = pol.TablePolicy("sisp", space, va_hetero_sisp.pruned_table)
-    myopic = pol.MyopicPolicy(pol.build_myopic_policy(va_hetero))
-    rand = pol.RandomizedSchedule((0.6, 0.3), 1)
-    rand.reset(rng)
-    rr = pol.RoundRobinPolicy(2, 1)
-    rr.reset()
+    theta, aoli, aori, arrival, _ = space._coordinate_arrays()
+    rngs = [np.random.default_rng(k) for k in range(space.n_states)]
     candidates = [
-        sisp,
+        pol.TablePolicy("sisp", space, va_hetero_sisp.pruned_table),
         pol.MafPolicy(1),
         pol.MefPolicy(va_hetero),
-        myopic,
+        pol.MyopicPolicy(pol.build_myopic_policy(va_hetero)),
         pol.IdlePolicy(2),
-        rand,
-        rr,
+        pol.RandomizedSchedule((0.6, 0.3), 1),
+        pol.RoundRobinPolicy(2, 1),
     ]
-    for idx in range(space.n_states):
-        state = space.decode(idx)
-        for policy in candidates:
-            assert actions.is_feasible(policy.decide(state))
+    for policy in candidates:
+        for t in range(3):
+            idx = policy.decide_array(actions, theta, aoli, aori, arrival, t, rngs)
+            assert len(idx) == space.n_states
+            assert all(actions.is_feasible(actions.actions[k]) for k in idx)
 
 
 def test_round_robin_chain_symmetric_marginals(va_solved):
@@ -177,22 +175,83 @@ def test_round_robin_chain_symmetric_marginals(va_solved):
 def test_table_policy_round_trip(tiny_solved):
     b = tiny_solved
     policy = pol.TablePolicy("optimal", b.space, b.pt)
-    for idx in range(b.space.n_states):
-        assert policy.decide(b.space.decode(idx)) == b.pt.action_of(idx)
+    table = pol.policy_to_table(policy, b.space, b.actions)
+    assert np.array_equal(table.action_index, b.pt.action_index)
 
 
-@pytest.mark.parametrize("case", ["twosensor", "markov"])
-def test_policy_to_table_matches_decide(case, tmp_path):
+def _config(case, tmp_path):
     if case == "twosensor":
         path = Path(__file__).resolve().parents[1] / "configs" / "twosensor.yaml"
     else:
         path, _ = write_config(tmp_path, MARKOV_YAML)
-    cfg = cli.load_config(str(path))
+    return cli.load_config(str(path))
+
+
+def _reference_rule(name, policy, spec):
+    """The decision of `policy` at one JointState, from the module-level
+    rules and the tables themselves."""
+    m = spec.m_budget
+    if name in ("optimal", "sisp"):
+        return lambda state: policy.table.action_of(policy.space.encode(state))
+    if name == "myopic":
+        model = policy.model
+
+        def myopic(state):
+            reduced = dynamics.JointState(
+                tuple(dynamics.SensorState(0, st.aori) for st in state.sensors),
+                state.theta,
+                (True,) * spec.n_sensors,
+            )
+            return model.table.action_of(model.space.encode(reduced))
+
+        return myopic
+    if name == "maf":
+        return lambda state: pol.maf_decide(state, m)
+    if name == "mef":
+        return lambda state: pol.mef_decide(state, m, spec)
+    return lambda state: (0,) * spec.n_sensors  # idle
+
+
+@pytest.mark.parametrize("case", ["twosensor", "markov"])
+def test_policy_to_table_matches_decide(case, tmp_path):
+    """decide_array, through policy_to_table, against the reference rule
+    at every state."""
+    cfg = _config(case, tmp_path)
     cache = {}
     space, actions, _, _ = cli._joint_mdp(cfg, cache)
+    states = [space.decode(i) for i in range(space.n_states)]
     for name in ("optimal", "sisp", "maf", "mef", "myopic", "idle"):
         policy = cli._build_policy(name, cfg, cache)
-        expected = [actions.index(policy.decide(space.decode(i))) for i in range(space.n_states)]
+        rule = _reference_rule(name, policy, cfg.system)
+        expected = [actions.index(rule(state)) for state in states]
         table = pol.policy_to_table(policy, space, actions)
         assert table.action_set is actions
         np.testing.assert_array_equal(table.action_index, expected, err_msg=name)
+
+
+@pytest.mark.parametrize("case", ["twosensor", "markov"])
+def test_time_and_stream_rules_match_references(case, tmp_path):
+    """Round robin against round_robin_decide over t, and the randomized
+    policy against randomized_decide on copies of each lane's generator,
+    with every state a lane."""
+    cfg = _config(case, tmp_path)
+    spec = cfg.system
+    n, m = spec.n_sensors, spec.m_budget
+    space = mdp.StateSpace(spec)
+    actions = mdp.ActionSet(n, m)
+    theta, aoli, aori, arrival, _ = space._coordinate_arrays()
+    rr = cli._build_policy("rr", cfg, {})
+    cursor = 0
+    for t in range(2 * n + 1):
+        action, cursor = pol.round_robin_decide(cursor, n, m)
+        idx = rr.decide_array(actions, theta, aoli, aori, arrival, t)
+        assert np.all(idx == actions.index(action)), t
+
+    # the second policy fires every sensor often, so thinning draws too
+    for rand in (cli._build_policy("rand", cfg, {}), pol.RandomizedSchedule((0.9,) * n, m)):
+        rngs = [np.random.default_rng(k) for k in range(space.n_states)]
+        copies = copy.deepcopy(rngs)
+        for t in range(3):
+            idx = rand.decide_array(actions, theta, aoli, aori, arrival, t, rngs)
+            expected = [actions.index(pol.randomized_decide(rand.p, m, r)) for r in copies]
+            np.testing.assert_array_equal(idx, expected, err_msg=f"{rand.p} at t={t}")

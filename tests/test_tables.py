@@ -95,7 +95,7 @@ def oracle_table(path, cfg, space, values, policy, myopic=False):
 def expected_tables(cfg, tmp_path):
     system = cfg.system
     space, actions, vt, pt = mdp.solve_optimal_policy(system)
-    sisp, _ = decomposed.build_policy_table_with_pruning(
+    sisp, _, _ = decomposed.build_policy_table_with_pruning(
         decomposed.solve_sisp_values(system, cfg.p_r), space, actions, system
     )
     myopic = pol.build_myopic_policy(system)
