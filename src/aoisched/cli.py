@@ -410,11 +410,8 @@ def _run_params(args, cfg: LoadedConfig) -> tuple:
     and is checked as the config value is."""
     seed = cfg.seed if args.seed is None else _posint(args.seed, "--seed", minimum=0)
     horizon = cfg.horizon if args.horizon is None else _posint(args.horizon, "--horizon")
-    replications = (
-        cfg.replications
-        if args.replications is None
-        else _posint(args.replications, "--replications")
-    )
+    reps = args.replications
+    replications = cfg.replications if reps is None else _posint(reps, "--replications")
     if horizon <= cfg.warmup:
         raise ConfigError(f"--horizon: must exceed simulation.warmup {cfg.warmup}, got {horizon}")
     return seed, horizon, replications
@@ -455,16 +452,16 @@ def cmd_simulate(args) -> int:
     plan = sim.ExperimentPlan(
         cfg.system, policies, horizon, replications, seed, warmup=cfg.warmup
     )
+    names = [p.name for p in policies]
     with contextlib.ExitStack() as files:
-        # replication 0 of each policy is its trajectory
         sinks = {}
-        for name in [p.name for p in policies] if args.trace else []:
-            if name not in sinks:
-                fh, sinks[name] = _open_output(out_dir, f"trajectory_{name}.csv", cfg.config_hash)
-                files.enter_context(fh)
-                sinks[name].writerow(TRAJECTORY_HEADER)
-        # a repeated name gets its file's writer once, so the file is written once
-        result = sim.monte_carlo(plan, [sinks.pop(p.name, None) for p in policies])
+        for name in dict.fromkeys(names) if args.trace else ():
+            fh, sinks[name] = _open_output(out_dir, f"trajectory_{name}.csv", cfg.config_hash)
+            files.enter_context(fh)
+            sinks[name].writerow(TRAJECTORY_HEADER)
+        # replication 0 of each policy is its trajectory; a repeated name gets
+        # the writer once, so its file is written once
+        result = sim.monte_carlo(plan, [sinks.pop(name, None) for name in names])
     fh, w = _open_output(out_dir, "results.csv", cfg.config_hash)
     with fh:
         w.writerow(["policy", "mean_cost", "sd", "ci95", "replications", "horizon", "seed"])

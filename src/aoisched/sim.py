@@ -136,22 +136,10 @@ def run_episode(
         if t > warmup:
             total += cost
         if sink is not None:
-            for i, s in enumerate(spec.sensors):
-                st = state.sensors[i]
+            for i, (s, st) in enumerate(zip(spec.sensors, state.sensors)):
                 delivered = bool(action[i]) and draws.deliveries[i]
-                sink.writerow(
-                    [
-                        t,
-                        state.theta,
-                        i + 1,
-                        st.aoli,
-                        st.aori,
-                        int(action[i]),
-                        int(draws.arrivals[i]),
-                        int(delivered),
-                        s.penalty(st.aori),
-                    ]
-                )
+                flags = map(int, (action[i], draws.arrivals[i], delivered))
+                sink.writerow([t, state.theta, i + 1, st.aoli, st.aori, *flags, s.penalty(st.aori)])
     return EpisodeResult(total / (horizon - warmup), state)
 
 

@@ -64,7 +64,7 @@ def test_round_robin_visits_evenly():
     lane = dynamics.lane_state(_state([(0, 1)] * 3), 1)
     counts = np.zeros(3, dtype=int)
     for t in range(3 * 10):  # ten full cycles
-        idx = policy.decide_array(actions, lane.theta, lane.aoli, lane.aori, lane.arrival, t)
+        idx = policy.decide_array(actions, *lane, t)
         counts += actions.actions[idx[0]]
     assert np.all(counts == 20)
 
