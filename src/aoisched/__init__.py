@@ -36,6 +36,7 @@ from .mdp import (
 from .decomposed import (
     PerSensorValue,
     RandomizedPolicy,
+    SispPolicy,
     ThresholdTable,
     build_policy_table,
     build_policy_table_with_pruning,

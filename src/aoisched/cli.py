@@ -299,13 +299,24 @@ def _check_state_budget(system: SystemSpec, max_states: int) -> mdp.StateSpace:
     return space
 
 
+def _check_sensor_budget(system: SystemSpec, max_states: int) -> None:
+    """Refuse SISP when a sensor's dense n_i x n_i kernels exceed max_states."""
+    for i, sensor in enumerate(system.sensors):
+        n_i = mdp.StateSpace(SystemSpec((sensor,), system.channel, 1)).n_states
+        if n_i**2 > max_states:
+            raise ConfigError(
+                f"state space too large: sensor {i + 1} has {n_i} states, and its "
+                f"{n_i**2} dense kernel entries exceed max_states {max_states}"
+            )
+
+
 def _sisp_table(cfg: LoadedConfig) -> tuple:
     """(space, per-sensor values, table, n_copied, n_violations) of the SISP
     table; stderr names the first state where threshold persistence fails."""
     system = cfg.system
     space = _check_state_budget(system, cfg.max_states)
     actions = mdp.ActionSet(system.n_sensors, system.m_budget)
-    values = decomposed.solve_sisp_values(system, cfg.p_r)
+    values = _build_policy("sisp", cfg, {}).values
     table, copied, violations = decomposed.build_policy_table_with_pruning(
         values, space, actions, system
     )
@@ -350,8 +361,8 @@ def _build_policy(name: str, cfg: LoadedConfig, cache: dict) -> pol.Policy:
         space, _, pt = _solve_optimal(cfg, cache)
         policy = pol.TablePolicy("optimal", space, pt)
     elif name == "sisp":
-        space, _, table, _, _ = _sisp_table(cfg)
-        policy = pol.TablePolicy("sisp", space, table)
+        _check_sensor_budget(system, cfg.max_states)
+        policy = decomposed.SispPolicy(decomposed.solve_sisp_values(system, cfg.p_r))
     elif name == "myopic":
         _check_state_budget(pol.myopic_system(system), cfg.max_states)
         policy = pol.MyopicPolicy(pol.build_myopic_policy(system))
@@ -435,8 +446,7 @@ def cmd_simulate(args) -> int:
             raise ConfigError("--caps: expected a comma separated list of integers") from None
         if not caps or any(c < 1 for c in caps):
             raise ConfigError("--caps: need positive truncation caps")
-        for cap in caps:
-            _check_state_budget(sim.with_caps(cfg.system, cap), cfg.max_states)
+        _check_sensor_budget(sim.with_caps(cfg.system, max(caps)), cfg.max_states)
         probe = sim.divergence_probe(
             cfg.system, caps, horizon, seed, replications, warmup=cfg.warmup, p_r=cfg.p_r
         )
@@ -481,21 +491,22 @@ def cmd_stability(args) -> int:
     else:
         if args.kappa00 is None or args.kappa11 is None:
             raise ConfigError("stability without --config needs --kappa00 and --kappa11")
-        channel = ChannelSpec(args.kappa00, args.kappa11)
+        kappa = [_prob(getattr(args, k), f"--{k}", strict=True) for k in ("kappa00", "kappa11")]
+        channel = ChannelSpec(*kappa)
         out_dir = Path(args.out) if args.out else Path("out")
         key = f"kappa00={args.kappa00},kappa11={args.kappa11},lambda={args.lambda_hat},rho_a={args.rho_a},exp_r={args.exp_r}"
         config_hash = hashlib.sha256(key.encode()).hexdigest()
 
     if args.region:
-        if args.lambda_hat is None:
-            raise ConfigError("--region needs --lambda-hat")
-        if args.rho_a is not None:
-            bound = 1.0 / args.rho_a**2
-        elif args.exp_r is not None:
-            bound = math.exp(-args.exp_r)
-        else:
+        lambda_hat = _prob(args.lambda_hat, "--lambda-hat")
+        resolution = _posint(args.resolution, "--resolution", minimum=2)
+        flag, value = ("--rho-a", args.rho_a) if args.rho_a is not None else ("--exp-r", args.exp_r)
+        if value is None:
             raise ConfigError("--region needs a bound: --rho-a or --exp-r")
-        region = stability.feasible_region(channel, args.lambda_hat, bound, args.resolution)
+        if not value > 0:
+            raise ConfigError(f"{flag}: expected a positive number, got {value}")
+        bound = 1.0 / value**2 if flag == "--rho-a" else math.exp(-value)
+        region = stability.feasible_region(channel, lambda_hat, bound, resolution)
         fh, w = _open_output(out_dir, "region.csv", config_hash)
         with fh:
             w.writerow(["p0", "p1", "rho", "bound", "feasible"])
@@ -503,7 +514,7 @@ def cmd_stability(args) -> int:
                 for v, p1 in enumerate(region.p1_values):
                     w.writerow([p0, p1, region.rho[u, v], bound, int(region.feasible[u, v])])
         frac = region.feasible.mean()
-        print(f"region: {args.resolution}x{args.resolution} grid, {frac:.1%} feasible")
+        print(f"region: {resolution}x{resolution} grid, {frac:.1%} feasible")
         return 0
 
     if not args.config:
@@ -526,8 +537,7 @@ def cmd_stability(args) -> int:
 def cmd_thresholds(args) -> int:
     cfg = load_config(args.config)
     out_dir = Path(args.out) if args.out else cfg.out_dir
-    values = decomposed.solve_sisp_values(cfg.system, cfg.p_r)
-    table = decomposed.extract_thresholds(values, cfg.system)
+    table = decomposed.extract_thresholds(_build_policy("sisp", cfg, {}).values, cfg.system)
     fh, w = _open_output(out_dir, "thresholds.csv", cfg.config_hash)
     with fh:
         w.writerow(["sensor", "theta", "threshold_aori"])

@@ -3,10 +3,10 @@
 Under a policy that schedules sensor i independently with probability
 p_i, the joint value function splits into per-sensor value functions, each
 solvable on the small (aoli, aori, channel) space. The structure-informed
-policy then takes, in every joint state, the action minimizing the stage
-cost plus the expected sum of those per-sensor values; its scheduling rule
-is a channel-dependent threshold in each sensor's monitor-side age, which a
-pruned table construction exploits.
+policy (SispPolicy) takes, in any joint state, the action minimizing the
+stage cost plus the expected sum of those per-sensor values, read at the
+state's per-sensor indices with no joint space. Its rule is a threshold in
+each sensor's monitor-side age per channel state, checked on the table.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .mdp import (
     relative_value_iteration,
 )
 from .model import ChannelSpec, SensorSpec, SystemSpec
+from .policies import Policy, policy_to_table
 
 __all__ = [
     "RandomizedPolicy",
@@ -36,6 +37,7 @@ __all__ = [
     "per_sensor_kernel",
     "solve_per_sensor_value",
     "solve_sisp_values",
+    "SispPolicy",
     "build_policy_table",
     "build_policy_table_with_pruning",
     "ThresholdTable",
@@ -159,23 +161,27 @@ def solve_sisp_values(spec: SystemSpec, p_r: Optional[Sequence[float]] = None) -
     ]
 
 
-def _action_scores(
-    values: Sequence[PerSensorValue], sensor_index: Sequence[np.ndarray], actions: ActionSet
-) -> np.ndarray:
-    """Summed per-sensor expected next values of every action at a set of states.
+class SispPolicy(Policy):
+    """The structure-informed policy, decided from the per-sensor values.
 
-    sensor_index[i] holds each state's index in sensor i's own space. Row k
-    scores actions.actions[k]; the joint expectation factorizes sensor by
-    sensor, so each entry adds one cached eq column per sensor, in sensor
-    order. The stage cost is the same for every action and is left out, so
-    the argmin over rows is the SISP decision.
+    Each action scores the sum, in sensor order, of one eq column per sensor
+    at the state's index in that sensor's own space: the joint expectation
+    factorizes, and the stage cost is the same for every action. The first
+    argmin (ties favor idling) is the decision; no joint space is needed.
     """
-    cols = [(pv.eq[x, 0], pv.eq[x, 1]) for pv, x in zip(values, sensor_index)]
-    scores = np.zeros((len(actions), len(sensor_index[0])))
-    for k, action in enumerate(actions.actions):
-        for (idle, tx), scheduled in zip(cols, action):
-            scores[k] += tx if scheduled else idle
-    return scores
+
+    name = "sisp"
+
+    def __init__(self, values: Sequence[PerSensorValue]):
+        self.values = tuple(values)
+
+    def decide_array(self, actions, theta, aoli, aori, arrival, t=0, rngs=None):
+        schedules = np.array(actions.actions)[:, :, None]  # (action, sensor, 1)
+        scores = np.zeros((len(actions), len(theta)))
+        for i, pv in enumerate(self.values):
+            x = pv.space.encode_array(theta, [aoli[i]], [aori[i]], [arrival[i]])
+            scores += pv.eq[x, schedules[:, i]]
+        return scores.argmin(axis=0)
 
 
 def build_policy_table(
@@ -184,15 +190,11 @@ def build_policy_table(
     actions: ActionSet,
     spec: SystemSpec,
 ) -> PolicyTable:
-    """SISP table by direct argmin at every state (no pruning).
-
-    Ties pick the lowest action index, which favors idling.
-    """
+    """SISP table: SispPolicy tabulated at every state (no pruning)."""
     for i, pv in enumerate(values):
         if pv.space.sub_sizes[0] != space.sub_sizes[i]:
             raise ValueError(f"per-sensor space of sensor {i} does not match the system")
-    sensor_index = [space.per_sensor_index_array(i) for i in range(spec.n_sensors)]
-    return PolicyTable(_action_scores(values, sensor_index, actions).argmin(axis=0), actions)
+    return policy_to_table(SispPolicy(values), space, actions)
 
 
 def build_policy_table_with_pruning(
@@ -253,10 +255,10 @@ def extract_thresholds(values: Sequence[PerSensorValue], spec: SystemSpec) -> Th
 
     Sensor i is scanned over aori = 1..max_aori with its buffer age at 0;
     every other sensor sits at (aoli, aori) = (0, 1), and every arrival
-    memory bit is 1 (the packet in each buffer is fresh). Those states are
-    scored by the same argmin that build_policy_table runs, so each
-    threshold is the first age at which the SISP table schedules sensor i
-    in that context; inf if it never does within the truncated range.
+    memory bit is 1 (the packet in each buffer is fresh). SispPolicy decides
+    those states, so each threshold is the first age at which the SISP table
+    schedules sensor i in that context; inf if it never does within the
+    truncated range.
     """
     n = spec.n_sensors
     actions = ActionSet(n, spec.m_budget)
@@ -268,11 +270,8 @@ def extract_thresholds(values: Sequence[PerSensorValue], spec: SystemSpec) -> Th
         theta = np.repeat([0, 1], cap)
         aori = np.tile(np.arange(1, cap + 1), 2)
         zeros, ones = np.zeros_like(aori), np.ones_like(aori)
-        sensor_index = [
-            pv.space.encode_array(theta, [zeros], [aori if j == i else ones], [ones])
-            for j, pv in enumerate(values)
-        ]
-        chosen = _action_scores(values, sensor_index, actions).argmin(axis=0)
+        scan_aori = [aori if j == i else ones for j in range(n)]
+        chosen = SispPolicy(values).decide_array(actions, theta, [zeros] * n, scan_aori, [ones] * n)
         scheduled = schedules[chosen, i].reshape(2, cap)
         out[i] = np.where(scheduled.any(axis=1), scheduled.argmax(axis=1) + 1, np.inf)
     return ThresholdTable(out)

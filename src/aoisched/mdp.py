@@ -171,7 +171,7 @@ class StateSpace:
             idx = np.arange(self.n_states)
             theta = idx % 2
             rest = idx // 2
-            aoli, aori, g, psi = [], [], [], []
+            aoli, aori, g = [], [], []
             for i in range(self.n_sensors - 1, -1, -1):
                 sub = rest % self.sub_sizes[i]
                 rest = rest // self.sub_sizes[i]
@@ -180,10 +180,9 @@ class StateSpace:
                 aoli.append(t // self.r_sizes[i])
                 aori.append(t % self.r_sizes[i] + 1)
                 g.append(gi)
-                psi.append(sub * 2 + theta)
-            for arr in (aoli, aori, g, psi):
+            for arr in (aoli, aori, g):
                 arr.reverse()
-            self._coords = (theta, aoli, aori, g, psi)
+            self._coords = (theta, aoli, aori, g)
         return self._coords
 
     def aoli_array(self, i: int) -> np.ndarray:
@@ -191,10 +190,6 @@ class StateSpace:
 
     def aori_array(self, i: int) -> np.ndarray:
         return self._coordinate_arrays()[2][i]
-
-    def per_sensor_index_array(self, i: int) -> np.ndarray:
-        """Map joint index -> index in sensor i's own single-sensor space."""
-        return self._coordinate_arrays()[4][i]
 
     def aori_stride(self, i: int) -> int:
         return self.g_sizes[i] * self.sub_strides[i]
@@ -776,7 +771,7 @@ def table_rows(
     """
     n = space.n_states
     sensors = range(space.n_sensors)
-    theta, aoli, aori, g, _ = space._coordinate_arrays()
+    theta, aoli, aori, g = space._coordinate_arrays()
     bits = ["".join(map(str, a)) for a in policy.action_set.actions]
 
     def index_cells(lo, hi):

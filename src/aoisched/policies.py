@@ -1,8 +1,8 @@
 """Baseline scheduling policies sharing one decision interface.
 
-Covers the comparison set: the solved optimal table, the structure-informed
-table, max-age-first, max-error-first, round robin, randomized with budget
-thinning, the myopic single-age baseline, and always-idle.
+Covers the comparison set: the solved optimal table, max-age-first,
+max-error-first, round robin, randomized with budget thinning, the myopic
+single-age baseline and always-idle; SISP is decomposed.SispPolicy.
 
 Each policy object is stateless and has one decision rule, decide_array.
 The module-level maf_decide, mef_decide, round_robin_decide and
@@ -306,7 +306,7 @@ def policy_to_table(policy: Policy, space: StateSpace, actions: ActionSet) -> Po
     (not round robin, which reads the slot count, not randomized):
     decide_array at every state of space.
     """
-    theta, aoli, aori, arrival, _ = space._coordinate_arrays()
+    theta, aoli, aori, arrival = space._coordinate_arrays()
     return PolicyTable(policy.decide_array(actions, theta, aoli, aori, arrival), actions)
 
 

@@ -2,7 +2,7 @@
 
 Seeded replications with common random numbers across policies, episode
 trajectory logging, time-average cost statistics, and the truncation-cap
-divergence probe used to corroborate the stability criterion.
+divergence probe (SISP from its per-sensor values, no joint space per cap).
 
 monte_carlo steps all replications of a policy together as lanes of
 dynamics.step_lanes, and writes lane 0's trajectory (the --trace files) as
@@ -28,9 +28,9 @@ from .dynamics import (
     step_lanes,
     step_system_traced,
 )
-from .mdp import ActionSet, StateSpace
+from .mdp import ActionSet
 from .model import SystemSpec
-from .policies import Policy, TablePolicy
+from .policies import Policy
 
 __all__ = [
     "ExperimentPlan",
@@ -241,22 +241,16 @@ def divergence_probe(
 
     On a stable parameter point the cost plateaus as the cap grows; on a
     point violating the spectral-radius condition it keeps increasing, the
-    truncated signature of an unbounded objective. The SISP argmin table is
-    rebuilt per cap from the per-sensor values under the scheduling
-    probabilities p_r (arrival-rate proportional when None); at the
-    system's own caps it is the table `simulate --policies sisp` runs.
+    truncated signature of an unbounded objective. SISP decides from the
+    per-sensor values, solved per cap under the scheduling probabilities
+    p_r (arrival-rate proportional when None), with no joint space; at the
+    system's own caps it is the policy `simulate --policies sisp` runs.
     """
     out = []
     for cap in caps:
         system = with_caps(spec, cap)
-        space = StateSpace(system)
-        actions = ActionSet(system.n_sensors, system.m_budget)
-        values = decomposed.solve_sisp_values(system, p_r)
-        table = decomposed.build_policy_table(values, space, actions, system)
-        policy = TablePolicy("sisp", space, table)
-        plan = ExperimentPlan(
-            system, [policy], horizon, replications, seed, warmup=warmup
-        )
+        policy = decomposed.SispPolicy(decomposed.solve_sisp_values(system, p_r))
+        plan = ExperimentPlan(system, [policy], horizon, replications, seed, warmup=warmup)
         stats = monte_carlo(plan).stats[0]
         out.append(CapResult(int(cap), stats.mean, stats.sd, stats.ci95))
     return out

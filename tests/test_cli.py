@@ -159,12 +159,35 @@ def test_simulate_caps_checks_state_budget(tmp_path, capsys):
         "truncation:\n  max_aori: 7\n  max_aoli: 7\n  max_states: 1000",
     )
     cfg, out = write_config(tmp_path, capped)
-    # cap 3 fits (2 * (4 * 3)^2 = 288 states), cap 7 does not (6272)
+    # per-sensor kernels: cap 3 fits (24^2 = 576 <= 1000 entries), cap 7
+    # does not (112^2 = 12,544 > 1000)
     code = cli.main(["simulate", "--config", str(cfg), "--caps", "3,7",
                      "--replications", "2", "--horizon", "50"])
     assert code == 2
     assert "state space too large" in capsys.readouterr().err
     assert not (out / "divergence.csv").exists()
+
+
+def test_thresholds_checks_sensor_budget(tmp_path, capsys):
+    capped = TWO_SENSOR_YAML.replace(
+        "truncation:\n  max_aori: 7\n  max_aoli: 7",
+        "truncation:\n  max_aori: 7\n  max_aoli: 7\n  max_states: 1000",
+    )
+    cfg, out = write_config(tmp_path, capped)
+    assert cli.main(["thresholds", "--config", str(cfg)]) == 2
+    assert "state space too large" in capsys.readouterr().err
+    assert not (out / "thresholds.csv").exists()
+
+
+def test_simulate_caps_beyond_joint_budget(tmp_path):
+    # cap 10 has 2,662,000 joint states, over the default max_states, but
+    # the probe solves and decides per sensor (420 states at cap 14)
+    cfg = Path(__file__).parents[1] / "configs" / "threesensor.yaml"
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--caps", "10,14", "--horizon", "200",
+                     "--replications", "4", "--out", str(out)]) == 0
+    rows = read_lines(out / "divergence.csv")[2:]
+    assert [row.split(",")[0] for row in rows] == ["10", "14"]
 
 
 def test_simulate_reproducible_and_traced(tmp_path):
@@ -216,6 +239,29 @@ def test_stability_region_needs_bound(capsys):
     )
     assert code == 2
     assert "bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--resolution", "1"),
+        ("--rho-a", "0"),
+        ("--kappa00", "1.5"),
+        ("--exp-r", "-1"),
+        ("--lambda-hat", "1.7"),
+    ],
+)
+def test_stability_flags_checked_like_config_values(tmp_path, capsys, flag, value):
+    flags = {"--kappa00": "0.4", "--kappa11": "0.7", "--lambda-hat": "0.9",
+             "--rho-a": "1.1", "--resolution": "11"}
+    if flag == "--exp-r":
+        del flags["--rho-a"]
+    flags[flag] = value
+    out = tmp_path / "out"
+    args = ["stability", "--region", "--out", str(out)]
+    assert cli.main(args + [item for pair in flags.items() for item in pair]) == 2
+    assert f"config error: {flag}:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_thresholds_smoke(tmp_path):

@@ -8,6 +8,7 @@ tied actions, and a last-bit difference in a kernel entry can flip them.
 import io
 import textwrap
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import aoisched as a
-from aoisched import cli, decomposed, mdp, policies as pol
+from aoisched import cli, decomposed, mdp, policies as pol, sim
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -365,3 +366,21 @@ def test_pruning_reports_persistence_violations(tmp_path, capsys):
     header, row = (out / "sisp_summary.csv").read_text().splitlines()[1:]
     summary = dict(zip(header.split(","), row.split(",")))
     assert summary["persistence_violations"] == "4"
+
+
+def test_sisp_policy_simulates_like_its_table():
+    """monte_carlo with SispPolicy against the tabulated SISP, on the system
+    where persistence fails: means and lane 0's trajectory, bit for bit."""
+    spec = markov3_system(2)
+    space = mdp.StateSpace(spec)
+    values = decomposed.solve_sisp_values(spec)
+    table = decomposed.build_policy_table(values, space, mdp.ActionSet(3, 2), spec)
+    policies = [decomposed.SispPolicy(values), pol.TablePolicy("sisp", space, table)]
+    rows = [[], []]
+    sinks = [SimpleNamespace(writerow=r.append) for r in rows]
+    plan = sim.ExperimentPlan(spec, policies, 400, 5, 7, warmup=25)
+    direct, tabulated = sim.monte_carlo(plan, sinks).stats
+    assert direct.rep_means.tobytes() == tabulated.rep_means.tobytes()
+    assert direct.mean == tabulated.mean
+    assert len(rows[0]) == 400 * 3
+    assert rows[0] == rows[1]

@@ -140,7 +140,7 @@ def test_myopic_optimal_when_arrivals_certain(va_penalty):
 def test_every_policy_returns_feasible_actions(va_hetero, va_hetero_sisp):
     space = mdp.StateSpace(va_hetero)
     actions = mdp.ActionSet(2, 1)
-    theta, aoli, aori, arrival, _ = space._coordinate_arrays()
+    theta, aoli, aori, arrival = space._coordinate_arrays()
     rngs = [np.random.default_rng(k) for k in range(space.n_states)]
     candidates = [
         pol.TablePolicy("sisp", space, va_hetero_sisp.pruned_table),
@@ -191,8 +191,21 @@ def _reference_rule(name, policy, spec):
     """The decision of `policy` at one JointState, from the module-level
     rules and the tables themselves."""
     m = spec.m_budget
-    if name in ("optimal", "sisp"):
+    if name == "optimal":
         return lambda state: policy.table.action_of(policy.space.encode(state))
+    if name == "sisp":
+        actions = mdp.ActionSet(spec.n_sensors, m)
+
+        def score(state, action):
+            # each sensor's eq entry at its own index, summed in sensor order
+            per_sensor = zip(policy.values, state.sensors, state.prev_arrival, action)
+            return sum(
+                pv.eq[pv.state_index(st, state.theta, arrived), a_i]
+                for pv, st, arrived, a_i in per_sensor
+            )
+
+        # min keeps the first of equal scores: the lowest action index
+        return lambda state: min(actions.actions, key=lambda action: score(state, action))
     if name == "myopic":
         model = policy.model
 
@@ -239,7 +252,7 @@ def test_time_and_stream_rules_match_references(case, tmp_path):
     n, m = spec.n_sensors, spec.m_budget
     space = mdp.StateSpace(spec)
     actions = mdp.ActionSet(n, m)
-    theta, aoli, aori, arrival, _ = space._coordinate_arrays()
+    theta, aoli, aori, arrival = space._coordinate_arrays()
     rr = cli._build_policy("rr", cfg, {})
     cursor = 0
     for t in range(2 * n + 1):
