@@ -35,7 +35,6 @@ from .mdp import (
 )
 from .decomposed import (
     PerSensorValue,
-    RandomizedPolicy,
     SispPolicy,
     ThresholdTable,
     build_policy_table,

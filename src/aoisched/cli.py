@@ -299,8 +299,15 @@ def _check_state_budget(system: SystemSpec, max_states: int) -> mdp.StateSpace:
     return space
 
 
-def _check_sensor_budget(system: SystemSpec, max_states: int) -> None:
-    """Refuse SISP when a sensor's dense n_i x n_i kernels exceed max_states."""
+def _check_sisp(system: SystemSpec, cfg: LoadedConfig) -> None:
+    """Refuse SISP on system when policy.p_r sums over the budget, or when a
+    sensor's dense n_i x n_i kernels exceed max_states. The randomized
+    schedule thins its draws, so it takes any policy.p_r."""
+    p_r, m, max_states = cfg.p_r, system.m_budget, cfg.max_states
+    if p_r is not None and sum(p_r) > m + 1e-12:
+        raise ConfigError(
+            f"policy.p_r: sum of scheduling probabilities {sum(p_r):g} exceeds budget {m}"
+        )
     for i, sensor in enumerate(system.sensors):
         n_i = mdp.StateSpace(SystemSpec((sensor,), system.channel, 1)).n_states
         if n_i**2 > max_states:
@@ -361,7 +368,7 @@ def _build_policy(name: str, cfg: LoadedConfig, cache: dict) -> pol.Policy:
         space, _, pt = _solve_optimal(cfg, cache)
         policy = pol.TablePolicy("optimal", space, pt)
     elif name == "sisp":
-        _check_sensor_budget(system, cfg.max_states)
+        _check_sisp(system, cfg)
         policy = decomposed.SispPolicy(decomposed.solve_sisp_values(system, cfg.p_r))
     elif name == "myopic":
         _check_state_budget(pol.myopic_system(system), cfg.max_states)
@@ -446,7 +453,7 @@ def cmd_simulate(args) -> int:
             raise ConfigError("--caps: expected a comma separated list of integers") from None
         if not caps or any(c < 1 for c in caps):
             raise ConfigError("--caps: need positive truncation caps")
-        _check_sensor_budget(sim.with_caps(cfg.system, max(caps)), cfg.max_states)
+        _check_sisp(sim.with_caps(cfg.system, max(caps)), cfg)
         probe = sim.divergence_probe(
             cfg.system, caps, horizon, seed, replications, warmup=cfg.warmup, p_r=cfg.p_r
         )
@@ -483,19 +490,23 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_stability(args) -> int:
+    kappa_flags = [f"--{k}" for k in ("kappa00", "kappa11") if getattr(args, k) is not None]
+    if args.config and kappa_flags:
+        raise ConfigError(f"{kappa_flags[0]}: the channel comes from --config")
+    if args.rho_a is not None and args.exp_r is not None:
+        raise ConfigError("--exp-r: give one bound, --rho-a or --exp-r")
     if args.config:
         cfg = load_config(args.config)
         channel = cfg.system.channel
         out_dir = Path(args.out) if args.out else cfg.out_dir
-        config_hash = cfg.config_hash
+        source = f"config_sha256={cfg.config_hash}"
     else:
         if args.kappa00 is None or args.kappa11 is None:
             raise ConfigError("stability without --config needs --kappa00 and --kappa11")
         kappa = [_prob(getattr(args, k), f"--{k}", strict=True) for k in ("kappa00", "kappa11")]
         channel = ChannelSpec(*kappa)
         out_dir = Path(args.out) if args.out else Path("out")
-        key = f"kappa00={args.kappa00},kappa11={args.kappa11},lambda={args.lambda_hat},rho_a={args.rho_a},exp_r={args.exp_r}"
-        config_hash = hashlib.sha256(key.encode()).hexdigest()
+        source = f"kappa00={args.kappa00},kappa11={args.kappa11}"
 
     if args.region:
         lambda_hat = _prob(args.lambda_hat, "--lambda-hat")
@@ -507,7 +518,9 @@ def cmd_stability(args) -> int:
             raise ConfigError(f"{flag}: expected a positive number, got {value}")
         bound = 1.0 / value**2 if flag == "--rho-a" else math.exp(-value)
         region = stability.feasible_region(channel, lambda_hat, bound, resolution)
-        fh, w = _open_output(out_dir, "region.csv", config_hash)
+        # the hash covers the channel's source and every flag the region reads
+        key = f"{source},lambda={args.lambda_hat},{flag[2:]}={value},resolution={resolution}"
+        fh, w = _open_output(out_dir, "region.csv", hashlib.sha256(key.encode()).hexdigest())
         with fh:
             w.writerow(["p0", "p1", "rho", "bound", "feasible"])
             for u, p0 in enumerate(region.p0_values):
@@ -520,7 +533,7 @@ def cmd_stability(args) -> int:
     if not args.config:
         raise ConfigError("single-point stability check needs --config")
     reports = stability.system_stability(cfg.system)
-    fh, w = _open_output(out_dir, "stability.csv", config_hash)
+    fh, w = _open_output(out_dir, "stability.csv", cfg.config_hash)
     with fh:
         w.writerow(["sensor", "rho", "bound", "satisfied", "criterion"])
         for r in reports:

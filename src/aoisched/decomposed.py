@@ -28,10 +28,9 @@ from .mdp import (
     relative_value_iteration,
 )
 from .model import ChannelSpec, SensorSpec, SystemSpec
-from .policies import Policy, policy_to_table
+from .policies import Policy, policy_to_table, randomized_action_weights
 
 __all__ = [
-    "RandomizedPolicy",
     "default_randomized_probs",
     "PerSensorValue",
     "per_sensor_kernel",
@@ -44,25 +43,6 @@ __all__ = [
     "extract_thresholds",
     "randomized_chain_matrix",
 ]
-
-
-@dataclass(frozen=True)
-class RandomizedPolicy:
-    """Independent per-sensor scheduling probabilities, each in (0,1)."""
-
-    p_r: tuple
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p_r", tuple(float(p) for p in self.p_r))
-        for p in self.p_r:
-            if not (0.0 < p < 1.0):
-                raise ValueError(f"scheduling probabilities must lie in (0,1), got {p}")
-
-    def check_budget(self, m: int) -> None:
-        if sum(self.p_r) > m + 1e-12:
-            raise ValueError(
-                f"sum of scheduling probabilities {sum(self.p_r):g} exceeds budget {m}"
-            )
 
 
 def default_randomized_probs(spec: SystemSpec) -> tuple:
@@ -114,7 +94,6 @@ class PerSensorValue:
     needs these two columns.
     """
 
-    sensor_index: int
     space: StateSpace
     values: np.ndarray
     gain: float
@@ -127,7 +106,7 @@ class PerSensorValue:
 
 
 def solve_per_sensor_value(
-    sensor: SensorSpec, channel: ChannelSpec, p_r_i: float, sensor_index: int = 0
+    sensor: SensorSpec, channel: ChannelSpec, p_r_i: float
 ) -> PerSensorValue:
     """Relative value iteration on the expected per-sensor kernel.
 
@@ -141,24 +120,28 @@ def solve_per_sensor_value(
     kernels = Kernels((mixed,), np.arange(space.n_states))
     vt, _ = relative_value_iteration(kernels, cost, space.reference_index())
     eq = np.stack([k_idle @ vt.values, k_tx @ vt.values], axis=1)
-    return PerSensorValue(sensor_index, space, vt.values, vt.gain, p_r_i, eq)
+    return PerSensorValue(space, vt.values, vt.gain, p_r_i, eq)
 
 
 def solve_sisp_values(spec: SystemSpec, p_r: Optional[Sequence[float]] = None) -> list:
     """Solve every sensor's decomposed value function.
 
-    p_r defaults to arrival-rate-proportional probabilities; the per-sensor
-    solves are independent of one another.
+    p_r defaults to arrival-rate-proportional probabilities; each must lie
+    in (0,1) and their sum within the budget. The per-sensor solves are
+    independent of one another.
     """
     if p_r is None:
         p_r = default_randomized_probs(spec)
     if len(p_r) != spec.n_sensors:
         raise ValueError("p_r length must match the number of sensors")
-    RandomizedPolicy(tuple(p_r)).check_budget(spec.m_budget)
-    return [
-        solve_per_sensor_value(s, spec.channel, p_r[i], i)
-        for i, s in enumerate(spec.sensors)
-    ]
+    for p in p_r:
+        if not (0.0 < p < 1.0):
+            raise ValueError(f"scheduling probabilities must lie in (0,1), got {p}")
+    if sum(p_r) > spec.m_budget + 1e-12:
+        raise ValueError(
+            f"sum of scheduling probabilities {sum(p_r):g} exceeds budget {spec.m_budget}"
+        )
+    return [solve_per_sensor_value(s, spec.channel, p) for s, p in zip(spec.sensors, p_r)]
 
 
 class SispPolicy(Policy):
@@ -281,15 +264,10 @@ def randomized_chain_matrix(spec: SystemSpec, space: StateSpace, p_r: Sequence[f
     """Exact joint chain of the independent randomized policy.
 
     Mixes the kernels of all 2^N schedule vectors with product Bernoulli
-    weights. The budget holds in expectation only, matching the policy the
-    value decomposition is defined against.
+    weights: the thinned randomized policy's weights with budget N, where
+    nothing is thinned. The budget holds in expectation only, matching the
+    policy the value decomposition is defined against.
     """
     full_actions = ActionSet(spec.n_sensors, spec.n_sensors)
-    kernels = build_kernels(spec, space, full_actions)
-    weights = []
-    for action in full_actions.actions:
-        w = 1.0
-        for i, d in enumerate(action):
-            w *= p_r[i] if d else 1.0 - p_r[i]
-        weights.append(w)
-    return mixture_chain_matrix(weights, kernels)
+    weights = randomized_action_weights(p_r, spec.n_sensors, full_actions)
+    return mixture_chain_matrix(weights, build_kernels(spec, space, full_actions))

@@ -284,19 +284,17 @@ def build_myopic_policy(spec: SystemSpec) -> MyopicModel:
     return MyopicModel(space, pt, vt.gain)
 
 
-class MyopicPolicy(Policy):
-    name = "myopic"
+class MyopicPolicy(TablePolicy):
+    """The myopic table on its own space, read at buffer age 0 in every lane;
+    that space has no arrival memory either."""
 
     def __init__(self, model: MyopicModel):
+        super().__init__("myopic", model.space, model.table)
         self.model = model
-        self._strides = [model.space.aori_stride(i) for i in range(model.space.n_sensors)]
-        self._codes = _table_codes(model.table)
 
     def decide_array(self, actions, theta, aoli, aori, arrival, t=0, rngs=None):
-        idx = theta
-        for i, stride in enumerate(self._strides):
-            idx = idx + (aori[i] - 1) * stride
-        return _lane_actions(actions, self._codes[self.model.table.action_index[idx]])
+        fresh = [np.zeros_like(a) for a in aoli]
+        return super().decide_array(actions, theta, fresh, aori, arrival, t, rngs)
 
 
 def policy_to_table(policy: Policy, space: StateSpace, actions: ActionSet) -> PolicyTable:

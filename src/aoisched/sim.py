@@ -90,10 +90,6 @@ class PolicyStats:
 @dataclass
 class ExperimentResult:
     stats: list
-    horizon: int
-    replications: int
-    base_seed: int
-    warmup: int
 
     def by_name(self, name: str) -> PolicyStats:
         for s in self.stats:
@@ -204,19 +200,12 @@ def monte_carlo(plan: ExperimentPlan, sinks: Optional[Sequence] = None) -> Exper
         sd = float(rep_means.std(ddof=1)) if reps > 1 else 0.0
         ci = 1.96 * sd / np.sqrt(reps)
         stats.append(PolicyStats(policy.name, mean, sd, float(ci), rep_means))
-    return ExperimentResult(
-        stats, plan.horizon, plan.replications, plan.base_seed, plan.warmup
-    )
+    return ExperimentResult(stats)
 
 
-def with_caps(spec: SystemSpec, cap_aori: int, cap_aoli: Optional[int] = None) -> SystemSpec:
-    """Copy of the system with every sensor's truncation caps replaced."""
-    if cap_aoli is None:
-        cap_aoli = cap_aori
-    sensors = tuple(
-        dataclasses.replace(s, max_aoli=cap_aoli, max_aori=cap_aori)
-        for s in spec.sensors
-    )
+def with_caps(spec: SystemSpec, cap: int) -> SystemSpec:
+    """Copy of the system with both truncation caps of every sensor set to cap."""
+    sensors = tuple(dataclasses.replace(s, max_aoli=cap, max_aori=cap) for s in spec.sensors)
     return dataclasses.replace(spec, sensors=sensors)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -50,26 +49,16 @@ def _stability_matrix(channel: ChannelSpec, lam_hat: float, p0: float, p1: float
 
 
 def stability_check(
-    channel: ChannelSpec,
-    sensor: SensorSpec,
-    a_matrix=None,
-    r: Optional[float] = None,
-    sensor_index: int = 0,
+    channel: ChannelSpec, sensor: SensorSpec, sensor_index: int = 0
 ) -> StabilityReport:
     """Evaluate rho(Omega (I - lambda_hat P)) against the penalty's bound.
 
-    The bound defaults to the sensor's own penalty: 1/rho(A)^2 for the trace
-    penalty, 1/e^r for the exponential one. Pass a_matrix or r to override.
+    The bound is set by the sensor's own penalty: 1/rho(A)^2 for the trace
+    penalty, 1/e^r for the exponential one.
     """
     lam_hat = sensor.arrival.effective_rate()
     rho = spectral_radius(_stability_matrix(channel, lam_hat, sensor.p0, sensor.p1))
-    if a_matrix is not None:
-        bound = 1.0 / spectral_radius(a_matrix) ** 2
-        criterion = "trace-penalty"
-    elif r is not None:
-        bound = math.exp(-r)
-        criterion = "exponential-penalty"
-    elif isinstance(sensor.penalty, EstimationTracePenalty):
+    if isinstance(sensor.penalty, EstimationTracePenalty):
         bound = 1.0 / sensor.penalty.rho_a() ** 2
         criterion = "trace-penalty"
     elif isinstance(sensor.penalty, ExponentialPenalty):

@@ -395,3 +395,75 @@ def test_negative_config_seed_names_key(tmp_path, capsys):
     cfg, _ = write_config(tmp_path, TWO_SENSOR_YAML.replace("seed: 42", "seed: -3"))
     assert cli.main(["solve", "--config", str(cfg)]) == 2
     assert "simulation.seed" in capsys.readouterr().err
+
+
+OVER_BUDGET_P_R = TWO_SENSOR_YAML + "policy: {p_r: [0.7, 0.6]}\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["solve", "--policy", "sisp"],
+        ["thresholds"],
+        ["simulate", "--policies", "sisp"],
+        ["simulate", "--caps", "3,4"],
+    ],
+    ids=["solve", "thresholds", "simulate", "caps"],
+)
+def test_sisp_refuses_p_r_over_budget(tmp_path, capsys, command):
+    cfg, out = write_config(tmp_path, OVER_BUDGET_P_R)
+    assert cli.main([command[0], "--config", str(cfg), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: policy.p_r: sum of scheduling probabilities 1.3 exceeds budget 1\n"
+    assert not out.exists()
+
+
+def test_randomized_schedule_thins_p_r_over_budget(tmp_path):
+    cfg, out = write_config(tmp_path, OVER_BUDGET_P_R)
+    args = ["simulate", "--config", str(cfg), "--policies", "rand", "--replications", "2"]
+    assert cli.main(args) == 0
+    assert read_lines(out / "results.csv")[2].startswith("rand,")
+
+
+REGION_FLAGS = ["--region", "--lambda-hat", "0.9", "--rho-a", "1.1"]
+
+
+def _region_hash(tmp_path, name, flags):
+    out = tmp_path / name
+    assert cli.main(["stability", *flags, "--out", str(out)]) == 0
+    return read_lines(out / "region.csv")[0]
+
+
+@pytest.mark.parametrize("mode", ["config", "kappa"])
+def test_region_provenance_covers_every_flag(tmp_path, mode):
+    if mode == "config":
+        cfg, _ = write_config(tmp_path, TWO_SENSOR_YAML)
+        base = ["--config", str(cfg), *REGION_FLAGS]
+    else:
+        base = ["--kappa00", "0.5", "--kappa11", "0.8", *REGION_FLAGS]
+    runs = {
+        "base": ["--resolution", "11"],
+        "resolution": ["--resolution", "12"],
+        "lambda": ["--resolution", "11", "--lambda-hat", "0.8"],
+        "rho_a": ["--resolution", "11", "--rho-a", "1.2"],
+    }
+    hashes = {name: _region_hash(tmp_path, name, base + extra) for name, extra in runs.items()}
+    assert all(h.startswith("# config_sha256=") for h in hashes.values())
+    assert len(set(hashes.values())) == len(runs)
+    assert _region_hash(tmp_path, "again", base + runs["base"]) == hashes["base"]
+
+
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (["--kappa00", "0.4"], "--kappa00"),
+        (["--kappa11", "0.7"], "--kappa11"),
+        (["--exp-r", "0.5"], "--exp-r"),
+    ],
+)
+def test_stability_refuses_ignored_flags(tmp_path, capsys, flags, name):
+    cfg, out = write_config(tmp_path, TWO_SENSOR_YAML)
+    args = ["stability", "--config", str(cfg), *REGION_FLAGS, "--resolution", "11", *flags]
+    assert cli.main(args) == 2
+    assert f"config error: {name}:" in capsys.readouterr().err
+    assert not out.exists()

@@ -25,15 +25,18 @@ def small_solution(small_system):
     return small_system, values, space, actions
 
 
-def test_randomized_policy_validation():
-    with pytest.raises(ValueError):
-        decomposed.RandomizedPolicy((0.5, 1.0))
-    with pytest.raises(ValueError):
-        decomposed.RandomizedPolicy((0.0,))
-    pol = decomposed.RandomizedPolicy((0.6, 0.6))
-    with pytest.raises(ValueError):
-        pol.check_budget(1)
-    pol.check_budget(2)
+def test_randomized_policy_validation(small_system):
+    """solve_sisp_values refuses probabilities outside (0,1) and a sum over
+    the budget."""
+    two, channel = small_system.sensors, small_system.channel
+    with pytest.raises(ValueError, match=r"must lie in \(0,1\), got 1.0"):
+        decomposed.solve_sisp_values(a.SystemSpec(two, channel, 1), (0.5, 1.0))
+    with pytest.raises(ValueError, match=r"must lie in \(0,1\), got 0.0"):
+        decomposed.solve_sisp_values(a.SystemSpec(two[:1], channel, 1), (0.0,))
+    with pytest.raises(ValueError, match="sum of scheduling probabilities 1.2 exceeds budget 1"):
+        decomposed.solve_sisp_values(a.SystemSpec(two, channel, 1), (0.6, 0.6))
+    values = decomposed.solve_sisp_values(a.SystemSpec(two, channel, 2), (0.6, 0.6))
+    assert [pv.p_r for pv in values] == [0.6, 0.6]
 
 
 def test_default_randomized_probs(va_penalty):
@@ -294,6 +297,45 @@ def test_decomposition_gain_identity(small_solution):
     cost = mdp.cost_vector(space, system)
     joint = mdp.chain_average_cost(chain, cost, space.reference_index())
     assert sum(pv.gain for pv in values) == pytest.approx(joint, abs=1e-6)
+
+
+def _three_sensors(first_arrival):
+    """Three sensors, caps (1, 2), M = 2: 128 states with a Bernoulli first
+    sensor, 256 with a Markov one."""
+    sensors = tuple(
+        a.SensorSpec(arrival, a.ExponentialPenalty(r), p0, p1, 1, 2)
+        for arrival, r, p0, p1 in (
+            (first_arrival, 0.5, 0.3, 0.9),
+            (a.BernoulliArrival(0.6), 0.7, 0.5, 0.8),
+            (a.BernoulliArrival(0.4), 0.4, 0.6, 0.95),
+        )
+    )
+    return a.SystemSpec(sensors, a.ChannelSpec(0.45, 0.75), 2)
+
+
+@pytest.mark.parametrize(
+    "arrival", [a.BernoulliArrival(0.9), a.MarkovArrival(0.5, 0.8)], ids=["bernoulli", "markov"]
+)
+def test_randomized_chain_is_the_product_weight_mixture(arrival):
+    """randomized_chain_matrix against the mixture of every schedule's kernel
+    weighted by prod_i (p_i if scheduled else 1 - p_i), multiplied in sensor
+    order, byte for byte. With these p_r three of the eight weights change
+    in the last bit if the factors are multiplied in reverse order."""
+    system = _three_sensors(arrival)
+    space = mdp.StateSpace(system)
+    p_r = (0.45, 0.35, 0.3)
+    full_actions = mdp.ActionSet(3, 3)
+    weights = []
+    for action in full_actions.actions:
+        w = 1.0
+        for i, d in enumerate(action):
+            w *= p_r[i] if d else 1.0 - p_r[i]
+        weights.append(w)
+    expected = mdp.mixture_chain_matrix(weights, mdp.build_kernels(system, space, full_actions))
+    chain = decomposed.randomized_chain_matrix(system, space, p_r)
+    for field in ("data", "indices", "indptr"):
+        got, want = getattr(chain, field), getattr(expected, field)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
 
 
 def test_three_sensor_two_slot_budget():

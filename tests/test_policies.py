@@ -1,4 +1,5 @@
 import copy
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -179,11 +180,34 @@ def test_table_policy_round_trip(tiny_solved):
     assert np.array_equal(table.action_index, b.pt.action_index)
 
 
+# One Markov sensor with sticky arrivals and M = 1. Its transmit gain
+# eq[x, 1] - eq[x, 0] is the same for both arrival-memory bits up to
+# rounding, but at its zero-gain ties the bit's own eq entries break the tie:
+# SISP decides 12 of the 324 states differently if every bit reads 1.
+MEMORY_YAML = textwrap.dedent(
+    """
+    channel: {kappa00: 0.5, kappa11: 0.8}
+    budget: 1
+    truncation: {max_aori: 3, max_aoli: 2}
+    sensors:
+      - arrival: {kind: markov, stay_empty: 0.8, stay_active: 0.95}
+        penalty: {kind: exponential, r: 0.6}
+        p0: 0.3
+        p1: 0.9
+      - arrival: {kind: bernoulli, rate: 0.4}
+        penalty: {kind: exponential, r: 0.4}
+        p0: 0.4
+        p1: 0.9
+    output: {dir: OUTDIR}
+    """
+)
+
+
 def _config(case, tmp_path):
     if case == "twosensor":
         path = Path(__file__).resolve().parents[1] / "configs" / "twosensor.yaml"
     else:
-        path, _ = write_config(tmp_path, MARKOV_YAML)
+        path, _ = write_config(tmp_path, MEMORY_YAML if case == "memory" else MARKOV_YAML)
     return cli.load_config(str(path))
 
 
@@ -225,7 +249,7 @@ def _reference_rule(name, policy, spec):
     return lambda state: (0,) * spec.n_sensors  # idle
 
 
-@pytest.mark.parametrize("case", ["twosensor", "markov"])
+@pytest.mark.parametrize("case", ["twosensor", "markov", "memory"])
 def test_policy_to_table_matches_decide(case, tmp_path):
     """decide_array, through policy_to_table, against the reference rule
     at every state."""

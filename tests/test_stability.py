@@ -49,14 +49,6 @@ def test_stability_check_exponential_bound():
     assert report.criterion == "exponential-penalty"
 
 
-def test_stability_check_overrides(va_penalty):
-    sensor = make_va_sensor(va_penalty, 0.9)
-    rep = stability.stability_check(VA_CHANNEL, sensor, r=0.5)
-    assert rep.bound == pytest.approx(math.exp(-0.5))
-    rep2 = stability.stability_check(VA_CHANNEL, sensor, a_matrix=np.diag([1.3, 0.1]))
-    assert rep2.bound == pytest.approx(1.0 / 1.69)
-
-
 def test_system_stability_reports(va_system):
     reports = stability.system_stability(va_system)
     assert [r.sensor_index for r in reports] == [0, 1]
