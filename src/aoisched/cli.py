@@ -473,11 +473,12 @@ def cmd_simulate(args) -> int:
     with contextlib.ExitStack() as files:
         sinks = {}
         for name in dict.fromkeys(names) if args.trace else ():
-            fh, sinks[name] = _open_output(out_dir, f"trajectory_{name}.csv", cfg.config_hash)
+            fh, w = _open_output(out_dir, f"trajectory_{name}.csv", cfg.config_hash)
             files.enter_context(fh)
-            sinks[name].writerow(TRAJECTORY_HEADER)
+            w.writerow(TRAJECTORY_HEADER)
+            sinks[name] = fh
         # replication 0 of each policy is its trajectory; a repeated name gets
-        # the writer once, so its file is written once
+        # the file once, so it is written once
         result = sim.monte_carlo(plan, [sinks.pop(name, None) for name in names])
     fh, w = _open_output(out_dir, "results.csv", cfg.config_hash)
     with fh:
@@ -495,6 +496,15 @@ def cmd_stability(args) -> int:
         raise ConfigError(f"{kappa_flags[0]}: the channel comes from --config")
     if args.rho_a is not None and args.exp_r is not None:
         raise ConfigError("--exp-r: give one bound, --rho-a or --exp-r")
+    region_only = {
+        "--lambda-hat": args.lambda_hat,
+        "--rho-a": args.rho_a,
+        "--exp-r": args.exp_r,
+        "--resolution": args.resolution,
+    }
+    given = [flag for flag, value in region_only.items() if value is not None]
+    if given and not args.region:
+        raise ConfigError(f"{given[0]}: only --region reads it")
     if args.config:
         cfg = load_config(args.config)
         channel = cfg.system.channel
@@ -510,7 +520,8 @@ def cmd_stability(args) -> int:
 
     if args.region:
         lambda_hat = _prob(args.lambda_hat, "--lambda-hat")
-        resolution = _posint(args.resolution, "--resolution", minimum=2)
+        resolution = 101 if args.resolution is None else args.resolution
+        resolution = _posint(resolution, "--resolution", minimum=2)
         flag, value = ("--rho-a", args.rho_a) if args.rho_a is not None else ("--exp-r", args.exp_r)
         if value is None:
             raise ConfigError("--region needs a bound: --rho-a or --exp-r")
@@ -640,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_stab = sub.add_parser("stability", help="spectral-radius stability checks")
     p_stab.add_argument("--config", default=None)
     p_stab.add_argument("--region", action="store_true")
-    p_stab.add_argument("--resolution", type=int, default=101)
+    p_stab.add_argument("--resolution", type=int, default=None, help="region grid size (101)")
     p_stab.add_argument("--kappa00", type=float, default=None)
     p_stab.add_argument("--kappa11", type=float, default=None)
     p_stab.add_argument("--lambda-hat", dest="lambda_hat", type=float, default=None)

@@ -158,7 +158,7 @@ class SispPolicy(Policy):
     def __init__(self, values: Sequence[PerSensorValue]):
         self.values = tuple(values)
 
-    def decide_array(self, actions, theta, aoli, aori, arrival, t=0, rngs=None):
+    def decide_array(self, actions, theta, aoli, aori, arrival, t=0, u=None):
         schedules = np.array(actions.actions)[:, :, None]  # (action, sensor, 1)
         scores = np.zeros((len(actions), len(theta)))
         for i, pv in enumerate(self.values):

@@ -35,8 +35,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import breadth_first_order, connected_components
-from scipy.sparse.linalg import gmres, spsolve
 
 from .dynamics import JointState, SensorState, initial_state
 from .model import ConvergenceError, SensorSpec, SystemSpec, penalty_table
@@ -633,6 +631,8 @@ def mixture_chain_matrix(weights: Sequence[float], kernels: Kernels) -> sparse.c
 
 def _gmres_solve(a11: sparse.csr_matrix, b: np.ndarray) -> np.ndarray:
     """Restarted GMRES on a11 x = b, then passes on the remaining residual."""
+    from scipy.sparse.linalg import gmres
+
     x = np.zeros(len(b))
     for _ in range(GMRES_PASSES):
         dx, _ = gmres(
@@ -644,6 +644,8 @@ def _gmres_solve(a11: sparse.csr_matrix, b: np.ndarray) -> np.ndarray:
 
 
 def _lu_solve(a11: sparse.csr_matrix, b: np.ndarray) -> np.ndarray:
+    from scipy.sparse.linalg import spsolve
+
     return spsolve(a11.tocsc(), b)
 
 
@@ -677,6 +679,8 @@ def stationary_distribution(p: sparse.csr_matrix, start_index: int) -> np.ndarra
     answer fails the same check too, ConvergenceError is raised with the
     residual and the class size.
     """
+    from scipy.sparse.csgraph import breadth_first_order, connected_components
+
     n = p.shape[0]
     reach = np.sort(breadth_first_order(p, start_index, return_predecessors=False))
     sub = p[np.ix_(reach, reach)].tocsr()

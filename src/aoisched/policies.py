@@ -5,6 +5,9 @@ max-error-first, round robin, randomized with budget thinning, the myopic
 single-age baseline and always-idle; SISP is decomposed.SispPolicy.
 
 Each policy object is stateless and has one decision rule, decide_array.
+A policy that draws reads a fixed number of uniforms per lane and slot
+(Policy.uniforms), which the caller draws from the lane's policy stream; so
+the Monte Carlo engine can draw them in blocks, as it does the environment's.
 The module-level maf_decide, mef_decide, round_robin_decide and
 randomized_decide state the same rules for one state at a time; the tests
 check decide_array against them.
@@ -54,22 +57,25 @@ class Policy:
     decide_array is the decision rule: it maps the states of many lanes to
     action indices at once, and serves the Monte Carlo engine, the scalar
     episode (sim.run_episode, one lane) and policy_to_table. A policy holds
-    no per-episode state: the slot count t and the per-lane policy streams
-    are arguments.
+    no per-episode state: the slot count t and the policy's uniforms are
+    arguments. `uniforms` is the number of uniforms one lane reads per slot;
+    only the randomized policy reads any.
     """
 
     name = "policy"
+    uniforms = 0
 
     def decide_array(
-        self, actions: ActionSet, theta, aoli, aori, arrival, t: int = 0, rngs=None
+        self, actions: ActionSet, theta, aoli, aori, arrival, t: int = 0, u=None
     ) -> np.ndarray:
         """Index into `actions` of the decision in every lane.
 
         theta is an int array over lanes; aoli, aori and arrival hold one such
         array per sensor, the layout of StateSpace._coordinate_arrays(). t
-        counts the decisions since the episode start, and rngs holds one
-        policy stream per lane (only the randomized policy draws). Raises
-        ValueError on a schedule over the budget of `actions`.
+        counts the decisions since the episode start, and u is the
+        (uniforms, lanes) array of this slot's policy uniforms, one column
+        per lane. Raises ValueError on a schedule over the budget of
+        `actions`.
         """
         raise NotImplementedError
 
@@ -103,7 +109,7 @@ class TablePolicy(Policy):
         self.table = table
         self._codes = _table_codes(table)
 
-    def decide_array(self, actions, theta, aoli, aori, arrival, t=0, rngs=None):
+    def decide_array(self, actions, theta, aoli, aori, arrival, t=0, u=None):
         idx = self.space.encode_array(theta, aoli, aori, arrival)
         return _lane_actions(actions, self._codes[self.table.action_index[idx]])
 
@@ -136,7 +142,7 @@ class MafPolicy(Policy):
     def __init__(self, m: int):
         self.m = m
 
-    def decide_array(self, actions, theta, aoli, aori, arrival, t=0, rngs=None):
+    def decide_array(self, actions, theta, aoli, aori, arrival, t=0, u=None):
         return _top_m_array(actions, np.asarray(aori), self.m)
 
 
@@ -155,7 +161,7 @@ class MefPolicy(Policy):
         self.m = spec.m_budget
         self._tables = penalty_rows(spec.sensors)
 
-    def decide_array(self, actions, theta, aoli, aori, arrival, t=0, rngs=None):
+    def decide_array(self, actions, theta, aoli, aori, arrival, t=0, u=None):
         rows = np.arange(len(self._tables))[:, None]
         return _top_m_array(actions, self._tables[rows, np.asarray(aori)], self.m)
 
@@ -177,39 +183,47 @@ class RoundRobinPolicy(Policy):
         self.n = n
         self.m = m
 
-    def decide_array(self, actions, theta, aoli, aori, arrival, t=0, rngs=None):
+    def decide_array(self, actions, theta, aoli, aori, arrival, t=0, u=None):
         # after t decisions the cursor has advanced by t * m
         action, _ = round_robin_decide(t * self.m % self.n, self.n, self.m)
         return _lane_actions(actions, np.full(len(theta), _action_code(action)))
 
 
-def randomized_decide(p: Sequence[float], m: int, rng: np.random.Generator) -> tuple:
-    """Independent Bernoulli(p_i) draws, thinned uniformly to at most m.
+def randomized_decide(p: Sequence[float], m: int, u: Sequence[float]) -> tuple:
+    """Independent Bernoulli(p_i) firings, thinned uniformly to at most m.
 
-    One uniform per sensor in index order; when more than m fire, a uniformly
-    random size-m subset of the fired sensors keeps its slot.
+    u holds 2N uniforms: sensor i fires when u[i] < p_i, and when more than
+    m fire, the m fired sensors with the smallest keys u[N + i] keep their
+    slots, the lower index first on equal keys. The keys are independent of
+    the firings, so the kept set is a uniformly random size-m subset of the
+    fired set (randomized_action_weights is its exact law).
     """
-    fired = [i for i, pi in enumerate(p) if rng.random() < pi]
-    if len(fired) > m:
-        keep = rng.choice(len(fired), size=m, replace=False)
-        fired = [fired[k] for k in keep]
-    action = [0] * len(p)
-    for i in fired:
-        action[i] = 1
-    return tuple(action)
+    n = len(p)
+    fired = [i for i in range(n) if u[i] < p[i]]
+    kept = sorted(fired, key=lambda i: u[n + i])[:m]  # sorted is stable
+    return tuple(int(i in kept) for i in range(n))
 
 
 class RandomizedSchedule(Policy):
+    """randomized_decide in every lane, from 2N policy uniforms per slot."""
+
     name = "rand"
 
     def __init__(self, p: Sequence[float], m: int):
         self.p = tuple(p)
         self.m = m
+        self.uniforms = 2 * len(self.p)
+        self._p = np.array(self.p)[:, None]
 
-    def decide_array(self, actions, theta, aoli, aori, arrival, t=0, rngs=None):
-        # one scalar draw per lane keeps each lane's variable-length stream
-        codes = [_action_code(randomized_decide(self.p, self.m, rng)) for rng in rngs]
-        return _lane_actions(actions, np.array(codes))
+    def decide_array(self, actions, theta, aoli, aori, arrival, t=0, u=None):
+        n = len(self.p)
+        fired = u[:n] < self._p
+        # uniforms lie in [0, 1), so a key of 2 sorts every unfired sensor
+        # after the fired ones; the stable sort keeps index order on ties
+        keys = np.where(fired, u[n:], 2.0)
+        top = np.argsort(keys, axis=0, kind="stable")[: self.m]
+        kept = np.take_along_axis(fired, top, axis=0)
+        return _lane_actions(actions, (kept << top).sum(axis=0))
 
 
 def randomized_action_weights(
@@ -248,7 +262,7 @@ class IdlePolicy(Policy):
     def __init__(self, n: int):
         self.action = tuple(0 for _ in range(n))
 
-    def decide_array(self, actions, theta, aoli, aori, arrival, t=0, rngs=None):
+    def decide_array(self, actions, theta, aoli, aori, arrival, t=0, u=None):
         return _lane_actions(actions, np.full(len(theta), _action_code(self.action)))
 
 
@@ -292,9 +306,9 @@ class MyopicPolicy(TablePolicy):
         super().__init__("myopic", model.space, model.table)
         self.model = model
 
-    def decide_array(self, actions, theta, aoli, aori, arrival, t=0, rngs=None):
+    def decide_array(self, actions, theta, aoli, aori, arrival, t=0, u=None):
         fresh = [np.zeros_like(a) for a in aoli]
-        return super().decide_array(actions, theta, fresh, aori, arrival, t, rngs)
+        return super().decide_array(actions, theta, fresh, aori, arrival, t, u)
 
 
 def policy_to_table(policy: Policy, space: StateSpace, actions: ActionSet) -> PolicyTable:

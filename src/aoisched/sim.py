@@ -4,11 +4,12 @@ Seeded replications with common random numbers across policies, episode
 trajectory logging, time-average cost statistics, and the truncation-cap
 divergence probe (SISP from its per-sensor values, no joint space per cap).
 
-monte_carlo steps all replications of a policy together as lanes of
-dynamics.step_lanes, and writes lane 0's trajectory (the --trace files) as
-it steps. run_episode runs one replication slot by slot through
-dynamics.step_system_traced, deciding on one lane; it is the oracle the
-lockstep engine matches bit for bit, means and trajectories alike.
+monte_carlo steps every replication of every policy together, as the lanes
+of one dynamics.step_lanes call per slot, and writes lane 0's trajectory of
+each policy (the --trace files) a block of slots at a time. run_episode
+runs one replication slot by slot through dynamics.step_system_traced,
+deciding on one lane; it is the oracle the lockstep engine matches bit for
+bit, means and trajectories alike.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .dynamics import (
     step_lanes,
     step_system_traced,
 )
-from .mdp import ActionSet
+from .mdp import VALUE_FORMAT, ActionSet
 from .model import SystemSpec
 from .policies import Policy
 
@@ -44,9 +45,9 @@ __all__ = [
     "with_caps",
 ]
 
-# Replication-slots of environment uniforms that monte_carlo draws per block:
-# it bounds the block to 8 (1 + 2N) times this many bytes, whatever the
-# horizon and the replication count
+# Replication-slots of uniforms that monte_carlo draws per block: it bounds
+# the environment block, tiled over P policies, to 8 (1 + 2N) P times this
+# many bytes, whatever the horizon and the replication count
 BLOCK_LANE_SLOTS = 1 << 12
 
 
@@ -114,10 +115,11 @@ def run_episode(
 ) -> EpisodeResult:
     """Simulate one episode from the canonical start state, slot by slot.
 
-    The policy decides on the state as one lane. Stage costs accrue at the
-    post-transition state for slots after the warmup. If a sink
-    (csv.writer-like) is attached, one row per (slot, sensor) is emitted in
-    the trajectory format.
+    The policy decides on the state as one lane, from policy.uniforms fresh
+    draws of the policy stream per slot. Stage costs accrue at the
+    post-transition state for slots after the warmup. If a sink (a text
+    stream) is attached, one CSV row per (slot, sensor) is written to it in
+    the trajectory format, each ended by "\r\n".
     """
     if horizon <= warmup:
         raise ValueError("horizon must exceed warmup")
@@ -126,7 +128,8 @@ def run_episode(
     state = initial_state(spec)
     total = 0.0
     for t in range(1, horizon + 1):
-        idx = policy.decide_array(actions, *lane_state(state, 1), t - 1, [pol_rng])
+        u = pol_rng.random((policy.uniforms, 1))
+        idx = policy.decide_array(actions, *lane_state(state, 1), t - 1, u)
         action = actions.actions[idx[0]]
         state, cost, draws = step_system_traced(state, action, spec, env_rng)
         if t > warmup:
@@ -135,66 +138,111 @@ def run_episode(
             for i, (s, st) in enumerate(zip(spec.sensors, state.sensors)):
                 delivered = bool(action[i]) and draws.deliveries[i]
                 flags = map(int, (action[i], draws.arrivals[i], delivered))
-                sink.writerow([t, state.theta, i + 1, st.aoli, st.aori, *flags, s.penalty(st.aori)])
+                cells = [t, state.theta, i + 1, st.aoli, st.aori, *flags]
+                penalty = format(s.penalty(st.aori), VALUE_FORMAT)
+                sink.write(",".join(map(str, cells)) + f",{penalty}\r\n")
     return EpisodeResult(total / (horizon - warmup), state)
 
 
-def _write_lane0(sink, t: int, state, scheduled, delivered, penalties) -> None:
-    """Lane 0's rows of slot t, as run_episode writes them."""
-    cols = [a[:, 0] for a in (state.aoli, state.aori, scheduled, state.arrival, delivered)]
-    theta = int(state.theta[0])
-    for i, (row, penalty) in enumerate(zip(np.column_stack(cols).tolist(), penalties[:, 0])):
-        sink.writerow([t, theta, i + 1, *row, float(penalty)])
+def _draw_block(rngs, slots: int, width: int, lanes: int) -> np.ndarray:
+    """(slots, width, lanes) uniforms: column r of a slot holds that slot's
+    `width` draws of rngs[r]. With no rngs (width 0) nothing is drawn."""
+    block = np.empty((slots, width, lanes))
+    for r, rng in enumerate(rngs):
+        block[:, :, r] = rng.random((slots, width))
+    return block
+
+
+def _trajectory_rows(t0: int, block, penalty_cells) -> str:
+    """The trajectory rows of slots t0, t0 + 1, ... as CSV text.
+
+    block[s] holds slot t0 + s's theta, aoli, aori, scheduled, arrived and
+    delivered, one int per sensor each; penalty_cells[i][aori] is sensor
+    i's penalty cell. Cells are joined by commas and each row is ended by
+    "\r\n", the bytes csv.writer writes for cells that need no quoting.
+    """
+    lines = []
+    for t, (theta, *cols) in enumerate(block, t0):
+        for i, (aoli, aori, scheduled, arrived, delivered) in enumerate(zip(*cols)):
+            lines.append(
+                f"{t},{theta[i]},{i + 1},{aoli},{aori},{scheduled},{arrived},{delivered},"
+                f"{penalty_cells[i][aori]}\r\n"
+            )
+    return "".join(lines)
 
 
 def monte_carlo(plan: ExperimentPlan, sinks: Optional[Sequence] = None) -> ExperimentResult:
     """Independent replications per policy with common random numbers.
 
-    Replication r is lane r: every policy's lanes start at the canonical
-    state and advance slot by slot together. Lane r's environment uniforms
-    come from the env stream of seed base_seed + r, drawn in blocks of whole
-    slots that every policy reads, and its policy stream (for the randomized
-    policy) is the one run_episode draws from. Each lane thus replays
-    run_episode(seed=base_seed + r) and its mean is bit for bit the same.
-    sinks, if given, holds one csv.writer-like object or None per policy;
-    a policy's sink gets lane 0's rows, the rows run_episode(seed=base_seed,
-    sink=...) writes. Deterministic given the plan; the 95% interval
-    half-width uses the normal approximation over replication means.
+    Replication r of policy k is lane k * R + r of one lockstep run (R
+    replications): every lane starts at the canonical state, each policy
+    decides on its own R lanes, and one step_lanes call per slot advances
+    them all. Lane r's environment uniforms come from the env stream of
+    seed base_seed + r, drawn in blocks of whole slots and tiled over the
+    policies. A policy that draws (policy.uniforms > 0) reads its uniforms
+    from fresh policy streams of the same seeds, drawn in the same blocks;
+    these are the draws run_episode makes. Each lane thus replays
+    run_episode(seed=base_seed + r), and its mean is bit for bit the same,
+    whichever policies run beside it.
+
+    sinks, if given, holds one text stream or None per policy; a policy's
+    stream gets lane 0's rows, the text run_episode(seed=base_seed,
+    sink=...) writes, once per block. Deterministic given the plan; the
+    95% interval half-width uses the normal approximation over replication
+    means.
     """
     spec = plan.system
     n, reps = spec.n_sensors, plan.replications
+    policies = plan.policies
     seeds = range(plan.base_seed, plan.base_seed + reps)
     actions = ActionSet(n, spec.m_budget)
     schedules = np.array(actions.actions, dtype=bool).T
     tables = lane_tables(spec)
-    policies = plan.policies
-    sinks = [None] * len(policies) if sinks is None else sinks
-    lanes = [lane_state(initial_state(spec), reps)] * len(policies)
-    policy_rngs = [[_episode_rngs(seed)[1] for seed in seeds] for _ in policies]
-    sums = np.zeros((len(policies), reps))  # summed stage cost per policy and lane
+    lanes = [slice(k * reps, (k + 1) * reps) for k in range(len(policies))]
+    state = lane_state(initial_state(spec), len(policies) * reps)
     env_rngs = [_episode_rngs(seed)[0] for seed in seeds]
+    policy_rngs = [
+        [_episode_rngs(seed)[1] for seed in seeds] if p.uniforms else [] for p in policies
+    ]
+    sinks = [None] * len(policies) if sinks is None else sinks
+    traced = [
+        (lane.start, sink) for lane, sink in zip(lanes, sinks, strict=True) if sink is not None
+    ]
+    lane0 = np.array([first for first, _ in traced], dtype=np.intp)
+    penalty_cells = [[format(v, VALUE_FORMAT) for v in row] for row in tables.penalty.tolist()]
+    idx = np.empty(len(policies) * reps, dtype=np.intp)
+    sums = np.zeros(len(policies) * reps)  # summed stage cost per lane
     span = max(1, BLOCK_LANE_SLOTS // reps)
     for start in range(0, plan.horizon, span):
         slots = min(span, plan.horizon - start)
-        # block[s] holds slot start + s: one column of 1 + 2N uniforms per lane
-        block = np.empty((slots, 1 + 2 * n, reps))
-        for r, rng in enumerate(env_rngs):
-            block[:, :, r] = rng.random((slots, 1 + 2 * n))
-        for k, (policy, sink) in enumerate(zip(policies, sinks, strict=True)):
-            state = lanes[k]
-            for t, u in enumerate(block, start):
-                idx = policy.decide_array(actions, *state, t, policy_rngs[k])
-                scheduled = schedules[:, idx]
-                state, penalties, delivered = step_lanes(state, scheduled, u, tables)
-                if t >= plan.warmup:
-                    sums[k] += lane_cost(penalties)
-                if sink is not None:
-                    _write_lane0(sink, t + 1, state, scheduled, delivered, penalties)
-            lanes[k] = state
+        # env[s] holds slot start + s: one column of 1 + 2N uniforms per lane
+        env = np.tile(_draw_block(env_rngs, slots, 1 + 2 * n, reps), len(policies))
+        draws = [
+            _draw_block(rngs, slots, p.uniforms, reps) for p, rngs in zip(policies, policy_rngs)
+        ]
+        # trace[s]: slot start + s of each traced lane 0, by column and sensor
+        trace = np.empty((slots, 6, n, len(traced)), dtype=np.int64)
+        for s, u in enumerate(env):
+            t = start + s
+            for policy, lane, u_policy in zip(policies, lanes, draws):
+                idx[lane] = policy.decide_array(
+                    actions, *(a[..., lane] for a in state), t, u_policy[s]
+                )
+            scheduled = schedules[:, idx]
+            state, penalties, delivered = step_lanes(state, scheduled, u, tables)
+            if t >= plan.warmup:
+                sums += lane_cost(penalties)
+            if traced:
+                columns = (state.aoli, state.aori, scheduled, state.arrival, delivered)
+                trace[s, 0] = state.theta[lane0]
+                for c, col in enumerate(columns, 1):
+                    trace[s, c] = col[:, lane0]
+        for j, (_, sink) in enumerate(traced):
+            sink.write(_trajectory_rows(start + 1, trace[..., j].tolist(), penalty_cells))
 
     measured = plan.horizon - plan.warmup
     stats = []
-    for policy, total in zip(policies, sums):
+    for policy, total in zip(policies, sums.reshape(len(policies), reps)):
         rep_means = total / measured
         mean = float(rep_means.mean())
         sd = float(rep_means.std(ddof=1)) if reps > 1 else 0.0

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -217,6 +220,17 @@ def test_stability_point_mode(tmp_path, capsys):
     assert "stable" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--lambda-hat", "0.9"), ("--rho-a", "1.1"), ("--exp-r", "0.5"), ("--resolution", "11")],
+)
+def test_stability_point_mode_refuses_region_flags(tmp_path, capsys, flag, value):
+    cfg, out = write_config(tmp_path, TWO_SENSOR_YAML)
+    assert cli.main(["stability", "--config", str(cfg), flag, value]) == 2
+    assert f"config error: {flag}: only --region reads it" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stability_region_mode(tmp_path):
     out = tmp_path / "region_out"
     code = cli.main(
@@ -416,6 +430,26 @@ def test_sisp_refuses_p_r_over_budget(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err == "config error: policy.p_r: sum of scheduling probabilities 1.3 exceeds budget 1\n"
     assert not out.exists()
+
+
+def test_cli_start_loads_no_stationary_solver_modules():
+    """Importing the CLI and loading a config leaves scipy's sparse solvers
+    and graph routines unloaded; only the stationary solve imports them."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "twosensor.yaml"
+    code = textwrap.dedent(
+        f"""
+        import sys
+        import aoisched.cli
+        aoisched.cli.load_config({str(config)!r})
+        print([m for m in ("scipy.sparse.linalg", "scipy.sparse.csgraph") if m in sys.modules])
+        """
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_randomized_schedule_thins_p_r_over_budget(tmp_path):

@@ -23,13 +23,16 @@ TWO_SENSOR = Path(__file__).resolve().parents[1] / "configs" / "twosensor.yaml"
 
 
 class _CellSink:
-    """Rows as the CLI's writer formats their cells."""
+    """The cells of the CSV rows written to it; every write holds whole rows,
+    each ended by "\r\n"."""
 
     def __init__(self):
         self.rows = []
 
-    def writerow(self, row):
-        self.rows.append([cli._fmt(c) for c in row])
+    def write(self, text):
+        *lines, rest = text.split("\r\n")
+        assert rest == "" and not any("\n" in line for line in lines)
+        self.rows.extend(line.split(",") for line in lines)
 
 
 def assert_matches_episodes(spec, policies, horizon, reps, seed, warmup=0):
@@ -95,6 +98,20 @@ def test_markov_budget_two_with_overflowing_rand(tmp_path):
     # all three sensors fire with probability 0.729, over the budget of 2
     rand = pol.RandomizedSchedule((0.9, 0.9, 0.9), 2)
     assert_matches_episodes(cfg.system, [optimal, rand], horizon=400, reps=5, seed=3, warmup=25)
+
+
+def test_stacked_policies_run_as_if_alone(twosensor):
+    """Each policy's replication means are the same floats whether it runs
+    alone or with every other policy, the randomized one included, and
+    whatever its position in the plan."""
+    spec, policies = twosensor
+    stacked = policies + [pol.RandomizedSchedule((0.9, 0.9), 1)]
+    for plan_policies in (stacked, stacked[::-1]):
+        plan = sim.ExperimentPlan(spec, plan_policies, 200, 4, 17, warmup=20)
+        for policy, st in zip(plan_policies, sim.monte_carlo(plan).stats):
+            alone = sim.ExperimentPlan(spec, [policy], 200, 4, 17, warmup=20)
+            means = sim.monte_carlo(alone).stats[0].rep_means
+            assert st.rep_means.tobytes() == means.tobytes(), policy.name
 
 
 def test_infeasible_action_raises_like_the_scalar_step(twosensor):

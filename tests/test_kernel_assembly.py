@@ -8,7 +8,6 @@ tied actions, and a last-bit difference in a kernel entry can flip them.
 import io
 import textwrap
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -376,11 +375,11 @@ def test_sisp_policy_simulates_like_its_table():
     values = decomposed.solve_sisp_values(spec)
     table = decomposed.build_policy_table(values, space, mdp.ActionSet(3, 2), spec)
     policies = [decomposed.SispPolicy(values), pol.TablePolicy("sisp", space, table)]
-    rows = [[], []]
-    sinks = [SimpleNamespace(writerow=r.append) for r in rows]
+    sinks = [io.StringIO(), io.StringIO()]
     plan = sim.ExperimentPlan(spec, policies, 400, 5, 7, warmup=25)
     direct, tabulated = sim.monte_carlo(plan, sinks).stats
     assert direct.rep_means.tobytes() == tabulated.rep_means.tobytes()
     assert direct.mean == tabulated.mean
+    rows = [sink.getvalue().splitlines() for sink in sinks]
     assert len(rows[0]) == 400 * 3
     assert rows[0] == rows[1]

@@ -1,4 +1,3 @@
-import copy
 import textwrap
 from pathlib import Path
 
@@ -79,12 +78,13 @@ def test_randomized_decide_feasible_and_marginals():
     rng = np.random.default_rng(99)
     p = (0.6, 0.3)
     counts = np.zeros(2)
-    n = 1_000_000
-    for _ in range(n):
-        action = pol.randomized_decide(p, 1, rng)
+    n = 100_000
+    for u in rng.random((n, 4)):
+        action = pol.randomized_decide(p, 1, u)
         assert sum(action) <= 1
         counts += action
-    # thinned marginals: P(i) = p_i (1 - p_j) + p_i p_j / 2
+    # thinned marginals: P(i) = p_i (1 - p_j) + p_i p_j / 2, that is 0.51 and
+    # 0.21; 0.01 is over 6 standard errors of either frequency at n = 1e5
     expected = np.array([0.6 * 0.7 + 0.09, 0.3 * 0.4 + 0.09])
     assert np.all(np.abs(counts / n - expected) < 0.01)
 
@@ -94,8 +94,8 @@ def test_randomized_decide_never_thins_within_budget():
     p = (0.5, 0.5)
     counts = np.zeros(2)
     n = 200_000
-    for _ in range(n):
-        action = pol.randomized_decide(p, 2, rng)
+    for u in rng.random((n, 4)):
+        action = pol.randomized_decide(p, 2, u)
         counts += action
     assert np.all(np.abs(counts / n - 0.5) < 0.01)
 
@@ -113,10 +113,25 @@ def test_randomized_action_weights_match_sampler():
     rng = np.random.default_rng(3)
     counts = {act: 0 for act in actions.actions}
     n = 200_000
-    for _ in range(n):
-        counts[pol.randomized_decide(p, 1, rng)] += 1
+    for u in rng.random((n, 4)):
+        counts[pol.randomized_decide(p, 1, u)] += 1
     for k, act in enumerate(actions.actions):
         assert counts[act] / n == pytest.approx(weights[k], abs=0.01)
+
+
+def test_randomized_lanes_follow_the_exact_weights():
+    """One 200,000-lane decision with N = 3 and M = 2: every fired set of
+    three is thinned, and each action's frequency is within 0.01 of
+    randomized_action_weights (over 9 standard errors)."""
+    p, m, lanes = (0.9, 0.6, 0.5), 2, 200_000
+    actions = mdp.ActionSet(3, m)
+    policy = pol.RandomizedSchedule(p, m)
+    ages = [np.ones(lanes, dtype=np.int64)] * 3
+    u = np.random.default_rng(11).random((policy.uniforms, lanes))
+    idx = policy.decide_array(actions, np.zeros(lanes, dtype=np.int64), ages, ages, ages, 0, u)
+    freq = np.bincount(idx, minlength=len(actions)) / lanes
+    weights = pol.randomized_action_weights(p, m, actions)
+    np.testing.assert_allclose(freq, weights, rtol=0, atol=0.01)
 
 
 def test_myopic_reduced_space_size(va_system):
@@ -142,7 +157,7 @@ def test_every_policy_returns_feasible_actions(va_hetero, va_hetero_sisp):
     space = mdp.StateSpace(va_hetero)
     actions = mdp.ActionSet(2, 1)
     theta, aoli, aori, arrival = space._coordinate_arrays()
-    rngs = [np.random.default_rng(k) for k in range(space.n_states)]
+    rng = np.random.default_rng(0)
     candidates = [
         pol.TablePolicy("sisp", space, va_hetero_sisp.pruned_table),
         pol.MafPolicy(1),
@@ -154,7 +169,8 @@ def test_every_policy_returns_feasible_actions(va_hetero, va_hetero_sisp):
     ]
     for policy in candidates:
         for t in range(3):
-            idx = policy.decide_array(actions, theta, aoli, aori, arrival, t, rngs)
+            u = rng.random((policy.uniforms, space.n_states))
+            idx = policy.decide_array(actions, theta, aoli, aori, arrival, t, u)
             assert len(idx) == space.n_states
             assert all(actions.is_feasible(actions.actions[k]) for k in idx)
 
@@ -269,8 +285,8 @@ def test_policy_to_table_matches_decide(case, tmp_path):
 @pytest.mark.parametrize("case", ["twosensor", "markov"])
 def test_time_and_stream_rules_match_references(case, tmp_path):
     """Round robin against round_robin_decide over t, and the randomized
-    policy against randomized_decide on copies of each lane's generator,
-    with every state a lane."""
+    policy against randomized_decide on the same uniforms, with every state
+    a lane."""
     cfg = _config(case, tmp_path)
     spec = cfg.system
     n, m = spec.n_sensors, spec.m_budget
@@ -284,11 +300,12 @@ def test_time_and_stream_rules_match_references(case, tmp_path):
         idx = rr.decide_array(actions, theta, aoli, aori, arrival, t)
         assert np.all(idx == actions.index(action)), t
 
-    # the second policy fires every sensor often, so thinning draws too
+    # the second policy fires every sensor often, so thinning decides too
+    rng = np.random.default_rng(5)
     for rand in (cli._build_policy("rand", cfg, {}), pol.RandomizedSchedule((0.9,) * n, m)):
-        rngs = [np.random.default_rng(k) for k in range(space.n_states)]
-        copies = copy.deepcopy(rngs)
+        assert rand.uniforms == 2 * n
         for t in range(3):
-            idx = rand.decide_array(actions, theta, aoli, aori, arrival, t, rngs)
-            expected = [actions.index(pol.randomized_decide(rand.p, m, r)) for r in copies]
+            u = rng.random((rand.uniforms, space.n_states))
+            idx = rand.decide_array(actions, theta, aoli, aori, arrival, t, u)
+            expected = [actions.index(pol.randomized_decide(rand.p, m, col)) for col in u.T]
             np.testing.assert_array_equal(idx, expected, err_msg=f"{rand.p} at t={t}")

@@ -7,11 +7,15 @@ from conftest import make_va_system
 
 
 class _ListSink:
+    """Trajectory rows written as text, read back as 8 ints and the penalty."""
+
     def __init__(self):
         self.rows = []
 
-    def writerow(self, row):
-        self.rows.append(list(row))
+    def write(self, text):
+        for line in text.splitlines():
+            *ints, penalty = line.split(",")
+            self.rows.append([*map(int, ints), float(penalty)])
 
 
 def test_monte_carlo_is_deterministic(va_system, va_sisp):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.sparse import linalg as splinalg
 
 import aoisched as a
 from aoisched import cli, mdp, policies as pol
@@ -122,13 +123,13 @@ def wrong_lu(a, b):
 def lu_calls(monkeypatch):
     """Count the sparse LU solves behind the stationary solve."""
     calls = []
-    real_spsolve = mdp.spsolve
+    real_spsolve = splinalg.spsolve
 
     def counted(a, b):
         calls.append(a.shape[0])
         return real_spsolve(a, b)
 
-    monkeypatch.setattr(mdp, "spsolve", counted)
+    monkeypatch.setattr(splinalg, "spsolve", counted)
     return calls
 
 
@@ -155,7 +156,7 @@ def test_slowly_mixing_chain_falls_back_to_lu(lu_calls):
 
 def test_wrong_gmres_answer_falls_back_to_lu(monkeypatch, lu_calls):
     p = chain([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.6, 0.0, 0.4]])
-    monkeypatch.setattr(mdp, "gmres", wrong_gmres)
+    monkeypatch.setattr(splinalg, "gmres", wrong_gmres)
     xi = mdp.stationary_distribution(p, 0)
     assert lu_calls == [2]
     np.testing.assert_allclose(xi, dense_solve(p.toarray()), rtol=0, atol=1e-15)
@@ -163,8 +164,8 @@ def test_wrong_gmres_answer_falls_back_to_lu(monkeypatch, lu_calls):
 
 def test_wrong_answer_of_both_solvers_raises(monkeypatch):
     p = chain([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.6, 0.0, 0.4]])
-    monkeypatch.setattr(mdp, "gmres", wrong_gmres)
-    monkeypatch.setattr(mdp, "spsolve", wrong_lu)
+    monkeypatch.setattr(splinalg, "gmres", wrong_gmres)
+    monkeypatch.setattr(splinalg, "spsolve", wrong_lu)
     with pytest.raises(
         ConvergenceError,
         match=r"L1 residual \d.* on a 3-state closed class, by GMRES and by sparse LU",
@@ -174,8 +175,8 @@ def test_wrong_answer_of_both_solvers_raises(monkeypatch):
 
 def test_compare_exits_1_on_wrong_solver_answer(tmp_path, monkeypatch, capsys):
     cfg, _ = write_config(tmp_path, ONE_SENSOR_YAML)
-    monkeypatch.setattr(mdp, "gmres", wrong_gmres)
-    monkeypatch.setattr(mdp, "spsolve", wrong_lu)
+    monkeypatch.setattr(splinalg, "gmres", wrong_gmres)
+    monkeypatch.setattr(splinalg, "spsolve", wrong_lu)
     assert cli.main(["compare", "--config", str(cfg), "--policies", "maf"]) == 1
     assert "solver error: stationary solve: L1 residual" in capsys.readouterr().err
 
@@ -322,14 +323,14 @@ TINY_MASS = [[0.5, 0.5 - 1e-14, 1e-14], [0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]
 
 
 def test_negative_mass_is_refused(monkeypatch):
-    monkeypatch.setattr(mdp, "gmres", flip_last(mdp.gmres))
-    monkeypatch.setattr(mdp, "spsolve", flip_last(mdp.spsolve))
+    monkeypatch.setattr(splinalg, "gmres", flip_last(splinalg.gmres))
+    monkeypatch.setattr(splinalg, "spsolve", flip_last(splinalg.spsolve))
     with pytest.raises(ConvergenceError, match="smallest mass -"):
         mdp.stationary_distribution(chain(TINY_MASS), 0)
 
 
 def test_negative_gmres_mass_falls_back_to_lu(monkeypatch, lu_calls):
-    monkeypatch.setattr(mdp, "gmres", flip_last(mdp.gmres))
+    monkeypatch.setattr(splinalg, "gmres", flip_last(splinalg.gmres))
     xi = mdp.stationary_distribution(chain(TINY_MASS), 0)
     assert lu_calls == [2]
     assert np.all(xi > 0.0)
