@@ -396,19 +396,24 @@ def cmd_solve(args) -> int:
     if args.policy == "optimal":
         space, vt, pt = _solve_optimal(cfg, {})
         rows = mdp.table_rows(space, vt.values, pt)
-        summary = {"gain": vt.gain, "iterations": vt.iterations, "wall_time_s": None}
+        gain = vt.gain
+        summary = {"gain": gain, "iterations": vt.iterations, "wall_time_s": None}
     elif args.policy == "sisp":
         space, sensor_values, pt, copied, violations = _sisp_table(cfg)
         rows = mdp.table_rows(space, None, pt)
+        # the summed per-sensor gains: the cost of the randomized policy the
+        # values are solved under, not of the SISP table
         gain = sum(v.gain for v in sensor_values)
-        summary = {"gain": gain, "iterations": "", "wall_time_s": None, "pruned_states": copied}
+        summary = {"randomized_gain": gain, "iterations": "", "wall_time_s": None}
+        summary["pruned_states"] = copied
         summary["persistence_violations"] = violations
     else:  # myopic: its own space has no buffer age and no value column
         model = _build_policy("myopic", cfg, {}).model
         space = model.space
         columns = ("state_index", "aori", "theta", "action_bits")
         rows = mdp.table_rows(space, None, model.table, columns)
-        summary = {"gain": model.gain, "wall_time_s": None}
+        gain = model.gain
+        summary = {"gain": gain, "wall_time_s": None}
     wall = summary["wall_time_s"] = time.perf_counter() - t0
 
     fh, _ = _open_output(out_dir, f"{args.policy}_table.csv", cfg.config_hash)
@@ -418,7 +423,7 @@ def cmd_solve(args) -> int:
     with fh:
         w.writerow(["policy", "states", *summary])
         w.writerow([args.policy, space.n_states, *summary.values()])
-    line = f"{args.policy}: {space.n_states} states, gain {_fmt(summary['gain'])}"
+    line = f"{args.policy}: {space.n_states} states, gain {_fmt(gain)}"
     print(line if args.policy == "myopic" else f"{line}, {wall:.2f}s")
     return 0
 

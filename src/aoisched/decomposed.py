@@ -24,6 +24,7 @@ from .mdp import (
     StateSpace,
     build_kernels,
     cost_vector,
+    kernel_rows,
     mixture_chain_matrix,
     relative_value_iteration,
 )
@@ -62,12 +63,21 @@ def default_randomized_probs(spec: SystemSpec) -> tuple:
 
 
 def _single_sensor_kernels(sensor: SensorSpec, channel: ChannelSpec) -> tuple:
-    """(system, space, K_idle, K_transmit) of the sensor alone, kernels dense."""
+    """(system, space, K_idle, K_transmit) of the sensor alone, kernels dense.
+
+    The distinct rows of kernel_rows are densified with numpy, so SISP never
+    loads scipy.sparse. A CSR row holds each column at most once, so every
+    entry is written once, as toarray writes it.
+    """
     system = SystemSpec(sensors=(sensor,), channel=channel, m_budget=1)
     space = StateSpace(system)
-    kernels = build_kernels(system, space, ActionSet(1, 1))
-    k_idle, k_tx = (kernels.assembled(a).toarray() for a in range(2))
-    return system, space, k_idle, k_tx
+    row_of, n_rows, parts = kernel_rows(system, space, ActionSet(1, 1))
+    dense = []
+    for data, indices, indptr in parts:
+        k = np.zeros((n_rows, space.n_states))
+        k[np.repeat(np.arange(n_rows), np.diff(indptr)), indices] = data
+        dense.append(k[row_of])
+    return (system, space, *dense)
 
 
 def per_sensor_kernel(
@@ -159,11 +169,10 @@ class SispPolicy(Policy):
         self.values = tuple(values)
 
     def decide_array(self, actions, theta, aoli, aori, arrival, t=0, u=None):
-        schedules = np.array(actions.actions)[:, :, None]  # (action, sensor, 1)
         scores = np.zeros((len(actions), len(theta)))
         for i, pv in enumerate(self.values):
             x = pv.space.encode_array(theta, [aoli[i]], [aori[i]], [arrival[i]])
-            scores += pv.eq[x, schedules[:, i]]
+            scores += pv.eq[x, actions.schedules[:, i, None]]
         return scores.argmin(axis=0)
 
 
@@ -201,7 +210,7 @@ def build_policy_table_with_pruning(
     """
     table = build_policy_table(values, space, actions, spec)
     chosen = table.action_index
-    scheduled = np.array(actions.actions, dtype=bool)[chosen]
+    scheduled = actions.schedules[chosen]
     idx = np.arange(space.n_states)
     source = np.full(space.n_states, -1)
     for i in range(spec.n_sensors):
@@ -245,7 +254,6 @@ def extract_thresholds(values: Sequence[PerSensorValue], spec: SystemSpec) -> Th
     """
     n = spec.n_sensors
     actions = ActionSet(n, spec.m_budget)
-    schedules = np.array(actions.actions, dtype=bool)
     out = np.full((n, 2), np.inf)
     for i in range(n):
         cap = spec.sensors[i].max_aori
@@ -255,7 +263,7 @@ def extract_thresholds(values: Sequence[PerSensorValue], spec: SystemSpec) -> Th
         zeros, ones = np.zeros_like(aori), np.ones_like(aori)
         scan_aori = [aori if j == i else ones for j in range(n)]
         chosen = SispPolicy(values).decide_array(actions, theta, [zeros] * n, scan_aori, [ones] * n)
-        scheduled = schedules[chosen, i].reshape(2, cap)
+        scheduled = actions.schedules[chosen, i].reshape(2, cap)
         out[i] = np.where(scheduled.any(axis=1), scheduled.argmax(axis=1) + 1, np.inf)
     return ThresholdTable(out)
 

@@ -9,19 +9,22 @@ single closed class reachable from the start state, certified by its L1
 balance residual, with a sparse LU solve when GMRES misses the bound
 (stationary_distribution).
 
-build_kernels is the one kernel builder: the joint solver, exact policy
+kernel_rows is the one kernel builder: the joint solver, exact policy
 evaluation, the per-sensor SISP solves, the randomized chain and the myopic
 baseline all read from it. Truncation saturates the ages, so most kernel
 rows repeat (a sensor's successors are the same one step below a cap as at
-it), and the builder returns Kernels: only the distinct rows of each
-action, plus row_of, the state -> distinct-row map all actions share.
-rows[a][row_of] is the assembled kernel K_a. RVI backs up the distinct rows
-and spreads them by row_of; the chain builders gather from them. The rows
-are written as CSR straight from the per-sensor successor tables, whose
-entries are ordered so that every row comes out sorted by column, with no
-COO step or duplicate summing; the assembled kernels are byte-identical to
-a state-by-state assembly from transition_distribution (build_kernels says
-why that matters).
+it), and the builder returns only the distinct rows of each action, as
+numpy CSR arrays, plus row_of, the state -> distinct-row map all actions
+share. The rows are written straight from the per-sensor successor tables,
+whose entries are ordered so that every row comes out sorted by column,
+with no COO step or duplicate summing; the assembled kernels are
+byte-identical to a state-by-state assembly from transition_distribution
+(kernel_rows says why that matters). build_kernels makes them the scipy CSR
+matrices of Kernels, where rows[a][row_of] is the assembled kernel K_a.
+RVI backs up the distinct rows and spreads them by row_of; the chain
+builders gather from them. scipy.sparse is imported only where a sparse
+matrix is made or combined, so the per-sensor SISP solves, which densify
+kernel_rows with numpy, never load it.
 table_rows turns the rows of every solve table into strings a column at a
 time.
 """
@@ -31,13 +34,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .dynamics import JointState, SensorState, initial_state
 from .model import ConvergenceError, SensorSpec, SystemSpec, penalty_table
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "StateSpace",
@@ -49,6 +54,7 @@ __all__ = [
     "stage_cost",
     "cost_vector",
     "Kernels",
+    "kernel_rows",
     "build_kernels",
     "relative_value_iteration",
     "solve_optimal_policy",
@@ -201,6 +207,8 @@ class ActionSet:
 
     Actions are ordered by (number scheduled, bitmask with sensor 0 as the
     low bit); argmin ties therefore resolve toward not transmitting.
+    `schedules` is the same list as a read-only (actions, sensors) array of
+    0/1 ints, so a sensor's column can index a per-decision table.
     """
 
     def __init__(self, n: int, m: int):
@@ -213,6 +221,8 @@ class ActionSet:
         self.actions = tuple(
             tuple((mask >> i) & 1 for i in range(n)) for mask in masks
         )
+        self.schedules = np.array(self.actions, dtype=np.intp)
+        self.schedules.flags.writeable = False
         self._index = {a: k for k, a in enumerate(self.actions)}
         # action index of every bitmask, -1 where the budget is exceeded
         self.code_index = np.full(1 << n, -1, dtype=np.int64)
@@ -423,8 +433,13 @@ def _row_classes(tables: Sequence) -> tuple:
     return np.array([class_of[sub] for sub in firsts]), np.array(list(first_of.values()))
 
 
-def build_kernels(spec: SystemSpec, space: StateSpace, actions: ActionSet) -> Kernels:
+def kernel_rows(spec: SystemSpec, space: StateSpace, actions: ActionSet) -> tuple:
     """Transition matrices of every action, built as their distinct rows.
+
+    Returns (row_of, n_rows, parts): parts holds, in action order, each
+    action's distinct rows as the numpy arrays (data, indices, indptr) of a
+    CSR matrix of shape (n_rows, n_states), and row_of maps each state to
+    its row. build_kernels wraps them as scipy matrices.
 
     Truncation makes most kernel rows copies of others: an age one step
     below its cap steps to the cap, as the cap itself does, so on
@@ -488,7 +503,7 @@ def build_kernels(spec: SystemSpec, space: StateSpace, actions: ActionSet) -> Ke
     all_next = on_axes(np.ones(2, dtype=bool), (ndim - 1,))
     lead_rows = n_rows // n_classes[0]
     step = max(1, TABLE_CHUNK // lead_rows)
-    rows = []
+    parts = []
     for action in actions.actions:
         factors = [tables[i][action[i]] for i in range(n_sensors)]
         counts = 2
@@ -516,8 +531,19 @@ def build_kernels(spec: SystemSpec, space: StateSpace, actions: ActionSet) -> Ke
             span = slice(indptr[lo * lead_rows], indptr[min(n_rows, (lo + step) * lead_rows)])
             data[span] = vals[mask]
             indices[span] = cols[mask]
-        rows.append(sparse.csr_matrix((data, indices, indptr), shape=(n_rows, n)))
-    return Kernels(tuple(rows), row_of)
+        parts.append((data, indices, indptr))
+    return row_of, n_rows, parts
+
+
+def build_kernels(spec: SystemSpec, space: StateSpace, actions: ActionSet) -> Kernels:
+    """kernel_rows as Kernels of scipy CSR matrices: the one place a kernel
+    becomes a sparse matrix, and the first import of scipy.sparse in the
+    commands that build a joint kernel."""
+    from scipy import sparse
+
+    row_of, n_rows, parts = kernel_rows(spec, space, actions)
+    shape = (n_rows, space.n_states)
+    return Kernels(tuple(sparse.csr_matrix(part, shape=shape) for part in parts), row_of)
 
 
 def relative_value_iteration(
@@ -610,6 +636,8 @@ def policy_chain_matrix(policy: PolicyTable, kernels: Kernels) -> sparse.csr_mat
     One row gather: state s takes row pi(s) * n_rows + row_of[s] of every
     action's distinct rows stacked in action order.
     """
+    from scipy import sparse
+
     stacked = sparse.vstack(kernels.rows, format="csr")
     return stacked[policy.action_index * kernels.n_rows + kernels.row_of]
 
@@ -679,6 +707,7 @@ def stationary_distribution(p: sparse.csr_matrix, start_index: int) -> np.ndarra
     answer fails the same check too, ConvergenceError is raised with the
     residual and the class size.
     """
+    from scipy import sparse
     from scipy.sparse.csgraph import breadth_first_order, connected_components
 
     n = p.shape[0]

@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from .dynamics import JointState
 from .mdp import ActionSet, Kernels, PolicyTable, StateSpace, solve_optimal_policy
@@ -335,6 +334,8 @@ def round_robin_chain(
     column of the next cursor; a row gather by row_of then gives every
     (cursor, state) pair its row.
     """
+    from scipy import sparse
+
     actions = ActionSet(n, m)
     blocks = []
     for cursor in range(n):

@@ -196,7 +196,7 @@ def monte_carlo(plan: ExperimentPlan, sinks: Optional[Sequence] = None) -> Exper
     policies = plan.policies
     seeds = range(plan.base_seed, plan.base_seed + reps)
     actions = ActionSet(n, spec.m_budget)
-    schedules = np.array(actions.actions, dtype=bool).T
+    schedules = actions.schedules.T.astype(bool)
     tables = lane_tables(spec)
     lanes = [slice(k * reps, (k + 1) * reps) for k in range(len(policies))]
     state = lane_state(initial_state(spec), len(policies) * reps)

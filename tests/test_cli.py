@@ -432,24 +432,63 @@ def test_sisp_refuses_p_r_over_budget(tmp_path, capsys, command):
     assert not out.exists()
 
 
-def test_cli_start_loads_no_stationary_solver_modules():
-    """Importing the CLI and loading a config leaves scipy's sparse solvers
-    and graph routines unloaded; only the stationary solve imports them."""
-    config = Path(__file__).resolve().parents[1] / "configs" / "twosensor.yaml"
-    code = textwrap.dedent(
-        f"""
-        import sys
-        import aoisched.cli
-        aoisched.cli.load_config({str(config)!r})
-        print([m for m in ("scipy.sparse.linalg", "scipy.sparse.csgraph") if m in sys.modules])
-        """
-    )
+def run_python(code):
+    """Run code in a fresh interpreter on this source tree; its stdout.
+
+    pytest imports scipy.sparse itself (the SparseEfficiencyWarning filter),
+    so what a command imports shows only in another process."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "[]"
+    return done.stdout
+
+
+def test_cli_start_loads_no_stationary_solver_modules():
+    """Importing the CLI and loading a config leaves scipy.sparse, its
+    solvers and its graph routines unloaded."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "twosensor.yaml"
+    modules = ("scipy.sparse", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+    code = textwrap.dedent(
+        f"""
+        import sys
+        import aoisched.cli
+        aoisched.cli.load_config({str(config)!r})
+        print([m for m in {modules!r} if m in sys.modules])
+        """
+    )
+    assert run_python(code).strip() == "[]"
+
+
+def test_only_joint_kernels_load_scipy_sparse(tmp_path):
+    """SISP (its table, thresholds and the cap probe), the stability check
+    and the kernel-free baselines run without scipy.sparse; the myopic
+    policy's joint kernel build loads it. The commands run in order in one
+    process, so each False also clears the commands before it."""
+    cfg, _ = write_config(tmp_path, TWO_SENSOR_YAML)
+    short = ["--horizon", "20", "--replications", "2"]
+    runs = [
+        ["simulate", "--caps", "3,4", *short],
+        ["solve", "--policy", "sisp"],
+        ["thresholds"],
+        ["stability"],
+        ["simulate", "--policies", "sisp,maf,mef,rr,rand,idle", *short],
+        ["simulate", "--policies", "myopic", *short],
+    ]
+    code = textwrap.dedent(
+        f"""
+        import sys
+        from aoisched import cli
+        loaded = []
+        for args in {runs!r}:
+            assert cli.main([args[0], "--config", {str(cfg)!r}, *args[1:]]) == 0, args
+            loaded.append("scipy.sparse" in sys.modules)
+        print(loaded)
+        """
+    )
+    last = run_python(code).splitlines()[-1]
+    assert last == str([False] * 5 + [True])
 
 
 def test_randomized_schedule_thins_p_r_over_budget(tmp_path):

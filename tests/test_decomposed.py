@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import aoisched as a
 from aoisched import decomposed, dynamics, mdp
@@ -58,15 +60,20 @@ def test_default_randomized_probs(va_penalty):
     assert p3[0] / p3[1] == pytest.approx(rates[0] / rates[1])
 
 
-def test_per_sensor_kernel_boundaries(va_penalty):
-    sensor = make_va_sensor(va_penalty, 0.9, cap=3)
+@pytest.mark.parametrize(
+    "arrival", [a.BernoulliArrival(0.9), a.MarkovArrival(0.6, 0.7)], ids=["bernoulli", "markov"]
+)
+def test_per_sensor_kernel_boundaries(va_penalty, arrival):
+    """The numpy-densified per-sensor kernels are the scipy path's
+    assembled kernels, byte for byte."""
+    sensor = a.SensorSpec(arrival, va_penalty, 0.5, 1.0, 3, 3)
     system = a.SystemSpec((sensor,), VA_CHANNEL, 1)
     space = mdp.StateSpace(system)
     actions = mdp.ActionSet(1, 1)
     kernels = mdp.build_kernels(system, space, actions)
     k_idle, k_tx = (kernels.assembled(a).toarray() for a in range(2))
-    assert np.allclose(decomposed.per_sensor_kernel(sensor, VA_CHANNEL, 0.0), k_idle)
-    assert np.allclose(decomposed.per_sensor_kernel(sensor, VA_CHANNEL, 1.0), k_tx)
+    assert np.array_equal(decomposed.per_sensor_kernel(sensor, VA_CHANNEL, 0.0), k_idle)
+    assert np.array_equal(decomposed.per_sensor_kernel(sensor, VA_CHANNEL, 1.0), k_tx)
     mixed = decomposed.per_sensor_kernel(sensor, VA_CHANNEL, 0.5)
     assert np.allclose(mixed, 0.5 * k_tx + 0.5 * k_idle)
     assert np.allclose(mixed.sum(axis=1), 1.0, atol=1e-12)
@@ -176,6 +183,53 @@ def test_sisp_decide_matches_joint_expansion(small_solution):
         others = np.delete(oracle, oracle.argmin())
         if others.min() - best > 1e-8:  # unique minimizer: exact agreement
             assert k == oracle.argmin()
+
+
+# away from 0 and 1, so every arrival rate is positive (the default
+# scheduling probabilities need it) and every per-sensor chain mixes
+INNER = st.floats(0.05, 0.95)
+
+
+@st.composite
+def sisp_systems(draw):
+    """Systems with N <= 3, caps <= 3 and 1 <= M <= N, each sensor with
+    Bernoulli or Markov arrivals."""
+    n = draw(st.integers(1, 3))
+    sensors = []
+    for _ in range(n):
+        if draw(st.booleans()):
+            arrival = a.MarkovArrival(draw(INNER), draw(INNER))
+        else:
+            arrival = a.BernoulliArrival(draw(INNER))
+        penalty = a.ExponentialPenalty(draw(st.floats(0.1, 1.0)))
+        caps = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+        sensors.append(a.SensorSpec(arrival, penalty, draw(INNER), draw(INNER), *caps))
+    channel = a.ChannelSpec(draw(INNER), draw(INNER))
+    return a.SystemSpec(tuple(sensors), channel, draw(st.integers(1, n)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(sisp_systems())
+def test_sisp_table_is_the_scalar_argmin_on_random_systems(spec):
+    """build_policy_table against a scalar argmin at every JointState: each
+    action's per-sensor eq entries summed in sensor order, the first
+    minimum kept."""
+    space = mdp.StateSpace(spec)
+    assume(space.n_states <= 1500)
+    actions = mdp.ActionSet(spec.n_sensors, spec.m_budget)
+    values = decomposed.solve_sisp_values(spec)
+    table = decomposed.build_policy_table(values, space, actions, spec)
+    for idx in range(space.n_states):
+        state = space.decode(idx)
+        x = [
+            pv.state_index(st_i, state.theta, arrived)
+            for pv, st_i, arrived in zip(values, state.sensors, state.prev_arrival)
+        ]
+        scores = [
+            sum(pv.eq[x_i, bit] for pv, x_i, bit in zip(values, x, action))
+            for action in actions.actions
+        ]
+        assert table.action_index[idx] == scores.index(min(scores)), idx
 
 
 def test_sisp_decide_swap_equivariance(va_penalty):

@@ -365,6 +365,8 @@ def test_pruning_reports_persistence_violations(tmp_path, capsys):
     header, row = (out / "sisp_summary.csv").read_text().splitlines()[1:]
     summary = dict(zip(header.split(","), row.split(",")))
     assert summary["persistence_violations"] == "4"
+    # the summed per-sensor gains: the randomized policy's cost, not SISP's
+    assert summary["randomized_gain"] == cli._fmt(sum(v.gain for v in values))
 
 
 def test_sisp_policy_simulates_like_its_table():
