@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import hashlib
 import math
 import sys
@@ -40,6 +39,7 @@ from .model import (
 )
 
 DEFAULT_MAX_STATES = 2_000_000
+DEFAULT_POLICIES = "sisp,maf,rr,rand"
 
 
 class ConfigError(ValueError):
@@ -57,23 +57,19 @@ def _fmt(value) -> str:
 
 
 class _Writer:
-    """csv.writer wrapper printing floats with 12 significant digits."""
+    """CSV rows of _fmt cells (floats with 12 significant digits), joined by
+    commas and ended by "\r\n". No cell the CLI writes holds a comma, quote
+    or line break, so these are the bytes csv.writer would write."""
 
     def __init__(self, fh):
-        self._w = csv.writer(fh)
+        self._fh = fh
 
     def writerow(self, row) -> None:
-        self._w.writerow([_fmt(c) for c in row])
+        self._fh.write(",".join(map(_fmt, row)) + "\r\n")
 
 
 def _write_table(fh, rows) -> None:
-    """The header of mdp.table_rows through _Writer, then its rows of ready
-    strings.
-
-    The cells need no quoting, so the bytes csv.writer would write are each
-    row joined by commas and ended by "\r\n".
-    """
-    _Writer(fh).writerow(next(rows))
+    """mdp.table_rows, header and rows of ready strings, as _Writer writes rows."""
     fh.writelines(",".join(row) + "\r\n" for row in rows)
 
 
@@ -372,7 +368,7 @@ def _build_policy(name: str, cfg: LoadedConfig, cache: dict) -> pol.Policy:
         policy = decomposed.SispPolicy(decomposed.solve_sisp_values(system, cfg.p_r))
     elif name == "myopic":
         _check_state_budget(pol.myopic_system(system), cfg.max_states)
-        policy = pol.MyopicPolicy(pol.build_myopic_policy(system))
+        policy = pol.build_myopic_policy(system)
     elif name == "maf":
         policy = pol.MafPolicy(system.m_budget)
     elif name == "mef":
@@ -408,11 +404,11 @@ def cmd_solve(args) -> int:
         summary["pruned_states"] = copied
         summary["persistence_violations"] = violations
     else:  # myopic: its own space has no buffer age and no value column
-        model = _build_policy("myopic", cfg, {}).model
-        space = model.space
+        myopic = _build_policy("myopic", cfg, {})
+        space = myopic.space
         columns = ("state_index", "aori", "theta", "action_bits")
-        rows = mdp.table_rows(space, None, model.table, columns)
-        gain = model.gain
+        rows = mdp.table_rows(space, None, myopic.table, columns)
+        gain = myopic.gain
         summary = {"gain": gain, "wall_time_s": None}
     wall = summary["wall_time_s"] = time.perf_counter() - t0
 
@@ -441,7 +437,8 @@ def _run_params(args, cfg: LoadedConfig) -> tuple:
 
 
 def _policy_list(args, cfg, cache: dict) -> list:
-    names = [p.strip() for p in args.policies.split(",") if p.strip()]
+    given = DEFAULT_POLICIES if args.policies is None else args.policies
+    names = [p.strip() for p in given.split(",") if p.strip()]
     if not names:
         raise ConfigError("--policies: expected a comma separated list")
     return [_build_policy(name, cfg, cache) for name in names]
@@ -452,6 +449,9 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out) if args.out else cfg.out_dir
     seed, horizon, replications = _run_params(args, cfg)
     if args.caps:
+        for flag, given in (("--policies", args.policies is not None), ("--trace", args.trace)):
+            if given:
+                raise ConfigError(f"{flag}: the --caps probe runs SISP alone and does not read it")
         try:
             caps = [int(c) for c in args.caps.split(",") if c.strip()]
         except ValueError:
@@ -639,7 +639,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo policy comparison")
     p_sim.add_argument("--config", required=True)
-    p_sim.add_argument("--policies", default="sisp,maf,rr,rand")
+    p_sim.add_argument("--policies", default=None, help=f"comma separated ({DEFAULT_POLICIES})")
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--horizon", type=int, default=None)
     p_sim.add_argument("--replications", type=int, default=None)
@@ -672,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="exact and simulated policy comparison")
     p_cmp.add_argument("--config", required=True)
-    p_cmp.add_argument("--policies", default="sisp,maf,rr,rand")
+    p_cmp.add_argument("--policies", default=None, help=f"comma separated ({DEFAULT_POLICIES})")
     p_cmp.add_argument("--seed", type=int, default=None)
     p_cmp.add_argument("--horizon", type=int, default=None)
     p_cmp.add_argument("--replications", type=int, default=None)

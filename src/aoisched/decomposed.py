@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import JointState, SensorState
+from .dynamics import JointState, LaneState, SensorState
 from .mdp import (
     ActionSet,
     Kernels,
@@ -168,11 +168,11 @@ class SispPolicy(Policy):
     def __init__(self, values: Sequence[PerSensorValue]):
         self.values = tuple(values)
 
-    def decide_array(self, actions, theta, aoli, aori, arrival, t=0, u=None):
-        scores = np.zeros((len(actions), len(theta)))
+    def decide_array(self, actions, lanes, t=0, u=None):
+        scores = np.zeros((len(actions), len(lanes.theta)))
         for i, pv in enumerate(self.values):
-            x = pv.space.encode_array(theta, [aoli[i]], [aori[i]], [arrival[i]])
-            scores += pv.eq[x, actions.schedules[:, i, None]]
+            sensor = LaneState(lanes.theta, *(a[i : i + 1] for a in lanes[1:]))
+            scores += pv.eq[pv.space.encode_array(sensor), actions.schedules[:, i, None]]
         return scores.argmin(axis=0)
 
 
@@ -215,7 +215,7 @@ def build_policy_table_with_pruning(
     source = np.full(space.n_states, -1)
     for i in range(spec.n_sensors):
         below = idx - space.aori_stride(i)
-        hit = (source < 0) & (space.aori_array(i) >= 2)
+        hit = (source < 0) & (space.lanes().aori[i] >= 2)
         hit[hit] = scheduled[below[hit], i]
         source[hit] = below[hit]
     copied = source >= 0
@@ -259,10 +259,10 @@ def extract_thresholds(values: Sequence[PerSensorValue], spec: SystemSpec) -> Th
         cap = spec.sensors[i].max_aori
         # the scanned states, bad channel first: theta = 0 then 1, aori = 1..cap
         theta = np.repeat([0, 1], cap)
-        aori = np.tile(np.arange(1, cap + 1), 2)
-        zeros, ones = np.zeros_like(aori), np.ones_like(aori)
-        scan_aori = [aori if j == i else ones for j in range(n)]
-        chosen = SispPolicy(values).decide_array(actions, theta, [zeros] * n, scan_aori, [ones] * n)
+        aori = np.ones((n, 2 * cap), dtype=np.int64)
+        aori[i] = np.tile(np.arange(1, cap + 1), 2)
+        scan = LaneState(theta, np.zeros_like(aori), aori, np.ones_like(aori, dtype=bool))
+        chosen = SispPolicy(values).decide_array(actions, scan)
         scheduled = actions.schedules[chosen, i].reshape(2, cap)
         out[i] = np.where(scheduled.any(axis=1), scheduled.argmax(axis=1) + 1, np.inf)
     return ThresholdTable(out)

@@ -193,8 +193,9 @@ def step_system_traced(
 
 class LaneState(NamedTuple):
     """JointStates of many lanes: theta has one entry per lane, the others
-    one row per sensor (shape (N, lanes)). The field order is that of
-    Policy.decide_array's state arguments."""
+    one row per sensor (shape (N, lanes)). It is the one batch-of-states
+    type: the engine steps it, every Policy.decide_array reads it, and
+    StateSpace.lanes() holds every state of a space as its lanes."""
 
     theta: np.ndarray
     aoli: np.ndarray

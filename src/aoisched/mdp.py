@@ -38,8 +38,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import JointState, SensorState, initial_state
-from .model import ConvergenceError, SensorSpec, SystemSpec, penalty_table
+from .dynamics import JointState, LaneState, SensorState, initial_state, lane_cost
+from .model import ConvergenceError, SensorSpec, SystemSpec, penalty_rows
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -112,7 +112,7 @@ class StateSpace:
             self.sub_strides.append(stride)
             stride *= size
         self.sub_strides.reverse()
-        self._coords = None
+        self._lanes = None
 
     @property
     def n_sensors(self) -> int:
@@ -132,16 +132,17 @@ class StateSpace:
             idx = idx * self.sub_sizes[i] + self.sensor_sub_index(i, st.aoli, st.aori, g)
         return idx * 2 + js.theta
 
-    def encode_array(self, theta, aoli, aori, arrival) -> np.ndarray:
-        """encode over arrays: theta is an int array, aoli, aori and arrival
-        hold one such array per sensor (the layout of _coordinate_arrays)."""
-        idx = theta
+    def encode_array(self, lanes: LaneState) -> np.ndarray:
+        """encode in every lane of a LaneState; a Bernoulli sensor's arrival
+        bit is ignored, as encode ignores its prev_arrival."""
+        idx = lanes.theta
         for i in range(self.n_sensors):
-            if aoli[i].max() >= self.l_sizes[i] or aori[i].max() > self.r_sizes[i]:
+            aoli, aori = lanes.aoli[i], lanes.aori[i]
+            if aoli.max() >= self.l_sizes[i] or aori.max() > self.r_sizes[i]:
                 raise ValueError(f"sensor {i} state outside truncation")
-            sub = aoli[i] * self.r_sizes[i] + (aori[i] - 1)
+            sub = aoli * self.r_sizes[i] + (aori - 1)
             if self.g_sizes[i] == 2:
-                sub = sub * 2 + arrival[i]
+                sub = sub * 2 + lanes.arrival[i]
             idx = idx + sub * self.sub_strides[i]
         return idx
 
@@ -169,31 +170,25 @@ class StateSpace:
         """Index of the canonical start state (all sensors (0,1), bad channel)."""
         return self.encode(initial_state(self.spec))
 
-    # cached coordinate arrays for vectorized table operations
-    def _coordinate_arrays(self):
-        if self._coords is None:
-            idx = np.arange(self.n_states)
-            theta = idx % 2
-            rest = idx // 2
-            aoli, aori, g = [], [], []
-            for i in range(self.n_sensors - 1, -1, -1):
-                sub = rest % self.sub_sizes[i]
-                rest = rest // self.sub_sizes[i]
-                gi = sub % self.g_sizes[i]
-                t = sub // self.g_sizes[i]
-                aoli.append(t // self.r_sizes[i])
-                aori.append(t % self.r_sizes[i] + 1)
-                g.append(gi)
-            for arr in (aoli, aori, g):
-                arr.reverse()
-            self._coords = (theta, aoli, aori, g)
-        return self._coords
+    def lanes(self) -> LaneState:
+        """Every state, in index order, as the lanes of one LaneState (cached).
 
-    def aoli_array(self, i: int) -> np.ndarray:
-        return self._coordinate_arrays()[1][i]
-
-    def aori_array(self, i: int) -> np.ndarray:
-        return self._coordinate_arrays()[2][i]
+        A Bernoulli sensor's arrival bit is aoli == 0, the prev_arrival of
+        decode."""
+        if self._lanes is None:
+            n = self.n_sensors
+            aoli = np.empty((n, self.n_states), dtype=np.int64)
+            aori = np.empty_like(aoli)
+            arrival = np.empty(aoli.shape, dtype=bool)
+            rest, theta = np.divmod(np.arange(self.n_states), 2)
+            for i in range(n - 1, -1, -1):
+                rest, sub = np.divmod(rest, self.sub_sizes[i])
+                t, g = np.divmod(sub, self.g_sizes[i])
+                np.divmod(t, self.r_sizes[i], out=(aoli[i], aori[i]))
+                aori[i] += 1
+                arrival[i] = g == 1 if self.g_sizes[i] == 2 else aoli[i] == 0
+            self._lanes = LaneState(theta, aoli, aori, arrival)
+        return self._lanes
 
     def aori_stride(self, i: int) -> int:
         return self.g_sizes[i] * self.sub_strides[i]
@@ -337,11 +332,9 @@ def stage_cost(state: JointState, spec: SystemSpec) -> float:
 
 
 def cost_vector(space: StateSpace, spec: SystemSpec) -> np.ndarray:
-    cost = np.zeros(space.n_states)
-    for i, s in enumerate(spec.sensors):
-        table = penalty_table(s.penalty, s.max_aori)
-        cost += table[space.aori_array(i)]
-    return cost
+    """Stage cost of every state: lane_cost of the penalties at its monitor ages."""
+    aori = space.lanes().aori
+    return lane_cost(penalty_rows(spec.sensors)[np.arange(len(aori))[:, None], aori])
 
 
 def _successor_table(space: StateSpace, i: int, sensor: SensorSpec, scheduled: bool) -> tuple:
@@ -615,11 +608,12 @@ def check_value_monotonicity(values: np.ndarray, space: StateSpace, slack: float
     value is smaller by more than `slack`.
     """
     idx = np.arange(space.n_states)
+    lanes = space.lanes()
     violations = []
     for i in range(space.n_sensors):
         for coord, arr, cap, stride in (
-            ("aoli", space.aoli_array(i), space.l_sizes[i] - 1, space.aoli_stride(i)),
-            ("aori", space.aori_array(i), space.r_sizes[i], space.aori_stride(i)),
+            ("aoli", lanes.aoli[i], space.l_sizes[i] - 1, space.aoli_stride(i)),
+            ("aori", lanes.aori[i], space.r_sizes[i], space.aori_stride(i)),
         ):
             mask = arr < cap
             src = idx[mask]
@@ -658,16 +652,19 @@ def mixture_chain_matrix(weights: Sequence[float], kernels: Kernels) -> sparse.c
 
 
 def _gmres_solve(a11: sparse.csr_matrix, b: np.ndarray) -> np.ndarray:
-    """Restarted GMRES on a11 x = b, then passes on the remaining residual."""
+    """Restarted GMRES on a11 x = b, then passes on the remaining residual
+    while each pass converges; one that runs out of cycles would stall again."""
     from scipy.sparse.linalg import gmres
 
     x = np.zeros(len(b))
     for _ in range(GMRES_PASSES):
-        dx, _ = gmres(
+        dx, info = gmres(
             a11, b - a11 @ x, rtol=GMRES_RTOL, atol=0.0,
             restart=GMRES_RESTART, maxiter=GMRES_CYCLES,
         )
         x += dx
+        if info != 0:
+            break
     return x
 
 
@@ -767,11 +764,8 @@ def average_cost_by_sensor(
     xi: np.ndarray, space: StateSpace, spec: SystemSpec
 ) -> np.ndarray:
     """Per-sensor share of the stationary average cost."""
-    out = np.zeros(spec.n_sensors)
-    for i, s in enumerate(spec.sensors):
-        table = penalty_table(s.penalty, s.max_aori)
-        out[i] = float(xi @ table[space.aori_array(i)])
-    return out
+    penalties = penalty_rows(spec.sensors)
+    return np.array([xi @ row[aori] for row, aori in zip(penalties, space.lanes().aori)])
 
 
 def _lookup_cells(labels, codes):
@@ -804,7 +798,7 @@ def table_rows(
     """
     n = space.n_states
     sensors = range(space.n_sensors)
-    theta, aoli, aori, g = space._coordinate_arrays()
+    theta, aoli, aori, arrival = space.lanes()
     bits = ["".join(map(str, a)) for a in policy.action_set.actions]
 
     def index_cells(lo, hi):
@@ -815,14 +809,11 @@ def table_rows(
             return [""] * (hi - lo)
         return [format(v, VALUE_FORMAT) for v in values[lo:hi].tolist()]
 
-    def arrmem(i):
-        return g[i] if space.g_sizes[i] == 2 else (aoli[i] == 0).astype(np.intp)
-
     groups = {
         "state_index": [("state_index", index_cells)],
         "aoli": [(f"aoli_{i+1}", _digit_cells(aoli[i])) for i in sensors],
         "aori": [(f"aori_{i+1}", _digit_cells(aori[i])) for i in sensors],
-        "arrmem": [(f"arrmem_{i+1}", _digit_cells(arrmem(i)))
+        "arrmem": [(f"arrmem_{i+1}", _digit_cells(arrival[i].view(np.uint8)))
                    for i in sensors if 2 in space.g_sizes],
         "theta": [("theta", _digit_cells(theta))],
         "value": [("value", value_cells)],

@@ -16,12 +16,12 @@ check decide_array against them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
-from .dynamics import JointState
+from .dynamics import JointState, LaneState
 from .mdp import ActionSet, Kernels, PolicyTable, StateSpace, solve_optimal_policy
 from .model import BernoulliArrival, SystemSpec, penalty_rows
 
@@ -38,7 +38,6 @@ __all__ = [
     "RandomizedSchedule",
     "randomized_action_weights",
     "IdlePolicy",
-    "MyopicModel",
     "myopic_system",
     "build_myopic_policy",
     "MyopicPolicy",
@@ -65,13 +64,11 @@ class Policy:
     uniforms = 0
 
     def decide_array(
-        self, actions: ActionSet, theta, aoli, aori, arrival, t: int = 0, u=None
+        self, actions: ActionSet, lanes: LaneState, t: int = 0, u=None
     ) -> np.ndarray:
-        """Index into `actions` of the decision in every lane.
+        """Index into `actions` of the decision in every lane of `lanes`.
 
-        theta is an int array over lanes; aoli, aori and arrival hold one such
-        array per sensor, the layout of StateSpace._coordinate_arrays(). t
-        counts the decisions since the episode start, and u is the
+        t counts the decisions since the episode start, and u is the
         (uniforms, lanes) array of this slot's policy uniforms, one column
         per lane. Raises ValueError on a schedule over the budget of
         `actions`.
@@ -108,8 +105,8 @@ class TablePolicy(Policy):
         self.table = table
         self._codes = _table_codes(table)
 
-    def decide_array(self, actions, theta, aoli, aori, arrival, t=0, u=None):
-        idx = self.space.encode_array(theta, aoli, aori, arrival)
+    def decide_array(self, actions, lanes, t=0, u=None):
+        idx = self.space.encode_array(lanes)
         return _lane_actions(actions, self._codes[self.table.action_index[idx]])
 
 
@@ -141,8 +138,8 @@ class MafPolicy(Policy):
     def __init__(self, m: int):
         self.m = m
 
-    def decide_array(self, actions, theta, aoli, aori, arrival, t=0, u=None):
-        return _top_m_array(actions, np.asarray(aori), self.m)
+    def decide_array(self, actions, lanes, t=0, u=None):
+        return _top_m_array(actions, lanes.aori, self.m)
 
 
 def mef_decide(state: JointState, m: int, spec: SystemSpec) -> tuple:
@@ -160,9 +157,9 @@ class MefPolicy(Policy):
         self.m = spec.m_budget
         self._tables = penalty_rows(spec.sensors)
 
-    def decide_array(self, actions, theta, aoli, aori, arrival, t=0, u=None):
+    def decide_array(self, actions, lanes, t=0, u=None):
         rows = np.arange(len(self._tables))[:, None]
-        return _top_m_array(actions, self._tables[rows, np.asarray(aori)], self.m)
+        return _top_m_array(actions, self._tables[rows, lanes.aori], self.m)
 
 
 def round_robin_decide(cursor: int, n: int, m: int) -> tuple:
@@ -182,10 +179,10 @@ class RoundRobinPolicy(Policy):
         self.n = n
         self.m = m
 
-    def decide_array(self, actions, theta, aoli, aori, arrival, t=0, u=None):
+    def decide_array(self, actions, lanes, t=0, u=None):
         # after t decisions the cursor has advanced by t * m
         action, _ = round_robin_decide(t * self.m % self.n, self.n, self.m)
-        return _lane_actions(actions, np.full(len(theta), _action_code(action)))
+        return _lane_actions(actions, np.full(len(lanes.theta), _action_code(action)))
 
 
 def randomized_decide(p: Sequence[float], m: int, u: Sequence[float]) -> tuple:
@@ -214,7 +211,7 @@ class RandomizedSchedule(Policy):
         self.uniforms = 2 * len(self.p)
         self._p = np.array(self.p)[:, None]
 
-    def decide_array(self, actions, theta, aoli, aori, arrival, t=0, u=None):
+    def decide_array(self, actions, lanes, t=0, u=None):
         n = len(self.p)
         fired = u[:n] < self._p
         # uniforms lie in [0, 1), so a key of 2 sorts every unfired sensor
@@ -261,15 +258,8 @@ class IdlePolicy(Policy):
     def __init__(self, n: int):
         self.action = tuple(0 for _ in range(n))
 
-    def decide_array(self, actions, theta, aoli, aori, arrival, t=0, u=None):
-        return _lane_actions(actions, np.full(len(theta), _action_code(self.action)))
-
-
-@dataclass
-class MyopicModel:
-    space: StateSpace
-    table: PolicyTable
-    gain: float
+    def decide_array(self, actions, lanes, t=0, u=None):
+        return _lane_actions(actions, np.full(len(lanes.theta), _action_code(self.action)))
 
 
 def myopic_system(spec: SystemSpec) -> SystemSpec:
@@ -282,7 +272,7 @@ def myopic_system(spec: SystemSpec) -> SystemSpec:
     )
 
 
-def build_myopic_policy(spec: SystemSpec) -> MyopicModel:
+def build_myopic_policy(spec: SystemSpec) -> MyopicPolicy:
     """Solve the single-age generate-at-will model on (aori, theta) only.
 
     A successful delivery is assumed to reset the monitor age to one, i.e.
@@ -294,20 +284,21 @@ def build_myopic_policy(spec: SystemSpec) -> MyopicModel:
     that model mismatch.
     """
     space, _, vt, pt = solve_optimal_policy(myopic_system(spec))
-    return MyopicModel(space, pt, vt.gain)
+    return MyopicPolicy(space, pt, vt.gain)
 
 
 class MyopicPolicy(TablePolicy):
     """The myopic table on its own space, read at buffer age 0 in every lane;
-    that space has no arrival memory either."""
+    that space has no arrival memory either. gain is the myopic model's
+    optimal average cost."""
 
-    def __init__(self, model: MyopicModel):
-        super().__init__("myopic", model.space, model.table)
-        self.model = model
+    def __init__(self, space: StateSpace, table: PolicyTable, gain: float):
+        super().__init__("myopic", space, table)
+        self.gain = gain
 
-    def decide_array(self, actions, theta, aoli, aori, arrival, t=0, u=None):
-        fresh = [np.zeros_like(a) for a in aoli]
-        return super().decide_array(actions, theta, fresh, aori, arrival, t, u)
+    def decide_array(self, actions, lanes, t=0, u=None):
+        fresh = lanes._replace(aoli=np.zeros_like(lanes.aoli))
+        return super().decide_array(actions, fresh, t, u)
 
 
 def policy_to_table(policy: Policy, space: StateSpace, actions: ActionSet) -> PolicyTable:
@@ -317,8 +308,7 @@ def policy_to_table(policy: Policy, space: StateSpace, actions: ActionSet) -> Po
     (not round robin, which reads the slot count, not randomized):
     decide_array at every state of space.
     """
-    theta, aoli, aori, arrival = space._coordinate_arrays()
-    return PolicyTable(policy.decide_array(actions, theta, aoli, aori, arrival), actions)
+    return PolicyTable(policy.decide_array(actions, space.lanes()), actions)
 
 
 def round_robin_chain(

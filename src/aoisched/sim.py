@@ -129,7 +129,7 @@ def run_episode(
     total = 0.0
     for t in range(1, horizon + 1):
         u = pol_rng.random((policy.uniforms, 1))
-        idx = policy.decide_array(actions, *lane_state(state, 1), t - 1, u)
+        idx = policy.decide_array(actions, lane_state(state, 1), t - 1, u)
         action = actions.actions[idx[0]]
         state, cost, draws = step_system_traced(state, action, spec, env_rng)
         if t > warmup:
@@ -159,7 +159,7 @@ def _trajectory_rows(t0: int, block, penalty_cells) -> str:
     block[s] holds slot t0 + s's theta, aoli, aori, scheduled, arrived and
     delivered, one int per sensor each; penalty_cells[i][aori] is sensor
     i's penalty cell. Cells are joined by commas and each row is ended by
-    "\r\n", the bytes csv.writer writes for cells that need no quoting.
+    "\r\n", as cli._Writer writes the header.
     """
     lines = []
     for t, (theta, *cols) in enumerate(block, t0):
@@ -226,7 +226,7 @@ def monte_carlo(plan: ExperimentPlan, sinks: Optional[Sequence] = None) -> Exper
             t = start + s
             for policy, lane, u_policy in zip(policies, lanes, draws):
                 idx[lane] = policy.decide_array(
-                    actions, *(a[..., lane] for a in state), t, u_policy[s]
+                    actions, state._make(a[..., lane] for a in state), t, u_policy[s]
                 )
             scheduled = schedules[:, idx]
             state, penalties, delivered = step_lanes(state, scheduled, u, tables)

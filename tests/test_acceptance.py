@@ -86,7 +86,7 @@ def _scheduling_upward_closed(table, space, actions):
     act_matrix = np.array(actions.actions)
     scheduled = act_matrix[table.action_index]  # (n_states, N)
     for i in range(space.n_sensors):
-        mask = space.aori_array(i) < space.r_sizes[i]
+        mask = space.lanes().aori[i] < space.r_sizes[i]
         src = np.nonzero(mask)[0]
         dst = src + space.aori_stride(i)
         violations += int(np.sum(scheduled[src, i] & ~scheduled[dst, i].astype(bool)))
@@ -188,7 +188,7 @@ def test_criterion_07_dual_vs_myopic(va_penalty, va_hetero, va_hetero_sisp):
     def simulate(system, sb):
         space = mdp.StateSpace(system)
         sisp_policy = pol.TablePolicy("sisp", space, sb.pruned_table)
-        myopic_policy = pol.MyopicPolicy(pol.build_myopic_policy(system))
+        myopic_policy = pol.build_myopic_policy(system)
         plan = sim.ExperimentPlan(
             system, [sisp_policy, myopic_policy], 1000, 500, base_seed=77
         )
@@ -298,7 +298,7 @@ def _lane_counts(spec, space, state, action, samples, rng):
     scheduled = np.repeat(np.array(action, dtype=bool)[:, None], samples, axis=1)
     lanes = dynamics.lane_state(state, samples)
     nxt, _, _ = dynamics.step_lanes(lanes, scheduled, u, dynamics.lane_tables(spec))
-    keys = space.encode_array(nxt.theta, nxt.aoli, nxt.aori, nxt.arrival)
+    keys = space.encode_array(nxt)
     return dict(zip(*(a.tolist() for a in np.unique(keys, return_counts=True))))
 
 

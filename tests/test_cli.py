@@ -1,3 +1,5 @@
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from aoisched import cli
+from aoisched.policies import POLICY_NAMES
 
 
 TWO_SENSOR_YAML = textwrap.dedent(
@@ -341,6 +344,29 @@ def test_simulate_caps_validation(tmp_path, capsys):
     assert "--caps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (["--trace"], "--trace"),
+        (["--policies", "maf,bogus"], "--policies"),
+        (["--policies", "maf", "--trace"], "--policies"),
+    ],
+)
+def test_simulate_caps_refuses_comparison_flags(tmp_path, capsys, flags, name):
+    cfg, out = write_config(tmp_path, TWO_SENSOR_YAML)
+    assert cli.main(["simulate", "--config", str(cfg), "--caps", "3,4", *flags]) == 2
+    assert f"config error: {name}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, name", [("simulate", "results"), ("compare", "compare")])
+def test_default_policies(tmp_path, command, name):
+    cfg, out = write_config(tmp_path, ONE_SENSOR_YAML)
+    assert cli.main([command, "--config", str(cfg), "--horizon", "20"]) == 0
+    rows = read_lines(out / f"{name}.csv")[2:]
+    assert [row.split(",")[0] for row in rows] == cli.DEFAULT_POLICIES.split(",")
+
+
 def test_unknown_policy_name(tmp_path, capsys):
     cfg, _ = write_config(tmp_path, ONE_SENSOR_YAML)
     assert cli.main(["simulate", "--config", str(cfg), "--policies", "sisp,bogus"]) == 2
@@ -432,15 +458,16 @@ def test_sisp_refuses_p_r_over_budget(tmp_path, capsys, command):
     assert not out.exists()
 
 
-def run_python(code):
-    """Run code in a fresh interpreter on this source tree; its stdout.
+def run_python(*args):
+    """Run python with args in a fresh interpreter on this source tree; its
+    stdout.
 
     pytest imports scipy.sparse itself (the SparseEfficiencyWarning filter),
     so what a command imports shows only in another process."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=True
     )
     return done.stdout
 
@@ -458,7 +485,7 @@ def test_cli_start_loads_no_stationary_solver_modules():
         print([m for m in {modules!r} if m in sys.modules])
         """
     )
-    assert run_python(code).strip() == "[]"
+    assert run_python("-c", code).strip() == "[]"
 
 
 def test_only_joint_kernels_load_scipy_sparse(tmp_path):
@@ -487,7 +514,7 @@ def test_only_joint_kernels_load_scipy_sparse(tmp_path):
         print(loaded)
         """
     )
-    last = run_python(code).splitlines()[-1]
+    last = run_python("-c", code).splitlines()[-1]
     assert last == str([False] * 5 + [True])
 
 
@@ -540,3 +567,40 @@ def test_stability_refuses_ignored_flags(tmp_path, capsys, flags, name):
     assert cli.main(args) == 2
     assert f"config error: {name}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_every_csv_needs_no_quoting(tmp_path):
+    """Every CSV row the CLI writes is its cells joined by commas and ended
+    by "\r\n", the bytes csv.writer writes for those cells (so csv.reader
+    reads each line back as line.split(",")), and every row of a file has
+    the header's length."""
+    cfg, out = write_config(tmp_path, TWO_SENSOR_YAML)
+    short = ["--horizon", "30", "--replications", "2"]
+    runs = [
+        ["solve", "--config", str(cfg), "--policy", "optimal"],
+        ["solve", "--config", str(cfg), "--policy", "sisp"],
+        ["solve", "--config", str(cfg), "--policy", "myopic"],
+        ["thresholds", "--config", str(cfg)],
+        ["stability", "--config", str(cfg)],
+        ["stability", "--config", str(cfg), *REGION_FLAGS, "--resolution", "11"],
+        ["simulate", "--config", str(cfg), "--caps", "3,4", *short],
+        ["simulate", "--config", str(cfg), "--policies", ",".join(POLICY_NAMES),
+         "--trace", *short],
+        ["compare", "--config", str(cfg), "--policies", ",".join(POLICY_NAMES), *short],
+    ]
+    for args in runs:
+        assert cli.main(args) == 0, args
+    paths = sorted(out.glob("*.csv"))
+    assert len(paths) == 20
+    for path in paths:
+        with path.open(newline="") as fh:
+            comment, body = fh.read().split("\n", 1)
+        assert comment.startswith("# config_sha256="), path.name
+        *lines, last = body.split("\r\n")
+        assert last == "" and len(lines) > 1, path.name
+        cells = [line.split(",") for line in lines]
+        quoted = io.StringIO(newline="")
+        csv.writer(quoted).writerows(cells)
+        assert quoted.getvalue() == body, path.name
+        # a comma inside a cell would show as a longer row
+        assert {len(row) for row in cells} == {len(cells[0])}, path.name

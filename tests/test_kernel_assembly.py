@@ -276,8 +276,7 @@ def test_myopic_reduction_matches_recorded_model(spec, n_states, gain, table):
 
 def test_myopic_decide_reads_monitor_ages_and_channel():
     spec = markov3_system(1)
-    model = pol.build_myopic_policy(spec)
-    policy = pol.MyopicPolicy(model)
+    policy = pol.build_myopic_policy(spec)
     full = mdp.StateSpace(spec)
     table = pol.policy_to_table(policy, full, mdp.ActionSet(spec.n_sensors, spec.m_budget))
     for idx in range(full.n_states):
@@ -287,7 +286,7 @@ def test_myopic_decide_reads_monitor_ages_and_channel():
             js.theta,
             (True,) * spec.n_sensors,
         )
-        assert table.action_of(idx) == model.table.action_of(model.space.encode(reduced))
+        assert table.action_of(idx) == policy.table.action_of(policy.space.encode(reduced))
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,24 @@ def test_state_space_roundtrip_with_markov_arrivals(va_penalty):
         assert space.encode(space.decode(idx)) == idx
 
 
+def test_lanes_are_the_decoded_states(va_penalty):
+    """Column i of lanes() is lane_state(decode(i), 1), and encode_array
+    maps the lanes back to their indices; a Bernoulli sensor's arrival bit
+    is aoli == 0."""
+    markov = a.SensorSpec(a.MarkovArrival(0.6, 0.7), va_penalty, 0.3, 0.9, 2, 3)
+    bern = a.SensorSpec(a.BernoulliArrival(0.4), va_penalty, 0.5, 1.0, 1, 2)
+    spec = a.SystemSpec((bern, markov, bern), a.ChannelSpec(0.5, 0.8), 2)
+    space = mdp.StateSpace(spec)
+    lanes = space.lanes()
+    assert lanes is space.lanes()
+    for idx in range(space.n_states):
+        expected = dynamics.lane_state(space.decode(idx), 1)
+        for field, column, want in zip(lanes._fields, lanes, expected):
+            got = column[..., idx : idx + 1]
+            assert got.dtype == want.dtype and np.array_equal(got, want), (idx, field)
+    np.testing.assert_array_equal(space.encode_array(lanes), np.arange(space.n_states))
+
+
 def test_state_count_is_exact_beyond_int64(va_penalty):
     # three sensors at cap 1500: 2 * (1501 * 1500)^3 is about 2.3e19 > 2^63
     sensor = a.SensorSpec(a.BernoulliArrival(0.5), va_penalty, 0.4, 0.9, 1500, 1500)

@@ -64,7 +64,7 @@ def test_round_robin_visits_evenly():
     lane = dynamics.lane_state(_state([(0, 1)] * 3), 1)
     counts = np.zeros(3, dtype=int)
     for t in range(3 * 10):  # ten full cycles
-        idx = policy.decide_array(actions, *lane, t)
+        idx = policy.decide_array(actions, lane, t)
         counts += actions.actions[idx[0]]
     assert np.all(counts == 20)
 
@@ -126,9 +126,9 @@ def test_randomized_lanes_follow_the_exact_weights():
     p, m, lanes = (0.9, 0.6, 0.5), 2, 200_000
     actions = mdp.ActionSet(3, m)
     policy = pol.RandomizedSchedule(p, m)
-    ages = [np.ones(lanes, dtype=np.int64)] * 3
+    state = dynamics.lane_state(_state([(1, 1)] * 3), lanes)
     u = np.random.default_rng(11).random((policy.uniforms, lanes))
-    idx = policy.decide_array(actions, np.zeros(lanes, dtype=np.int64), ages, ages, ages, 0, u)
+    idx = policy.decide_array(actions, state, 0, u)
     freq = np.bincount(idx, minlength=len(actions)) / lanes
     weights = pol.randomized_action_weights(p, m, actions)
     np.testing.assert_allclose(freq, weights, rtol=0, atol=0.01)
@@ -147,7 +147,7 @@ def test_myopic_optimal_when_arrivals_certain(va_penalty):
     kernels = mdp.build_kernels(spec, bundle_space, actions)
     cost = mdp.cost_vector(bundle_space, spec)
     start = bundle_space.reference_index()
-    myopic = pol.MyopicPolicy(pol.build_myopic_policy(spec))
+    myopic = pol.build_myopic_policy(spec)
     table = pol.policy_to_table(myopic, bundle_space, actions)
     myopic_cost = mdp.policy_average_cost(table, kernels, cost, start)
     assert myopic_cost == pytest.approx(vt.gain, abs=1e-7)
@@ -156,13 +156,12 @@ def test_myopic_optimal_when_arrivals_certain(va_penalty):
 def test_every_policy_returns_feasible_actions(va_hetero, va_hetero_sisp):
     space = mdp.StateSpace(va_hetero)
     actions = mdp.ActionSet(2, 1)
-    theta, aoli, aori, arrival = space._coordinate_arrays()
     rng = np.random.default_rng(0)
     candidates = [
         pol.TablePolicy("sisp", space, va_hetero_sisp.pruned_table),
         pol.MafPolicy(1),
         pol.MefPolicy(va_hetero),
-        pol.MyopicPolicy(pol.build_myopic_policy(va_hetero)),
+        pol.build_myopic_policy(va_hetero),
         pol.IdlePolicy(2),
         pol.RandomizedSchedule((0.6, 0.3), 1),
         pol.RoundRobinPolicy(2, 1),
@@ -170,7 +169,7 @@ def test_every_policy_returns_feasible_actions(va_hetero, va_hetero_sisp):
     for policy in candidates:
         for t in range(3):
             u = rng.random((policy.uniforms, space.n_states))
-            idx = policy.decide_array(actions, theta, aoli, aori, arrival, t, u)
+            idx = policy.decide_array(actions, space.lanes(), t, u)
             assert len(idx) == space.n_states
             assert all(actions.is_feasible(actions.actions[k]) for k in idx)
 
@@ -247,15 +246,13 @@ def _reference_rule(name, policy, spec):
         # min keeps the first of equal scores: the lowest action index
         return lambda state: min(actions.actions, key=lambda action: score(state, action))
     if name == "myopic":
-        model = policy.model
-
         def myopic(state):
             reduced = dynamics.JointState(
                 tuple(dynamics.SensorState(0, st.aori) for st in state.sensors),
                 state.theta,
                 (True,) * spec.n_sensors,
             )
-            return model.table.action_of(model.space.encode(reduced))
+            return policy.table.action_of(policy.space.encode(reduced))
 
         return myopic
     if name == "maf":
@@ -292,12 +289,12 @@ def test_time_and_stream_rules_match_references(case, tmp_path):
     n, m = spec.n_sensors, spec.m_budget
     space = mdp.StateSpace(spec)
     actions = mdp.ActionSet(n, m)
-    theta, aoli, aori, arrival = space._coordinate_arrays()
+    lanes = space.lanes()
     rr = cli._build_policy("rr", cfg, {})
     cursor = 0
     for t in range(2 * n + 1):
         action, cursor = pol.round_robin_decide(cursor, n, m)
-        idx = rr.decide_array(actions, theta, aoli, aori, arrival, t)
+        idx = rr.decide_array(actions, lanes, t)
         assert np.all(idx == actions.index(action)), t
 
     # the second policy fires every sensor often, so thinning decides too
@@ -306,6 +303,6 @@ def test_time_and_stream_rules_match_references(case, tmp_path):
         assert rand.uniforms == 2 * n
         for t in range(3):
             u = rng.random((rand.uniforms, space.n_states))
-            idx = rand.decide_array(actions, theta, aoli, aori, arrival, t, u)
+            idx = rand.decide_array(actions, lanes, t, u)
             expected = [actions.index(pol.randomized_decide(rand.p, m, col)) for col in u.T]
             np.testing.assert_array_equal(idx, expected, err_msg=f"{rand.p} at t={t}")

@@ -142,12 +142,22 @@ def birth_death(n, up):
     return sparse.csr_matrix(p)
 
 
-def test_slowly_mixing_chain_falls_back_to_lu(lu_calls):
+def test_slowly_mixing_chain_falls_back_to_lu(monkeypatch, lu_calls):
     # restarted GMRES stalls far above the bound on this chain (L1 residual
     # about 1e-2); the LU solve must take over and meet detailed balance,
-    # xi_{i+1} = 1.5 xi_i
+    # xi_{i+1} = 1.5 xi_i. The stalled pass uses up its cycles, so no second
+    # GMRES pass runs: each GMRES call records the LU solves before it.
+    gmres_calls = []
+    real_gmres = splinalg.gmres
+
+    def logged(*args, **kwargs):
+        gmres_calls.append(len(lu_calls))
+        return real_gmres(*args, **kwargs)
+
+    monkeypatch.setattr(splinalg, "gmres", logged)
     p = birth_death(50, 0.6)
     xi = mdp.stationary_distribution(p, 0)
+    assert gmres_calls == [0]
     assert lu_calls == [49]
     exact = 1.5 ** np.arange(50)
     np.testing.assert_allclose(xi, exact / exact.sum(), rtol=0, atol=1e-15)

@@ -2,7 +2,7 @@
 
 The oracle decodes every index with StateSpace.decode and writes each row
 through cli._Writer: a state-by-state reference for the tables that
-mdp.table_rows builds from the coordinate arrays. Each table is compared
+mdp.table_rows builds from StateSpace.lanes(). Each table is compared
 byte for byte.
 """
 

@@ -1,15 +1,26 @@
-"""Every function the benchmark's tracer wraps still exists in aoisched.
+"""Every function the benchmark's tracer wraps still exists in aoisched,
+and a traced run still derives its counts.
 
 perfbench/tracer.py wraps, by name, the functions listed in its TARGETS
 dictionary, so deleting or renaming one of them breaks every traced
-benchmark run. The tracer file is read here, not edited.
+benchmark run. Its hooks also bind arguments by name (space, cost, p) and
+read return values (RVI's iterations, the pruning count, the kernels' nnz
+and data), which only a traced run exercises. The tracer file is read and
+run here, not edited.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+import pytest
+
+from test_cli import run_python
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+TWO_SENSOR = ROOT / "configs" / "twosensor.yaml"
 
 
 def load_targets():
@@ -26,3 +37,24 @@ def test_every_tracer_target_resolves():
         module = importlib.import_module(f"aoisched.{module_name}")
         missing = [name for name in names if not callable(getattr(module, name, None))]
         assert not missing, f"aoisched.{module_name} lacks {missing}"
+
+
+@pytest.mark.parametrize(
+    "args, counts",
+    [
+        (
+            ["compare", "--policies", "optimal,sisp,maf,mef,rr,rand,myopic,idle",
+             "--horizon", "50", "--replications", "2"],
+            ("n_states", "kernel_nnz", "rvi_iterations", "stationary_states"),
+        ),
+        (["solve", "--policy", "sisp"], ("rvi_iterations", "pruned_states")),
+    ],
+    ids=["compare", "solve_sisp"],
+)
+def test_traced_run_derives_counts(tmp_path, args, counts):
+    spans = tmp_path / "spans.json"
+    command = [args[0], "--config", str(TWO_SENSOR), *args[1:], "--out", str(tmp_path / "out")]
+    run_python(str(TRACER), str(spans), *command)  # raises unless it exits 0
+    report = json.loads(spans.read_text())
+    missing = [key for key in counts if not report["counts"].get(key)]
+    assert not missing, f"no {missing} in {report['counts']}"
