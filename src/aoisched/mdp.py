@@ -21,10 +21,13 @@ with no COO step or duplicate summing; the assembled kernels are
 byte-identical to a state-by-state assembly from transition_distribution
 (kernel_rows says why that matters). build_kernels makes them the scipy CSR
 matrices of Kernels, where rows[a][row_of] is the assembled kernel K_a.
-RVI backs up the distinct rows and spreads them by row_of; the chain
-builders gather from them. scipy.sparse is imported only where a sparse
-matrix is made or combined, so the per-sensor SISP solves, which densify
-kernel_rows with numpy, never load it.
+build_padded_kernels makes them PaddedRows instead, a numpy operator whose
+product adds in scipy's order and so gives the same bits; the myopic
+baseline is solved on it. RVI backs up the distinct rows, takes the minimum
+over actions there and spreads it by row_of; the chain builders gather from
+them. scipy.sparse is imported only where a sparse matrix is made or
+combined, so the per-sensor SISP solves, which densify kernel_rows with
+numpy, and the myopic solve never load it.
 table_rows turns the rows of every solve table into strings a column at a
 time.
 """
@@ -56,6 +59,8 @@ __all__ = [
     "Kernels",
     "kernel_rows",
     "build_kernels",
+    "PaddedRows",
+    "build_padded_kernels",
     "relative_value_iteration",
     "solve_optimal_policy",
     "check_value_monotonicity",
@@ -382,10 +387,11 @@ def _successor_table(space: StateSpace, i: int, sensor: SensorSpec, scheduled: b
 class Kernels:
     """Every action's transition kernel, stored as its distinct rows.
 
-    rows[a] is a matrix of shape (n_rows, n_states), CSR from build_kernels,
-    and row_of maps each state to its distinct row, one map shared by every
-    action, so the assembled kernel K_a is rows[a][row_of]. Iterating yields
-    rows[a] in action order.
+    rows[a] is a matrix of shape (n_rows, n_states), CSR from build_kernels
+    or PaddedRows from build_padded_kernels, and row_of maps each state to
+    its distinct row, one map shared by every action, so the assembled
+    kernel K_a is rows[a][row_of] (assembled needs the CSR rows). Iterating
+    yields rows[a] in action order.
     """
 
     rows: tuple
@@ -539,6 +545,48 @@ def build_kernels(spec: SystemSpec, space: StateSpace, actions: ActionSet) -> Ke
     return Kernels(tuple(sparse.csr_matrix(part, shape=shape) for part in parts), row_of)
 
 
+class PaddedRows:
+    """One action's CSR rows padded to (slots, n_rows) arrays of values and
+    columns: slot k of a row is its k-th entry, and the rows shorter than
+    the longest end in zero values at column 0. Only `@ q` and `.shape`
+    are offered, the parts of a scipy matrix that RVI reads."""
+
+    def __init__(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple):
+        counts = np.diff(indptr)
+        rows = np.repeat(np.arange(shape[0]), counts)
+        slot = np.arange(len(data)) - np.repeat(indptr[:-1], counts)
+        width = (int(counts.max()), shape[0])
+        self.values = np.zeros(width)
+        self.columns = np.zeros(width, dtype=indices.dtype)
+        self.values[slot, rows] = data
+        self.columns[slot, rows] = indices
+        self.shape = shape
+
+    def __matmul__(self, q: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.shape[0])
+        for values, columns in zip(self.values, self.columns):
+            out += values * q[columns]
+        return out
+
+
+def build_padded_kernels(spec: SystemSpec, space: StateSpace, actions: ActionSet) -> Kernels:
+    """kernel_rows as Kernels of PaddedRows, with no scipy.sparse.
+
+    `rows[a] @ q` equals the scipy CSR product bit for bit when q is
+    finite. scipy's csr_matvec sums each row from 0.0, left to right, with
+    one rounded multiply and one rounded add per entry, and so does
+    PaddedRows: every row starts at np.zeros, slot k adds entry k, and
+    numpy rounds the product before the add (no fused multiply-add). The
+    padding comes after a row's last entry and adds 0.0 * q[0], a zero,
+    which leaves any sum unchanged (a sum that starts at +0.0 never becomes
+    -0.0). A Python loop over the slots costs about 3x the scipy product on
+    the joint kernels, so this is for small models: the myopic baseline.
+    """
+    row_of, n_rows, parts = kernel_rows(spec, space, actions)
+    shape = (n_rows, space.n_states)
+    return Kernels(tuple(PaddedRows(*part, shape) for part in parts), row_of)
+
+
 def relative_value_iteration(
     kernels: Kernels,
     cost: np.ndarray,
@@ -556,29 +604,39 @@ def relative_value_iteration(
 
     K_a Q is the backup of the distinct rows spread by row_of. Identical
     rows give identical sums, so this is the assembled kernel's backup bit
-    for bit. Each action's backup is written into its row of a preallocated
-    stack, and the iterates swap two buffers, so an iteration allocates
-    only the matrix-vector products.
+    for bit. The minimum over actions is taken on the distinct rows, before
+    one spread by row_of and one add of the cost: the cost does not depend
+    on the action and rounding is monotone, so min_a fl(c + x_a) equals
+    fl(c + min_a x_a) exactly. The argmin at termination still reads each
+    state's own sums c + x_a, because rounding can tie fl(c + x_a) where
+    the x_a differ, and ties go to the lowest index. The backups are
+    written into a preallocated (actions, n_rows) stack, and the iterates
+    swap two buffers, so an iteration allocates only the matrix-vector
+    products.
     """
     n = len(cost)
     q = np.zeros(n)
     q_next = np.empty(n)
     diff = np.empty(n)
-    theta_stack = np.empty((len(kernels), n))
+    backups = np.empty((len(kernels), kernels.n_rows))
+    best = np.empty(kernels.n_rows)
     sup_diff = np.inf
     for it in range(max_iter):
         for a, rows in enumerate(kernels):
-            # mode="clip" is never clipping (row_of is in range) but, unlike
-            # the default, writes into out without a buffer
-            np.take(rows @ q, kernels.row_of, out=theta_stack[a], mode="clip")
-            np.add(cost, theta_stack[a], out=theta_stack[a])
-        np.min(theta_stack, axis=0, out=q_next)
+            backups[a] = rows @ q
+        np.min(backups, axis=0, out=best)
+        # mode="clip" is never clipping (row_of is in range) but, unlike
+        # the default, writes into out without a buffer
+        np.take(best, kernels.row_of, out=q_next, mode="clip")
+        np.add(cost, q_next, out=q_next)
         gain = q_next[ref_index]
         q_next -= gain
         np.subtract(q_next, q, out=diff)
         sup_diff = np.abs(diff, out=diff).max()
         q, q_next = q_next, q
         if sup_diff <= epsilon:
+            theta_stack = backups[:, kernels.row_of]
+            theta_stack += cost
             policy = theta_stack.argmin(axis=0)
             return ValueTable(q, float(gain), it + 1), PolicyTable(policy, action_set)
     raise ConvergenceError(

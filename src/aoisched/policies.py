@@ -22,7 +22,15 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import JointState, LaneState
-from .mdp import ActionSet, Kernels, PolicyTable, StateSpace, solve_optimal_policy
+from .mdp import (
+    ActionSet,
+    Kernels,
+    PolicyTable,
+    StateSpace,
+    build_padded_kernels,
+    cost_vector,
+    relative_value_iteration,
+)
 from .model import BernoulliArrival, SystemSpec, penalty_rows
 
 __all__ = [
@@ -282,8 +290,21 @@ def build_myopic_policy(spec: SystemSpec) -> MyopicPolicy:
     channel alone. The resulting table deliberately ignores buffer
     staleness; evaluating it under the true dual-age dynamics quantifies
     that model mismatch.
+
+    The model is solved by relative value iteration on
+    build_padded_kernels, whose numpy product gives scipy's bits, so the
+    table and gain are those of solve_optimal_policy(myopic_system(spec))
+    and no myopic run loads scipy.sparse.
     """
-    space, _, vt, pt = solve_optimal_policy(myopic_system(spec))
+    system = myopic_system(spec)
+    space = StateSpace(system)
+    actions = ActionSet(system.n_sensors, system.m_budget)
+    vt, pt = relative_value_iteration(
+        build_padded_kernels(system, space, actions),
+        cost_vector(space, system),
+        space.reference_index(),
+        action_set=actions,
+    )
     return MyopicPolicy(space, pt, vt.gain)
 
 

@@ -489,10 +489,11 @@ def test_cli_start_loads_no_stationary_solver_modules():
 
 
 def test_only_joint_kernels_load_scipy_sparse(tmp_path):
-    """SISP (its table, thresholds and the cap probe), the stability check
-    and the kernel-free baselines run without scipy.sparse; the myopic
-    policy's joint kernel build loads it. The commands run in order in one
-    process, so each False also clears the commands before it."""
+    """SISP (its table, thresholds and the cap probe), the stability check,
+    the kernel-free baselines and the myopic policy (solved on numpy
+    PaddedRows) run without scipy.sparse; the optimal solve's joint kernel
+    build loads it. The commands run in order in one process, so each False
+    also clears the commands before it."""
     cfg, _ = write_config(tmp_path, TWO_SENSOR_YAML)
     short = ["--horizon", "20", "--replications", "2"]
     runs = [
@@ -502,6 +503,8 @@ def test_only_joint_kernels_load_scipy_sparse(tmp_path):
         ["stability"],
         ["simulate", "--policies", "sisp,maf,mef,rr,rand,idle", *short],
         ["simulate", "--policies", "myopic", *short],
+        ["solve", "--policy", "myopic"],
+        ["solve", "--policy", "optimal"],
     ]
     code = textwrap.dedent(
         f"""
@@ -515,7 +518,7 @@ def test_only_joint_kernels_load_scipy_sparse(tmp_path):
         """
     )
     last = run_python("-c", code).splitlines()[-1]
-    assert last == str([False] * 5 + [True])
+    assert last == str([False] * 7 + [True])
 
 
 def test_randomized_schedule_thins_p_r_over_budget(tmp_path):

@@ -259,6 +259,66 @@ def test_rvi_on_distinct_rows_matches_assembled_kernels(spec):
     assert np.array_equal(pt.action_index, policy)
 
 
+def test_rvi_argmin_reads_the_rounded_sums_with_cost():
+    """State 1 costs 1e16, whose ulp is 2, and its actions back up 0.5
+    (action 0, through state 2) and 0 (action 1, to the reference state).
+    The sums with cost tie at 1e16, so the argmin takes action 0, although
+    the backups alone differ and would pick action 1."""
+    to_ref = [1.0, 0.0, 0.0]
+    kernels = mdp.Kernels(
+        (
+            np.array([to_ref, [0.0, 0.0, 1.0], to_ref]),
+            np.array([to_ref, to_ref, to_ref]),
+        ),
+        np.arange(3),
+    )
+    cost = np.array([0.0, 1e16, 0.5])
+    want = oracle_rvi(list(kernels), cost, 0, 1e-9, RVI_MAX_ITER)
+    vt, pt = mdp.relative_value_iteration(kernels, cost, 0)
+    assert vt.values.tolist() == want[0].tolist() == [0.0, 1e16, 0.5]
+    assert pt.action_index.tolist() == want[3].tolist() == [0, 0, 0]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(small_systems(), st.integers(0, 2**32 - 1))
+def test_padded_product_is_scipy_product_bit_for_bit(spec, seed):
+    """PaddedRows adds in csr_matvec's order, so every backup, with negative
+    entries and exact zeros in q, has scipy's bits."""
+    space = mdp.StateSpace(spec)
+    assume(space.n_states <= 3000)
+    actions = mdp.ActionSet(spec.n_sensors, spec.m_budget)
+    csr = mdp.build_kernels(spec, space, actions)
+    padded = mdp.build_padded_kernels(spec, space, actions)
+    assert np.array_equal(padded.row_of, csr.row_of)
+    rng = np.random.default_rng(seed)
+    q = rng.normal(scale=10.0, size=space.n_states)
+    q[rng.random(space.n_states) < 0.2] = 0.0
+    for a_idx in range(len(actions)):
+        assert padded.rows[a_idx].shape == csr.rows[a_idx].shape
+        want = csr.rows[a_idx] @ q
+        got = padded.rows[a_idx] @ q
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("config", ["twosensor", "threesensor"])
+def test_myopic_solve_is_the_scipy_solve_bit_for_bit(config):
+    """The myopic model on PaddedRows gives solve_optimal_policy's values,
+    gain, iteration count and table on the shipped configs."""
+    system = cli.load_config(str(CONFIGS / f"{config}.yaml")).system
+    reduced = pol.myopic_system(system)
+    space, actions, vt, pt = mdp.solve_optimal_policy(reduced)
+    kernels = mdp.build_padded_kernels(reduced, space, actions)
+    got, _ = mdp.relative_value_iteration(
+        kernels, mdp.cost_vector(space, reduced), space.reference_index()
+    )
+    assert got.values.tobytes() == vt.values.tobytes()
+    assert got.iterations == vt.iterations
+    policy = pol.build_myopic_policy(system)
+    assert policy.gain == vt.gain
+    assert policy.space.n_states == space.n_states
+    assert np.array_equal(policy.table.action_index, pt.action_index)
+
+
 @pytest.mark.parametrize(
     "spec, n_states, gain, table",
     [
