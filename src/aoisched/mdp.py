@@ -30,12 +30,26 @@ combined, so the per-sensor SISP solves, which densify kernel_rows with
 numpy, and the myopic solve never load it.
 table_rows turns the rows of every solve table into strings a column at a
 time.
+
+A model of more than TABLE_CHUNK distinct rows (the joint threesensor MDP)
+is built and solved on one thread per CPU in the process's affinity mask,
+with no setting for the count: kernel_rows builds the actions in a thread
+pool, build_kernels cuts the rows into blocks of about equal nonzeros, and
+RVI backs up each block in its own thread. scipy's csr_matvec and numpy's
+elementwise kernels release the GIL, so the threads overlap. Every entry
+and every row sum is computed by the same code over the same operands in
+the same order as on one thread, so kernels, values, gains, iteration
+counts and tables are the same bits for any number of CPUs. Smaller
+models, and every model on one CPU, run on the calling thread and import
+no pool.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -74,7 +88,9 @@ __all__ = [
 ]
 
 # Column groups of a full state table; the rows table_rows formats at once,
-# which is also about the rows build_kernels fills at once
+# which is also about the rows build_kernels fills at once and the states
+# RVI's final argmin reads at once. A model of more rows than one chunk is
+# built and solved on every CPU (_threads)
 TABLE_COLUMNS = ("state_index", "aoli", "aori", "arrmem", "theta", "value", "action_bits")
 TABLE_CHUNK = 1 << 14
 # Floats in CSV cells and in printed results: 12 significant digits
@@ -392,10 +408,18 @@ class Kernels:
     its distinct row, one map shared by every action, so the assembled
     kernel K_a is rows[a][row_of] (assembled needs the CSR rows). Iterating
     yields rows[a] in action order.
+
+    blocks cuts the distinct rows for RVI's threads: one (lo, hi, views)
+    per CPU, where views[a] is rows[a][lo:hi] as a CSR view of the same
+    entries, so views[a] @ q is the same bits as (rows[a] @ q)[lo:hi].
+    build_kernels fills it only for a model of more than TABLE_CHUNK
+    distinct rows on more than one CPU; otherwise it is empty and RVI backs
+    up rows on the calling thread.
     """
 
     rows: tuple
     row_of: np.ndarray
+    blocks: tuple = ()
 
     @property
     def n_rows(self) -> int:
@@ -410,6 +434,42 @@ class Kernels:
     def assembled(self, a: int) -> sparse.csr_matrix:
         """K_a with one row per state."""
         return self.rows[a][self.row_of]
+
+
+def _worker_count() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _threads(n_rows: int) -> int:
+    """Threads for a model of n_rows distinct rows: one per CPU when the
+    rows span more than one TABLE_CHUNK, else only the calling thread."""
+    return _worker_count() if n_rows > TABLE_CHUNK else 1
+
+
+@contextlib.contextmanager
+def _shares(n: int):
+    """Yields run(fn), which returns [fn(0), ..., fn(n - 1)]: fn(0) on the
+    calling thread, the others in a pool of n - 1 threads that the with
+    block joins on exit, also when it raises. One share runs inline and
+    imports no pool."""
+    if n == 1:
+        yield lambda fn: [fn(0)]
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(n - 1) as pool:
+
+        def run(fn):
+            futures = [pool.submit(fn, k) for k in range(1, n)]
+            first = fn(0)
+            return [first] + [future.result() for future in futures]
+
+        yield run
 
 
 def _row_classes(tables: Sequence) -> tuple:
@@ -472,6 +532,13 @@ def kernel_rows(spec: SystemSpec, space: StateSpace, actions: ActionSet) -> tupl
     to a state-by-state assembly from transition_distribution. This matters
     because the optimal policy has exactly tied actions, and a last-bit
     change in a kernel entry can flip which one the argmin picks.
+
+    When n_rows > TABLE_CHUNK (the model spans more than one chunk), the
+    actions are dealt out to one thread per CPU (at most one per action):
+    with k threads, thread j builds actions j, j + k, ..., and thread 0 is
+    the calling thread. Each action's arrays are computed by the same code
+    as on one thread, so their bytes do not depend on the number of CPUs;
+    a model of one chunk is built on the calling thread with no pool.
     """
     n = space.n_states
     n_sensors = space.n_sensors
@@ -502,8 +569,8 @@ def kernel_rows(spec: SystemSpec, space: StateSpace, actions: ActionSet) -> tupl
     all_next = on_axes(np.ones(2, dtype=bool), (ndim - 1,))
     lead_rows = n_rows // n_classes[0]
     step = max(1, TABLE_CHUNK // lead_rows)
-    parts = []
-    for action in actions.actions:
+
+    def action_rows(action):
         factors = [tables[i][action[i]] for i in range(n_sensors)]
         counts = 2
         for i, (_, _, valid) in enumerate(factors):
@@ -530,19 +597,58 @@ def kernel_rows(spec: SystemSpec, space: StateSpace, actions: ActionSet) -> tupl
             span = slice(indptr[lo * lead_rows], indptr[min(n_rows, (lo + step) * lead_rows)])
             data[span] = vals[mask]
             indices[span] = cols[mask]
-        parts.append((data, indices, indptr))
+        return data, indices, indptr
+
+    def share(k):
+        return [action_rows(action) for action in actions.actions[k::shares]]
+
+    shares = min(_threads(n_rows), len(actions))
+    parts = [None] * len(actions)
+    with _shares(shares) as run:
+        for k, built in enumerate(run(share)):
+            parts[k::shares] = built
     return row_of, n_rows, parts
 
 
 def build_kernels(spec: SystemSpec, space: StateSpace, actions: ActionSet) -> Kernels:
     """kernel_rows as Kernels of scipy CSR matrices: the one place a kernel
     becomes a sparse matrix, and the first import of scipy.sparse in the
-    commands that build a joint kernel."""
+    commands that build a joint kernel.
+
+    With more than one CPU and more than TABLE_CHUNK distinct rows, the rows
+    are also cut into Kernels.blocks for RVI, one per CPU: contiguous row
+    ranges whose nonzeros, summed over all actions, are about equal (a
+    search in the summed indptr). A block's matrices are views of the data
+    and indices with a rebased indptr, so they copy no entries, and
+    csr_matvec sums each of their rows over the same entries in the same
+    order as the whole matrix does. Otherwise there are no blocks and
+    nothing more is allocated.
+    """
     from scipy import sparse
 
     row_of, n_rows, parts = kernel_rows(spec, space, actions)
-    shape = (n_rows, space.n_states)
-    return Kernels(tuple(sparse.csr_matrix(part, shape=shape) for part in parts), row_of)
+    n = space.n_states
+    rows = tuple(sparse.csr_matrix(part, shape=(n_rows, n)) for part in parts)
+    workers = _threads(n_rows)
+    if workers == 1:
+        return Kernels(rows, row_of)
+
+    def view(lo, hi, data, indices, indptr):
+        span = slice(indptr[lo], indptr[hi])
+        return sparse.csr_matrix(
+            (data[span], indices[span], indptr[lo:hi + 1] - indptr[lo]), shape=(hi - lo, n)
+        )
+
+    # cut where the nonzeros of all actions, counted from row 0, pass each
+    # k / workers of their total
+    nnz = sum(indptr.astype(np.int64) for _, _, indptr in parts)
+    cuts = np.searchsorted(nnz, nnz[-1] * np.arange(1, workers) / workers).tolist()
+    bounds = [0, *cuts, n_rows]
+    blocks = tuple(
+        (lo, hi, tuple(view(lo, hi, *part) for part in parts))
+        for lo, hi in zip(bounds, bounds[1:])
+    )
+    return Kernels(rows, row_of, blocks)
 
 
 class PaddedRows:
@@ -609,40 +715,63 @@ def relative_value_iteration(
     on the action and rounding is monotone, so min_a fl(c + x_a) equals
     fl(c + min_a x_a) exactly. The argmin at termination still reads each
     state's own sums c + x_a, because rounding can tie fl(c + x_a) where
-    the x_a differ, and ties go to the lowest index. The backups are
+    the x_a differ, and ties go to the lowest index; it is taken
+    TABLE_CHUNK states at a time into a preallocated table. The backups are
     written into a preallocated (actions, n_rows) stack, and the iterates
-    swap two buffers, so an iteration allocates only the matrix-vector
-    products.
+    swap two buffers (the sup norm is taken in the one the next spread
+    overwrites), so an iteration allocates only the matrix-vector products.
+
+    With kernels.blocks, each block's backups and its columns' minimum are
+    computed in a thread of its own, the calling thread taking block 0,
+    and the spread, the normalization and the sup norm follow on the
+    calling thread. Each row is summed by the same csr_matvec over the same
+    entries in the same order, and the minimum is per column, so values,
+    gain, iteration count and table are the same bits for any number of
+    blocks, one included. The pool is opened in a with block, so it is
+    joined also when ConvergenceError is raised. Kernels without blocks are
+    backed up on the calling thread with no pool.
     """
     n = len(cost)
     q = np.zeros(n)
     q_next = np.empty(n)
-    diff = np.empty(n)
     backups = np.empty((len(kernels), kernels.n_rows))
     best = np.empty(kernels.n_rows)
+    blocks = kernels.blocks or ((0, kernels.n_rows, kernels.rows),)
+
+    def back_up(k):
+        lo, hi, views = blocks[k]
+        for a, view in enumerate(views):
+            backups[a, lo:hi] = view @ q
+        np.min(backups[:, lo:hi], axis=0, out=best[lo:hi])
+
     sup_diff = np.inf
-    for it in range(max_iter):
-        for a, rows in enumerate(kernels):
-            backups[a] = rows @ q
-        np.min(backups, axis=0, out=best)
-        # mode="clip" is never clipping (row_of is in range) but, unlike
-        # the default, writes into out without a buffer
-        np.take(best, kernels.row_of, out=q_next, mode="clip")
-        np.add(cost, q_next, out=q_next)
-        gain = q_next[ref_index]
-        q_next -= gain
-        np.subtract(q_next, q, out=diff)
-        sup_diff = np.abs(diff, out=diff).max()
-        q, q_next = q_next, q
-        if sup_diff <= epsilon:
-            theta_stack = backups[:, kernels.row_of]
-            theta_stack += cost
-            policy = theta_stack.argmin(axis=0)
-            return ValueTable(q, float(gain), it + 1), PolicyTable(policy, action_set)
-    raise ConvergenceError(
-        f"relative value iteration: sup-diff {sup_diff:.3e} > {epsilon:g} "
-        f"after {max_iter} iterations"
-    )
+    with _shares(len(blocks)) as run:
+        for it in range(max_iter):
+            run(back_up)
+            # mode="clip" is never clipping (row_of is in range) but, unlike
+            # the default, writes into out without a buffer
+            np.take(best, kernels.row_of, out=q_next, mode="clip")
+            np.add(cost, q_next, out=q_next)
+            gain = q_next[ref_index]
+            q_next -= gain
+            # the next take overwrites q, so the difference goes there
+            np.subtract(q_next, q, out=q)
+            sup_diff = np.abs(q, out=q).max()
+            q, q_next = q_next, q
+            if sup_diff <= epsilon:
+                break
+        else:
+            raise ConvergenceError(
+                f"relative value iteration: sup-diff {sup_diff:.3e} > {epsilon:g} "
+                f"after {max_iter} iterations"
+            )
+    policy = np.empty(n, dtype=np.intp)
+    for lo in range(0, n, TABLE_CHUNK):
+        hi = min(n, lo + TABLE_CHUNK)
+        theta = backups[:, kernels.row_of[lo:hi]]
+        theta += cost[lo:hi]
+        theta.argmin(axis=0, out=policy[lo:hi])
+    return ValueTable(q, float(gain), it + 1), PolicyTable(policy, action_set)
 
 
 def solve_optimal_policy(spec: SystemSpec) -> tuple:

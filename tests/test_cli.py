@@ -521,6 +521,32 @@ def test_only_joint_kernels_load_scipy_sparse(tmp_path):
     assert last == str([False] * 7 + [True])
 
 
+def test_one_chunk_models_start_no_threads(tmp_path):
+    """The per-sensor SISP models, the myopic model and the kernel-free
+    baselines have at most TABLE_CHUNK distinct rows, so they are built and
+    solved on the calling thread: no pool is imported and no thread is left.
+    (scipy.sparse itself imports concurrent.futures, so a joint solve cannot
+    be checked this way.)"""
+    cfg, _ = write_config(tmp_path, TWO_SENSOR_YAML)
+    short = ["--horizon", "20", "--replications", "2"]
+    runs = [
+        ["simulate", "--caps", "3,4", *short],
+        ["simulate", "--policies", "sisp,myopic,maf,mef,rr,rand,idle", *short],
+        ["solve", "--policy", "sisp"],
+        ["solve", "--policy", "myopic"],
+    ]
+    code = textwrap.dedent(
+        f"""
+        import sys, threading
+        from aoisched import cli
+        for args in {runs!r}:
+            assert cli.main([args[0], "--config", {str(cfg)!r}, *args[1:]]) == 0, args
+        print(["concurrent.futures" in sys.modules, threading.active_count()])
+        """
+    )
+    assert run_python("-c", code).splitlines()[-1] == "[False, 1]"
+
+
 def test_randomized_schedule_thins_p_r_over_budget(tmp_path):
     cfg, out = write_config(tmp_path, OVER_BUDGET_P_R)
     args = ["simulate", "--config", str(cfg), "--policies", "rand", "--replications", "2"]

@@ -7,11 +7,12 @@ tied actions, and a last-bit difference in a kernel entry can flip them.
 
 import io
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -277,6 +278,78 @@ def test_rvi_argmin_reads_the_rounded_sums_with_cost():
     vt, pt = mdp.relative_value_iteration(kernels, cost, 0)
     assert vt.values.tolist() == want[0].tolist() == [0.0, 1e16, 0.5]
     assert pt.action_index.tolist() == want[3].tolist() == [0, 0, 0]
+
+
+def split_solve(spec, workers, chunk):
+    """kernel_rows, build_kernels and RVI with `workers` CPUs and a
+    TABLE_CHUNK of `chunk` rows: (parts, kernels, (values, gain, iterations,
+    actions) or None if RVI_MAX_ITER runs out)."""
+    space = mdp.StateSpace(spec)
+    actions = mdp.ActionSet(spec.n_sensors, spec.m_budget)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mdp, "TABLE_CHUNK", chunk)
+        mp.setattr(mdp, "_worker_count", lambda: workers)
+        parts = mdp.kernel_rows(spec, space, actions)
+        kernels = mdp.build_kernels(spec, space, actions)
+        cost = mdp.cost_vector(space, spec)
+        try:
+            vt, pt = mdp.relative_value_iteration(
+                kernels, cost, space.reference_index(), 1e-9, RVI_MAX_ITER
+            )
+        except a.ConvergenceError:
+            return parts, kernels, None
+    return parts, kernels, (vt.values, vt.gain, vt.iterations, pt.action_index)
+
+
+# one sensor whose ages never leave (0, 1): two distinct rows, so three
+# workers cut them into three blocks and at least one is empty
+TWO_ROWS = a.SystemSpec(
+    (_sensor(a.BernoulliArrival(0.7), 0.4, 0.9, 0, 1),), a.ChannelSpec(0.5, 0.8), 1
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.booleans().flatmap(lambda split: small_systems(split=split)),
+       st.sampled_from([2, 3]), st.integers(1, 4))
+@example(TWO_ROWS, 3, 1)
+def test_split_work_is_the_one_worker_work_bit_for_bit(spec, workers, chunk):
+    """Actions built in a pool and RVI backed up by row blocks give the
+    one-worker run's kernel bytes, raw value bits, gain, iteration count and
+    table, also where a block is empty."""
+    assume(mdp.StateSpace(spec).n_states <= 3000)
+    (row_of, n_rows, parts), kernels, solved = split_solve(spec, workers, chunk)
+    (want_row_of, want_n_rows, want_parts), serial, want = split_solve(spec, 1, chunk)
+    assert serial.blocks == ()
+    assert len(kernels.blocks) == (workers if n_rows > chunk else 0)
+    if kernels.blocks:
+        assert kernels.blocks[-1][1] == n_rows
+    if spec is TWO_ROWS:
+        assert any(lo == hi for lo, hi, _ in kernels.blocks)
+    assert np.array_equal(row_of, want_row_of) and n_rows == want_n_rows
+    for got_part, want_part in zip(parts, want_parts, strict=True):
+        for got, arr in zip(got_part, want_part):
+            assert got.dtype == arr.dtype and got.tobytes() == arr.tobytes()
+    assert (solved is None) == (want is None)
+    if want is not None:
+        values, gain, iterations, policy = solved
+        assert np.array_equal(values.view(np.int64), want[0].view(np.int64))
+        assert (gain, iterations) == want[1:3]
+        assert np.array_equal(policy, want[3])
+
+
+def test_rvi_joins_its_threads_when_it_fails(monkeypatch):
+    monkeypatch.setattr(mdp, "TABLE_CHUNK", 4)
+    monkeypatch.setattr(mdp, "_worker_count", lambda: 3)
+    spec = markov3_system(1)
+    space = mdp.StateSpace(spec)
+    kernels = mdp.build_kernels(spec, space, mdp.ActionSet(3, 1))
+    assert len(kernels.blocks) == 3
+    before = threading.active_count()
+    with pytest.raises(a.ConvergenceError):
+        mdp.relative_value_iteration(
+            kernels, mdp.cost_vector(space, spec), space.reference_index(), max_iter=1
+        )
+    assert threading.active_count() == before
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
