@@ -68,9 +68,14 @@ class _Writer:
         self._fh.write(",".join(map(_fmt, row)) + "\r\n")
 
 
-def _write_table(fh, rows) -> None:
-    """mdp.table_rows, header and rows of ready strings, as _Writer writes rows."""
-    fh.writelines(",".join(row) + "\r\n" for row in rows)
+def _write_table(out_dir: Path, name: str, config_hash: str, blocks) -> None:
+    """A solve table: the provenance line of _open_output, then the byte
+    blocks of mdp.table_rows, written to the file's binary handle one block
+    at a time. They are the bytes _Writer would write for the same cells."""
+    fh, _ = _open_output(out_dir, name, config_hash)
+    with fh:
+        fh.flush()
+        fh.buffer.writelines(blocks)
 
 
 def _open_output(out_dir: Path, name: str, config_hash: str):
@@ -412,9 +417,7 @@ def cmd_solve(args) -> int:
         summary = {"gain": gain, "wall_time_s": None}
     wall = summary["wall_time_s"] = time.perf_counter() - t0
 
-    fh, _ = _open_output(out_dir, f"{args.policy}_table.csv", cfg.config_hash)
-    with fh:
-        _write_table(fh, rows)
+    _write_table(out_dir, f"{args.policy}_table.csv", cfg.config_hash, rows)
     fh, w = _open_output(out_dir, f"{args.policy}_summary.csv", cfg.config_hash)
     with fh:
         w.writerow(["policy", "states", *summary])

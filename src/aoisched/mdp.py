@@ -28,8 +28,10 @@ over actions there and spreads it by row_of; the chain builders gather from
 them. scipy.sparse is imported only where a sparse matrix is made or
 combined, so the per-sensor SISP solves, which densify kernel_rows with
 numpy, and the myopic solve never load it.
-table_rows turns the rows of every solve table into strings a column at a
-time.
+table_rows writes every solve table as byte blocks assembled in numpy,
+with no per-row object: a column's cells index a small table of its
+labels, the value column's labels being its distinct bit patterns, each
+formatted once.
 
 A model of more than TABLE_CHUNK distinct rows (the joint threesensor MDP)
 is built and solved on one thread per CPU in the process's affinity mask,
@@ -87,10 +89,10 @@ __all__ = [
     "table_rows",
 ]
 
-# Column groups of a full state table; the rows table_rows formats at once,
-# which is also about the rows build_kernels fills at once and the states
-# RVI's final argmin reads at once. A model of more rows than one chunk is
-# built and solved on every CPU (_threads)
+# Column groups of a full state table; the rows in one byte block of
+# table_rows, which is also about the rows build_kernels fills at once and
+# the states RVI's final argmin reads at once. A model of more rows than one
+# chunk is built and solved on every CPU (_threads)
 TABLE_COLUMNS = ("state_index", "aoli", "aori", "arrmem", "theta", "value", "action_bits")
 TABLE_CHUNK = 1 << 14
 # Floats in CSV cells and in printed results: 12 significant digits
@@ -955,15 +957,58 @@ def average_cost_by_sensor(
     return np.array([xi @ row[aori] for row, aori in zip(penalties, space.lanes().aori)])
 
 
-def _lookup_cells(labels, codes):
-    """Column reader (lo, hi) -> the strings labels[codes[lo:hi]]."""
-    labels = np.array(labels, dtype=object)
-    return lambda lo, hi: labels[codes[lo:hi]].tolist()
+def _label_cells(labels, codes):
+    """Column reader (lo, hi) -> labels[codes[lo:hi]] as a (rows, width)
+    uint8 matrix, each cell NUL-padded on the right."""
+    labels = np.array(labels, dtype=np.bytes_)
+    width = labels.itemsize
+    return lambda lo, hi: labels[codes[lo:hi]].view(np.uint8).reshape(hi - lo, width)
 
 
-def _digit_cells(col: np.ndarray):
+def _digit_labels(col: np.ndarray):
     """Column reader for small non-negative integers, as decimal digits."""
-    return _lookup_cells([str(v) for v in range(int(col.max()) + 1)], col)
+    return _label_cells([str(v) for v in range(int(col.max()) + 1)], col)
+
+
+def _index_cells(lo: int, hi: int) -> np.ndarray:
+    """The decimal digits of lo..hi-1 as a (rows, width) uint8 matrix, each
+    number's leading zeros NUL."""
+    idx = np.arange(lo, hi)
+    width = len(str(hi - 1))
+    out = np.zeros((hi - lo, width), dtype=np.uint8)
+    for k in range(width):
+        place = 10**k
+        col = out[:, width - 1 - k]
+        col[...] = idx // place % 10 + ord("0")
+        if k:
+            col[idx < place] = 0
+    return out
+
+
+def _value_cells(values: Optional[np.ndarray]):
+    """Column reader for the value column: blank when values is None, else
+    each distinct bit pattern formatted once by VALUE_FORMAT. Bit patterns,
+    not float equality, so that -0.0 prints apart from 0.0."""
+    if values is None:
+        return lambda lo, hi: np.zeros((hi - lo, 0), dtype=np.uint8)
+    bits, codes = np.unique(values.view(np.int64), return_inverse=True)
+    return _label_cells([format(v, VALUE_FORMAT) for v in bits.view(np.float64).tolist()], codes)
+
+
+def _join_cells(cells: list) -> bytes:
+    """CSV lines of one chunk: each row's cells side by side in one NUL-padded
+    matrix, with a comma after each cell but the last and "\r\n" after it,
+    then every byte but the NULs. No cell holds a NUL."""
+    rows = cells[0].shape[0]
+    out = np.zeros((rows, sum(c.shape[1] + 1 for c in cells) + 1), dtype=np.uint8)
+    at = 0
+    for c in cells:
+        out[:, at : at + c.shape[1]] = c
+        at += c.shape[1]
+        out[:, at] = ord(",")
+        at += 1
+    out[:, at - 1 :] = np.frombuffer(b"\r\n", dtype=np.uint8)
+    return out[out != 0].tobytes()
 
 
 def table_rows(
@@ -972,42 +1017,36 @@ def table_rows(
     policy: PolicyTable,
     columns: Sequence[str] = TABLE_COLUMNS,
 ):
-    """Header, then one row per state, for the CSV table dumps.
+    """The CSV table dumps as bytes: the header line, then one block of lines
+    per TABLE_CHUNK states.
 
     `columns` picks column groups in order: state_index; aoli, aori and
     arrmem give one column per sensor (arrmem only when some sensor has
     Markov arrivals: the memory bit for those sensors, 1 where aoli == 0
     for the others); theta; value, blank when values is None; action_bits.
-    Each row is a tuple of ready strings, the cells cli._Writer would print
-    for the same numbers. They are made TABLE_CHUNK rows at a time, a
-    column at a time: the coordinate columns and action_bits by lookup in a
-    table of their strings, state_index by str, and value by VALUE_FORMAT.
+    Each line holds the cells cli._Writer would print for the same numbers,
+    joined by commas and ended by "\r\n". No per-row object is made: the
+    coordinate columns and action_bits index a small table of their labels
+    by their codes, the value column does the same with a table of its
+    distinct bit patterns, each formatted once by VALUE_FORMAT, and
+    state_index is decimal digit arithmetic on the chunk's indices.
     """
     n = space.n_states
     sensors = range(space.n_sensors)
     theta, aoli, aori, arrival = space.lanes()
     bits = ["".join(map(str, a)) for a in policy.action_set.actions]
-
-    def index_cells(lo, hi):
-        return list(map(str, range(lo, hi)))
-
-    def value_cells(lo, hi):
-        if values is None:
-            return [""] * (hi - lo)
-        return [format(v, VALUE_FORMAT) for v in values[lo:hi].tolist()]
-
     groups = {
-        "state_index": [("state_index", index_cells)],
-        "aoli": [(f"aoli_{i+1}", _digit_cells(aoli[i])) for i in sensors],
-        "aori": [(f"aori_{i+1}", _digit_cells(aori[i])) for i in sensors],
-        "arrmem": [(f"arrmem_{i+1}", _digit_cells(arrival[i].view(np.uint8)))
+        "state_index": [("state_index", _index_cells)],
+        "aoli": [(f"aoli_{i+1}", _digit_labels(aoli[i])) for i in sensors],
+        "aori": [(f"aori_{i+1}", _digit_labels(aori[i])) for i in sensors],
+        "arrmem": [(f"arrmem_{i+1}", _digit_labels(arrival[i].view(np.uint8)))
                    for i in sensors if 2 in space.g_sizes],
-        "theta": [("theta", _digit_cells(theta))],
-        "value": [("value", value_cells)],
-        "action_bits": [("action_bits", _lookup_cells(bits, policy.action_index))],
+        "theta": [("theta", _digit_labels(theta))],
+        "value": [("value", _value_cells(values))],
+        "action_bits": [("action_bits", _label_cells(bits, policy.action_index))],
     }
     cols = [col for group in columns for col in groups[group]]
-    yield [name for name, _ in cols]
+    yield (",".join(name for name, _ in cols) + "\r\n").encode()
     for lo in range(0, n, TABLE_CHUNK):
         hi = min(n, lo + TABLE_CHUNK)
-        yield from zip(*(cells(lo, hi) for _, cells in cols))
+        yield _join_cells([cells(lo, hi) for _, cells in cols])

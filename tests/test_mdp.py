@@ -320,7 +320,12 @@ def test_optimal_gain_dominates_all_deterministic_tables(tiny_solved):
 
 def test_table_rows_shape(tiny_solved):
     b = tiny_solved
-    header, *rows = mdp.table_rows(b.space, b.vt.values, b.pt)
+    blocks = list(mdp.table_rows(b.space, b.vt.values, b.pt))
+    # the header line, then the rows in byte blocks of whole lines
+    assert blocks[0].count(b"\r\n") == 1
+    assert all(block.endswith(b"\r\n") for block in blocks)
+    lines = b"".join(blocks).decode().split("\r\n")[:-1]
+    header, *rows = (line.split(",") for line in lines)
     assert len(rows) == b.space.n_states
     # state_index, aoli, aori, theta, value, action_bits for one sensor
     assert header == ["state_index", "aoli_1", "aori_1", "theta", "value", "action_bits"]

@@ -12,10 +12,12 @@ run here, not edited.
 import importlib
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
 
+from aoisched import cli, mdp
 from test_cli import run_python
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,3 +60,18 @@ def test_traced_run_derives_counts(tmp_path, args, counts):
     report = json.loads(spans.read_text())
     missing = [key for key in counts if not report["counts"].get(key)]
     assert not missing, f"no {missing} in {report['counts']}"
+
+
+def test_traced_table_opens_one_span_per_block(tmp_path):
+    """The tracer times a generator one span per `next`, so table_rows must
+    yield whole blocks, not rows: a header, ceil(n / TABLE_CHUNK) blocks and
+    the final StopIteration."""
+    spans = tmp_path / "spans.json"
+    command = ["solve", "--config", str(TWO_SENSOR), "--policy", "optimal",
+               "--out", str(tmp_path / "out")]
+    run_python(str(TRACER), str(spans), *command)  # raises unless it exits 0
+    report = json.loads(spans.read_text())
+    n = mdp.StateSpace(cli.load_config(TWO_SENSOR).system).n_states
+    table_spans = [span for span in report["spans"] if span[1] == "mdp.table_rows"]
+    assert report["functions"]["mdp.table_rows"]["calls"] == 1
+    assert 0 < len(table_spans) <= math.ceil(n / mdp.TABLE_CHUNK) + 2
