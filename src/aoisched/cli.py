@@ -581,19 +581,19 @@ def cmd_thresholds(args) -> int:
 
 def _exact_cost(policy: pol.Policy, system: SystemSpec, joint: tuple) -> float:
     """Exact average cost of one policy on the joint MDP (space, actions,
-    kernels, cost). Its chain is freed on return, before the next policy's
-    solve."""
+    kernels, cost), from its chain on the states reachable from the start.
+    The chain is freed on return, before the next policy's solve."""
     space, actions, kernels, cost = joint
     start = space.reference_index()
     if policy.name == "rr":
-        p_aug, cost_aug, start_aug = pol.round_robin_chain(
-            space, kernels, cost, system.n_sensors, system.m_budget
-        )
-        return mdp.chain_average_cost(p_aug, cost_aug, start_aug)
+        n = system.n_sensors
+        p, states = pol.round_robin_chain(space, kernels, n, system.m_budget)
+        # one copy of the cost per cursor: the augmented states are cursor-major
+        return mdp.chain_average_cost(p, states, np.tile(cost, n), start)
     if policy.name == "rand":
         weights = pol.randomized_action_weights(policy.p, system.m_budget, actions)
-        chain = mdp.mixture_chain_matrix(weights, kernels)
-        return mdp.chain_average_cost(chain, cost, start)
+        p, states = mdp.mixture_chain_matrix(weights, kernels, start)
+        return mdp.chain_average_cost(p, states, cost, start)
     table = pol.policy_to_table(policy, space, actions)
     return mdp.policy_average_cost(table, kernels, cost, start)
 

@@ -269,7 +269,9 @@ def extract_thresholds(values: Sequence[PerSensorValue], spec: SystemSpec) -> Th
 
 
 def randomized_chain_matrix(spec: SystemSpec, space: StateSpace, p_r: Sequence[float]):
-    """Exact joint chain of the independent randomized policy.
+    """Exact joint chain of the independent randomized policy, on the states
+    reachable from space.reference_index(): (p, states) of
+    mixture_chain_matrix.
 
     Mixes the kernels of all 2^N schedule vectors with product Bernoulli
     weights: the thinned randomized policy's weights with budget N, where
@@ -278,4 +280,5 @@ def randomized_chain_matrix(spec: SystemSpec, space: StateSpace, p_r: Sequence[f
     """
     full_actions = ActionSet(spec.n_sensors, spec.n_sensors)
     weights = randomized_action_weights(p_r, spec.n_sensors, full_actions)
-    return mixture_chain_matrix(weights, build_kernels(spec, space, full_actions))
+    kernels = build_kernels(spec, space, full_actions)
+    return mixture_chain_matrix(weights, kernels, space.reference_index())

@@ -7,7 +7,9 @@ and exact policy evaluation through the stationary distribution of the
 policy-induced chain: restarted GMRES on the pinned balance equations of the
 single closed class reachable from the start state, certified by its L1
 balance residual, with a sparse LU solve when GMRES misses the bound
-(stationary_distribution).
+(stationary_distribution). A chain is built over the states reachable from
+the start only, with rows copied from the kernels' distinct rows
+(reachable_chain), never over the whole truncated grid.
 
 kernel_rows is the one kernel builder: the joint solver, exact policy
 evaluation, the per-sensor SISP solves, the randomized chain and the myopic
@@ -80,6 +82,7 @@ __all__ = [
     "relative_value_iteration",
     "solve_optimal_policy",
     "check_value_monotonicity",
+    "reachable_chain",
     "policy_chain_matrix",
     "mixture_chain_matrix",
     "stationary_distribution",
@@ -355,9 +358,18 @@ def stage_cost(state: JointState, spec: SystemSpec) -> float:
 
 
 def cost_vector(space: StateSpace, spec: SystemSpec) -> np.ndarray:
-    """Stage cost of every state: lane_cost of the penalties at its monitor ages."""
-    aori = space.lanes().aori
-    return lane_cost(penalty_rows(spec.sensors)[np.arange(len(aori))[:, None], aori])
+    """Stage cost of every state, with no lanes(): lane_cost of each
+    sensor's penalties at the monitor ages of its sub-indices, broadcast
+    over the grid of the joint index (sensor 1 most significant, theta
+    fastest), so every state's sum adds the same terms in the same order."""
+    grid = [*space.sub_sizes, 2]
+    penalties = []
+    for i, row in enumerate(penalty_rows(spec.sensors)):
+        aori = np.arange(space.sub_sizes[i]) // space.g_sizes[i] % space.r_sizes[i] + 1
+        shape = [1] * len(grid)
+        shape[i] = space.sub_sizes[i]
+        penalties.append(row[aori].reshape(shape))
+    return np.broadcast_to(lane_cost(penalties), grid).ravel()
 
 
 def _successor_table(space: StateSpace, i: int, sensor: SensorSpec, scheduled: bool) -> tuple:
@@ -813,31 +825,131 @@ def check_value_monotonicity(values: np.ndarray, space: StateSpace, slack: float
     return violations
 
 
-def policy_chain_matrix(policy: PolicyTable, kernels: Kernels) -> sparse.csr_matrix:
-    """Markov matrix of the chain induced by a deterministic policy.
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges starts[k] .. starts[k] + counts[k] - 1, concatenated."""
+    ends = np.cumsum(counts)
+    out = np.repeat(starts - ends + counts, counts)
+    out += np.arange(len(out))
+    return out
 
-    One row gather: state s takes row pi(s) * n_rows + row_of[s] of every
-    action's distinct rows stacked in action order.
+
+def _gather_rows(parts: Sequence, part: np.ndarray, row: np.ndarray) -> tuple:
+    """Rows of CSR matrices copied into one CSR: output row k is row row[k]
+    of parts[part[k]], entries in their stored order. Returns (data,
+    indices, indptr) as numpy arrays."""
+    counts = np.empty(len(row), dtype=np.int64)
+    picks = []
+    for k, csr in enumerate(parts):
+        sel = np.flatnonzero(part == k)
+        if len(sel):
+            starts = csr.indptr[row[sel]]
+            counts[sel] = csr.indptr[row[sel] + 1] - starts
+            picks.append((csr, sel, starts))
+    indptr = np.zeros(len(row) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=parts[0].indices.dtype)
+    for csr, sel, starts in picks:
+        src = _ranges(starts, counts[sel])
+        dst = _ranges(indptr[sel], counts[sel])
+        data[dst] = csr.data[src]
+        indices[dst] = csr.indices[src]
+    return data, indices, indptr
+
+
+def reachable_chain(
+    parts: Sequence, locate, start_index: int, n: int, shifts: Optional[np.ndarray] = None
+) -> tuple:
+    """A Markov chain of n states, built over the states reachable from
+    start_index only.
+
+    locate(states) returns (part, row): state s's row is row row[s] of the
+    CSR matrix parts[part[s]], its columns moved by shifts[part[s]] when
+    shifts is given. A frontier search from start_index follows every
+    stored entry, explicit zeros included, as csgraph's breadth-first
+    search does; it reads each (part, row) of a frontier once. Then
+    _gather_rows copies the reached states' rows in index order, and their
+    columns are renumbered to positions in that order. Returns (p, states):
+    states holds the reached indices in increasing order, and p is the
+    chain on them, byte for byte the whole chain's p[ix_(states, states)],
+    since a reached row's columns are all reached and the renumbering keeps
+    their order. locate may append to parts (the mixture mixes its rows as
+    the search first needs them).
     """
     from scipy import sparse
 
-    stacked = sparse.vstack(kernels.rows, format="csr")
-    return stacked[policy.action_index * kernels.n_rows + kernels.row_of]
+    def columns(part, row):
+        data, cols, indptr = _gather_rows(parts, part, row)
+        if shifts is None:
+            return data, cols, indptr
+        return data, cols + np.repeat(shifts[part], np.diff(indptr)), indptr
+
+    seen = np.zeros(n, dtype=bool)
+    seen[start_index] = True
+    frontier = np.array([start_index])
+    while len(frontier):
+        part, row = locate(frontier)
+        key = np.unique(part.astype(np.int64) << 32 | row)
+        cols = columns(key >> 32, key & 0xFFFFFFFF)[1]
+        cols = cols[~seen[cols]]
+        seen[cols] = True
+        frontier = np.unique(cols)
+    states = np.flatnonzero(seen)
+    data, cols, indptr = columns(*locate(states))
+    m = len(states)
+    position = np.empty(n, dtype=np.int32 if m <= np.iinfo(np.int32).max else np.int64)
+    position[states] = np.arange(m)
+    return sparse.csr_matrix((data, position[cols], indptr), shape=(m, m)), states
 
 
-def mixture_chain_matrix(weights: Sequence[float], kernels: Kernels) -> sparse.csr_matrix:
-    """Chain of a state-independent randomized policy: sum_a w_a K_a.
+def policy_chain_matrix(policy: PolicyTable, kernels: Kernels, start_index: int) -> tuple:
+    """Chain of a deterministic policy on the states reachable from start.
 
-    The weighted sum is taken over the distinct rows, then spread by row_of.
+    State s's row is row row_of[s] of its action's distinct rows,
+    rows[pi(s)], gathered by reachable_chain for the reached states only.
+    Returns (p, states).
+    """
+    action, row_of = policy.action_index, kernels.row_of
+    return reachable_chain(
+        kernels.rows, lambda s: (action[s], row_of[s]), start_index, len(row_of)
+    )
+
+
+def mixture_chain_matrix(weights: Sequence[float], kernels: Kernels, start_index: int) -> tuple:
+    """Chain of a state-independent randomized policy, sum_a w_a K_a, on
+    the states reachable from start. Returns (p, states).
+
+    The weighted sum is taken in action order, with the same scipy products
+    and sums as over every distinct row, but only over the distinct rows
+    the search reaches, each mixed once, when a frontier first uses it: a
+    row's sum reads that row alone. A sum of two or more actions drops the
+    entries that come to zero, so the search follows the mixed rows, not
+    the kernels'.
     """
     if len(weights) != len(kernels) or abs(sum(weights) - 1.0) > 1e-9:
         raise ValueError("weights must match kernels and sum to one")
-    out = None
-    for w, rows in zip(weights, kernels):
-        if w == 0.0:
-            continue
-        out = w * rows if out is None else out + w * rows
-    return out.tocsr()[kernels.row_of]
+    row_of = kernels.row_of
+    mixed = []
+    # the batch of mixed rows holding each distinct row (-1 before it is
+    # mixed) and its row there
+    batch = np.full(kernels.n_rows, -1)
+    at = np.empty(kernels.n_rows, dtype=np.int64)
+
+    def locate(states):
+        rows = row_of[states]
+        new = np.unique(rows[batch[rows] < 0])
+        if len(new):
+            batch[new] = len(mixed)
+            at[new] = np.arange(len(new))
+            out = None
+            for w, matrix in zip(weights, kernels):
+                if w == 0.0:
+                    continue
+                out = w * matrix[new] if out is None else out + w * matrix[new]
+            mixed.append(out.tocsr())
+        return batch[rows], at[rows]
+
+    return reachable_chain(mixed, locate, start_index, len(row_of))
 
 
 def _gmres_solve(a11: sparse.csr_matrix, b: np.ndarray) -> np.ndarray:
@@ -863,6 +975,15 @@ def _lu_solve(a11: sparse.csr_matrix, b: np.ndarray) -> np.ndarray:
     return spsolve(a11.tocsc(), b)
 
 
+def _restricted(p: sparse.csr_matrix, keep: np.ndarray) -> sparse.csr_matrix:
+    """p[ix_(keep, keep)] as CSR, for increasing indices keep; p itself when
+    keep is every state and p is CSR in canonical format, where the copy
+    would have the same bytes."""
+    if len(keep) == p.shape[0] and p.format == "csr" and p.has_canonical_format:
+        return p
+    return p[np.ix_(keep, keep)].tocsr()
+
+
 def stationary_distribution(p: sparse.csr_matrix, start_index: int) -> np.ndarray:
     """Stationary distribution of the recurrent class reachable from start.
 
@@ -870,7 +991,10 @@ def stationary_distribution(p: sparse.csr_matrix, start_index: int) -> np.ndarra
     strongly connected components that no edge leaves are the closed
     classes. Raises RuntimeError unless exactly one closed class is
     reachable (the long-run cost would otherwise depend on chance).
-    Transient and unreachable states get zero mass.
+    Transient and unreachable states get zero mass. The chain builders
+    (reachable_chain) build only the reachable states, so for their chains
+    the search reaches every state and the chain is used as it is, with no
+    copy; so is the class when it is the whole chain.
 
     On that class, with transition matrix Q, the balance equations are
     A xi = 0 with A = (I - Q)^T, which fix xi only up to scale. The first
@@ -898,12 +1022,13 @@ def stationary_distribution(p: sparse.csr_matrix, start_index: int) -> np.ndarra
 
     n = p.shape[0]
     reach = np.sort(breadth_first_order(p, start_index, return_predecessors=False))
-    sub = p[np.ix_(reach, reach)].tocsr()
+    sub = _restricted(p, reach)
     n_comp, labels = connected_components(sub, directed=True, connection="strong")
     edges = sub.tocoo()
     leaving = labels[edges.row] != labels[edges.col]
     is_closed = np.ones(n_comp, dtype=bool)
     is_closed[labels[edges.row[leaving]]] = False
+    del edges, leaving
     closed = np.flatnonzero(is_closed)
     if len(closed) != 1:
         raise RuntimeError(
@@ -913,10 +1038,11 @@ def stationary_distribution(p: sparse.csr_matrix, start_index: int) -> np.ndarra
     m = len(members)
     xi = np.ones(1)
     if m > 1:
-        q = sub[np.ix_(members, members)]
+        q = _restricted(sub, members)
         a = (sparse.identity(m, format="csr") - q).T.tocsr()
         a11 = a[1:, 1:]
         b = -a[1:, 0].toarray().ravel()
+        del a
         for solve in (_gmres_solve, _lu_solve):
             xi = np.concatenate(([1.0], solve(a11, b)))
             xi /= xi.sum()
@@ -934,8 +1060,17 @@ def stationary_distribution(p: sparse.csr_matrix, start_index: int) -> np.ndarra
     return xi_full
 
 
-def chain_average_cost(p: sparse.csr_matrix, cost: np.ndarray, start_index: int) -> float:
-    xi = stationary_distribution(p, start_index)
+def chain_average_cost(
+    p: sparse.csr_matrix, states: np.ndarray, cost: np.ndarray, start_index: int
+) -> float:
+    """Exact long-run average cost of a chain built over `states`, the
+    increasing indices of a chain whose stage costs are `cost`, started at
+    start_index. The distribution is spread back to full length before the
+    dot product, which then adds the same terms in the same positions as
+    over the whole chain: BLAS sums a dot product in lanes by position, so
+    dropping the zeros could move its last bits."""
+    xi = np.zeros(len(cost))
+    xi[states] = stationary_distribution(p, int(np.searchsorted(states, start_index)))
     return float(xi @ cost)
 
 
@@ -946,7 +1081,8 @@ def policy_average_cost(
     start_index: int,
 ) -> float:
     """Exact long-run average cost of a deterministic stationary policy."""
-    return chain_average_cost(policy_chain_matrix(policy, kernels), cost, start_index)
+    p, states = policy_chain_matrix(policy, kernels, start_index)
+    return chain_average_cost(p, states, cost, start_index)
 
 
 def average_cost_by_sensor(

@@ -29,6 +29,7 @@ from .mdp import (
     StateSpace,
     build_padded_kernels,
     cost_vector,
+    reachable_chain,
     relative_value_iteration,
 )
 from .model import BernoulliArrival, SystemSpec, penalty_rows
@@ -332,29 +333,27 @@ def policy_to_table(policy: Policy, space: StateSpace, actions: ActionSet) -> Po
     return PolicyTable(policy.decide_array(actions, space.lanes()), actions)
 
 
-def round_robin_chain(
-    space: StateSpace, kernels: Kernels, cost: np.ndarray, n: int, m: int
-) -> tuple:
-    """Chain of round robin on the state space augmented with the cursor.
+def round_robin_chain(space: StateSpace, kernels: Kernels, n: int, m: int) -> tuple:
+    """Chain of round robin on the state space augmented with the cursor,
+    over the augmented states reachable from the start only.
 
     The cursor advances by m (mod n) every slot independent of the state, so
-    the augmented pair (state, cursor) is Markov. Returns (P, cost, start)
-    over n_states * n_cursors augmented states, cursor-major blocks.
-
-    Block row `cursor` holds the distinct rows of its action in the block
-    column of the next cursor; a row gather by row_of then gives every
-    (cursor, state) pair its row.
+    the augmented pair (state, cursor) is Markov. Augmented state
+    cursor * n_states + s, cursor-major, takes row row_of[s] of the distinct
+    rows of the cursor's action, its columns moved into the next cursor's
+    block; the start is space.reference_index() at cursor 0. Returns
+    (p, states) of mdp.reachable_chain, states being augmented indices.
     """
-    from scipy import sparse
-
     actions = ActionSet(n, m)
-    blocks = []
+    n_states = space.n_states
+    parts, shifts = [], np.empty(n, dtype=np.int64)
     for cursor in range(n):
         action, nxt = round_robin_decide(cursor, n, m)
-        row = [None] * n
-        row[nxt] = kernels.rows[actions.index(action)]
-        blocks.append(row)
-    spread = np.arange(n)[:, None] * kernels.n_rows + kernels.row_of
-    p_aug = sparse.bmat(blocks, format="csr")[spread.ravel()]
-    cost_aug = np.tile(cost, n)
-    return p_aug, cost_aug, space.reference_index()  # cursor 0 block comes first
+        parts.append(kernels.rows[actions.index(action)])
+        shifts[cursor] = nxt * n_states
+
+    def locate(states):
+        cursor, s = np.divmod(states, n_states)
+        return cursor, kernels.row_of[s]
+
+    return reachable_chain(parts, locate, space.reference_index(), n * n_states, shifts)

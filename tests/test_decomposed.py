@@ -349,7 +349,7 @@ def test_decomposition_gain_identity(small_solution):
     p_r = [pv.p_r for pv in values]
     chain = decomposed.randomized_chain_matrix(system, space, p_r)
     cost = mdp.cost_vector(space, system)
-    joint = mdp.chain_average_cost(chain, cost, space.reference_index())
+    joint = mdp.chain_average_cost(*chain, cost, space.reference_index())
     assert sum(pv.gain for pv in values) == pytest.approx(joint, abs=1e-6)
 
 
@@ -385,8 +385,10 @@ def test_randomized_chain_is_the_product_weight_mixture(arrival):
         for i, d in enumerate(action):
             w *= p_r[i] if d else 1.0 - p_r[i]
         weights.append(w)
-    expected = mdp.mixture_chain_matrix(weights, mdp.build_kernels(system, space, full_actions))
-    chain = decomposed.randomized_chain_matrix(system, space, p_r)
+    kernels = mdp.build_kernels(system, space, full_actions)
+    expected, want_states = mdp.mixture_chain_matrix(weights, kernels, space.reference_index())
+    chain, states = decomposed.randomized_chain_matrix(system, space, p_r)
+    assert np.array_equal(states, want_states)
     for field in ("data", "indices", "indptr"):
         got, want = getattr(chain, field), getattr(expected, field)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
@@ -423,7 +425,7 @@ def test_three_sensor_two_slot_budget():
     c_opt = mdp.policy_average_cost(pt, kernels, cost, start)
     c_sisp = mdp.policy_average_cost(pruned, kernels, cost, start)
     chain = decomposed.randomized_chain_matrix(system, space, [pv.p_r for pv in values])
-    c_rand = mdp.chain_average_cost(chain, cost, start)
+    c_rand = mdp.chain_average_cost(*chain, cost, start)
     assert c_opt <= c_sisp + 1e-9 <= c_rand + 1e-9
     assert sum(pv.gain for pv in values) == pytest.approx(c_rand, abs=1e-6)
     assert vt.gain == pytest.approx(c_opt, abs=1e-6)
@@ -444,7 +446,7 @@ def test_decomposition_with_markov_arrivals():
     cost = mdp.cost_vector(space, spec)
     start = space.reference_index()
     joint = mdp.chain_average_cost(
-        decomposed.randomized_chain_matrix(spec, space, p_r), cost, start
+        *decomposed.randomized_chain_matrix(spec, space, p_r), cost, start
     )
     assert sum(v.gain for v in values) == pytest.approx(joint, abs=1e-6)
 
@@ -467,5 +469,5 @@ def test_sisp_dominates_randomized(small_solution):
     table = decomposed.build_policy_table(values, space, actions, system)
     sisp_cost = mdp.policy_average_cost(table, kernels, cost, start)
     chain = decomposed.randomized_chain_matrix(system, space, [pv.p_r for pv in values])
-    rand_cost = mdp.chain_average_cost(chain, cost, start)
+    rand_cost = mdp.chain_average_cost(*chain, cost, start)
     assert sisp_cost <= rand_cost + 1e-9

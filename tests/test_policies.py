@@ -177,11 +177,13 @@ def test_every_policy_returns_feasible_actions(va_hetero, va_hetero_sisp):
 def test_round_robin_chain_symmetric_marginals(va_solved):
     """Symmetric two-sensor instance: round robin splits cost equally."""
     b = va_solved
-    p_aug, cost_aug, start = pol.round_robin_chain(
-        b.space, b.kernels, b.cost, 2, 1
-    )
-    xi_aug = mdp.stationary_distribution(p_aug, start)
+    p_aug, states = pol.round_robin_chain(b.space, b.kernels, 2, 1)
+    cost_aug = np.tile(b.cost, 2)
     n = b.space.n_states
+    # the chain holds the reachable augmented states only: spread its
+    # distribution back over all 2n of them
+    xi_aug = np.zeros(2 * n)
+    xi_aug[states] = mdp.stationary_distribution(p_aug, np.searchsorted(states, b.start))
     xi = xi_aug[:n] + xi_aug[n:]
     per_sensor = mdp.average_cost_by_sensor(xi, b.space, b.system)
     assert per_sensor[0] == pytest.approx(per_sensor[1], abs=1e-9)

@@ -58,10 +58,10 @@ def test_transient_and_unreachable_states_get_no_mass():
 
 def test_round_robin_augmented_chain_residual(va_solved):
     b = va_solved
-    p_aug, _, start = pol.round_robin_chain(
-        b.space, b.kernels, b.cost, b.system.n_sensors, b.system.m_budget
+    p_aug, states = pol.round_robin_chain(
+        b.space, b.kernels, b.system.n_sensors, b.system.m_budget
     )
-    xi = mdp.stationary_distribution(p_aug, start)
+    xi = mdp.stationary_distribution(p_aug, np.searchsorted(states, b.start))
     assert xi.sum() == pytest.approx(1.0, abs=1e-12)
     assert residual(p_aug, xi) <= 1e-12
 
@@ -76,8 +76,8 @@ def dense_solve(q):
 
 
 def test_optimal_chain_matches_dense_solve(va_solved):
-    p = mdp.policy_chain_matrix(va_solved.pt, va_solved.kernels)
-    xi = mdp.stationary_distribution(p, va_solved.start)
+    p, states = mdp.policy_chain_matrix(va_solved.pt, va_solved.kernels, va_solved.start)
+    xi = mdp.stationary_distribution(p, np.searchsorted(states, va_solved.start))
     support = np.flatnonzero(xi > 0)
     # the support is closed: no edge leaves it
     assert np.all(np.isin(p[support].indices, support))
@@ -98,11 +98,13 @@ def test_sticky_channel_matches_dense_solve(va_penalty):
     system = replace(system, channel=a.ChannelSpec(0.9995, 0.998))
     b = solve_bundle(system)
     chains = [
-        (mdp.policy_chain_matrix(b.pt, b.kernels), b.cost, b.start),
-        pol.round_robin_chain(b.space, b.kernels, b.cost, 2, 1),
+        (*mdp.policy_chain_matrix(b.pt, b.kernels, b.start), b.cost),
+        (*pol.round_robin_chain(b.space, b.kernels, 2, 1), np.tile(b.cost, 2)),
     ]
-    for p, cost, start in chains:
-        xi = mdp.stationary_distribution(p, start)
+    for p, states, cost in chains:
+        # the chains hold the reachable states only: read the cost on them
+        cost = cost[states]
+        xi = mdp.stationary_distribution(p, np.searchsorted(states, b.start))
         support = np.flatnonzero(xi > 0)
         assert np.all(np.isin(p[support].indices, support))
         dense = dense_solve(p[np.ix_(support, support)].toarray())
@@ -269,7 +271,9 @@ TWOSENSOR = Path(__file__).resolve().parents[1] / "configs" / "twosensor.yaml"
 
 
 def compare_chains(cfg) -> dict:
-    """{policy: (chain, cost, start)} for the eight policies, as cmd_compare builds them."""
+    """{policy: (chain, states, cost, start)} for the eight policies, as
+    cmd_compare builds them: the chain on the reachable states, then the
+    arguments of chain_average_cost."""
     cache = {}
     system = cfg.system
     space, actions, kernels, cost = cli._joint_mdp(cfg, cache)
@@ -277,16 +281,16 @@ def compare_chains(cfg) -> dict:
     out = {}
     for name in pol.POLICY_NAMES:
         policy = cli._build_policy(name, cfg, cache)
+        n = system.n_sensors
         if name == "rr":
-            out[name] = pol.round_robin_chain(
-                space, kernels, cost, system.n_sensors, system.m_budget
-            )
+            chain = pol.round_robin_chain(space, kernels, n, system.m_budget)
+            out[name] = (*chain, np.tile(cost, n), start)
         elif name == "rand":
             weights = pol.randomized_action_weights(policy.p, system.m_budget, actions)
-            out[name] = (mdp.mixture_chain_matrix(weights, kernels), cost, start)
+            out[name] = (*mdp.mixture_chain_matrix(weights, kernels, start), cost, start)
         else:
             table = pol.policy_to_table(policy, space, actions)
-            out[name] = (mdp.policy_chain_matrix(table, kernels), cost, start)
+            out[name] = (*mdp.policy_chain_matrix(table, kernels, start), cost, start)
     return out
 
 
@@ -311,8 +315,9 @@ def test_correction_pass_reaches_rounding_level(twosensor_chains, lu_calls):
     # these chains spread their mass over 1e-13 .. 1e-2; one GMRES pass
     # leaves residuals up to 1.5e-13, the correction pass about 1e-15, so
     # GMRES alone certifies every one of them
-    for name, (p, _, start) in twosensor_chains.items():
-        assert residual(p, mdp.stationary_distribution(p, start)) <= 1e-14, name
+    for name, (p, states, _, start) in twosensor_chains.items():
+        xi = mdp.stationary_distribution(p, np.searchsorted(states, start))
+        assert residual(p, xi) <= 1e-14, name
     assert lu_calls == []
 
 
