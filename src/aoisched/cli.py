@@ -325,9 +325,7 @@ def _sisp_table(cfg: LoadedConfig) -> tuple:
     space = _check_state_budget(system, cfg.max_states)
     actions = mdp.ActionSet(system.n_sensors, system.m_budget)
     values = _build_policy("sisp", cfg, {}).values
-    table, copied, violations = decomposed.build_policy_table_with_pruning(
-        values, space, actions, system
-    )
+    table, copied, violations = decomposed.build_policy_table_with_pruning(values, space, actions)
     if len(violations):
         print(
             f"sisp: threshold persistence fails at {len(violations)} states, first "
@@ -350,10 +348,19 @@ def _joint_mdp(cfg: LoadedConfig, cache: dict) -> tuple:
 
 def _solve_optimal(cfg: LoadedConfig, cache: dict) -> tuple:
     space, actions, kernels, cost = _joint_mdp(cfg, cache)
-    vt, pt = mdp.relative_value_iteration(
-        kernels, cost, space.reference_index(), action_set=actions
-    )
-    return space, vt, pt
+    vt, pi = mdp.relative_value_iteration(kernels, cost, space.reference_index())
+    return space, vt, mdp.PolicyTable(pi, actions)
+
+
+def _scheduling_probs(cfg: LoadedConfig) -> tuple:
+    """policy.p_r, or when it is not given the arrival-rate proportional
+    default, which needs every arrival rate positive."""
+    if cfg.p_r is not None:
+        return cfg.p_r
+    try:
+        return decomposed.default_randomized_probs(cfg.system)
+    except ValueError as exc:
+        raise ConfigError(f"policy.p_r: not given, and {exc}") from None
 
 
 def _build_policy(name: str, cfg: LoadedConfig, cache: dict) -> pol.Policy:
@@ -370,7 +377,8 @@ def _build_policy(name: str, cfg: LoadedConfig, cache: dict) -> pol.Policy:
         policy = pol.TablePolicy("optimal", space, pt)
     elif name == "sisp":
         _check_sisp(system, cfg)
-        policy = decomposed.SispPolicy(decomposed.solve_sisp_values(system, cfg.p_r))
+        p_r = _scheduling_probs(cfg)
+        policy = decomposed.SispPolicy(decomposed.solve_sisp_values(system, p_r))
     elif name == "myopic":
         _check_state_budget(pol.myopic_system(system), cfg.max_states)
         policy = pol.build_myopic_policy(system)
@@ -381,8 +389,7 @@ def _build_policy(name: str, cfg: LoadedConfig, cache: dict) -> pol.Policy:
     elif name == "rr":
         policy = pol.RoundRobinPolicy(system.n_sensors, system.m_budget)
     elif name == "rand":
-        p_r = cfg.p_r or decomposed.default_randomized_probs(system)
-        policy = pol.RandomizedSchedule(p_r, system.m_budget)
+        policy = pol.RandomizedSchedule(_scheduling_probs(cfg), system.m_budget)
     else:  # idle
         policy = pol.IdlePolicy(system.n_sensors)
     cache[name] = policy
@@ -463,20 +470,18 @@ def cmd_simulate(args) -> int:
             raise ConfigError("--caps: need positive truncation caps")
         _check_sisp(sim.with_caps(cfg.system, max(caps)), cfg)
         probe = sim.divergence_probe(
-            cfg.system, caps, horizon, seed, replications, warmup=cfg.warmup, p_r=cfg.p_r
+            cfg.system, caps, horizon, seed, replications, cfg.warmup, _scheduling_probs(cfg)
         )
         fh, w = _open_output(out_dir, "divergence.csv", cfg.config_hash)
         with fh:
             w.writerow(["cap", "mean_cost", "sd", "ci95", "replications", "horizon", "seed"])
-            for r in probe:
-                w.writerow([r.cap, r.mean, r.sd, r.ci95, replications, horizon, seed])
-        for r in probe:
-            print(f"cap {r.cap}: mean {_fmt(r.mean)} +- {_fmt(r.ci95)} (95% CI)")
+            for cap, r in zip(caps, probe):
+                w.writerow([cap, r.mean, r.sd, r.ci95, replications, horizon, seed])
+        for cap, r in zip(caps, probe):
+            print(f"cap {cap}: mean {_fmt(r.mean)} +- {_fmt(r.ci95)} (95% CI)")
         return 0
     policies = _policy_list(args, cfg, {})
-    plan = sim.ExperimentPlan(
-        cfg.system, policies, horizon, replications, seed, warmup=cfg.warmup
-    )
+    plan = sim.ExperimentPlan(cfg.system, policies, horizon, replications, seed, cfg.warmup)
     names = [p.name for p in policies]
     with contextlib.ExitStack() as files:
         sinks = {}
@@ -487,13 +492,13 @@ def cmd_simulate(args) -> int:
             sinks[name] = fh
         # replication 0 of each policy is its trajectory; a repeated name gets
         # the file once, so it is written once
-        result = sim.monte_carlo(plan, [sinks.pop(name, None) for name in names])
+        stats = sim.monte_carlo(plan, [sinks.pop(name, None) for name in names])
     fh, w = _open_output(out_dir, "results.csv", cfg.config_hash)
     with fh:
         w.writerow(["policy", "mean_cost", "sd", "ci95", "replications", "horizon", "seed"])
-        for st in result.stats:
+        for st in stats:
             w.writerow([st.name, st.mean, st.sd, st.ci95, replications, horizon, seed])
-    for st in result.stats:
+    for st in stats:
         print(f"{st.name}: mean {_fmt(st.mean)} +- {_fmt(st.ci95)} (95% CI)")
     return 0
 
@@ -608,18 +613,18 @@ def cmd_compare(args) -> int:
     joint = _joint_mdp(cfg, cache)
     exact = {policy.name: _exact_cost(policy, system, joint) for policy in policies}
 
-    plan = sim.ExperimentPlan(system, policies, horizon, replications, seed, warmup=cfg.warmup)
-    result = sim.monte_carlo(plan)
+    plan = sim.ExperimentPlan(system, policies, horizon, replications, seed, cfg.warmup)
+    stats = sim.monte_carlo(plan)
     fh, w = _open_output(out_dir, "compare.csv", cfg.config_hash)
     with fh:
         w.writerow(
             ["policy", "exact_cost", "mc_mean", "mc_sd", "mc_ci95", "replications", "horizon", "seed"]
         )
-        for st in result.stats:
+        for st in stats:
             w.writerow(
                 [st.name, exact[st.name], st.mean, st.sd, st.ci95, replications, horizon, seed]
             )
-    for st in result.stats:
+    for st in stats:
         print(
             f"{st.name}: exact {_fmt(exact[st.name])}, "
             f"simulated {_fmt(st.mean)} +- {_fmt(st.ci95)}"

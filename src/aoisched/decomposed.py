@@ -12,11 +12,11 @@ each sensor's monitor-side age per channel state, checked on the table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .dynamics import JointState, LaneState, SensorState
+from .dynamics import LaneState
 from .mdp import (
     ActionSet,
     Kernels,
@@ -34,7 +34,6 @@ from .policies import Policy, policy_to_table, randomized_action_weights
 __all__ = [
     "default_randomized_probs",
     "PerSensorValue",
-    "per_sensor_kernel",
     "solve_per_sensor_value",
     "solve_sisp_values",
     "SispPolicy",
@@ -80,21 +79,6 @@ def _single_sensor_kernels(sensor: SensorSpec, channel: ChannelSpec) -> tuple:
     return (system, space, *dense)
 
 
-def per_sensor_kernel(
-    sensor: SensorSpec, channel: ChannelSpec, p_r_i: float
-) -> np.ndarray:
-    """Expected one-sensor kernel p * K_transmit + (1-p) * K_idle (dense).
-
-    The channel factor is included, so rows sum to one over the sensor's own
-    (aoli, aori, channel) space. Boundary values p in {0, 1} collapse to the
-    pure idle / pure transmit kernels.
-    """
-    if not (0.0 <= p_r_i <= 1.0):
-        raise ValueError(f"p_r must lie in [0,1], got {p_r_i}")
-    _, _, k_idle, k_tx = _single_sensor_kernels(sensor, channel)
-    return p_r_i * k_tx + (1.0 - p_r_i) * k_idle
-
-
 @dataclass
 class PerSensorValue:
     """Solved per-sensor relative value function under the randomized policy.
@@ -109,10 +93,6 @@ class PerSensorValue:
     gain: float
     p_r: float
     eq: np.ndarray
-
-    def state_index(self, st: SensorState, theta: int, prev_arrived: bool) -> int:
-        js = JointState((st,), theta, (prev_arrived,))
-        return self.space.encode(js)
 
 
 def solve_per_sensor_value(
@@ -133,15 +113,12 @@ def solve_per_sensor_value(
     return PerSensorValue(space, vt.values, vt.gain, p_r_i, eq)
 
 
-def solve_sisp_values(spec: SystemSpec, p_r: Optional[Sequence[float]] = None) -> list:
-    """Solve every sensor's decomposed value function.
-
-    p_r defaults to arrival-rate-proportional probabilities; each must lie
-    in (0,1) and their sum within the budget. The per-sensor solves are
-    independent of one another.
+def solve_sisp_values(spec: SystemSpec, p_r: Sequence[float]) -> list:
+    """Solve every sensor's decomposed value function under the scheduling
+    probabilities p_r (default_randomized_probs gives the arrival-rate
+    proportional ones); each must lie in (0,1) and their sum within the
+    budget. The per-sensor solves are independent of one another.
     """
-    if p_r is None:
-        p_r = default_randomized_probs(spec)
     if len(p_r) != spec.n_sensors:
         raise ValueError("p_r length must match the number of sensors")
     for p in p_r:
@@ -180,7 +157,6 @@ def build_policy_table(
     values: Sequence[PerSensorValue],
     space: StateSpace,
     actions: ActionSet,
-    spec: SystemSpec,
 ) -> PolicyTable:
     """SISP table: SispPolicy tabulated at every state (no pruning)."""
     for i, pv in enumerate(values):
@@ -193,7 +169,6 @@ def build_policy_table_with_pruning(
     values: Sequence[PerSensorValue],
     space: StateSpace,
     actions: ActionSet,
-    spec: SystemSpec,
 ) -> tuple:
     """SISP table and its threshold persistence; returns (table, n_copied,
     violations).
@@ -208,12 +183,12 @@ def build_policy_table_with_pruning(
     violations holds, in increasing order, the states that do not. Where it
     is empty the pruned table is the argmin table.
     """
-    table = build_policy_table(values, space, actions, spec)
+    table = build_policy_table(values, space, actions)
     chosen = table.action_index
     scheduled = actions.schedules[chosen]
     idx = np.arange(space.n_states)
     source = np.full(space.n_states, -1)
-    for i in range(spec.n_sensors):
+    for i in range(space.n_sensors):
         below = idx - space.aori_stride(i)
         hit = (source < 0) & (space.lanes().aori[i] >= 2)
         hit[hit] = scheduled[below[hit], i]
@@ -232,9 +207,6 @@ class ThresholdTable:
     """
 
     thresholds: np.ndarray  # shape (N, 2), float with inf sentinel
-
-    def threshold(self, sensor: int, theta: int) -> float:
-        return float(self.thresholds[sensor, theta])
 
     def rows(self):
         for i in range(self.thresholds.shape[0]):

@@ -101,6 +101,11 @@ TABLE_CHUNK = 1 << 14
 # Floats in CSV cells and in printed results: 12 significant digits
 VALUE_FORMAT = ".12g"
 
+# Relative value iteration: the sup-norm stopping bound on successive
+# iterates, and the iterations allowed before ConvergenceError
+RVI_EPSILON = 1e-9
+RVI_MAX_ITER = 100000
+
 # Stationary solve: the L1 balance residual a returned distribution must meet,
 # and the GMRES restart length, tolerance, restart cycles and passes
 STATIONARY_RESIDUAL = 1e-12
@@ -160,15 +165,20 @@ class StateSpace:
 
     def encode_array(self, lanes: LaneState) -> np.ndarray:
         """encode in every lane of a LaneState; a Bernoulli sensor's arrival
-        bit is ignored, as encode ignores its prev_arrival."""
+        bit is ignored, as encode ignores its prev_arrival. Each sensor's
+        sub-index is one ravel_multi_index pass, which also refuses an age
+        outside the truncation, on either side, as encode does."""
         idx = lanes.theta
         for i in range(self.n_sensors):
-            aoli, aori = lanes.aoli[i], lanes.aori[i]
-            if aoli.max() >= self.l_sizes[i] or aori.max() > self.r_sizes[i]:
-                raise ValueError(f"sensor {i} state outside truncation")
-            sub = aoli * self.r_sizes[i] + (aori - 1)
+            coords = (lanes.aoli[i], lanes.aori[i] - 1)
+            dims = (self.l_sizes[i], self.r_sizes[i])
             if self.g_sizes[i] == 2:
-                sub = sub * 2 + lanes.arrival[i]
+                coords += (lanes.arrival[i],)
+                dims += (2,)
+            try:
+                sub = np.ravel_multi_index(coords, dims)
+            except ValueError:
+                raise ValueError(f"sensor {i} state outside truncation") from None
             idx = idx + sub * self.sub_strides[i]
         return idx
 
@@ -255,26 +265,18 @@ class ActionSet:
     def index(self, action) -> int:
         return self._index[tuple(action)]
 
-    def is_feasible(self, action) -> bool:
-        return tuple(action) in self._index
-
 
 @dataclass
 class ValueTable:
     values: np.ndarray
     gain: float
-    iterations: int = 0
+    iterations: int
 
 
 @dataclass
 class PolicyTable:
     action_index: np.ndarray
-    action_set: Optional[ActionSet] = None
-
-    def action_of(self, state_index: int):
-        if self.action_set is None:
-            raise ValueError("policy table has no action set attached")
-        return self.action_set.actions[self.action_index[state_index]]
+    action_set: ActionSet
 
 
 def sensor_delta_transitions(
@@ -420,8 +422,7 @@ class Kernels:
     rows[a] is a matrix of shape (n_rows, n_states), CSR from build_kernels
     or PaddedRows from build_padded_kernels, and row_of maps each state to
     its distinct row, one map shared by every action, so the assembled
-    kernel K_a is rows[a][row_of] (assembled needs the CSR rows). Iterating
-    yields rows[a] in action order.
+    kernel K_a is rows[a][row_of]. Iterating yields rows[a] in action order.
 
     blocks cuts the distinct rows for RVI's threads: one (lo, hi, views)
     per CPU, where views[a] is rows[a][lo:hi] as a CSR view of the same
@@ -444,10 +445,6 @@ class Kernels:
 
     def __iter__(self):
         return iter(self.rows)
-
-    def assembled(self, a: int) -> sparse.csr_matrix:
-        """K_a with one row per state."""
-        return self.rows[a][self.row_of]
 
 
 def _worker_count() -> int:
@@ -707,20 +704,15 @@ def build_padded_kernels(spec: SystemSpec, space: StateSpace, actions: ActionSet
     return Kernels(tuple(PaddedRows(*part, shape) for part in parts), row_of)
 
 
-def relative_value_iteration(
-    kernels: Kernels,
-    cost: np.ndarray,
-    ref_index: int,
-    epsilon: float = 1e-9,
-    max_iter: int = 100000,
-    action_set: Optional[ActionSet] = None,
-) -> tuple:
+def relative_value_iteration(kernels: Kernels, cost: np.ndarray, ref_index: int) -> tuple:
     """Average-cost relative value iteration, normalized at ref_index.
 
     Iterates Q' = min_a [c + K_a Q] - (same at the reference state) until the
-    sup norm of successive iterates is <= epsilon. Returns (ValueTable,
-    PolicyTable); the gain is min_a Theta(ref, a) at termination and argmin
-    ties resolve to the lowest action index.
+    sup norm of successive iterates is <= RVI_EPSILON, raising
+    ConvergenceError after RVI_MAX_ITER iterations. Returns (ValueTable,
+    policy), policy holding each state's action index; the gain is
+    min_a Theta(ref, a) at termination and argmin ties resolve to the lowest
+    action index.
 
     K_a Q is the backup of the distinct rows spread by row_of. Identical
     rows give identical sums, so this is the assembled kernel's backup bit
@@ -760,7 +752,7 @@ def relative_value_iteration(
 
     sup_diff = np.inf
     with _shares(len(blocks)) as run:
-        for it in range(max_iter):
+        for it in range(RVI_MAX_ITER):
             run(back_up)
             # mode="clip" is never clipping (row_of is in range) but, unlike
             # the default, writes into out without a buffer
@@ -772,12 +764,12 @@ def relative_value_iteration(
             np.subtract(q_next, q, out=q)
             sup_diff = np.abs(q, out=q).max()
             q, q_next = q_next, q
-            if sup_diff <= epsilon:
+            if sup_diff <= RVI_EPSILON:
                 break
         else:
             raise ConvergenceError(
-                f"relative value iteration: sup-diff {sup_diff:.3e} > {epsilon:g} "
-                f"after {max_iter} iterations"
+                f"relative value iteration: sup-diff {sup_diff:.3e} > {RVI_EPSILON:g} "
+                f"after {RVI_MAX_ITER} iterations"
             )
     policy = np.empty(n, dtype=np.intp)
     for lo in range(0, n, TABLE_CHUNK):
@@ -785,7 +777,7 @@ def relative_value_iteration(
         theta = backups[:, kernels.row_of[lo:hi]]
         theta += cost[lo:hi]
         theta.argmin(axis=0, out=policy[lo:hi])
-    return ValueTable(q, float(gain), it + 1), PolicyTable(policy, action_set)
+    return ValueTable(q, float(gain), it + 1), policy
 
 
 def solve_optimal_policy(spec: SystemSpec) -> tuple:
@@ -794,10 +786,8 @@ def solve_optimal_policy(spec: SystemSpec) -> tuple:
     actions = ActionSet(spec.n_sensors, spec.m_budget)
     kernels = build_kernels(spec, space, actions)
     cost = cost_vector(space, spec)
-    vt, pt = relative_value_iteration(
-        kernels, cost, space.reference_index(), action_set=actions
-    )
-    return space, actions, vt, pt
+    vt, pi = relative_value_iteration(kernels, cost, space.reference_index())
+    return space, actions, vt, PolicyTable(pi, actions)
 
 
 def check_value_monotonicity(values: np.ndarray, space: StateSpace, slack: float) -> list:

@@ -29,9 +29,16 @@ __all__ = [
     "spectral_radius",
 ]
 
+# Riccati iteration: the max-abs stopping bound on successive covariances,
+# and the iterations allowed before ConvergenceError
+RICCATI_TOL = 1e-10
+RICCATI_MAX_ITER = 100000
+# Slack of the symmetry and positive-semidefiniteness checks of a covariance
+SYM_PSD_TOL = 1e-8
+
 
 class ConvergenceError(RuntimeError):
-    """An iterative solve failed to reach its tolerance within max_iter."""
+    """An iterative solve failed to reach its tolerance within its iteration limit."""
 
 
 def _check_prob(value: float, name: str, strict: bool = False) -> None:
@@ -73,10 +80,6 @@ class ChannelSpec:
     def transition_prob(self, theta: int, theta_next: int) -> float:
         stay = self.kappa00 if theta == 0 else self.kappa11
         return stay if theta_next == theta else 1.0 - stay
-
-    def stationary_good_prob(self) -> float:
-        """Long-run probability of the good state, k01 / (k01 + k10)."""
-        return self.kappa01 / (self.kappa01 + self.kappa10)
 
 
 @dataclass(frozen=True)
@@ -157,11 +160,11 @@ def _as_matrix(m, name: str) -> np.ndarray:
     return a
 
 
-def _check_sym_psd(m: np.ndarray, name: str, tol: float = 1e-8) -> None:
-    if not np.allclose(m, m.T, atol=tol):
+def _check_sym_psd(m: np.ndarray, name: str) -> None:
+    if not np.allclose(m, m.T, atol=SYM_PSD_TOL):
         raise ValueError(f"{name} must be symmetric")
     eig = np.linalg.eigvalsh((m + m.T) / 2.0)
-    if eig.min() < -tol * max(1.0, abs(eig).max()):
+    if eig.min() < -SYM_PSD_TOL * max(1.0, abs(eig).max()):
         raise ValueError(f"{name} must be positive semidefinite (min eig {eig.min():g})")
 
 
@@ -281,14 +284,7 @@ class SystemSpec:
         )
 
 
-def solve_steady_state_covariance(
-    a,
-    c,
-    sigma_w,
-    r_meas,
-    tol: float = 1e-10,
-    max_iter: int = 100000,
-) -> np.ndarray:
+def solve_steady_state_covariance(a, c, sigma_w, r_meas) -> np.ndarray:
     """Steady-state filtered error covariance of a Kalman filter.
 
     Iterates predict / measurement-update on the posterior covariance,
@@ -297,9 +293,9 @@ def solve_steady_state_covariance(
         P      = P_pred - P_pred c^T (c P_pred c^T + r_meas)^-1 c P_pred
 
     from P = sigma_w until the max-abs difference of successive iterates is
-    <= tol. Requires (a, c) detectable and r_meas positive definite.
+    <= RICCATI_TOL. Requires (a, c) detectable and r_meas positive definite.
 
-    Raises ConvergenceError if max_iter is exhausted and
+    Raises ConvergenceError after RICCATI_MAX_ITER iterations and
     numpy.linalg.LinAlgError if an innovation matrix is singular.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
@@ -307,17 +303,17 @@ def solve_steady_state_covariance(
     sigma_w = np.atleast_2d(np.asarray(sigma_w, dtype=float))
     r_meas = np.atleast_2d(np.asarray(r_meas, dtype=float))
     p = sigma_w.copy()
-    for _ in range(max_iter):
+    for _ in range(RICCATI_MAX_ITER):
         p_pred = a @ p @ a.T + sigma_w
         innov = c @ p_pred @ c.T + r_meas
         gain_term = p_pred @ c.T @ np.linalg.solve(innov, c @ p_pred)
         p_next = p_pred - gain_term
-        if np.max(np.abs(p_next - p)) <= tol:
+        if np.max(np.abs(p_next - p)) <= RICCATI_TOL:
             return p_next
         p = p_next
     raise ConvergenceError(
-        f"Riccati iteration did not converge within {max_iter} iterations "
-        f"(last step {np.max(np.abs(p_next - p)):.3e} > tol {tol:g}); "
+        f"Riccati iteration did not converge within {RICCATI_MAX_ITER} iterations "
+        f"(last step {np.max(np.abs(p_next - p)):.3e} > tol {RICCATI_TOL:g}); "
         "check detectability / stability of the model"
     )
 

@@ -300,13 +300,12 @@ def build_myopic_policy(spec: SystemSpec) -> MyopicPolicy:
     system = myopic_system(spec)
     space = StateSpace(system)
     actions = ActionSet(system.n_sensors, system.m_budget)
-    vt, pt = relative_value_iteration(
+    vt, pi = relative_value_iteration(
         build_padded_kernels(system, space, actions),
         cost_vector(space, system),
         space.reference_index(),
-        action_set=actions,
     )
-    return MyopicPolicy(space, pt, vt.gain)
+    return MyopicPolicy(space, PolicyTable(pi, actions), vt.gain)
 
 
 class MyopicPolicy(TablePolicy):

@@ -35,12 +35,9 @@ from .policies import Policy
 
 __all__ = [
     "ExperimentPlan",
-    "EpisodeResult",
     "PolicyStats",
-    "ExperimentResult",
     "run_episode",
     "monte_carlo",
-    "CapResult",
     "divergence_probe",
     "with_caps",
 ]
@@ -64,7 +61,7 @@ class ExperimentPlan:
     horizon: int
     replications: int
     base_seed: int
-    warmup: int = 0
+    warmup: int
 
     def __post_init__(self) -> None:
         if self.horizon <= self.warmup:
@@ -74,29 +71,12 @@ class ExperimentPlan:
 
 
 @dataclass
-class EpisodeResult:
-    avg_cost: float
-    final_state: object
-
-
-@dataclass
 class PolicyStats:
     name: str
     mean: float
     sd: float
     ci95: float
     rep_means: np.ndarray
-
-
-@dataclass
-class ExperimentResult:
-    stats: list
-
-    def by_name(self, name: str) -> PolicyStats:
-        for s in self.stats:
-            if s.name == name:
-                return s
-        raise KeyError(name)
 
 
 def _episode_rngs(seed: int) -> tuple:
@@ -112,8 +92,9 @@ def run_episode(
     seed: int,
     warmup: int = 0,
     sink=None,
-) -> EpisodeResult:
-    """Simulate one episode from the canonical start state, slot by slot.
+) -> float:
+    """Simulate one episode from the canonical start state, slot by slot, and
+    return its average cost.
 
     The policy decides on the state as one lane, from policy.uniforms fresh
     draws of the policy stream per slot. Stage costs accrue at the
@@ -141,7 +122,7 @@ def run_episode(
                 cells = [t, state.theta, i + 1, st.aoli, st.aori, *flags]
                 penalty = format(s.penalty(st.aori), VALUE_FORMAT)
                 sink.write(",".join(map(str, cells)) + f",{penalty}\r\n")
-    return EpisodeResult(total / (horizon - warmup), state)
+    return total / (horizon - warmup)
 
 
 def _draw_block(rngs, slots: int, width: int, lanes: int) -> np.ndarray:
@@ -171,8 +152,9 @@ def _trajectory_rows(t0: int, block, penalty_cells) -> str:
     return "".join(lines)
 
 
-def monte_carlo(plan: ExperimentPlan, sinks: Optional[Sequence] = None) -> ExperimentResult:
-    """Independent replications per policy with common random numbers.
+def monte_carlo(plan: ExperimentPlan, sinks: Optional[Sequence] = None) -> list:
+    """Independent replications per policy with common random numbers: one
+    PolicyStats per policy, in plan order.
 
     Replication r of policy k is lane k * R + r of one lockstep run (R
     replications): every lane starts at the canonical state, each policy
@@ -248,7 +230,7 @@ def monte_carlo(plan: ExperimentPlan, sinks: Optional[Sequence] = None) -> Exper
         sd = float(rep_means.std(ddof=1)) if reps > 1 else 0.0
         ci = 1.96 * sd / np.sqrt(reps)
         stats.append(PolicyStats(policy.name, mean, sd, float(ci), rep_means))
-    return ExperimentResult(stats)
+    return stats
 
 
 def with_caps(spec: SystemSpec, cap: int) -> SystemSpec:
@@ -257,37 +239,29 @@ def with_caps(spec: SystemSpec, cap: int) -> SystemSpec:
     return dataclasses.replace(spec, sensors=sensors)
 
 
-@dataclass
-class CapResult:
-    cap: int
-    mean: float
-    sd: float
-    ci95: float
-
-
 def divergence_probe(
     spec: SystemSpec,
     caps: Sequence[int],
     horizon: int,
     seed: int,
-    replications: int = 100,
-    warmup: int = 0,
-    p_r: Optional[Sequence[float]] = None,
+    replications: int,
+    warmup: int,
+    p_r: Sequence[float],
 ) -> list:
-    """Simulated time-average cost of SISP across truncation caps.
+    """Simulated time-average cost of SISP across truncation caps: one
+    PolicyStats per cap, in caps order.
 
     On a stable parameter point the cost plateaus as the cap grows; on a
     point violating the spectral-radius condition it keeps increasing, the
     truncated signature of an unbounded objective. SISP decides from the
     per-sensor values, solved per cap under the scheduling probabilities
-    p_r (arrival-rate proportional when None), with no joint space; at the
-    system's own caps it is the policy `simulate --policies sisp` runs.
+    p_r, with no joint space; at the system's own caps it is the policy
+    `simulate --policies sisp` runs.
     """
     out = []
     for cap in caps:
         system = with_caps(spec, cap)
         policy = decomposed.SispPolicy(decomposed.solve_sisp_values(system, p_r))
-        plan = ExperimentPlan(system, [policy], horizon, replications, seed, warmup=warmup)
-        stats = monte_carlo(plan).stats[0]
-        out.append(CapResult(int(cap), stats.mean, stats.sd, stats.ci95))
+        plan = ExperimentPlan(system, [policy], horizon, replications, seed, warmup)
+        out.extend(monte_carlo(plan))
     return out

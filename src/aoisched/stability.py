@@ -48,9 +48,7 @@ def _stability_matrix(channel: ChannelSpec, lam_hat: float, p0: float, p1: float
     return channel.omega() * scale[np.newaxis, :]
 
 
-def stability_check(
-    channel: ChannelSpec, sensor: SensorSpec, sensor_index: int = 0
-) -> StabilityReport:
+def stability_check(channel: ChannelSpec, sensor: SensorSpec, sensor_index: int) -> StabilityReport:
     """Evaluate rho(Omega (I - lambda_hat P)) against the penalty's bound.
 
     The bound is set by the sensor's own penalty: 1/rho(A)^2 for the trace
@@ -74,8 +72,7 @@ def stability_check(
 def system_stability(spec: SystemSpec) -> list:
     """Per-sensor stability reports; the system is stable iff all are."""
     return [
-        stability_check(spec.channel, s, sensor_index=i)
-        for i, s in enumerate(spec.sensors)
+        stability_check(spec.channel, s, i) for i, s in enumerate(spec.sensors)
     ]
 
 
@@ -93,16 +90,9 @@ class FeasibleRegion:
     bound: float
     feasible: np.ndarray
 
-    def contains(self, other: "FeasibleRegion") -> bool:
-        """True if every point feasible in `other` is feasible here."""
-        return bool(np.all(self.feasible | ~other.feasible))
-
 
 def feasible_region(
-    channel: ChannelSpec,
-    lambda_hat: float,
-    bound: float,
-    resolution: int = 101,
+    channel: ChannelSpec, lambda_hat: float, bound: float, resolution: int
 ) -> FeasibleRegion:
     """Sweep the stability test over a (p0, p1) grid.
 

@@ -40,6 +40,22 @@ def make_va_system(penalty, lam1, lam2, cap=7, m=1):
     )
 
 
+def action_at(table, idx):
+    """The schedule a PolicyTable takes at state index idx."""
+    return table.action_set.actions[table.action_index[idx]]
+
+
+def sensor_index(pv, st, theta, arrived):
+    """Index in a PerSensorValue's own space of one sensor's state, channel
+    state and arrival memory."""
+    return pv.space.encode(a.JointState((st,), theta, (arrived,)))
+
+
+def region_contains(outer, inner) -> bool:
+    """True if every point feasible in region `inner` is feasible in `outer`."""
+    return bool(np.all(outer.feasible | ~inner.feasible))
+
+
 @pytest.fixture(scope="session")
 def va_system(va_penalty):
     return make_va_system(va_penalty, 0.9, 0.9)
@@ -91,12 +107,12 @@ class SispBundle:
 
 
 def sisp_bundle(bundle: SolvedBundle) -> SispBundle:
-    values = decomposed.solve_sisp_values(bundle.system)
-    table = decomposed.build_policy_table(
-        values, bundle.space, bundle.actions, bundle.system
+    values = decomposed.solve_sisp_values(
+        bundle.system, decomposed.default_randomized_probs(bundle.system)
     )
+    table = decomposed.build_policy_table(values, bundle.space, bundle.actions)
     pruned, copied, violations = decomposed.build_policy_table_with_pruning(
-        values, bundle.space, bundle.actions, bundle.system
+        values, bundle.space, bundle.actions
     )
     return SispBundle(values, table, pruned, copied, violations)
 

@@ -22,6 +22,7 @@ from conftest import (
     VA_SIGMA_W,
     make_va_sensor,
     make_va_system,
+    region_contains,
     sisp_bundle,
     solve_bundle,
     tiny_system,
@@ -163,10 +164,9 @@ def test_criterion_06_near_optimality(va_solved, va_sisp, va_half_solved, va_hal
         sisp_policy = pol.TablePolicy("sisp", space, sb.pruned_table)
         rand_policy = pol.RandomizedSchedule(p_r, bundle.system.m_budget)
         plan = sim.ExperimentPlan(
-            bundle.system, [sisp_policy, rand_policy], 1000, 500, base_seed=2024
+            bundle.system, [sisp_policy, rand_policy], 1000, 500, base_seed=2024, warmup=0
         )
-        result = sim.monte_carlo(plan)
-        s, r = result.by_name("sisp"), result.by_name("rand")
+        s, r = sim.monte_carlo(plan)
         assert s.mean + s.ci95 < r.mean - r.ci95, label
         sisp_exact[label], sisp_mc[label] = exact["sisp"], s.mean
         print(
@@ -189,10 +189,9 @@ def test_criterion_07_dual_vs_myopic(va_penalty, va_hetero, va_hetero_sisp):
         sisp_policy = pol.TablePolicy("sisp", space, sb.pruned_table)
         myopic_policy = pol.build_myopic_policy(system)
         plan = sim.ExperimentPlan(
-            system, [sisp_policy, myopic_policy], 1000, 500, base_seed=77
+            system, [sisp_policy, myopic_policy], 1000, 500, base_seed=77, warmup=0
         )
-        result = sim.monte_carlo(plan)
-        return result.by_name("sisp"), result.by_name("myopic")
+        return sim.monte_carlo(plan)
 
     s, m = simulate(va_hetero, va_hetero_sisp)
     assert m.mean >= s.mean
@@ -200,9 +199,9 @@ def test_criterion_07_dual_vs_myopic(va_penalty, va_hetero, va_hetero_sisp):
 
     certain = make_va_system(va_penalty, 1.0, 1.0)
     certain_bundle_space = mdp.StateSpace(certain)
-    values = decomposed.solve_sisp_values(certain)
+    values = decomposed.solve_sisp_values(certain, decomposed.default_randomized_probs(certain))
     actions = mdp.ActionSet(2, 1)
-    table = decomposed.build_policy_table(values, certain_bundle_space, actions, certain)
+    table = decomposed.build_policy_table(values, certain_bundle_space, actions)
 
     class _SB:
         pruned_table = table
@@ -220,7 +219,7 @@ def test_criterion_07_dual_vs_myopic(va_penalty, va_hetero, va_hetero_sisp):
 
 def test_criterion_08_stability_criterion(va_penalty):
     sensor = make_va_sensor(va_penalty, 0.9)
-    report = stability.stability_check(VA_CHANNEL, sensor)
+    report = stability.stability_check(VA_CHANNEL, sensor, 0)
     # independent oracle: eigenvalues of the 2x2 from numpy
     m = VA_CHANNEL.omega() * np.array([1 - 0.9 * 0.5, 1 - 0.9 * 1.0])[np.newaxis, :]
     oracle = max(abs(np.linalg.eigvals(m)))
@@ -234,18 +233,18 @@ def test_criterion_08_stability_criterion(va_penalty):
     times = []
 
     t0 = time.perf_counter()
-    high = stability.feasible_region(case1, 0.9, bound_trace)
+    high = stability.feasible_region(case1, 0.9, bound_trace, 101)
     times.append(time.perf_counter() - t0)
-    low = stability.feasible_region(case1, 0.5, bound_trace)
-    assert high.contains(low) and high.feasible.sum() > low.feasible.sum()
+    low = stability.feasible_region(case1, 0.5, bound_trace, 101)
+    assert region_contains(high, low) and high.feasible.sum() > low.feasible.sum()
 
-    sticky = stability.feasible_region(a.ChannelSpec(0.9, 0.9), 0.9, bound_trace)
-    fast = stability.feasible_region(a.ChannelSpec(0.2, 0.2), 0.9, bound_trace)
-    assert fast.contains(sticky) and fast.feasible.sum() > sticky.feasible.sum()
+    sticky = stability.feasible_region(a.ChannelSpec(0.9, 0.9), 0.9, bound_trace, 101)
+    fast = stability.feasible_region(a.ChannelSpec(0.2, 0.2), 0.9, bound_trace, 101)
+    assert region_contains(fast, sticky) and fast.feasible.sum() > sticky.feasible.sum()
 
-    expo = stability.feasible_region(case1, 0.9, math.exp(-0.5))
-    trace = stability.feasible_region(case1, 0.9, bound_trace)
-    assert trace.contains(expo) and trace.feasible.sum() > expo.feasible.sum()
+    expo = stability.feasible_region(case1, 0.9, math.exp(-0.5), 101)
+    trace = stability.feasible_region(case1, 0.9, bound_trace, 101)
+    assert region_contains(trace, expo) and trace.feasible.sum() > expo.feasible.sum()
     assert max(times) < 10.0
     _report(
         8,
@@ -261,21 +260,24 @@ def test_criterion_09_divergence_probe(va_penalty, va_system):
     unstable_sensor = a.SensorSpec(a.BernoulliArrival(0.05), va_penalty, 0.1, 0.2, 7, 7)
     sticky = a.ChannelSpec(0.9, 0.9)
     unstable = a.SystemSpec((unstable_sensor,), sticky, 1)
-    assert not stability.stability_check(sticky, unstable_sensor).satisfied
-    diverging = sim.divergence_probe(unstable, caps, 1000, seed=5, replications=100)
+    assert not stability.stability_check(sticky, unstable_sensor, 0).satisfied
+    p_r = decomposed.default_randomized_probs(unstable)
+    diverging = sim.divergence_probe(unstable, caps, 1000, 5, 100, 0, p_r)
     for lo, hi in zip(diverging, diverging[1:]):
         assert hi.mean - lo.mean > hi.ci95 + lo.ci95
 
     assert all(r.satisfied for r in stability.system_stability(va_system))
-    stable = sim.divergence_probe(va_system, caps, 1000, seed=5, replications=100)
+    p_r = decomposed.default_randomized_probs(va_system)
+    stable = sim.divergence_probe(va_system, caps, 1000, 5, 100, 0, p_r)
     assert abs(stable[-1].mean - stable[0].mean) <= stable[-1].ci95 + stable[0].ci95
     elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
+    growing = ", ".join(f"{cap}:{r.mean:.1f}" for cap, r in zip(caps, diverging))
+    flat = ", ".join(f"{cap}:{r.mean:.2f}" for cap, r in zip(caps, stable))
     _report(
         9,
         "cost grows with the cap beyond CI at the infeasible point "
-        f"({', '.join(f'{r.cap}:{r.mean:.1f}' for r in diverging)}) and plateaus "
-        f"at the feasible one ({', '.join(f'{r.cap}:{r.mean:.2f}' for r in stable)}), "
+        f"({growing}) and plateaus at the feasible one ({flat}), "
         f"{elapsed:.1f}s",
     )
 

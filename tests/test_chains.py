@@ -2,7 +2,7 @@
 over the states reachable from the start only, byte for byte the whole
 chain restricted to csgraph's reachable set, with bit-identical exact costs.
 
-The whole chains are assembled here, from Kernels.assembled, as the
+The whole chains are assembled here, from each kernel's rows[a][row_of], as the
 builders assembled them before they restricted themselves: the table's
 rows gathered from a stack of every action's kernel, the mixture summed in
 action order, and round robin's cursor blocks joined by sparse.bmat.
@@ -37,16 +37,16 @@ def stuck_channel(kappa11):
 
 def whole_table_chain(kernels, action_index):
     n = len(kernels.row_of)
-    stacked = sparse.vstack([kernels.assembled(k) for k in range(len(kernels))], format="csr")
+    stacked = sparse.vstack([rows[kernels.row_of] for rows in kernels], format="csr")
     return stacked[action_index * n + np.arange(n)]
 
 
 def whole_mixture_chain(kernels, weights):
     out = None
-    for k, w in enumerate(weights):
+    for rows, w in zip(kernels, weights):
         if w == 0.0:
             continue
-        term = w * kernels.assembled(k)
+        term = w * rows[kernels.row_of]
         out = term if out is None else out + term
     return out.tocsr()
 
@@ -56,7 +56,7 @@ def whole_round_robin_chain(kernels, n, m):
     blocks = [[None] * n for _ in range(n)]
     for cursor in range(n):
         action, nxt = pol.round_robin_decide(cursor, n, m)
-        blocks[cursor][nxt] = kernels.assembled(actions.index(action))
+        blocks[cursor][nxt] = kernels.rows[actions.index(action)][kernels.row_of]
     return sparse.bmat(blocks, format="csr")
 
 
@@ -150,11 +150,11 @@ def test_stuck_channel_kernels_store_explicit_zeros():
     """The kappa00 = 1 example above exercises explicit zeros: the kernels
     store them, and csgraph's search follows them to good-channel states."""
     space = mdp.StateSpace(STUCK_MARKOV)
-    kernels = mdp.build_kernels(STUCK_MARKOV, space, mdp.ActionSet(2, 1))
+    actions = mdp.ActionSet(2, 1)
+    kernels = mdp.build_kernels(STUCK_MARKOV, space, actions)
     assert all(np.any(rows.data == 0.0) for rows in kernels)
-    p, states = mdp.policy_chain_matrix(
-        mdp.PolicyTable(np.zeros(space.n_states, dtype=np.intp)), kernels, space.reference_index()
-    )
+    idle = mdp.PolicyTable(np.zeros(space.n_states, dtype=np.intp), actions)
+    p, states = mdp.policy_chain_matrix(idle, kernels, space.reference_index())
     assert np.any(p.data == 0.0)
     assert np.any(states % 2 == 1)  # theta, the fastest index digit, is 1
 

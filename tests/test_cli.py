@@ -458,6 +458,33 @@ def test_sisp_refuses_p_r_over_budget(tmp_path, capsys, command):
     assert not out.exists()
 
 
+# sensor 2 never receives data, so the arrival-rate proportional default
+# scheduling probabilities do not exist
+ZERO_RATE_YAML = TWO_SENSOR_YAML.replace("rate: 0.5}", "rate: 0.0}")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", "--policies", "rand"],
+        ["simulate", "--policies", "sisp"],
+        ["simulate", "--caps", "3,4"],
+        ["solve", "--policy", "sisp"],
+        ["thresholds"],
+    ],
+    ids=["rand", "sisp", "caps", "solve", "thresholds"],
+)
+def test_zero_arrival_rate_needs_policy_p_r(tmp_path, capsys, command):
+    assert ZERO_RATE_YAML != TWO_SENSOR_YAML
+    cfg, out = write_config(tmp_path, ZERO_RATE_YAML)
+    assert cli.main([command[0], "--config", str(cfg), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: policy.p_r: not given, and all arrival rates")
+    assert not out.exists()
+    given, _ = write_config(tmp_path, ZERO_RATE_YAML + "policy: {p_r: [0.5, 0.4]}\n", "given.yaml")
+    assert cli.main([command[0], "--config", str(given), *command[1:]]) == 0
+
+
 def run_python(*args):
     """Run python with args in a fresh interpreter on this source tree; its
     stdout.

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import aoisched as a
 from aoisched import decomposed, dynamics, mdp
 
-from conftest import VA_CHANNEL, make_va_sensor, make_va_system
+from conftest import VA_CHANNEL, action_at, make_va_sensor, make_va_system, sensor_index
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +21,8 @@ def small_system():
 
 @pytest.fixture(scope="module")
 def small_solution(small_system):
-    values = decomposed.solve_sisp_values(small_system)
+    p_r = decomposed.default_randomized_probs(small_system)
+    values = decomposed.solve_sisp_values(small_system, p_r)
     space = mdp.StateSpace(small_system)
     actions = mdp.ActionSet(2, 1)
     return small_system, values, space, actions
@@ -71,10 +72,12 @@ def test_per_sensor_kernel_boundaries(va_penalty, arrival):
     space = mdp.StateSpace(system)
     actions = mdp.ActionSet(1, 1)
     kernels = mdp.build_kernels(system, space, actions)
-    k_idle, k_tx = (kernels.assembled(a).toarray() for a in range(2))
-    assert np.array_equal(decomposed.per_sensor_kernel(sensor, VA_CHANNEL, 0.0), k_idle)
-    assert np.array_equal(decomposed.per_sensor_kernel(sensor, VA_CHANNEL, 1.0), k_tx)
-    mixed = decomposed.per_sensor_kernel(sensor, VA_CHANNEL, 0.5)
+    k_idle, k_tx = (rows[kernels.row_of].toarray() for rows in kernels)
+    _, _, dense_idle, dense_tx = decomposed._single_sensor_kernels(sensor, VA_CHANNEL)
+    assert np.array_equal(dense_idle, k_idle)
+    assert np.array_equal(dense_tx, k_tx)
+    # the mix solve_per_sensor_value solves on, at p_r = 0.5
+    mixed = 0.5 * dense_tx + (1.0 - 0.5) * dense_idle
     assert np.allclose(mixed, 0.5 * k_tx + 0.5 * k_idle)
     assert np.allclose(mixed.sum(axis=1), 1.0, atol=1e-12)
 
@@ -85,7 +88,8 @@ def test_per_sensor_kernel_reference_row(va_penalty):
     sensor = make_va_sensor(va_penalty, 0.9)
     system = a.SystemSpec((sensor,), VA_CHANNEL, 1)
     space = mdp.StateSpace(system)
-    kernel = decomposed.per_sensor_kernel(sensor, VA_CHANNEL, 0.5)
+    _, _, k_idle, k_tx = decomposed._single_sensor_kernels(sensor, VA_CHANNEL)
+    kernel = 0.5 * k_tx + (1.0 - 0.5) * k_idle  # solve_per_sensor_value's mix
     row_state = dynamics.JointState((dynamics.SensorState(3, 5),), 0, (False,))
     row = kernel[space.encode(row_state)]
     lam, p = 0.9, 0.5
@@ -111,8 +115,8 @@ def test_per_sensor_value_always_fresh(va_penalty):
     for aoli in range(4):
         for aori in range(1, 4):
             st = dynamics.SensorState(aoli, aori)
-            v0 = pv.values[pv.state_index(st, 0, aoli == 0)]
-            v1 = pv.values[pv.state_index(st, 1, aoli == 0)]
+            v0 = pv.values[sensor_index(pv, st, 0, aoli == 0)]
+            v1 = pv.values[sensor_index(pv, st, 1, aoli == 0)]
             assert v0 == pytest.approx(v1, abs=1e-8)
 
 
@@ -162,7 +166,7 @@ def _oracle_theta(state, values, actions, spec):
         total = mdp.stage_cost(state, spec)
         for nxt, prob in mdp.transition_distribution(state, act, spec):
             summed = sum(
-                pv.values[pv.state_index(nxt.sensors[i], nxt.theta, nxt.prev_arrival[i])]
+                pv.values[sensor_index(pv, nxt.sensors[i], nxt.theta, nxt.prev_arrival[i])]
                 for i, pv in enumerate(values)
             )
             total += prob * summed
@@ -173,7 +177,7 @@ def _oracle_theta(state, values, actions, spec):
 def test_sisp_decide_matches_joint_expansion(small_solution):
     """The production SISP table against the joint-kernel expansion."""
     system, values, space, actions = small_solution
-    table = decomposed.build_policy_table(values, space, actions, system)
+    table = decomposed.build_policy_table(values, space, actions)
     for idx in range(space.n_states):
         state = space.decode(idx)
         oracle = _oracle_theta(state, values, actions, system)
@@ -217,12 +221,12 @@ def test_sisp_table_is_the_scalar_argmin_on_random_systems(spec):
     space = mdp.StateSpace(spec)
     assume(space.n_states <= 1500)
     actions = mdp.ActionSet(spec.n_sensors, spec.m_budget)
-    values = decomposed.solve_sisp_values(spec)
-    table = decomposed.build_policy_table(values, space, actions, spec)
+    values = decomposed.solve_sisp_values(spec, decomposed.default_randomized_probs(spec))
+    table = decomposed.build_policy_table(values, space, actions)
     for idx in range(space.n_states):
         state = space.decode(idx)
         x = [
-            pv.state_index(st_i, state.theta, arrived)
+            sensor_index(pv, st_i, state.theta, arrived)
             for pv, st_i, arrived in zip(values, state.sensors, state.prev_arrival)
         ]
         scores = [
@@ -237,7 +241,7 @@ def test_sisp_decide_swap_equivariance(va_penalty):
     values = decomposed.solve_sisp_values(spec, p_r=(0.45, 0.45))
     actions = mdp.ActionSet(2, 1)
     space = mdp.StateSpace(spec)
-    table = decomposed.build_policy_table(values, space, actions, spec)
+    table = decomposed.build_policy_table(values, space, actions)
     swap_action = {(0, 0): (0, 0), (1, 0): (0, 1), (0, 1): (1, 0)}
     for idx in range(space.n_states):
         state = space.decode(idx)
@@ -252,8 +256,8 @@ def test_sisp_decide_swap_equivariance(va_penalty):
         gap = np.partition(theta, 1)[1] - theta.min()
         if gap <= 1e-9:
             continue  # near-tie; index tie-breaking is not symmetric
-        lhs = table.action_of(space.encode(swapped))
-        rhs = swap_action[table.action_of(space.encode(state))]
+        lhs = action_at(table, space.encode(swapped))
+        rhs = swap_action[action_at(table, space.encode(state))]
         assert lhs == rhs
 
 
@@ -269,7 +273,7 @@ def test_sisp_scheduling_region_is_staircase(va_hetero_solved, va_hetero_sisp):
                 1,
                 (False, False),
             )
-            decisions[(r1, r2)] = va_hetero_sisp.table.action_of(space.encode(state))
+            decisions[(r1, r2)] = action_at(va_hetero_sisp.table, space.encode(state))
     for r1 in range(1, 7):
         for r2 in range(1, 8):
             if decisions[(r1, r2)][0] == 1:
@@ -282,9 +286,9 @@ def test_sisp_scheduling_region_is_staircase(va_hetero_solved, va_hetero_sisp):
 
 def test_pruned_table_equals_unpruned(small_solution):
     system, values, space, actions = small_solution
-    plain = decomposed.build_policy_table(values, space, actions, system)
+    plain = decomposed.build_policy_table(values, space, actions)
     pruned, copied, violations = decomposed.build_policy_table_with_pruning(
-        values, space, actions, system
+        values, space, actions
     )
     assert violations.size == 0
     assert np.array_equal(plain.action_index, pruned.action_index)
@@ -299,10 +303,10 @@ def test_pruning_impossible_on_minimal_age_range(va_penalty):
     space = mdp.StateSpace(system)
     actions = mdp.ActionSet(1, 1)
     pruned, copied, violations = decomposed.build_policy_table_with_pruning(
-        values, space, actions, system
+        values, space, actions
     )
     assert violations.size == 0
-    plain = decomposed.build_policy_table(values, space, actions, system)
+    plain = decomposed.build_policy_table(values, space, actions)
     assert copied == 0
     assert np.array_equal(plain.action_index, pruned.action_index)
 
@@ -317,17 +321,17 @@ def test_threshold_definitional_single_sensor(va_penalty):
         expected = math.inf
         for aori in range(1, 8):
             st = dynamics.SensorState(0, aori)
-            x = pv.state_index(st, theta, True)
+            x = sensor_index(pv, st, theta, True)
             if pv.eq[x, 1] < pv.eq[x, 0]:  # transmit strictly beats idling
                 expected = aori
                 break
-        assert table.threshold(0, theta) == expected
+        assert table.thresholds[0, theta] == expected
 
 
 def test_threshold_good_channel_no_later(va_sisp, va_system):
     table = decomposed.extract_thresholds(va_sisp.values, va_system)
     for i in range(2):
-        assert table.threshold(i, 1) <= table.threshold(i, 0)
+        assert table.thresholds[i, 1] <= table.thresholds[i, 0]
 
 
 def test_threshold_inf_for_hopeless_sensor(va_penalty):
@@ -338,9 +342,9 @@ def test_threshold_inf_for_hopeless_sensor(va_penalty):
     system = a.SystemSpec((live, dead), VA_CHANNEL, 1)
     values = decomposed.solve_sisp_values(system, p_r=(0.5, 0.3))
     table = decomposed.extract_thresholds(values, system)
-    assert math.isinf(table.threshold(1, 0))
-    assert math.isinf(table.threshold(1, 1))
-    assert not math.isinf(table.threshold(0, 0))
+    assert math.isinf(table.thresholds[1, 0])
+    assert math.isinf(table.thresholds[1, 1])
+    assert not math.isinf(table.thresholds[0, 0])
 
 
 def test_decomposition_gain_identity(small_solution):
@@ -413,10 +417,10 @@ def test_three_sensor_two_slot_budget():
     cost = mdp.cost_vector(space, system)
     start = space.reference_index()
 
-    values = decomposed.solve_sisp_values(system)
-    plain = decomposed.build_policy_table(values, space, actions, system)
+    values = decomposed.solve_sisp_values(system, decomposed.default_randomized_probs(system))
+    plain = decomposed.build_policy_table(values, space, actions)
     pruned, copied, violations = decomposed.build_policy_table_with_pruning(
-        values, space, actions, system
+        values, space, actions
     )
     assert violations.size == 0
     assert np.array_equal(plain.action_index, pruned.action_index)
@@ -450,9 +454,9 @@ def test_decomposition_with_markov_arrivals():
     )
     assert sum(v.gain for v in values) == pytest.approx(joint, abs=1e-6)
 
-    plain = decomposed.build_policy_table(values, space, actions, spec)
+    plain = decomposed.build_policy_table(values, space, actions)
     pruned, copied, violations = decomposed.build_policy_table_with_pruning(
-        values, space, actions, spec
+        values, space, actions
     )
     assert violations.size == 0
     assert np.array_equal(plain.action_index, pruned.action_index)
@@ -466,7 +470,7 @@ def test_sisp_dominates_randomized(small_solution):
     kernels = mdp.build_kernels(system, space, actions)
     cost = mdp.cost_vector(space, system)
     start = space.reference_index()
-    table = decomposed.build_policy_table(values, space, actions, system)
+    table = decomposed.build_policy_table(values, space, actions)
     sisp_cost = mdp.policy_average_cost(table, kernels, cost, start)
     chain = decomposed.randomized_chain_matrix(system, space, [pv.p_r for pv in values])
     rand_cost = mdp.chain_average_cost(*chain, cost, start)

@@ -38,14 +38,11 @@ class _CellSink:
 def assert_matches_episodes(spec, policies, horizon, reps, seed, warmup=0):
     plan = sim.ExperimentPlan(spec, policies, horizon, reps, seed, warmup=warmup)
     sinks = [_CellSink() for _ in policies]
-    result = sim.monte_carlo(plan, sinks)
-    for policy, st, sink in zip(policies, result.stats, sinks):
+    stats = sim.monte_carlo(plan, sinks)
+    for policy, st, sink in zip(policies, stats, sinks):
         trace = _CellSink()
-        episodes = [
-            sim.run_episode(spec, policy, horizon, seed, warmup, sink=trace).avg_cost
-        ] + [
-            sim.run_episode(spec, policy, horizon, seed + r, warmup).avg_cost
-            for r in range(1, reps)
+        episodes = [sim.run_episode(spec, policy, horizon, seed, warmup, sink=trace)] + [
+            sim.run_episode(spec, policy, horizon, seed + r, warmup) for r in range(1, reps)
         ]
         assert np.array_equal(st.rep_means, episodes), policy.name
         assert st.mean == float(np.mean(episodes)), policy.name
@@ -108,9 +105,9 @@ def test_stacked_policies_run_as_if_alone(twosensor):
     stacked = policies + [pol.RandomizedSchedule((0.9, 0.9), 1)]
     for plan_policies in (stacked, stacked[::-1]):
         plan = sim.ExperimentPlan(spec, plan_policies, 200, 4, 17, warmup=20)
-        for policy, st in zip(plan_policies, sim.monte_carlo(plan).stats):
+        for policy, st in zip(plan_policies, sim.monte_carlo(plan)):
             alone = sim.ExperimentPlan(spec, [policy], 200, 4, 17, warmup=20)
-            means = sim.monte_carlo(alone).stats[0].rep_means
+            means = sim.monte_carlo(alone)[0].rep_means
             assert st.rep_means.tobytes() == means.tobytes(), policy.name
 
 
@@ -124,4 +121,4 @@ def test_infeasible_action_raises_like_the_scalar_step(twosensor):
         with pytest.raises(ValueError, match=message):
             sim.run_episode(spec, policy, 5, seed=0)
         with pytest.raises(ValueError, match=message):
-            sim.monte_carlo(sim.ExperimentPlan(spec, [policy], 5, 2, 0))
+            sim.monte_carlo(sim.ExperimentPlan(spec, [policy], 5, 2, 0, 0))

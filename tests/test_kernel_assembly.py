@@ -19,6 +19,8 @@ from scipy import sparse
 import aoisched as a
 from aoisched import cli, decomposed, mdp, policies as pol, sim
 
+from conftest import action_at
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -105,7 +107,7 @@ def assert_kernels_match_oracle(spec):
     assert built.row_of.shape == (space.n_states,)
     for a, o in enumerate(expected):
         assert built.rows[a].shape == (built.n_rows, space.n_states)
-        k = built.assembled(a)
+        k = built.rows[a][built.row_of]
         assert k.shape == o.shape
         for got, want in ((k.indptr, o.indptr), (k.indices, o.indices), (k.data, o.data)):
             assert got.dtype == want.dtype
@@ -138,9 +140,9 @@ def test_kernels_are_canonical_stochastic_csr(name):
     kernels = mdp.build_kernels(spec, space, mdp.ActionSet(spec.n_sensors, spec.m_budget))
     # row_of reaches every distinct row
     assert np.array_equal(np.unique(kernels.row_of), np.arange(kernels.n_rows))
-    for a, rows in enumerate(kernels):
+    for rows in kernels:
         assert_canonical_stochastic_csr(rows)
-        assert_canonical_stochastic_csr(kernels.assembled(a))
+        assert_canonical_stochastic_csr(rows[kernels.row_of])
 
 
 @pytest.mark.parametrize(
@@ -245,10 +247,12 @@ def test_rvi_on_distinct_rows_matches_assembled_kernels(spec):
     kernels = mdp.build_kernels(spec, space, actions)
     cost = mdp.cost_vector(space, spec)
     ref = space.reference_index()
-    assembled = [kernels.assembled(i) for i in range(len(kernels))]
+    assembled = [rows[kernels.row_of] for rows in kernels]
     want = oracle_rvi(assembled, cost, ref, 1e-9, RVI_MAX_ITER)
     try:
-        vt, pt = mdp.relative_value_iteration(kernels, cost, ref, 1e-9, RVI_MAX_ITER)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mdp, "RVI_MAX_ITER", RVI_MAX_ITER)
+            vt, pi = mdp.relative_value_iteration(kernels, cost, ref)
     except a.ConvergenceError:
         assert want is None
         return
@@ -257,7 +261,7 @@ def test_rvi_on_distinct_rows_matches_assembled_kernels(spec):
     assert np.array_equal(vt.values.view(np.int64), values.view(np.int64))
     assert vt.gain == gain
     assert vt.iterations == iterations
-    assert np.array_equal(pt.action_index, policy)
+    assert np.array_equal(pi, policy)
 
 
 def test_rvi_argmin_reads_the_rounded_sums_with_cost():
@@ -275,9 +279,9 @@ def test_rvi_argmin_reads_the_rounded_sums_with_cost():
     )
     cost = np.array([0.0, 1e16, 0.5])
     want = oracle_rvi(list(kernels), cost, 0, 1e-9, RVI_MAX_ITER)
-    vt, pt = mdp.relative_value_iteration(kernels, cost, 0)
+    vt, pi = mdp.relative_value_iteration(kernels, cost, 0)
     assert vt.values.tolist() == want[0].tolist() == [0.0, 1e16, 0.5]
-    assert pt.action_index.tolist() == want[3].tolist() == [0, 0, 0]
+    assert pi.tolist() == want[3].tolist() == [0, 0, 0]
 
 
 def split_solve(spec, workers, chunk):
@@ -289,16 +293,15 @@ def split_solve(spec, workers, chunk):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mdp, "TABLE_CHUNK", chunk)
         mp.setattr(mdp, "_worker_count", lambda: workers)
+        mp.setattr(mdp, "RVI_MAX_ITER", RVI_MAX_ITER)
         parts = mdp.kernel_rows(spec, space, actions)
         kernels = mdp.build_kernels(spec, space, actions)
         cost = mdp.cost_vector(space, spec)
         try:
-            vt, pt = mdp.relative_value_iteration(
-                kernels, cost, space.reference_index(), 1e-9, RVI_MAX_ITER
-            )
+            vt, pi = mdp.relative_value_iteration(kernels, cost, space.reference_index())
         except a.ConvergenceError:
             return parts, kernels, None
-    return parts, kernels, (vt.values, vt.gain, vt.iterations, pt.action_index)
+    return parts, kernels, (vt.values, vt.gain, vt.iterations, pi)
 
 
 # one sensor whose ages never leave (0, 1): two distinct rows, so three
@@ -340,15 +343,14 @@ def test_split_work_is_the_one_worker_work_bit_for_bit(spec, workers, chunk):
 def test_rvi_joins_its_threads_when_it_fails(monkeypatch):
     monkeypatch.setattr(mdp, "TABLE_CHUNK", 4)
     monkeypatch.setattr(mdp, "_worker_count", lambda: 3)
+    monkeypatch.setattr(mdp, "RVI_MAX_ITER", 1)
     spec = markov3_system(1)
     space = mdp.StateSpace(spec)
     kernels = mdp.build_kernels(spec, space, mdp.ActionSet(3, 1))
     assert len(kernels.blocks) == 3
     before = threading.active_count()
     with pytest.raises(a.ConvergenceError):
-        mdp.relative_value_iteration(
-            kernels, mdp.cost_vector(space, spec), space.reference_index(), max_iter=1
-        )
+        mdp.relative_value_iteration(kernels, mdp.cost_vector(space, spec), space.reference_index())
     assert threading.active_count() == before
 
 
@@ -419,7 +421,7 @@ def test_myopic_decide_reads_monitor_ages_and_channel():
             js.theta,
             (True,) * spec.n_sensors,
         )
-        assert table.action_of(idx) == policy.table.action_of(policy.space.encode(reduced))
+        assert action_at(table, idx) == action_at(policy.table, policy.space.encode(reduced))
 
 
 @pytest.mark.parametrize(
@@ -429,10 +431,10 @@ def test_pruning_count_matches_recorded(spec, copied):
     """Counts recorded from the state-by-state pruned construction it replaced."""
     space = mdp.StateSpace(spec)
     actions = mdp.ActionSet(spec.n_sensors, spec.m_budget)
-    values = decomposed.solve_sisp_values(spec)
-    plain = decomposed.build_policy_table(values, space, actions, spec)
+    values = decomposed.solve_sisp_values(spec, decomposed.default_randomized_probs(spec))
+    plain = decomposed.build_policy_table(values, space, actions)
     pruned, n_copied, violations = decomposed.build_policy_table_with_pruning(
-        values, space, actions, spec
+        values, space, actions
     )
     assert n_copied == copied
     assert violations.size == 0
@@ -473,13 +475,13 @@ def test_pruning_reports_persistence_violations(tmp_path, capsys):
     spec = markov3_system(2)
     space = mdp.StateSpace(spec)
     actions = mdp.ActionSet(3, 2)
-    values = decomposed.solve_sisp_values(spec)
+    values = decomposed.solve_sisp_values(spec, decomposed.default_randomized_probs(spec))
     table, _, violations = decomposed.build_policy_table_with_pruning(
-        values, space, actions, spec
+        values, space, actions
     )
     assert len(violations) == 4
     assert np.all(np.diff(violations) > 0)
-    plain = decomposed.build_policy_table(values, space, actions, spec)
+    plain = decomposed.build_policy_table(values, space, actions)
     assert np.array_equal(table.action_index, plain.action_index)
 
     # solve writes that argmin table and reports the count
@@ -505,12 +507,12 @@ def test_sisp_policy_simulates_like_its_table():
     where persistence fails: means and lane 0's trajectory, bit for bit."""
     spec = markov3_system(2)
     space = mdp.StateSpace(spec)
-    values = decomposed.solve_sisp_values(spec)
-    table = decomposed.build_policy_table(values, space, mdp.ActionSet(3, 2), spec)
+    values = decomposed.solve_sisp_values(spec, decomposed.default_randomized_probs(spec))
+    table = decomposed.build_policy_table(values, space, mdp.ActionSet(3, 2))
     policies = [decomposed.SispPolicy(values), pol.TablePolicy("sisp", space, table)]
     sinks = [io.StringIO(), io.StringIO()]
     plan = sim.ExperimentPlan(spec, policies, 400, 5, 7, warmup=25)
-    direct, tabulated = sim.monte_carlo(plan, sinks).stats
+    direct, tabulated = sim.monte_carlo(plan, sinks)
     assert direct.rep_means.tobytes() == tabulated.rep_means.tobytes()
     assert direct.mean == tabulated.mean
     rows = [sink.getvalue().splitlines() for sink in sinks]

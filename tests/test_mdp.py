@@ -1,11 +1,13 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import aoisched as a
-from aoisched import dynamics, mdp
+from aoisched import cli, dynamics, mdp
 
+TWO_SENSOR = Path(__file__).resolve().parents[1] / "configs" / "twosensor.yaml"
 
 
 def test_state_space_roundtrip_bernoulli(va_system):
@@ -42,6 +44,33 @@ def test_lanes_are_the_decoded_states(va_penalty):
             got = column[..., idx : idx + 1]
             assert got.dtype == want.dtype and np.array_equal(got, want), (idx, field)
     np.testing.assert_array_equal(space.encode_array(lanes), np.arange(space.n_states))
+
+
+def test_encode_array_raises_where_encode_does():
+    """On twosensor, one lane of four at an age outside the truncation, on
+    either side, makes encode_array raise, as encode raises on that state;
+    the edges inside encode alike."""
+    space = mdp.StateSpace(cli.load_config(str(TWO_SENSOR)).system)
+    start = space.decode(space.reference_index())
+    for i, s in enumerate(space.spec.sensors):
+        outside = [(-1, 1), (s.max_aoli + 1, 1), (0, 0), (0, s.max_aori + 1)]
+        inside = [(0, 1), (s.max_aoli, 1), (0, s.max_aori), (s.max_aoli, s.max_aori)]
+        for (aoli, aori), refused in [(c, True) for c in outside] + [(c, False) for c in inside]:
+            sensors = list(start.sensors)
+            sensors[i] = dynamics.SensorState(aoli, aori)
+            state = start._replace(sensors=tuple(sensors))
+            lanes = dynamics.lane_state(start, 4)
+            lanes.aoli[i, 2], lanes.aori[i, 2] = aoli, aori
+            lanes.arrival[i, 2] = state.prev_arrival[i]
+            if refused:
+                with pytest.raises(ValueError, match="outside truncation"):
+                    space.encode(state)
+                with pytest.raises(ValueError, match="outside truncation"):
+                    space.encode_array(lanes)
+            else:
+                want = [space.reference_index()] * 4
+                want[2] = space.encode(state)
+                assert space.encode_array(lanes).tolist() == want
 
 
 def test_state_count_is_exact_beyond_int64(va_penalty):
@@ -245,24 +274,23 @@ def test_rvi_degenerate_always_fresh(va_penalty):
     space, actions, vt, pt = a.solve_optimal_policy(spec)
     assert vt.gain == pytest.approx(va_penalty(1), rel=1e-9)
     # transmitting is optimal at the start state
-    assert pt.action_of(space.reference_index()) == (1,)
+    assert actions.actions[pt.action_index[space.reference_index()]] == (1,)
 
 
 def test_rvi_bellman_residual(va_hetero_solved):
     b = va_hetero_solved
     theta = np.stack(
-        [b.cost + b.kernels.assembled(a) @ b.vt.values for a in range(len(b.kernels))]
+        [b.cost + rows[b.kernels.row_of] @ b.vt.values for rows in b.kernels]
     )
     residual = np.max(np.abs(theta.min(axis=0) - b.vt.gain - b.vt.values))
     assert residual <= 10 * 1e-9
     assert b.vt.gain > 0.0
 
 
-def test_rvi_nonconvergence_reports(tiny_solved):
+def test_rvi_nonconvergence_reports(tiny_solved, monkeypatch):
+    monkeypatch.setattr(mdp, "RVI_MAX_ITER", 2)
     with pytest.raises(a.ConvergenceError):
-        mdp.relative_value_iteration(
-            tiny_solved.kernels, tiny_solved.cost, tiny_solved.start, 1e-9, max_iter=2
-        )
+        mdp.relative_value_iteration(tiny_solved.kernels, tiny_solved.cost, tiny_solved.start)
 
 
 def test_monotonicity_checker(tiny_solved):

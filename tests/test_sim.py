@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from aoisched import mdp, policies as pol, sim
+from aoisched import decomposed, mdp, policies as pol, sim
 
 from conftest import make_va_system
 
@@ -27,10 +27,11 @@ def test_monte_carlo_is_deterministic(va_system, va_sisp):
             horizon=300,
             replications=10,
             base_seed=7,
+            warmup=0,
         )
 
     r1, r2 = sim.monte_carlo(plan()), sim.monte_carlo(plan())
-    for s1, s2 in zip(r1.stats, r2.stats):
+    for s1, s2 in zip(r1, r2):
         assert s1.mean == s2.mean
         assert np.array_equal(s1.rep_means, s2.rep_means)
 
@@ -54,16 +55,16 @@ def test_episode_average_approaches_gain(tiny_solved):
     reps = 30
     # replication r replays run_episode(seed=100 + r) bit for bit
     plan = sim.ExperimentPlan(b.system, [policy], 20_000, reps, base_seed=100, warmup=500)
-    means = sim.monte_carlo(plan).stats[0].rep_means
+    means = sim.monte_carlo(plan)[0].rep_means
     se = means.std(ddof=1) / np.sqrt(reps)
     assert abs(means.mean() - b.vt.gain) <= 3 * se
 
 
 def test_idle_cost_saturates(va_penalty):
     spec = make_va_system(va_penalty, 0.0, 0.0, cap=5)
-    episode = sim.run_episode(spec, pol.IdlePolicy(2), 3000, seed=1, warmup=1000)
+    avg_cost = sim.run_episode(spec, pol.IdlePolicy(2), 3000, seed=1, warmup=1000)
     cap_cost = sum(s.penalty(5) for s in spec.sensors)
-    assert episode.avg_cost == pytest.approx(cap_cost, rel=1e-9)
+    assert avg_cost == pytest.approx(cap_cost, rel=1e-9)
 
 
 def test_trajectory_rows_and_delivery_reset(va_system, va_sisp):
@@ -90,7 +91,7 @@ def test_plan_validation(va_system):
     with pytest.raises(ValueError):
         sim.ExperimentPlan(va_system, [pol.IdlePolicy(2)], 100, 10, 0, warmup=100)
     with pytest.raises(ValueError):
-        sim.ExperimentPlan(va_system, [pol.IdlePolicy(2)], 100, 0, 0)
+        sim.ExperimentPlan(va_system, [pol.IdlePolicy(2)], 100, 0, 0, 0)
 
 
 def test_with_caps_rebuilds_sensors(va_system):
@@ -100,9 +101,13 @@ def test_with_caps_rebuilds_sensors(va_system):
 
 
 def test_divergence_probe_single_cap(va_system):
-    out = sim.divergence_probe(va_system, [7], horizon=300, seed=11, replications=5)
+    p_r = decomposed.default_randomized_probs(va_system)
+    out = sim.divergence_probe(va_system, [7], 300, 11, 5, 0, p_r)
     assert len(out) == 1
-    assert out[0].cap == 7
+    # the entry of cap 7, the system's own caps, is a plain SISP run there
+    sisp = decomposed.SispPolicy(decomposed.solve_sisp_values(va_system, p_r))
+    alone = sim.monte_carlo(sim.ExperimentPlan(va_system, [sisp], 300, 5, 11, 0))
+    assert out[0].rep_means.tobytes() == alone[0].rep_means.tobytes()
     assert out[0].mean > 0
 
 
@@ -114,5 +119,5 @@ def test_mc_mean_matches_exact_cost(va_solved, va_sisp):
     plan = sim.ExperimentPlan(
         b.system, [policy], horizon=10_000, replications=30, base_seed=21, warmup=500
     )
-    st = sim.monte_carlo(plan).stats[0]
+    st = sim.monte_carlo(plan)[0]
     assert abs(st.mean - exact) <= 3 * st.ci95

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 import aoisched as a
 from aoisched import cli, mdp
 
+from conftest import action_at
+
 
 def _sensor(arrival, max_aoli, max_aori):
     return a.SensorSpec(arrival, a.ExponentialPenalty(0.5), 0.5, 0.9, max_aoli, max_aori)
@@ -59,7 +61,7 @@ def oracle_text(space, values, policy):
         row.extend(st.aori for st in js.sensors)
         if has_markov:
             row.extend(js.prev_arrival)  # bools, as the rows used to carry them
-        bits = "".join(str(d) for d in policy.action_of(idx))
+        bits = "".join(str(d) for d in action_at(policy, idx))
         w.writerow(row + [js.theta, cells[idx] if cells is not None else "", bits])
     return fh.getvalue()
 

@@ -14,6 +14,8 @@ import pytest
 
 from aoisched import cli, decomposed, mdp, policies as pol
 
+from conftest import action_at
+
 DEFAULT_CHUNK = mdp.TABLE_CHUNK
 
 BERNOULLI_YAML = textwrap.dedent(
@@ -78,7 +80,7 @@ def oracle_table(path, cfg, space, values, policy, myopic=False):
             w.writerow(header + ["theta", "value", "action_bits"])
         for idx in range(space.n_states):
             js = space.decode(idx)
-            bits = "".join(str(d) for d in policy.action_of(idx))
+            bits = "".join(str(d) for d in action_at(policy, idx))
             if myopic:
                 w.writerow([idx, *(st.aori for st in js.sensors), js.theta, bits])
                 continue
@@ -96,7 +98,7 @@ def expected_tables(cfg, tmp_path):
     system = cfg.system
     space, actions, vt, pt = mdp.solve_optimal_policy(system)
     sisp, _, _ = decomposed.build_policy_table_with_pruning(
-        decomposed.solve_sisp_values(system, cfg.p_r), space, actions, system
+        decomposed.solve_sisp_values(system, cli._scheduling_probs(cfg)), space, actions
     )
     myopic = pol.build_myopic_policy(system)
     return {
