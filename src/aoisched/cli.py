@@ -336,18 +336,20 @@ def _sisp_table(cfg: LoadedConfig) -> tuple:
 
 
 def _joint_mdp(cfg: LoadedConfig, cache: dict) -> tuple:
-    """(space, actions, kernels, cost) of the joint MDP, built once per cache."""
+    """(space, actions) of the joint MDP, built once per cache."""
     if "joint" not in cache:
         system = cfg.system
         space = _check_state_budget(system, cfg.max_states)
-        actions = mdp.ActionSet(system.n_sensors, system.m_budget)
-        kernels = mdp.build_kernels(system, space, actions)
-        cache["joint"] = (space, actions, kernels, mdp.cost_vector(space, system))
+        cache["joint"] = (space, mdp.ActionSet(system.n_sensors, system.m_budget))
     return cache["joint"]
 
 
 def _solve_optimal(cfg: LoadedConfig, cache: dict) -> tuple:
-    space, actions, kernels, cost = _joint_mdp(cfg, cache)
+    """RVI on the joint kernels, which live for this solve only: the exact
+    evaluations build their chains from the per-sensor factors."""
+    space, actions = _joint_mdp(cfg, cache)
+    kernels = mdp.build_kernels(cfg.system, space, actions)
+    cost = mdp.cost_vector(space, cfg.system)
     vt, pi = mdp.relative_value_iteration(kernels, cost, space.reference_index())
     return space, vt, mdp.PolicyTable(pi, actions)
 
@@ -586,21 +588,21 @@ def cmd_thresholds(args) -> int:
 
 def _exact_cost(policy: pol.Policy, system: SystemSpec, joint: tuple) -> float:
     """Exact average cost of one policy on the joint MDP (space, actions,
-    kernels, cost), from its chain on the states reachable from the start.
+    factors, cost), from its chain on the states reachable from the start.
     The chain is freed on return, before the next policy's solve."""
-    space, actions, kernels, cost = joint
+    space, actions, factors, cost = joint
     start = space.reference_index()
     if policy.name == "rr":
         n = system.n_sensors
-        p, states = pol.round_robin_chain(space, kernels, n, system.m_budget)
+        p, states = pol.round_robin_chain(space, factors, n, system.m_budget)
         # one copy of the cost per cursor: the augmented states are cursor-major
         return mdp.chain_average_cost(p, states, np.tile(cost, n), start)
     if policy.name == "rand":
         weights = pol.randomized_action_weights(policy.p, system.m_budget, actions)
-        p, states = mdp.mixture_chain_matrix(weights, kernels, start)
+        p, states = mdp.mixture_chain_matrix(weights, factors, actions, start)
         return mdp.chain_average_cost(p, states, cost, start)
     table = pol.policy_to_table(policy, space, actions)
-    return mdp.policy_average_cost(table, kernels, cost, start)
+    return mdp.policy_average_cost(table, factors, cost, start)
 
 
 def cmd_compare(args) -> int:
@@ -609,8 +611,10 @@ def cmd_compare(args) -> int:
     seed, horizon, replications = _run_params(args, cfg)
     system = cfg.system
     cache = {}
+    # an optimal policy's kernels are freed before the first evaluation
     policies = _policy_list(args, cfg, cache)
-    joint = _joint_mdp(cfg, cache)
+    space, actions = _joint_mdp(cfg, cache)
+    joint = (space, actions, mdp.build_factors(system, space), mdp.cost_vector(space, system))
     exact = {policy.name: _exact_cost(policy, system, joint) for policy in policies}
 
     plan = sim.ExperimentPlan(system, policies, horizon, replications, seed, cfg.warmup)

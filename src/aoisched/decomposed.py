@@ -22,7 +22,7 @@ from .mdp import (
     Kernels,
     PolicyTable,
     StateSpace,
-    build_kernels,
+    build_factors,
     cost_vector,
     kernel_rows,
     mixture_chain_matrix,
@@ -252,5 +252,5 @@ def randomized_chain_matrix(spec: SystemSpec, space: StateSpace, p_r: Sequence[f
     """
     full_actions = ActionSet(spec.n_sensors, spec.n_sensors)
     weights = randomized_action_weights(p_r, spec.n_sensors, full_actions)
-    kernels = build_kernels(spec, space, full_actions)
-    return mixture_chain_matrix(weights, kernels, space.reference_index())
+    factors = build_factors(spec, space)
+    return mixture_chain_matrix(weights, factors, full_actions, space.reference_index())

@@ -8,28 +8,33 @@ policy-induced chain: restarted GMRES on the pinned balance equations of the
 single closed class reachable from the start state, certified by its L1
 balance residual, with a sparse LU solve when GMRES misses the bound
 (stationary_distribution). A chain is built over the states reachable from
-the start only, with rows copied from the kernels' distinct rows
-(reachable_chain), never over the whole truncated grid.
+the start only, with rows generated from the per-sensor factors as the
+search first needs them (reachable_chain), never over the whole truncated
+grid and never from assembled kernels.
 
-kernel_rows is the one kernel builder: the joint solver, exact policy
+factor_rows is the one row generator: the joint solver, exact policy
 evaluation, the per-sensor SISP solves, the randomized chain and the myopic
 baseline all read from it. Truncation saturates the ages, so most kernel
 rows repeat (a sensor's successors are the same one step below a cap as at
-it), and the builder returns only the distinct rows of each action, as
-numpy CSR arrays, plus row_of, the state -> distinct-row map all actions
-share. The rows are written straight from the per-sensor successor tables,
-whose entries are ordered so that every row comes out sorted by column,
-with no COO step or duplicate summing; the assembled kernels are
-byte-identical to a state-by-state assembly from transition_distribution
-(kernel_rows says why that matters). build_kernels makes them the scipy CSR
-matrices of Kernels, where rows[a][row_of] is the assembled kernel K_a.
-build_padded_kernels makes them PaddedRows instead, a numpy operator whose
-product adds in scipy's order and so gives the same bits; the myopic
-baseline is solved on it. RVI backs up the distinct rows, takes the minimum
-over actions there and spreads it by row_of; the chain builders gather from
-them. scipy.sparse is imported only where a sparse matrix is made or
-combined, so the per-sensor SISP solves, which densify kernel_rows with
-numpy, and the myopic solve never load it.
+it), and a state's row is one of the distinct rows that Factors indexes by
+its sensors' row classes and theta, with row_of, the state -> distinct-row
+map all actions share. The rows are written straight from the per-sensor
+successor tables, whose entries are ordered so that every row comes out
+sorted by column, with no COO step or duplicate summing; the assembled
+kernels are byte-identical to a state-by-state assembly from
+transition_distribution (kernel_rows says why that matters). kernel_rows
+generates every distinct row of every action, as numpy CSR arrays, and
+build_kernels makes them the scipy CSR matrices of Kernels, where
+rows[a][row_of] is the assembled kernel K_a. build_padded_kernels makes
+them PaddedRows instead, a numpy operator whose product adds in scipy's
+order and so gives the same bits; the myopic baseline is solved on it.
+RVI, the one reader of Kernels, backs up the distinct rows, takes the
+minimum over actions there and spreads it by row_of. The chain builders
+ask factor_rows for the rows their chain reaches only (on threesensor, at
+most 38,275 of the 148,176 distinct rows).
+scipy.sparse is imported only where a sparse matrix is made or combined,
+so the per-sensor SISP solves, which densify kernel_rows with numpy, and
+the myopic solve never load it.
 table_rows writes every solve table as byte blocks assembled in numpy,
 with no per-row object: a column's cells index a small table of its
 labels, the value column's labels being its distinct bit patterns, each
@@ -74,6 +79,9 @@ __all__ = [
     "transition_distribution",
     "stage_cost",
     "cost_vector",
+    "Factors",
+    "build_factors",
+    "factor_rows",
     "Kernels",
     "kernel_rows",
     "build_kernels",
@@ -93,7 +101,7 @@ __all__ = [
 ]
 
 # Column groups of a full state table; the rows in one byte block of
-# table_rows, which is also about the rows build_kernels fills at once and
+# table_rows, which is also about the rows factor_rows fills at once and
 # the states RVI's final argmin reads at once. A model of more rows than one
 # chunk is built and solved on every CPU (_threads)
 TABLE_COLUMNS = ("state_index", "aoli", "aori", "arrmem", "theta", "value", "action_bits")
@@ -156,6 +164,8 @@ class StateSpace:
         return (aoli * self.r_sizes[i] + (aori - 1)) * self.g_sizes[i] + g_eff
 
     def encode(self, js: JointState) -> int:
+        if js.theta not in (0, 1):
+            raise ValueError(f"channel state theta {js.theta} is not 0 or 1")
         idx = 0
         for i in range(self.n_sensors):
             st = js.sensors[i]
@@ -167,19 +177,26 @@ class StateSpace:
         """encode in every lane of a LaneState; a Bernoulli sensor's arrival
         bit is ignored, as encode ignores its prev_arrival. Each sensor's
         sub-index is one ravel_multi_index pass, which also refuses an age
-        outside the truncation, on either side, as encode does."""
-        idx = lanes.theta
+        outside the truncation, on either side, as encode does. The last
+        sensor's stride is 2, so theta is its pass's fastest digit, refused
+        outside {0, 1} in the same pass."""
+        last = self.n_sensors - 1
+        idx = 0
         for i in range(self.n_sensors):
             coords = (lanes.aoli[i], lanes.aori[i] - 1)
             dims = (self.l_sizes[i], self.r_sizes[i])
             if self.g_sizes[i] == 2:
                 coords += (lanes.arrival[i],)
                 dims += (2,)
+            if i == last:
+                coords += (lanes.theta,)
+                dims += (2,)
             try:
                 sub = np.ravel_multi_index(coords, dims)
             except ValueError:
-                raise ValueError(f"sensor {i} state outside truncation") from None
-            idx = idx + sub * self.sub_strides[i]
+                what = "state or channel state theta" if i == last else "state"
+                raise ValueError(f"sensor {i} {what} outside truncation") from None
+            idx = idx + (sub if i == last else sub * self.sub_strides[i])
         return idx
 
     def decode(self, idx: int) -> JointState:
@@ -503,13 +520,10 @@ def _row_classes(tables: Sequence) -> tuple:
     return np.array([class_of[sub] for sub in firsts]), np.array(list(first_of.values()))
 
 
-def kernel_rows(spec: SystemSpec, space: StateSpace, actions: ActionSet) -> tuple:
-    """Transition matrices of every action, built as their distinct rows.
-
-    Returns (row_of, n_rows, parts): parts holds, in action order, each
-    action's distinct rows as the numpy arrays (data, indices, indptr) of a
-    CSR matrix of shape (n_rows, n_states), and row_of maps each state to
-    its row. build_kernels wraps them as scipy matrices.
+@dataclass(frozen=True, eq=False)
+class Factors:
+    """The joint transition model as its per-sensor factors, from which
+    factor_rows generates any kernel row.
 
     Truncation makes most kernel rows copies of others: an age one step
     below its cap steps to the cap, as the cap itself does, so on
@@ -518,31 +532,142 @@ def kernel_rows(spec: SystemSpec, space: StateSpace, actions: ActionSet) -> tupl
     into classes whose successor tables agree under both decisions and both
     channel states (_row_classes; 42 classes out of 56 sub-indices per
     threesensor sensor), and a joint state's row, for every action, depends
-    only on its sensors' classes and theta. The rows are
-    built once per class combination, indexed in mixed radix with sensor 1
-    most significant and theta fastest, and row_of maps each state to its
-    row: rows[a][row_of] is the assembled kernel K_a. On threesensor that is
-    148,176 rows out of 351,232 and 15.6 M nonzeros out of 36.6 M.
+    only on its sensors' classes and theta. These distinct rows are indexed
+    in mixed radix over `shape` = (classes of sensor 1, ..., of sensor N,
+    2), sensor 1 most significant and theta fastest, and row_of maps each
+    state to its row. On threesensor that is 148,176 rows out of 351,232.
 
-    Each sensor's successor table is built once per (theta, scheduled), and
-    one action's entries form a grid with axes (class_1..class_N, theta,
-    c_1..c_N, theta'), each class standing for its first sub-index. The
-    first N + 1 axes flatten to the row index. A successor's column is
-    theta' plus the sensors' offsets, and the joint index puts sensor 1
-    most significant and theta' fastest. With every table sorted by offset,
-    a row's entries in grid order therefore have strictly increasing
-    columns, so the grid flattens straight into CSR order with no sort and
-    no duplicates. Padding comes last in each table and is dropped by the
-    per-sensor masks, never by value, and each value is multiplied in the
-    fixed order ((Omega[theta, theta'] * p_1) * p_2) * ....
+    tables[i][scheduled] is sensor i's successor table under one decision
+    (_successor_table), cut to the first sub-index of each class: arrays
+    (offset, prob, valid) of shape (classes, 2, k). omega is the channel's
+    transition matrix and n_states the joint state count.
+    """
 
-    A row holds 2 * prod_i k_i(class_i, theta) entries, where k_i counts
-    sensor i's real successors, which gives `indptr`. `data` and `indices`
-    are then filled one block of whole leading-sensor classes (about
-    TABLE_CHUNK rows) at a time. The assembled kernels are byte-identical
-    to a state-by-state assembly from transition_distribution. This matters
-    because the optimal policy has exactly tied actions, and a last-bit
-    change in a kernel entry can flip which one the argmin picks.
+    tables: tuple
+    row_of: np.ndarray
+    omega: np.ndarray
+    n_states: int
+
+    @property
+    def shape(self) -> tuple:
+        return (*(len(table[0][0]) for table in self.tables), 2)
+
+    @property
+    def n_rows(self) -> int:
+        return math.prod(self.shape)
+
+
+def build_factors(spec: SystemSpec, space: StateSpace) -> Factors:
+    """Each sensor's successor tables, built once per decision, its row
+    classes, and the state -> distinct-row map."""
+    tables, class_of, n_classes = [], [], []
+    for i, s in enumerate(spec.sensors):
+        full = [_successor_table(space, i, s, scheduled) for scheduled in (False, True)]
+        classes, first = _row_classes(full)
+        class_of.append(classes)
+        n_classes.append(len(first))
+        tables.append(tuple(tuple(t[first] for t in table) for table in full))
+    row_of = np.ravel_multi_index(np.ix_(*class_of, [0, 1]), n_classes + [2]).ravel()
+    return Factors(tuple(tables), row_of, spec.channel.omega(), space.n_states)
+
+
+def factor_rows(factors: Factors, action, rows) -> tuple:
+    """The kernel rows of one action, generated from the per-sensor factors.
+
+    action holds one 0/1 decision per sensor. rows is an array of distinct
+    row indices, or slice(None) for every distinct row in order. Returns
+    the numpy arrays (data, indices, indptr) of a CSR matrix whose row k is
+    distinct row rows[k], of n_states columns: the bytes of that row of
+    kernel_rows, which is this function's every-row case.
+
+    Row (class_1, ..., class_N, theta) holds the entries of a grid with
+    axes (c_1, ..., c_N, theta'), each class standing for its first
+    sub-index. A successor's column is theta' plus the sensors' offsets,
+    and the joint index puts sensor 1 most significant and theta' fastest.
+    With every table sorted by offset, a row's entries in grid order
+    therefore have strictly increasing columns, so the grid flattens
+    straight into CSR order with no sort and no duplicates. Padding comes
+    last in each table and is dropped by the per-sensor masks, never by
+    value, and each value is multiplied in the fixed order
+    ((Omega[theta, theta'] * p_1) * p_2) * .... A row holds
+    2 * prod_i k_i(class_i, theta) entries, where k_i counts sensor i's
+    real successors, which gives `indptr`.
+
+    Every entry is computed elementwise from its own operands, so a row's
+    bytes do not depend on which other rows are generated with it. `data`
+    and `indices` are filled about TABLE_CHUNK rows at a time: for a list
+    of rows, each block's tables are gathered at its rows' classes; for
+    every row, each block is whole leading-sensor classes on the open grid
+    of all classes, with no per-row gather.
+    """
+    shape = factors.shape
+    n_sensors = len(shape) - 1
+    if isinstance(rows, slice):
+        keys = np.ix_(*(np.arange(size) for size in shape))
+        lead = math.prod(shape[1:])
+        step = max(1, TABLE_CHUNK // lead)
+        blocks = [
+            (lo * lead, min(shape[0], lo + step) * lead, (keys[0][lo:lo + step], *keys[1:]))
+            for lo in range(0, shape[0], step)
+        ]
+    else:
+        keys = np.unravel_index(rows, shape)
+        blocks = [
+            (lo, min(len(rows), lo + TABLE_CHUNK), tuple(k[lo:lo + TABLE_CHUNK] for k in keys))
+            for lo in range(0, len(rows), TABLE_CHUNK)
+        ]
+    tables = [factors.tables[i][action[i]] for i in range(n_sensors)]
+    counts = 2
+    for i, (_, _, valid) in enumerate(tables):
+        counts = counts * valid[keys[i], keys[-1]].sum(axis=-1)
+    counts = np.ravel(counts)
+    nnz = int(counts.sum())
+    index_dtype = np.int32 if max(factors.n_states, nnz) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(len(counts) + 1, dtype=index_dtype)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.empty(nnz, dtype=index_dtype)
+    data = np.empty(nnz)
+
+    def on_entry_axis(arr, i):
+        # arr is (rows..., k): put its k entries on grid axis i of
+        # (c_1, ..., c_N, theta')
+        tail = [1] * (n_sensors + 1)
+        tail[i] = arr.shape[-1]
+        return arr.reshape(arr.shape[:-1] + tuple(tail))
+
+    theta_next = np.arange(2, dtype=index_dtype)
+    all_next = np.ones(2, dtype=bool)
+    for lo, hi, (*classes, theta) in blocks:
+        # the mask starts on the theta' axis so that it ends up with the
+        # grid's full shape: boolean indexing by a broadcast mask is
+        # several times slower
+        vals = on_entry_axis(factors.omega[theta], n_sensors)
+        cols, mask = theta_next, all_next
+        for i, (offset, prob, valid) in enumerate(tables):
+            at = (classes[i], theta)
+            vals = vals * on_entry_axis(prob[at], i)
+            cols = cols + on_entry_axis(offset[at].astype(index_dtype), i)
+            mask = mask & on_entry_axis(valid[at], i)
+        span = slice(indptr[lo], indptr[hi])
+        data[span] = vals[mask]
+        indices[span] = cols[mask]
+    return data, indices, indptr
+
+
+def kernel_rows(spec: SystemSpec, space: StateSpace, actions: ActionSet) -> tuple:
+    """Transition matrices of every action, built as their distinct rows.
+
+    Returns (row_of, n_rows, parts): parts holds, in action order, each
+    action's distinct rows as the numpy arrays (data, indices, indptr) of a
+    CSR matrix of shape (n_rows, n_states), factor_rows of every row, and
+    row_of maps each state to its row (Factors): rows[a][row_of] is the
+    assembled kernel K_a. build_kernels wraps them as scipy matrices. On
+    threesensor that is 15.6 M nonzeros out of 36.6 M.
+
+    The assembled kernels are byte-identical to a state-by-state assembly
+    from transition_distribution. This matters because the optimal policy
+    has exactly tied actions, and a last-bit change in a kernel entry can
+    flip which one the argmin picks.
 
     When n_rows > TABLE_CHUNK (the model spans more than one chunk), the
     actions are dealt out to one thread per CPU (at most one per action):
@@ -551,74 +676,17 @@ def kernel_rows(spec: SystemSpec, space: StateSpace, actions: ActionSet) -> tupl
     as on one thread, so their bytes do not depend on the number of CPUs;
     a model of one chunk is built on the calling thread with no pool.
     """
-    n = space.n_states
-    n_sensors = space.n_sensors
-    ndim = 2 * n_sensors + 2
-
-    def on_axes(arr, axes):
-        shape = [1] * ndim
-        for ax, size in zip(axes, arr.shape):
-            shape[ax] = size
-        return arr.reshape(shape)
-
-    # per sensor and decision: (column offset, prob, valid) of each class's
-    # first sub-index, on the grid axes
-    tables, class_of, n_classes = [], [], []
-    for i, s in enumerate(spec.sensors):
-        full = [_successor_table(space, i, s, scheduled) for scheduled in (False, True)]
-        classes, first = _row_classes(full)
-        class_of.append(classes)
-        n_classes.append(len(first))
-        tables.append([
-            [on_axes(t[first], (i, n_sensors, n_sensors + 1 + i)) for t in table]
-            for table in full
-        ])
-    n_rows = 2 * math.prod(n_classes)
-    row_of = np.ravel_multi_index(np.ix_(*class_of, [0, 1]), n_classes + [2]).ravel()
-
-    omega = on_axes(spec.channel.omega(), (n_sensors, ndim - 1))
-    all_next = on_axes(np.ones(2, dtype=bool), (ndim - 1,))
-    lead_rows = n_rows // n_classes[0]
-    step = max(1, TABLE_CHUNK // lead_rows)
-
-    def action_rows(action):
-        factors = [tables[i][action[i]] for i in range(n_sensors)]
-        counts = 2
-        for i, (_, _, valid) in enumerate(factors):
-            counts = counts * valid.sum(axis=n_sensors + 1 + i, keepdims=True)
-        nnz = int(counts.sum())
-        index_dtype = np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
-        indptr = np.zeros(n_rows + 1, dtype=index_dtype)
-        np.cumsum(counts.ravel(), out=indptr[1:])
-        indices = np.empty(nnz, dtype=index_dtype)
-        data = np.empty(nnz)
-        offsets = [offset.astype(index_dtype) for offset, _, _ in factors]
-        theta_next = on_axes(np.arange(2, dtype=index_dtype), (ndim - 1,))
-        for lo in range(0, n_classes[0], step):
-            block = slice(lo, lo + step)
-            # the mask starts on the theta' axis so that it ends up with the
-            # grid's full shape: boolean indexing by a broadcast mask is
-            # several times slower
-            vals, cols, mask = omega, theta_next, all_next
-            for i, (_, prob, valid) in enumerate(factors):
-                lead = block if i == 0 else slice(None)
-                vals = vals * prob[lead]
-                cols = cols + offsets[i][lead]
-                mask = mask & valid[lead]
-            span = slice(indptr[lo * lead_rows], indptr[min(n_rows, (lo + step) * lead_rows)])
-            data[span] = vals[mask]
-            indices[span] = cols[mask]
-        return data, indices, indptr
+    factors = build_factors(spec, space)
 
     def share(k):
-        return [action_rows(action) for action in actions.actions[k::shares]]
+        return [factor_rows(factors, action, slice(None)) for action in actions.actions[k::shares]]
 
-    shares = min(_threads(n_rows), len(actions))
+    shares = min(_threads(factors.n_rows), len(actions))
     parts = [None] * len(actions)
     with _shares(shares) as run:
         for k, built in enumerate(run(share)):
             parts[k::shares] = built
-    return row_of, n_rows, parts
+    return factors.row_of, factors.n_rows, parts
 
 
 def build_kernels(spec: SystemSpec, space: StateSpace, actions: ActionSet) -> Kernels:
@@ -823,91 +891,116 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gather_rows(parts: Sequence, part: np.ndarray, row: np.ndarray) -> tuple:
-    """Rows of CSR matrices copied into one CSR: output row k is row row[k]
-    of parts[part[k]], entries in their stored order. Returns (data,
-    indices, indptr) as numpy arrays."""
+def _gather_rows(parts: Sequence, part: np.ndarray, row: np.ndarray, fields: tuple) -> tuple:
+    """Rows of CSR arrays copied into one CSR: output row k is row row[k]
+    of parts[part[k]], each part being (data, indices, indptr), entries in
+    their stored order. Returns (indptr, *arrays), one array per entry of
+    fields: 0 for data, 1 for indices."""
     counts = np.empty(len(row), dtype=np.int64)
     picks = []
-    for k, csr in enumerate(parts):
-        sel = np.flatnonzero(part == k)
-        if len(sel):
-            starts = csr.indptr[row[sel]]
-            counts[sel] = csr.indptr[row[sel] + 1] - starts
-            picks.append((csr, sel, starts))
+    order = np.argsort(part, kind="stable")
+    present, first = np.unique(part[order], return_index=True)
+    for k, sel in zip(present, np.split(order, first[1:])):
+        indptr = parts[k][2]
+        starts = indptr[row[sel]]
+        counts[sel] = indptr[row[sel] + 1] - starts
+        picks.append((parts[k], sel, starts))
     indptr = np.zeros(len(row) + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    data = np.empty(indptr[-1])
-    indices = np.empty(indptr[-1], dtype=parts[0].indices.dtype)
-    for csr, sel, starts in picks:
+    out = [
+        np.empty(indptr[-1], dtype=np.result_type(*(p[f].dtype for p, _, _ in picks)))
+        for f in fields
+    ]
+    for arrays, sel, starts in picks:
         src = _ranges(starts, counts[sel])
         dst = _ranges(indptr[sel], counts[sel])
-        data[dst] = csr.data[src]
-        indices[dst] = csr.indices[src]
-    return data, indices, indptr
+        for f, gathered in zip(fields, out):
+            gathered[dst] = arrays[f][src]
+    return (indptr, *out)
 
 
-def reachable_chain(
-    parts: Sequence, locate, start_index: int, n: int, shifts: Optional[np.ndarray] = None
-) -> tuple:
+def reachable_chain(make, locate, shape: tuple, start_index: int, n: int) -> tuple:
     """A Markov chain of n states, built over the states reachable from
-    start_index only.
+    start_index only, from rows made as the search first needs them.
 
-    locate(states) returns (part, row): state s's row is row row[s] of the
-    CSR matrix parts[part[s]], its columns moved by shifts[part[s]] when
-    shifts is given. A frontier search from start_index follows every
+    locate(states) returns (group, row): state s's row is row row[s] of
+    group group[s], where shape = (groups, rows per group); a group is an
+    action, a round-robin cursor, or the one group of a mixture.
+    make(group, rows) returns the CSR arrays (data, indices, indptr) of
+    that group's rows for increasing row indices `rows`, their columns
+    numbered in the chain. A frontier search from start_index follows every
     stored entry, explicit zeros included, as csgraph's breadth-first
-    search does; it reads each (part, row) of a frontier once. Then
+    search does. Each (group, row) is made once, when a frontier first
+    reaches a state that reads it, and each frontier reads it once. Then
     _gather_rows copies the reached states' rows in index order, and their
     columns are renumbered to positions in that order. Returns (p, states):
     states holds the reached indices in increasing order, and p is the
     chain on them, byte for byte the whole chain's p[ix_(states, states)],
     since a reached row's columns are all reached and the renumbering keeps
-    their order. locate may append to parts (the mixture mixes its rows as
-    the search first needs them).
+    their order.
     """
     from scipy import sparse
 
-    def columns(part, row):
-        data, cols, indptr = _gather_rows(parts, part, row)
-        if shifts is None:
-            return data, cols, indptr
-        return data, cols + np.repeat(shifts[part], np.diff(indptr)), indptr
+    parts = []
+    # part << 32 | row in that part, of each (group, row) made so far; -1
+    # before it is made
+    where = np.full(shape, -1, dtype=np.int64)
+
+    def keys(states):
+        group, row = locate(states)
+        key = where[group, row]
+        missing = key < 0
+        if missing.any():
+            new = np.unique(np.ravel_multi_index((group[missing], row[missing]), shape))
+            new_group, new_row = np.unravel_index(new, shape)
+            for g in np.unique(new_group):
+                rows = new_row[new_group == g]
+                where[g, rows] = len(parts) << 32 | np.arange(len(rows))
+                parts.append(make(g, rows))
+            key = where[group, row]
+        return key
+
+    def gather(key, fields):
+        return _gather_rows(parts, key >> 32, key & 0xFFFFFFFF, fields)
 
     seen = np.zeros(n, dtype=bool)
     seen[start_index] = True
     frontier = np.array([start_index])
     while len(frontier):
-        part, row = locate(frontier)
-        key = np.unique(part.astype(np.int64) << 32 | row)
-        cols = columns(key >> 32, key & 0xFFFFFFFF)[1]
+        _, cols = gather(np.unique(keys(frontier)), (1,))
         cols = cols[~seen[cols]]
         seen[cols] = True
         frontier = np.unique(cols)
     states = np.flatnonzero(seen)
-    data, cols, indptr = columns(*locate(states))
+    indptr, data, cols = gather(keys(states), (0, 1))
     m = len(states)
     position = np.empty(n, dtype=np.int32 if m <= np.iinfo(np.int32).max else np.int64)
     position[states] = np.arange(m)
     return sparse.csr_matrix((data, position[cols], indptr), shape=(m, m)), states
 
 
-def policy_chain_matrix(policy: PolicyTable, kernels: Kernels, start_index: int) -> tuple:
+def policy_chain_matrix(policy: PolicyTable, factors: Factors, start_index: int) -> tuple:
     """Chain of a deterministic policy on the states reachable from start.
 
-    State s's row is row row_of[s] of its action's distinct rows,
-    rows[pi(s)], gathered by reachable_chain for the reached states only.
-    Returns (p, states).
+    State s's row is distinct row row_of[s] under its action pi(s),
+    generated by factor_rows for the reached states only. Returns
+    (p, states) of reachable_chain.
     """
-    action, row_of = policy.action_index, kernels.row_of
+    actions = policy.action_set.actions
     return reachable_chain(
-        kernels.rows, lambda s: (action[s], row_of[s]), start_index, len(row_of)
+        lambda a, rows: factor_rows(factors, actions[a], rows),
+        lambda s: (policy.action_index[s], factors.row_of[s]),
+        (len(actions), factors.n_rows),
+        start_index,
+        factors.n_states,
     )
 
 
-def mixture_chain_matrix(weights: Sequence[float], kernels: Kernels, start_index: int) -> tuple:
-    """Chain of a state-independent randomized policy, sum_a w_a K_a, on
-    the states reachable from start. Returns (p, states).
+def mixture_chain_matrix(
+    weights: Sequence[float], factors: Factors, actions: ActionSet, start_index: int
+) -> tuple:
+    """Chain of a state-independent randomized policy, sum_a w_a K_a over
+    `actions`, on the states reachable from start. Returns (p, states).
 
     The weighted sum is taken in action order, with the same scipy products
     and sums as over every distinct row, but only over the distinct rows
@@ -916,37 +1009,50 @@ def mixture_chain_matrix(weights: Sequence[float], kernels: Kernels, start_index
     entries that come to zero, so the search follows the mixed rows, not
     the kernels'.
     """
-    if len(weights) != len(kernels) or abs(sum(weights) - 1.0) > 1e-9:
-        raise ValueError("weights must match kernels and sum to one")
-    row_of = kernels.row_of
-    mixed = []
-    # the batch of mixed rows holding each distinct row (-1 before it is
-    # mixed) and its row there
-    batch = np.full(kernels.n_rows, -1)
-    at = np.empty(kernels.n_rows, dtype=np.int64)
+    from scipy import sparse
 
-    def locate(states):
-        rows = row_of[states]
-        new = np.unique(rows[batch[rows] < 0])
-        if len(new):
-            batch[new] = len(mixed)
-            at[new] = np.arange(len(new))
-            out = None
-            for w, matrix in zip(weights, kernels):
-                if w == 0.0:
-                    continue
-                out = w * matrix[new] if out is None else out + w * matrix[new]
-            mixed.append(out.tocsr())
-        return batch[rows], at[rows]
+    if len(weights) != len(actions) or abs(sum(weights) - 1.0) > 1e-9:
+        raise ValueError("weights must match actions and sum to one")
 
-    return reachable_chain(mixed, locate, start_index, len(row_of))
+    def mix(_, rows):
+        out = None
+        for w, action in zip(weights, actions.actions):
+            if w == 0.0:
+                continue
+            term = sparse.csr_matrix(
+                factor_rows(factors, action, rows), shape=(len(rows), factors.n_states)
+            )
+            out = w * term if out is None else out + w * term
+        out = out.tocsr()
+        return out.data, out.indices, out.indptr
+
+    return reachable_chain(
+        mix,
+        lambda s: (np.zeros(len(s), dtype=np.intp), factors.row_of[s]),
+        (1, factors.n_rows),
+        start_index,
+        factors.n_states,
+    )
 
 
-def _gmres_solve(a11: sparse.csr_matrix, b: np.ndarray) -> np.ndarray:
-    """Restarted GMRES on a11 x = b, then passes on the remaining residual
-    while each pass converges; one that runs out of cycles would stall again."""
-    from scipy.sparse.linalg import gmres
+def _gmres_solve(a: sparse.csr_matrix, b: np.ndarray) -> np.ndarray:
+    """Restarted GMRES on the pinned system a[1:, 1:] x = b, then passes on
+    the remaining residual while each pass converges; one that runs out of
+    cycles would stall again.
 
+    The operator is x -> (a @ [0, x])[1:], over a itself, with no copy of
+    a[1:, 1:]. Its products have the bits of a[1:, 1:] @ x: csr_matvec sums
+    each row from +0.0, and an entry in column 0 adds its product with 0.0,
+    a signed zero, which leaves any such sum unchanged."""
+    from scipy.sparse.linalg import LinearOperator, gmres
+
+    padded = np.zeros(a.shape[0])
+
+    def matvec(x):
+        padded[1:] = x.ravel()
+        return (a @ padded)[1:]
+
+    a11 = LinearOperator((len(b), len(b)), matvec=matvec, dtype=np.float64)
     x = np.zeros(len(b))
     for _ in range(GMRES_PASSES):
         dx, info = gmres(
@@ -959,10 +1065,12 @@ def _gmres_solve(a11: sparse.csr_matrix, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _lu_solve(a11: sparse.csr_matrix, b: np.ndarray) -> np.ndarray:
+def _lu_solve(a: sparse.csr_matrix, b: np.ndarray) -> np.ndarray:
+    """Sparse LU on the pinned system a[1:, 1:] x = b, the one path that
+    copies a[1:, 1:]."""
     from scipy.sparse.linalg import spsolve
 
-    return spsolve(a11.tocsc(), b)
+    return spsolve(a[1:, 1:].tocsc(), b)
 
 
 def _restricted(p: sparse.csr_matrix, keep: np.ndarray) -> sparse.csr_matrix:
@@ -1014,11 +1122,14 @@ def stationary_distribution(p: sparse.csr_matrix, start_index: int) -> np.ndarra
     reach = np.sort(breadth_first_order(p, start_index, return_predecessors=False))
     sub = _restricted(p, reach)
     n_comp, labels = connected_components(sub, directed=True, connection="strong")
-    edges = sub.tocoo()
-    leaving = labels[edges.row] != labels[edges.col]
+    # a class is closed when no stored entry leaves it: compare each entry's
+    # row label with its column's, TABLE_CHUNK rows at a time
     is_closed = np.ones(n_comp, dtype=bool)
-    is_closed[labels[edges.row[leaving]]] = False
-    del edges, leaving
+    for lo in range(0, len(labels), TABLE_CHUNK):
+        hi = min(len(labels), lo + TABLE_CHUNK)
+        span = slice(sub.indptr[lo], sub.indptr[hi])
+        row_label = np.repeat(labels[lo:hi], np.diff(sub.indptr[lo:hi + 1]))
+        is_closed[row_label[row_label != labels[sub.indices[span]]]] = False
     closed = np.flatnonzero(is_closed)
     if len(closed) != 1:
         raise RuntimeError(
@@ -1030,11 +1141,9 @@ def stationary_distribution(p: sparse.csr_matrix, start_index: int) -> np.ndarra
     if m > 1:
         q = _restricted(sub, members)
         a = (sparse.identity(m, format="csr") - q).T.tocsr()
-        a11 = a[1:, 1:]
         b = -a[1:, 0].toarray().ravel()
-        del a
         for solve in (_gmres_solve, _lu_solve):
-            xi = np.concatenate(([1.0], solve(a11, b)))
+            xi = np.concatenate(([1.0], solve(a, b)))
             xi /= xi.sum()
             residual = float(np.abs(q.T @ xi - xi).sum())
             if residual <= STATIONARY_RESIDUAL and np.all(xi > 0.0):
@@ -1066,12 +1175,12 @@ def chain_average_cost(
 
 def policy_average_cost(
     policy: PolicyTable,
-    kernels: Kernels,
+    factors: Factors,
     cost: np.ndarray,
     start_index: int,
 ) -> float:
     """Exact long-run average cost of a deterministic stationary policy."""
-    p, states = policy_chain_matrix(policy, kernels, start_index)
+    p, states = policy_chain_matrix(policy, factors, start_index)
     return chain_average_cost(p, states, cost, start_index)
 
 

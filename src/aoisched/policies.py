@@ -24,11 +24,12 @@ import numpy as np
 from .dynamics import JointState, LaneState
 from .mdp import (
     ActionSet,
-    Kernels,
+    Factors,
     PolicyTable,
     StateSpace,
     build_padded_kernels,
     cost_vector,
+    factor_rows,
     reachable_chain,
     relative_value_iteration,
 )
@@ -332,27 +333,30 @@ def policy_to_table(policy: Policy, space: StateSpace, actions: ActionSet) -> Po
     return PolicyTable(policy.decide_array(actions, space.lanes()), actions)
 
 
-def round_robin_chain(space: StateSpace, kernels: Kernels, n: int, m: int) -> tuple:
+def round_robin_chain(space: StateSpace, factors: Factors, n: int, m: int) -> tuple:
     """Chain of round robin on the state space augmented with the cursor,
     over the augmented states reachable from the start only.
 
     The cursor advances by m (mod n) every slot independent of the state, so
     the augmented pair (state, cursor) is Markov. Augmented state
-    cursor * n_states + s, cursor-major, takes row row_of[s] of the distinct
-    rows of the cursor's action, its columns moved into the next cursor's
-    block; the start is space.reference_index() at cursor 0. Returns
-    (p, states) of mdp.reachable_chain, states being augmented indices.
+    cursor * n_states + s, cursor-major, takes distinct row row_of[s] under
+    the cursor's action, generated by factor_rows with its columns moved
+    into the next cursor's block; the start is space.reference_index() at
+    cursor 0. Returns (p, states) of mdp.reachable_chain, states being
+    augmented indices.
     """
-    actions = ActionSet(n, m)
     n_states = space.n_states
-    parts, shifts = [], np.empty(n, dtype=np.int64)
-    for cursor in range(n):
-        action, nxt = round_robin_decide(cursor, n, m)
-        parts.append(kernels.rows[actions.index(action)])
-        shifts[cursor] = nxt * n_states
+    schedule = [round_robin_decide(cursor, n, m) for cursor in range(n)]
+
+    def make(cursor, rows):
+        action, nxt = schedule[cursor]
+        data, indices, indptr = factor_rows(factors, action, rows)
+        return data, np.add(indices, nxt * n_states, dtype=np.int64), indptr
 
     def locate(states):
         cursor, s = np.divmod(states, n_states)
-        return cursor, kernels.row_of[s]
+        return cursor, factors.row_of[s]
 
-    return reachable_chain(parts, locate, space.reference_index(), n * n_states, shifts)
+    return reachable_chain(
+        make, locate, (n, factors.n_rows), space.reference_index(), n * n_states
+    )

@@ -71,7 +71,8 @@ class SolvedBundle:
     system: object
     space: object
     actions: object
-    kernels: list
+    kernels: object
+    factors: object
     cost: np.ndarray
     start: int
     vt: object
@@ -81,9 +82,10 @@ class SolvedBundle:
 def solve_bundle(system) -> SolvedBundle:
     space, actions, vt, pt = a.solve_optimal_policy(system)
     kernels = mdp.build_kernels(system, space, actions)
+    factors = mdp.build_factors(system, space)
     cost = mdp.cost_vector(space, system)
     return SolvedBundle(
-        system, space, actions, kernels, cost, space.reference_index(), vt, pt
+        system, space, actions, kernels, factors, cost, space.reference_index(), vt, pt
     )
 
 

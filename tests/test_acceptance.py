@@ -110,7 +110,7 @@ def test_criterion_04_threshold_structure(va_solved, va_sisp, va_hetero_solved, 
 
 def test_criterion_05_decomposition_dominance(va_solved, va_sisp):
     b = va_solved
-    sisp_cost = mdp.policy_average_cost(va_sisp.pruned_table, b.kernels, b.cost, b.start)
+    sisp_cost = mdp.policy_average_cost(va_sisp.pruned_table, b.factors, b.cost, b.start)
     p_r = [pv.p_r for pv in va_sisp.values]
     chain = decomposed.randomized_chain_matrix(b.system, b.space, p_r)
     rand_cost = mdp.chain_average_cost(*chain, b.cost, b.start)
@@ -126,20 +126,20 @@ def test_criterion_05_decomposition_dominance(va_solved, va_sisp):
 
 def _exact_costs(bundle, sisp_table, p_r):
     b = bundle
-    out = {"optimal": mdp.policy_average_cost(b.pt, b.kernels, b.cost, b.start)}
-    out["sisp"] = mdp.policy_average_cost(sisp_table, b.kernels, b.cost, b.start)
+    out = {"optimal": mdp.policy_average_cost(b.pt, b.factors, b.cost, b.start)}
+    out["sisp"] = mdp.policy_average_cost(sisp_table, b.factors, b.cost, b.start)
     for name, policy in (
         ("maf", pol.MafPolicy(b.system.m_budget)),
         ("mef", pol.MefPolicy(b.system)),
     ):
         table = pol.policy_to_table(policy, b.space, b.actions)
-        out[name] = mdp.policy_average_cost(table, b.kernels, b.cost, b.start)
+        out[name] = mdp.policy_average_cost(table, b.factors, b.cost, b.start)
     n = b.system.n_sensors
-    p_aug, states = pol.round_robin_chain(b.space, b.kernels, n, b.system.m_budget)
+    p_aug, states = pol.round_robin_chain(b.space, b.factors, n, b.system.m_budget)
     out["rr"] = mdp.chain_average_cost(p_aug, states, np.tile(b.cost, n), b.start)
     weights = pol.randomized_action_weights(p_r, b.system.m_budget, b.actions)
     out["rand"] = mdp.chain_average_cost(
-        *mdp.mixture_chain_matrix(weights, b.kernels, b.start), b.cost, b.start
+        *mdp.mixture_chain_matrix(weights, b.factors, b.actions, b.start), b.cost, b.start
     )
     return out
 

@@ -1,6 +1,8 @@
 """The chain builders against the whole chain: each policy's chain is built
-over the states reachable from the start only, byte for byte the whole
-chain restricted to csgraph's reachable set, with bit-identical exact costs.
+over the states reachable from the start only, from rows that factor_rows
+generates, byte for byte the whole chain restricted to csgraph's reachable
+set, with bit-identical exact costs; and compare holds the joint kernels
+for the optimal solve only.
 
 The whole chains are assembled here, from each kernel's rows[a][row_of], as the
 builders assembled them before they restricted themselves: the table's
@@ -8,6 +10,7 @@ rows gathered from a stack of every action's kernel, the mixture summed in
 action order, and round robin's cursor blocks joined by sparse.bmat.
 """
 
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -121,6 +124,7 @@ def test_chains_are_the_whole_chain_on_its_reachable_states(spec, seed, p):
     n, m = spec.n_sensors, spec.m_budget
     actions = mdp.ActionSet(n, m)
     kernels = mdp.build_kernels(spec, space, actions)
+    factors = mdp.build_factors(spec, space)
     cost = mdp.cost_vector(space, spec)
     start = space.reference_index()
 
@@ -129,20 +133,20 @@ def test_chains_are_the_whole_chain_on_its_reachable_states(spec, seed, p):
         whole_table_chain(kernels, table),
         start,
         cost,
-        mdp.policy_chain_matrix(mdp.PolicyTable(table, actions), kernels, start),
+        mdp.policy_chain_matrix(mdp.PolicyTable(table, actions), factors, start),
     )
     weights = pol.randomized_action_weights(p[:n], m, actions)
     assert_restricted(
         whole_mixture_chain(kernels, weights),
         start,
         cost,
-        mdp.mixture_chain_matrix(weights, kernels, start),
+        mdp.mixture_chain_matrix(weights, factors, actions, start),
     )
     assert_restricted(
         whole_round_robin_chain(kernels, n, m),
         start,
         np.tile(cost, n),
-        pol.round_robin_chain(space, kernels, n, m),
+        pol.round_robin_chain(space, factors, n, m),
     )
 
 
@@ -154,9 +158,15 @@ def test_stuck_channel_kernels_store_explicit_zeros():
     kernels = mdp.build_kernels(STUCK_MARKOV, space, actions)
     assert all(np.any(rows.data == 0.0) for rows in kernels)
     idle = mdp.PolicyTable(np.zeros(space.n_states, dtype=np.intp), actions)
-    p, states = mdp.policy_chain_matrix(idle, kernels, space.reference_index())
+    factors = mdp.build_factors(STUCK_MARKOV, space)
+    p, states = mdp.policy_chain_matrix(idle, factors, space.reference_index())
     assert np.any(p.data == 0.0)
     assert np.any(states % 2 == 1)  # theta, the fastest index digit, is 1
+
+
+def compare_argv(tmp_path, policies):
+    return ["compare", "--config", str(TWOSENSOR), "--policies", ",".join(policies),
+            "--horizon", "50", "--replications", "2", "--out", str(tmp_path)]
 
 
 def test_compare_solves_each_policy_once_on_reachable_states(tmp_path, monkeypatch):
@@ -172,9 +182,75 @@ def test_compare_solves_each_policy_once_on_reachable_states(tmp_path, monkeypat
         return solve(p, start_index)
 
     monkeypatch.setattr(mdp, "stationary_distribution", recorded)
-    argv = ["compare", "--config", str(TWOSENSOR), "--policies", ",".join(pol.POLICY_NAMES),
-            "--horizon", "50", "--replications", "2", "--out", str(tmp_path)]
-    assert cli.main(argv) == 0
+    assert cli.main(compare_argv(tmp_path, pol.POLICY_NAMES)) == 0
     assert len(calls) == len(pol.POLICY_NAMES)
     for rows, reached in calls:
         assert reached == rows
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(chain_systems(), st.integers(0, 2**32 - 1), st.booleans())
+@example(STUCK_MARKOV, 3, True)
+def test_factor_rows_are_kernel_rows_bit_for_bit(spec, seed, threaded):
+    """Any rows, in any order, under any action, are those rows of
+    kernel_rows byte for byte; threaded, kernel_rows builds in a pool and
+    both fill blocks of a few rows."""
+    space = mdp.StateSpace(spec)
+    assume(space.n_states <= 3_000)
+    actions = mdp.ActionSet(spec.n_sensors, spec.m_budget)
+    with pytest.MonkeyPatch.context() as mp:
+        if threaded:
+            mp.setattr(mdp, "TABLE_CHUNK", 8)
+            mp.setattr(mdp, "_worker_count", lambda: 2)
+        row_of, n_rows, parts = mdp.kernel_rows(spec, space, actions)
+        factors = mdp.build_factors(spec, space)
+        assert np.array_equal(factors.row_of, row_of) and factors.n_rows == n_rows
+        rng = np.random.default_rng(seed)
+        for action, (data, indices, indptr) in zip(actions.actions, parts):
+            rows = rng.permutation(n_rows)[: rng.integers(1, n_rows + 1)]
+            entries = [np.arange(indptr[r], indptr[r + 1]) for r in rows]
+            want = (
+                data[np.concatenate(entries)],
+                indices[np.concatenate(entries)],
+                np.concatenate(([0], np.cumsum([len(e) for e in entries]))).astype(indptr.dtype),
+            )
+            for got, expected in zip(mdp.factor_rows(factors, action, rows), want, strict=True):
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "policies, builds",
+    [(pol.POLICY_NAMES, 1), ([name for name in pol.POLICY_NAMES if name != "optimal"], 0)],
+    ids=["with-optimal", "without-optimal"],
+)
+def test_compare_builds_joint_kernels_only_for_optimal(tmp_path, monkeypatch, policies, builds):
+    calls = []
+    build = mdp.build_kernels
+
+    def counted(*args):
+        calls.append(args[1].n_states)
+        return build(*args)
+
+    monkeypatch.setattr(mdp, "build_kernels", counted)
+    assert cli.main(compare_argv(tmp_path, policies)) == 0
+    assert len(calls) == builds
+
+
+def test_compare_frees_joint_kernels_before_the_first_evaluation(tmp_path, monkeypatch):
+    built, alive = [], []
+    build, solve = mdp.build_kernels, mdp.stationary_distribution
+
+    def tracked(*args):
+        kernels = build(*args)
+        built.append(weakref.ref(kernels))
+        return kernels
+
+    def checked(p, start_index):
+        alive.append([ref() is not None for ref in built])
+        return solve(p, start_index)
+
+    monkeypatch.setattr(mdp, "build_kernels", tracked)
+    monkeypatch.setattr(mdp, "stationary_distribution", checked)
+    assert cli.main(compare_argv(tmp_path, pol.POLICY_NAMES)) == 0
+    assert len(built) == 1
+    assert alive[0] == [False]

@@ -389,8 +389,10 @@ def test_randomized_chain_is_the_product_weight_mixture(arrival):
         for i, d in enumerate(action):
             w *= p_r[i] if d else 1.0 - p_r[i]
         weights.append(w)
-    kernels = mdp.build_kernels(system, space, full_actions)
-    expected, want_states = mdp.mixture_chain_matrix(weights, kernels, space.reference_index())
+    factors = mdp.build_factors(system, space)
+    expected, want_states = mdp.mixture_chain_matrix(
+        weights, factors, full_actions, space.reference_index()
+    )
     chain, states = decomposed.randomized_chain_matrix(system, space, p_r)
     assert np.array_equal(states, want_states)
     for field in ("data", "indices", "indptr"):
@@ -426,8 +428,9 @@ def test_three_sensor_two_slot_budget():
     assert np.array_equal(plain.action_index, pruned.action_index)
     assert copied > 0
 
-    c_opt = mdp.policy_average_cost(pt, kernels, cost, start)
-    c_sisp = mdp.policy_average_cost(pruned, kernels, cost, start)
+    factors = mdp.build_factors(system, space)
+    c_opt = mdp.policy_average_cost(pt, factors, cost, start)
+    c_sisp = mdp.policy_average_cost(pruned, factors, cost, start)
     chain = decomposed.randomized_chain_matrix(system, space, [pv.p_r for pv in values])
     c_rand = mdp.chain_average_cost(*chain, cost, start)
     assert c_opt <= c_sisp + 1e-9 <= c_rand + 1e-9
@@ -461,17 +464,17 @@ def test_decomposition_with_markov_arrivals():
     assert violations.size == 0
     assert np.array_equal(plain.action_index, pruned.action_index)
     assert copied > 0
-    kernels = mdp.build_kernels(spec, space, actions)
-    assert mdp.policy_average_cost(pruned, kernels, cost, start) <= joint + 1e-9
+    factors = mdp.build_factors(spec, space)
+    assert mdp.policy_average_cost(pruned, factors, cost, start) <= joint + 1e-9
 
 
 def test_sisp_dominates_randomized(small_solution):
     system, values, space, actions = small_solution
-    kernels = mdp.build_kernels(system, space, actions)
+    factors = mdp.build_factors(system, space)
     cost = mdp.cost_vector(space, system)
     start = space.reference_index()
     table = decomposed.build_policy_table(values, space, actions)
-    sisp_cost = mdp.policy_average_cost(table, kernels, cost, start)
+    sisp_cost = mdp.policy_average_cost(table, factors, cost, start)
     chain = decomposed.randomized_chain_matrix(system, space, [pv.p_r for pv in values])
     rand_cost = mdp.chain_average_cost(*chain, cost, start)
     assert sisp_cost <= rand_cost + 1e-9

@@ -73,6 +73,26 @@ def test_encode_array_raises_where_encode_does():
                 assert space.encode_array(lanes).tolist() == want
 
 
+def test_encode_array_raises_on_theta_where_encode_does():
+    """On twosensor, one lane of four at theta -1 or 2 makes encode_array
+    raise, as encode raises on that state; theta 0 and 1 encode alike."""
+    space = mdp.StateSpace(cli.load_config(str(TWO_SENSOR)).system)
+    start = space.decode(space.reference_index())
+    for theta, refused in [(-1, True), (2, True), (0, False), (1, False)]:
+        state = start._replace(theta=theta)
+        lanes = dynamics.lane_state(start, 4)
+        lanes.theta[2] = theta
+        if refused:
+            with pytest.raises(ValueError, match="theta"):
+                space.encode(state)
+            with pytest.raises(ValueError, match="theta"):
+                space.encode_array(lanes)
+        else:
+            want = [space.reference_index()] * 4
+            want[2] = space.encode(state)
+            assert space.encode_array(lanes).tolist() == want
+
+
 def test_state_count_is_exact_beyond_int64(va_penalty):
     # three sensors at cap 1500: 2 * (1501 * 1500)^3 is about 2.3e19 > 2^63
     sensor = a.SensorSpec(a.BernoulliArrival(0.5), va_penalty, 0.4, 0.9, 1500, 1500)
@@ -315,9 +335,9 @@ def test_markov_arrival_instance_end_to_end(va_penalty):
     space, actions, vt, pt = a.solve_optimal_policy(spec)
     assert vt.gain > 0
     assert mdp.check_value_monotonicity(vt.values, space, 1e-8) == []
-    kernels = mdp.build_kernels(spec, space, actions)
+    factors = mdp.build_factors(spec, space)
     cost = mdp.cost_vector(space, spec)
-    got = mdp.policy_average_cost(pt, kernels, cost, space.reference_index())
+    got = mdp.policy_average_cost(pt, factors, cost, space.reference_index())
     assert got == pytest.approx(vt.gain, abs=1e-6)
 
 
@@ -325,13 +345,13 @@ def test_always_idle_cost_saturates(va_solved):
     b = va_solved
     idle = mdp.PolicyTable(np.zeros(b.space.n_states, dtype=int), b.actions)
     cap_cost = sum(s.penalty(s.max_aori) for s in b.system.sensors)
-    got = mdp.policy_average_cost(idle, b.kernels, b.cost, b.start)
+    got = mdp.policy_average_cost(idle, b.factors, b.cost, b.start)
     assert got == pytest.approx(cap_cost, rel=1e-9)
 
 
 def test_optimal_policy_average_cost_matches_gain(tiny_solved):
     b = tiny_solved
-    got = mdp.policy_average_cost(b.pt, b.kernels, b.cost, b.start)
+    got = mdp.policy_average_cost(b.pt, b.factors, b.cost, b.start)
     assert got == pytest.approx(b.vt.gain, abs=1e-6)
 
 
@@ -342,7 +362,7 @@ def test_optimal_gain_dominates_all_deterministic_tables(tiny_solved):
         table = mdp.PolicyTable(
             rng.integers(len(b.actions), size=b.space.n_states), b.actions
         )
-        cost = mdp.policy_average_cost(table, b.kernels, b.cost, b.start)
+        cost = mdp.policy_average_cost(table, b.factors, b.cost, b.start)
         assert b.vt.gain <= cost + 1e-6
 
 

@@ -144,12 +144,12 @@ def test_myopic_optimal_when_arrivals_certain(va_penalty):
     # model is exact and its policy matches the optimal average cost
     spec = make_va_system(va_penalty, 1.0, 1.0, cap=4)
     bundle_space, actions, vt, pt = a.solve_optimal_policy(spec)
-    kernels = mdp.build_kernels(spec, bundle_space, actions)
+    factors = mdp.build_factors(spec, bundle_space)
     cost = mdp.cost_vector(bundle_space, spec)
     start = bundle_space.reference_index()
     myopic = pol.build_myopic_policy(spec)
     table = pol.policy_to_table(myopic, bundle_space, actions)
-    myopic_cost = mdp.policy_average_cost(table, kernels, cost, start)
+    myopic_cost = mdp.policy_average_cost(table, factors, cost, start)
     assert myopic_cost == pytest.approx(vt.gain, abs=1e-7)
 
 
@@ -177,7 +177,7 @@ def test_every_policy_returns_feasible_actions(va_hetero, va_hetero_sisp):
 def test_round_robin_chain_symmetric_marginals(va_solved):
     """Symmetric two-sensor instance: round robin splits cost equally."""
     b = va_solved
-    p_aug, states = pol.round_robin_chain(b.space, b.kernels, 2, 1)
+    p_aug, states = pol.round_robin_chain(b.space, b.factors, 2, 1)
     cost_aug = np.tile(b.cost, 2)
     n = b.space.n_states
     # the chain holds the reachable augmented states only: spread its
@@ -270,7 +270,7 @@ def test_policy_to_table_matches_decide(case, tmp_path):
     at every state."""
     cfg = _config(case, tmp_path)
     cache = {}
-    space, actions, _, _ = cli._joint_mdp(cfg, cache)
+    space, actions = cli._joint_mdp(cfg, cache)
     states = [space.decode(i) for i in range(space.n_states)]
     for name in ("optimal", "sisp", "maf", "mef", "myopic", "idle"):
         policy = cli._build_policy(name, cfg, cache)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse import linalg as splinalg
@@ -14,8 +14,11 @@ import aoisched as a
 from aoisched import cli, mdp, policies as pol
 from aoisched.model import ConvergenceError
 
+import stationary_oracle
 from conftest import make_va_system, solve_bundle
+from test_chains import STUCK_MARKOV, chain_systems
 from test_cli import ONE_SENSOR_YAML, write_config
+from test_kernel_assembly import PROBS
 from test_tables import MARKOV_YAML
 
 
@@ -59,7 +62,7 @@ def test_transient_and_unreachable_states_get_no_mass():
 def test_round_robin_augmented_chain_residual(va_solved):
     b = va_solved
     p_aug, states = pol.round_robin_chain(
-        b.space, b.kernels, b.system.n_sensors, b.system.m_budget
+        b.space, b.factors, b.system.n_sensors, b.system.m_budget
     )
     xi = mdp.stationary_distribution(p_aug, np.searchsorted(states, b.start))
     assert xi.sum() == pytest.approx(1.0, abs=1e-12)
@@ -76,7 +79,7 @@ def dense_solve(q):
 
 
 def test_optimal_chain_matches_dense_solve(va_solved):
-    p, states = mdp.policy_chain_matrix(va_solved.pt, va_solved.kernels, va_solved.start)
+    p, states = mdp.policy_chain_matrix(va_solved.pt, va_solved.factors, va_solved.start)
     xi = mdp.stationary_distribution(p, np.searchsorted(states, va_solved.start))
     support = np.flatnonzero(xi > 0)
     # the support is closed: no edge leaves it
@@ -98,8 +101,8 @@ def test_sticky_channel_matches_dense_solve(va_penalty):
     system = replace(system, channel=a.ChannelSpec(0.9995, 0.998))
     b = solve_bundle(system)
     chains = [
-        (*mdp.policy_chain_matrix(b.pt, b.kernels, b.start), b.cost),
-        (*pol.round_robin_chain(b.space, b.kernels, 2, 1), np.tile(b.cost, 2)),
+        (*mdp.policy_chain_matrix(b.pt, b.factors, b.start), b.cost),
+        (*pol.round_robin_chain(b.space, b.factors, 2, 1), np.tile(b.cost, 2)),
     ]
     for p, states, cost in chains:
         # the chains hold the reachable states only: read the cost on them
@@ -241,6 +244,52 @@ def test_stationary_distribution_properties(case):
     assert np.all(xi[members] > 0.0)
 
 
+def assert_solve_is_the_oracle(p, start):
+    """stationary_distribution gives the oracle's xi bytes, or raises the
+    oracle's error with the same message."""
+    def outcome(solve):
+        try:
+            return solve(p, start).tobytes()
+        except RuntimeError as exc:  # ConvergenceError included
+            return type(exc).__name__, str(exc)
+
+    assert outcome(mdp.stationary_distribution) == outcome(
+        stationary_oracle.stationary_distribution
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(stochastic_matrices())
+def test_stationary_distribution_is_the_oracle_bit_for_bit(case):
+    dense, start = case
+    assert_solve_is_the_oracle(sparse.csr_matrix(dense), start)
+
+
+# a stuck channel's class can hold states of zero mass, whose pinned system
+# is singular: the LU fallback warns before the solve refuses the answer
+@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(chain_systems(), st.integers(0, 2**32 - 1), st.lists(PROBS, min_size=3, max_size=3))
+@example(STUCK_MARKOV, 7, [0.4, 0.0, 0.0])
+def test_chain_solves_are_the_oracle_bit_for_bit(spec, seed, p):
+    """The table, mixture and round-robin chains of small_systems() solve
+    to the oracle's bytes."""
+    space = mdp.StateSpace(spec)
+    assume(space.n_states <= 2_000)
+    n, m = spec.n_sensors, spec.m_budget
+    actions = mdp.ActionSet(n, m)
+    factors = mdp.build_factors(spec, space)
+    start = space.reference_index()
+    table = np.random.default_rng(seed).integers(len(actions), size=space.n_states)
+    weights = pol.randomized_action_weights(p[:n], m, actions)
+    for chain, states in (
+        mdp.policy_chain_matrix(mdp.PolicyTable(table, actions), factors, start),
+        mdp.mixture_chain_matrix(weights, factors, actions, start),
+        pol.round_robin_chain(space, factors, n, m),
+    ):
+        assert_solve_is_the_oracle(chain, int(np.searchsorted(states, start)))
+
+
 # Exact costs of the eight compare policies, recorded from a direct sparse LU
 # solve (scipy spsolve) of the pinned balance equations.
 RECORDED_COSTS = {
@@ -276,21 +325,23 @@ def compare_chains(cfg) -> dict:
     arguments of chain_average_cost."""
     cache = {}
     system = cfg.system
-    space, actions, kernels, cost = cli._joint_mdp(cfg, cache)
+    space, actions = cli._joint_mdp(cfg, cache)
+    factors = mdp.build_factors(system, space)
+    cost = mdp.cost_vector(space, system)
     start = space.reference_index()
     out = {}
     for name in pol.POLICY_NAMES:
         policy = cli._build_policy(name, cfg, cache)
         n = system.n_sensors
         if name == "rr":
-            chain = pol.round_robin_chain(space, kernels, n, system.m_budget)
+            chain = pol.round_robin_chain(space, factors, n, system.m_budget)
             out[name] = (*chain, np.tile(cost, n), start)
         elif name == "rand":
             weights = pol.randomized_action_weights(policy.p, system.m_budget, actions)
-            out[name] = (*mdp.mixture_chain_matrix(weights, kernels, start), cost, start)
+            out[name] = (*mdp.mixture_chain_matrix(weights, factors, actions, start), cost, start)
         else:
             table = pol.policy_to_table(policy, space, actions)
-            out[name] = (*mdp.policy_chain_matrix(table, kernels, start), cost, start)
+            out[name] = (*mdp.policy_chain_matrix(table, factors, start), cost, start)
     return out
 
 

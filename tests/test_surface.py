@@ -89,11 +89,12 @@ ALLOWED = {
     ("mdp", "average_cost_by_sensor"): ACCEPTANCE,
     ("decomposed", "randomized_chain_matrix"): ACCEPTANCE,
     ("mdp", "solve_optimal_policy"): TRACER,
+    ("mdp", "Kernels.__iter__"): "read by perfbench/tracer.py's build_kernels hook and by tests",
     ("policies", "Policy.decide_array"): "the abstract decision rule every policy overrides",
 }
 
 # function parameters with a default, plus public dataclass fields with a default
-SETTABLE = 31
+SETTABLE = 30
 
 
 def defined_functions():
