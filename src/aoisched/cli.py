@@ -336,19 +336,22 @@ def _sisp_table(cfg: LoadedConfig) -> tuple:
 
 
 def _joint_mdp(cfg: LoadedConfig, cache: dict) -> tuple:
-    """(space, actions) of the joint MDP, built once per cache."""
+    """(space, actions, factors) of the joint MDP, built once per cache: the
+    optimal solve and the exact evaluations of one compare share the
+    factors."""
     if "joint" not in cache:
         system = cfg.system
         space = _check_state_budget(system, cfg.max_states)
-        cache["joint"] = (space, mdp.ActionSet(system.n_sensors, system.m_budget))
+        actions = mdp.ActionSet(system.n_sensors, system.m_budget)
+        cache["joint"] = (space, actions, mdp.build_factors(system, space))
     return cache["joint"]
 
 
 def _solve_optimal(cfg: LoadedConfig, cache: dict) -> tuple:
     """RVI on the joint kernels, which live for this solve only: the exact
     evaluations build their chains from the per-sensor factors."""
-    space, actions = _joint_mdp(cfg, cache)
-    kernels = mdp.build_kernels(cfg.system, space, actions)
+    space, actions, factors = _joint_mdp(cfg, cache)
+    kernels = mdp.build_kernels(factors, space, actions)
     cost = mdp.cost_vector(space, cfg.system)
     vt, pi = mdp.relative_value_iteration(kernels, cost, space.reference_index())
     return space, vt, mdp.PolicyTable(pi, actions)
@@ -613,12 +616,20 @@ def cmd_compare(args) -> int:
     cache = {}
     # an optimal policy's kernels are freed before the first evaluation
     policies = _policy_list(args, cfg, cache)
-    space, actions = _joint_mdp(cfg, cache)
-    joint = (space, actions, mdp.build_factors(system, space), mdp.cost_vector(space, system))
-    exact = {policy.name: _exact_cost(policy, system, joint) for policy in policies}
-
+    space, actions, factors = _joint_mdp(cfg, cache)
+    joint = (space, actions, factors, mdp.cost_vector(space, system))
     plan = sim.ExperimentPlan(system, policies, horizon, replications, seed, cfg.warmup)
-    stats = sim.monte_carlo(plan)
+
+    def share(k):
+        # the exact costs stay in this process, where a tracer sees their
+        # solves; the Monte Carlo runs beside them in a child, or after
+        # them on one CPU
+        if k == 0:
+            return {policy.name: _exact_cost(policy, system, joint) for policy in policies}
+        return sim.monte_carlo(plan)
+
+    with mdp._forks(2) as run:
+        exact, stats = run(share)
     fh, w = _open_output(out_dir, "compare.csv", cfg.config_hash)
     with fh:
         w.writerow(

@@ -70,12 +70,13 @@ def _single_sensor_kernels(sensor: SensorSpec, channel: ChannelSpec) -> tuple:
     """
     system = SystemSpec(sensors=(sensor,), channel=channel, m_budget=1)
     space = StateSpace(system)
-    row_of, n_rows, parts = kernel_rows(system, space, ActionSet(1, 1))
+    factors = build_factors(system, space)
+    n_rows = factors.n_rows
     dense = []
-    for data, indices, indptr in parts:
+    for data, indices, indptr in kernel_rows(factors, ActionSet(1, 1)):
         k = np.zeros((n_rows, space.n_states))
         k[np.repeat(np.arange(n_rows), np.diff(indptr)), indices] = data
-        dense.append(k[row_of])
+        dense.append(k[factors.row_of])
     return (system, space, *dense)
 
 

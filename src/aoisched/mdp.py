@@ -51,6 +51,15 @@ the same order as on one thread, so kernels, values, gains, iteration
 counts and tables are the same bits for any number of CPUs. Smaller
 models, and every model on one CPU, run on the calling thread and import
 no pool.
+
+_forks is the process form of the thread shares, for the Monte Carlo,
+whose lanes are numpy calls of a few microseconds that threads would
+serialize on the GIL: share 0 runs in the calling process and each other
+share in a child made by os.fork once every pool is joined, with its
+result pickled back through a pipe. sim deals its policies and caps out to
+one process per CPU, and compare simulates in a child while it evaluates
+exactly; on one CPU, and inside a share, every share runs inline. No child
+outlives the with block that made it.
 """
 
 from __future__ import annotations
@@ -121,6 +130,10 @@ GMRES_RESTART = 20
 GMRES_RTOL = 1e-12
 GMRES_CYCLES = 100
 GMRES_PASSES = 2
+# The largest closed class the sparse-LU fallback solves; above it a class
+# GMRES cannot certify raises ConvergenceError at once, since the LU fill-in
+# grows so fast that a large class would appear to hang
+LU_MAX_STATES = 20_000
 
 
 class StateSpace:
@@ -500,6 +513,86 @@ def _shares(n: int):
         yield run
 
 
+# True in a child that _forks made, and only there: its own shares run
+# inline, so a share never nests
+_in_share = False
+
+
+def _fork_processes() -> int:
+    """Processes that forked shares may run on: one per CPU, but only the
+    calling one inside a share or where os.fork does not exist."""
+    return 1 if _in_share or not hasattr(os, "fork") else _worker_count()
+
+
+@contextlib.contextmanager
+def _forks(n: int):
+    """Yields run(fn), which returns [fn(0), ..., fn(n - 1)] as _shares
+    does, with a process per share: fn(0) runs in the calling process and
+    each other share in a child made by os.fork, which pickles its result
+    or its exception back through a pipe and leaves only through os._exit.
+    With one process (_fork_processes) the shares run inline, in order.
+
+    A child's exception is raised after fn(0) returns, with its type and
+    message; a child that dies is seen as EOF on its pipe and raised as
+    RuntimeError. The with block kills and reaps every child still running
+    on exit, so none outlives it, also when fn(0) raises. Fork only where
+    no other thread is alive: the child has just the forking thread.
+    """
+    children = {}  # share -> (pid, read end of its pipe)
+
+    def run(fn):
+        global _in_share
+        if n == 1 or _fork_processes() == 1:
+            return [fn(k) for k in range(n)]
+        import pickle
+
+        for k in range(1, n):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    _in_share = True
+                    os.close(r)
+                    # caught only to be raised again in the parent
+                    try:
+                        payload = (True, fn(k))
+                    except BaseException as exc:  # noqa: BLE001
+                        payload = (False, exc)
+                    data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
+                    with open(w, "wb") as pipe:
+                        pipe.write(data)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children[k] = (pid, open(r, "rb"))
+        out = [fn(0)]
+        for k in range(1, n):
+            pid, pipe = children[k]
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[k]
+            if not data:
+                raise RuntimeError(f"forked share {k} died with exit code {code}")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            out.append(value)
+        return out
+
+    try:
+        yield run
+    finally:
+        import signal
+
+        for pid, pipe in children.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _row_classes(tables: Sequence) -> tuple:
     """(class of each sub-index, first sub-index of each class) of one sensor.
 
@@ -654,15 +747,15 @@ def factor_rows(factors: Factors, action, rows) -> tuple:
     return data, indices, indptr
 
 
-def kernel_rows(spec: SystemSpec, space: StateSpace, actions: ActionSet) -> tuple:
+def kernel_rows(factors: Factors, actions: ActionSet) -> list:
     """Transition matrices of every action, built as their distinct rows.
 
-    Returns (row_of, n_rows, parts): parts holds, in action order, each
-    action's distinct rows as the numpy arrays (data, indices, indptr) of a
-    CSR matrix of shape (n_rows, n_states), factor_rows of every row, and
-    row_of maps each state to its row (Factors): rows[a][row_of] is the
-    assembled kernel K_a. build_kernels wraps them as scipy matrices. On
-    threesensor that is 15.6 M nonzeros out of 36.6 M.
+    Returns, in action order, each action's distinct rows as the numpy
+    arrays (data, indices, indptr) of a CSR matrix of shape
+    (factors.n_rows, n_states), factor_rows of every row: rows[a][row_of]
+    is the assembled kernel K_a, with row_of from the factors.
+    build_kernels wraps them as scipy matrices. On threesensor that is
+    15.6 M nonzeros out of 36.6 M.
 
     The assembled kernels are byte-identical to a state-by-state assembly
     from transition_distribution. This matters because the optimal policy
@@ -676,7 +769,6 @@ def kernel_rows(spec: SystemSpec, space: StateSpace, actions: ActionSet) -> tupl
     as on one thread, so their bytes do not depend on the number of CPUs;
     a model of one chunk is built on the calling thread with no pool.
     """
-    factors = build_factors(spec, space)
 
     def share(k):
         return [factor_rows(factors, action, slice(None)) for action in actions.actions[k::shares]]
@@ -686,13 +778,13 @@ def kernel_rows(spec: SystemSpec, space: StateSpace, actions: ActionSet) -> tupl
     with _shares(shares) as run:
         for k, built in enumerate(run(share)):
             parts[k::shares] = built
-    return factors.row_of, factors.n_rows, parts
+    return parts
 
 
-def build_kernels(spec: SystemSpec, space: StateSpace, actions: ActionSet) -> Kernels:
-    """kernel_rows as Kernels of scipy CSR matrices: the one place a kernel
-    becomes a sparse matrix, and the first import of scipy.sparse in the
-    commands that build a joint kernel.
+def build_kernels(factors: Factors, space: StateSpace, actions: ActionSet) -> Kernels:
+    """kernel_rows as Kernels of scipy CSR matrices over space: the one
+    place a kernel becomes a sparse matrix, and the first import of
+    scipy.sparse in the commands that build a joint kernel.
 
     With more than one CPU and more than TABLE_CHUNK distinct rows, the rows
     are also cut into Kernels.blocks for RVI, one per CPU: contiguous row
@@ -705,12 +797,12 @@ def build_kernels(spec: SystemSpec, space: StateSpace, actions: ActionSet) -> Ke
     """
     from scipy import sparse
 
-    row_of, n_rows, parts = kernel_rows(spec, space, actions)
-    n = space.n_states
+    parts = kernel_rows(factors, actions)
+    n, n_rows = space.n_states, factors.n_rows
     rows = tuple(sparse.csr_matrix(part, shape=(n_rows, n)) for part in parts)
     workers = _threads(n_rows)
     if workers == 1:
-        return Kernels(rows, row_of)
+        return Kernels(rows, factors.row_of)
 
     def view(lo, hi, data, indices, indptr):
         span = slice(indptr[lo], indptr[hi])
@@ -727,7 +819,7 @@ def build_kernels(spec: SystemSpec, space: StateSpace, actions: ActionSet) -> Ke
         (lo, hi, tuple(view(lo, hi, *part) for part in parts))
         for lo, hi in zip(bounds, bounds[1:])
     )
-    return Kernels(rows, row_of, blocks)
+    return Kernels(rows, factors.row_of, blocks)
 
 
 class PaddedRows:
@@ -767,9 +859,10 @@ def build_padded_kernels(spec: SystemSpec, space: StateSpace, actions: ActionSet
     -0.0). A Python loop over the slots costs about 3x the scipy product on
     the joint kernels, so this is for small models: the myopic baseline.
     """
-    row_of, n_rows, parts = kernel_rows(spec, space, actions)
-    shape = (n_rows, space.n_states)
-    return Kernels(tuple(PaddedRows(*part, shape) for part in parts), row_of)
+    factors = build_factors(spec, space)
+    shape = (factors.n_rows, space.n_states)
+    rows = tuple(PaddedRows(*part, shape) for part in kernel_rows(factors, actions))
+    return Kernels(rows, factors.row_of)
 
 
 def relative_value_iteration(kernels: Kernels, cost: np.ndarray, ref_index: int) -> tuple:
@@ -852,7 +945,7 @@ def solve_optimal_policy(spec: SystemSpec) -> tuple:
     """Build the truncated MDP and solve it; returns (space, actions, vt, pt)."""
     space = StateSpace(spec)
     actions = ActionSet(spec.n_sensors, spec.m_budget)
-    kernels = build_kernels(spec, space, actions)
+    kernels = build_kernels(build_factors(spec, space), space, actions)
     cost = cost_vector(space, spec)
     vt, pi = relative_value_iteration(kernels, cost, space.reference_index())
     return space, actions, vt, PolicyTable(pi, actions)
@@ -1113,7 +1206,8 @@ def stationary_distribution(p: sparse.csr_matrix, start_index: int) -> np.ndarra
     can stall restarted GMRES short of that; their system is then solved
     again by sparse LU, whose cost does not depend on the mixing. If that
     answer fails the same check too, ConvergenceError is raised with the
-    residual and the class size.
+    residual and the class size. So it is, with GMRES's residual, and no LU
+    solve, on a class of more than LU_MAX_STATES states.
     """
     from scipy import sparse
     from scipy.sparse.csgraph import breadth_first_order, connected_components
@@ -1148,6 +1242,13 @@ def stationary_distribution(p: sparse.csr_matrix, start_index: int) -> np.ndarra
             residual = float(np.abs(q.T @ xi - xi).sum())
             if residual <= STATIONARY_RESIDUAL and np.all(xi > 0.0):
                 break
+            if m > LU_MAX_STATES:
+                raise ConvergenceError(
+                    f"stationary solve: L1 residual {residual:.3e} (bound "
+                    f"{STATIONARY_RESIDUAL:g}), smallest mass {xi.min():.3e}, "
+                    f"on a {m}-state closed class, by GMRES; sparse LU skipped "
+                    f"above {LU_MAX_STATES} states"
+                )
         else:
             raise ConvergenceError(
                 f"stationary solve: L1 residual {residual:.3e} (bound "

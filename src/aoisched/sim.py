@@ -10,17 +10,24 @@ each policy (the --trace files) a block of slots at a time. run_episode
 runs one replication slot by slot through dynamics.step_system_traced,
 deciding on one lane; it is the oracle the lockstep engine matches bit for
 bit, means and trajectories alike.
+
+monte_carlo deals its policies, and divergence_probe its caps, out to one
+process per CPU (mdp._forks), forked after the policies are built, with
+the same bits as one process: a lane's mean does not depend on the lanes
+beside it. One CPU runs them all here, in one lockstep run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import decomposed
+from . import decomposed, mdp
 from .dynamics import (
     initial_state,
     lane_cost,
@@ -152,6 +159,14 @@ def _trajectory_rows(t0: int, block, penalty_cells) -> str:
     return "".join(lines)
 
 
+def _undeal(parts: list, shares: int) -> list:
+    """The items that shares took as k::shares, back in their order."""
+    out = [None] * sum(map(len, parts))
+    for k, part in enumerate(parts):
+        out[k::shares] = part
+    return out
+
+
 def monte_carlo(plan: ExperimentPlan, sinks: Optional[Sequence] = None) -> list:
     """Independent replications per policy with common random numbers: one
     PolicyStats per policy, in plan order.
@@ -172,7 +187,50 @@ def monte_carlo(plan: ExperimentPlan, sinks: Optional[Sequence] = None) -> list:
     sink=...) writes, once per block. Deterministic given the plan; the
     95% interval half-width uses the normal approximation over replication
     means.
+
+    The policies are dealt out to one process per CPU (mdp._forks), at
+    most one per policy: with k shares, share j runs policies j, j + k, ...
+    as a lockstep run of their own, share 0 in this process. Since a lane's
+    mean does not depend on the policies beside it, the stats are the same
+    bits on any number of CPUs. A child share writes its traced lanes to a
+    temporary file, made before the fork, and after the join this process
+    copies it into the sink, a block's rows per write, as the child wrote
+    them. With one CPU every policy runs in one lockstep run here.
     """
+    policies = plan.policies
+    sinks = [None] * len(policies) if sinks is None else list(sinks)
+    shares = min(mdp._fork_processes(), len(policies))
+    span = max(1, BLOCK_LANE_SLOTS // plan.replications)
+    with contextlib.ExitStack() as spooled:
+        spools = list(sinks)
+        for j, sink in enumerate(sinks):
+            if sink is not None and j % shares:
+                import tempfile
+
+                # line buffered, so each block is in the file once written:
+                # a child leaves by os._exit, which flushes nothing
+                spool = tempfile.TemporaryFile("w+", 1, "utf-8", newline="")
+                spools[j] = spooled.enter_context(spool)
+
+        def share(k):
+            dealt = slice(k, None, shares)
+            part = dataclasses.replace(plan, policies=policies[dealt])
+            return _lockstep(part, spools[dealt], span)
+
+        with mdp._forks(shares) as run:
+            stats = _undeal(run(share), shares)
+        rows = span * plan.system.n_sensors
+        for spool, sink in zip(spools, sinks):
+            if spool is not sink:
+                spool.seek(0)
+                while block := "".join(itertools.islice(spool, rows)):
+                    sink.write(block)
+    return stats
+
+
+def _lockstep(plan: ExperimentPlan, sinks: list, span: int) -> list:
+    """monte_carlo of every policy of the plan in one lockstep run, with a
+    sink or None per policy, drawing span slots per block."""
     spec = plan.system
     n, reps = spec.n_sensors, plan.replications
     policies = plan.policies
@@ -186,7 +244,6 @@ def monte_carlo(plan: ExperimentPlan, sinks: Optional[Sequence] = None) -> list:
     policy_rngs = [
         [_episode_rngs(seed)[1] for seed in seeds] if p.uniforms else [] for p in policies
     ]
-    sinks = [None] * len(policies) if sinks is None else sinks
     traced = [
         (lane.start, sink) for lane, sink in zip(lanes, sinks, strict=True) if sink is not None
     ]
@@ -194,7 +251,6 @@ def monte_carlo(plan: ExperimentPlan, sinks: Optional[Sequence] = None) -> list:
     penalty_cells = [[format(v, VALUE_FORMAT) for v in row] for row in tables.penalty.tolist()]
     idx = np.empty(len(policies) * reps, dtype=np.intp)
     sums = np.zeros(len(policies) * reps)  # summed stage cost per lane
-    span = max(1, BLOCK_LANE_SLOTS // reps)
     for start in range(0, plan.horizon, span):
         slots = min(span, plan.horizon - start)
         # env[s] holds slot start + s: one column of 1 + 2N uniforms per lane
@@ -257,11 +313,20 @@ def divergence_probe(
     per-sensor values, solved per cap under the scheduling probabilities
     p_r, with no joint space; at the system's own caps it is the policy
     `simulate --policies sisp` runs.
+
+    The caps are dealt out to one process per CPU as monte_carlo deals its
+    policies, and each cap's stats are the same bits on any number of CPUs.
     """
-    out = []
-    for cap in caps:
-        system = with_caps(spec, cap)
-        policy = decomposed.SispPolicy(decomposed.solve_sisp_values(system, p_r))
-        plan = ExperimentPlan(system, [policy], horizon, replications, seed, warmup)
-        out.extend(monte_carlo(plan))
-    return out
+    shares = min(mdp._fork_processes(), len(caps))
+
+    def share(k):
+        out = []
+        for cap in caps[k::shares]:
+            system = with_caps(spec, cap)
+            policy = decomposed.SispPolicy(decomposed.solve_sisp_values(system, p_r))
+            plan = ExperimentPlan(system, [policy], horizon, replications, seed, warmup)
+            out.extend(monte_carlo(plan))
+        return out
+
+    with mdp._forks(shares) as run:
+        return _undeal(run(share), shares)

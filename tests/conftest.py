@@ -81,8 +81,8 @@ class SolvedBundle:
 
 def solve_bundle(system) -> SolvedBundle:
     space, actions, vt, pt = a.solve_optimal_policy(system)
-    kernels = mdp.build_kernels(system, space, actions)
     factors = mdp.build_factors(system, space)
+    kernels = mdp.build_kernels(factors, space, actions)
     cost = mdp.cost_vector(space, system)
     return SolvedBundle(
         system, space, actions, kernels, factors, cost, space.reference_index(), vt, pt

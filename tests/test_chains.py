@@ -123,8 +123,8 @@ def test_chains_are_the_whole_chain_on_its_reachable_states(spec, seed, p):
     assume(space.n_states <= 2_000)
     n, m = spec.n_sensors, spec.m_budget
     actions = mdp.ActionSet(n, m)
-    kernels = mdp.build_kernels(spec, space, actions)
     factors = mdp.build_factors(spec, space)
+    kernels = mdp.build_kernels(factors, space, actions)
     cost = mdp.cost_vector(space, spec)
     start = space.reference_index()
 
@@ -155,10 +155,10 @@ def test_stuck_channel_kernels_store_explicit_zeros():
     store them, and csgraph's search follows them to good-channel states."""
     space = mdp.StateSpace(STUCK_MARKOV)
     actions = mdp.ActionSet(2, 1)
-    kernels = mdp.build_kernels(STUCK_MARKOV, space, actions)
+    factors = mdp.build_factors(STUCK_MARKOV, space)
+    kernels = mdp.build_kernels(factors, space, actions)
     assert all(np.any(rows.data == 0.0) for rows in kernels)
     idle = mdp.PolicyTable(np.zeros(space.n_states, dtype=np.intp), actions)
-    factors = mdp.build_factors(STUCK_MARKOV, space)
     p, states = mdp.policy_chain_matrix(idle, factors, space.reference_index())
     assert np.any(p.data == 0.0)
     assert np.any(states % 2 == 1)  # theta, the fastest index digit, is 1
@@ -202,9 +202,8 @@ def test_factor_rows_are_kernel_rows_bit_for_bit(spec, seed, threaded):
         if threaded:
             mp.setattr(mdp, "TABLE_CHUNK", 8)
             mp.setattr(mdp, "_worker_count", lambda: 2)
-        row_of, n_rows, parts = mdp.kernel_rows(spec, space, actions)
         factors = mdp.build_factors(spec, space)
-        assert np.array_equal(factors.row_of, row_of) and factors.n_rows == n_rows
+        parts, n_rows = mdp.kernel_rows(factors, actions), factors.n_rows
         rng = np.random.default_rng(seed)
         for action, (data, indices, indptr) in zip(actions.actions, parts):
             rows = rng.permutation(n_rows)[: rng.integers(1, n_rows + 1)]
@@ -234,6 +233,22 @@ def test_compare_builds_joint_kernels_only_for_optimal(tmp_path, monkeypatch, po
     monkeypatch.setattr(mdp, "build_kernels", counted)
     assert cli.main(compare_argv(tmp_path, policies)) == 0
     assert len(calls) == builds
+
+
+def test_compare_builds_the_joint_factors_once(tmp_path, monkeypatch):
+    """The optimal solve and the exact evaluations of one compare share the
+    joint model's factors; the myopic model's have another state count."""
+    joint = mdp.StateSpace(cli.load_config(str(TWOSENSOR)).system).n_states
+    calls = []
+    build = mdp.build_factors
+
+    def counted(spec, space):
+        calls.append(space.n_states)
+        return build(spec, space)
+
+    monkeypatch.setattr(mdp, "build_factors", counted)
+    assert cli.main(compare_argv(tmp_path, pol.POLICY_NAMES)) == 0
+    assert calls.count(joint) == 1
 
 
 def test_compare_frees_joint_kernels_before_the_first_evaluation(tmp_path, monkeypatch):

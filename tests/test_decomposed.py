@@ -71,7 +71,7 @@ def test_per_sensor_kernel_boundaries(va_penalty, arrival):
     system = a.SystemSpec((sensor,), VA_CHANNEL, 1)
     space = mdp.StateSpace(system)
     actions = mdp.ActionSet(1, 1)
-    kernels = mdp.build_kernels(system, space, actions)
+    kernels = mdp.build_kernels(mdp.build_factors(system, space), space, actions)
     k_idle, k_tx = (rows[kernels.row_of].toarray() for rows in kernels)
     _, _, dense_idle, dense_tx = decomposed._single_sensor_kernels(sensor, VA_CHANNEL)
     assert np.array_equal(dense_idle, k_idle)
@@ -413,7 +413,7 @@ def test_three_sensor_two_slot_budget():
     system = a.SystemSpec(sensors, a.ChannelSpec(0.45, 0.75), 2)
     space, actions, vt, pt = a.solve_optimal_policy(system)
     assert len(actions) == 1 + 3 + 3
-    kernels = mdp.build_kernels(system, space, actions)
+    kernels = mdp.build_kernels(mdp.build_factors(system, space), space, actions)
     for k in kernels:
         assert np.allclose(np.asarray(k.sum(axis=1)).ravel(), 1.0, atol=1e-12)
     cost = mdp.cost_vector(space, system)

@@ -101,7 +101,7 @@ def assert_kernels_match_oracle(spec):
     """Every assembled kernel rows[a][row_of] equals the oracle's, dtype too."""
     space = mdp.StateSpace(spec)
     actions = mdp.ActionSet(spec.n_sensors, spec.m_budget)
-    built = mdp.build_kernels(spec, space, actions)
+    built = mdp.build_kernels(mdp.build_factors(spec, space), space, actions)
     expected = oracle_kernels(spec, space, actions)
     assert len(built) == len(expected) == len(actions)
     assert built.row_of.shape == (space.n_states,)
@@ -137,7 +137,8 @@ def test_kernels_are_canonical_stochastic_csr(name):
     the expansion by row_of keeps that."""
     spec = KERNEL_SYSTEMS[name]
     space = mdp.StateSpace(spec)
-    kernels = mdp.build_kernels(spec, space, mdp.ActionSet(spec.n_sensors, spec.m_budget))
+    actions = mdp.ActionSet(spec.n_sensors, spec.m_budget)
+    kernels = mdp.build_kernels(mdp.build_factors(spec, space), space, actions)
     # row_of reaches every distinct row
     assert np.array_equal(np.unique(kernels.row_of), np.arange(kernels.n_rows))
     for rows in kernels:
@@ -156,7 +157,8 @@ def test_kernels_are_canonical_stochastic_csr(name):
 def test_distinct_row_counts(config, n_rows, n_states, nnz, assembled_nnz):
     system = cli.load_config(str(CONFIGS / f"{config}.yaml")).system
     space = mdp.StateSpace(system)
-    kernels = mdp.build_kernels(system, space, mdp.ActionSet(system.n_sensors, system.m_budget))
+    actions = mdp.ActionSet(system.n_sensors, system.m_budget)
+    kernels = mdp.build_kernels(mdp.build_factors(system, space), space, actions)
     assert (kernels.n_rows, space.n_states) == (n_rows, n_states)
     assert sum(rows.nnz for rows in kernels) == nnz
     assert sum(int(np.diff(rows.indptr)[kernels.row_of].sum()) for rows in kernels) == assembled_nnz
@@ -244,7 +246,7 @@ def test_rvi_on_distinct_rows_matches_assembled_kernels(spec):
     space = mdp.StateSpace(spec)
     assume(space.n_states <= 3000)
     actions = mdp.ActionSet(spec.n_sensors, spec.m_budget)
-    kernels = mdp.build_kernels(spec, space, actions)
+    kernels = mdp.build_kernels(mdp.build_factors(spec, space), space, actions)
     cost = mdp.cost_vector(space, spec)
     ref = space.reference_index()
     assembled = [rows[kernels.row_of] for rows in kernels]
@@ -294,8 +296,9 @@ def split_solve(spec, workers, chunk):
         mp.setattr(mdp, "TABLE_CHUNK", chunk)
         mp.setattr(mdp, "_worker_count", lambda: workers)
         mp.setattr(mdp, "RVI_MAX_ITER", RVI_MAX_ITER)
-        parts = mdp.kernel_rows(spec, space, actions)
-        kernels = mdp.build_kernels(spec, space, actions)
+        factors = mdp.build_factors(spec, space)
+        parts = factors.row_of, factors.n_rows, mdp.kernel_rows(factors, actions)
+        kernels = mdp.build_kernels(factors, space, actions)
         cost = mdp.cost_vector(space, spec)
         try:
             vt, pi = mdp.relative_value_iteration(kernels, cost, space.reference_index())
@@ -346,7 +349,7 @@ def test_rvi_joins_its_threads_when_it_fails(monkeypatch):
     monkeypatch.setattr(mdp, "RVI_MAX_ITER", 1)
     spec = markov3_system(1)
     space = mdp.StateSpace(spec)
-    kernels = mdp.build_kernels(spec, space, mdp.ActionSet(3, 1))
+    kernels = mdp.build_kernels(mdp.build_factors(spec, space), space, mdp.ActionSet(3, 1))
     assert len(kernels.blocks) == 3
     before = threading.active_count()
     with pytest.raises(a.ConvergenceError):
@@ -362,7 +365,7 @@ def test_padded_product_is_scipy_product_bit_for_bit(spec, seed):
     space = mdp.StateSpace(spec)
     assume(space.n_states <= 3000)
     actions = mdp.ActionSet(spec.n_sensors, spec.m_budget)
-    csr = mdp.build_kernels(spec, space, actions)
+    csr = mdp.build_kernels(mdp.build_factors(spec, space), space, actions)
     padded = mdp.build_padded_kernels(spec, space, actions)
     assert np.array_equal(padded.row_of, csr.row_of)
     rng = np.random.default_rng(seed)

@@ -270,7 +270,7 @@ def test_policy_to_table_matches_decide(case, tmp_path):
     at every state."""
     cfg = _config(case, tmp_path)
     cache = {}
-    space, actions = cli._joint_mdp(cfg, cache)
+    space, actions, _ = cli._joint_mdp(cfg, cache)
     states = [space.decode(i) for i in range(space.n_states)]
     for name in ("optimal", "sisp", "maf", "mef", "myopic", "idle"):
         policy = cli._build_policy(name, cfg, cache)

@@ -169,6 +169,23 @@ def test_slowly_mixing_chain_falls_back_to_lu(monkeypatch, lu_calls):
     assert residual(p, xi) <= 1e-12
 
 
+def test_class_above_the_lu_bound_raises_without_lu(monkeypatch, lu_calls):
+    # the chain above, with the bound below its class: GMRES's stall is
+    # reported at once, with no LU solve
+    monkeypatch.setattr(mdp, "LU_MAX_STATES", 49)
+    with pytest.raises(
+        ConvergenceError,
+        match=r"L1 residual \d.* on a 50-state closed class, by GMRES; "
+        r"sparse LU skipped above 49 states$",
+    ):
+        mdp.stationary_distribution(birth_death(50, 0.6), 0)
+    assert lu_calls == []
+    # at the bound, LU still takes over
+    monkeypatch.setattr(mdp, "LU_MAX_STATES", 50)
+    mdp.stationary_distribution(birth_death(50, 0.6), 0)
+    assert lu_calls == [49]
+
+
 def test_wrong_gmres_answer_falls_back_to_lu(monkeypatch, lu_calls):
     p = chain([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.6, 0.0, 0.4]])
     monkeypatch.setattr(splinalg, "gmres", wrong_gmres)
@@ -325,8 +342,7 @@ def compare_chains(cfg) -> dict:
     arguments of chain_average_cost."""
     cache = {}
     system = cfg.system
-    space, actions = cli._joint_mdp(cfg, cache)
-    factors = mdp.build_factors(system, space)
+    space, actions, factors = cli._joint_mdp(cfg, cache)
     cost = mdp.cost_vector(space, system)
     start = space.reference_index()
     out = {}

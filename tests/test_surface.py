@@ -132,6 +132,9 @@ def test_every_function_is_reached_or_allowed(tmp_path, monkeypatch):
         return 2
 
     monkeypatch.setattr(mdp, "_worker_count", two_workers)
+    # the forked shares run inline, as in a share: calls made in a child
+    # are invisible to the profile hook
+    monkeypatch.setattr(mdp, "_in_share", True)
     started = set()
 
     def hook(frame, event, arg):
