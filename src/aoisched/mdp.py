@@ -23,13 +23,15 @@ successor tables, whose entries are ordered so that every row comes out
 sorted by column, with no COO step or duplicate summing; the assembled
 kernels are byte-identical to a state-by-state assembly from
 transition_distribution (kernel_rows says why that matters). kernel_rows
-generates every distinct row of every action, as numpy CSR arrays, and
-build_kernels makes them the scipy CSR matrices of Kernels, where
-rows[a][row_of] is the assembled kernel K_a. build_padded_kernels makes
-them PaddedRows instead, a numpy operator whose product adds in scipy's
-order and so gives the same bits; the myopic baseline is solved on it.
-RVI, the one reader of Kernels, backs up the distinct rows, takes the
-minimum over actions there and spreads it by row_of. The chain builders
+generates every distinct row of every action, as numpy CSR arrays, for
+the one-chunk models. build_kernels generates the joint model's rows in
+the row blocks of Kernels, scipy CSR matrices whose blocks stacked in
+order and indexed by row_of are the assembled kernels.
+build_padded_kernels pads kernel_rows into PaddedRows instead, a numpy
+operator whose product adds in scipy's order and so gives the same bits;
+the myopic baseline is solved on it, as one block. RVI, the one reader
+of Kernels, backs up the distinct rows block by block, takes the minimum
+over actions there and spreads it by row_of. The chain builders
 ask factor_rows for the rows their chain reaches only (on threesensor, at
 most 38,275 of the 148,176 distinct rows).
 scipy.sparse is imported only where a sparse matrix is made or combined,
@@ -42,15 +44,16 @@ formatted once.
 
 A model of more than TABLE_CHUNK distinct rows (the joint threesensor MDP)
 is built and solved on one thread per CPU in the process's affinity mask,
-with no setting for the count: kernel_rows builds the actions in a thread
-pool, build_kernels cuts the rows into blocks of about equal nonzeros, and
-RVI backs up each block in its own thread. scipy's csr_matvec and numpy's
+with no setting for the count. build_kernels cuts the rows once, on
+leading-sensor class boundaries, into one block per CPU; each block's
+rows of every action are generated in a thread of their own, and RVI
+backs up each block in its own thread. scipy's csr_matvec and numpy's
 elementwise kernels release the GIL, so the threads overlap. Every entry
 and every row sum is computed by the same code over the same operands in
 the same order as on one thread, so kernels, values, gains, iteration
 counts and tables are the same bits for any number of CPUs. Smaller
-models, and every model on one CPU, run on the calling thread and import
-no pool.
+models, and every model on one CPU, are one block, run on the calling
+thread and import no pool.
 
 _forks is the process form of the thread shares, for the Monte Carlo,
 whose lanes are numpy calls of a few microseconds that threads would
@@ -112,7 +115,7 @@ __all__ = [
 # Column groups of a full state table; the rows in one byte block of
 # table_rows, which is also about the rows factor_rows fills at once and
 # the states RVI's final argmin reads at once. A model of more rows than one
-# chunk is built and solved on every CPU (_threads)
+# chunk is built and solved on every CPU (build_kernels)
 TABLE_COLUMNS = ("state_index", "aoli", "aori", "arrmem", "theta", "value", "action_bits")
 TABLE_CHUNK = 1 << 14
 # Floats in CSV cells and in printed results: 12 significant digits
@@ -447,34 +450,29 @@ def _successor_table(space: StateSpace, i: int, sensor: SensorSpec, scheduled: b
 
 @dataclass(frozen=True, eq=False)
 class Kernels:
-    """Every action's transition kernel, stored as its distinct rows.
+    """Every action's transition kernel, stored as its distinct rows in
+    blocks of consecutive rows.
 
-    rows[a] is a matrix of shape (n_rows, n_states), CSR from build_kernels
-    or PaddedRows from build_padded_kernels, and row_of maps each state to
-    its distinct row, one map shared by every action, so the assembled
-    kernel K_a is rows[a][row_of]. Iterating yields rows[a] in action order.
-
-    blocks cuts the distinct rows for RVI's threads: one (lo, hi, views)
-    per CPU, where views[a] is rows[a][lo:hi] as a CSR view of the same
-    entries, so views[a] @ q is the same bits as (rows[a] @ q)[lo:hi].
-    build_kernels fills it only for a model of more than TABLE_CHUNK
-    distinct rows on more than one CPU; otherwise it is empty and RVI backs
-    up rows on the calling thread.
+    blocks holds one (lo, hi, mats) per block, in row order from 0 to
+    n_rows, where mats[a] is action a's distinct rows lo..hi-1: a scipy CSR
+    matrix from build_kernels, PaddedRows from build_padded_kernels, or any
+    matrix whose `@ q` gives those rows' sums. row_of maps each state to its
+    distinct row, one map shared by every action, so the assembled kernel
+    K_a is the blocks' mats[a] stacked in order, indexed by row_of. RVI
+    backs up each block in a thread of its own. Iterating yields every
+    block's matrices, block by block, each in action order: their arrays
+    are every buffer the kernels hold.
     """
 
-    rows: tuple
+    blocks: tuple
     row_of: np.ndarray
-    blocks: tuple = ()
 
     @property
     def n_rows(self) -> int:
-        return self.rows[0].shape[0]
-
-    def __len__(self) -> int:
-        return len(self.rows)
+        return self.blocks[-1][1]
 
     def __iter__(self):
-        return iter(self.rows)
+        return (mat for _, _, mats in self.blocks for mat in mats)
 
 
 def _worker_count() -> int:
@@ -484,12 +482,6 @@ def _worker_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
-
-
-def _threads(n_rows: int) -> int:
-    """Threads for a model of n_rows distinct rows: one per CPU when the
-    rows span more than one TABLE_CHUNK, else only the calling thread."""
-    return _worker_count() if n_rows > TABLE_CHUNK else 1
 
 
 @contextlib.contextmanager
@@ -548,7 +540,12 @@ def _forks(n: int):
 
         for k in range(1, n):
             r, w = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
             if pid == 0:
                 status = 1
                 try:
@@ -668,10 +665,12 @@ def factor_rows(factors: Factors, action, rows) -> tuple:
     """The kernel rows of one action, generated from the per-sensor factors.
 
     action holds one 0/1 decision per sensor. rows is an array of distinct
-    row indices, or slice(None) for every distinct row in order. Returns
-    the numpy arrays (data, indices, indptr) of a CSR matrix whose row k is
-    distinct row rows[k], of n_states columns: the bytes of that row of
-    kernel_rows, which is this function's every-row case.
+    row indices, or a slice of consecutive rows that starts and stops on
+    leading-sensor class boundaries (multiples of the rows per class of
+    sensor 1), slice(None) being every distinct row. Returns the numpy
+    arrays (data, indices, indptr) of a CSR matrix whose row k is distinct
+    row rows[k], of n_states columns: the bytes of that row of kernel_rows,
+    which is this function's every-row case.
 
     Row (class_1, ..., class_N, theta) holds the entries of a grid with
     axes (c_1, ..., c_N, theta'), each class standing for its first
@@ -689,19 +688,23 @@ def factor_rows(factors: Factors, action, rows) -> tuple:
     Every entry is computed elementwise from its own operands, so a row's
     bytes do not depend on which other rows are generated with it. `data`
     and `indices` are filled about TABLE_CHUNK rows at a time: for a list
-    of rows, each block's tables are gathered at its rows' classes; for
-    every row, each block is whole leading-sensor classes on the open grid
-    of all classes, with no per-row gather.
+    of rows, each block's tables are gathered at its rows' classes; for a
+    slice, each block is whole leading-sensor classes on the open grid of
+    the slice's classes, with no per-row gather.
     """
     shape = factors.shape
     n_sensors = len(shape) - 1
     if isinstance(rows, slice):
-        keys = np.ix_(*(np.arange(size) for size in shape))
         lead = math.prod(shape[1:])
+        start, stop, _ = rows.indices(factors.n_rows)
+        if start % lead or stop % lead:
+            raise ValueError(f"rows {start}:{stop} are not whole leading-sensor classes")
+        classes = (stop - start) // lead
+        keys = np.ix_(np.arange(start // lead, stop // lead), *map(np.arange, shape[1:]))
         step = max(1, TABLE_CHUNK // lead)
         blocks = [
-            (lo * lead, min(shape[0], lo + step) * lead, (keys[0][lo:lo + step], *keys[1:]))
-            for lo in range(0, shape[0], step)
+            (lo * lead, min(classes, lo + step) * lead, (keys[0][lo:lo + step], *keys[1:]))
+            for lo in range(0, classes, step)
         ]
     else:
         keys = np.unravel_index(rows, shape)
@@ -752,74 +755,53 @@ def kernel_rows(factors: Factors, actions: ActionSet) -> list:
 
     Returns, in action order, each action's distinct rows as the numpy
     arrays (data, indices, indptr) of a CSR matrix of shape
-    (factors.n_rows, n_states), factor_rows of every row: rows[a][row_of]
-    is the assembled kernel K_a, with row_of from the factors.
-    build_kernels wraps them as scipy matrices. On threesensor that is
+    (factors.n_rows, n_states), factor_rows of every row, so that with
+    row_of from the factors, row row_of[s] is state s's row of K_a. The
+    per-sensor SISP solves densify them and build_padded_kernels pads them,
+    all on the calling thread; build_kernels generates the joint model's
+    rows itself, in its row blocks. On threesensor the distinct rows hold
     15.6 M nonzeros out of 36.6 M.
 
     The assembled kernels are byte-identical to a state-by-state assembly
     from transition_distribution. This matters because the optimal policy
     has exactly tied actions, and a last-bit change in a kernel entry can
     flip which one the argmin picks.
-
-    When n_rows > TABLE_CHUNK (the model spans more than one chunk), the
-    actions are dealt out to one thread per CPU (at most one per action):
-    with k threads, thread j builds actions j, j + k, ..., and thread 0 is
-    the calling thread. Each action's arrays are computed by the same code
-    as on one thread, so their bytes do not depend on the number of CPUs;
-    a model of one chunk is built on the calling thread with no pool.
     """
-
-    def share(k):
-        return [factor_rows(factors, action, slice(None)) for action in actions.actions[k::shares]]
-
-    shares = min(_threads(factors.n_rows), len(actions))
-    parts = [None] * len(actions)
-    with _shares(shares) as run:
-        for k, built in enumerate(run(share)):
-            parts[k::shares] = built
-    return parts
+    return [factor_rows(factors, action, slice(None)) for action in actions.actions]
 
 
 def build_kernels(factors: Factors, space: StateSpace, actions: ActionSet) -> Kernels:
-    """kernel_rows as Kernels of scipy CSR matrices over space: the one
-    place a kernel becomes a sparse matrix, and the first import of
-    scipy.sparse in the commands that build a joint kernel.
+    """Every action's distinct rows as Kernels of scipy CSR matrices over
+    space: the one place a kernel becomes a sparse matrix, and the first
+    import of scipy.sparse in the commands that build a joint kernel.
 
-    With more than one CPU and more than TABLE_CHUNK distinct rows, the rows
-    are also cut into Kernels.blocks for RVI, one per CPU: contiguous row
-    ranges whose nonzeros, summed over all actions, are about equal (a
-    search in the summed indptr). A block's matrices are views of the data
-    and indices with a rebased indptr, so they copy no entries, and
-    csr_matvec sums each of their rows over the same entries in the same
-    order as the whole matrix does. Otherwise there are no blocks and
-    nothing more is allocated.
+    A model of more than TABLE_CHUNK distinct rows is cut into one block
+    per CPU in the process's affinity mask, and a smaller one, or any model
+    on one CPU, is one block. The cuts fall on leading-sensor class
+    boundaries, the blocks taking about equal numbers of classes (some are
+    empty when there are more CPUs than classes), and each block's rows of
+    every action are generated by factor_rows in a thread of their own, the
+    calling thread taking block 0. A row's bytes do not depend on the rows
+    generated beside it, so the blocks stacked in order are kernel_rows
+    byte for byte, on any number of CPUs. No matrix of every row is made.
     """
     from scipy import sparse
 
-    parts = kernel_rows(factors, actions)
-    n, n_rows = space.n_states, factors.n_rows
-    rows = tuple(sparse.csr_matrix(part, shape=(n_rows, n)) for part in parts)
-    workers = _threads(n_rows)
-    if workers == 1:
-        return Kernels(rows, factors.row_of)
+    n_rows, n_classes = factors.n_rows, factors.shape[0]
+    lead = n_rows // n_classes
+    workers = _worker_count() if n_rows > TABLE_CHUNK else 1
+    bounds = [k * n_classes // workers * lead for k in range(workers + 1)]
 
-    def view(lo, hi, data, indices, indptr):
-        span = slice(indptr[lo], indptr[hi])
-        return sparse.csr_matrix(
-            (data[span], indices[span], indptr[lo:hi + 1] - indptr[lo]), shape=(hi - lo, n)
+    def block(k):
+        lo, hi = bounds[k], bounds[k + 1]
+        shape = (hi - lo, space.n_states)
+        return lo, hi, tuple(
+            sparse.csr_matrix(factor_rows(factors, action, slice(lo, hi)), shape=shape)
+            for action in actions.actions
         )
 
-    # cut where the nonzeros of all actions, counted from row 0, pass each
-    # k / workers of their total
-    nnz = sum(indptr.astype(np.int64) for _, _, indptr in parts)
-    cuts = np.searchsorted(nnz, nnz[-1] * np.arange(1, workers) / workers).tolist()
-    bounds = [0, *cuts, n_rows]
-    blocks = tuple(
-        (lo, hi, tuple(view(lo, hi, *part) for part in parts))
-        for lo, hi in zip(bounds, bounds[1:])
-    )
-    return Kernels(rows, factors.row_of, blocks)
+    with _shares(workers) as run:
+        return Kernels(tuple(run(block)), factors.row_of)
 
 
 class PaddedRows:
@@ -847,11 +829,12 @@ class PaddedRows:
 
 
 def build_padded_kernels(spec: SystemSpec, space: StateSpace, actions: ActionSet) -> Kernels:
-    """kernel_rows as Kernels of PaddedRows, with no scipy.sparse.
+    """kernel_rows as Kernels of PaddedRows, in one block, with no
+    scipy.sparse.
 
-    `rows[a] @ q` equals the scipy CSR product bit for bit when q is
-    finite. scipy's csr_matvec sums each row from 0.0, left to right, with
-    one rounded multiply and one rounded add per entry, and so does
+    Each action's `rows @ q` equals the scipy CSR product bit for bit when
+    q is finite. scipy's csr_matvec sums each row from 0.0, left to right,
+    with one rounded multiply and one rounded add per entry, and so does
     PaddedRows: every row starts at np.zeros, slot k adds entry k, and
     numpy rounds the product before the add (no fused multiply-add). The
     padding comes after a row's last entry and adds 0.0 * q[0], a zero,
@@ -862,7 +845,7 @@ def build_padded_kernels(spec: SystemSpec, space: StateSpace, actions: ActionSet
     factors = build_factors(spec, space)
     shape = (factors.n_rows, space.n_states)
     rows = tuple(PaddedRows(*part, shape) for part in kernel_rows(factors, actions))
-    return Kernels(rows, factors.row_of)
+    return Kernels(((0, factors.n_rows, rows),), factors.row_of)
 
 
 def relative_value_iteration(kernels: Kernels, cost: np.ndarray, ref_index: int) -> tuple:
@@ -888,27 +871,27 @@ def relative_value_iteration(kernels: Kernels, cost: np.ndarray, ref_index: int)
     swap two buffers (the sup norm is taken in the one the next spread
     overwrites), so an iteration allocates only the matrix-vector products.
 
-    With kernels.blocks, each block's backups and its columns' minimum are
+    Each of kernels.blocks has its backups and its columns' minimum
     computed in a thread of its own, the calling thread taking block 0,
     and the spread, the normalization and the sup norm follow on the
     calling thread. Each row is summed by the same csr_matvec over the same
     entries in the same order, and the minimum is per column, so values,
     gain, iteration count and table are the same bits for any number of
-    blocks, one included. The pool is opened in a with block, so it is
-    joined also when ConvergenceError is raised. Kernels without blocks are
-    backed up on the calling thread with no pool.
+    blocks. The pool is opened in a with block, so it is joined also when
+    ConvergenceError is raised; kernels of one block are backed up on the
+    calling thread with no pool.
     """
     n = len(cost)
     q = np.zeros(n)
     q_next = np.empty(n)
-    backups = np.empty((len(kernels), kernels.n_rows))
+    blocks = kernels.blocks
+    backups = np.empty((len(blocks[0][2]), kernels.n_rows))
     best = np.empty(kernels.n_rows)
-    blocks = kernels.blocks or ((0, kernels.n_rows, kernels.rows),)
 
     def back_up(k):
-        lo, hi, views = blocks[k]
-        for a, view in enumerate(views):
-            backups[a, lo:hi] = view @ q
+        lo, hi, mats = blocks[k]
+        for a, mat in enumerate(mats):
+            backups[a, lo:hi] = mat @ q
         np.min(backups[:, lo:hi], axis=0, out=best[lo:hi])
 
     sup_diff = np.inf
@@ -1236,24 +1219,22 @@ def stationary_distribution(p: sparse.csr_matrix, start_index: int) -> np.ndarra
         q = _restricted(sub, members)
         a = (sparse.identity(m, format="csr") - q).T.tocsr()
         b = -a[1:, 0].toarray().ravel()
-        for solve in (_gmres_solve, _lu_solve):
+        solvers = (_gmres_solve,) if m > LU_MAX_STATES else (_gmres_solve, _lu_solve)
+        for solve in solvers:
             xi = np.concatenate(([1.0], solve(a, b)))
             xi /= xi.sum()
             residual = float(np.abs(q.T @ xi - xi).sum())
             if residual <= STATIONARY_RESIDUAL and np.all(xi > 0.0):
                 break
-            if m > LU_MAX_STATES:
-                raise ConvergenceError(
-                    f"stationary solve: L1 residual {residual:.3e} (bound "
-                    f"{STATIONARY_RESIDUAL:g}), smallest mass {xi.min():.3e}, "
-                    f"on a {m}-state closed class, by GMRES; sparse LU skipped "
-                    f"above {LU_MAX_STATES} states"
-                )
         else:
+            tried = (
+                "by GMRES and by sparse LU" if _lu_solve in solvers
+                else f"by GMRES; sparse LU skipped above {LU_MAX_STATES} states"
+            )
             raise ConvergenceError(
                 f"stationary solve: L1 residual {residual:.3e} (bound "
                 f"{STATIONARY_RESIDUAL:g}), smallest mass {xi.min():.3e}, "
-                f"on a {m}-state closed class, by GMRES and by sparse LU"
+                f"on a {m}-state closed class, {tried}"
             )
     xi_full = np.zeros(n)
     xi_full[reach[members]] = xi

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import aoisched as a
 from aoisched import decomposed, mdp
@@ -43,6 +44,15 @@ def make_va_system(penalty, lam1, lam2, cap=7, m=1):
 def action_at(table, idx):
     """The schedule a PolicyTable takes at state index idx."""
     return table.action_set.actions[table.action_index[idx]]
+
+
+def stacked_rows(kernels):
+    """Each action's distinct rows as one CSR matrix: its matrices in
+    kernels.blocks stacked in row order."""
+    return [
+        sparse.vstack([mats[a] for _, _, mats in kernels.blocks], format="csr")
+        for a in range(len(kernels.blocks[0][2]))
+    ]
 
 
 def sensor_index(pv, st, theta, arrived):

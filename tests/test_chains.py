@@ -4,10 +4,11 @@ generates, byte for byte the whole chain restricted to csgraph's reachable
 set, with bit-identical exact costs; and compare holds the joint kernels
 for the optimal solve only.
 
-The whole chains are assembled here, from each kernel's rows[a][row_of], as the
-builders assembled them before they restricted themselves: the table's
-rows gathered from a stack of every action's kernel, the mixture summed in
-action order, and round robin's cursor blocks joined by sparse.bmat.
+The whole chains are assembled here, from each kernel's stacked blocks
+indexed by row_of, as the builders assembled them before they restricted
+themselves: the table's rows gathered from a stack of every action's
+kernel, the mixture summed in action order, and round robin's cursor
+blocks joined by sparse.bmat.
 """
 
 import weakref
@@ -24,6 +25,7 @@ from scipy.sparse.csgraph import breadth_first_order
 import aoisched as a
 from aoisched import cli, mdp, policies as pol
 
+from conftest import stacked_rows
 from test_kernel_assembly import PROBS, _sensor, small_systems
 
 TWOSENSOR = Path(__file__).resolve().parents[1] / "configs" / "twosensor.yaml"
@@ -40,13 +42,14 @@ def stuck_channel(kappa11):
 
 def whole_table_chain(kernels, action_index):
     n = len(kernels.row_of)
-    stacked = sparse.vstack([rows[kernels.row_of] for rows in kernels], format="csr")
+    assembled = [rows[kernels.row_of] for rows in stacked_rows(kernels)]
+    stacked = sparse.vstack(assembled, format="csr")
     return stacked[action_index * n + np.arange(n)]
 
 
 def whole_mixture_chain(kernels, weights):
     out = None
-    for rows, w in zip(kernels, weights):
+    for rows, w in zip(stacked_rows(kernels), weights):
         if w == 0.0:
             continue
         term = w * rows[kernels.row_of]
@@ -56,10 +59,11 @@ def whole_mixture_chain(kernels, weights):
 
 def whole_round_robin_chain(kernels, n, m):
     actions = mdp.ActionSet(n, m)
+    rows = stacked_rows(kernels)
     blocks = [[None] * n for _ in range(n)]
     for cursor in range(n):
         action, nxt = pol.round_robin_decide(cursor, n, m)
-        blocks[cursor][nxt] = kernels.rows[actions.index(action)][kernels.row_of]
+        blocks[cursor][nxt] = rows[actions.index(action)][kernels.row_of]
     return sparse.bmat(blocks, format="csr")
 
 
@@ -191,30 +195,38 @@ def test_compare_solves_each_policy_once_on_reachable_states(tmp_path, monkeypat
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(chain_systems(), st.integers(0, 2**32 - 1), st.booleans())
 @example(STUCK_MARKOV, 3, True)
-def test_factor_rows_are_kernel_rows_bit_for_bit(spec, seed, threaded):
-    """Any rows, in any order, under any action, are those rows of
-    kernel_rows byte for byte; threaded, kernel_rows builds in a pool and
-    both fill blocks of a few rows."""
+def test_factor_rows_are_kernel_rows_bit_for_bit(spec, seed, chunked):
+    """Any rows, in any order, under any action, and any slice of whole
+    leading-sensor classes, are those rows of kernel_rows byte for byte;
+    chunked, both fill blocks of a few rows. A slice that cuts a class is
+    refused."""
     space = mdp.StateSpace(spec)
     assume(space.n_states <= 3_000)
     actions = mdp.ActionSet(spec.n_sensors, spec.m_budget)
     with pytest.MonkeyPatch.context() as mp:
-        if threaded:
+        if chunked:
             mp.setattr(mdp, "TABLE_CHUNK", 8)
-            mp.setattr(mdp, "_worker_count", lambda: 2)
         factors = mdp.build_factors(spec, space)
         parts, n_rows = mdp.kernel_rows(factors, actions), factors.n_rows
+        per_class = n_rows // factors.shape[0]
         rng = np.random.default_rng(seed)
         for action, (data, indices, indptr) in zip(actions.actions, parts):
             rows = rng.permutation(n_rows)[: rng.integers(1, n_rows + 1)]
-            entries = [np.arange(indptr[r], indptr[r + 1]) for r in rows]
-            want = (
-                data[np.concatenate(entries)],
-                indices[np.concatenate(entries)],
-                np.concatenate(([0], np.cumsum([len(e) for e in entries]))).astype(indptr.dtype),
-            )
-            for got, expected in zip(mdp.factor_rows(factors, action, rows), want, strict=True):
-                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+            lo, hi = np.sort(rng.integers(0, factors.shape[0] + 1, size=2)) * per_class
+            for key, picked in ((rows, rows), (slice(lo, hi), range(lo, hi))):
+                # an empty first array keeps an empty slice's concatenation integer
+                entries = [np.arange(0)] + [np.arange(indptr[r], indptr[r + 1]) for r in picked]
+                take = np.concatenate(entries)
+                want = (
+                    data[take],
+                    indices[take],
+                    np.cumsum([0] + [len(e) for e in entries[1:]]).astype(indptr.dtype),
+                )
+                for arr, expected in zip(mdp.factor_rows(factors, action, key), want, strict=True):
+                    assert arr.dtype == expected.dtype and arr.tobytes() == expected.tobytes()
+            if per_class > 1:
+                with pytest.raises(ValueError, match="not whole leading-sensor classes"):
+                    mdp.factor_rows(factors, action, slice(1, n_rows))
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 import aoisched as a
 from aoisched import decomposed, dynamics, mdp
 
-from conftest import VA_CHANNEL, action_at, make_va_sensor, make_va_system, sensor_index
+from conftest import (
+    VA_CHANNEL, action_at, make_va_sensor, make_va_system, sensor_index, stacked_rows
+)
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +74,7 @@ def test_per_sensor_kernel_boundaries(va_penalty, arrival):
     space = mdp.StateSpace(system)
     actions = mdp.ActionSet(1, 1)
     kernels = mdp.build_kernels(mdp.build_factors(system, space), space, actions)
-    k_idle, k_tx = (rows[kernels.row_of].toarray() for rows in kernels)
+    k_idle, k_tx = (rows[kernels.row_of].toarray() for rows in stacked_rows(kernels))
     _, _, dense_idle, dense_tx = decomposed._single_sensor_kernels(sensor, VA_CHANNEL)
     assert np.array_equal(dense_idle, k_idle)
     assert np.array_equal(dense_tx, k_tx)

@@ -8,6 +8,7 @@ of the one-process run; errors keep their type, message and exit code;
 and no child outlives a command, whether it succeeds or fails.
 """
 
+import errno
 import os
 import threading
 import time
@@ -118,6 +119,27 @@ def test_dead_child_is_an_error(monkeypatch):
     with pytest.raises(RuntimeError, match="^forked share 1 died with exit code 3$"):
         with mdp._forks(2) as run_shares:
             run_shares(share)
+
+
+def test_failed_fork_closes_its_pipe_and_reaps_the_first_child(monkeypatch):
+    workers(monkeypatch, 3)
+    forks, fork = [], os.fork
+
+    def second_fails():
+        forks.append(len(forks))
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, "fork refused")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    before = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError, match="fork refused"):
+        with mdp._forks(3) as run_shares:
+            run_shares(lambda k: k)
+    assert forks == [0, 1]
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 real_mef = pol.MefPolicy.decide_array

@@ -5,6 +5,7 @@ Byte identity, not closeness, is asserted: the optimal policy has exactly
 tied actions, and a last-bit difference in a kernel entry can flip them.
 """
 
+import gc
 import io
 import textwrap
 import threading
@@ -19,7 +20,7 @@ from scipy import sparse
 import aoisched as a
 from aoisched import cli, decomposed, mdp, policies as pol, sim
 
-from conftest import action_at
+from conftest import action_at, stacked_rows
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -98,16 +99,18 @@ KERNEL_SYSTEMS = {
 
 
 def assert_kernels_match_oracle(spec):
-    """Every assembled kernel rows[a][row_of] equals the oracle's, dtype too."""
+    """Every assembled kernel, its blocks stacked and indexed by row_of,
+    equals the oracle's, dtype too."""
     space = mdp.StateSpace(spec)
     actions = mdp.ActionSet(spec.n_sensors, spec.m_budget)
     built = mdp.build_kernels(mdp.build_factors(spec, space), space, actions)
     expected = oracle_kernels(spec, space, actions)
-    assert len(built) == len(expected) == len(actions)
+    stacked = stacked_rows(built)
+    assert len(stacked) == len(expected) == len(actions)
     assert built.row_of.shape == (space.n_states,)
-    for a, o in enumerate(expected):
-        assert built.rows[a].shape == (built.n_rows, space.n_states)
-        k = built.rows[a][built.row_of]
+    for rows, o in zip(stacked, expected):
+        assert rows.shape == (built.n_rows, space.n_states)
+        k = rows[built.row_of]
         assert k.shape == o.shape
         for got, want in ((k.indptr, o.indptr), (k.indices, o.indices), (k.data, o.data)):
             assert got.dtype == want.dtype
@@ -141,7 +144,7 @@ def test_kernels_are_canonical_stochastic_csr(name):
     kernels = mdp.build_kernels(mdp.build_factors(spec, space), space, actions)
     # row_of reaches every distinct row
     assert np.array_equal(np.unique(kernels.row_of), np.arange(kernels.n_rows))
-    for rows in kernels:
+    for rows in stacked_rows(kernels):
         assert_canonical_stochastic_csr(rows)
         assert_canonical_stochastic_csr(rows[kernels.row_of])
 
@@ -161,7 +164,9 @@ def test_distinct_row_counts(config, n_rows, n_states, nnz, assembled_nnz):
     kernels = mdp.build_kernels(mdp.build_factors(system, space), space, actions)
     assert (kernels.n_rows, space.n_states) == (n_rows, n_states)
     assert sum(rows.nnz for rows in kernels) == nnz
-    assert sum(int(np.diff(rows.indptr)[kernels.row_of].sum()) for rows in kernels) == assembled_nnz
+    assert sum(
+        int(np.diff(rows.indptr)[kernels.row_of].sum()) for rows in stacked_rows(kernels)
+    ) == assembled_nnz
 
 
 # probabilities that include the ends, so successor lists merge and differ
@@ -249,7 +254,7 @@ def test_rvi_on_distinct_rows_matches_assembled_kernels(spec):
     kernels = mdp.build_kernels(mdp.build_factors(spec, space), space, actions)
     cost = mdp.cost_vector(space, spec)
     ref = space.reference_index()
-    assembled = [rows[kernels.row_of] for rows in kernels]
+    assembled = [rows[kernels.row_of] for rows in stacked_rows(kernels)]
     want = oracle_rvi(assembled, cost, ref, 1e-9, RVI_MAX_ITER)
     try:
         with pytest.MonkeyPatch.context() as mp:
@@ -272,13 +277,11 @@ def test_rvi_argmin_reads_the_rounded_sums_with_cost():
     The sums with cost tie at 1e16, so the argmin takes action 0, although
     the backups alone differ and would pick action 1."""
     to_ref = [1.0, 0.0, 0.0]
-    kernels = mdp.Kernels(
-        (
-            np.array([to_ref, [0.0, 0.0, 1.0], to_ref]),
-            np.array([to_ref, to_ref, to_ref]),
-        ),
-        np.arange(3),
+    rows = (
+        np.array([to_ref, [0.0, 0.0, 1.0], to_ref]),
+        np.array([to_ref, to_ref, to_ref]),
     )
+    kernels = mdp.Kernels(((0, 3, rows),), np.arange(3))
     cost = np.array([0.0, 1e16, 0.5])
     want = oracle_rvi(list(kernels), cost, 0, 1e-9, RVI_MAX_ITER)
     vt, pi = mdp.relative_value_iteration(kernels, cost, 0)
@@ -287,24 +290,26 @@ def test_rvi_argmin_reads_the_rounded_sums_with_cost():
 
 
 def split_solve(spec, workers, chunk):
-    """kernel_rows, build_kernels and RVI with `workers` CPUs and a
-    TABLE_CHUNK of `chunk` rows: (parts, kernels, (values, gain, iterations,
-    actions) or None if RVI_MAX_ITER runs out)."""
+    """build_kernels and RVI with `workers` CPUs and a TABLE_CHUNK of
+    `chunk` rows: (kernels, (values, gain, iterations, actions) or None if
+    RVI_MAX_ITER runs out)."""
     space = mdp.StateSpace(spec)
     actions = mdp.ActionSet(spec.n_sensors, spec.m_budget)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mdp, "TABLE_CHUNK", chunk)
         mp.setattr(mdp, "_worker_count", lambda: workers)
         mp.setattr(mdp, "RVI_MAX_ITER", RVI_MAX_ITER)
-        factors = mdp.build_factors(spec, space)
-        parts = factors.row_of, factors.n_rows, mdp.kernel_rows(factors, actions)
-        kernels = mdp.build_kernels(factors, space, actions)
+        kernels = mdp.build_kernels(mdp.build_factors(spec, space), space, actions)
         cost = mdp.cost_vector(space, spec)
         try:
             vt, pi = mdp.relative_value_iteration(kernels, cost, space.reference_index())
         except a.ConvergenceError:
-            return parts, kernels, None
-    return parts, kernels, (vt.values, vt.gain, vt.iterations, pi)
+            return kernels, None
+    return kernels, (vt.values, vt.gain, vt.iterations, pi)
+
+
+def csr_bytes(rows):
+    return [(arr.dtype, arr.tobytes()) for arr in (rows.data, rows.indices, rows.indptr)]
 
 
 # one sensor whose ages never leave (0, 1): two distinct rows, so three
@@ -319,28 +324,70 @@ TWO_ROWS = a.SystemSpec(
        st.sampled_from([2, 3]), st.integers(1, 4))
 @example(TWO_ROWS, 3, 1)
 def test_split_work_is_the_one_worker_work_bit_for_bit(spec, workers, chunk):
-    """Actions built in a pool and RVI backed up by row blocks give the
-    one-worker run's kernel bytes, raw value bits, gain, iteration count and
-    table, also where a block is empty."""
-    assume(mdp.StateSpace(spec).n_states <= 3000)
-    (row_of, n_rows, parts), kernels, solved = split_solve(spec, workers, chunk)
-    (want_row_of, want_n_rows, want_parts), serial, want = split_solve(spec, 1, chunk)
-    assert serial.blocks == ()
-    assert len(kernels.blocks) == (workers if n_rows > chunk else 0)
-    if kernels.blocks:
-        assert kernels.blocks[-1][1] == n_rows
+    """Kernels built and backed up in row blocks give the one-worker run's
+    kernel bytes (the blocks stacked), raw value bits, gain, iteration
+    count and table, also where a block is empty. The blocks cut the rows
+    on leading-sensor class boundaries into about equal class counts, and
+    the one block of one worker is kernel_rows byte for byte."""
+    space = mdp.StateSpace(spec)
+    assume(space.n_states <= 3000)
+    kernels, solved = split_solve(spec, workers, chunk)
+    serial, want = split_solve(spec, 1, chunk)
+    factors = mdp.build_factors(spec, space)
+    n_rows, per_class = factors.n_rows, factors.n_rows // factors.shape[0]
+    assert len(serial.blocks) == 1
+    assert len(kernels.blocks) == (workers if n_rows > chunk else 1)
+    bounds = [0] + [hi for _, hi, _ in kernels.blocks]
+    assert [lo for lo, _, _ in kernels.blocks] == bounds[:-1] and bounds[-1] == n_rows
+    classes = [(hi - lo) // per_class for lo, hi in zip(bounds, bounds[1:])]
+    assert all(bound % per_class == 0 for bound in bounds)
+    assert max(classes) - min(classes) <= 1
     if spec is TWO_ROWS:
         assert any(lo == hi for lo, hi, _ in kernels.blocks)
-    assert np.array_equal(row_of, want_row_of) and n_rows == want_n_rows
-    for got_part, want_part in zip(parts, want_parts, strict=True):
-        for got, arr in zip(got_part, want_part):
-            assert got.dtype == arr.dtype and got.tobytes() == arr.tobytes()
+    for got, rows in zip(stacked_rows(kernels), stacked_rows(serial), strict=True):
+        assert csr_bytes(got) == csr_bytes(rows)
+    actions = mdp.ActionSet(spec.n_sensors, spec.m_budget)
+    for rows, part in zip(serial.blocks[0][2], mdp.kernel_rows(factors, actions), strict=True):
+        assert csr_bytes(rows) == [(arr.dtype, arr.tobytes()) for arr in part]
     assert (solved is None) == (want is None)
     if want is not None:
         values, gain, iterations, policy = solved
         assert np.array_equal(values.view(np.int64), want[0].view(np.int64))
         assert (gain, iterations) == want[1:3]
         assert np.array_equal(policy, want[3])
+
+
+def _buffer(arr):
+    """The array that owns arr's memory."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+def test_kernels_iterate_every_buffer_they_hold(monkeypatch):
+    """The arrays of the matrices iterated from Kernels (each block's data,
+    indices and indptr) are every buffer the kernels hold besides row_of,
+    each whole and once, so their sizes sum to the bytes held."""
+    monkeypatch.setattr(mdp, "TABLE_CHUNK", 8)
+    monkeypatch.setattr(mdp, "_worker_count", lambda: 3)
+    spec = markov3_system(1)
+    space = mdp.StateSpace(spec)
+    kernels = mdp.build_kernels(mdp.build_factors(spec, space), space, mdp.ActionSet(3, 1))
+    assert len(kernels.blocks) == 3
+    held, seen, todo = {}, set(), [kernels]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            held[id(_buffer(obj))] = _buffer(obj)
+        elif isinstance(obj, (tuple, list, dict, mdp.Kernels)) or sparse.issparse(obj):
+            todo.extend(gc.get_referents(obj))
+    del held[id(_buffer(kernels.row_of))]
+    iterated = [arr for rows in kernels for arr in (rows.data, rows.indices, rows.indptr)]
+    assert {id(_buffer(arr)) for arr in iterated} == set(held)
+    assert sum(arr.nbytes for arr in iterated) == sum(arr.nbytes for arr in held.values())
 
 
 def test_rvi_joins_its_threads_when_it_fails(monkeypatch):
@@ -365,17 +412,16 @@ def test_padded_product_is_scipy_product_bit_for_bit(spec, seed):
     space = mdp.StateSpace(spec)
     assume(space.n_states <= 3000)
     actions = mdp.ActionSet(spec.n_sensors, spec.m_budget)
-    csr = mdp.build_kernels(mdp.build_factors(spec, space), space, actions)
+    kernels = mdp.build_kernels(mdp.build_factors(spec, space), space, actions)
     padded = mdp.build_padded_kernels(spec, space, actions)
-    assert np.array_equal(padded.row_of, csr.row_of)
+    assert np.array_equal(padded.row_of, kernels.row_of)
+    assert len(padded.blocks) == 1
     rng = np.random.default_rng(seed)
     q = rng.normal(scale=10.0, size=space.n_states)
     q[rng.random(space.n_states) < 0.2] = 0.0
-    for a_idx in range(len(actions)):
-        assert padded.rows[a_idx].shape == csr.rows[a_idx].shape
-        want = csr.rows[a_idx] @ q
-        got = padded.rows[a_idx] @ q
-        assert got.tobytes() == want.tobytes()
+    for rows, want_rows in zip(padded.blocks[0][2], stacked_rows(kernels), strict=True):
+        assert rows.shape == want_rows.shape
+        assert (rows @ q).tobytes() == (want_rows @ q).tobytes()
 
 
 @pytest.mark.parametrize("config", ["twosensor", "threesensor"])

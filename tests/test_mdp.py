@@ -7,6 +7,8 @@ import pytest
 import aoisched as a
 from aoisched import cli, dynamics, mdp
 
+from conftest import stacked_rows
+
 TWO_SENSOR = Path(__file__).resolve().parents[1] / "configs" / "twosensor.yaml"
 
 
@@ -300,7 +302,7 @@ def test_rvi_degenerate_always_fresh(va_penalty):
 def test_rvi_bellman_residual(va_hetero_solved):
     b = va_hetero_solved
     theta = np.stack(
-        [b.cost + rows[b.kernels.row_of] @ b.vt.values for rows in b.kernels]
+        [b.cost + rows[b.kernels.row_of] @ b.vt.values for rows in stacked_rows(b.kernels)]
     )
     residual = np.max(np.abs(theta.min(axis=0) - b.vt.gain - b.vt.values))
     assert residual <= 10 * 1e-9
