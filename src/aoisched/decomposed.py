@@ -105,7 +105,9 @@ def solve_per_sensor_value(
     is normalized to zero at the reference state ((0,1), bad channel).
     """
     system, space, k_idle, k_tx = _single_sensor_kernels(sensor, channel)
-    mixed = p_r_i * k_tx + (1.0 - p_r_i) * k_idle
+    # in place: the same two rounded products and one rounded add per entry
+    mixed = p_r_i * k_tx
+    mixed += (1.0 - p_r_i) * k_idle
     cost = cost_vector(space, system)
     # every state its own row: the dense mixed kernel is already assembled
     kernels = Kernels(((0, space.n_states, (mixed,)),), np.arange(space.n_states))

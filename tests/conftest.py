@@ -46,13 +46,30 @@ def action_at(table, idx):
     return table.action_set.actions[table.action_index[idx]]
 
 
+def pair_rows(pair):
+    """A ThetaPair's rows as one CSR matrix in row order: its theta = 0
+    half's rows at the even rows, its theta = 1 half's at the odd ones."""
+    stacked = sparse.vstack(pair.halves, format="csr")
+    half = pair.shape[0] // 2
+    return stacked[np.arange(2 * half).reshape(2, half).T.ravel()]
+
+
 def stacked_rows(kernels):
-    """Each action's distinct rows as one CSR matrix: its matrices in
-    kernels.blocks stacked in row order."""
+    """Each action's distinct rows as one CSR matrix: its ThetaPairs in
+    kernels.blocks, each in row order, stacked in row order."""
     return [
-        sparse.vstack([mats[a] for _, _, mats in kernels.blocks], format="csr")
+        sparse.vstack([pair_rows(mats[a]) for _, _, mats in kernels.blocks], format="csr")
         for a in range(len(kernels.blocks[0][2]))
     ]
+
+
+def stuck_channel(kappa11):
+    """A channel that never leaves the bad state. ChannelSpec refuses
+    kappa00 = 1, so it is set past the check; the kernels then store
+    explicit zeros for the bad-to-good step."""
+    channel = a.ChannelSpec(0.5, kappa11)
+    object.__setattr__(channel, "kappa00", 1.0)
+    return channel
 
 
 def sensor_index(pv, st, theta, arrived):

@@ -25,19 +25,10 @@ from scipy.sparse.csgraph import breadth_first_order
 import aoisched as a
 from aoisched import cli, mdp, policies as pol
 
-from conftest import stacked_rows
+from conftest import stacked_rows, stuck_channel
 from test_kernel_assembly import PROBS, _sensor, small_systems
 
 TWOSENSOR = Path(__file__).resolve().parents[1] / "configs" / "twosensor.yaml"
-
-
-def stuck_channel(kappa11):
-    """A channel that never leaves the bad state. ChannelSpec refuses
-    kappa00 = 1, so it is set past the check; the kernels then store
-    explicit zeros for the bad-to-good step."""
-    channel = a.ChannelSpec(0.5, kappa11)
-    object.__setattr__(channel, "kappa00", 1.0)
-    return channel
 
 
 def whole_table_chain(kernels, action_index):

@@ -416,7 +416,7 @@ def test_three_sensor_two_slot_budget():
     space, actions, vt, pt = a.solve_optimal_policy(system)
     assert len(actions) == 1 + 3 + 3
     kernels = mdp.build_kernels(mdp.build_factors(system, space), space, actions)
-    for k in kernels:
+    for k in stacked_rows(kernels):
         assert np.allclose(np.asarray(k.sum(axis=1)).ravel(), 1.0, atol=1e-12)
     cost = mdp.cost_vector(space, system)
     start = space.reference_index()

@@ -20,7 +20,7 @@ from scipy import sparse
 import aoisched as a
 from aoisched import cli, decomposed, mdp, policies as pol, sim
 
-from conftest import action_at, stacked_rows
+from conftest import action_at, stacked_rows, stuck_channel
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -347,7 +347,7 @@ def test_split_work_is_the_one_worker_work_bit_for_bit(spec, workers, chunk):
     for got, rows in zip(stacked_rows(kernels), stacked_rows(serial), strict=True):
         assert csr_bytes(got) == csr_bytes(rows)
     actions = mdp.ActionSet(spec.n_sensors, spec.m_budget)
-    for rows, part in zip(serial.blocks[0][2], mdp.kernel_rows(factors, actions), strict=True):
+    for rows, part in zip(stacked_rows(serial), mdp.kernel_rows(factors, actions), strict=True):
         assert csr_bytes(rows) == [(arr.dtype, arr.tobytes()) for arr in part]
     assert (solved is None) == (want is None)
     if want is not None:
@@ -355,6 +355,116 @@ def test_split_work_is_the_one_worker_work_bit_for_bit(spec, workers, chunk):
         assert np.array_equal(values.view(np.int64), want[0].view(np.int64))
         assert (gain, iterations) == want[1:3]
         assert np.array_equal(policy, want[3])
+
+
+# the ends where a channel state's successor table loses outcomes (a success
+# probability of 0 or 1), certain arrivals, Markov arrivals and a channel
+# that never leaves the bad state
+THETA_EDGES = [
+    a.SystemSpec(
+        (
+            _sensor(a.BernoulliArrival(0.7), 0.0, 0.8, 2, 3),
+            _sensor(a.MarkovArrival(0.6, 0.7), 0.5, 1.0, 1, 2),
+        ),
+        a.ChannelSpec(0.45, 0.75),
+        1,
+    ),
+    a.SystemSpec(
+        (
+            _sensor(a.BernoulliArrival(1.0), 0.4, 0.9, 2, 2),
+            _sensor(a.MarkovArrival(0.3, 0.8), 0.3, 0.6, 1, 3),
+        ),
+        stuck_channel(0.7),
+        2,
+    ),
+    a.SystemSpec(
+        (
+            _sensor(a.BernoulliArrival(1.0), 1.0, 1.0, 1, 2),
+            _sensor(a.BernoulliArrival(0.5), 0.0, 0.5, 2, 2),
+        ),
+        stuck_channel(0.4),
+        1,
+    ),
+]
+
+
+def theta_halves_agree(parts):
+    """Whether the theta = 0 rows and the theta = 1 rows of kernel_rows
+    reach the same columns in the same order, under every action."""
+    halves = [
+        [sparse.csr_matrix(part)[theta::2] for theta in (0, 1)] for part in parts
+    ]
+    return [
+        np.array_equal(even.indices, odd.indices) and np.array_equal(even.indptr, odd.indptr)
+        for even, odd in halves
+    ]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_systems(), st.sampled_from([1, 2, 3]), st.integers(0, 2**32 - 1))
+@example(THETA_EDGES[0], 2, 0)
+@example(THETA_EDGES[1], 3, 1)
+@example(THETA_EDGES[2], 1, 2)
+@example(TWO_ROWS, 3, 3)
+def test_theta_pairs_are_kernel_rows_bit_for_bit(spec, workers, seed):
+    """Each ThetaPair's product, q holding negative entries, is the CSR
+    product of those rows of kernel_rows bit for bit, and its halves are
+    kernel_rows' rows of each theta byte for byte. They share one column
+    list exactly when the two channel states' rows reach the same columns.
+    RVI on the pairs gives the values, gain, iteration count and table of
+    RVI on one block of kernel_rows' CSR matrices."""
+    space = mdp.StateSpace(spec)
+    assume(space.n_states <= 3000)
+    kernels, solved = split_solve(spec, workers, 8)
+    factors = mdp.build_factors(spec, space)
+    actions = mdp.ActionSet(spec.n_sensors, spec.m_budget)
+    parts = mdp.kernel_rows(factors, actions)
+    whole = tuple(sparse.csr_matrix(part, shape=(factors.n_rows, space.n_states)) for part in parts)
+    agree_by_action = theta_halves_agree(parts)
+    q = np.random.default_rng(seed).normal(scale=10.0, size=space.n_states)
+    for lo, hi, mats in kernels.blocks:
+        for pair, rows, agree in zip(mats, whole, agree_by_action, strict=True):
+            assert isinstance(pair, mdp.ThetaPair) and pair.shape == (hi - lo, space.n_states)
+            assert (pair @ q).tobytes() == (rows[lo:hi] @ q).tobytes()
+            for theta, half in enumerate(pair.halves):
+                assert csr_bytes(half) == csr_bytes(rows[lo + theta : hi : 2])
+            if lo < hi:
+                assert np.shares_memory(*(half.indices for half in pair.halves)) == agree
+    one_block = mdp.Kernels(((0, factors.n_rows, whole),), factors.row_of)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mdp, "RVI_MAX_ITER", RVI_MAX_ITER)
+        try:
+            vt, pi = mdp.relative_value_iteration(
+                one_block, mdp.cost_vector(space, spec), space.reference_index()
+            )
+        except a.ConvergenceError:
+            assert solved is None
+            return
+    values, gain, iterations, policy = solved
+    assert values.tobytes() == vt.values.tobytes()
+    assert (gain, iterations) == (vt.gain, vt.iterations)
+    assert np.array_equal(policy, pi)
+
+
+@pytest.mark.parametrize(
+    "config, shared", [("twosensor", [True, False, False]), ("threesensor", [True] * 4)]
+)
+def test_theta_halves_share_columns_where_the_tables_agree(config, shared):
+    """Threesensor's success probabilities lie inside (0, 1), so every
+    action's halves hold one column list and one row-pointer array, and the
+    columns take a quarter of the bytes of the two halves' values.
+    Twosensor's p1 = 1 drops the failed outcomes in the good channel state
+    under a transmit decision, so those halves keep columns of their own."""
+    system = cli.load_config(str(CONFIGS / f"{config}.yaml")).system
+    space = mdp.StateSpace(system)
+    actions = mdp.ActionSet(system.n_sensors, system.m_budget)
+    kernels = mdp.build_kernels(mdp.build_factors(system, space), space, actions)
+    for _, _, mats in kernels.blocks:
+        for pair, one in zip(mats, shared, strict=True):
+            for field in ("indices", "indptr"):
+                assert np.shares_memory(*(getattr(h, field) for h in pair.halves)) == one
+            if one:
+                assert pair.indices.nbytes * 4 == pair.data.nbytes
 
 
 def _buffer(arr):
@@ -365,15 +475,19 @@ def _buffer(arr):
 
 
 def test_kernels_iterate_every_buffer_they_hold(monkeypatch):
-    """The arrays of the matrices iterated from Kernels (each block's data,
-    indices and indptr) are every buffer the kernels hold besides row_of,
-    each whole and once, so their sizes sum to the bytes held."""
+    """The arrays of the ThetaPairs iterated from Kernels (each block's
+    data, indices and indptr) are every buffer the kernels hold besides
+    row_of, each whole and once, so their sizes sum to the bytes held: a
+    column list two halves share counts once, and no half holds a copy."""
     monkeypatch.setattr(mdp, "TABLE_CHUNK", 8)
     monkeypatch.setattr(mdp, "_worker_count", lambda: 3)
     spec = markov3_system(1)
     space = mdp.StateSpace(spec)
     kernels = mdp.build_kernels(mdp.build_factors(spec, space), space, mdp.ActionSet(3, 1))
     assert len(kernels.blocks) == 3
+    # the idle action's halves share their columns, sensor 1's transmit
+    # halves (p1 = 1) do not
+    assert {len(pair.indices) < pair.nnz for pair in kernels} == {True, False}
     held, seen, todo = {}, set(), [kernels]
     while todo:
         obj = todo.pop()
@@ -382,7 +496,7 @@ def test_kernels_iterate_every_buffer_they_hold(monkeypatch):
         seen.add(id(obj))
         if isinstance(obj, np.ndarray):
             held[id(_buffer(obj))] = _buffer(obj)
-        elif isinstance(obj, (tuple, list, dict, mdp.Kernels)) or sparse.issparse(obj):
+        elif isinstance(obj, (tuple, list, dict, mdp.Kernels, mdp.ThetaPair)) or sparse.issparse(obj):
             todo.extend(gc.get_referents(obj))
     del held[id(_buffer(kernels.row_of))]
     iterated = [arr for rows in kernels for arr in (rows.data, rows.indices, rows.indptr)]

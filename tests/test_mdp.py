@@ -158,7 +158,7 @@ def test_kernel_rows_sum_to_one(va_penalty):
     spec = a.SystemSpec((markov, bern), a.ChannelSpec(0.4, 0.7), 2)
     space = mdp.StateSpace(spec)
     actions = mdp.ActionSet(2, 2)
-    for k in mdp.build_kernels(mdp.build_factors(spec, space), space, actions):
+    for k in stacked_rows(mdp.build_kernels(mdp.build_factors(spec, space), space, actions)):
         assert np.allclose(np.asarray(k.sum(axis=1)).ravel(), 1.0, atol=1e-12)
 
 
