@@ -100,11 +100,19 @@ def _need(section: dict, key: str, path: str):
     return section[key]
 
 
+def _number(value, path: str) -> float:
+    """value as a float. A YAML boolean (yes, no, true, false) is refused,
+    not read as 1.0 or 0.0."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{path}: expected a number, got {value!r}")
+
+
 def _prob(value, path: str, strict: bool = False) -> float:
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}: expected a number, got {value!r}") from None
+    v = _number(value, path)
     lo = 0.0 < v if strict else 0.0 <= v
     hi = v < 1.0 if strict else v <= 1.0
     if not (lo and hi):
@@ -151,9 +159,9 @@ def _parse_penalty(section, path: str):
     kind = _need(section, "kind", path)
     if kind == "exponential":
         _reject_unknown(section, {"kind", "r"}, path)
-        r = _need(section, "r", path)
+        r = _number(_need(section, "r", path), f"{path}.r")
         try:
-            return ExponentialPenalty(float(r))
+            return ExponentialPenalty(r)
         except ValueError as exc:
             raise ConfigError(f"{path}.r: {exc}") from None
     if kind == "estimation_trace":

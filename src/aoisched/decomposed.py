@@ -110,7 +110,7 @@ def solve_per_sensor_value(
     mixed += (1.0 - p_r_i) * k_idle
     cost = cost_vector(space, system)
     # every state its own row: the dense mixed kernel is already assembled
-    kernels = Kernels(((0, space.n_states, (mixed,)),), np.arange(space.n_states))
+    kernels = Kernels((((0, space.n_states, (mixed,)),),), np.arange(space.n_states))
     vt, _ = relative_value_iteration(kernels, cost, space.reference_index())
     eq = np.stack([k_idle @ vt.values, k_tx @ vt.values], axis=1)
     return PerSensorValue(space, vt.values, vt.gain, p_r_i, eq)

@@ -17,26 +17,27 @@ evaluation, the per-sensor SISP solves, the randomized chain and the myopic
 baseline all read from it. Truncation saturates the ages, so most kernel
 rows repeat (a sensor's successors are the same one step below a cap as at
 it), and a state's row is one of the distinct rows that Factors indexes by
-its sensors' row classes and theta, with row_of, the state -> distinct-row
-map all actions share. The rows are written straight from the per-sensor
-successor tables, whose entries are ordered so that every row comes out
-sorted by column, with no COO step or duplicate summing; the assembled
-kernels are byte-identical to a state-by-state assembly from
-transition_distribution (kernel_rows says why that matters). kernel_rows
-generates every distinct row of every action, as numpy CSR arrays, for
-the one-chunk models. build_kernels generates the joint model's rows in
-the row blocks of Kernels, each block's rows of an action a ThetaPair of
-scipy CSR halves, its theta = 0 and theta = 1 rows, which share one
-column list wherever the sensors' successor tables agree in both channel
-states (on threesensor, everywhere); the blocks' pairs interleaved,
-stacked in order and indexed by row_of are the assembled kernels.
+theta and its sensors' row classes, theta slowest, with row_of, the state
+-> distinct-row map all actions share. The rows are written straight from
+the per-sensor successor tables, whose entries are ordered so that every
+row comes out sorted by column, with no COO step or duplicate summing; the
+assembled kernels are byte-identical to a state-by-state assembly from
+transition_distribution (kernel_rows says why that matters). factor_rows
+fills listed rows: kernel_rows lists every row of every action, for the
+one-chunk models, and the chain builders list the rows their chain reaches
+(on threesensor, at most 38,275 of the 148,176 distinct rows).
+build_kernels fills the joint model's rows on the open grid of whole
+leading-sensor classes instead, as the blocks of Kernels: each CPU's share
+of classes is two blocks, its theta = 0 rows and its theta = 1 rows, and a
+block's rows of an action are one scipy CSR matrix. The theta = 1 matrix
+reads the theta = 0 matrix's columns wherever the sensors' successor tables
+agree in both channel states (on threesensor, everywhere). The blocks
+stacked in row order and indexed by row_of are the assembled kernels.
 build_padded_kernels pads kernel_rows into PaddedRows instead, a numpy
 operator whose product adds in scipy's order and so gives the same bits;
-the myopic baseline is solved on it, as one block. RVI, the one reader
-of Kernels, backs up the distinct rows block by block, takes the minimum
-over actions there and spreads it by row_of. The chain builders
-ask factor_rows for the rows their chain reaches only (on threesensor, at
-most 38,275 of the 148,176 distinct rows).
+the myopic baseline is solved on it, as one block. RVI, the one reader of
+Kernels, backs up the distinct rows block by block, takes the minimum over
+actions there and spreads it by row_of.
 scipy.sparse is imported only where a sparse matrix is made or combined,
 so the per-sensor SISP solves, which densify kernel_rows with numpy, and
 the myopic solve never load it.
@@ -47,15 +48,15 @@ formatted once.
 
 A model of more than TABLE_CHUNK distinct rows (the joint threesensor MDP)
 is built and solved on one thread per CPU in the process's affinity mask,
-with no setting for the count. build_kernels cuts the rows once, on
-leading-sensor class boundaries, into one block per CPU; each block's
-rows of every action are generated in a thread of their own, and RVI
-backs up each block in its own thread. scipy's csr_matvec and numpy's
+with no setting for the count. build_kernels cuts the classes once, on
+leading-sensor class boundaries, into one share per CPU; each share's rows
+of every action are generated in a thread of their own, and RVI backs up
+each share's two blocks in its own thread. scipy's csr_matvec and numpy's
 elementwise kernels release the GIL, so the threads overlap. Every entry
 and every row sum is computed by the same code over the same operands in
 the same order as on one thread, so kernels, values, gains, iteration
 counts and tables are the same bits for any number of CPUs. Smaller
-models, and every model on one CPU, are one block, run on the calling
+models, and every model on one CPU, are one share, run on the calling
 thread and import no pool.
 
 _forks is the process form of the thread shares, for the Monte Carlo,
@@ -75,6 +76,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -98,7 +100,6 @@ __all__ = [
     "build_factors",
     "factor_rows",
     "Kernels",
-    "ThetaPair",
     "kernel_rows",
     "build_kernels",
     "PaddedRows",
@@ -455,29 +456,43 @@ def _successor_table(space: StateSpace, i: int, sensor: SensorSpec, scheduled: b
 @dataclass(frozen=True, eq=False)
 class Kernels:
     """Every action's transition kernel, stored as its distinct rows in
-    blocks of consecutive rows.
+    blocks of consecutive rows, grouped into the shares that RVI backs up
+    in a thread each.
 
-    blocks holds one (lo, hi, mats) per block, in row order from 0 to
-    n_rows, where mats[a] is action a's distinct rows lo..hi-1: a ThetaPair
-    of scipy CSR halves from build_kernels, PaddedRows from
-    build_padded_kernels, or any matrix whose `@ q` gives those rows' sums.
-    row_of maps each state to its distinct row, one map shared by every
-    action, so the assembled kernel K_a is the blocks' mats[a] stacked in
-    order, indexed by row_of. RVI backs up each block in a thread of its
-    own. Iterating yields every block's matrices, block by block, each in
-    action order: the data, indices and indptr of build_kernels' pairs are
-    every buffer the kernels hold, each once.
+    shares holds one tuple of blocks per thread, and a block is (lo, hi,
+    mats), where mats[a] is action a's distinct rows lo..hi-1: a scipy CSR
+    matrix from build_kernels, PaddedRows from build_padded_kernels, or any
+    matrix whose `@ q` gives those rows' sums. The blocks cover the rows
+    0..n_rows-1 once. row_of maps each state to its distinct row, one map
+    shared by every action, so the assembled kernel K_a is the blocks'
+    mats[a] stacked in row order, indexed by row_of.
     """
 
-    blocks: tuple
+    shares: tuple
     row_of: np.ndarray
 
     @property
     def n_rows(self) -> int:
-        return self.blocks[-1][1]
+        return sum(hi - lo for share in self.shares for lo, hi, _ in share)
 
     def __iter__(self):
-        return (mat for _, _, mats in self.blocks for mat in mats)
+        """Every block's matrices, share by share, each block's in action
+        order. A CSR matrix that reads the columns of one yielded before it
+        is yielded as its nnz and data alone, with empty views of the
+        indices and indptr it reads: so the data, indices and indptr
+        iterated are every buffer the kernels hold, each once."""
+        read = set()
+        for share in self.shares:
+            for mat in (mat for _, _, mats in share for mat in mats):
+                indices = getattr(mat, "indices", None)
+                at = None if indices is None else indices.__array_interface__["data"][0]
+                if at in read:
+                    mat = SimpleNamespace(
+                        nnz=mat.nnz, data=mat.data, indices=indices[:0], indptr=mat.indptr[:0]
+                    )
+                elif at is not None:
+                    read.add(at)
+                yield mat
 
 
 def _worker_count() -> int:
@@ -628,9 +643,11 @@ class Factors:
     channel states (_row_classes; 42 classes out of 56 sub-indices per
     threesensor sensor), and a joint state's row, for every action, depends
     only on its sensors' classes and theta. These distinct rows are indexed
-    in mixed radix over `shape` = (classes of sensor 1, ..., of sensor N,
-    2), sensor 1 most significant and theta fastest, and row_of maps each
-    state to its row. On threesensor that is 148,176 rows out of 351,232.
+    in mixed radix over `shape` = (2, classes of sensor 1, ..., of sensor
+    N), theta most significant, so that each channel state's rows are one
+    run and a leading-sensor class's rows are one run within it, and row_of
+    maps each state to its row. On threesensor that is 148,176 rows out of
+    351,232. (In the state index theta is the fastest digit.)
 
     tables[i][scheduled] is sensor i's successor table under one decision
     (_successor_table), cut to the first sub-index of each class: arrays
@@ -645,7 +662,7 @@ class Factors:
 
     @property
     def shape(self) -> tuple:
-        return (*(len(table[0][0]) for table in self.tables), 2)
+        return (2, *(len(table[0][0]) for table in self.tables))
 
     @property
     def n_rows(self) -> int:
@@ -662,7 +679,8 @@ def build_factors(spec: SystemSpec, space: StateSpace) -> Factors:
         class_of.append(classes)
         n_classes.append(len(first))
         tables.append(tuple(tuple(t[first] for t in table) for table in full))
-    row_of = np.ravel_multi_index(np.ix_(*class_of, [0, 1]), n_classes + [2]).ravel()
+    *classes, theta = np.ix_(*class_of, [0, 1])
+    row_of = np.ravel_multi_index((theta, *classes), [2, *n_classes]).ravel()
     return Factors(tuple(tables), row_of, spec.channel.omega(), space.n_states)
 
 
@@ -711,15 +729,13 @@ def _grid_values(tables: Sequence, omega: np.ndarray, classes: Sequence, theta) 
 def factor_rows(factors: Factors, action, rows) -> tuple:
     """The kernel rows of one action, generated from the per-sensor factors.
 
-    action holds one 0/1 decision per sensor. rows is an array of distinct
-    row indices, or a slice of consecutive rows that starts and stops on
-    leading-sensor class boundaries (multiples of the rows per class of
-    sensor 1), slice(None) being every distinct row. Returns the numpy
-    arrays (data, indices, indptr) of a CSR matrix whose row k is distinct
-    row rows[k], of n_states columns: the bytes of that row of kernel_rows,
-    which is this function's every-row case.
+    action holds one 0/1 decision per sensor, and rows is an array of
+    distinct row indices. Returns the numpy arrays (data, indices, indptr)
+    of a CSR matrix whose row k is distinct row rows[k], of n_states
+    columns: the bytes of that row of kernel_rows, which is this function
+    of every row.
 
-    Row (class_1, ..., class_N, theta) holds the entries of a grid with
+    Row (theta, class_1, ..., class_N) holds the entries of a grid with
     axes (c_1, ..., c_N, theta'), each class standing for its first
     sub-index. A successor's column is theta' plus the sensors' offsets,
     and the joint index puts sensor 1 most significant and theta' fastest.
@@ -733,42 +749,22 @@ def factor_rows(factors: Factors, action, rows) -> tuple:
     real successors, which gives `indptr`.
 
     Every entry is computed elementwise from its own operands, so a row's
-    bytes do not depend on which other rows are generated with it. `data`
-    and `indices` are filled about TABLE_CHUNK rows at a time: for a list
-    of rows, each block's tables are gathered at its rows' classes; for a
-    slice, each block is whole leading-sensor classes on the open grid of
-    the slice's classes, with no per-row gather.
+    bytes do not depend on which other rows are generated with it: the
+    tables are gathered at the classes of TABLE_CHUNK rows at a time.
     """
     shape = factors.shape
-    n_sensors = len(shape) - 1
-    if isinstance(rows, slice):
-        lead = math.prod(shape[1:])
-        start, stop, _ = rows.indices(factors.n_rows)
-        if start % lead or stop % lead:
-            raise ValueError(f"rows {start}:{stop} are not whole leading-sensor classes")
-        classes = (stop - start) // lead
-        keys = np.ix_(np.arange(start // lead, stop // lead), *map(np.arange, shape[1:]))
-        step = max(1, TABLE_CHUNK // lead)
-        blocks = [
-            (lo * lead, min(classes, lo + step) * lead, (keys[0][lo:lo + step], *keys[1:]))
-            for lo in range(0, classes, step)
-        ]
-    else:
-        keys = np.unravel_index(rows, shape)
-        blocks = [
-            (lo, min(len(rows), lo + TABLE_CHUNK), tuple(k[lo:lo + TABLE_CHUNK] for k in keys))
-            for lo in range(0, len(rows), TABLE_CHUNK)
-        ]
-    tables = [factors.tables[i][action[i]] for i in range(n_sensors)]
-    counts = _row_counts(tables, keys[:-1], keys[-1])
+    keys = np.unravel_index(rows, shape)
+    tables = [factors.tables[i][action[i]] for i in range(len(shape) - 1)]
+    counts = _row_counts(tables, keys[1:], keys[0])
     nnz = int(counts.sum())
     index_dtype = np.int32 if max(factors.n_states, nnz) <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(len(counts) + 1, dtype=index_dtype)
     np.cumsum(counts, out=indptr[1:])
     indices = np.empty(nnz, dtype=index_dtype)
     data = np.empty(nnz)
-
-    for lo, hi, (*classes, theta) in blocks:
+    for lo in range(0, len(rows), TABLE_CHUNK):
+        hi = min(len(rows), lo + TABLE_CHUNK)
+        theta, *classes = (k[lo:hi] for k in keys)
         cols, mask = _grid_columns(tables, classes, theta, index_dtype)
         span = slice(indptr[lo], indptr[hi])
         data[span] = _grid_values(tables, factors.omega, classes, theta)[mask]
@@ -793,126 +789,98 @@ def kernel_rows(factors: Factors, actions: ActionSet) -> list:
     has exactly tied actions, and a last-bit change in a kernel entry can
     flip which one the argmin picks.
     """
-    return [factor_rows(factors, action, slice(None)) for action in actions.actions]
+    every = np.arange(factors.n_rows)
+    return [factor_rows(factors, action, every) for action in actions.actions]
 
 
-class ThetaPair:
-    """One action's distinct rows of a block, as two scipy CSR halves: the
-    theta = 0 rows and the theta = 1 rows. Theta is the fastest row axis,
-    so these are the block's even and odd rows, and `pair @ q` interleaves
-    the halves' products into row order. RVI backs up each half by the same
-    csr_matvec over the same entries in the same order as one matrix of
-    every row would, so the sums have the same bits.
-
-    data, indices and indptr are the arrays the pair holds, each half a
-    view of them: the theta = 0 half's entries then the theta = 1 half's,
-    and the two halves' columns and row pointers in the same order, or once
-    when both halves read them (their successor tables agree, _theta_pair).
-    So nnz and the arrays' sizes count each value and each byte held once.
-    """
-
-    def __init__(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple):
-        from scipy import sparse
-
-        self.data, self.indices, self.indptr, self.shape = data, indices, indptr, shape
-        self.nnz = len(data)
-        rows = shape[0] // 2
-        # a shared array is one half's, and its first part is its last part
-        ptrs = indptr[: rows + 1], indptr[len(indptr) - rows - 1 :]
-        nnz = int(ptrs[0][-1]), int(ptrs[1][-1])
-        parts = (
-            (data[: nnz[0]], indices[: nnz[0]], ptrs[0]),
-            (data[nnz[0] :], indices[len(indices) - nnz[1] :], ptrs[1]),
-        )
-        self.halves = []
-        for part in parts:
-            # set on an empty matrix: the constructor would copy a view of
-            # less than half its array (scipy's prune)
-            half = sparse.csr_matrix((rows, shape[1]))
-            half.data, half.indices, half.indptr = part
-            self.halves.append(half)
-
-    def __matmul__(self, q: np.ndarray) -> np.ndarray:
-        out = np.empty(self.shape[0])
-        out[0::2] = self.halves[0] @ q
-        out[1::2] = self.halves[1] @ q
-        return out
-
-
-def _theta_pair(factors: Factors, action, lo: int, hi: int) -> ThetaPair:
-    """The distinct rows lo..hi-1 of one action, whole leading-sensor
-    classes, as a ThetaPair: each half's rows are those rows of kernel_rows
-    byte for byte, filled about TABLE_CHUNK rows at a time on the open grid
-    of the block's classes, as factor_rows fills a slice.
+def _theta_blocks(factors: Factors, action, lo: int, hi: int) -> tuple:
+    """One action's distinct rows of whole leading-sensor classes in both
+    channel states, as two scipy CSR matrices: rows lo..hi-1, which have
+    theta = 0, and the theta = 1 rows of the same classes, n_rows // 2
+    further on. Each is the bytes of its rows of kernel_rows, filled on the
+    open grid of the classes, about TABLE_CHUNK // 2 rows at a time.
 
     A row's columns are its grid's offsets and its real entries the grid's
     valid ones, so when every sensor's successor table has the same offsets
-    and validity under both channel states, the theta = 0 and theta = 1
-    rows of each class tuple reach the same columns in the same order: then
-    the columns and the mask are computed once per block and the halves
-    share one column list and one row-pointer array. Where a table differs
-    (a success probability of 0 or 1 under a transmit decision drops
-    outcomes in one channel state only), each half keeps its own; no entry
-    is padded in."""
+    and validity in both channel states, the theta = 0 and theta = 1 rows of
+    each class tuple reach the same columns in the same order: then the
+    columns and the mask are computed once, and the theta = 1 matrix reads
+    the theta = 0 matrix's indices and indptr. Where a table differs (a
+    success probability of 0 or 1 under a transmit decision drops outcomes
+    in one channel state only), each keeps its own; no entry is padded in."""
+    from scipy import sparse
+
     shape = factors.shape
-    lead = math.prod(shape[1:])
+    lead = math.prod(shape[2:])
     tables = [factors.tables[i][action[i]] for i in range(len(shape) - 1)]
     shared = all(
         np.array_equal(offset[:, 0], offset[:, 1]) and np.array_equal(valid[:, 0], valid[:, 1])
         for offset, _, valid in tables
     )
-    keys = np.ix_(np.arange(lo // lead, hi // lead), *map(np.arange, shape[1:-1]))
+    keys = np.ix_(np.arange(lo // lead, hi // lead), *map(np.arange, shape[2:]))
     counts = [_row_counts(tables, keys, theta) for theta in (0, 1)]
     nnz = [int(c.sum()) for c in counts]
     index_dtype = np.int32 if max(factors.n_states, *nnz) <= np.iinfo(np.int32).max else np.int64
-    ptrs = np.zeros((1 if shared else 2, len(counts[0]) + 1), dtype=index_dtype)
-    for ptr, c in zip(ptrs, counts):
+    columns = (0,) if shared else (0, 1)
+    indptr = [np.zeros(len(counts[0]) + 1, dtype=index_dtype) for _ in columns]
+    for ptr, c in zip(indptr, counts):
         np.cumsum(c, out=ptr[1:])
-    data = np.empty(sum(nnz))
-    indices = np.empty(int(ptrs[:, -1].sum()), dtype=index_dtype)
-    classes, half = (hi - lo) // lead, lead // 2
-    step = max(1, TABLE_CHUNK // lead)
+    indices = [np.empty(nnz[theta], dtype=index_dtype) for theta in columns]
+    if shared:
+        # the theta = 1 matrix reads the theta = 0 matrix's arrays
+        indptr, indices = indptr * 2, indices * 2
+    data = [np.empty(n) for n in nnz]
+    classes = (hi - lo) // lead
+    step = max(1, TABLE_CHUNK // (2 * lead))
     for c in range(0, classes, step):
         block = (keys[0][c : c + step], *keys[1:])
-        first, last = c * half, min(classes, c + step) * half
-        for theta, ptr in zip((0, 1), (ptrs[0], ptrs[-1])):
-            span = slice(theta * nnz[0] + ptr[first], theta * nnz[0] + ptr[last])
-            if theta == 0 or not shared:
+        first, last = c * lead, min(classes, c + step) * lead
+        for theta in (0, 1):
+            span = slice(indptr[theta][first], indptr[theta][last])
+            if theta in columns:
                 cols, mask = _grid_columns(tables, block, theta, index_dtype)
-                indices[span] = cols[mask]
-            data[span] = _grid_values(tables, factors.omega, block, theta)[mask]
-    return ThetaPair(data, indices, ptrs.ravel(), (hi - lo, factors.n_states))
+                indices[theta][span] = cols[mask]
+            data[theta][span] = _grid_values(tables, factors.omega, block, theta)[mask]
+    return tuple(
+        sparse.csr_matrix(arrays, shape=(hi - lo, factors.n_states))
+        for arrays in zip(data, indices, indptr)
+    )
 
 
 def build_kernels(factors: Factors, space: StateSpace, actions: ActionSet) -> Kernels:
-    """Every action's distinct rows as Kernels of ThetaPair matrices over
+    """Every action's distinct rows as Kernels of scipy CSR matrices over
     space: the first import of scipy.sparse in the commands that build a
     joint kernel.
 
-    A model of more than TABLE_CHUNK distinct rows is cut into one block
+    A model of more than TABLE_CHUNK distinct rows is cut into one share
     per CPU in the process's affinity mask, and a smaller one, or any model
-    on one CPU, is one block. The cuts fall on leading-sensor class
-    boundaries, the blocks taking about equal numbers of classes (some are
-    empty when there are more CPUs than classes), and each block's rows of
-    every action are generated by _theta_pair in a thread of their own, the
-    calling thread taking block 0. A row's bytes do not depend on the rows
-    generated beside it, so the blocks' pairs, interleaved and stacked in
-    order, are kernel_rows byte for byte, on any number of CPUs. No matrix
-    of every row is made. On threesensor every action's halves share their
-    columns, and the kernels hold 157 MB where separate columns would take
-    189 MB.
+    on one CPU, is one share. The cuts fall on leading-sensor class
+    boundaries, the shares taking about equal numbers of classes (some are
+    empty when there are more CPUs than classes). A share is two blocks,
+    its classes' theta = 0 rows and their theta = 1 rows, and its rows of
+    every action are generated by _theta_blocks in a thread of their own,
+    the calling thread taking share 0. A row's bytes do not depend on the
+    rows generated beside it, so the blocks stacked in row order are
+    kernel_rows byte for byte, on any number of CPUs. No matrix of every
+    row is made. On threesensor every action's theta = 1 blocks read their
+    theta = 0 twins' columns, and the kernels hold 157 MB where separate
+    columns would take 189 MB.
     """
-    n_rows, n_classes = factors.n_rows, factors.shape[0]
-    lead = n_rows // n_classes
-    workers = _worker_count() if n_rows > TABLE_CHUNK else 1
+    half, n_classes = factors.n_rows // 2, factors.shape[1]
+    lead = half // n_classes
+    workers = _worker_count() if factors.n_rows > TABLE_CHUNK else 1
     bounds = [k * n_classes // workers * lead for k in range(workers + 1)]
 
-    def block(k):
+    def share(k):
         lo, hi = bounds[k], bounds[k + 1]
-        return lo, hi, tuple(_theta_pair(factors, action, lo, hi) for action in actions.actions)
+        mats = [_theta_blocks(factors, action, lo, hi) for action in actions.actions]
+        return tuple(
+            (theta * half + lo, theta * half + hi, tuple(m[theta] for m in mats))
+            for theta in (0, 1)
+        )
 
     with _shares(workers) as run:
-        return Kernels(tuple(run(block)), factors.row_of)
+        return Kernels(tuple(run(share)), factors.row_of)
 
 
 class PaddedRows:
@@ -956,7 +924,7 @@ def build_padded_kernels(spec: SystemSpec, space: StateSpace, actions: ActionSet
     factors = build_factors(spec, space)
     shape = (factors.n_rows, space.n_states)
     rows = tuple(PaddedRows(*part, shape) for part in kernel_rows(factors, actions))
-    return Kernels(((0, factors.n_rows, rows),), factors.row_of)
+    return Kernels((((0, factors.n_rows, rows),),), factors.row_of)
 
 
 def relative_value_iteration(kernels: Kernels, cost: np.ndarray, ref_index: int) -> tuple:
@@ -982,32 +950,33 @@ def relative_value_iteration(kernels: Kernels, cost: np.ndarray, ref_index: int)
     swap two buffers (the sup norm is taken in the one the next spread
     overwrites), so an iteration allocates only the matrix-vector products.
 
-    Each of kernels.blocks has its backups and its columns' minimum
-    computed in a thread of its own, the calling thread taking block 0,
-    and the spread, the normalization and the sup norm follow on the
+    Each of kernels.shares has the backups and the columns' minimum of its
+    blocks computed in a thread of its own, the calling thread taking share
+    0, each block's products written into its contiguous columns of the
+    stack, and the spread, the normalization and the sup norm follow on the
     calling thread. Each row is summed by the same csr_matvec over the same
-    entries in the same order, whether its ThetaPair half shares its
-    columns or not, and the minimum is per column, so values, gain,
-    iteration count and table are the same bits for any number of blocks.
-    The pool is opened in a with block, so it is joined also when
-    ConvergenceError is raised; kernels of one block are backed up on the
-    calling thread with no pool.
+    entries in the same order, whether its block reads another's columns
+    or not, and the minimum is per column, so values, gain, iteration count
+    and table are the same bits for any number of shares. The pool is
+    opened in a with block, so it is joined also when ConvergenceError is
+    raised; kernels of one share are backed up on the calling thread with
+    no pool.
     """
     n = len(cost)
     q = np.zeros(n)
     q_next = np.empty(n)
-    blocks = kernels.blocks
-    backups = np.empty((len(blocks[0][2]), kernels.n_rows))
+    shares = kernels.shares
+    backups = np.empty((len(shares[0][0][2]), kernels.n_rows))
     best = np.empty(kernels.n_rows)
 
     def back_up(k):
-        lo, hi, mats = blocks[k]
-        for a, mat in enumerate(mats):
-            backups[a, lo:hi] = mat @ q
-        np.min(backups[:, lo:hi], axis=0, out=best[lo:hi])
+        for lo, hi, mats in shares[k]:
+            for a, mat in enumerate(mats):
+                backups[a, lo:hi] = mat @ q
+            np.min(backups[:, lo:hi], axis=0, out=best[lo:hi])
 
     sup_diff = np.inf
-    with _shares(len(blocks)) as run:
+    with _shares(len(shares)) as run:
         for it in range(RVI_MAX_ITER):
             run(back_up)
             # mode="clip" is never clipping (row_of is in range) but, unlike
@@ -1079,11 +1048,10 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gather_rows(parts: Sequence, part: np.ndarray, row: np.ndarray, fields: tuple) -> tuple:
+def _gather_rows(parts: Sequence, part: np.ndarray, row: np.ndarray) -> tuple:
     """Rows of CSR arrays copied into one CSR: output row k is row row[k]
     of parts[part[k]], each part being (data, indices, indptr), entries in
-    their stored order. Returns (indptr, *arrays), one array per entry of
-    fields: 0 for data, 1 for indices."""
+    their stored order. Returns (indptr, data, indices)."""
     counts = np.empty(len(row), dtype=np.int64)
     picks = []
     order = np.argsort(part, kind="stable")
@@ -1097,13 +1065,13 @@ def _gather_rows(parts: Sequence, part: np.ndarray, row: np.ndarray, fields: tup
     np.cumsum(counts, out=indptr[1:])
     out = [
         np.empty(indptr[-1], dtype=np.result_type(*(p[f].dtype for p, _, _ in picks)))
-        for f in fields
+        for f in (0, 1)
     ]
     for arrays, sel, starts in picks:
         src = _ranges(starts, counts[sel])
         dst = _ranges(indptr[sel], counts[sel])
-        for f, gathered in zip(fields, out):
-            gathered[dst] = arrays[f][src]
+        for field, gathered in zip(arrays, out):
+            gathered[dst] = field[src]
     return (indptr, *out)
 
 
@@ -1119,9 +1087,11 @@ def reachable_chain(make, locate, shape: tuple, start_index: int, n: int) -> tup
     numbered in the chain. A frontier search from start_index follows every
     stored entry, explicit zeros included, as csgraph's breadth-first
     search does. Each (group, row) is made once, when a frontier first
-    reaches a state that reads it, and each frontier reads it once. Then
-    _gather_rows copies the reached states' rows in index order, and their
-    columns are renumbered to positions in that order. Returns (p, states):
+    reaches a state that reads it, and its columns are read then: every
+    state a row made earlier reaches is already seen, so a frontier reads
+    the columns of the rows made for it alone. Then _gather_rows copies the
+    reached states' rows in index order, and their columns are renumbered
+    to positions in that order. Returns (p, states):
     states holds the reached indices in increasing order, and p is the
     chain on them, byte for byte the whole chain's p[ix_(states, states)],
     since a reached row's columns are all reached and the renumbering keeps
@@ -1134,33 +1104,33 @@ def reachable_chain(make, locate, shape: tuple, start_index: int, n: int) -> tup
     # before it is made
     where = np.full(shape, -1, dtype=np.int64)
 
-    def keys(states):
+    def new_columns(states):
+        """Makes the rows that states read and no earlier frontier did;
+        returns the columns of their stored entries."""
         group, row = locate(states)
-        key = where[group, row]
-        missing = key < 0
-        if missing.any():
-            new = np.unique(np.ravel_multi_index((group[missing], row[missing]), shape))
-            new_group, new_row = np.unravel_index(new, shape)
-            for g in np.unique(new_group):
-                rows = new_row[new_group == g]
-                where[g, rows] = len(parts) << 32 | np.arange(len(rows))
-                parts.append(make(g, rows))
-            key = where[group, row]
-        return key
-
-    def gather(key, fields):
-        return _gather_rows(parts, key >> 32, key & 0xFFFFFFFF, fields)
+        missing = where[group, row] < 0
+        new = np.unique(np.ravel_multi_index((group[missing], row[missing]), shape))
+        new_group, new_row = np.unravel_index(new, shape)
+        # an empty first array keeps a step that makes no row integer
+        cols = [np.arange(0)]
+        for g in np.unique(new_group):
+            rows = new_row[new_group == g]
+            where[g, rows] = len(parts) << 32 | np.arange(len(rows))
+            parts.append(make(g, rows))
+            cols.append(parts[-1][1])
+        return np.concatenate(cols)
 
     seen = np.zeros(n, dtype=bool)
     seen[start_index] = True
     frontier = np.array([start_index])
     while len(frontier):
-        _, cols = gather(np.unique(keys(frontier)), (1,))
+        cols = new_columns(frontier)
         cols = cols[~seen[cols]]
         seen[cols] = True
         frontier = np.unique(cols)
     states = np.flatnonzero(seen)
-    indptr, data, cols = gather(keys(states), (0, 1))
+    key = where[locate(states)]
+    indptr, data, cols = _gather_rows(parts, key >> 32, key & 0xFFFFFFFF)
     m = len(states)
     position = np.empty(n, dtype=np.int32 if m <= np.iinfo(np.int32).max else np.int64)
     position[states] = np.arange(m)

@@ -46,20 +46,13 @@ def action_at(table, idx):
     return table.action_set.actions[table.action_index[idx]]
 
 
-def pair_rows(pair):
-    """A ThetaPair's rows as one CSR matrix in row order: its theta = 0
-    half's rows at the even rows, its theta = 1 half's at the odd ones."""
-    stacked = sparse.vstack(pair.halves, format="csr")
-    half = pair.shape[0] // 2
-    return stacked[np.arange(2 * half).reshape(2, half).T.ravel()]
-
-
 def stacked_rows(kernels):
-    """Each action's distinct rows as one CSR matrix: its ThetaPairs in
-    kernels.blocks, each in row order, stacked in row order."""
+    """Each action's distinct rows as one CSR matrix: the blocks of every
+    share stacked in row order."""
+    blocks = sorted((block for share in kernels.shares for block in share), key=lambda b: b[0])
     return [
-        sparse.vstack([pair_rows(mats[a]) for _, _, mats in kernels.blocks], format="csr")
-        for a in range(len(kernels.blocks[0][2]))
+        sparse.vstack([mats[a] for _, _, mats in blocks], format="csr")
+        for a in range(len(blocks[0][2]))
     ]
 
 

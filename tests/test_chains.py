@@ -147,12 +147,15 @@ def test_chains_are_the_whole_chain_on_its_reachable_states(spec, seed, p):
 
 def test_stuck_channel_kernels_store_explicit_zeros():
     """The kappa00 = 1 example above exercises explicit zeros: the kernels
-    store them, and csgraph's search follows them to good-channel states."""
+    store them, in the bad-channel (theta = 0) rows' steps to the good
+    state, and csgraph's search follows them to good-channel states."""
     space = mdp.StateSpace(STUCK_MARKOV)
     actions = mdp.ActionSet(2, 1)
     factors = mdp.build_factors(STUCK_MARKOV, space)
     kernels = mdp.build_kernels(factors, space, actions)
-    assert all(np.any(rows.data == 0.0) for rows in kernels)
+    (theta0, theta1), = kernels.shares
+    assert all(np.any(rows.data == 0.0) for rows in theta0[2])
+    assert not any(np.any(rows.data == 0.0) for rows in theta1[2])
     idle = mdp.PolicyTable(np.zeros(space.n_states, dtype=np.intp), actions)
     p, states = mdp.policy_chain_matrix(idle, factors, space.reference_index())
     assert np.any(p.data == 0.0)
@@ -187,10 +190,8 @@ def test_compare_solves_each_policy_once_on_reachable_states(tmp_path, monkeypat
 @given(chain_systems(), st.integers(0, 2**32 - 1), st.booleans())
 @example(STUCK_MARKOV, 3, True)
 def test_factor_rows_are_kernel_rows_bit_for_bit(spec, seed, chunked):
-    """Any rows, in any order, under any action, and any slice of whole
-    leading-sensor classes, are those rows of kernel_rows byte for byte;
-    chunked, both fill blocks of a few rows. A slice that cuts a class is
-    refused."""
+    """Any rows, in any order, under any action, are those rows of
+    kernel_rows byte for byte; chunked, both fill blocks of a few rows."""
     space = mdp.StateSpace(spec)
     assume(space.n_states <= 3_000)
     actions = mdp.ActionSet(spec.n_sensors, spec.m_budget)
@@ -199,25 +200,18 @@ def test_factor_rows_are_kernel_rows_bit_for_bit(spec, seed, chunked):
             mp.setattr(mdp, "TABLE_CHUNK", 8)
         factors = mdp.build_factors(spec, space)
         parts, n_rows = mdp.kernel_rows(factors, actions), factors.n_rows
-        per_class = n_rows // factors.shape[0]
         rng = np.random.default_rng(seed)
         for action, (data, indices, indptr) in zip(actions.actions, parts):
             rows = rng.permutation(n_rows)[: rng.integers(1, n_rows + 1)]
-            lo, hi = np.sort(rng.integers(0, factors.shape[0] + 1, size=2)) * per_class
-            for key, picked in ((rows, rows), (slice(lo, hi), range(lo, hi))):
-                # an empty first array keeps an empty slice's concatenation integer
-                entries = [np.arange(0)] + [np.arange(indptr[r], indptr[r + 1]) for r in picked]
-                take = np.concatenate(entries)
-                want = (
-                    data[take],
-                    indices[take],
-                    np.cumsum([0] + [len(e) for e in entries[1:]]).astype(indptr.dtype),
-                )
-                for arr, expected in zip(mdp.factor_rows(factors, action, key), want, strict=True):
-                    assert arr.dtype == expected.dtype and arr.tobytes() == expected.tobytes()
-            if per_class > 1:
-                with pytest.raises(ValueError, match="not whole leading-sensor classes"):
-                    mdp.factor_rows(factors, action, slice(1, n_rows))
+            entries = [np.arange(indptr[r], indptr[r + 1]) for r in rows]
+            take = np.concatenate(entries)
+            want = (
+                data[take],
+                indices[take],
+                np.cumsum([0] + [len(e) for e in entries]).astype(indptr.dtype),
+            )
+            for arr, expected in zip(mdp.factor_rows(factors, action, rows), want, strict=True):
+                assert arr.dtype == expected.dtype and arr.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(

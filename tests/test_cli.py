@@ -106,6 +106,29 @@ def test_malformed_probability_names_key(tmp_path, capsys):
     assert "sensors[0].arrival.rate" in err
 
 
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("rate: 0.9", "rate: no", "sensors[0].arrival.rate"),
+        ("p0: 0.5", "p0: yes", "sensors[0].p0"),
+        ("p1: 1.0", "p1: true", "sensors[0].p1"),
+        ("kappa11: 0.8", "kappa11: on", "channel.kappa11"),
+        ("r: 0.5", "r: true", "sensors[0].penalty.r"),
+        ("r: 0.5", "r: [0.5]", "sensors[0].penalty.r"),
+    ],
+)
+def test_boolean_is_not_a_number(tmp_path, capsys, old, new, key):
+    """YAML reads yes, no, on and true as booleans, which float() would
+    take as 1.0 or 0.0: a number key refuses them, and names itself."""
+    text = ONE_SENSOR_YAML if "r: 0.5" in old else TWO_SENSOR_YAML
+    bad = text.replace(old, new, 1)
+    assert bad != text
+    cfg, out = write_config(tmp_path, bad)
+    assert cli.main(["solve", "--config", str(cfg), "--policy", "sisp"]) == 2
+    assert f"config error: {key}: expected a number, got" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     bad = TWO_SENSOR_YAML.replace("budget: 1", "budget: 1\nbandwidth: 3")
     cfg, _ = write_config(tmp_path, bad)

@@ -5,6 +5,7 @@ Byte identity, not closeness, is asserted: the optimal policy has exactly
 tied actions, and a last-bit difference in a kernel entry can flip them.
 """
 
+import concurrent.futures
 import gc
 import io
 import textwrap
@@ -281,7 +282,7 @@ def test_rvi_argmin_reads_the_rounded_sums_with_cost():
         np.array([to_ref, [0.0, 0.0, 1.0], to_ref]),
         np.array([to_ref, to_ref, to_ref]),
     )
-    kernels = mdp.Kernels(((0, 3, rows),), np.arange(3))
+    kernels = mdp.Kernels((((0, 3, rows),),), np.arange(3))
     cost = np.array([0.0, 1e16, 0.5])
     want = oracle_rvi(list(kernels), cost, 0, 1e-9, RVI_MAX_ITER)
     vt, pi = mdp.relative_value_iteration(kernels, cost, 0)
@@ -319,44 +320,6 @@ TWO_ROWS = a.SystemSpec(
 )
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.booleans().flatmap(lambda split: small_systems(split=split)),
-       st.sampled_from([2, 3]), st.integers(1, 4))
-@example(TWO_ROWS, 3, 1)
-def test_split_work_is_the_one_worker_work_bit_for_bit(spec, workers, chunk):
-    """Kernels built and backed up in row blocks give the one-worker run's
-    kernel bytes (the blocks stacked), raw value bits, gain, iteration
-    count and table, also where a block is empty. The blocks cut the rows
-    on leading-sensor class boundaries into about equal class counts, and
-    the one block of one worker is kernel_rows byte for byte."""
-    space = mdp.StateSpace(spec)
-    assume(space.n_states <= 3000)
-    kernels, solved = split_solve(spec, workers, chunk)
-    serial, want = split_solve(spec, 1, chunk)
-    factors = mdp.build_factors(spec, space)
-    n_rows, per_class = factors.n_rows, factors.n_rows // factors.shape[0]
-    assert len(serial.blocks) == 1
-    assert len(kernels.blocks) == (workers if n_rows > chunk else 1)
-    bounds = [0] + [hi for _, hi, _ in kernels.blocks]
-    assert [lo for lo, _, _ in kernels.blocks] == bounds[:-1] and bounds[-1] == n_rows
-    classes = [(hi - lo) // per_class for lo, hi in zip(bounds, bounds[1:])]
-    assert all(bound % per_class == 0 for bound in bounds)
-    assert max(classes) - min(classes) <= 1
-    if spec is TWO_ROWS:
-        assert any(lo == hi for lo, hi, _ in kernels.blocks)
-    for got, rows in zip(stacked_rows(kernels), stacked_rows(serial), strict=True):
-        assert csr_bytes(got) == csr_bytes(rows)
-    actions = mdp.ActionSet(spec.n_sensors, spec.m_budget)
-    for rows, part in zip(stacked_rows(serial), mdp.kernel_rows(factors, actions), strict=True):
-        assert csr_bytes(rows) == [(arr.dtype, arr.tobytes()) for arr in part]
-    assert (solved is None) == (want is None)
-    if want is not None:
-        values, gain, iterations, policy = solved
-        assert np.array_equal(values.view(np.int64), want[0].view(np.int64))
-        assert (gain, iterations) == want[1:3]
-        assert np.array_equal(policy, want[3])
-
-
 # the ends where a channel state's successor table loses outcomes (a success
 # probability of 0 or 1), certain arrivals, Markov arrivals and a channel
 # that never leaves the bad state
@@ -388,16 +351,75 @@ THETA_EDGES = [
 ]
 
 
+def assert_shares_cut_classes(kernels, factors, n_shares):
+    """kernels is n_shares shares, each the theta = 0 and the theta = 1
+    rows of one run of leading-sensor classes, in order; the runs cover
+    every class once and differ in size by at most one class."""
+    half = factors.n_rows // 2
+    per_class = half // factors.shape[1]
+    assert len(kernels.shares) == n_shares
+    bounds = [0]
+    for (lo, hi, _), (lo1, hi1, _) in kernels.shares:
+        assert (lo, lo1 - half, hi1 - half) == (bounds[-1], lo, hi)
+        bounds.append(hi)
+    assert bounds[-1] == half
+    assert all(bound % per_class == 0 for bound in bounds)
+    classes = [(hi - lo) // per_class for lo, hi in zip(bounds, bounds[1:])]
+    assert max(classes) - min(classes) <= 1
+    return classes
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.booleans().flatmap(lambda split: small_systems(split=split)),
+       st.sampled_from([1, 2, 3]), st.integers(1, 8))
+@example(TWO_ROWS, 3, 1)
+@example(THETA_EDGES[0], 1, 8)
+@example(THETA_EDGES[1], 2, 8)
+@example(THETA_EDGES[2], 3, 8)
+def test_split_work_is_the_one_worker_work_bit_for_bit(spec, workers, chunk):
+    """Kernels built and backed up in shares give the one-worker run's
+    kernel bytes (the blocks stacked in row order), raw value bits, gain,
+    iteration count and table, also where a share is empty. The shares cut
+    the classes on leading-sensor class boundaries into about equal class
+    counts, and the one share of one worker is kernel_rows byte for byte."""
+    space = mdp.StateSpace(spec)
+    assume(space.n_states <= 3000)
+    kernels, solved = split_solve(spec, workers, chunk)
+    serial, want = split_solve(spec, 1, chunk)
+    factors = mdp.build_factors(spec, space)
+    assert_shares_cut_classes(serial, factors, 1)
+    classes = assert_shares_cut_classes(
+        kernels, factors, workers if factors.n_rows > chunk else 1
+    )
+    if spec is TWO_ROWS:
+        assert 0 in classes
+    for got, rows in zip(stacked_rows(kernels), stacked_rows(serial), strict=True):
+        assert csr_bytes(got) == csr_bytes(rows)
+    actions = mdp.ActionSet(spec.n_sensors, spec.m_budget)
+    for rows, part in zip(stacked_rows(serial), mdp.kernel_rows(factors, actions), strict=True):
+        assert csr_bytes(rows) == [(arr.dtype, arr.tobytes()) for arr in part]
+    assert (solved is None) == (want is None)
+    if want is not None:
+        values, gain, iterations, policy = solved
+        assert np.array_equal(values.view(np.int64), want[0].view(np.int64))
+        assert (gain, iterations) == want[1:3]
+        assert np.array_equal(policy, want[3])
+
+
 def theta_halves_agree(parts):
     """Whether the theta = 0 rows and the theta = 1 rows of kernel_rows
-    reach the same columns in the same order, under every action."""
-    halves = [
-        [sparse.csr_matrix(part)[theta::2] for theta in (0, 1)] for part in parts
-    ]
-    return [
-        np.array_equal(even.indices, odd.indices) and np.array_equal(even.indptr, odd.indptr)
-        for even, odd in halves
-    ]
+    (its first and its second half) reach the same columns in the same
+    order, under every action."""
+    agree = []
+    for part in parts:
+        rows = sparse.csr_matrix(part)
+        half = rows.shape[0] // 2
+        rows0, rows1 = rows[:half], rows[half:]
+        agree.append(
+            np.array_equal(rows0.indices, rows1.indices)
+            and np.array_equal(rows0.indptr, rows1.indptr)
+        )
+    return agree
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -407,12 +429,14 @@ def theta_halves_agree(parts):
 @example(THETA_EDGES[2], 1, 2)
 @example(TWO_ROWS, 3, 3)
 def test_theta_pairs_are_kernel_rows_bit_for_bit(spec, workers, seed):
-    """Each ThetaPair's product, q holding negative entries, is the CSR
-    product of those rows of kernel_rows bit for bit, and its halves are
-    kernel_rows' rows of each theta byte for byte. They share one column
-    list exactly when the two channel states' rows reach the same columns.
-    RVI on the pairs gives the values, gain, iteration count and table of
-    RVI on one block of kernel_rows' CSR matrices."""
+    """Each share's theta = 0 and theta = 1 blocks are plain CSR matrices,
+    those rows of kernel_rows byte for byte, and each one's product, q
+    holding negative entries, is the CSR product of those rows of
+    kernel_rows bit for bit. The theta = 1 block reads the theta = 0
+    block's columns and row pointers exactly when the two channel states'
+    rows reach the same columns. RVI on the shares gives the values, gain,
+    iteration count and table of RVI on one block of kernel_rows' CSR
+    matrices."""
     space = mdp.StateSpace(spec)
     assume(space.n_states <= 3000)
     kernels, solved = split_solve(spec, workers, 8)
@@ -422,15 +446,19 @@ def test_theta_pairs_are_kernel_rows_bit_for_bit(spec, workers, seed):
     whole = tuple(sparse.csr_matrix(part, shape=(factors.n_rows, space.n_states)) for part in parts)
     agree_by_action = theta_halves_agree(parts)
     q = np.random.default_rng(seed).normal(scale=10.0, size=space.n_states)
-    for lo, hi, mats in kernels.blocks:
-        for pair, rows, agree in zip(mats, whole, agree_by_action, strict=True):
-            assert isinstance(pair, mdp.ThetaPair) and pair.shape == (hi - lo, space.n_states)
-            assert (pair @ q).tobytes() == (rows[lo:hi] @ q).tobytes()
-            for theta, half in enumerate(pair.halves):
-                assert csr_bytes(half) == csr_bytes(rows[lo + theta : hi : 2])
-            if lo < hi:
-                assert np.shares_memory(*(half.indices for half in pair.halves)) == agree
-    one_block = mdp.Kernels(((0, factors.n_rows, whole),), factors.row_of)
+    for share in kernels.shares:
+        for lo, hi, mats in share:
+            for mat, rows in zip(mats, whole, strict=True):
+                assert type(mat) is sparse.csr_matrix and mat.shape == (hi - lo, space.n_states)
+                assert csr_bytes(mat) == csr_bytes(rows[lo:hi])
+                assert (mat @ q).tobytes() == (rows[lo:hi] @ q).tobytes()
+        (lo, hi, mats0), (_, _, mats1) = share
+        if lo < hi:
+            for rows0, rows1, agree in zip(mats0, mats1, agree_by_action, strict=True):
+                for field in ("indices", "indptr"):
+                    assert np.shares_memory(getattr(rows0, field), getattr(rows1, field)) == agree
+                assert not np.shares_memory(rows0.data, rows1.data)
+    one_block = mdp.Kernels((((0, factors.n_rows, whole),),), factors.row_of)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mdp, "RVI_MAX_ITER", RVI_MAX_ITER)
         try:
@@ -451,20 +479,21 @@ def test_theta_pairs_are_kernel_rows_bit_for_bit(spec, workers, seed):
 )
 def test_theta_halves_share_columns_where_the_tables_agree(config, shared):
     """Threesensor's success probabilities lie inside (0, 1), so every
-    action's halves hold one column list and one row-pointer array, and the
-    columns take a quarter of the bytes of the two halves' values.
-    Twosensor's p1 = 1 drops the failed outcomes in the good channel state
-    under a transmit decision, so those halves keep columns of their own."""
+    action's theta = 1 block reads its theta = 0 block's column list and
+    row pointers, and the columns take a quarter of the bytes of the two
+    blocks' values. Twosensor's p1 = 1 drops the failed outcomes in the
+    good channel state under a transmit decision, so those blocks keep
+    columns of their own."""
     system = cli.load_config(str(CONFIGS / f"{config}.yaml")).system
     space = mdp.StateSpace(system)
     actions = mdp.ActionSet(system.n_sensors, system.m_budget)
     kernels = mdp.build_kernels(mdp.build_factors(system, space), space, actions)
-    for _, _, mats in kernels.blocks:
-        for pair, one in zip(mats, shared, strict=True):
+    for (_, _, mats0), (_, _, mats1) in kernels.shares:
+        for rows0, rows1, one in zip(mats0, mats1, shared, strict=True):
             for field in ("indices", "indptr"):
-                assert np.shares_memory(*(getattr(h, field) for h in pair.halves)) == one
+                assert np.shares_memory(getattr(rows0, field), getattr(rows1, field)) == one
             if one:
-                assert pair.indices.nbytes * 4 == pair.data.nbytes
+                assert rows0.indices.nbytes * 4 == rows0.data.nbytes + rows1.data.nbytes
 
 
 def _buffer(arr):
@@ -475,19 +504,19 @@ def _buffer(arr):
 
 
 def test_kernels_iterate_every_buffer_they_hold(monkeypatch):
-    """The arrays of the ThetaPairs iterated from Kernels (each block's
+    """The arrays of the matrices iterated from Kernels (each block's
     data, indices and indptr) are every buffer the kernels hold besides
     row_of, each whole and once, so their sizes sum to the bytes held: a
-    column list two halves share counts once, and no half holds a copy."""
+    column list two blocks share counts once, and no block holds a copy."""
     monkeypatch.setattr(mdp, "TABLE_CHUNK", 8)
     monkeypatch.setattr(mdp, "_worker_count", lambda: 3)
     spec = markov3_system(1)
     space = mdp.StateSpace(spec)
     kernels = mdp.build_kernels(mdp.build_factors(spec, space), space, mdp.ActionSet(3, 1))
-    assert len(kernels.blocks) == 3
-    # the idle action's halves share their columns, sensor 1's transmit
-    # halves (p1 = 1) do not
-    assert {len(pair.indices) < pair.nnz for pair in kernels} == {True, False}
+    assert len(kernels.shares) == 3
+    # the idle action's theta = 1 blocks read their theta = 0 blocks'
+    # columns, sensor 1's transmit blocks (p1 = 1) do not
+    assert {len(rows.indices) < rows.nnz for rows in kernels} == {True, False}
     held, seen, todo = {}, set(), [kernels]
     while todo:
         obj = todo.pop()
@@ -496,7 +525,7 @@ def test_kernels_iterate_every_buffer_they_hold(monkeypatch):
         seen.add(id(obj))
         if isinstance(obj, np.ndarray):
             held[id(_buffer(obj))] = _buffer(obj)
-        elif isinstance(obj, (tuple, list, dict, mdp.Kernels, mdp.ThetaPair)) or sparse.issparse(obj):
+        elif isinstance(obj, (tuple, list, dict, mdp.Kernels)) or sparse.issparse(obj):
             todo.extend(gc.get_referents(obj))
     del held[id(_buffer(kernels.row_of))]
     iterated = [arr for rows in kernels for arr in (rows.data, rows.indices, rows.indptr)]
@@ -511,10 +540,32 @@ def test_rvi_joins_its_threads_when_it_fails(monkeypatch):
     spec = markov3_system(1)
     space = mdp.StateSpace(spec)
     kernels = mdp.build_kernels(mdp.build_factors(spec, space), space, mdp.ActionSet(3, 1))
-    assert len(kernels.blocks) == 3
+    assert len(kernels.shares) == 3
     before = threading.active_count()
     with pytest.raises(a.ConvergenceError):
         mdp.relative_value_iteration(kernels, mdp.cost_vector(space, spec), space.reference_index())
+    assert threading.active_count() == before
+
+
+def test_one_chunk_joint_model_runs_on_one_share(monkeypatch):
+    """Twosensor's joint model has at most TABLE_CHUNK distinct rows, so on
+    any number of CPUs it is one share: build_kernels and RVI run on the
+    calling thread and start no thread pool."""
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(mdp, "_worker_count", lambda: 4)
+    system = cli.load_config(str(CONFIGS / "twosensor.yaml")).system
+    space = mdp.StateSpace(system)
+    actions = mdp.ActionSet(system.n_sensors, system.m_budget)
+    before = threading.active_count()
+    kernels = mdp.build_kernels(mdp.build_factors(system, space), space, actions)
+    assert len(kernels.shares) == 1 and kernels.n_rows <= mdp.TABLE_CHUNK
+    vt, _ = mdp.relative_value_iteration(
+        kernels, mdp.cost_vector(space, system), space.reference_index()
+    )
+    assert vt.iterations == 24
     assert threading.active_count() == before
 
 
@@ -529,11 +580,11 @@ def test_padded_product_is_scipy_product_bit_for_bit(spec, seed):
     kernels = mdp.build_kernels(mdp.build_factors(spec, space), space, actions)
     padded = mdp.build_padded_kernels(spec, space, actions)
     assert np.array_equal(padded.row_of, kernels.row_of)
-    assert len(padded.blocks) == 1
+    assert len(padded.shares) == 1 and len(padded.shares[0]) == 1
     rng = np.random.default_rng(seed)
     q = rng.normal(scale=10.0, size=space.n_states)
     q[rng.random(space.n_states) < 0.2] = 0.0
-    for rows, want_rows in zip(padded.blocks[0][2], stacked_rows(kernels), strict=True):
+    for rows, want_rows in zip(padded.shares[0][0][2], stacked_rows(kernels), strict=True):
         assert rows.shape == want_rows.shape
         assert (rows @ q).tobytes() == (want_rows @ q).tobytes()
 
