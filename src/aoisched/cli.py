@@ -128,6 +128,12 @@ def _posint(value, path: str, minimum: int = 1) -> int:
 
 
 def _matrix(value, path: str) -> np.ndarray:
+    """value as a 2-D float matrix. A YAML boolean cell, which numpy would
+    read as 1.0 or 0.0, is refused by _number with its path."""
+    for i, row in enumerate(value if isinstance(value, list) else ()):
+        for j, v in enumerate(row if isinstance(row, list) else ()):
+            if isinstance(v, bool):
+                _number(v, f"{path}[{i}][{j}]")
     try:
         m = np.array(value, dtype=float)
     except (TypeError, ValueError):
@@ -599,19 +605,17 @@ def cmd_thresholds(args) -> int:
 
 def _exact_cost(policy: pol.Policy, system: SystemSpec, joint: tuple) -> float:
     """Exact average cost of one policy on the joint MDP (space, actions,
-    factors, cost), from its chain on the states reachable from the start.
-    The chain is freed on return, before the next policy's solve."""
+    factors, cost), from its chain lumped on the keys reachable from the
+    start. The chain is freed on return, before the next policy's solve."""
     space, actions, factors, cost = joint
     start = space.reference_index()
     if policy.name == "rr":
-        n = system.n_sensors
-        p, states = pol.round_robin_chain(space, factors, n, system.m_budget)
-        # one copy of the cost per cursor: the augmented states are cursor-major
-        return mdp.chain_average_cost(p, states, np.tile(cost, n), start)
+        chain = pol.round_robin_chain(space, factors, system.n_sensors, system.m_budget)
+        return mdp.chain_average_cost(chain, cost)
     if policy.name == "rand":
         weights = pol.randomized_action_weights(policy.p, system.m_budget, actions)
-        p, states = mdp.mixture_chain_matrix(weights, factors, actions, start)
-        return mdp.chain_average_cost(p, states, cost, start)
+        chain = mdp.mixture_chain_matrix(weights, factors, actions, start)
+        return mdp.chain_average_cost(chain, cost)
     table = pol.policy_to_table(policy, space, actions)
     return mdp.policy_average_cost(table, factors, cost, start)
 

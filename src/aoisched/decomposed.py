@@ -245,7 +245,7 @@ def extract_thresholds(values: Sequence[PerSensorValue], spec: SystemSpec) -> Th
 
 def randomized_chain_matrix(spec: SystemSpec, space: StateSpace, p_r: Sequence[float]):
     """Exact joint chain of the independent randomized policy, on the states
-    reachable from space.reference_index(): (p, states) of
+    reachable from space.reference_index(): the Chain of
     mixture_chain_matrix.
 
     Mixes the kernels of all 2^N schedule vectors with product Bernoulli

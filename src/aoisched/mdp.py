@@ -7,10 +7,12 @@ and exact policy evaluation through the stationary distribution of the
 policy-induced chain: restarted GMRES on the pinned balance equations of the
 single closed class reachable from the start state, certified by its L1
 balance residual, with a sparse LU solve when GMRES misses the bound
-(stationary_distribution). A chain is built over the states reachable from
-the start only, with rows generated from the per-sensor factors as the
-search first needs them (reachable_chain), never over the whole truncated
-grid and never from assembled kernels.
+(stationary_distribution). A chain is searched from the start state only,
+with rows generated from the per-sensor factors as the search first needs
+them, never from assembled kernels, and it is built lumped: the reached
+states that share a distinct row and the policy's group (action,
+round-robin cursor, or the mixture's one group) are one state
+(reachable_chain).
 
 factor_rows is the one row generator: the joint solver, exact policy
 evaluation, the per-sensor SISP solves, the randomized chain and the myopic
@@ -77,7 +79,7 @@ import math
 import os
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -107,6 +109,7 @@ __all__ = [
     "relative_value_iteration",
     "solve_optimal_policy",
     "check_value_monotonicity",
+    "Chain",
     "reachable_chain",
     "policy_chain_matrix",
     "mixture_chain_matrix",
@@ -1040,73 +1043,54 @@ def check_value_monotonicity(values: np.ndarray, space: StateSpace, slack: float
     return violations
 
 
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The ranges starts[k] .. starts[k] + counts[k] - 1, concatenated."""
-    ends = np.cumsum(counts)
-    out = np.repeat(starts - ends + counts, counts)
-    out += np.arange(len(out))
-    return out
+class Chain(NamedTuple):
+    """A chain lumped on its keys (reachable_chain): p on the keys, rep
+    the row of each key on the states, start the start state's key. With
+    pi the stationary distribution of p, the state masses are pi @ rep and
+    the exact cost pi @ (rep @ cost) (chain_average_cost)."""
+
+    p: sparse.csr_matrix
+    rep: sparse.csr_matrix
+    start: int
 
 
-def _gather_rows(parts: Sequence, part: np.ndarray, row: np.ndarray) -> tuple:
-    """Rows of CSR arrays copied into one CSR: output row k is row row[k]
-    of parts[part[k]], each part being (data, indices, indptr), entries in
-    their stored order. Returns (indptr, data, indices)."""
-    counts = np.empty(len(row), dtype=np.int64)
-    picks = []
-    order = np.argsort(part, kind="stable")
-    present, first = np.unique(part[order], return_index=True)
-    for k, sel in zip(present, np.split(order, first[1:])):
-        indptr = parts[k][2]
-        starts = indptr[row[sel]]
-        counts[sel] = indptr[row[sel] + 1] - starts
-        picks.append((parts[k], sel, starts))
-    indptr = np.zeros(len(row) + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    out = [
-        np.empty(indptr[-1], dtype=np.result_type(*(p[f].dtype for p, _, _ in picks)))
-        for f in (0, 1)
-    ]
-    for arrays, sel, starts in picks:
-        src = _ranges(starts, counts[sel])
-        dst = _ranges(indptr[sel], counts[sel])
-        for field, gathered in zip(arrays, out):
-            gathered[dst] = field[src]
-    return (indptr, *out)
-
-
-def reachable_chain(make, locate, shape: tuple, start_index: int, n: int) -> tuple:
-    """A Markov chain of n states, built over the states reachable from
-    start_index only, from rows made as the search first needs them.
+def reachable_chain(make, locate, shape: tuple, start_index: int, n: int) -> Chain:
+    """A Markov chain of n states, searched from start_index and built on
+    the keys of the states it reaches, one row per key.
 
     locate(states) returns (group, row): state s's row is row row[s] of
     group group[s], where shape = (groups, rows per group); a group is an
-    action, a round-robin cursor, or the one group of a mixture.
+    action, a round-robin cursor, or the one group of a mixture. Such a
+    (group, row) pair is a key, and every state of a key has the same row.
     make(group, rows) returns the CSR arrays (data, indices, indptr) of
-    that group's rows for increasing row indices `rows`, their columns
-    numbered in the chain. A frontier search from start_index follows every
-    stored entry, explicit zeros included, as csgraph's breadth-first
-    search does. Each (group, row) is made once, when a frontier first
-    reaches a state that reads it, and its columns are read then: every
-    state a row made earlier reaches is already seen, so a frontier reads
-    the columns of the rows made for it alone. Then _gather_rows copies the
-    reached states' rows in index order, and their columns are renumbered
-    to positions in that order. Returns (p, states):
-    states holds the reached indices in increasing order, and p is the
-    chain on them, byte for byte the whole chain's p[ix_(states, states)],
-    since a reached row's columns are all reached and the renumbering keeps
-    their order.
+    that group's rows for increasing row indices `rows`, sorted by column,
+    their columns numbered in the chain. A frontier search from start_index
+    follows every stored entry, explicit zeros included, as csgraph's
+    breadth-first search does. Each key's row is made once, when a frontier
+    first reaches a state of it, and its columns are read then: every state
+    a row made earlier reaches is already seen, so a frontier reads the
+    columns of the rows made for it alone.
+
+    The keys are numbered by their smallest reached state, so key 0, which
+    stationary_distribution pins, holds the smallest. rep stacks their rows
+    in that order, and p = rep C, where C merges each state into its key: a
+    row's entries of one key are summed in column order, and a zero sum
+    stays stored. Merging states with equal rows is an ordinary lumping
+    (Kemeny & Snell 1960, 6.3): p's stationary distribution is the
+    chain's, summed over each key.
     """
     from scipy import sparse
 
     parts = []
-    # part << 32 | row in that part, of each (group, row) made so far; -1
+    # the number, in making order, of each (group, row) made so far; -1
     # before it is made
     where = np.full(shape, -1, dtype=np.int64)
+    made = 0
 
     def new_columns(states):
         """Makes the rows that states read and no earlier frontier did;
         returns the columns of their stored entries."""
+        nonlocal made
         group, row = locate(states)
         missing = where[group, row] < 0
         new = np.unique(np.ravel_multi_index((group[missing], row[missing]), shape))
@@ -1115,34 +1099,56 @@ def reachable_chain(make, locate, shape: tuple, start_index: int, n: int) -> tup
         cols = [np.arange(0)]
         for g in np.unique(new_group):
             rows = new_row[new_group == g]
-            where[g, rows] = len(parts) << 32 | np.arange(len(rows))
-            parts.append(make(g, rows))
-            cols.append(parts[-1][1])
+            where[g, rows] = made + np.arange(len(rows))
+            made += len(rows)
+            parts.append(sparse.csr_matrix(make(g, rows), shape=(len(rows), n)))
+            cols.append(parts[-1].indices)
         return np.concatenate(cols)
 
     seen = np.zeros(n, dtype=bool)
     seen[start_index] = True
     frontier = np.array([start_index])
     while len(frontier):
-        cols = new_columns(frontier)
-        cols = cols[~seen[cols]]
-        seen[cols] = True
-        frontier = np.unique(cols)
+        # the states first seen in this step, by a mask, not by np.unique
+        # of the columns, which repeat many times
+        fresh = np.zeros(n, dtype=bool)
+        fresh[new_columns(frontier)] = True
+        fresh &= ~seen
+        seen |= fresh
+        frontier = np.flatnonzero(fresh)
     states = np.flatnonzero(seen)
-    key = where[locate(states)]
-    indptr, data, cols = _gather_rows(parts, key >> 32, key & 0xFFFFFFFF)
-    m = len(states)
-    position = np.empty(n, dtype=np.int32 if m <= np.iinfo(np.int32).max else np.int64)
-    position[states] = np.arange(m)
-    return sparse.csr_matrix((data, position[cols], indptr), shape=(m, m)), states
+    made_of = where[locate(states)]
+    # the made rows in key order: by the first reached state that reads each
+    order = np.argsort(np.unique(made_of, return_index=True)[1])
+    k = len(order)
+    key_of = np.empty(n, dtype=np.int32 if k <= np.iinfo(np.int32).max else np.int64)
+    key_of[states] = np.argsort(order)[made_of]
+    rep = sparse.vstack(parts, format="csr")
+    parts.clear()
+    rep = rep[order]
+    # each row's entries by key, in column order within a key: a stable
+    # sort, so that scipy's sum_duplicates, which sums runs of one column
+    # in stored order, sorts nothing. The rows are in order and most of
+    # their keys too, which a stable sort of one integer key runs through
+    # about ten times faster than np.lexsort
+    cols = key_of[rep.indices]
+    entry = np.repeat(np.arange(k), np.diff(rep.indptr))
+    entry *= k
+    entry += cols
+    entry = np.argsort(entry, kind="stable")
+    p = sparse.csr_matrix((rep.data[entry], cols[entry], rep.indptr.copy()), shape=(k, k))
+    p.has_sorted_indices = True
+    p.sum_duplicates()
+    return Chain(p, rep, int(key_of[start_index]))
 
 
-def policy_chain_matrix(policy: PolicyTable, factors: Factors, start_index: int) -> tuple:
-    """Chain of a deterministic policy on the states reachable from start.
+def policy_chain_matrix(policy: PolicyTable, factors: Factors, start_index: int) -> Chain:
+    """Chain of a deterministic policy on the states reachable from start,
+    lumped on (action, distinct row) keys.
 
     State s's row is distinct row row_of[s] under its action pi(s),
-    generated by factor_rows for the reached states only. Returns
-    (p, states) of reachable_chain.
+    generated by factor_rows once per key reached. Returns the Chain of
+    reachable_chain.
     """
     actions = policy.action_set.actions
     return reachable_chain(
@@ -1156,9 +1162,10 @@ def policy_chain_matrix(policy: PolicyTable, factors: Factors, start_index: int)
 
 def mixture_chain_matrix(
     weights: Sequence[float], factors: Factors, actions: ActionSet, start_index: int
-) -> tuple:
+) -> Chain:
     """Chain of a state-independent randomized policy, sum_a w_a K_a over
-    `actions`, on the states reachable from start. Returns (p, states).
+    `actions`, on the states reachable from start, lumped on its distinct
+    rows (one group). Returns the Chain of reachable_chain.
 
     The weighted sum is taken in action order, with the same scipy products
     and sums as over every distinct row, but only over the distinct rows
@@ -1323,18 +1330,19 @@ def stationary_distribution(p: sparse.csr_matrix, start_index: int) -> np.ndarra
     return xi_full
 
 
-def chain_average_cost(
-    p: sparse.csr_matrix, states: np.ndarray, cost: np.ndarray, start_index: int
-) -> float:
-    """Exact long-run average cost of a chain built over `states`, the
-    increasing indices of a chain whose stage costs are `cost`, started at
-    start_index. The distribution is spread back to full length before the
-    dot product, which then adds the same terms in the same positions as
-    over the whole chain: BLAS sums a dot product in lanes by position, so
-    dropping the zeros could move its last bits."""
-    xi = np.zeros(len(cost))
-    xi[states] = stationary_distribution(p, int(np.searchsorted(states, start_index)))
-    return float(xi @ cost)
+def chain_average_cost(chain: Chain, cost: np.ndarray) -> float:
+    """Exact long-run average cost of a lumped chain whose states' stage
+    costs are `cost`: the stationary distribution of chain.p times
+    chain.rep @ cost, each key's expected cost of its next state. The
+    chain's columns are read modulo len(cost), so that round robin's
+    cursor-augmented states read their state's cost."""
+    from scipy import sparse
+
+    rep = chain.rep
+    rep_cost = sparse.csr_matrix(
+        (rep.data, rep.indices % len(cost), rep.indptr), shape=(rep.shape[0], len(cost))
+    ) @ cost
+    return float(stationary_distribution(chain.p, chain.start) @ rep_cost)
 
 
 def policy_average_cost(
@@ -1344,8 +1352,7 @@ def policy_average_cost(
     start_index: int,
 ) -> float:
     """Exact long-run average cost of a deterministic stationary policy."""
-    p, states = policy_chain_matrix(policy, factors, start_index)
-    return chain_average_cost(p, states, cost, start_index)
+    return chain_average_cost(policy_chain_matrix(policy, factors, start_index), cost)
 
 
 def average_cost_by_sensor(

@@ -24,6 +24,7 @@ import numpy as np
 from .dynamics import JointState, LaneState
 from .mdp import (
     ActionSet,
+    Chain,
     Factors,
     PolicyTable,
     StateSpace,
@@ -333,17 +334,18 @@ def policy_to_table(policy: Policy, space: StateSpace, actions: ActionSet) -> Po
     return PolicyTable(policy.decide_array(actions, space.lanes()), actions)
 
 
-def round_robin_chain(space: StateSpace, factors: Factors, n: int, m: int) -> tuple:
+def round_robin_chain(space: StateSpace, factors: Factors, n: int, m: int) -> Chain:
     """Chain of round robin on the state space augmented with the cursor,
-    over the augmented states reachable from the start only.
+    over the augmented states reachable from the start only, lumped on
+    (cursor, distinct row) keys.
 
     The cursor advances by m (mod n) every slot independent of the state, so
     the augmented pair (state, cursor) is Markov. Augmented state
     cursor * n_states + s, cursor-major, takes distinct row row_of[s] under
     the cursor's action, generated by factor_rows with its columns moved
     into the next cursor's block; the start is space.reference_index() at
-    cursor 0. Returns (p, states) of mdp.reachable_chain, states being
-    augmented indices.
+    cursor 0. Returns the Chain of mdp.reachable_chain, whose rep columns
+    are augmented states.
     """
     n_states = space.n_states
     schedule = [round_robin_decide(cursor, n, m) for cursor in range(n)]

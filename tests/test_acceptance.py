@@ -113,7 +113,7 @@ def test_criterion_05_decomposition_dominance(va_solved, va_sisp):
     sisp_cost = mdp.policy_average_cost(va_sisp.pruned_table, b.factors, b.cost, b.start)
     p_r = [pv.p_r for pv in va_sisp.values]
     chain = decomposed.randomized_chain_matrix(b.system, b.space, p_r)
-    rand_cost = mdp.chain_average_cost(*chain, b.cost, b.start)
+    rand_cost = mdp.chain_average_cost(chain, b.cost)
     phi_sum = sum(pv.gain for pv in va_sisp.values)
     assert sisp_cost <= rand_cost + 1e-9
     assert phi_sum == pytest.approx(rand_cost, abs=1e-6)
@@ -135,12 +135,11 @@ def _exact_costs(bundle, sisp_table, p_r):
         table = pol.policy_to_table(policy, b.space, b.actions)
         out[name] = mdp.policy_average_cost(table, b.factors, b.cost, b.start)
     n = b.system.n_sensors
-    p_aug, states = pol.round_robin_chain(b.space, b.factors, n, b.system.m_budget)
-    out["rr"] = mdp.chain_average_cost(p_aug, states, np.tile(b.cost, n), b.start)
+    chain = pol.round_robin_chain(b.space, b.factors, n, b.system.m_budget)
+    out["rr"] = mdp.chain_average_cost(chain, b.cost)
     weights = pol.randomized_action_weights(p_r, b.system.m_budget, b.actions)
-    out["rand"] = mdp.chain_average_cost(
-        *mdp.mixture_chain_matrix(weights, b.factors, b.actions, b.start), b.cost, b.start
-    )
+    chain = mdp.mixture_chain_matrix(weights, b.factors, b.actions, b.start)
+    out["rand"] = mdp.chain_average_cost(chain, b.cost)
     return out
 
 

@@ -1,14 +1,16 @@
-"""The chain builders against the whole chain: each policy's chain is built
-over the states reachable from the start only, from rows that factor_rows
-generates, byte for byte the whole chain restricted to csgraph's reachable
-set, with bit-identical exact costs; and compare holds the joint kernels
-for the optimal solve only.
+"""The chain builders against the whole chain, through the state chain.
 
-The whole chains are assembled here, from each kernel's stacked blocks
-indexed by row_of, as the builders assembled them before they restricted
-themselves: the table's rows gathered from a stack of every action's
-kernel, the mixture summed in action order, and round robin's cursor
-blocks joined by sparse.bmat.
+tests/chain_oracle.py keeps the chain builders as they were before the
+chains were lumped: each policy's chain over the states reachable from the
+start, one row per state. The whole-chain test checks that oracle against
+the whole chain, assembled here from each kernel's stacked blocks indexed
+by row_of, as the builders assembled it before they restricted themselves:
+the table's rows gathered from a stack of every action's kernel, the
+mixture summed in action order, and round robin's cursor blocks joined by
+sparse.bmat. The quotient test checks the lumped chains of
+mdp.reachable_chain against the oracle's state chain, merged here on the
+states' keys; and compare holds the joint kernels for the optimal solve
+only.
 """
 
 import weakref
@@ -24,7 +26,9 @@ from scipy.sparse.csgraph import breadth_first_order
 
 import aoisched as a
 from aoisched import cli, mdp, policies as pol
+from aoisched.model import ConvergenceError
 
+import chain_oracle
 from conftest import stacked_rows, stuck_channel
 from test_kernel_assembly import PROBS, _sensor, small_systems
 
@@ -79,9 +83,84 @@ def assert_restricted(whole, start, cost, chain):
     for field in ("data", "indices", "indptr"):
         got, expected = getattr(p, field), getattr(want, field)
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), field
-    assert outcome(lambda: mdp.chain_average_cost(p, states, cost, start)) == outcome(
+    assert outcome(lambda: chain_oracle.chain_average_cost(p, states, cost, start)) == outcome(
         lambda: float(mdp.stationary_distribution(whole, start) @ cost)
     )
+
+
+def lumped(p, keys):
+    """The state chain p lumped on its states' keys, stated plainly: keys
+    numbered in the order they first appear among the states, rep the row
+    of each key's first state (every state of a key has that row, checked
+    here), and p_hat = rep C, each row's entries of one key added in the
+    row's stored order. Returns (key_of, rep, p_hat); rep's and p_hat's
+    columns are positions in p."""
+    number = {}
+    key_of = np.array([number.setdefault(key, len(number)) for key in zip(*keys)])
+    k = len(number)
+    first = np.unique(key_of, return_index=True)[1]
+    copied = p[first[key_of]]
+    for field in ("data", "indices", "indptr"):
+        assert getattr(copied, field).tobytes() == getattr(p, field).tobytes(), field
+    rep = p[first]
+    rows = np.repeat(np.arange(k), np.diff(rep.indptr))
+    cells, inverse = np.unique(rows * k + key_of[rep.indices], return_inverse=True)
+    data = np.zeros(len(cells))
+    np.add.at(data, inverse, rep.data)
+    indptr = np.searchsorted(cells // k, np.arange(k + 1))
+    return key_of, rep, (data, cells % k, indptr)
+
+
+# the largest distance, in ulps, of a lumped chain's exact cost from the
+# state chain's: 3 over every example of the quotient test, and 4 on the
+# shipped threesensor config (maf)
+COST_ULPS = 4
+
+
+def ulps(x: float, y: float) -> int:
+    return abs(int(np.float64(x).view(np.int64)) - int(np.float64(y).view(np.int64)))
+
+
+def failure(exc):
+    """The error's type, and for several closed classes their count: a
+    failed solve's message names a class size and a residual, which
+    lumping moves."""
+    if isinstance(exc, ConvergenceError):
+        return type(exc).__name__
+    return type(exc).__name__, str(exc).split(" reachable from")[0]
+
+
+def assert_quotient(oracle, chain, keys, cost, start, copies=1):
+    """chain, a Chain of mdp.reachable_chain, is the oracle's state chain
+    (p, states) lumped on the states' keys, keys[i][s] being the i-th part
+    of state s's key: rep and p_hat byte for byte. Its stationary
+    distribution spread back to the states by rep matches the state
+    chain's within the L1 certificate, and its exact cost the state
+    chain's within COST_ULPS; or both solves fail alike. The state chain's
+    costs are `copies` copies of cost, one per round-robin cursor."""
+    p, states = oracle
+    key_of, rep, p_hat = lumped(p, [key[states] for key in keys])
+    assert chain.start == key_of[np.searchsorted(states, start)]
+    assert chain.rep.data.tobytes() == rep.data.tobytes()
+    assert np.array_equal(chain.rep.indices, states[rep.indices])
+    assert np.array_equal(chain.rep.indptr, rep.indptr)
+    data, indices, indptr = p_hat
+    assert chain.p.data.tobytes() == data.tobytes()
+    assert np.array_equal(chain.p.indices, indices)
+    assert np.array_equal(chain.p.indptr, indptr)
+    try:
+        xi = mdp.stationary_distribution(p, int(np.searchsorted(states, start)))
+    except RuntimeError as exc:  # ConvergenceError included
+        with pytest.raises(type(exc)) as lumped_exc:
+            mdp.stationary_distribution(chain.p, chain.start)
+        assert failure(lumped_exc.value) == failure(exc)
+        return
+    spread = (mdp.stationary_distribution(chain.p, chain.start) @ chain.rep)[states]
+    assert np.abs(spread - xi).sum() <= mdp.STATIONARY_RESIDUAL
+    assert np.abs(p.T @ spread - spread).sum() <= mdp.STATIONARY_RESIDUAL
+    got = mdp.chain_average_cost(chain, cost)
+    want = chain_oracle.chain_average_cost(p, states, np.tile(cost, copies), start)
+    assert ulps(got, want) <= COST_ULPS
 
 
 @st.composite
@@ -114,6 +193,8 @@ STUCK_MARKOV = a.SystemSpec(
 @example(STUCK_MARKOV, 7, [0.4, 0.0, 0.0])
 @example(STUCK_MARKOV, 8, [0.5, 0.5, 0.5])
 def test_chains_are_the_whole_chain_on_its_reachable_states(spec, seed, p):
+    """The oracle's state chains are the whole chains on their reachable
+    states."""
     space = mdp.StateSpace(spec)
     assume(space.n_states <= 2_000)
     n, m = spec.n_sensors, spec.m_budget
@@ -128,20 +209,83 @@ def test_chains_are_the_whole_chain_on_its_reachable_states(spec, seed, p):
         whole_table_chain(kernels, table),
         start,
         cost,
-        mdp.policy_chain_matrix(mdp.PolicyTable(table, actions), factors, start),
+        chain_oracle.policy_chain_matrix(mdp.PolicyTable(table, actions), factors, start),
     )
     weights = pol.randomized_action_weights(p[:n], m, actions)
     assert_restricted(
         whole_mixture_chain(kernels, weights),
         start,
         cost,
-        mdp.mixture_chain_matrix(weights, factors, actions, start),
+        chain_oracle.mixture_chain_matrix(weights, factors, actions, start),
     )
     assert_restricted(
         whole_round_robin_chain(kernels, n, m),
         start,
         np.tile(cost, n),
+        chain_oracle.round_robin_chain(space, factors, n, m),
+    )
+
+
+# three sensors, one with Markov arrivals, and a budget of two
+MARKOV_M2 = a.SystemSpec(
+    (
+        _sensor(a.BernoulliArrival(0.7), 0.4, 0.9, 2, 2),
+        _sensor(a.MarkovArrival(0.5, 0.8), 0.3, 0.8, 1, 2),
+        _sensor(a.BernoulliArrival(0.5), 0.5, 1.0, 1, 2),
+    ),
+    a.ChannelSpec(0.4, 0.7),
+    2,
+)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    chain_systems(),
+    st.integers(0, 2**32 - 1),
+    st.lists(PROBS, min_size=3, max_size=3),
+)
+@example(STUCK_MARKOV, 7, [0.4, 0.0, 0.0])
+@example(STUCK_MARKOV, 8, [0.5, 0.5, 0.5])
+@example(MARKOV_M2, 9, [0.6, 0.3, 0.5])
+def test_lumped_chains_are_the_quotient_of_the_state_chain(spec, seed, p):
+    """The table, mixture and round-robin chains are the oracle's state
+    chains lumped on their (action, row), (0, row) and (cursor, row) keys."""
+    space = mdp.StateSpace(spec)
+    assume(space.n_states <= 2_000)
+    n, m = spec.n_sensors, spec.m_budget
+    actions = mdp.ActionSet(n, m)
+    factors = mdp.build_factors(spec, space)
+    cost = mdp.cost_vector(space, spec)
+    start = space.reference_index()
+    row_of = factors.row_of
+
+    table = mdp.PolicyTable(
+        np.random.default_rng(seed).integers(len(actions), size=space.n_states), actions
+    )
+    assert_quotient(
+        chain_oracle.policy_chain_matrix(table, factors, start),
+        mdp.policy_chain_matrix(table, factors, start),
+        (table.action_index, row_of),
+        cost,
+        start,
+    )
+    weights = pol.randomized_action_weights(p[:n], m, actions)
+    assert_quotient(
+        chain_oracle.mixture_chain_matrix(weights, factors, actions, start),
+        mdp.mixture_chain_matrix(weights, factors, actions, start),
+        (np.zeros_like(row_of), row_of),
+        cost,
+        start,
+    )
+    cursor = np.repeat(np.arange(n), space.n_states)
+    assert_quotient(
+        chain_oracle.round_robin_chain(space, factors, n, m),
         pol.round_robin_chain(space, factors, n, m),
+        (cursor, np.tile(row_of, n)),
+        cost,
+        start,
+        copies=n,
     )
 
 
@@ -157,9 +301,12 @@ def test_stuck_channel_kernels_store_explicit_zeros():
     assert all(np.any(rows.data == 0.0) for rows in theta0[2])
     assert not any(np.any(rows.data == 0.0) for rows in theta1[2])
     idle = mdp.PolicyTable(np.zeros(space.n_states, dtype=np.intp), actions)
-    p, states = mdp.policy_chain_matrix(idle, factors, space.reference_index())
-    assert np.any(p.data == 0.0)
-    assert np.any(states % 2 == 1)  # theta, the fastest index digit, is 1
+    chain = mdp.policy_chain_matrix(idle, factors, space.reference_index())
+    assert np.any(chain.rep.data == 0.0)
+    # a row's entries that step to one key only by explicit zeros still
+    # store their zero sum in the lumped chain
+    assert np.any(chain.p.data == 0.0)
+    assert np.any(chain.rep.indices % 2 == 1)  # theta, the fastest index digit, is 1
 
 
 def compare_argv(tmp_path, policies):
@@ -169,21 +316,34 @@ def compare_argv(tmp_path, policies):
 
 def test_compare_solves_each_policy_once_on_reachable_states(tmp_path, monkeypatch):
     """A twosensor compare of all eight policies makes one stationary solve
-    per policy, each on a chain whose every row is reachable from its
-    start: a chain over the whole grid fails this."""
-    calls = []
-    solve = mdp.stationary_distribution
+    per policy, each on a chain of the keys reached from its start, one
+    state per key: a chain over the whole grid, or over the reached
+    states, fails this."""
+    built, solved = [], []
+    build, solve = mdp.reachable_chain, mdp.stationary_distribution
 
-    def recorded(p, start_index):
+    def recorded_chain(make, locate, shape, start_index, n):
+        chain = build(make, locate, shape, start_index, n)
+        # the states reached: the start and every column of a made row
+        states = np.union1d(chain.rep.indices, [start_index])
+        keys = np.unique(np.ravel_multi_index(locate(states), shape))
+        built.append((chain.p, len(keys), len(states)))
+        return chain
+
+    def recorded_solve(p, start_index):
         reached = breadth_first_order(p, start_index, return_predecessors=False)
-        calls.append((p.shape[0], len(reached)))
+        solved.append((p, len(reached)))
         return solve(p, start_index)
 
-    monkeypatch.setattr(mdp, "stationary_distribution", recorded)
+    monkeypatch.setattr(mdp, "reachable_chain", recorded_chain)
+    monkeypatch.setattr(pol, "reachable_chain", recorded_chain)
+    monkeypatch.setattr(mdp, "stationary_distribution", recorded_solve)
     assert cli.main(compare_argv(tmp_path, pol.POLICY_NAMES)) == 0
-    assert len(calls) == len(pol.POLICY_NAMES)
-    for rows, reached in calls:
-        assert reached == rows
+    assert len(solved) == len(built) == len(pol.POLICY_NAMES)
+    for (p, keys, states), (solved_p, reached) in zip(built, solved):
+        assert solved_p is p
+        assert p.shape[0] == keys == reached
+        assert keys < states
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

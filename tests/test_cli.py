@@ -115,11 +115,17 @@ def test_malformed_probability_names_key(tmp_path, capsys):
         ("kappa11: 0.8", "kappa11: on", "channel.kappa11"),
         ("r: 0.5", "r: true", "sensors[0].penalty.r"),
         ("r: 0.5", "r: [0.5]", "sensors[0].penalty.r"),
+        ("a: [[1.1, 0.5]", "a: [[yes, 0.5]", "sensors[0].penalty.a[0][0]"),
+        ("sigma_w: [[1.0, 0.0], [0.0, 1.0]]", "sigma_w: [[1.0, 0.0], [0.0, true]]",
+         "sensors[0].penalty.sigma_w[1][1]"),
+        ("c: [[1.0, 1.0]]\n      r_meas: [[0.8]]", "p_bar: [[1.0, no], [0.0, 1.0]]",
+         "sensors[0].penalty.p_bar[0][1]"),
     ],
 )
 def test_boolean_is_not_a_number(tmp_path, capsys, old, new, key):
     """YAML reads yes, no, on and true as booleans, which float() would
-    take as 1.0 or 0.0: a number key refuses them, and names itself."""
+    take as 1.0 or 0.0: a number key, or a matrix cell, refuses them, and
+    names itself."""
     text = ONE_SENSOR_YAML if "r: 0.5" in old else TWO_SENSOR_YAML
     bad = text.replace(old, new, 1)
     assert bad != text

@@ -177,13 +177,12 @@ def test_every_policy_returns_feasible_actions(va_hetero, va_hetero_sisp):
 def test_round_robin_chain_symmetric_marginals(va_solved):
     """Symmetric two-sensor instance: round robin splits cost equally."""
     b = va_solved
-    p_aug, states = pol.round_robin_chain(b.space, b.factors, 2, 1)
+    chain = pol.round_robin_chain(b.space, b.factors, 2, 1)
     cost_aug = np.tile(b.cost, 2)
     n = b.space.n_states
-    # the chain holds the reachable augmented states only: spread its
-    # distribution back over all 2n of them
-    xi_aug = np.zeros(2 * n)
-    xi_aug[states] = mdp.stationary_distribution(p_aug, np.searchsorted(states, b.start))
+    # the chain is lumped on its keys: each augmented state's mass is the
+    # mass of the keys that step to it
+    xi_aug = mdp.stationary_distribution(chain.p, chain.start) @ chain.rep
     xi = xi_aug[:n] + xi_aug[n:]
     per_sensor = mdp.average_cost_by_sensor(xi, b.space, b.system)
     assert per_sensor[0] == pytest.approx(per_sensor[1], abs=1e-9)

@@ -61,12 +61,10 @@ def test_transient_and_unreachable_states_get_no_mass():
 
 def test_round_robin_augmented_chain_residual(va_solved):
     b = va_solved
-    p_aug, states = pol.round_robin_chain(
-        b.space, b.factors, b.system.n_sensors, b.system.m_budget
-    )
-    xi = mdp.stationary_distribution(p_aug, np.searchsorted(states, b.start))
+    chain = pol.round_robin_chain(b.space, b.factors, b.system.n_sensors, b.system.m_budget)
+    xi = mdp.stationary_distribution(chain.p, chain.start)
     assert xi.sum() == pytest.approx(1.0, abs=1e-12)
-    assert residual(p_aug, xi) <= 1e-12
+    assert residual(chain.p, xi) <= 1e-12
 
 
 def dense_solve(q):
@@ -79,8 +77,8 @@ def dense_solve(q):
 
 
 def test_optimal_chain_matches_dense_solve(va_solved):
-    p, states = mdp.policy_chain_matrix(va_solved.pt, va_solved.factors, va_solved.start)
-    xi = mdp.stationary_distribution(p, np.searchsorted(states, va_solved.start))
+    p, _, start = mdp.policy_chain_matrix(va_solved.pt, va_solved.factors, va_solved.start)
+    xi = mdp.stationary_distribution(p, start)
     support = np.flatnonzero(xi > 0)
     # the support is closed: no edge leaves it
     assert np.all(np.isin(p[support].indices, support))
@@ -101,13 +99,14 @@ def test_sticky_channel_matches_dense_solve(va_penalty):
     system = replace(system, channel=a.ChannelSpec(0.9995, 0.998))
     b = solve_bundle(system)
     chains = [
-        (*mdp.policy_chain_matrix(b.pt, b.factors, b.start), b.cost),
-        (*pol.round_robin_chain(b.space, b.factors, 2, 1), np.tile(b.cost, 2)),
+        (mdp.policy_chain_matrix(b.pt, b.factors, b.start), b.cost),
+        (pol.round_robin_chain(b.space, b.factors, 2, 1), np.tile(b.cost, 2)),
     ]
-    for p, states, cost in chains:
-        # the chains hold the reachable states only: read the cost on them
-        cost = cost[states]
-        xi = mdp.stationary_distribution(p, np.searchsorted(states, b.start))
+    for (p, rep, start), cost in chains:
+        # the chains are lumped on their keys: read each key's cost of its
+        # next state
+        cost = rep @ cost
+        xi = mdp.stationary_distribution(p, start)
         support = np.flatnonzero(xi > 0)
         assert np.all(np.isin(p[support].indices, support))
         dense = dense_solve(p[np.ix_(support, support)].toarray())
@@ -299,12 +298,12 @@ def test_chain_solves_are_the_oracle_bit_for_bit(spec, seed, p):
     start = space.reference_index()
     table = np.random.default_rng(seed).integers(len(actions), size=space.n_states)
     weights = pol.randomized_action_weights(p[:n], m, actions)
-    for chain, states in (
+    for chain in (
         mdp.policy_chain_matrix(mdp.PolicyTable(table, actions), factors, start),
         mdp.mixture_chain_matrix(weights, factors, actions, start),
         pol.round_robin_chain(space, factors, n, m),
     ):
-        assert_solve_is_the_oracle(chain, int(np.searchsorted(states, start)))
+        assert_solve_is_the_oracle(chain.p, chain.start)
 
 
 # Exact costs of the eight compare policies, recorded from a direct sparse LU
@@ -337,9 +336,8 @@ TWOSENSOR = Path(__file__).resolve().parents[1] / "configs" / "twosensor.yaml"
 
 
 def compare_chains(cfg) -> dict:
-    """{policy: (chain, states, cost, start)} for the eight policies, as
-    cmd_compare builds them: the chain on the reachable states, then the
-    arguments of chain_average_cost."""
+    """{policy: (chain, cost)} for the eight policies, as cmd_compare builds
+    them: the arguments of chain_average_cost."""
     cache = {}
     system = cfg.system
     space, actions, factors = cli._joint_mdp(cfg, cache)
@@ -351,13 +349,13 @@ def compare_chains(cfg) -> dict:
         n = system.n_sensors
         if name == "rr":
             chain = pol.round_robin_chain(space, factors, n, system.m_budget)
-            out[name] = (*chain, np.tile(cost, n), start)
         elif name == "rand":
             weights = pol.randomized_action_weights(policy.p, system.m_budget, actions)
-            out[name] = (*mdp.mixture_chain_matrix(weights, factors, actions, start), cost, start)
+            chain = mdp.mixture_chain_matrix(weights, factors, actions, start)
         else:
             table = pol.policy_to_table(policy, space, actions)
-            out[name] = (*mdp.policy_chain_matrix(table, factors, start), cost, start)
+            chain = mdp.policy_chain_matrix(table, factors, start)
+        out[name] = (chain, cost)
     return out
 
 
@@ -382,8 +380,8 @@ def test_correction_pass_reaches_rounding_level(twosensor_chains, lu_calls):
     # these chains spread their mass over 1e-13 .. 1e-2; one GMRES pass
     # leaves residuals up to 1.5e-13, the correction pass about 1e-15, so
     # GMRES alone certifies every one of them
-    for name, (p, states, _, start) in twosensor_chains.items():
-        xi = mdp.stationary_distribution(p, np.searchsorted(states, start))
+    for name, ((p, _, start), _) in twosensor_chains.items():
+        xi = mdp.stationary_distribution(p, start)
         assert residual(p, xi) <= 1e-14, name
     assert lu_calls == []
 
