@@ -28,7 +28,6 @@ from .mdp import (
     StateSpace,
     ValueTable,
     check_value_monotonicity,
-    policy_average_cost,
     relative_value_iteration,
     solve_optimal_policy,
     transition_distribution,

@@ -603,21 +603,19 @@ def cmd_thresholds(args) -> int:
     return 0
 
 
-def _exact_cost(policy: pol.Policy, system: SystemSpec, joint: tuple) -> float:
-    """Exact average cost of one policy on the joint MDP (space, actions,
-    factors, cost), from its chain lumped on the keys reachable from the
-    start. The chain is freed on return, before the next policy's solve."""
-    space, actions, factors, cost = joint
+def _policy_chain(policy: pol.Policy, system: SystemSpec, joint: tuple) -> mdp.Chain:
+    """One policy's chain on the joint MDP (space, actions, factors), lumped
+    on the keys reachable from the start: round robin's, the randomized
+    mixture's, or a deterministic table's."""
+    space, actions, factors = joint
     start = space.reference_index()
     if policy.name == "rr":
-        chain = pol.round_robin_chain(space, factors, system.n_sensors, system.m_budget)
-        return mdp.chain_average_cost(chain, cost)
+        return pol.round_robin_chain(space, factors, system.n_sensors, system.m_budget)
     if policy.name == "rand":
         weights = pol.randomized_action_weights(policy.p, system.m_budget, actions)
-        chain = mdp.mixture_chain_matrix(weights, factors, actions, start)
-        return mdp.chain_average_cost(chain, cost)
+        return mdp.mixture_chain_matrix(weights, factors, actions, start)
     table = pol.policy_to_table(policy, space, actions)
-    return mdp.policy_average_cost(table, factors, cost, start)
+    return mdp.policy_chain_matrix(table, factors, start)
 
 
 def cmd_compare(args) -> int:
@@ -628,8 +626,8 @@ def cmd_compare(args) -> int:
     cache = {}
     # an optimal policy's kernels are freed before the first evaluation
     policies = _policy_list(args, cfg, cache)
-    space, actions, factors = _joint_mdp(cfg, cache)
-    joint = (space, actions, factors, mdp.cost_vector(space, system))
+    joint = _joint_mdp(cfg, cache)
+    cost = mdp.cost_vector(joint[0], system)
     plan = sim.ExperimentPlan(system, policies, horizon, replications, seed, cfg.warmup)
 
     def share(k):
@@ -637,7 +635,11 @@ def cmd_compare(args) -> int:
         # solves; the Monte Carlo runs beside them in a child, or after
         # them on one CPU
         if k == 0:
-            return {policy.name: _exact_cost(policy, system, joint) for policy in policies}
+            # each chain is freed before the next policy's is built
+            return {
+                policy.name: mdp.chain_average_cost(_policy_chain(policy, system, joint), cost)
+                for policy in policies
+            }
         return sim.monte_carlo(plan)
 
     with mdp._forks(2) as run:

@@ -4,15 +4,13 @@ State enumeration, the factored transition kernel (channel factor times
 per-sensor case table, with a Markov-arrival variant), relative value
 iteration for the average-cost optimal policy, a value-monotonicity checker,
 and exact policy evaluation through the stationary distribution of the
-policy-induced chain: restarted GMRES on the pinned balance equations of the
-single closed class reachable from the start state, certified by its L1
-balance residual, with a sparse LU solve when GMRES misses the bound
-(stationary_distribution). A chain is searched from the start state only,
+policy-induced chain's one closed class, by GMRES or sparse LU, certified by
+its L1 balance residual (stationary_distribution). A chain is searched from
+the start state only, so its closed classes are the ones the start reaches,
 with rows generated from the per-sensor factors as the search first needs
 them, never from assembled kernels, and it is built lumped: the reached
-states that share a distinct row and the policy's group (action,
-round-robin cursor, or the mixture's one group) are one state
-(reachable_chain).
+states that share a distinct row and the policy's group (action, round-robin
+cursor, or the mixture's one group) are one state (reachable_chain).
 
 factor_rows is the one row generator: the joint solver, exact policy
 evaluation, the per-sensor SISP solves, the randomized chain and the myopic
@@ -115,7 +113,6 @@ __all__ = [
     "mixture_chain_matrix",
     "stationary_distribution",
     "chain_average_cost",
-    "policy_average_cost",
     "average_cost_by_sensor",
     "table_rows",
 ]
@@ -1045,13 +1042,12 @@ def check_value_monotonicity(values: np.ndarray, space: StateSpace, slack: float
 
 class Chain(NamedTuple):
     """A chain lumped on its keys (reachable_chain): p on the keys, rep
-    the row of each key on the states, start the start state's key. With
-    pi the stationary distribution of p, the state masses are pi @ rep and
-    the exact cost pi @ (rep @ cost) (chain_average_cost)."""
+    the row of each key on the states. With pi the stationary distribution
+    of p, the state masses are pi @ rep and the exact cost
+    pi @ (rep @ cost) (chain_average_cost)."""
 
     p: sparse.csr_matrix
     rep: sparse.csr_matrix
-    start: int
 
 
 def reachable_chain(make, locate, shape: tuple, start_index: int, n: int) -> Chain:
@@ -1071,13 +1067,15 @@ def reachable_chain(make, locate, shape: tuple, start_index: int, n: int) -> Cha
     a row made earlier reaches is already seen, so a frontier reads the
     columns of the rows made for it alone.
 
-    The keys are numbered by their smallest reached state, so key 0, which
-    stationary_distribution pins, holds the smallest. rep stacks their rows
-    in that order, and p = rep C, where C merges each state into its key: a
-    row's entries of one key are summed in column order, and a zero sum
-    stays stored. Merging states with equal rows is an ordinary lumping
-    (Kemeny & Snell 1960, 6.3): p's stationary distribution is the
-    chain's, summed over each key.
+    The keys are numbered by their smallest reached state, so the closed
+    class's first key, the one stationary_distribution pins, is the key of
+    the class's smallest state, the state the unlumped chain pins, unless a
+    transient state below it shares a key with the class. rep stacks their
+    rows in that order, and p = rep C, where C merges each state into its
+    key: a row's entries of one key are summed in column order, and a zero
+    sum stays stored. Merging states with equal rows is an ordinary lumping
+    (Kemeny & Snell 1960, 6.3): p's stationary distribution is the chain's,
+    summed over each key.
     """
     from scipy import sparse
 
@@ -1139,7 +1137,7 @@ def reachable_chain(make, locate, shape: tuple, start_index: int, n: int) -> Cha
     p = sparse.csr_matrix((rep.data[entry], cols[entry], rep.indptr.copy()), shape=(k, k))
     p.has_sorted_indices = True
     p.sum_duplicates()
-    return Chain(p, rep, int(key_of[start_index]))
+    return Chain(p, rep)
 
 
 def policy_chain_matrix(policy: PolicyTable, factors: Factors, start_index: int) -> Chain:
@@ -1247,28 +1245,46 @@ def _restricted(p: sparse.csr_matrix, keep: np.ndarray) -> sparse.csr_matrix:
     return p[np.ix_(keep, keep)].tocsr()
 
 
-def stationary_distribution(p: sparse.csr_matrix, start_index: int) -> np.ndarray:
-    """Stationary distribution of the recurrent class reachable from start.
+def _certified(xi: np.ndarray, residual: float) -> bool:
+    return residual <= STATIONARY_RESIDUAL and bool(np.all(xi > 0.0))
 
-    Breadth-first search from start_index gives the reachable states; their
-    strongly connected components that no edge leaves are the closed
-    classes. Raises RuntimeError unless exactly one closed class is
-    reachable (the long-run cost would otherwise depend on chance).
-    Transient and unreachable states get zero mass. The chain builders
-    (reachable_chain) build only the reachable states, so for their chains
-    the search reaches every state and the chain is used as it is, with no
-    copy; so is the class when it is the whole chain.
 
-    On that class, with transition matrix Q, the balance equations are
-    A xi = 0 with A = (I - Q)^T, which fix xi only up to scale. The first
-    state is pinned to xi_0 = 1 and its equation dropped, leaving the
-    nonsingular system A[1:, 1:] xi[1:] = -A[1:, 0] (Stewart 1994, ch. 2);
-    the pin is valid because every state of an irreducible class has
-    positive mass. Restarted GMRES solves it (Saad & Schultz 1986), and a
-    second pass solves for the correction of the first pass's residual,
-    which takes the answer down to rounding level. Power iteration is not
-    used: it does not converge on periodic chains such as round robin's.
-    A one-state class gets mass 1 without a solve.
+def _pinned_solve(q: sparse.csr_matrix) -> tuple:
+    """(xi, its L1 residual) on the class q with its first state pinned,
+    by GMRES, then by sparse LU (stationary_distribution)."""
+    from scipy import sparse
+
+    m = q.shape[0]
+    a = (sparse.identity(m, format="csr") - q).T.tocsr()
+    b = -a[1:, 0].toarray().ravel()
+    for solve in (_gmres_solve,) if m > LU_MAX_STATES else (_gmres_solve, _lu_solve):
+        xi = np.concatenate(([1.0], solve(a, b)))
+        xi /= xi.sum()
+        residual = float(np.abs(q.T @ xi - xi).sum())
+        if _certified(xi, residual):
+            break
+    return xi, residual
+
+
+def stationary_distribution(p: sparse.csr_matrix) -> np.ndarray:
+    """Stationary distribution of the one recurrent class of p.
+
+    The strongly connected components of p that no edge leaves are its
+    closed classes. Raises RuntimeError unless there is exactly one (the
+    long-run cost would otherwise depend on chance); the other states get
+    zero mass. The chain builders (reachable_chain) build only the states
+    their start reaches, so their closed classes are the start's.
+
+    On that class, with transition matrix Q (p itself when the class is all
+    of p), the balance equations A xi = 0 with A = (I - Q)^T fix xi only up
+    to scale. The class's first state (reachable_chain says which on a
+    lumped chain) is pinned to xi_0 = 1 and its equation dropped, leaving
+    the nonsingular system A[1:, 1:] xi[1:] = -A[1:, 0] (Stewart 1994,
+    ch. 2), as every state of an irreducible class has positive mass.
+    Restarted GMRES solves it (Saad & Schultz 1986), and a second pass
+    solves for the correction of the first pass's residual, which takes the
+    answer down to rounding level. Power iteration is not used: it does not
+    converge on periodic chains such as round robin's.
 
     GMRES's own convergence flag is not trusted (its tolerance is relative
     to a right-hand side that can be tiny). The answer certifies itself
@@ -1276,48 +1292,43 @@ def stationary_distribution(p: sparse.csr_matrix, start_index: int) -> np.ndarra
     be <= STATIONARY_RESIDUAL and every state of the class must have
     positive mass. Slowly mixing classes (a 50-state birth-death chain, say)
     can stall restarted GMRES short of that; their system is then solved
-    again by sparse LU, whose cost does not depend on the mixing. If that
-    answer fails the same check too, ConvergenceError is raised with the
-    residual and the class size. So it is, with GMRES's residual, and no LU
-    solve, on a class of more than LU_MAX_STATES states.
+    again by sparse LU, whose cost does not depend on the mixing, on a class
+    of at most LU_MAX_STATES states. A first state of negligible mass makes
+    the pinned system singular to rounding and the masses non-finite; the
+    class is then solved again, pinned at the state most probability flows
+    into. An answer that fails the check raises ConvergenceError with its
+    residual and the class size.
     """
-    from scipy import sparse
-    from scipy.sparse.csgraph import breadth_first_order, connected_components
+    from scipy.sparse.csgraph import connected_components
 
-    n = p.shape[0]
-    reach = np.sort(breadth_first_order(p, start_index, return_predecessors=False))
-    sub = _restricted(p, reach)
-    n_comp, labels = connected_components(sub, directed=True, connection="strong")
+    n_comp, labels = connected_components(p, directed=True, connection="strong")
     # a class is closed when no stored entry leaves it: compare each entry's
     # row label with its column's, TABLE_CHUNK rows at a time
     is_closed = np.ones(n_comp, dtype=bool)
     for lo in range(0, len(labels), TABLE_CHUNK):
         hi = min(len(labels), lo + TABLE_CHUNK)
-        span = slice(sub.indptr[lo], sub.indptr[hi])
-        row_label = np.repeat(labels[lo:hi], np.diff(sub.indptr[lo:hi + 1]))
-        is_closed[row_label[row_label != labels[sub.indices[span]]]] = False
+        span = slice(p.indptr[lo], p.indptr[hi])
+        row_label = np.repeat(labels[lo:hi], np.diff(p.indptr[lo:hi + 1]))
+        is_closed[row_label[row_label != labels[p.indices[span]]]] = False
     closed = np.flatnonzero(is_closed)
     if len(closed) != 1:
-        raise RuntimeError(
-            f"{len(closed)} recurrent classes reachable from state {start_index}"
-        )
+        raise RuntimeError(f"{len(closed)} recurrent classes in the chain")
     members = np.flatnonzero(labels == closed[0])
     m = len(members)
     xi = np.ones(1)
     if m > 1:
-        q = _restricted(sub, members)
-        a = (sparse.identity(m, format="csr") - q).T.tocsr()
-        b = -a[1:, 0].toarray().ravel()
-        solvers = (_gmres_solve,) if m > LU_MAX_STATES else (_gmres_solve, _lu_solve)
-        for solve in solvers:
-            xi = np.concatenate(([1.0], solve(a, b)))
-            xi /= xi.sum()
-            residual = float(np.abs(q.T @ xi - xi).sum())
-            if residual <= STATIONARY_RESIDUAL and np.all(xi > 0.0):
-                break
-        else:
+        q = _restricted(p, members)
+        xi, residual = _pinned_solve(q)
+        if not np.isfinite(residual):
+            # singular to rounding: the first state's mass is negligible,
+            # so pin the state most probability flows into
+            order = np.roll(np.arange(m), -int(np.argmax(q.sum(axis=0))))
+            moved = _pinned_solve(q[order][:, order].tocsr())
+            if _certified(*moved):
+                xi[order], residual = moved
+        if not _certified(xi, residual):
             tried = (
-                "by GMRES and by sparse LU" if _lu_solve in solvers
+                "by GMRES and by sparse LU" if m <= LU_MAX_STATES
                 else f"by GMRES; sparse LU skipped above {LU_MAX_STATES} states"
             )
             raise ConvergenceError(
@@ -1325,8 +1336,8 @@ def stationary_distribution(p: sparse.csr_matrix, start_index: int) -> np.ndarra
                 f"{STATIONARY_RESIDUAL:g}), smallest mass {xi.min():.3e}, "
                 f"on a {m}-state closed class, {tried}"
             )
-    xi_full = np.zeros(n)
-    xi_full[reach[members]] = xi
+    xi_full = np.zeros(p.shape[0])
+    xi_full[members] = xi
     return xi_full
 
 
@@ -1342,17 +1353,7 @@ def chain_average_cost(chain: Chain, cost: np.ndarray) -> float:
     rep_cost = sparse.csr_matrix(
         (rep.data, rep.indices % len(cost), rep.indptr), shape=(rep.shape[0], len(cost))
     ) @ cost
-    return float(stationary_distribution(chain.p, chain.start) @ rep_cost)
-
-
-def policy_average_cost(
-    policy: PolicyTable,
-    factors: Factors,
-    cost: np.ndarray,
-    start_index: int,
-) -> float:
-    """Exact long-run average cost of a deterministic stationary policy."""
-    return chain_average_cost(policy_chain_matrix(policy, factors, start_index), cost)
+    return float(stationary_distribution(chain.p) @ rep_cost)
 
 
 def average_cost_by_sensor(

@@ -194,13 +194,13 @@ def round_robin_chain(space: mdp.StateSpace, factors: mdp.Factors, n: int, m: in
     )
 
 
-def chain_average_cost(p, states: np.ndarray, cost: np.ndarray, start_index: int) -> float:
+def chain_average_cost(p, states: np.ndarray, cost: np.ndarray) -> float:
     """Exact long-run average cost of a chain built over `states`, the
-    increasing indices of a chain whose stage costs are `cost`, started at
-    start_index. The distribution is spread back to full length before the
+    increasing indices of a chain whose stage costs are `cost`, reached from
+    its start. The distribution is spread back to full length before the
     dot product, which then adds the same terms in the same positions as
     over the whole chain: BLAS sums a dot product in lanes by position, so
     dropping the zeros could move its last bits."""
     xi = np.zeros(len(cost))
-    xi[states] = mdp.stationary_distribution(p, int(np.searchsorted(states, start_index)))
+    xi[states] = mdp.stationary_distribution(p)
     return float(xi @ cost)

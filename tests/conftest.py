@@ -1,5 +1,6 @@
 """Shared fixtures: the two-sensor reference instance and solved artifacts."""
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from scipy import sparse
 
 import aoisched as a
-from aoisched import decomposed, mdp
+from aoisched import decomposed, mdp, policies as pol
 
 # Two-sensor reference configuration used throughout the suite: unstable
 # 2x2 plant with rho(A) = 1.1, trace penalty, channel (0.5, 0.8),
@@ -54,6 +55,36 @@ def stacked_rows(kernels):
         sparse.vstack([mats[a] for _, _, mats in blocks], format="csr")
         for a in range(len(blocks[0][2]))
     ]
+
+
+def table_cost(table, factors, cost, start):
+    """Exact average cost of a deterministic policy table, on its chain
+    from start."""
+    return mdp.chain_average_cost(mdp.policy_chain_matrix(table, factors, start), cost)
+
+
+@contextmanager
+def recorded_chains():
+    """Records (chain, its start's key, keys reached, states reached) for
+    every chain mdp.reachable_chain builds while open, through both modules
+    that call it. The states reached are the start and every column of a
+    made row, and the keys are numbered by their smallest reached state."""
+    built = []
+    build = mdp.reachable_chain
+
+    def recorded(make, locate, shape, start_index, n):
+        chain = build(make, locate, shape, start_index, n)
+        states = np.union1d(chain.rep.indices, [start_index])
+        flat = np.ravel_multi_index(locate(states), shape)
+        _, first, key = np.unique(flat, return_index=True, return_inverse=True)
+        start = np.argsort(np.argsort(first))[key[np.searchsorted(states, start_index)]]
+        built.append((chain, int(start), len(first), len(states)))
+        return chain
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mdp, "reachable_chain", recorded)
+        mp.setattr(pol, "reachable_chain", recorded)
+        yield built
 
 
 def stuck_channel(kappa11):

@@ -1,12 +1,12 @@
-"""The exact cost of every compare policy on one config, as compare computes
-it (cli._exact_cost), in full precision.
+"""The exact cost of every compare policy on each given config, as compare
+computes it (the chain_average_cost of cli._policy_chain), in full precision.
 
-    python tests/exact_costs.py <config>
+    python tests/exact_costs.py <config> [<config> ...]
 
-Prints one line per policy: its name, the cost's float.hex and its .12g
-cell. Run it on two checkouts (with PYTHONPATH=src) to see which raw costs
-a change moves and by how many ulps. pytest does not collect this file
-(its name does not start with test_).
+Prints `# <config>` and then one line per policy: its name, the cost's
+float.hex and its .12g cell. Run it on two checkouts (with PYTHONPATH=src)
+to see which raw costs a change moves and by how many ulps. pytest does not
+collect this file (its name does not start with test_).
 """
 
 import sys
@@ -21,11 +21,16 @@ def exact_costs(config: str) -> dict:
     cfg = cli.load_config(config)
     cache = {}
     policies = cli._policy_list(SimpleNamespace(policies=",".join(POLICY_NAMES)), cfg, cache)
-    space, actions, factors = cli._joint_mdp(cfg, cache)
-    joint = (space, actions, factors, mdp.cost_vector(space, cfg.system))
-    return {policy.name: cli._exact_cost(policy, cfg.system, joint) for policy in policies}
+    joint = cli._joint_mdp(cfg, cache)
+    cost = mdp.cost_vector(joint[0], cfg.system)
+    return {
+        policy.name: mdp.chain_average_cost(cli._policy_chain(policy, cfg.system, joint), cost)
+        for policy in policies
+    }
 
 
 if __name__ == "__main__":
-    for name, cost in exact_costs(sys.argv[1]).items():
-        print(f"{name:8s} {cost.hex():24s} {cost:{mdp.VALUE_FORMAT}}")
+    for config in sys.argv[1:]:
+        print(f"# {config}")
+        for name, cost in exact_costs(config).items():
+            print(f"{name:8s} {cost.hex():24s} {cost:{mdp.VALUE_FORMAT}}")

@@ -1,7 +1,9 @@
 """The stationary solve as it was before GMRES ran on an operator over
 (I - Q)^T: GMRES and sparse LU on a copy of the pinned block a[1:, 1:], and
-the closed-class test on the COO edges of the reachable chain. Kept as the
-oracle that mdp.stationary_distribution must match bit for bit."""
+the closed-class test on the COO edges of the reachable chain; it shares
+only the re-pin of a singular pinned system. Kept as the oracle that
+mdp.stationary_distribution must match bit for bit, on the states reachable
+from a start."""
 
 import numpy as np
 
@@ -30,8 +32,26 @@ def _lu_solve(a11, b):
     return spsolve(a11.tocsc(), b)
 
 
-def stationary_distribution(p, start_index):
+def _pinned_solve(q):
+    """(xi, L1 residual) with q's first state pinned: GMRES's answer if it
+    is certified, else sparse LU's."""
     from scipy import sparse
+
+    m = q.shape[0]
+    a = (sparse.identity(m, format="csr") - q).T.tocsr()
+    a11 = a[1:, 1:]
+    b = -a[1:, 0].toarray().ravel()
+    del a
+    for solve in (_gmres_solve, _lu_solve):
+        xi = np.concatenate(([1.0], solve(a11, b)))
+        xi /= xi.sum()
+        residual = float(np.abs(q.T @ xi - xi).sum())
+        if residual <= mdp.STATIONARY_RESIDUAL and np.all(xi > 0.0):
+            break
+    return xi, residual
+
+
+def stationary_distribution(p, start_index):
     from scipy.sparse.csgraph import breadth_first_order, connected_components
 
     n = p.shape[0]
@@ -53,17 +73,14 @@ def stationary_distribution(p, start_index):
     xi = np.ones(1)
     if m > 1:
         q = mdp._restricted(sub, members)
-        a = (sparse.identity(m, format="csr") - q).T.tocsr()
-        a11 = a[1:, 1:]
-        b = -a[1:, 0].toarray().ravel()
-        del a
-        for solve in (_gmres_solve, _lu_solve):
-            xi = np.concatenate(([1.0], solve(a11, b)))
-            xi /= xi.sum()
-            residual = float(np.abs(q.T @ xi - xi).sum())
-            if residual <= mdp.STATIONARY_RESIDUAL and np.all(xi > 0.0):
-                break
-        else:
+        xi, residual = _pinned_solve(q)
+        if not np.isfinite(residual):
+            # the pinned system is singular: re-pin where most probability flows
+            order = np.roll(np.arange(m), -int(np.argmax(q.sum(axis=0))))
+            moved, moved_residual = _pinned_solve(q[order][:, order].tocsr())
+            if moved_residual <= mdp.STATIONARY_RESIDUAL and np.all(moved > 0.0):
+                xi[order], residual = moved, moved_residual
+        if not (residual <= mdp.STATIONARY_RESIDUAL and np.all(xi > 0.0)):
             raise ConvergenceError(
                 f"stationary solve: L1 residual {residual:.3e} (bound "
                 f"{mdp.STATIONARY_RESIDUAL:g}), smallest mass {xi.min():.3e}, "

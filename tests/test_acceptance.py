@@ -25,6 +25,7 @@ from conftest import (
     region_contains,
     sisp_bundle,
     solve_bundle,
+    table_cost,
     tiny_system,
 )
 from test_mdp import tiny_brute_force_optimum
@@ -110,7 +111,7 @@ def test_criterion_04_threshold_structure(va_solved, va_sisp, va_hetero_solved, 
 
 def test_criterion_05_decomposition_dominance(va_solved, va_sisp):
     b = va_solved
-    sisp_cost = mdp.policy_average_cost(va_sisp.pruned_table, b.factors, b.cost, b.start)
+    sisp_cost = table_cost(va_sisp.pruned_table, b.factors, b.cost, b.start)
     p_r = [pv.p_r for pv in va_sisp.values]
     chain = decomposed.randomized_chain_matrix(b.system, b.space, p_r)
     rand_cost = mdp.chain_average_cost(chain, b.cost)
@@ -126,14 +127,14 @@ def test_criterion_05_decomposition_dominance(va_solved, va_sisp):
 
 def _exact_costs(bundle, sisp_table, p_r):
     b = bundle
-    out = {"optimal": mdp.policy_average_cost(b.pt, b.factors, b.cost, b.start)}
-    out["sisp"] = mdp.policy_average_cost(sisp_table, b.factors, b.cost, b.start)
+    out = {"optimal": table_cost(b.pt, b.factors, b.cost, b.start)}
+    out["sisp"] = table_cost(sisp_table, b.factors, b.cost, b.start)
     for name, policy in (
         ("maf", pol.MafPolicy(b.system.m_budget)),
         ("mef", pol.MefPolicy(b.system)),
     ):
         table = pol.policy_to_table(policy, b.space, b.actions)
-        out[name] = mdp.policy_average_cost(table, b.factors, b.cost, b.start)
+        out[name] = table_cost(table, b.factors, b.cost, b.start)
     n = b.system.n_sensors
     chain = pol.round_robin_chain(b.space, b.factors, n, b.system.m_budget)
     out["rr"] = mdp.chain_average_cost(chain, b.cost)

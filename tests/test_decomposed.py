@@ -9,7 +9,7 @@ import aoisched as a
 from aoisched import decomposed, dynamics, mdp
 
 from conftest import (
-    VA_CHANNEL, action_at, make_va_sensor, make_va_system, sensor_index, stacked_rows
+    VA_CHANNEL, action_at, make_va_sensor, make_va_system, sensor_index, stacked_rows, table_cost
 )
 
 
@@ -394,7 +394,6 @@ def test_randomized_chain_is_the_product_weight_mixture(arrival):
     factors = mdp.build_factors(system, space)
     expected = mdp.mixture_chain_matrix(weights, factors, full_actions, space.reference_index())
     chain = decomposed.randomized_chain_matrix(system, space, p_r)
-    assert chain.start == expected.start
     for matrix in ("p", "rep"):
         for field in ("data", "indices", "indptr"):
             got = getattr(getattr(chain, matrix), field)
@@ -431,8 +430,8 @@ def test_three_sensor_two_slot_budget():
     assert copied > 0
 
     factors = mdp.build_factors(system, space)
-    c_opt = mdp.policy_average_cost(pt, factors, cost, start)
-    c_sisp = mdp.policy_average_cost(pruned, factors, cost, start)
+    c_opt = table_cost(pt, factors, cost, start)
+    c_sisp = table_cost(pruned, factors, cost, start)
     chain = decomposed.randomized_chain_matrix(system, space, [pv.p_r for pv in values])
     c_rand = mdp.chain_average_cost(chain, cost)
     assert c_opt <= c_sisp + 1e-9 <= c_rand + 1e-9
@@ -465,7 +464,7 @@ def test_decomposition_with_markov_arrivals():
     assert np.array_equal(plain.action_index, pruned.action_index)
     assert copied > 0
     factors = mdp.build_factors(spec, space)
-    assert mdp.policy_average_cost(pruned, factors, cost, start) <= joint + 1e-9
+    assert table_cost(pruned, factors, cost, start) <= joint + 1e-9
 
 
 def test_sisp_dominates_randomized(small_solution):
@@ -474,7 +473,7 @@ def test_sisp_dominates_randomized(small_solution):
     cost = mdp.cost_vector(space, system)
     start = space.reference_index()
     table = decomposed.build_policy_table(values, space, actions)
-    sisp_cost = mdp.policy_average_cost(table, factors, cost, start)
+    sisp_cost = table_cost(table, factors, cost, start)
     chain = decomposed.randomized_chain_matrix(system, space, [pv.p_r for pv in values])
     rand_cost = mdp.chain_average_cost(chain, cost)
     assert sisp_cost <= rand_cost + 1e-9

@@ -168,7 +168,7 @@ def test_cli_error_is_the_one_process_error(
     monkeypatch.setattr(pol.MefPolicy, "decide_array", failing_mef)
     if exact_fails:
 
-        def no_chain(p, start_index):
+        def no_chain(p):
             raise ConvergenceError("no chain")
 
         monkeypatch.setattr(mdp, "stationary_distribution", no_chain)

@@ -7,7 +7,7 @@ import pytest
 import aoisched as a
 from aoisched import cli, dynamics, mdp
 
-from conftest import stacked_rows
+from conftest import stacked_rows, table_cost
 
 TWO_SENSOR = Path(__file__).resolve().parents[1] / "configs" / "twosensor.yaml"
 
@@ -339,7 +339,7 @@ def test_markov_arrival_instance_end_to_end(va_penalty):
     assert mdp.check_value_monotonicity(vt.values, space, 1e-8) == []
     factors = mdp.build_factors(spec, space)
     cost = mdp.cost_vector(space, spec)
-    got = mdp.policy_average_cost(pt, factors, cost, space.reference_index())
+    got = table_cost(pt, factors, cost, space.reference_index())
     assert got == pytest.approx(vt.gain, abs=1e-6)
 
 
@@ -347,13 +347,13 @@ def test_always_idle_cost_saturates(va_solved):
     b = va_solved
     idle = mdp.PolicyTable(np.zeros(b.space.n_states, dtype=int), b.actions)
     cap_cost = sum(s.penalty(s.max_aori) for s in b.system.sensors)
-    got = mdp.policy_average_cost(idle, b.factors, b.cost, b.start)
+    got = table_cost(idle, b.factors, b.cost, b.start)
     assert got == pytest.approx(cap_cost, rel=1e-9)
 
 
 def test_optimal_policy_average_cost_matches_gain(tiny_solved):
     b = tiny_solved
-    got = mdp.policy_average_cost(b.pt, b.factors, b.cost, b.start)
+    got = table_cost(b.pt, b.factors, b.cost, b.start)
     assert got == pytest.approx(b.vt.gain, abs=1e-6)
 
 
@@ -364,7 +364,7 @@ def test_optimal_gain_dominates_all_deterministic_tables(tiny_solved):
         table = mdp.PolicyTable(
             rng.integers(len(b.actions), size=b.space.n_states), b.actions
         )
-        cost = mdp.policy_average_cost(table, b.factors, b.cost, b.start)
+        cost = table_cost(table, b.factors, b.cost, b.start)
         assert b.vt.gain <= cost + 1e-6
 
 

@@ -7,7 +7,7 @@ import pytest
 import aoisched as a
 from aoisched import cli, dynamics, mdp, policies as pol
 
-from conftest import VA_CHANNEL, action_at, make_va_system, sensor_index
+from conftest import VA_CHANNEL, action_at, make_va_system, sensor_index, table_cost
 from test_cli import write_config
 from test_tables import MARKOV_YAML
 
@@ -149,7 +149,7 @@ def test_myopic_optimal_when_arrivals_certain(va_penalty):
     start = bundle_space.reference_index()
     myopic = pol.build_myopic_policy(spec)
     table = pol.policy_to_table(myopic, bundle_space, actions)
-    myopic_cost = mdp.policy_average_cost(table, factors, cost, start)
+    myopic_cost = table_cost(table, factors, cost, start)
     assert myopic_cost == pytest.approx(vt.gain, abs=1e-7)
 
 
@@ -182,7 +182,7 @@ def test_round_robin_chain_symmetric_marginals(va_solved):
     n = b.space.n_states
     # the chain is lumped on its keys: each augmented state's mass is the
     # mass of the keys that step to it
-    xi_aug = mdp.stationary_distribution(chain.p, chain.start) @ chain.rep
+    xi_aug = mdp.stationary_distribution(chain.p) @ chain.rep
     xi = xi_aug[:n] + xi_aug[n:]
     per_sensor = mdp.average_cost_by_sensor(xi, b.space, b.system)
     assert per_sensor[0] == pytest.approx(per_sensor[1], abs=1e-9)

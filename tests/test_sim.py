@@ -3,7 +3,7 @@ import pytest
 
 from aoisched import decomposed, mdp, policies as pol, sim
 
-from conftest import make_va_system
+from conftest import make_va_system, table_cost
 
 
 class _ListSink:
@@ -114,7 +114,7 @@ def test_divergence_probe_single_cap(va_system):
 def test_mc_mean_matches_exact_cost(va_solved, va_sisp):
     """Long simulated episodes agree with the stationary-distribution value."""
     b = va_solved
-    exact = mdp.policy_average_cost(va_sisp.pruned_table, b.factors, b.cost, b.start)
+    exact = table_cost(va_sisp.pruned_table, b.factors, b.cost, b.start)
     policy = pol.TablePolicy("sisp", b.space, va_sisp.pruned_table)
     plan = sim.ExperimentPlan(
         b.system, [policy], horizon=10_000, replications=30, base_seed=21, warmup=500

@@ -9,14 +9,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse import linalg as splinalg
+from scipy.sparse.csgraph import breadth_first_order
 
 import aoisched as a
 from aoisched import cli, mdp, policies as pol
 from aoisched.model import ConvergenceError
 
 import stationary_oracle
-from conftest import make_va_system, solve_bundle
-from test_chains import STUCK_MARKOV, chain_systems
+from conftest import make_va_system, recorded_chains, solve_bundle
+from test_chains import STUCK_MARKOV, chain_systems, idle_first
 from test_cli import ONE_SENSOR_YAML, write_config
 from test_kernel_assembly import PROBS
 from test_tables import MARKOV_YAML
@@ -32,37 +33,44 @@ def residual(p, xi):
 
 def test_two_reachable_closed_classes_raise():
     p = chain([[0.0, 0.5, 0.5], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    with pytest.raises(RuntimeError, match="2 recurrent classes reachable from state 0"):
-        mdp.stationary_distribution(p, 0)
+    with pytest.raises(RuntimeError, match="2 recurrent classes in the chain"):
+        mdp.stationary_distribution(p)
 
 
 def test_one_state_absorbing_class_gets_unit_mass():
     p = chain([[0.5, 0.5, 0.0], [0.0, 0.2, 0.8], [0.0, 0.0, 1.0]])
-    np.testing.assert_array_equal(mdp.stationary_distribution(p, 0), [0.0, 0.0, 1.0])
+    np.testing.assert_array_equal(mdp.stationary_distribution(p), [0.0, 0.0, 1.0])
+
+
+TRANSIENT = [
+    [0.3, 0.7, 0.0, 0.0, 0.0, 0.0],
+    [0.0, 0.25, 0.75, 0.0, 0.0, 0.0],
+    [0.0, 0.5, 0.5, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+    [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
+    [0.5, 0.0, 0.0, 0.5, 0.0, 0.0],
+]
 
 
 def test_transient_and_unreachable_states_get_no_mass():
-    # 0 is transient and leads into the class {1, 2}; {3, 4} is closed but
-    # unreachable from 0, and 5 is transient and unreachable.
-    p = chain(
-        [
-            [0.3, 0.7, 0.0, 0.0, 0.0, 0.0],
-            [0.0, 0.25, 0.75, 0.0, 0.0, 0.0],
-            [0.0, 0.5, 0.5, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
-            [0.5, 0.0, 0.0, 0.5, 0.0, 0.0],
-        ]
-    )
-    xi = mdp.stationary_distribution(p, 0)
+    # 0 is transient and leads into the class {1, 2}; 3 and 4 cycle but
+    # leak into it, and 5, which no state enters, leads to 0 and 3. So
+    # {1, 2} is the one closed class, and the other states are transient.
+    leaky = [row[:] for row in TRANSIENT]
+    leaky[4] = [0.0, 0.5, 0.0, 0.5, 0.0, 0.0]
+    xi = mdp.stationary_distribution(chain(leaky))
     # balance on {1, 2}: 0.75 xi_1 = 0.5 xi_2
     np.testing.assert_allclose(xi, [0.0, 0.4, 0.6, 0.0, 0.0, 0.0], rtol=0, atol=1e-15)
+    # with 4 -> 3 only, {3, 4} is closed too: a second closed class,
+    # unreachable from 0, still counts
+    with pytest.raises(RuntimeError, match="2 recurrent classes"):
+        mdp.stationary_distribution(chain(TRANSIENT))
 
 
 def test_round_robin_augmented_chain_residual(va_solved):
     b = va_solved
     chain = pol.round_robin_chain(b.space, b.factors, b.system.n_sensors, b.system.m_budget)
-    xi = mdp.stationary_distribution(chain.p, chain.start)
+    xi = mdp.stationary_distribution(chain.p)
     assert xi.sum() == pytest.approx(1.0, abs=1e-12)
     assert residual(chain.p, xi) <= 1e-12
 
@@ -77,8 +85,8 @@ def dense_solve(q):
 
 
 def test_optimal_chain_matches_dense_solve(va_solved):
-    p, _, start = mdp.policy_chain_matrix(va_solved.pt, va_solved.factors, va_solved.start)
-    xi = mdp.stationary_distribution(p, start)
+    p, _ = mdp.policy_chain_matrix(va_solved.pt, va_solved.factors, va_solved.start)
+    xi = mdp.stationary_distribution(p)
     support = np.flatnonzero(xi > 0)
     # the support is closed: no edge leaves it
     assert np.all(np.isin(p[support].indices, support))
@@ -86,10 +94,24 @@ def test_optimal_chain_matches_dense_solve(va_solved):
     np.testing.assert_allclose(xi[support], dense, rtol=0, atol=1e-12)
 
 
+def test_negligible_first_state_is_not_pinned():
+    # 0 and 1 are entered with probability 5.6e-309 only, so their mass is
+    # about 2.8e-309: with state 0 pinned, the system is singular to
+    # rounding (GMRES stops at zero, LU gives NaN). With state 2 pinned,
+    # which the most probability flows into, it solves.
+    e = 5.562684646268003e-309
+    p = chain([[0.0, 0.0, 0.5, 0.5], [e, e, 0.5, 0.5], [0.0, 0.0, 0.5, 0.5], [e, e, 0.5, 0.5]])
+    with pytest.warns(splinalg.MatrixRankWarning):
+        xi = mdp.stationary_distribution(p)
+    assert np.all(xi > 0.0)
+    np.testing.assert_allclose(xi, [e / 2, e / 2, 0.5, 0.5], rtol=1e-12, atol=0)
+    assert residual(p, xi) <= 1e-12
+
+
 def test_deterministic_three_cycle_gets_uniform_mass():
     # period 3: power iteration would cycle forever on it
     p = chain([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-    np.testing.assert_allclose(mdp.stationary_distribution(p, 1), [1 / 3] * 3, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(mdp.stationary_distribution(p), [1 / 3] * 3, rtol=0, atol=1e-15)
 
 
 def test_sticky_channel_matches_dense_solve(va_penalty):
@@ -102,11 +124,11 @@ def test_sticky_channel_matches_dense_solve(va_penalty):
         (mdp.policy_chain_matrix(b.pt, b.factors, b.start), b.cost),
         (pol.round_robin_chain(b.space, b.factors, 2, 1), np.tile(b.cost, 2)),
     ]
-    for (p, rep, start), cost in chains:
+    for (p, rep), cost in chains:
         # the chains are lumped on their keys: read each key's cost of its
         # next state
         cost = rep @ cost
-        xi = mdp.stationary_distribution(p, start)
+        xi = mdp.stationary_distribution(p)
         support = np.flatnonzero(xi > 0)
         assert np.all(np.isin(p[support].indices, support))
         dense = dense_solve(p[np.ix_(support, support)].toarray())
@@ -160,7 +182,7 @@ def test_slowly_mixing_chain_falls_back_to_lu(monkeypatch, lu_calls):
 
     monkeypatch.setattr(splinalg, "gmres", logged)
     p = birth_death(50, 0.6)
-    xi = mdp.stationary_distribution(p, 0)
+    xi = mdp.stationary_distribution(p)
     assert gmres_calls == [0]
     assert lu_calls == [49]
     exact = 1.5 ** np.arange(50)
@@ -177,18 +199,18 @@ def test_class_above_the_lu_bound_raises_without_lu(monkeypatch, lu_calls):
         match=r"L1 residual \d.* on a 50-state closed class, by GMRES; "
         r"sparse LU skipped above 49 states$",
     ):
-        mdp.stationary_distribution(birth_death(50, 0.6), 0)
+        mdp.stationary_distribution(birth_death(50, 0.6))
     assert lu_calls == []
     # at the bound, LU still takes over
     monkeypatch.setattr(mdp, "LU_MAX_STATES", 50)
-    mdp.stationary_distribution(birth_death(50, 0.6), 0)
+    mdp.stationary_distribution(birth_death(50, 0.6))
     assert lu_calls == [49]
 
 
 def test_wrong_gmres_answer_falls_back_to_lu(monkeypatch, lu_calls):
     p = chain([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.6, 0.0, 0.4]])
     monkeypatch.setattr(splinalg, "gmres", wrong_gmres)
-    xi = mdp.stationary_distribution(p, 0)
+    xi = mdp.stationary_distribution(p)
     assert lu_calls == [2]
     np.testing.assert_allclose(xi, dense_solve(p.toarray()), rtol=0, atol=1e-15)
 
@@ -201,7 +223,7 @@ def test_wrong_answer_of_both_solvers_raises(monkeypatch):
         ConvergenceError,
         match=r"L1 residual \d.* on a 3-state closed class, by GMRES and by sparse LU",
     ):
-        mdp.stationary_distribution(p, 0)
+        mdp.stationary_distribution(p)
 
 
 def test_compare_exits_1_on_wrong_solver_answer(tmp_path, monkeypatch, capsys):
@@ -212,14 +234,14 @@ def test_compare_exits_1_on_wrong_solver_answer(tmp_path, monkeypatch, capsys):
     assert "solver error: stationary solve: L1 residual" in capsys.readouterr().err
 
 
-def closed_classes_reachable(p: np.ndarray, start: int) -> list:
-    """Closed classes reachable from start, by dense transitive closure."""
+def closed_classes(p: np.ndarray) -> list:
+    """Every closed class of p, by dense transitive closure."""
     n = len(p)
     reach = (p > 0) | np.eye(n, dtype=bool)
     for _ in range(n.bit_length()):
         reach = reach | ((reach.astype(int) @ reach.astype(int)) > 0)
     classes = set()
-    for i in np.flatnonzero(reach[start]):
+    for i in range(n):
         # i is recurrent iff everything it reaches reaches it back
         if np.all(reach[reach[i], i]):
             classes.add(tuple(np.flatnonzero(reach[i])))
@@ -243,14 +265,14 @@ def stochastic_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(stochastic_matrices())
 def test_stationary_distribution_properties(case):
-    dense, start = case
+    dense, _ = case
     p = sparse.csr_matrix(dense)
-    classes = closed_classes_reachable(dense, start)
+    classes = closed_classes(dense)
     if len(classes) != 1:
         with pytest.raises(RuntimeError, match=f"{len(classes)} recurrent classes"):
-            mdp.stationary_distribution(p, start)
+            mdp.stationary_distribution(p)
         return
-    xi = mdp.stationary_distribution(p, start)
+    xi = mdp.stationary_distribution(p)
     members = list(classes[0])
     outside = np.setdiff1d(np.arange(len(dense)), members)
     assert np.all(xi >= 0.0)
@@ -261,16 +283,25 @@ def test_stationary_distribution_properties(case):
 
 
 def assert_solve_is_the_oracle(p, start):
-    """stationary_distribution gives the oracle's xi bytes, or raises the
-    oracle's error with the same message."""
+    """stationary_distribution of p restricted to the states start reaches
+    gives the oracle's xi bytes from start, the others getting no mass; or
+    it raises the oracle's error, with the same message, or for several
+    closed classes the same count (the oracle's message names the start)."""
+    reach = np.sort(breadth_first_order(p, start, return_predecessors=False))
+
+    def restricted():
+        xi = np.zeros(p.shape[0])
+        xi[reach] = mdp.stationary_distribution(mdp._restricted(p, reach))
+        return xi
+
     def outcome(solve):
         try:
-            return solve(p, start).tobytes()
+            return solve().tobytes()
         except RuntimeError as exc:  # ConvergenceError included
-            return type(exc).__name__, str(exc)
+            return type(exc).__name__, str(exc).split(" recurrent classes")[0]
 
-    assert outcome(mdp.stationary_distribution) == outcome(
-        stationary_oracle.stationary_distribution
+    assert outcome(restricted) == outcome(
+        lambda: stationary_oracle.stationary_distribution(p, start)
     )
 
 
@@ -287,6 +318,7 @@ def test_stationary_distribution_is_the_oracle_bit_for_bit(case):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(chain_systems(), st.integers(0, 2**32 - 1), st.lists(PROBS, min_size=3, max_size=3))
 @example(STUCK_MARKOV, 7, [0.4, 0.0, 0.0])
+@example(idle_first(3), 0, [6.654679670403322e-276, 0.0, 0.0])
 def test_chain_solves_are_the_oracle_bit_for_bit(spec, seed, p):
     """The table, mixture and round-robin chains of small_systems() solve
     to the oracle's bytes."""
@@ -298,12 +330,16 @@ def test_chain_solves_are_the_oracle_bit_for_bit(spec, seed, p):
     start = space.reference_index()
     table = np.random.default_rng(seed).integers(len(actions), size=space.n_states)
     weights = pol.randomized_action_weights(p[:n], m, actions)
-    for chain in (
-        mdp.policy_chain_matrix(mdp.PolicyTable(table, actions), factors, start),
-        mdp.mixture_chain_matrix(weights, factors, actions, start),
-        pol.round_robin_chain(space, factors, n, m),
-    ):
-        assert_solve_is_the_oracle(chain.p, chain.start)
+    with recorded_chains() as built:
+        mdp.policy_chain_matrix(mdp.PolicyTable(table, actions), factors, start)
+        mdp.mixture_chain_matrix(weights, factors, actions, start)
+        pol.round_robin_chain(space, factors, n, m)
+    for chain, start_key, n_keys, _ in built:
+        # the chain is the keys its start's key reaches, so the oracle's
+        # search from that key keeps every key
+        reached = breadth_first_order(chain.p, start_key, return_predecessors=False)
+        assert len(reached) == chain.p.shape[0] == n_keys
+        assert_solve_is_the_oracle(chain.p, start_key)
 
 
 # Exact costs of the eight compare policies, recorded from a direct sparse LU
@@ -339,24 +375,12 @@ def compare_chains(cfg) -> dict:
     """{policy: (chain, cost)} for the eight policies, as cmd_compare builds
     them: the arguments of chain_average_cost."""
     cache = {}
-    system = cfg.system
-    space, actions, factors = cli._joint_mdp(cfg, cache)
-    cost = mdp.cost_vector(space, system)
-    start = space.reference_index()
-    out = {}
-    for name in pol.POLICY_NAMES:
-        policy = cli._build_policy(name, cfg, cache)
-        n = system.n_sensors
-        if name == "rr":
-            chain = pol.round_robin_chain(space, factors, n, system.m_budget)
-        elif name == "rand":
-            weights = pol.randomized_action_weights(policy.p, system.m_budget, actions)
-            chain = mdp.mixture_chain_matrix(weights, factors, actions, start)
-        else:
-            table = pol.policy_to_table(policy, space, actions)
-            chain = mdp.policy_chain_matrix(table, factors, start)
-        out[name] = (chain, cost)
-    return out
+    joint = cli._joint_mdp(cfg, cache)
+    cost = mdp.cost_vector(joint[0], cfg.system)
+    return {
+        name: (cli._policy_chain(cli._build_policy(name, cfg, cache), cfg.system, joint), cost)
+        for name in pol.POLICY_NAMES
+    }
 
 
 @pytest.fixture(scope="module")
@@ -380,8 +404,8 @@ def test_correction_pass_reaches_rounding_level(twosensor_chains, lu_calls):
     # these chains spread their mass over 1e-13 .. 1e-2; one GMRES pass
     # leaves residuals up to 1.5e-13, the correction pass about 1e-15, so
     # GMRES alone certifies every one of them
-    for name, ((p, _, start), _) in twosensor_chains.items():
-        xi = mdp.stationary_distribution(p, start)
+    for name, ((p, _), _) in twosensor_chains.items():
+        xi = mdp.stationary_distribution(p)
         assert residual(p, xi) <= 1e-14, name
     assert lu_calls == []
 
@@ -406,11 +430,11 @@ def test_negative_mass_is_refused(monkeypatch):
     monkeypatch.setattr(splinalg, "gmres", flip_last(splinalg.gmres))
     monkeypatch.setattr(splinalg, "spsolve", flip_last(splinalg.spsolve))
     with pytest.raises(ConvergenceError, match="smallest mass -"):
-        mdp.stationary_distribution(chain(TINY_MASS), 0)
+        mdp.stationary_distribution(chain(TINY_MASS))
 
 
 def test_negative_gmres_mass_falls_back_to_lu(monkeypatch, lu_calls):
     monkeypatch.setattr(splinalg, "gmres", flip_last(splinalg.gmres))
-    xi = mdp.stationary_distribution(chain(TINY_MASS), 0)
+    xi = mdp.stationary_distribution(chain(TINY_MASS))
     assert lu_calls == [2]
     assert np.all(xi > 0.0)

@@ -5,8 +5,8 @@ perfbench/tracer.py wraps, by name, the functions listed in its TARGETS
 dictionary, so deleting or renaming one of them breaks every traced
 benchmark run. Its hooks also bind arguments by name (space, cost, p) and
 read return values (RVI's iterations, the pruning count, the kernels' nnz
-and data), which only a traced run exercises. The tracer file is read and
-run here, not edited.
+and data, the stationary masses), which only a traced run exercises. The
+tracer file is read and run here, not edited.
 """
 
 import importlib
@@ -19,6 +19,7 @@ import pytest
 
 from aoisched import cli, mdp
 from test_cli import run_python
+from test_stationary import compare_chains
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -60,6 +61,12 @@ def test_traced_run_derives_counts(tmp_path, args, counts):
     report = json.loads(spans.read_text())
     missing = [key for key in counts if not report["counts"].get(key)]
     assert not missing, f"no {missing} in {report['counts']}"
+    if args[0] == "compare":
+        # the stationary hook reads the solved chains and their masses
+        counts = report["counts"]
+        assert 0 <= counts["stationary_residual_max"] <= mdp.STATIONARY_RESIDUAL
+        chains = compare_chains(cli.load_config(TWO_SENSOR)).values()
+        assert counts["stationary_states"] == sum(chain.p.shape[0] for chain, _ in chains)
 
 
 def test_traced_table_opens_one_span_per_block(tmp_path):
