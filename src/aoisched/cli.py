@@ -49,41 +49,31 @@ class ConfigError(ValueError):
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         return format(value, mdp.VALUE_FORMAT)
-    if isinstance(value, (np.integer,)):
-        return str(int(value))
     return str(value)
 
 
-class _Writer:
-    """CSV rows of _fmt cells (floats with 12 significant digits), joined by
-    commas and ended by "\r\n". No cell the CLI writes holds a comma, quote
-    or line break, so these are the bytes csv.writer would write."""
-
-    def __init__(self, fh):
-        self._fh = fh
-
-    def writerow(self, row) -> None:
-        self._fh.write(",".join(map(_fmt, row)) + "\r\n")
-
-
-def _write_table(out_dir: Path, name: str, config_hash: str, blocks) -> None:
-    """A solve table: the provenance line of _open_output, then the byte
-    blocks of mdp.table_rows, written to the file's binary handle one block
-    at a time. They are the bytes _Writer would write for the same cells."""
-    fh, _ = _open_output(out_dir, name, config_hash)
-    with fh:
-        fh.flush()
-        fh.buffer.writelines(blocks)
-
-
-def _open_output(out_dir: Path, name: str, config_hash: str):
+def _write_csv(out_dir: Path, name: str, config_hash: str, rows):
+    """Open out_dir/name, write its provenance line and then each row, and
+    return the open file. A row is a sequence of _fmt cells (floats with 12
+    significant digits), joined by commas and ended by "\r\n", or a bytes
+    block of such lines (mdp.table_rows). No cell the CLI writes holds a
+    comma, quote or line break, so these are the bytes csv.writer would
+    write."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    fh = path.open("w", newline="")
-    fh.write(f"# config_sha256={config_hash}\n")
-    return fh, _Writer(fh)
+    fh = (out_dir / name).open("w", newline="")
+    try:
+        fh.write(f"# config_sha256={config_hash}\n")
+        fh.flush()
+        fh.buffer.writelines(
+            row if isinstance(row, bytes) else (",".join(map(_fmt, row)) + "\r\n").encode()
+            for row in rows
+        )
+    except BaseException:
+        fh.close()
+        raise
+    return fh
 
 
 def _reject_unknown(section: dict, allowed, path: str) -> None:
@@ -443,11 +433,9 @@ def cmd_solve(args) -> int:
         summary = {"gain": gain, "wall_time_s": None}
     wall = summary["wall_time_s"] = time.perf_counter() - t0
 
-    _write_table(out_dir, f"{args.policy}_table.csv", cfg.config_hash, rows)
-    fh, w = _open_output(out_dir, f"{args.policy}_summary.csv", cfg.config_hash)
-    with fh:
-        w.writerow(["policy", "states", *summary])
-        w.writerow([args.policy, space.n_states, *summary.values()])
+    _write_csv(out_dir, f"{args.policy}_table.csv", cfg.config_hash, rows).close()
+    rows = [["policy", "states", *summary], [args.policy, space.n_states, *summary.values()]]
+    _write_csv(out_dir, f"{args.policy}_summary.csv", cfg.config_hash, rows).close()
     line = f"{args.policy}: {space.n_states} states, gain {_fmt(gain)}"
     print(line if args.policy == "myopic" else f"{line}, {wall:.2f}s")
     return 0
@@ -491,11 +479,9 @@ def cmd_simulate(args) -> int:
         probe = sim.divergence_probe(
             cfg.system, caps, horizon, seed, replications, cfg.warmup, _scheduling_probs(cfg)
         )
-        fh, w = _open_output(out_dir, "divergence.csv", cfg.config_hash)
-        with fh:
-            w.writerow(["cap", "mean_cost", "sd", "ci95", "replications", "horizon", "seed"])
-            for cap, r in zip(caps, probe):
-                w.writerow([cap, r.mean, r.sd, r.ci95, replications, horizon, seed])
+        rows = ([c, r.mean, r.sd, r.ci95, replications, horizon, seed] for c, r in zip(caps, probe))
+        header = ["cap", "mean_cost", "sd", "ci95", "replications", "horizon", "seed"]
+        _write_csv(out_dir, "divergence.csv", cfg.config_hash, [header, *rows]).close()
         for cap, r in zip(caps, probe):
             print(f"cap {cap}: mean {_fmt(r.mean)} +- {_fmt(r.ci95)} (95% CI)")
         return 0
@@ -505,18 +491,14 @@ def cmd_simulate(args) -> int:
     with contextlib.ExitStack() as files:
         sinks = {}
         for name in dict.fromkeys(names) if args.trace else ():
-            fh, w = _open_output(out_dir, f"trajectory_{name}.csv", cfg.config_hash)
-            files.enter_context(fh)
-            w.writerow(TRAJECTORY_HEADER)
-            sinks[name] = fh
+            fh = _write_csv(out_dir, f"trajectory_{name}.csv", cfg.config_hash, [TRAJECTORY_HEADER])
+            sinks[name] = files.enter_context(fh)
         # replication 0 of each policy is its trajectory; a repeated name gets
         # the file once, so it is written once
         stats = sim.monte_carlo(plan, [sinks.pop(name, None) for name in names])
-    fh, w = _open_output(out_dir, "results.csv", cfg.config_hash)
-    with fh:
-        w.writerow(["policy", "mean_cost", "sd", "ci95", "replications", "horizon", "seed"])
-        for st in stats:
-            w.writerow([st.name, st.mean, st.sd, st.ci95, replications, horizon, seed])
+    rows = ([st.name, st.mean, st.sd, st.ci95, replications, horizon, seed] for st in stats)
+    header = ["policy", "mean_cost", "sd", "ci95", "replications", "horizon", "seed"]
+    _write_csv(out_dir, "results.csv", cfg.config_hash, [header, *rows]).close()
     for st in stats:
         print(f"{st.name}: mean {_fmt(st.mean)} +- {_fmt(st.ci95)} (95% CI)")
     return 0
@@ -563,12 +545,14 @@ def cmd_stability(args) -> int:
         region = stability.feasible_region(channel, lambda_hat, bound, resolution)
         # the hash covers the channel's source and every flag the region reads
         key = f"{source},lambda={args.lambda_hat},{flag[2:]}={value},resolution={resolution}"
-        fh, w = _open_output(out_dir, "region.csv", hashlib.sha256(key.encode()).hexdigest())
-        with fh:
-            w.writerow(["p0", "p1", "rho", "bound", "feasible"])
-            for u, p0 in enumerate(region.p0_values):
-                for v, p1 in enumerate(region.p1_values):
-                    w.writerow([p0, p1, region.rho[u, v], bound, int(region.feasible[u, v])])
+        rows = (
+            [p0, p1, region.rho[u, v], bound, int(region.feasible[u, v])]
+            for u, p0 in enumerate(region.p0_values)
+            for v, p1 in enumerate(region.p1_values)
+        )
+        header = ["p0", "p1", "rho", "bound", "feasible"]
+        region_hash = hashlib.sha256(key.encode()).hexdigest()
+        _write_csv(out_dir, "region.csv", region_hash, [header, *rows]).close()
         frac = region.feasible.mean()
         print(f"region: {resolution}x{resolution} grid, {frac:.1%} feasible")
         return 0
@@ -576,11 +560,9 @@ def cmd_stability(args) -> int:
     if not args.config:
         raise ConfigError("single-point stability check needs --config")
     reports = stability.system_stability(cfg.system)
-    fh, w = _open_output(out_dir, "stability.csv", cfg.config_hash)
-    with fh:
-        w.writerow(["sensor", "rho", "bound", "satisfied", "criterion"])
-        for r in reports:
-            w.writerow([r.sensor_index + 1, r.rho, r.bound, int(r.satisfied), r.criterion])
+    rows = ([r.sensor_index + 1, r.rho, r.bound, int(r.satisfied), r.criterion] for r in reports)
+    header = ["sensor", "rho", "bound", "satisfied", "criterion"]
+    _write_csv(out_dir, "stability.csv", cfg.config_hash, [header, *rows]).close()
     for r in reports:
         verdict = "stable" if r.satisfied else "UNSTABLE"
         print(
@@ -594,12 +576,11 @@ def cmd_thresholds(args) -> int:
     cfg = load_config(args.config)
     out_dir = Path(args.out) if args.out else cfg.out_dir
     table = decomposed.extract_thresholds(_build_policy("sisp", cfg, {}).values, cfg.system)
-    fh, w = _open_output(out_dir, "thresholds.csv", cfg.config_hash)
-    with fh:
-        w.writerow(["sensor", "theta", "threshold_aori"])
-        for sensor, theta, thr in table.rows():
-            w.writerow([sensor, theta, "inf" if math.isinf(thr) else int(thr)])
-            print(f"sensor {sensor}, channel {theta}: threshold {thr}")
+    rows = ([i, theta, "inf" if math.isinf(thr) else int(thr)] for i, theta, thr in table.rows())
+    header = ["sensor", "theta", "threshold_aori"]
+    _write_csv(out_dir, "thresholds.csv", cfg.config_hash, [header, *rows]).close()
+    for sensor, theta, thr in table.rows():
+        print(f"sensor {sensor}, channel {theta}: threshold {thr}")
     return 0
 
 
@@ -644,15 +625,13 @@ def cmd_compare(args) -> int:
 
     with mdp._forks(2) as run:
         exact, stats = run(share)
-    fh, w = _open_output(out_dir, "compare.csv", cfg.config_hash)
-    with fh:
-        w.writerow(
-            ["policy", "exact_cost", "mc_mean", "mc_sd", "mc_ci95", "replications", "horizon", "seed"]
-        )
-        for st in stats:
-            w.writerow(
-                [st.name, exact[st.name], st.mean, st.sd, st.ci95, replications, horizon, seed]
-            )
+    rows = (
+        [st.name, exact[st.name], st.mean, st.sd, st.ci95, replications, horizon, seed]
+        for st in stats
+    )
+    header = ["policy", "exact_cost", "mc_mean", "mc_sd", "mc_ci95"]
+    header += ["replications", "horizon", "seed"]
+    _write_csv(out_dir, "compare.csv", cfg.config_hash, [header, *rows]).close()
     for st in stats:
         print(
             f"{st.name}: exact {_fmt(exact[st.name])}, "

@@ -148,7 +148,7 @@ class SispPolicy(Policy):
     def __init__(self, values: Sequence[PerSensorValue]):
         self.values = tuple(values)
 
-    def decide_array(self, actions, lanes, t=0, u=None):
+    def decide_array(self, actions, lanes, t, u):
         scores = np.zeros((len(actions), len(lanes.theta)))
         for i, pv in enumerate(self.values):
             sensor = LaneState(lanes.theta, *(a[i : i + 1] for a in lanes[1:]))
@@ -237,7 +237,7 @@ def extract_thresholds(values: Sequence[PerSensorValue], spec: SystemSpec) -> Th
         aori = np.ones((n, 2 * cap), dtype=np.int64)
         aori[i] = np.tile(np.arange(1, cap + 1), 2)
         scan = LaneState(theta, np.zeros_like(aori), aori, np.ones_like(aori, dtype=bool))
-        chosen = SispPolicy(values).decide_array(actions, scan)
+        chosen = SispPolicy(values).decide_array(actions, scan, 0, None)
         scheduled = actions.schedules[chosen, i].reshape(2, cap)
         out[i] = np.where(scheduled.any(axis=1), scheduled.argmax(axis=1) + 1, np.inf)
     return ThresholdTable(out)

@@ -1431,7 +1431,7 @@ def table_rows(
     arrmem give one column per sensor (arrmem only when some sensor has
     Markov arrivals: the memory bit for those sensors, 1 where aoli == 0
     for the others); theta; value, blank when values is None; action_bits.
-    Each line holds the cells cli._Writer would print for the same numbers,
+    Each line holds the cells cli._write_csv writes for the same numbers,
     joined by commas and ended by "\r\n". No per-row object is made: the
     coordinate columns and action_bits index a small table of their labels
     by their codes, the value column does the same with a table of its

@@ -321,10 +321,10 @@ def solve_steady_state_covariance(a, c, sigma_w, r_meas) -> np.ndarray:
 def spectral_radius(m) -> float:
     """Largest eigenvalue modulus of a square real matrix.
 
-    2x2 matrices use the closed-form quadratic so the stability sweep stays
-    cheap; larger matrices fall back to numpy's eigenvalue solver (power
-    iteration is unreliable when the dominant eigenvalues form a complex
-    pair, which the 4x4 robot dynamics exhibit).
+    2x2 matrices use the closed-form quadratic; larger matrices fall back
+    to numpy's eigenvalue solver (power iteration is unreliable when the
+    dominant eigenvalues form a complex pair, which the 4x4 robot dynamics
+    exhibit).
     """
     m = np.atleast_2d(np.asarray(m, dtype=float))
     if m.shape[0] != m.shape[1]:

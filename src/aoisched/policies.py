@@ -74,9 +74,7 @@ class Policy:
     name = "policy"
     uniforms = 0
 
-    def decide_array(
-        self, actions: ActionSet, lanes: LaneState, t: int = 0, u=None
-    ) -> np.ndarray:
+    def decide_array(self, actions: ActionSet, lanes: LaneState, t: int, u) -> np.ndarray:
         """Index into `actions` of the decision in every lane of `lanes`.
 
         t counts the decisions since the episode start, and u is the
@@ -116,7 +114,7 @@ class TablePolicy(Policy):
         self.table = table
         self._codes = _table_codes(table)
 
-    def decide_array(self, actions, lanes, t=0, u=None):
+    def decide_array(self, actions, lanes, t, u):
         idx = self.space.encode_array(lanes)
         return _lane_actions(actions, self._codes[self.table.action_index[idx]])
 
@@ -149,7 +147,7 @@ class MafPolicy(Policy):
     def __init__(self, m: int):
         self.m = m
 
-    def decide_array(self, actions, lanes, t=0, u=None):
+    def decide_array(self, actions, lanes, t, u):
         return _top_m_array(actions, lanes.aori, self.m)
 
 
@@ -168,7 +166,7 @@ class MefPolicy(Policy):
         self.m = spec.m_budget
         self._tables = penalty_rows(spec.sensors)
 
-    def decide_array(self, actions, lanes, t=0, u=None):
+    def decide_array(self, actions, lanes, t, u):
         rows = np.arange(len(self._tables))[:, None]
         return _top_m_array(actions, self._tables[rows, lanes.aori], self.m)
 
@@ -190,7 +188,7 @@ class RoundRobinPolicy(Policy):
         self.n = n
         self.m = m
 
-    def decide_array(self, actions, lanes, t=0, u=None):
+    def decide_array(self, actions, lanes, t, u):
         # after t decisions the cursor has advanced by t * m
         action, _ = round_robin_decide(t * self.m % self.n, self.n, self.m)
         return _lane_actions(actions, np.full(len(lanes.theta), _action_code(action)))
@@ -222,7 +220,7 @@ class RandomizedSchedule(Policy):
         self.uniforms = 2 * len(self.p)
         self._p = np.array(self.p)[:, None]
 
-    def decide_array(self, actions, lanes, t=0, u=None):
+    def decide_array(self, actions, lanes, t, u):
         n = len(self.p)
         fired = u[:n] < self._p
         # uniforms lie in [0, 1), so a key of 2 sorts every unfired sensor
@@ -269,7 +267,7 @@ class IdlePolicy(Policy):
     def __init__(self, n: int):
         self.action = tuple(0 for _ in range(n))
 
-    def decide_array(self, actions, lanes, t=0, u=None):
+    def decide_array(self, actions, lanes, t, u):
         return _lane_actions(actions, np.full(len(lanes.theta), _action_code(self.action)))
 
 
@@ -319,7 +317,7 @@ class MyopicPolicy(TablePolicy):
         super().__init__("myopic", space, table)
         self.gain = gain
 
-    def decide_array(self, actions, lanes, t=0, u=None):
+    def decide_array(self, actions, lanes, t, u):
         fresh = lanes._replace(aoli=np.zeros_like(lanes.aoli))
         return super().decide_array(actions, fresh, t, u)
 
@@ -331,7 +329,7 @@ def policy_to_table(policy: Policy, space: StateSpace, actions: ActionSet) -> Po
     (not round robin, which reads the slot count, not randomized):
     decide_array at every state of space.
     """
-    return PolicyTable(policy.decide_array(actions, space.lanes()), actions)
+    return PolicyTable(policy.decide_array(actions, space.lanes(), 0, None), actions)
 
 
 def round_robin_chain(space: StateSpace, factors: Factors, n: int, m: int) -> Chain:

@@ -147,7 +147,7 @@ def _trajectory_rows(t0: int, block, penalty_cells) -> str:
     block[s] holds slot t0 + s's theta, aoli, aori, scheduled, arrived and
     delivered, one int per sensor each; penalty_cells[i][aori] is sensor
     i's penalty cell. Cells are joined by commas and each row is ended by
-    "\r\n", as cli._Writer writes the header.
+    "\r\n", as cli._write_csv writes the header.
     """
     lines = []
     for t, (theta, *cols) in enumerate(block, t0):

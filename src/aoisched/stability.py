@@ -22,7 +22,6 @@ from .model import (
     MarkovArrival,
     SensorSpec,
     SystemSpec,
-    spectral_radius,
 )
 
 __all__ = [
@@ -43,9 +42,20 @@ class StabilityReport:
     criterion: str  # trace-penalty | exponential-penalty | markov-arrival
 
 
-def _stability_matrix(channel: ChannelSpec, lam_hat: float, p0: float, p1: float):
-    scale = np.array([1.0 - lam_hat * p0, 1.0 - lam_hat * p1])
-    return channel.omega() * scale[np.newaxis, :]
+def _perron_root(channel: ChannelSpec, lambda_hat: float, p0, p1):
+    """rho(Omega diag(1 - lam p0, 1 - lam p1)), elementwise over p0 and p1.
+
+    The matrix is entrywise nonnegative, so its 2x2 Perron root has the
+    closed form (tr + sqrt(tr^2 - 4 det)) / 2.
+    """
+    d0 = 1.0 - lambda_hat * p0
+    d1 = 1.0 - lambda_hat * p1
+    k00, k01 = channel.kappa00, channel.kappa01
+    k10, k11 = channel.kappa10, channel.kappa11
+    tr = k00 * d0 + k11 * d1
+    det = (k00 * k11 - k01 * k10) * d0 * d1
+    disc = np.maximum(tr * tr - 4.0 * det, 0.0)  # nonneg matrix: disc >= 0
+    return (tr + np.sqrt(disc)) / 2.0
 
 
 def stability_check(channel: ChannelSpec, sensor: SensorSpec, sensor_index: int) -> StabilityReport:
@@ -54,8 +64,7 @@ def stability_check(channel: ChannelSpec, sensor: SensorSpec, sensor_index: int)
     The bound is set by the sensor's own penalty: 1/rho(A)^2 for the trace
     penalty, 1/e^r for the exponential one.
     """
-    lam_hat = sensor.arrival.effective_rate()
-    rho = spectral_radius(_stability_matrix(channel, lam_hat, sensor.p0, sensor.p1))
+    rho = _perron_root(channel, sensor.arrival.effective_rate(), sensor.p0, sensor.p1)
     if isinstance(sensor.penalty, EstimationTracePenalty):
         bound = 1.0 / sensor.penalty.rho_a() ** 2
         criterion = "trace-penalty"
@@ -94,22 +103,11 @@ class FeasibleRegion:
 def feasible_region(
     channel: ChannelSpec, lambda_hat: float, bound: float, resolution: int
 ) -> FeasibleRegion:
-    """Sweep the stability test over a (p0, p1) grid.
-
-    The scaled matrix Omega diag(1 - lam p0, 1 - lam p1) is entrywise
-    nonnegative, so its 2x2 Perron root has the closed form
-    (tr + sqrt(tr^2 - 4 det)) / 2, vectorized over the grid.
-    """
+    """Sweep the stability test over a (p0, p1) grid: stability_check's
+    Perron root, vectorized over the grid."""
     if resolution < 2:
         raise ValueError("grid resolution must be >= 2")
     p0 = np.linspace(0.0, 1.0, resolution)
     p1 = np.linspace(0.0, 1.0, resolution)
-    d0 = 1.0 - lambda_hat * p0[:, np.newaxis]
-    d1 = 1.0 - lambda_hat * p1[np.newaxis, :]
-    k00, k01 = channel.kappa00, channel.kappa01
-    k10, k11 = channel.kappa10, channel.kappa11
-    tr = k00 * d0 + k11 * d1
-    det = (k00 * k11 - k01 * k10) * d0 * d1
-    disc = np.maximum(tr * tr - 4.0 * det, 0.0)  # nonneg matrix: disc >= 0
-    rho = (tr + np.sqrt(disc)) / 2.0
+    rho = _perron_root(channel, lambda_hat, p0[:, np.newaxis], p1[np.newaxis, :])
     return FeasibleRegion(p0, p1, rho, float(bound), rho < bound)

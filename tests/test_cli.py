@@ -689,3 +689,81 @@ def test_every_csv_needs_no_quoting(tmp_path):
         assert quoted.getvalue() == body, path.name
         # a comma inside a cell would show as a longer row
         assert {len(row) for row in cells} == {len(cells[0])}, path.name
+
+
+
+def _edited(old, new):
+    """ONE_SENSOR_YAML with its first `old` replaced by `new`."""
+    assert old in ONE_SENSOR_YAML, old
+    return ONE_SENSOR_YAML.replace(old, new, 1)
+
+
+SOLVE = ["solve", "--config", "CFG"]
+TRACE_PENALTY = "{kind: estimation_trace, a: %s, sigma_w: [[1.0]], %s}"
+
+# the config (None: no config file), the command, and the start of the
+# error; CFG stands for the config's path
+CONFIG_ERRORS = [
+    pytest.param(None, SOLVE, "cannot read config CFG", id="unreadable"),
+    pytest.param("channel: [\n", SOLVE, "CFG: not valid YAML", id="yaml"),
+    pytest.param("- 1\n- 2\n", SOLVE, "CFG: top level must be a mapping", id="top-level"),
+    pytest.param(_edited("output:", "policy: [0.5]\noutput:"), SOLVE,
+                 "policy: expected a mapping", id="section"),
+    pytest.param(_edited("budget: 1\n", ""), SOLVE,
+                 "CFG: missing required key 'budget'", id="missing-key"),
+    pytest.param(_edited("{kind: bernoulli, rate: 0.7}", "bernoulli"), SOLVE,
+                 "sensors[0].arrival: expected a mapping with a 'kind' key", id="arrival"),
+    pytest.param(_edited("kind: bernoulli", "kind: poisson"), SOLVE,
+                 "sensors[0].arrival.kind: must be 'bernoulli' or 'markov'", id="arrival-kind"),
+    pytest.param(_edited("{kind: exponential, r: 0.5}", "exponential"), SOLVE,
+                 "sensors[0].penalty: expected a mapping with a 'kind' key", id="penalty"),
+    pytest.param(_edited("kind: exponential", "kind: quadratic"), SOLVE,
+                 "sensors[0].penalty.kind: must be 'exponential' or 'estimation_trace'",
+                 id="penalty-kind"),
+    pytest.param(_edited("r: 0.5", "r: -0.5"), SOLVE,
+                 "sensors[0].penalty.r: exponential penalty rate must be positive", id="rate"),
+    pytest.param(_edited("{kind: exponential, r: 0.5}",
+                         TRACE_PENALTY % ("[[1.1, x]]", "p_bar: [[1.0]]")),
+                 SOLVE, "sensors[0].penalty.a: expected a numeric matrix", id="matrix"),
+    pytest.param(_edited("{kind: exponential, r: 0.5}",
+                         TRACE_PENALTY % ("[1.1]", "p_bar: [[1.0]]")),
+                 SOLVE, "sensors[0].penalty.a: expected a 2-D matrix", id="matrix-2d"),
+    pytest.param(_edited("{kind: exponential, r: 0.5}",
+                         TRACE_PENALTY % ("[[1.1]]", "r_meas: [[0.8]]")),
+                 SOLVE, "sensors[0].penalty: estimation_trace needs either p_bar or both c and "
+                 "r_meas", id="covariance"),
+    pytest.param(_edited("{kind: exponential, r: 0.5}",
+                         TRACE_PENALTY % ("[[1.1]]", "p_bar: [[1.0, 0.0], [0.0, 1.0]]")),
+                 SOLVE, "sensors[0].penalty: a, sigma_w and p_bar must share one square shape",
+                 id="shapes"),
+    pytest.param("channel: {kappa00: 0.5, kappa11: 0.8}\nbudget: 1\nsensors: []\n", SOLVE,
+                 "sensors: expected a non-empty list", id="no-sensors"),
+    pytest.param(_edited("truncation: {max_aori: 3}", "truncation: {}"), SOLVE,
+                 "sensors[0]: max_aori missing and no truncation default", id="max-aori"),
+    pytest.param(_edited("budget: 1", "budget: 2"), SOLVE,
+                 "m_budget must satisfy 1 <= M <= N=1, got 2", id="budget"),
+    pytest.param(_edited("output:", "policy: {p_r: [0.5, 0.5]}\noutput:"), SOLVE,
+                 "policy.p_r: expected one probability per sensor", id="p_r-length"),
+    pytest.param(_edited("horizon: 100", "horizon: 100, warmup: 100"), SOLVE,
+                 "simulation.horizon must exceed simulation.warmup", id="warmup"),
+    pytest.param(ONE_SENSOR_YAML, ["simulate", "--config", "CFG", "--policies", ","],
+                 "--policies: expected a comma separated list", id="policies"),
+    pytest.param(ONE_SENSOR_YAML, ["simulate", "--config", "CFG", "--caps", "2,0"],
+                 "--caps: need positive truncation caps", id="caps"),
+    pytest.param(None, ["stability", "--kappa00", "0.4"],
+                 "stability without --config needs --kappa00 and --kappa11", id="kappas"),
+    pytest.param(None, ["stability", "--kappa00", "0.4", "--kappa11", "0.7"],
+                 "single-point stability check needs --config", id="point-config"),
+]
+
+
+@pytest.mark.parametrize("config, argv, message", CONFIG_ERRORS)
+def test_config_error_exits_2_and_writes_nothing(tmp_path, capsys, config, argv, message):
+    path, out = tmp_path / "cfg.yaml", tmp_path / "out"
+    if config is not None:
+        path.write_text(config.replace("OUTDIR", str(out)))
+    argv = [str(path) if arg == "CFG" else arg for arg in argv]
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message.replace('CFG', str(path))}"), err
+    assert not out.exists()

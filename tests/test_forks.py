@@ -145,7 +145,7 @@ def test_failed_fork_closes_its_pipe_and_reaps_the_first_child(monkeypatch):
 real_mef = pol.MefPolicy.decide_array
 
 
-def failing_mef(self, actions, lanes, t=0, u=None):
+def failing_mef(self, actions, lanes, t, u):
     # tabulation, in compare's exact phase, decides at t = 0 only
     if t:
         raise ValueError("mef refuses")

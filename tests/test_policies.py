@@ -64,7 +64,7 @@ def test_round_robin_visits_evenly():
     lane = dynamics.lane_state(_state([(0, 1)] * 3), 1)
     counts = np.zeros(3, dtype=int)
     for t in range(3 * 10):  # ten full cycles
-        idx = policy.decide_array(actions, lane, t)
+        idx = policy.decide_array(actions, lane, t, None)
         counts += actions.actions[idx[0]]
     assert np.all(counts == 20)
 
@@ -295,7 +295,7 @@ def test_time_and_stream_rules_match_references(case, tmp_path):
     cursor = 0
     for t in range(2 * n + 1):
         action, cursor = pol.round_robin_decide(cursor, n, m)
-        idx = rr.decide_array(actions, lanes, t)
+        idx = rr.decide_array(actions, lanes, t, None)
         assert np.all(idx == actions.index(action)), t
 
     # the second policy fires every sensor often, so thinning decides too

@@ -110,3 +110,13 @@ def test_region_strict_boundary_consistency():
 def test_region_resolution_validation():
     with pytest.raises(ValueError):
         stability.feasible_region(VA_CHANNEL, 0.9, 1.0, resolution=1)
+
+
+def test_point_check_is_the_region_cell_bit_for_bit(va_penalty):
+    channel = a.ChannelSpec(0.4, 0.7)
+    region = stability.feasible_region(channel, 0.9, 1.0 / 1.21, resolution=11)
+    for u, p0 in enumerate(region.p0_values.tolist()):
+        for v, p1 in enumerate(region.p1_values.tolist()):
+            sensor = make_va_sensor(va_penalty, 0.9, p0=p0, p1=p1)
+            report = stability.stability_check(channel, sensor, 0)
+            assert report.rho == region.rho[u, v], (p0, p1)

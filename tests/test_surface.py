@@ -1,11 +1,11 @@
-"""The package's surface: every function production reaches, and the count
-of settable parameters.
+"""The package's surface: every function production reaches, and the
+settable parameters, by name.
 
 The reach test runs every CLI command in process on one small config and
 records each function that starts, in every thread. A function under
 src/aoisched that no command calls is either on ALLOWED, with its reason,
-or dead code to delete. The parameter count pins the number of knobs, so a
-new one changes SETTABLE in the same diff.
+or dead code to delete. SETTABLE pins the knobs by name, so a new one
+shows up by name in the failure and changes SETTABLE in the same diff.
 """
 
 import ast
@@ -93,8 +93,21 @@ ALLOWED = {
     ("policies", "Policy.decide_array"): "the abstract decision rule every policy overrides",
 }
 
-# function parameters with a default, plus public dataclass fields with a default
-SETTABLE = 29
+# function parameters with a default, plus public dataclass fields with a
+# default, as module.function.parameter (module.Class.field for a field)
+SETTABLE = [
+    "cli._posint.minimum",
+    "cli._prob.strict",
+    "cli.main.argv",
+    "dynamics.draw_step.predraw_delivery",
+    "dynamics.step_system.predraw_delivery",
+    "dynamics.step_system_traced.predraw_delivery",
+    "mdp.table_rows.columns",
+    "model._check_prob.strict",
+    "sim.monte_carlo.sinks",
+    "sim.run_episode.sink",
+    "sim.run_episode.warmup",
+]
 
 
 def defined_functions():
@@ -166,22 +179,39 @@ def test_every_function_is_reached_or_allowed(tmp_path, monkeypatch):
 
 
 def settable_parameters():
-    count = 0
+    """Sorted names of every parameter with a default and every public
+    dataclass field with a default under SRC, methods and nested functions
+    named through their class or function."""
+    names = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if any("dataclass" in ast.unparse(d) for d in child.decorator_list):
+                    names.extend(
+                        f"{prefix}{child.name}.{st.target.id}"
+                        for st in child.body
+                        if isinstance(st, ast.AnnAssign)
+                        and st.value is not None
+                        and not st.target.id.startswith("_")
+                    )
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = getattr(child, "name", "<lambda>")
+                args = child.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [
+                    a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+                ]
+                names.extend(f"{prefix}{name}.{a.arg}" for a in defaulted)
+                visit(child, f"{prefix}{name}.")
+            else:
+                visit(child, prefix)
+
     for path in SRC.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                args = node.args
-                count += len(args.defaults) + sum(d is not None for d in args.kw_defaults)
-            elif isinstance(node, ast.ClassDef) and any(
-                "dataclass" in ast.unparse(d) for d in node.decorator_list
-            ):
-                count += sum(
-                    isinstance(st, ast.AnnAssign)
-                    and st.value is not None
-                    and not st.target.id.startswith("_")
-                    for st in node.body
-                )
-    return count
+        visit(ast.parse(path.read_text()), f"{path.stem}.")
+    return sorted(names)
 
 
 def test_settable_parameter_count():

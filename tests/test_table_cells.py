@@ -1,6 +1,5 @@
-"""The byte blocks of mdp.table_rows, which cli._write_table writes, against
-the same states written one row at a time through cli._Writer, which formats
-each cell with cli._fmt.
+"""The byte blocks of mdp.table_rows, which cli._write_csv writes, against
+the same states written one row at a time, each cell formatted by cli._fmt.
 """
 
 import io
@@ -42,17 +41,21 @@ def cycling_policy(spec, space):
     return mdp.PolicyTable(np.arange(space.n_states) % len(actions), actions)
 
 
+def row_text(cells) -> str:
+    """One CSV row of cli._fmt cells, joined by commas and ended by "\r\n"."""
+    return ",".join(map(cli._fmt, cells)) + "\r\n"
+
+
 def oracle_text(space, values, policy):
-    """Every state decoded and written through cli._Writer."""
+    """Every state decoded and written one row at a time."""
     n = space.n_sensors
     has_markov = 2 in space.g_sizes
     fh = io.StringIO(newline="")
-    w = cli._Writer(fh)
     header = ["state_index"]
     header += [f"aoli_{i+1}" for i in range(n)]
     header += [f"aori_{i+1}" for i in range(n)]
     header += [f"arrmem_{i+1}" for i in range(n)] if has_markov else []
-    w.writerow(header + ["theta", "value", "action_bits"])
+    fh.write(row_text(header + ["theta", "value", "action_bits"]))
     cells = values.tolist() if values is not None else None
     for idx in range(space.n_states):
         js = space.decode(idx)
@@ -62,7 +65,7 @@ def oracle_text(space, values, policy):
         if has_markov:
             row.extend(js.prev_arrival)  # bools, as the rows used to carry them
         bits = "".join(str(d) for d in action_at(policy, idx))
-        w.writerow(row + [js.theta, cells[idx] if cells is not None else "", bits])
+        fh.write(row_text(row + [js.theta, cells[idx] if cells is not None else "", bits]))
     return fh.getvalue()
 
 

@@ -1,9 +1,9 @@
 """Solve tables written by the CLI against a state-by-state oracle.
 
-The oracle decodes every index with StateSpace.decode and writes each row
-through cli._Writer: a state-by-state reference for the tables that
-mdp.table_rows builds from StateSpace.lanes(). Each table is compared
-byte for byte.
+The oracle decodes every index with StateSpace.decode and writes the rows
+one at a time, each cell formatted by cli._fmt: a state-by-state reference
+for the tables that mdp.table_rows builds from StateSpace.lanes(). Each
+table is compared byte for byte.
 """
 
 import csv
@@ -62,27 +62,30 @@ MARKOV_YAML = textwrap.dedent(
 
 
 def oracle_table(path, cfg, space, values, policy, myopic=False):
-    """The table as decoded state by state and written through cli._Writer."""
+    """The table as decoded state by state and written one row at a time."""
     n = space.n_sensors
     has_markov = any(s.has_markov_arrivals for s in cfg.system.sensors)
     with path.open("w", newline="") as fh:
         fh.write(f"# config_sha256={cfg.config_hash}\n")
-        w = cli._Writer(fh)
+
+        def writerow(cells):
+            fh.write(",".join(map(cli._fmt, cells)) + "\r\n")
+
         if myopic:
-            w.writerow(["state_index"] + [f"aori_{i+1}" for i in range(n)]
-                       + ["theta", "action_bits"])
+            writerow(["state_index"] + [f"aori_{i+1}" for i in range(n)]
+                     + ["theta", "action_bits"])
         else:
             header = ["state_index"]
             header += [f"aoli_{i+1}" for i in range(n)]
             header += [f"aori_{i+1}" for i in range(n)]
             if has_markov:
                 header += [f"arrmem_{i+1}" for i in range(n)]
-            w.writerow(header + ["theta", "value", "action_bits"])
+            writerow(header + ["theta", "value", "action_bits"])
         for idx in range(space.n_states):
             js = space.decode(idx)
             bits = "".join(str(d) for d in action_at(policy, idx))
             if myopic:
-                w.writerow([idx, *(st.aori for st in js.sensors), js.theta, bits])
+                writerow([idx, *(st.aori for st in js.sensors), js.theta, bits])
                 continue
             row = [idx]
             row.extend(st.aoli for st in js.sensors)
@@ -90,7 +93,7 @@ def oracle_table(path, cfg, space, values, policy, myopic=False):
             if has_markov:
                 row.extend(int(b) for b in js.prev_arrival)
             row += [js.theta, values[idx] if values is not None else "", bits]
-            w.writerow(row)
+            writerow(row)
     return path.read_bytes()
 
 
