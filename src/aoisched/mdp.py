@@ -147,31 +147,27 @@ LU_MAX_STATES = 20_000
 class StateSpace:
     """Bijective index <-> JointState codec over the truncated rectangle.
 
-    Layout per sensor: ((aoli * max_aori) + (aori - 1)) * g_size + g, where
-    the arrival-memory bit g only exists (g_size = 2) for sensors with Markov
-    arrivals. The joint index interleaves sensors most-significant-first with
-    the channel bit fastest, so stepping one age coordinate is a fixed
-    positive stride.
+    The index is the row-major ravel of the state's coordinates over the
+    radix tuple dims = (l_1, r_1, g_1, ..., l_N, r_N, g_N, 2): each sensor's
+    aoli < l = max_aoli + 1, aori - 1 < r = max_aori and arrival-memory bit
+    g, which only exists (g = 2) for sensors with Markov arrivals, sensor 1
+    most significant, then the channel bit theta fastest. A sensor's
+    sub-index ravels its own three axes, so stepping one age coordinate is
+    a fixed positive stride.
     """
 
     def __init__(self, spec: SystemSpec):
         self.spec = spec
-        self.l_sizes = [s.max_aoli + 1 for s in spec.sensors]
-        self.r_sizes = [s.max_aori for s in spec.sensors]
-        self.g_sizes = [2 if s.has_markov_arrivals else 1 for s in spec.sensors]
-        self.sub_sizes = [
-            l * r * g for l, r, g in zip(self.l_sizes, self.r_sizes, self.g_sizes)
+        sizes = [
+            (s.max_aoli + 1, s.max_aori, 2 if s.has_markov_arrivals else 1) for s in spec.sensors
         ]
-        # exact integer product: an int64 product wraps at large caps and
+        self.dims = (*itertools.chain(*sizes), 2)
+        self.l_sizes, self.r_sizes, self.g_sizes = zip(*sizes)
+        self.sub_sizes = [math.prod(size) for size in sizes]
+        # exact integer products: an int64 product wraps at large caps and
         # would slip past the state budget
-        self.n_states = 2 * math.prod(self.sub_sizes)
-        # joint stride of one unit of sensor i's sub-index
-        self.sub_strides = []
-        stride = 2
-        for size in reversed(self.sub_sizes):
-            self.sub_strides.append(stride)
-            stride *= size
-        self.sub_strides.reverse()
+        self.n_states = math.prod(self.dims)
+        self.strides = tuple(math.prod(self.dims[k + 1 :]) for k in range(len(self.dims)))
         self._lanes = None
 
     @property
@@ -184,6 +180,11 @@ class StateSpace:
         g_eff = g if self.g_sizes[i] == 2 else 0
         return (aoli * self.r_sizes[i] + (aori - 1)) * self.g_sizes[i] + g_eff
 
+    def sensor_states(self, i: int) -> tuple:
+        """(aoli, aori, g) of each of sensor i's sub-indices, in order."""
+        aoli, aori, g = np.unravel_index(np.arange(self.sub_sizes[i]), self.dims[3 * i : 3 * i + 3])
+        return aoli, aori + 1, g
+
     def encode(self, js: JointState) -> int:
         if js.theta not in (0, 1):
             raise ValueError(f"channel state theta {js.theta} is not 0 or 1")
@@ -195,50 +196,35 @@ class StateSpace:
         return idx * 2 + js.theta
 
     def encode_array(self, lanes: LaneState) -> np.ndarray:
-        """encode in every lane of a LaneState; a Bernoulli sensor's arrival
-        bit is ignored, as encode ignores its prev_arrival. Each sensor's
-        sub-index is one ravel_multi_index pass, which also refuses an age
-        outside the truncation, on either side, as encode does. The last
-        sensor's stride is 2, so theta is its pass's fastest digit, refused
-        outside {0, 1} in the same pass."""
-        last = self.n_sensors - 1
-        idx = 0
-        for i in range(self.n_sensors):
-            coords = (lanes.aoli[i], lanes.aori[i] - 1)
-            dims = (self.l_sizes[i], self.r_sizes[i])
-            if self.g_sizes[i] == 2:
-                coords += (lanes.arrival[i],)
-                dims += (2,)
-            if i == last:
-                coords += (lanes.theta,)
-                dims += (2,)
-            try:
-                sub = np.ravel_multi_index(coords, dims)
-            except ValueError:
-                what = "state or channel state theta" if i == last else "state"
-                raise ValueError(f"sensor {i} {what} outside truncation") from None
-            idx = idx + (sub if i == last else sub * self.sub_strides[i])
-        return idx
+        """encode in every lane of a LaneState, one ravel_multi_index over
+        dims; a Bernoulli sensor's arrival bit is ignored, as encode ignores
+        its prev_arrival. An age outside the truncation, on either side, or
+        a theta outside {0, 1} is refused, as encode refuses it, naming the
+        first sensor (or theta) out of range."""
+        coords = [
+            c
+            for i, g_size in enumerate(self.g_sizes)
+            for c in (lanes.aoli[i], lanes.aori[i] - 1, lanes.arrival[i] if g_size == 2 else 0)
+        ] + [lanes.theta]
+        try:
+            return np.ravel_multi_index(coords, self.dims)
+        except ValueError:
+            for k, (c, d) in enumerate(zip(coords, self.dims)):
+                if np.any((c < 0) | (c >= d)):
+                    what = "theta" if k == len(coords) - 1 else f"sensor {k // 3} state"
+                    raise ValueError(f"{what} outside truncation") from None
+            raise
 
     def decode(self, idx: int) -> JointState:
         if not (0 <= idx < self.n_states):
             raise ValueError(f"state index {idx} out of range")
-        theta = idx % 2
-        rest = idx // 2
-        subs = [0] * self.n_sensors
-        for i in range(self.n_sensors - 1, -1, -1):
-            subs[i] = rest % self.sub_sizes[i]
-            rest //= self.sub_sizes[i]
-        sensors = []
-        prev = []
-        for i, sub in enumerate(subs):
-            g = sub % self.g_sizes[i]
-            t = sub // self.g_sizes[i]
-            aori = t % self.r_sizes[i] + 1
-            aoli = t // self.r_sizes[i]
-            sensors.append(SensorState(aoli, aori))
-            prev.append(bool(g) if self.g_sizes[i] == 2 else aoli == 0)
-        return JointState(tuple(sensors), theta, tuple(prev))
+        *coords, theta = map(int, np.unravel_index(idx, self.dims))
+        sensors = tuple(SensorState(l, r + 1) for l, r in zip(coords[0::3], coords[1::3]))
+        prev = tuple(
+            bool(g) if g_size == 2 else st.aoli == 0
+            for g, g_size, st in zip(coords[2::3], self.g_sizes, sensors)
+        )
+        return JointState(sensors, theta, prev)
 
     def reference_index(self) -> int:
         """Index of the canonical start state (all sensors (0,1), bad channel)."""
@@ -247,28 +233,28 @@ class StateSpace:
     def lanes(self) -> LaneState:
         """Every state, in index order, as the lanes of one LaneState (cached).
 
-        A Bernoulli sensor's arrival bit is aoli == 0, the prev_arrival of
-        decode."""
+        Each sensor's row is its sensor_states broadcast over the grid of the
+        joint index. A Bernoulli sensor's arrival bit is aoli == 0, the
+        prev_arrival of decode."""
         if self._lanes is None:
             n = self.n_sensors
+            grid = [*self.sub_sizes, 2]
             aoli = np.empty((n, self.n_states), dtype=np.int64)
             aori = np.empty_like(aoli)
             arrival = np.empty(aoli.shape, dtype=bool)
-            rest, theta = np.divmod(np.arange(self.n_states), 2)
-            for i in range(n - 1, -1, -1):
-                rest, sub = np.divmod(rest, self.sub_sizes[i])
-                t, g = np.divmod(sub, self.g_sizes[i])
-                np.divmod(t, self.r_sizes[i], out=(aoli[i], aori[i]))
-                aori[i] += 1
-                arrival[i] = g == 1 if self.g_sizes[i] == 2 else aoli[i] == 0
-            self._lanes = LaneState(theta, aoli, aori, arrival)
+            for i in range(n):
+                l, r, g = (c.reshape(-1, *[1] * (n - i)) for c in self.sensor_states(i))
+                aoli[i].reshape(grid)[...] = l
+                aori[i].reshape(grid)[...] = r
+                arrival[i].reshape(grid)[...] = g == 1 if self.g_sizes[i] == 2 else l == 0
+            self._lanes = LaneState(np.tile(np.arange(2), self.n_states // 2), aoli, aori, arrival)
         return self._lanes
 
     def aori_stride(self, i: int) -> int:
-        return self.g_sizes[i] * self.sub_strides[i]
+        return self.strides[3 * i + 1]
 
     def aoli_stride(self, i: int) -> int:
-        return self.r_sizes[i] * self.g_sizes[i] * self.sub_strides[i]
+        return self.strides[3 * i]
 
 
 class ActionSet:
@@ -402,14 +388,12 @@ def cost_vector(space: StateSpace, spec: SystemSpec) -> np.ndarray:
     sensor's penalties at the monitor ages of its sub-indices, broadcast
     over the grid of the joint index (sensor 1 most significant, theta
     fastest), so every state's sum adds the same terms in the same order."""
-    grid = [*space.sub_sizes, 2]
-    penalties = []
-    for i, row in enumerate(penalty_rows(spec.sensors)):
-        aori = np.arange(space.sub_sizes[i]) // space.g_sizes[i] % space.r_sizes[i] + 1
-        shape = [1] * len(grid)
-        shape[i] = space.sub_sizes[i]
-        penalties.append(row[aori].reshape(shape))
-    return np.broadcast_to(lane_cost(penalties), grid).ravel()
+    n = space.n_sensors
+    penalties = [
+        row[space.sensor_states(i)[1]].reshape(-1, *[1] * (n - i))
+        for i, row in enumerate(penalty_rows(spec.sensors))
+    ]
+    return np.broadcast_to(lane_cost(penalties), [*space.sub_sizes, 2]).ravel()
 
 
 def _successor_table(space: StateSpace, i: int, sensor: SensorSpec, scheduled: bool) -> tuple:
@@ -421,24 +405,16 @@ def _successor_table(space: StateSpace, i: int, sensor: SensorSpec, scheduled: b
     its offset in the joint index. The pairs are sorted by offset, k is the
     longest list, and `valid` marks the real entries, which come first.
     """
-    g_size, r_size = space.g_sizes[i], space.r_sizes[i]
-    stride = space.sub_strides[i]
+    stride = space.strides[3 * i + 2]
     rows = [
         [
             sorted(
                 (space.sensor_sub_index(i, *key) * stride, pr)
-                for key, pr in sensor_delta_transitions(
-                    sensor,
-                    sub // g_size // r_size,
-                    sub // g_size % r_size + 1,
-                    sub % g_size,
-                    theta,
-                    scheduled,
-                )
+                for key, pr in sensor_delta_transitions(sensor, *state, theta, scheduled)
             )
             for theta in (0, 1)
         ]
-        for sub in range(space.sub_sizes[i])
+        for state in zip(*(c.tolist() for c in space.sensor_states(i)))
     ]
     shape = (space.sub_sizes[i], 2, max(len(row) for pair in rows for row in pair))
     offset = np.zeros(shape, dtype=np.int64)

@@ -75,7 +75,7 @@ def stability_check(channel: ChannelSpec, sensor: SensorSpec, sensor_index: int)
         raise TypeError(f"unsupported penalty {type(sensor.penalty)!r}")
     if isinstance(sensor.arrival, MarkovArrival):
         criterion = "markov-arrival"
-    return StabilityReport(sensor_index, float(rho), float(bound), rho < bound, criterion)
+    return StabilityReport(sensor_index, float(rho), float(bound), bool(rho < bound), criterion)
 
 
 def system_stability(spec: SystemSpec) -> list:

@@ -30,6 +30,9 @@ def exact_costs(config: str) -> dict:
 
 
 if __name__ == "__main__":
+    if len(sys.argv) < 2:
+        print("usage: python tests/exact_costs.py <config> [<config> ...]", file=sys.stderr)
+        sys.exit(2)
     for config in sys.argv[1:]:
         print(f"# {config}")
         for name, cost in exact_costs(config).items():

@@ -528,6 +528,18 @@ def run_python(*args):
     return done.stdout
 
 
+def test_exact_costs_without_a_config_exits_2_with_its_usage():
+    """tests/exact_costs.py run with no config prints its usage line on
+    stderr, nothing on stdout, and exits 2."""
+    script = Path(__file__).resolve().parent / "exact_costs.py"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, str(script)], env=env, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("usage: python tests/exact_costs.py <config>")
+
+
 def test_cli_start_loads_no_stationary_solver_modules():
     """Importing the CLI and loading a config leaves scipy.sparse, its
     solvers and its graph routines unloaded."""

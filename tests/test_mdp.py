@@ -50,8 +50,8 @@ def test_lanes_are_the_decoded_states(va_penalty):
 
 def test_encode_array_raises_where_encode_does():
     """On twosensor, one lane of four at an age outside the truncation, on
-    either side, makes encode_array raise, as encode raises on that state;
-    the edges inside encode alike."""
+    either side, makes encode_array raise naming that sensor, as encode
+    raises on that state; the edges inside encode alike."""
     space = mdp.StateSpace(cli.load_config(str(TWO_SENSOR)).system)
     start = space.decode(space.reference_index())
     for i, s in enumerate(space.spec.sensors):
@@ -67,7 +67,7 @@ def test_encode_array_raises_where_encode_does():
             if refused:
                 with pytest.raises(ValueError, match="outside truncation"):
                     space.encode(state)
-                with pytest.raises(ValueError, match="outside truncation"):
+                with pytest.raises(ValueError, match=f"sensor {i} .*outside truncation"):
                     space.encode_array(lanes)
             else:
                 want = [space.reference_index()] * 4
@@ -93,6 +93,33 @@ def test_encode_array_raises_on_theta_where_encode_does():
             want = [space.reference_index()] * 4
             want[2] = space.encode(state)
             assert space.encode_array(lanes).tolist() == want
+
+
+def test_strides_are_the_scalar_encode_steps(va_penalty):
+    """On a Markov + Bernoulli space of unequal caps, raising one sensor's
+    aoli (or aori) by one below its cap moves the scalar encode by exactly
+    aoli_stride(i) (or aori_stride(i)), at random states."""
+    markov = a.SensorSpec(a.MarkovArrival(0.6, 0.7), va_penalty, 0.3, 0.9, 3, 5)
+    bern = a.SensorSpec(a.BernoulliArrival(0.4), va_penalty, 0.5, 1.0, 2, 4)
+    spec = a.SystemSpec((markov, bern), a.ChannelSpec(0.5, 0.8), 1)
+    space = mdp.StateSpace(spec)
+    rng = np.random.default_rng(7)
+    steps = 0
+    for idx in rng.integers(space.n_states, size=200).tolist():
+        state = space.decode(idx)
+        for i, s in enumerate(spec.sensors):
+            st = state.sensors[i]
+            for coord, cap, stride in (
+                ("aoli", s.max_aoli, space.aoli_stride(i)),
+                ("aori", s.max_aori, space.aori_stride(i)),
+            ):
+                if getattr(st, coord) < cap:
+                    sensors = list(state.sensors)
+                    sensors[i] = st._replace(**{coord: getattr(st, coord) + 1})
+                    raised = state._replace(sensors=tuple(sensors))
+                    assert space.encode(raised) - space.encode(state) == stride, (idx, i, coord)
+                    steps += 1
+    assert steps > 400
 
 
 def test_state_count_is_exact_beyond_int64(va_penalty):

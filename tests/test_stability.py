@@ -1,10 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import aoisched as a
-from aoisched import stability
+from aoisched import cli, stability
 
 from conftest import VA_CHANNEL, make_va_sensor, region_contains
 
@@ -53,6 +54,15 @@ def test_system_stability_reports(va_system):
     reports = stability.system_stability(va_system)
     assert [r.sensor_index for r in reports] == [0, 1]
     assert all(r.satisfied for r in reports)
+
+
+@pytest.mark.parametrize("name", ["twosensor", "threesensor"])
+def test_reports_satisfied_is_a_bool(name):
+    """satisfied is a Python bool, not a numpy.bool, on every report of
+    each shipped config."""
+    config = Path(__file__).resolve().parents[1] / "configs" / f"{name}.yaml"
+    reports = stability.system_stability(cli.load_config(str(config)).system)
+    assert reports and all(type(r.satisfied) is bool for r in reports)
 
 
 def test_region_all_feasible_for_loose_bound():
