@@ -325,11 +325,9 @@ def _check_sisp(system: SystemSpec, cfg: LoadedConfig) -> None:
 def _sisp_table(cfg: LoadedConfig) -> tuple:
     """(space, per-sensor values, table, n_copied, n_violations) of the SISP
     table; stderr names the first state where threshold persistence fails."""
-    system = cfg.system
-    space = _check_state_budget(system, cfg.max_states)
-    actions = mdp.ActionSet(system.n_sensors, system.m_budget)
+    space = _check_state_budget(cfg.system, cfg.max_states)
     values = _build_policy("sisp", cfg, {}).values
-    table, copied, violations = decomposed.build_policy_table_with_pruning(values, space, actions)
+    table, copied, violations = decomposed.build_policy_table_with_pruning(values, space)
     if len(violations):
         print(
             f"sisp: threshold persistence fails at {len(violations)} states, first "
@@ -339,26 +337,22 @@ def _sisp_table(cfg: LoadedConfig) -> tuple:
     return space, values, table, copied, len(violations)
 
 
-def _joint_mdp(cfg: LoadedConfig, cache: dict) -> tuple:
-    """(space, actions, factors) of the joint MDP, built once per cache: the
-    optimal solve and the exact evaluations of one compare share the
-    factors."""
+def _joint_mdp(cfg: LoadedConfig, cache: dict) -> mdp.StateSpace:
+    """The joint MDP's checked state space, one per cache: the optimal
+    solve and the exact evaluations of one compare share its factors."""
     if "joint" not in cache:
-        system = cfg.system
-        space = _check_state_budget(system, cfg.max_states)
-        actions = mdp.ActionSet(system.n_sensors, system.m_budget)
-        cache["joint"] = (space, actions, mdp.build_factors(system, space))
+        cache["joint"] = _check_state_budget(cfg.system, cfg.max_states)
     return cache["joint"]
 
 
 def _solve_optimal(cfg: LoadedConfig, cache: dict) -> tuple:
     """RVI on the joint kernels, which live for this solve only: the exact
     evaluations build their chains from the per-sensor factors."""
-    space, actions, factors = _joint_mdp(cfg, cache)
-    kernels = mdp.build_kernels(factors, space, actions)
-    cost = mdp.cost_vector(space, cfg.system)
+    space = _joint_mdp(cfg, cache)
+    kernels = mdp.build_kernels(space)
+    cost = mdp.cost_vector(space)
     vt, pi = mdp.relative_value_iteration(kernels, cost, space.reference_index())
-    return space, vt, mdp.PolicyTable(pi, actions)
+    return space, vt, mdp.PolicyTable(pi, space.action_set)
 
 
 def _scheduling_probs(cfg: LoadedConfig) -> tuple:
@@ -584,32 +578,29 @@ def cmd_thresholds(args) -> int:
     return 0
 
 
-def _policy_chain(policy: pol.Policy, system: SystemSpec, joint: tuple) -> mdp.Chain:
-    """One policy's chain on the joint MDP (space, actions, factors), lumped
-    on the keys reachable from the start: round robin's, the randomized
-    mixture's, or a deterministic table's."""
-    space, actions, factors = joint
-    start = space.reference_index()
+def _policy_chain(policy: pol.Policy, space: mdp.StateSpace) -> mdp.Chain:
+    """One policy's chain on the joint MDP's space, lumped on the keys
+    reachable from the start: round robin's, the randomized mixture's, or a
+    deterministic table's."""
     if policy.name == "rr":
-        return pol.round_robin_chain(space, factors, system.n_sensors, system.m_budget)
+        return pol.round_robin_chain(space)
     if policy.name == "rand":
-        weights = pol.randomized_action_weights(policy.p, system.m_budget, actions)
-        return mdp.mixture_chain_matrix(weights, factors, actions, start)
-    table = pol.policy_to_table(policy, space, actions)
-    return mdp.policy_chain_matrix(table, factors, start)
+        actions = space.action_set
+        weights = pol.randomized_action_weights(policy.p, space.spec.m_budget, actions)
+        return mdp.mixture_chain_matrix(weights, space, actions)
+    return mdp.policy_chain_matrix(pol.policy_to_table(policy, space), space)
 
 
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     out_dir = Path(args.out) if args.out else cfg.out_dir
     seed, horizon, replications = _run_params(args, cfg)
-    system = cfg.system
     cache = {}
     # an optimal policy's kernels are freed before the first evaluation
     policies = _policy_list(args, cfg, cache)
-    joint = _joint_mdp(cfg, cache)
-    cost = mdp.cost_vector(joint[0], system)
-    plan = sim.ExperimentPlan(system, policies, horizon, replications, seed, cfg.warmup)
+    space = _joint_mdp(cfg, cache)
+    cost = mdp.cost_vector(space)
+    plan = sim.ExperimentPlan(cfg.system, policies, horizon, replications, seed, cfg.warmup)
 
     def share(k):
         # the exact costs stay in this process, where a tracer sees their
@@ -618,7 +609,7 @@ def cmd_compare(args) -> int:
         if k == 0:
             # each chain is freed before the next policy's is built
             return {
-                policy.name: mdp.chain_average_cost(_policy_chain(policy, system, joint), cost)
+                policy.name: mdp.chain_average_cost(_policy_chain(policy, space), cost)
                 for policy in policies
             }
         return sim.monte_carlo(plan)

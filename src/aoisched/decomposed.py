@@ -22,7 +22,6 @@ from .mdp import (
     Kernels,
     PolicyTable,
     StateSpace,
-    build_factors,
     cost_vector,
     kernel_rows,
     mixture_chain_matrix,
@@ -62,22 +61,21 @@ def default_randomized_probs(spec: SystemSpec) -> tuple:
 
 
 def _single_sensor_kernels(sensor: SensorSpec, channel: ChannelSpec) -> tuple:
-    """(system, space, K_idle, K_transmit) of the sensor alone, kernels dense.
+    """(space, K_idle, K_transmit) of the sensor alone, kernels dense.
 
     The distinct rows of kernel_rows are densified with numpy, so SISP never
     loads scipy.sparse. A CSR row holds each column at most once, so every
     entry is written once, as toarray writes it.
     """
-    system = SystemSpec(sensors=(sensor,), channel=channel, m_budget=1)
-    space = StateSpace(system)
-    factors = build_factors(system, space)
+    space = StateSpace(SystemSpec(sensors=(sensor,), channel=channel, m_budget=1))
+    factors = space.factors
     n_rows = factors.n_rows
     dense = []
-    for data, indices, indptr in kernel_rows(factors, ActionSet(1, 1)):
+    for data, indices, indptr in kernel_rows(space):
         k = np.zeros((n_rows, space.n_states))
         k[np.repeat(np.arange(n_rows), np.diff(indptr)), indices] = data
         dense.append(k[factors.row_of])
-    return (system, space, *dense)
+    return (space, *dense)
 
 
 @dataclass
@@ -104,11 +102,11 @@ def solve_per_sensor_value(
     Stage cost is the sensor's own penalty at its monitor-side age; the value
     is normalized to zero at the reference state ((0,1), bad channel).
     """
-    system, space, k_idle, k_tx = _single_sensor_kernels(sensor, channel)
+    space, k_idle, k_tx = _single_sensor_kernels(sensor, channel)
     # in place: the same two rounded products and one rounded add per entry
     mixed = p_r_i * k_tx
     mixed += (1.0 - p_r_i) * k_idle
-    cost = cost_vector(space, system)
+    cost = cost_vector(space)
     # every state its own row: the dense mixed kernel is already assembled
     kernels = Kernels((((0, space.n_states, (mixed,)),),), np.arange(space.n_states))
     vt, _ = relative_value_iteration(kernels, cost, space.reference_index())
@@ -156,23 +154,16 @@ class SispPolicy(Policy):
         return scores.argmin(axis=0)
 
 
-def build_policy_table(
-    values: Sequence[PerSensorValue],
-    space: StateSpace,
-    actions: ActionSet,
-) -> PolicyTable:
-    """SISP table: SispPolicy tabulated at every state (no pruning)."""
+def build_policy_table(values: Sequence[PerSensorValue], space: StateSpace) -> PolicyTable:
+    """SISP table: SispPolicy tabulated at every state of space, over
+    space.action_set (no pruning)."""
     for i, pv in enumerate(values):
         if pv.space.sub_sizes[0] != space.sub_sizes[i]:
             raise ValueError(f"per-sensor space of sensor {i} does not match the system")
-    return policy_to_table(SispPolicy(values), space, actions)
+    return policy_to_table(SispPolicy(values), space)
 
 
-def build_policy_table_with_pruning(
-    values: Sequence[PerSensorValue],
-    space: StateSpace,
-    actions: ActionSet,
-) -> tuple:
+def build_policy_table_with_pruning(values: Sequence[PerSensorValue], space: StateSpace) -> tuple:
     """SISP table and its threshold persistence; returns (table, n_copied,
     violations).
 
@@ -186,14 +177,14 @@ def build_policy_table_with_pruning(
     violations holds, in increasing order, the states that do not. Where it
     is empty the pruned table is the argmin table.
     """
-    table = build_policy_table(values, space, actions)
+    table = build_policy_table(values, space)
     chosen = table.action_index
-    scheduled = actions.schedules[chosen]
+    scheduled = space.action_set.schedules[chosen]
     idx = np.arange(space.n_states)
     source = np.full(space.n_states, -1)
     for i in range(space.n_sensors):
         below = idx - space.aori_stride(i)
-        hit = (source < 0) & (space.lanes().aori[i] >= 2)
+        hit = (source < 0) & (space.lanes.aori[i] >= 2)
         hit[hit] = scheduled[below[hit], i]
         source[hit] = below[hit]
     copied = source >= 0
@@ -243,9 +234,9 @@ def extract_thresholds(values: Sequence[PerSensorValue], spec: SystemSpec) -> Th
     return ThresholdTable(out)
 
 
-def randomized_chain_matrix(spec: SystemSpec, space: StateSpace, p_r: Sequence[float]):
+def randomized_chain_matrix(space: StateSpace, p_r: Sequence[float]):
     """Exact joint chain of the independent randomized policy, on the states
-    reachable from space.reference_index(): the Chain of
+    of space reachable from space.reference_index(): the Chain of
     mixture_chain_matrix.
 
     Mixes the kernels of all 2^N schedule vectors with product Bernoulli
@@ -253,7 +244,7 @@ def randomized_chain_matrix(spec: SystemSpec, space: StateSpace, p_r: Sequence[f
     nothing is thinned. The budget holds in expectation only, matching the
     policy the value decomposition is defined against.
     """
-    full_actions = ActionSet(spec.n_sensors, spec.n_sensors)
-    weights = randomized_action_weights(p_r, spec.n_sensors, full_actions)
-    factors = build_factors(spec, space)
-    return mixture_chain_matrix(weights, factors, full_actions, space.reference_index())
+    n = space.n_sensors
+    full_actions = ActionSet(n, n)
+    weights = randomized_action_weights(p_r, n, full_actions)
+    return mixture_chain_matrix(weights, space, full_actions)

@@ -195,7 +195,7 @@ class LaneState(NamedTuple):
     """JointStates of many lanes: theta has one entry per lane, the others
     one row per sensor (shape (N, lanes)). It is the one batch-of-states
     type: the engine steps it, every Policy.decide_array reads it, and
-    StateSpace.lanes() holds every state of a space as its lanes."""
+    StateSpace.lanes holds every state of a space as its lanes."""
 
     theta: np.ndarray
     aoli: np.ndarray

@@ -72,6 +72,7 @@ outlives the with block that made it.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import os
@@ -154,6 +155,10 @@ class StateSpace:
     most significant, then the channel bit theta fastest. A sensor's
     sub-index ravels its own three axes, so stepping one age coordinate is
     a fixed positive stride.
+
+    The space is also the model of its spec: action_set, factors (the
+    transition model, build_factors) and lanes are built on first use and
+    kept, so a space made only to count its states builds none of them.
     """
 
     def __init__(self, spec: SystemSpec):
@@ -168,11 +173,20 @@ class StateSpace:
         # would slip past the state budget
         self.n_states = math.prod(self.dims)
         self.strides = tuple(math.prod(self.dims[k + 1 :]) for k in range(len(self.dims)))
-        self._lanes = None
 
     @property
     def n_sensors(self) -> int:
         return self.spec.n_sensors
+
+    @functools.cached_property
+    def action_set(self) -> ActionSet:
+        """The schedules of at most spec.m_budget sensors."""
+        return ActionSet(self.n_sensors, self.spec.m_budget)
+
+    @functools.cached_property
+    def factors(self) -> Factors:
+        """The transition model as its per-sensor factors (build_factors)."""
+        return build_factors(self)
 
     def sensor_sub_index(self, i: int, aoli: int, aori: int, g: int) -> int:
         if not (0 <= aoli < self.l_sizes[i] and 1 <= aori <= self.r_sizes[i]):
@@ -230,25 +244,24 @@ class StateSpace:
         """Index of the canonical start state (all sensors (0,1), bad channel)."""
         return self.encode(initial_state(self.spec))
 
+    @functools.cached_property
     def lanes(self) -> LaneState:
-        """Every state, in index order, as the lanes of one LaneState (cached).
+        """Every state, in index order, as the lanes of one LaneState.
 
         Each sensor's row is its sensor_states broadcast over the grid of the
         joint index. A Bernoulli sensor's arrival bit is aoli == 0, the
         prev_arrival of decode."""
-        if self._lanes is None:
-            n = self.n_sensors
-            grid = [*self.sub_sizes, 2]
-            aoli = np.empty((n, self.n_states), dtype=np.int64)
-            aori = np.empty_like(aoli)
-            arrival = np.empty(aoli.shape, dtype=bool)
-            for i in range(n):
-                l, r, g = (c.reshape(-1, *[1] * (n - i)) for c in self.sensor_states(i))
-                aoli[i].reshape(grid)[...] = l
-                aori[i].reshape(grid)[...] = r
-                arrival[i].reshape(grid)[...] = g == 1 if self.g_sizes[i] == 2 else l == 0
-            self._lanes = LaneState(np.tile(np.arange(2), self.n_states // 2), aoli, aori, arrival)
-        return self._lanes
+        n = self.n_sensors
+        grid = [*self.sub_sizes, 2]
+        aoli = np.empty((n, self.n_states), dtype=np.int64)
+        aori = np.empty_like(aoli)
+        arrival = np.empty(aoli.shape, dtype=bool)
+        for i in range(n):
+            l, r, g = (c.reshape(-1, *[1] * (n - i)) for c in self.sensor_states(i))
+            aoli[i].reshape(grid)[...] = l
+            aori[i].reshape(grid)[...] = r
+            arrival[i].reshape(grid)[...] = g == 1 if self.g_sizes[i] == 2 else l == 0
+        return LaneState(np.tile(np.arange(2), self.n_states // 2), aoli, aori, arrival)
 
     def aori_stride(self, i: int) -> int:
         return self.strides[3 * i + 1]
@@ -383,20 +396,20 @@ def stage_cost(state: JointState, spec: SystemSpec) -> float:
     return sum(s.penalty(state.sensors[i].aori) for i, s in enumerate(spec.sensors))
 
 
-def cost_vector(space: StateSpace, spec: SystemSpec) -> np.ndarray:
-    """Stage cost of every state, with no lanes(): lane_cost of each
+def cost_vector(space: StateSpace) -> np.ndarray:
+    """Stage cost of every state, with no lanes: lane_cost of each
     sensor's penalties at the monitor ages of its sub-indices, broadcast
     over the grid of the joint index (sensor 1 most significant, theta
     fastest), so every state's sum adds the same terms in the same order."""
     n = space.n_sensors
     penalties = [
         row[space.sensor_states(i)[1]].reshape(-1, *[1] * (n - i))
-        for i, row in enumerate(penalty_rows(spec.sensors))
+        for i, row in enumerate(penalty_rows(space.spec.sensors))
     ]
     return np.broadcast_to(lane_cost(penalties), [*space.sub_sizes, 2]).ravel()
 
 
-def _successor_table(space: StateSpace, i: int, sensor: SensorSpec, scheduled: bool) -> tuple:
+def _successor_table(space: StateSpace, i: int, scheduled: bool) -> tuple:
     """Sensor i's successors for one scheduling decision, as padded arrays.
 
     Returns (offset, prob, valid), each of shape (sub_size, 2, k): entry
@@ -405,7 +418,7 @@ def _successor_table(space: StateSpace, i: int, sensor: SensorSpec, scheduled: b
     its offset in the joint index. The pairs are sorted by offset, k is the
     longest list, and `valid` marks the real entries, which come first.
     """
-    stride = space.strides[3 * i + 2]
+    stride, sensor = space.strides[3 * i + 2], space.spec.sensors[i]
     rows = [
         [
             sorted(
@@ -645,19 +658,20 @@ class Factors:
         return math.prod(self.shape)
 
 
-def build_factors(spec: SystemSpec, space: StateSpace) -> Factors:
+def build_factors(space: StateSpace) -> Factors:
     """Each sensor's successor tables, built once per decision, its row
-    classes, and the state -> distinct-row map."""
+    classes, and the state -> distinct-row map: space.factors, which keeps
+    them."""
     tables, class_of, n_classes = [], [], []
-    for i, s in enumerate(spec.sensors):
-        full = [_successor_table(space, i, s, scheduled) for scheduled in (False, True)]
+    for i in range(space.n_sensors):
+        full = [_successor_table(space, i, scheduled) for scheduled in (False, True)]
         classes, first = _row_classes(full)
         class_of.append(classes)
         n_classes.append(len(first))
         tables.append(tuple(tuple(t[first] for t in table) for table in full))
     *classes, theta = np.ix_(*class_of, [0, 1])
     row_of = np.ravel_multi_index((theta, *classes), [2, *n_classes]).ravel()
-    return Factors(tuple(tables), row_of, spec.channel.omega(), space.n_states)
+    return Factors(tuple(tables), row_of, space.spec.channel.omega(), space.n_states)
 
 
 def _entry_axis(arr: np.ndarray, i: int, n_sensors: int) -> np.ndarray:
@@ -748,13 +762,14 @@ def factor_rows(factors: Factors, action, rows) -> tuple:
     return data, indices, indptr
 
 
-def kernel_rows(factors: Factors, actions: ActionSet) -> list:
-    """Transition matrices of every action, built as their distinct rows.
+def kernel_rows(space: StateSpace) -> list:
+    """Transition matrices of every action of space, built as their
+    distinct rows.
 
-    Returns, in action order, each action's distinct rows as the numpy
-    arrays (data, indices, indptr) of a CSR matrix of shape
-    (factors.n_rows, n_states), factor_rows of every row, so that with
-    row_of from the factors, row row_of[s] is state s's row of K_a. The
+    Returns, in the order of space.action_set, each action's distinct rows
+    as the numpy arrays (data, indices, indptr) of a CSR matrix of shape
+    (factors.n_rows, n_states), factor_rows of every row of space.factors,
+    so that with its row_of, row row_of[s] is state s's row of K_a. The
     per-sensor SISP solves densify them and build_padded_kernels pads them,
     all on the calling thread; build_kernels generates the joint model's
     rows itself, in its row blocks. On threesensor the distinct rows hold
@@ -765,8 +780,9 @@ def kernel_rows(factors: Factors, actions: ActionSet) -> list:
     has exactly tied actions, and a last-bit change in a kernel entry can
     flip which one the argmin picks.
     """
+    factors = space.factors
     every = np.arange(factors.n_rows)
-    return [factor_rows(factors, action, every) for action in actions.actions]
+    return [factor_rows(factors, action, every) for action in space.action_set.actions]
 
 
 def _theta_blocks(factors: Factors, action, lo: int, hi: int) -> tuple:
@@ -823,10 +839,10 @@ def _theta_blocks(factors: Factors, action, lo: int, hi: int) -> tuple:
     )
 
 
-def build_kernels(factors: Factors, space: StateSpace, actions: ActionSet) -> Kernels:
-    """Every action's distinct rows as Kernels of scipy CSR matrices over
-    space: the first import of scipy.sparse in the commands that build a
-    joint kernel.
+def build_kernels(space: StateSpace) -> Kernels:
+    """Every action of space.action_set's distinct rows, from
+    space.factors, as Kernels of scipy CSR matrices: the first import of
+    scipy.sparse in the commands that build a joint kernel.
 
     A model of more than TABLE_CHUNK distinct rows is cut into one share
     per CPU in the process's affinity mask, and a smaller one, or any model
@@ -842,6 +858,7 @@ def build_kernels(factors: Factors, space: StateSpace, actions: ActionSet) -> Ke
     theta = 0 twins' columns, and the kernels hold 157 MB where separate
     columns would take 189 MB.
     """
+    factors, actions = space.factors, space.action_set
     half, n_classes = factors.n_rows // 2, factors.shape[1]
     lead = half // n_classes
     workers = _worker_count() if factors.n_rows > TABLE_CHUNK else 1
@@ -883,7 +900,7 @@ class PaddedRows:
         return out
 
 
-def build_padded_kernels(spec: SystemSpec, space: StateSpace, actions: ActionSet) -> Kernels:
+def build_padded_kernels(space: StateSpace) -> Kernels:
     """kernel_rows as Kernels of PaddedRows, in one block, with no
     scipy.sparse.
 
@@ -897,9 +914,9 @@ def build_padded_kernels(spec: SystemSpec, space: StateSpace, actions: ActionSet
     -0.0). A Python loop over the slots costs about 3x the scipy product on
     the joint kernels, so this is for small models: the myopic baseline.
     """
-    factors = build_factors(spec, space)
+    factors = space.factors
     shape = (factors.n_rows, space.n_states)
-    rows = tuple(PaddedRows(*part, shape) for part in kernel_rows(factors, actions))
+    rows = tuple(PaddedRows(*part, shape) for part in kernel_rows(space))
     return Kernels((((0, factors.n_rows, rows),),), factors.row_of)
 
 
@@ -984,11 +1001,9 @@ def relative_value_iteration(kernels: Kernels, cost: np.ndarray, ref_index: int)
 def solve_optimal_policy(spec: SystemSpec) -> tuple:
     """Build the truncated MDP and solve it; returns (space, actions, vt, pt)."""
     space = StateSpace(spec)
-    actions = ActionSet(spec.n_sensors, spec.m_budget)
-    kernels = build_kernels(build_factors(spec, space), space, actions)
-    cost = cost_vector(space, spec)
-    vt, pi = relative_value_iteration(kernels, cost, space.reference_index())
-    return space, actions, vt, PolicyTable(pi, actions)
+    kernels = build_kernels(space)
+    vt, pi = relative_value_iteration(kernels, cost_vector(space), space.reference_index())
+    return space, space.action_set, vt, PolicyTable(pi, space.action_set)
 
 
 def check_value_monotonicity(values: np.ndarray, space: StateSpace, slack: float) -> list:
@@ -1000,7 +1015,7 @@ def check_value_monotonicity(values: np.ndarray, space: StateSpace, slack: float
     value is smaller by more than `slack`.
     """
     idx = np.arange(space.n_states)
-    lanes = space.lanes()
+    lanes = space.lanes
     violations = []
     for i in range(space.n_sensors):
         for coord, arr, cap, stride in (
@@ -1116,29 +1131,29 @@ def reachable_chain(make, locate, shape: tuple, start_index: int, n: int) -> Cha
     return Chain(p, rep)
 
 
-def policy_chain_matrix(policy: PolicyTable, factors: Factors, start_index: int) -> Chain:
-    """Chain of a deterministic policy on the states reachable from start,
-    lumped on (action, distinct row) keys.
+def policy_chain_matrix(policy: PolicyTable, space: StateSpace) -> Chain:
+    """Chain of a deterministic policy on the states of space reachable
+    from space.reference_index(), lumped on (action, distinct row) keys.
 
-    State s's row is distinct row row_of[s] under its action pi(s),
-    generated by factor_rows once per key reached. Returns the Chain of
-    reachable_chain.
+    State s's row is distinct row row_of[s] of space.factors under its
+    action pi(s), generated by factor_rows once per key reached. Returns
+    the Chain of reachable_chain.
     """
+    factors = space.factors
     actions = policy.action_set.actions
     return reachable_chain(
         lambda a, rows: factor_rows(factors, actions[a], rows),
         lambda s: (policy.action_index[s], factors.row_of[s]),
         (len(actions), factors.n_rows),
-        start_index,
-        factors.n_states,
+        space.reference_index(),
+        space.n_states,
     )
 
 
-def mixture_chain_matrix(
-    weights: Sequence[float], factors: Factors, actions: ActionSet, start_index: int
-) -> Chain:
+def mixture_chain_matrix(weights: Sequence[float], space: StateSpace, actions: ActionSet) -> Chain:
     """Chain of a state-independent randomized policy, sum_a w_a K_a over
-    `actions`, on the states reachable from start, lumped on its distinct
+    `actions` (space.action_set, or a larger budget's), on the states of
+    space reachable from space.reference_index(), lumped on its distinct
     rows (one group). Returns the Chain of reachable_chain.
 
     The weighted sum is taken in action order, with the same scipy products
@@ -1152,6 +1167,7 @@ def mixture_chain_matrix(
 
     if len(weights) != len(actions) or abs(sum(weights) - 1.0) > 1e-9:
         raise ValueError("weights must match actions and sum to one")
+    factors = space.factors
 
     def mix(_, rows):
         out = None
@@ -1159,7 +1175,7 @@ def mixture_chain_matrix(
             if w == 0.0:
                 continue
             term = sparse.csr_matrix(
-                factor_rows(factors, action, rows), shape=(len(rows), factors.n_states)
+                factor_rows(factors, action, rows), shape=(len(rows), space.n_states)
             )
             out = w * term if out is None else out + w * term
         out = out.tocsr()
@@ -1169,8 +1185,8 @@ def mixture_chain_matrix(
         mix,
         lambda s: (np.zeros(len(s), dtype=np.intp), factors.row_of[s]),
         (1, factors.n_rows),
-        start_index,
-        factors.n_states,
+        space.reference_index(),
+        space.n_states,
     )
 
 
@@ -1272,7 +1288,12 @@ def stationary_distribution(p: sparse.csr_matrix) -> np.ndarray:
     of at most LU_MAX_STATES states. A first state of negligible mass makes
     the pinned system singular to rounding and the masses non-finite; the
     class is then solved again, pinned at the state most probability flows
-    into. An answer that fails the check raises ConvergenceError with its
+    into. A mass within rounding of zero (at least -eps, the total being 1)
+    is the one exception to positivity: a state entered with probability
+    1e-288, say, has a mass far below what a double resolves next to 1, and
+    its computed sign is noise. When no solve is certified, such masses are
+    set to zero and the rest must still balance within STATIONARY_RESIDUAL.
+    An answer that fails the check raises ConvergenceError with its
     residual and the class size.
     """
     from scipy.sparse.csgraph import connected_components
@@ -1300,9 +1321,14 @@ def stationary_distribution(p: sparse.csr_matrix) -> np.ndarray:
             # so pin the state most probability flows into
             order = np.roll(np.arange(m), -int(np.argmax(q.sum(axis=0))))
             moved = _pinned_solve(q[order][:, order].tocsr())
-            if _certified(*moved):
+            if np.isfinite(moved[1]):
                 xi[order], residual = moved
-        if not _certified(xi, residual):
+        if not _certified(xi, residual) and xi.min() >= -np.finfo(float).eps:
+            # no solve is certified, but every mass is positive or within
+            # rounding of zero: the latter are zero
+            xi = np.maximum(xi, 0.0)
+            residual = float(np.abs(q.T @ xi - xi).sum())
+        if not (residual <= STATIONARY_RESIDUAL and np.all(xi >= 0.0)):
             tried = (
                 "by GMRES and by sparse LU" if m <= LU_MAX_STATES
                 else f"by GMRES; sparse LU skipped above {LU_MAX_STATES} states"
@@ -1332,12 +1358,10 @@ def chain_average_cost(chain: Chain, cost: np.ndarray) -> float:
     return float(stationary_distribution(chain.p) @ rep_cost)
 
 
-def average_cost_by_sensor(
-    xi: np.ndarray, space: StateSpace, spec: SystemSpec
-) -> np.ndarray:
+def average_cost_by_sensor(xi: np.ndarray, space: StateSpace) -> np.ndarray:
     """Per-sensor share of the stationary average cost."""
-    penalties = penalty_rows(spec.sensors)
-    return np.array([xi @ row[aori] for row, aori in zip(penalties, space.lanes().aori)])
+    penalties = penalty_rows(space.spec.sensors)
+    return np.array([xi @ row[aori] for row, aori in zip(penalties, space.lanes.aori)])
 
 
 def _label_cells(labels, codes):
@@ -1416,7 +1440,7 @@ def table_rows(
     """
     n = space.n_states
     sensors = range(space.n_sensors)
-    theta, aoli, aori, arrival = space.lanes()
+    theta, aoli, aori, arrival = space.lanes
     bits = ["".join(map(str, a)) for a in policy.action_set.actions]
     groups = {
         "state_index": [("state_index", _index_cells)],

@@ -25,7 +25,6 @@ from .dynamics import JointState, LaneState
 from .mdp import (
     ActionSet,
     Chain,
-    Factors,
     PolicyTable,
     StateSpace,
     build_padded_kernels,
@@ -297,15 +296,11 @@ def build_myopic_policy(spec: SystemSpec) -> MyopicPolicy:
     table and gain are those of solve_optimal_policy(myopic_system(spec))
     and no myopic run loads scipy.sparse.
     """
-    system = myopic_system(spec)
-    space = StateSpace(system)
-    actions = ActionSet(system.n_sensors, system.m_budget)
+    space = StateSpace(myopic_system(spec))
     vt, pi = relative_value_iteration(
-        build_padded_kernels(system, space, actions),
-        cost_vector(space, system),
-        space.reference_index(),
+        build_padded_kernels(space), cost_vector(space), space.reference_index()
     )
-    return MyopicPolicy(space, PolicyTable(pi, actions), vt.gain)
+    return MyopicPolicy(space, PolicyTable(pi, space.action_set), vt.gain)
 
 
 class MyopicPolicy(TablePolicy):
@@ -322,31 +317,32 @@ class MyopicPolicy(TablePolicy):
         return super().decide_array(actions, fresh, t, u)
 
 
-def policy_to_table(policy: Policy, space: StateSpace, actions: ActionSet) -> PolicyTable:
+def policy_to_table(policy: Policy, space: StateSpace) -> PolicyTable:
     """Tabulate a decision rule over the full truncated space.
 
     Only valid for policies whose decision is a function of the state alone
     (not round robin, which reads the slot count, not randomized):
-    decide_array at every state of space.
+    decide_array over space.action_set at every state of space.
     """
-    return PolicyTable(policy.decide_array(actions, space.lanes(), 0, None), actions)
+    actions = space.action_set
+    return PolicyTable(policy.decide_array(actions, space.lanes, 0, None), actions)
 
 
-def round_robin_chain(space: StateSpace, factors: Factors, n: int, m: int) -> Chain:
+def round_robin_chain(space: StateSpace) -> Chain:
     """Chain of round robin on the state space augmented with the cursor,
     over the augmented states reachable from the start only, lumped on
     (cursor, distinct row) keys.
 
-    The cursor advances by m (mod n) every slot independent of the state, so
-    the augmented pair (state, cursor) is Markov. Augmented state
-    cursor * n_states + s, cursor-major, takes distinct row row_of[s] under
-    the cursor's action, generated by factor_rows with its columns moved
-    into the next cursor's block; the start is space.reference_index() at
-    cursor 0. Returns the Chain of mdp.reachable_chain, whose rep columns
-    are augmented states.
+    The cursor advances by M (mod N) every slot independent of the state,
+    so the augmented pair (state, cursor) is Markov. Augmented state
+    cursor * n_states + s, cursor-major, takes distinct row row_of[s] of
+    space.factors under the cursor's action, generated by factor_rows with
+    its columns moved into the next cursor's block; the start is
+    space.reference_index() at cursor 0. Returns the Chain of
+    mdp.reachable_chain, whose rep columns are augmented states.
     """
-    n_states = space.n_states
-    schedule = [round_robin_decide(cursor, n, m) for cursor in range(n)]
+    n, n_states, factors = space.n_sensors, space.n_states, space.factors
+    schedule = [round_robin_decide(cursor, n, space.spec.m_budget) for cursor in range(n)]
 
     def make(cursor, rows):
         action, nxt = schedule[cursor]

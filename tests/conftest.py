@@ -57,10 +57,10 @@ def stacked_rows(kernels):
     ]
 
 
-def table_cost(table, factors, cost, start):
+def table_cost(table, space, cost):
     """Exact average cost of a deterministic policy table, on its chain
-    from start."""
-    return mdp.chain_average_cost(mdp.policy_chain_matrix(table, factors, start), cost)
+    from the start."""
+    return mdp.chain_average_cost(mdp.policy_chain_matrix(table, space), cost)
 
 
 @contextmanager
@@ -123,7 +123,6 @@ class SolvedBundle:
     space: object
     actions: object
     kernels: object
-    factors: object
     cost: np.ndarray
     start: int
     vt: object
@@ -132,11 +131,10 @@ class SolvedBundle:
 
 def solve_bundle(system) -> SolvedBundle:
     space, actions, vt, pt = a.solve_optimal_policy(system)
-    factors = mdp.build_factors(system, space)
-    kernels = mdp.build_kernels(factors, space, actions)
-    cost = mdp.cost_vector(space, system)
+    kernels = mdp.build_kernels(space)
+    cost = mdp.cost_vector(space)
     return SolvedBundle(
-        system, space, actions, kernels, factors, cost, space.reference_index(), vt, pt
+        system, space, actions, kernels, cost, space.reference_index(), vt, pt
     )
 
 
@@ -163,10 +161,8 @@ def sisp_bundle(bundle: SolvedBundle) -> SispBundle:
     values = decomposed.solve_sisp_values(
         bundle.system, decomposed.default_randomized_probs(bundle.system)
     )
-    table = decomposed.build_policy_table(values, bundle.space, bundle.actions)
-    pruned, copied, violations = decomposed.build_policy_table_with_pruning(
-        values, bundle.space, bundle.actions
-    )
+    table = decomposed.build_policy_table(values, bundle.space)
+    pruned, copied, violations = decomposed.build_policy_table_with_pruning(values, bundle.space)
     return SispBundle(values, table, pruned, copied, violations)
 
 

@@ -21,10 +21,10 @@ def exact_costs(config: str) -> dict:
     cfg = cli.load_config(config)
     cache = {}
     policies = cli._policy_list(SimpleNamespace(policies=",".join(POLICY_NAMES)), cfg, cache)
-    joint = cli._joint_mdp(cfg, cache)
-    cost = mdp.cost_vector(joint[0], cfg.system)
+    space = cli._joint_mdp(cfg, cache)
+    cost = mdp.cost_vector(space)
     return {
-        policy.name: mdp.chain_average_cost(cli._policy_chain(policy, cfg.system, joint), cost)
+        policy.name: mdp.chain_average_cost(cli._policy_chain(policy, space), cost)
         for policy in policies
     }
 

@@ -1,7 +1,8 @@
 """The stationary solve as it was before GMRES ran on an operator over
 (I - Q)^T: GMRES and sparse LU on a copy of the pinned block a[1:, 1:], and
 the closed-class test on the COO edges of the reachable chain; it shares
-only the re-pin of a singular pinned system. Kept as the oracle that
+only the re-pin of a singular pinned system and the zeroing of masses
+within rounding of zero. Kept as the oracle that
 mdp.stationary_distribution must match bit for bit, on the states reachable
 from a start."""
 
@@ -78,9 +79,13 @@ def stationary_distribution(p, start_index):
             # the pinned system is singular: re-pin where most probability flows
             order = np.roll(np.arange(m), -int(np.argmax(q.sum(axis=0))))
             moved, moved_residual = _pinned_solve(q[order][:, order].tocsr())
-            if moved_residual <= mdp.STATIONARY_RESIDUAL and np.all(moved > 0.0):
+            if np.isfinite(moved_residual):
                 xi[order], residual = moved, moved_residual
         if not (residual <= mdp.STATIONARY_RESIDUAL and np.all(xi > 0.0)):
+            if xi.min() >= -np.finfo(float).eps:
+                xi = np.maximum(xi, 0.0)
+                residual = float(np.abs(q.T @ xi - xi).sum())
+        if not (residual <= mdp.STATIONARY_RESIDUAL and np.all(xi >= 0.0)):
             raise ConvergenceError(
                 f"stationary solve: L1 residual {residual:.3e} (bound "
                 f"{mdp.STATIONARY_RESIDUAL:g}), smallest mass {xi.min():.3e}, "

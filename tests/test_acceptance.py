@@ -88,7 +88,7 @@ def _scheduling_upward_closed(table, space, actions):
     act_matrix = np.array(actions.actions)
     scheduled = act_matrix[table.action_index]  # (n_states, N)
     for i in range(space.n_sensors):
-        mask = space.lanes().aori[i] < space.r_sizes[i]
+        mask = space.lanes.aori[i] < space.r_sizes[i]
         src = np.nonzero(mask)[0]
         dst = src + space.aori_stride(i)
         violations += int(np.sum(scheduled[src, i] & ~scheduled[dst, i].astype(bool)))
@@ -111,9 +111,9 @@ def test_criterion_04_threshold_structure(va_solved, va_sisp, va_hetero_solved, 
 
 def test_criterion_05_decomposition_dominance(va_solved, va_sisp):
     b = va_solved
-    sisp_cost = table_cost(va_sisp.pruned_table, b.factors, b.cost, b.start)
+    sisp_cost = table_cost(va_sisp.pruned_table, b.space, b.cost)
     p_r = [pv.p_r for pv in va_sisp.values]
-    chain = decomposed.randomized_chain_matrix(b.system, b.space, p_r)
+    chain = decomposed.randomized_chain_matrix(b.space, p_r)
     rand_cost = mdp.chain_average_cost(chain, b.cost)
     phi_sum = sum(pv.gain for pv in va_sisp.values)
     assert sisp_cost <= rand_cost + 1e-9
@@ -127,19 +127,18 @@ def test_criterion_05_decomposition_dominance(va_solved, va_sisp):
 
 def _exact_costs(bundle, sisp_table, p_r):
     b = bundle
-    out = {"optimal": table_cost(b.pt, b.factors, b.cost, b.start)}
-    out["sisp"] = table_cost(sisp_table, b.factors, b.cost, b.start)
+    out = {"optimal": table_cost(b.pt, b.space, b.cost)}
+    out["sisp"] = table_cost(sisp_table, b.space, b.cost)
     for name, policy in (
         ("maf", pol.MafPolicy(b.system.m_budget)),
         ("mef", pol.MefPolicy(b.system)),
     ):
-        table = pol.policy_to_table(policy, b.space, b.actions)
-        out[name] = table_cost(table, b.factors, b.cost, b.start)
-    n = b.system.n_sensors
-    chain = pol.round_robin_chain(b.space, b.factors, n, b.system.m_budget)
+        table = pol.policy_to_table(policy, b.space)
+        out[name] = table_cost(table, b.space, b.cost)
+    chain = pol.round_robin_chain(b.space)
     out["rr"] = mdp.chain_average_cost(chain, b.cost)
     weights = pol.randomized_action_weights(p_r, b.system.m_budget, b.actions)
-    chain = mdp.mixture_chain_matrix(weights, b.factors, b.actions, b.start)
+    chain = mdp.mixture_chain_matrix(weights, b.space, b.actions)
     out["rand"] = mdp.chain_average_cost(chain, b.cost)
     return out
 
@@ -200,8 +199,7 @@ def test_criterion_07_dual_vs_myopic(va_penalty, va_hetero, va_hetero_sisp):
     certain = make_va_system(va_penalty, 1.0, 1.0)
     certain_bundle_space = mdp.StateSpace(certain)
     values = decomposed.solve_sisp_values(certain, decomposed.default_randomized_probs(certain))
-    actions = mdp.ActionSet(2, 1)
-    table = decomposed.build_policy_table(values, certain_bundle_space, actions)
+    table = decomposed.build_policy_table(values, certain_bundle_space)
 
     class _SB:
         pruned_table = table

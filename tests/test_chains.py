@@ -183,7 +183,7 @@ STUCK_MARKOV = a.SystemSpec(
 
 
 # a stuck channel's class can hold states of zero mass, whose pinned system
-# is singular: the LU fallback warns before the solve refuses the answer
+# can be singular: the LU fallback warns before those masses are set to zero
 @pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
@@ -199,10 +199,10 @@ def test_chains_are_the_whole_chain_on_its_reachable_states(spec, seed, p):
     space = mdp.StateSpace(spec)
     assume(space.n_states <= 2_000)
     n, m = spec.n_sensors, spec.m_budget
-    actions = mdp.ActionSet(n, m)
-    factors = mdp.build_factors(spec, space)
-    kernels = mdp.build_kernels(factors, space, actions)
-    cost = mdp.cost_vector(space, spec)
+    actions = space.action_set
+    factors = space.factors
+    kernels = mdp.build_kernels(space)
+    cost = mdp.cost_vector(space)
     start = space.reference_index()
 
     table = np.random.default_rng(seed).integers(len(actions), size=space.n_states)
@@ -271,9 +271,9 @@ def test_lumped_chains_are_the_quotient_of_the_state_chain(spec, seed, p):
     space = mdp.StateSpace(spec)
     assume(space.n_states <= 2_000)
     n, m = spec.n_sensors, spec.m_budget
-    actions = mdp.ActionSet(n, m)
-    factors = mdp.build_factors(spec, space)
-    cost = mdp.cost_vector(space, spec)
+    actions = space.action_set
+    factors = space.factors
+    cost = mdp.cost_vector(space)
     start = space.reference_index()
     row_of = factors.row_of
 
@@ -282,21 +282,21 @@ def test_lumped_chains_are_the_quotient_of_the_state_chain(spec, seed, p):
     )
     assert_quotient(
         chain_oracle.policy_chain_matrix(table, factors, start),
-        mdp.policy_chain_matrix(table, factors, start),
+        mdp.policy_chain_matrix(table, space),
         (table.action_index, row_of),
         cost,
     )
     weights = pol.randomized_action_weights(p[:n], m, actions)
     assert_quotient(
         chain_oracle.mixture_chain_matrix(weights, factors, actions, start),
-        mdp.mixture_chain_matrix(weights, factors, actions, start),
+        mdp.mixture_chain_matrix(weights, space, actions),
         (np.zeros_like(row_of), row_of),
         cost,
     )
     cursor = np.repeat(np.arange(n), space.n_states)
     assert_quotient(
         chain_oracle.round_robin_chain(space, factors, n, m),
-        pol.round_robin_chain(space, factors, n, m),
+        pol.round_robin_chain(space),
         (cursor, np.tile(row_of, n)),
         cost,
         copies=n,
@@ -308,14 +308,13 @@ def test_stuck_channel_kernels_store_explicit_zeros():
     store them, in the bad-channel (theta = 0) rows' steps to the good
     state, and csgraph's search follows them to good-channel states."""
     space = mdp.StateSpace(STUCK_MARKOV)
-    actions = mdp.ActionSet(2, 1)
-    factors = mdp.build_factors(STUCK_MARKOV, space)
-    kernels = mdp.build_kernels(factors, space, actions)
+    actions = space.action_set
+    kernels = mdp.build_kernels(space)
     (theta0, theta1), = kernels.shares
     assert all(np.any(rows.data == 0.0) for rows in theta0[2])
     assert not any(np.any(rows.data == 0.0) for rows in theta1[2])
     idle = mdp.PolicyTable(np.zeros(space.n_states, dtype=np.intp), actions)
-    chain = mdp.policy_chain_matrix(idle, factors, space.reference_index())
+    chain = mdp.policy_chain_matrix(idle, space)
     assert np.any(chain.rep.data == 0.0)
     # a row's entries that step to one key only by explicit zeros still
     # store their zero sum in the lumped chain
@@ -359,12 +358,12 @@ def test_factor_rows_are_kernel_rows_bit_for_bit(spec, seed, chunked):
     kernel_rows byte for byte; chunked, both fill blocks of a few rows."""
     space = mdp.StateSpace(spec)
     assume(space.n_states <= 3_000)
-    actions = mdp.ActionSet(spec.n_sensors, spec.m_budget)
+    actions = space.action_set
     with pytest.MonkeyPatch.context() as mp:
         if chunked:
             mp.setattr(mdp, "TABLE_CHUNK", 8)
-        factors = mdp.build_factors(spec, space)
-        parts, n_rows = mdp.kernel_rows(factors, actions), factors.n_rows
+        factors = space.factors
+        parts, n_rows = mdp.kernel_rows(space), factors.n_rows
         rng = np.random.default_rng(seed)
         for action, (data, indices, indptr) in zip(actions.actions, parts):
             rows = rng.permutation(n_rows)[: rng.integers(1, n_rows + 1)]
@@ -388,9 +387,9 @@ def test_compare_builds_joint_kernels_only_for_optimal(tmp_path, monkeypatch, po
     calls = []
     build = mdp.build_kernels
 
-    def counted(*args):
-        calls.append(args[1].n_states)
-        return build(*args)
+    def counted(space):
+        calls.append(space.n_states)
+        return build(space)
 
     monkeypatch.setattr(mdp, "build_kernels", counted)
     assert cli.main(compare_argv(tmp_path, policies)) == 0
@@ -404,13 +403,28 @@ def test_compare_builds_the_joint_factors_once(tmp_path, monkeypatch):
     calls = []
     build = mdp.build_factors
 
-    def counted(spec, space):
+    def counted(space):
         calls.append(space.n_states)
-        return build(spec, space)
+        return build(space)
 
     monkeypatch.setattr(mdp, "build_factors", counted)
     assert cli.main(compare_argv(tmp_path, pol.POLICY_NAMES)) == 0
     assert calls.count(joint) == 1
+
+
+def test_solve_optimal_builds_the_factors_once(tmp_path, monkeypatch):
+    joint = mdp.StateSpace(cli.load_config(str(TWOSENSOR)).system).n_states
+    calls = []
+    build = mdp.build_factors
+
+    def counted(space):
+        calls.append(space.n_states)
+        return build(space)
+
+    monkeypatch.setattr(mdp, "build_factors", counted)
+    argv = ["solve", "--config", str(TWOSENSOR), "--policy", "optimal", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert calls == [joint]
 
 
 def test_compare_frees_joint_kernels_before_the_first_evaluation(tmp_path, monkeypatch):

@@ -71,11 +71,9 @@ def test_per_sensor_kernel_boundaries(va_penalty, arrival):
     assembled kernels, byte for byte."""
     sensor = a.SensorSpec(arrival, va_penalty, 0.5, 1.0, 3, 3)
     system = a.SystemSpec((sensor,), VA_CHANNEL, 1)
-    space = mdp.StateSpace(system)
-    actions = mdp.ActionSet(1, 1)
-    kernels = mdp.build_kernels(mdp.build_factors(system, space), space, actions)
+    kernels = mdp.build_kernels(mdp.StateSpace(system))
     k_idle, k_tx = (rows[kernels.row_of].toarray() for rows in stacked_rows(kernels))
-    _, _, dense_idle, dense_tx = decomposed._single_sensor_kernels(sensor, VA_CHANNEL)
+    _, dense_idle, dense_tx = decomposed._single_sensor_kernels(sensor, VA_CHANNEL)
     assert np.array_equal(dense_idle, k_idle)
     assert np.array_equal(dense_tx, k_tx)
     # the mix solve_per_sensor_value solves on, at p_r = 0.5
@@ -90,7 +88,7 @@ def test_per_sensor_kernel_reference_row(va_penalty):
     sensor = make_va_sensor(va_penalty, 0.9)
     system = a.SystemSpec((sensor,), VA_CHANNEL, 1)
     space = mdp.StateSpace(system)
-    _, _, k_idle, k_tx = decomposed._single_sensor_kernels(sensor, VA_CHANNEL)
+    _, k_idle, k_tx = decomposed._single_sensor_kernels(sensor, VA_CHANNEL)
     kernel = 0.5 * k_tx + (1.0 - 0.5) * k_idle  # solve_per_sensor_value's mix
     row_state = dynamics.JointState((dynamics.SensorState(3, 5),), 0, (False,))
     row = kernel[space.encode(row_state)]
@@ -179,7 +177,7 @@ def _oracle_theta(state, values, actions, spec):
 def test_sisp_decide_matches_joint_expansion(small_solution):
     """The production SISP table against the joint-kernel expansion."""
     system, values, space, actions = small_solution
-    table = decomposed.build_policy_table(values, space, actions)
+    table = decomposed.build_policy_table(values, space)
     for idx in range(space.n_states):
         state = space.decode(idx)
         oracle = _oracle_theta(state, values, actions, system)
@@ -224,7 +222,7 @@ def test_sisp_table_is_the_scalar_argmin_on_random_systems(spec):
     assume(space.n_states <= 1500)
     actions = mdp.ActionSet(spec.n_sensors, spec.m_budget)
     values = decomposed.solve_sisp_values(spec, decomposed.default_randomized_probs(spec))
-    table = decomposed.build_policy_table(values, space, actions)
+    table = decomposed.build_policy_table(values, space)
     for idx in range(space.n_states):
         state = space.decode(idx)
         x = [
@@ -243,7 +241,7 @@ def test_sisp_decide_swap_equivariance(va_penalty):
     values = decomposed.solve_sisp_values(spec, p_r=(0.45, 0.45))
     actions = mdp.ActionSet(2, 1)
     space = mdp.StateSpace(spec)
-    table = decomposed.build_policy_table(values, space, actions)
+    table = decomposed.build_policy_table(values, space)
     swap_action = {(0, 0): (0, 0), (1, 0): (0, 1), (0, 1): (1, 0)}
     for idx in range(space.n_states):
         state = space.decode(idx)
@@ -287,11 +285,9 @@ def test_sisp_scheduling_region_is_staircase(va_hetero_solved, va_hetero_sisp):
 
 
 def test_pruned_table_equals_unpruned(small_solution):
-    system, values, space, actions = small_solution
-    plain = decomposed.build_policy_table(values, space, actions)
-    pruned, copied, violations = decomposed.build_policy_table_with_pruning(
-        values, space, actions
-    )
+    system, values, space, _ = small_solution
+    plain = decomposed.build_policy_table(values, space)
+    pruned, copied, violations = decomposed.build_policy_table_with_pruning(values, space)
     assert violations.size == 0
     assert np.array_equal(plain.action_index, pruned.action_index)
     assert copied > 0
@@ -303,12 +299,9 @@ def test_pruning_impossible_on_minimal_age_range(va_penalty):
     system = a.SystemSpec((sensor,), VA_CHANNEL, 1)
     values = decomposed.solve_sisp_values(system, p_r=(0.5,))
     space = mdp.StateSpace(system)
-    actions = mdp.ActionSet(1, 1)
-    pruned, copied, violations = decomposed.build_policy_table_with_pruning(
-        values, space, actions
-    )
+    pruned, copied, violations = decomposed.build_policy_table_with_pruning(values, space)
     assert violations.size == 0
-    plain = decomposed.build_policy_table(values, space, actions)
+    plain = decomposed.build_policy_table(values, space)
     assert copied == 0
     assert np.array_equal(plain.action_index, pruned.action_index)
 
@@ -351,10 +344,10 @@ def test_threshold_inf_for_hopeless_sensor(va_penalty):
 
 def test_decomposition_gain_identity(small_solution):
     """Sum of per-sensor gains equals the exact joint randomized cost."""
-    system, values, space, actions = small_solution
+    _, values, space, _ = small_solution
     p_r = [pv.p_r for pv in values]
-    chain = decomposed.randomized_chain_matrix(system, space, p_r)
-    cost = mdp.cost_vector(space, system)
+    chain = decomposed.randomized_chain_matrix(space, p_r)
+    cost = mdp.cost_vector(space)
     joint = mdp.chain_average_cost(chain, cost)
     assert sum(pv.gain for pv in values) == pytest.approx(joint, abs=1e-6)
 
@@ -391,9 +384,8 @@ def test_randomized_chain_is_the_product_weight_mixture(arrival):
         for i, d in enumerate(action):
             w *= p_r[i] if d else 1.0 - p_r[i]
         weights.append(w)
-    factors = mdp.build_factors(system, space)
-    expected = mdp.mixture_chain_matrix(weights, factors, full_actions, space.reference_index())
-    chain = decomposed.randomized_chain_matrix(system, space, p_r)
+    expected = mdp.mixture_chain_matrix(weights, space, full_actions)
+    chain = decomposed.randomized_chain_matrix(space, p_r)
     for matrix in ("p", "rep"):
         for field in ("data", "indices", "indptr"):
             got = getattr(getattr(chain, matrix), field)
@@ -414,25 +406,21 @@ def test_three_sensor_two_slot_budget():
     system = a.SystemSpec(sensors, a.ChannelSpec(0.45, 0.75), 2)
     space, actions, vt, pt = a.solve_optimal_policy(system)
     assert len(actions) == 1 + 3 + 3
-    kernels = mdp.build_kernels(mdp.build_factors(system, space), space, actions)
+    kernels = mdp.build_kernels(space)
     for k in stacked_rows(kernels):
         assert np.allclose(np.asarray(k.sum(axis=1)).ravel(), 1.0, atol=1e-12)
-    cost = mdp.cost_vector(space, system)
-    start = space.reference_index()
+    cost = mdp.cost_vector(space)
 
     values = decomposed.solve_sisp_values(system, decomposed.default_randomized_probs(system))
-    plain = decomposed.build_policy_table(values, space, actions)
-    pruned, copied, violations = decomposed.build_policy_table_with_pruning(
-        values, space, actions
-    )
+    plain = decomposed.build_policy_table(values, space)
+    pruned, copied, violations = decomposed.build_policy_table_with_pruning(values, space)
     assert violations.size == 0
     assert np.array_equal(plain.action_index, pruned.action_index)
     assert copied > 0
 
-    factors = mdp.build_factors(system, space)
-    c_opt = table_cost(pt, factors, cost, start)
-    c_sisp = table_cost(pruned, factors, cost, start)
-    chain = decomposed.randomized_chain_matrix(system, space, [pv.p_r for pv in values])
+    c_opt = table_cost(pt, space, cost)
+    c_sisp = table_cost(pruned, space, cost)
+    chain = decomposed.randomized_chain_matrix(space, [pv.p_r for pv in values])
     c_rand = mdp.chain_average_cost(chain, cost)
     assert c_opt <= c_sisp + 1e-9 <= c_rand + 1e-9
     assert sum(pv.gain for pv in values) == pytest.approx(c_rand, abs=1e-6)
@@ -448,32 +436,25 @@ def test_decomposition_with_markov_arrivals():
     )
     spec = a.SystemSpec(sensors, a.ChannelSpec(0.45, 0.75), 1)
     space = mdp.StateSpace(spec)
-    actions = mdp.ActionSet(2, 1)
     p_r = (0.45, 0.5)
     values = decomposed.solve_sisp_values(spec, p_r=p_r)
-    cost = mdp.cost_vector(space, spec)
-    start = space.reference_index()
-    joint = mdp.chain_average_cost(decomposed.randomized_chain_matrix(spec, space, p_r), cost)
+    cost = mdp.cost_vector(space)
+    joint = mdp.chain_average_cost(decomposed.randomized_chain_matrix(space, p_r), cost)
     assert sum(v.gain for v in values) == pytest.approx(joint, abs=1e-6)
 
-    plain = decomposed.build_policy_table(values, space, actions)
-    pruned, copied, violations = decomposed.build_policy_table_with_pruning(
-        values, space, actions
-    )
+    plain = decomposed.build_policy_table(values, space)
+    pruned, copied, violations = decomposed.build_policy_table_with_pruning(values, space)
     assert violations.size == 0
     assert np.array_equal(plain.action_index, pruned.action_index)
     assert copied > 0
-    factors = mdp.build_factors(spec, space)
-    assert table_cost(pruned, factors, cost, start) <= joint + 1e-9
+    assert table_cost(pruned, space, cost) <= joint + 1e-9
 
 
 def test_sisp_dominates_randomized(small_solution):
-    system, values, space, actions = small_solution
-    factors = mdp.build_factors(system, space)
-    cost = mdp.cost_vector(space, system)
-    start = space.reference_index()
-    table = decomposed.build_policy_table(values, space, actions)
-    sisp_cost = table_cost(table, factors, cost, start)
-    chain = decomposed.randomized_chain_matrix(system, space, [pv.p_r for pv in values])
+    _, values, space, _ = small_solution
+    cost = mdp.cost_vector(space)
+    table = decomposed.build_policy_table(values, space)
+    sisp_cost = table_cost(table, space, cost)
+    chain = decomposed.randomized_chain_matrix(space, [pv.p_r for pv in values])
     rand_cost = mdp.chain_average_cost(chain, cost)
     assert sisp_cost <= rand_cost + 1e-9

@@ -104,7 +104,7 @@ def assert_kernels_match_oracle(spec):
     equals the oracle's, dtype too."""
     space = mdp.StateSpace(spec)
     actions = mdp.ActionSet(spec.n_sensors, spec.m_budget)
-    built = mdp.build_kernels(mdp.build_factors(spec, space), space, actions)
+    built = mdp.build_kernels(space)
     expected = oracle_kernels(spec, space, actions)
     stacked = stacked_rows(built)
     assert len(stacked) == len(expected) == len(actions)
@@ -141,8 +141,7 @@ def test_kernels_are_canonical_stochastic_csr(name):
     the expansion by row_of keeps that."""
     spec = KERNEL_SYSTEMS[name]
     space = mdp.StateSpace(spec)
-    actions = mdp.ActionSet(spec.n_sensors, spec.m_budget)
-    kernels = mdp.build_kernels(mdp.build_factors(spec, space), space, actions)
+    kernels = mdp.build_kernels(space)
     # row_of reaches every distinct row
     assert np.array_equal(np.unique(kernels.row_of), np.arange(kernels.n_rows))
     for rows in stacked_rows(kernels):
@@ -161,8 +160,7 @@ def test_kernels_are_canonical_stochastic_csr(name):
 def test_distinct_row_counts(config, n_rows, n_states, nnz, assembled_nnz):
     system = cli.load_config(str(CONFIGS / f"{config}.yaml")).system
     space = mdp.StateSpace(system)
-    actions = mdp.ActionSet(system.n_sensors, system.m_budget)
-    kernels = mdp.build_kernels(mdp.build_factors(system, space), space, actions)
+    kernels = mdp.build_kernels(space)
     assert (kernels.n_rows, space.n_states) == (n_rows, n_states)
     assert sum(rows.nnz for rows in kernels) == nnz
     assert sum(
@@ -251,9 +249,8 @@ def test_rvi_on_distinct_rows_matches_assembled_kernels(spec):
     iteration count and every argmin, ties included, are the same."""
     space = mdp.StateSpace(spec)
     assume(space.n_states <= 3000)
-    actions = mdp.ActionSet(spec.n_sensors, spec.m_budget)
-    kernels = mdp.build_kernels(mdp.build_factors(spec, space), space, actions)
-    cost = mdp.cost_vector(space, spec)
+    kernels = mdp.build_kernels(space)
+    cost = mdp.cost_vector(space)
     ref = space.reference_index()
     assembled = [rows[kernels.row_of] for rows in stacked_rows(kernels)]
     want = oracle_rvi(assembled, cost, ref, 1e-9, RVI_MAX_ITER)
@@ -295,13 +292,12 @@ def split_solve(spec, workers, chunk):
     `chunk` rows: (kernels, (values, gain, iterations, actions) or None if
     RVI_MAX_ITER runs out)."""
     space = mdp.StateSpace(spec)
-    actions = mdp.ActionSet(spec.n_sensors, spec.m_budget)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mdp, "TABLE_CHUNK", chunk)
         mp.setattr(mdp, "_worker_count", lambda: workers)
         mp.setattr(mdp, "RVI_MAX_ITER", RVI_MAX_ITER)
-        kernels = mdp.build_kernels(mdp.build_factors(spec, space), space, actions)
-        cost = mdp.cost_vector(space, spec)
+        kernels = mdp.build_kernels(space)
+        cost = mdp.cost_vector(space)
         try:
             vt, pi = mdp.relative_value_iteration(kernels, cost, space.reference_index())
         except a.ConvergenceError:
@@ -386,7 +382,7 @@ def test_split_work_is_the_one_worker_work_bit_for_bit(spec, workers, chunk):
     assume(space.n_states <= 3000)
     kernels, solved = split_solve(spec, workers, chunk)
     serial, want = split_solve(spec, 1, chunk)
-    factors = mdp.build_factors(spec, space)
+    factors = space.factors
     assert_shares_cut_classes(serial, factors, 1)
     classes = assert_shares_cut_classes(
         kernels, factors, workers if factors.n_rows > chunk else 1
@@ -395,8 +391,7 @@ def test_split_work_is_the_one_worker_work_bit_for_bit(spec, workers, chunk):
         assert 0 in classes
     for got, rows in zip(stacked_rows(kernels), stacked_rows(serial), strict=True):
         assert csr_bytes(got) == csr_bytes(rows)
-    actions = mdp.ActionSet(spec.n_sensors, spec.m_budget)
-    for rows, part in zip(stacked_rows(serial), mdp.kernel_rows(factors, actions), strict=True):
+    for rows, part in zip(stacked_rows(serial), mdp.kernel_rows(space), strict=True):
         assert csr_bytes(rows) == [(arr.dtype, arr.tobytes()) for arr in part]
     assert (solved is None) == (want is None)
     if want is not None:
@@ -440,9 +435,8 @@ def test_theta_pairs_are_kernel_rows_bit_for_bit(spec, workers, seed):
     space = mdp.StateSpace(spec)
     assume(space.n_states <= 3000)
     kernels, solved = split_solve(spec, workers, 8)
-    factors = mdp.build_factors(spec, space)
-    actions = mdp.ActionSet(spec.n_sensors, spec.m_budget)
-    parts = mdp.kernel_rows(factors, actions)
+    factors = space.factors
+    parts = mdp.kernel_rows(space)
     whole = tuple(sparse.csr_matrix(part, shape=(factors.n_rows, space.n_states)) for part in parts)
     agree_by_action = theta_halves_agree(parts)
     q = np.random.default_rng(seed).normal(scale=10.0, size=space.n_states)
@@ -463,7 +457,7 @@ def test_theta_pairs_are_kernel_rows_bit_for_bit(spec, workers, seed):
         mp.setattr(mdp, "RVI_MAX_ITER", RVI_MAX_ITER)
         try:
             vt, pi = mdp.relative_value_iteration(
-                one_block, mdp.cost_vector(space, spec), space.reference_index()
+                one_block, mdp.cost_vector(space), space.reference_index()
             )
         except a.ConvergenceError:
             assert solved is None
@@ -486,8 +480,7 @@ def test_theta_halves_share_columns_where_the_tables_agree(config, shared):
     columns of their own."""
     system = cli.load_config(str(CONFIGS / f"{config}.yaml")).system
     space = mdp.StateSpace(system)
-    actions = mdp.ActionSet(system.n_sensors, system.m_budget)
-    kernels = mdp.build_kernels(mdp.build_factors(system, space), space, actions)
+    kernels = mdp.build_kernels(space)
     for (_, _, mats0), (_, _, mats1) in kernels.shares:
         for rows0, rows1, one in zip(mats0, mats1, shared, strict=True):
             for field in ("indices", "indptr"):
@@ -512,7 +505,7 @@ def test_kernels_iterate_every_buffer_they_hold(monkeypatch):
     monkeypatch.setattr(mdp, "_worker_count", lambda: 3)
     spec = markov3_system(1)
     space = mdp.StateSpace(spec)
-    kernels = mdp.build_kernels(mdp.build_factors(spec, space), space, mdp.ActionSet(3, 1))
+    kernels = mdp.build_kernels(space)
     assert len(kernels.shares) == 3
     # the idle action's theta = 1 blocks read their theta = 0 blocks'
     # columns, sensor 1's transmit blocks (p1 = 1) do not
@@ -539,11 +532,11 @@ def test_rvi_joins_its_threads_when_it_fails(monkeypatch):
     monkeypatch.setattr(mdp, "RVI_MAX_ITER", 1)
     spec = markov3_system(1)
     space = mdp.StateSpace(spec)
-    kernels = mdp.build_kernels(mdp.build_factors(spec, space), space, mdp.ActionSet(3, 1))
+    kernels = mdp.build_kernels(space)
     assert len(kernels.shares) == 3
     before = threading.active_count()
     with pytest.raises(a.ConvergenceError):
-        mdp.relative_value_iteration(kernels, mdp.cost_vector(space, spec), space.reference_index())
+        mdp.relative_value_iteration(kernels, mdp.cost_vector(space), space.reference_index())
     assert threading.active_count() == before
 
 
@@ -558,12 +551,11 @@ def test_one_chunk_joint_model_runs_on_one_share(monkeypatch):
     monkeypatch.setattr(mdp, "_worker_count", lambda: 4)
     system = cli.load_config(str(CONFIGS / "twosensor.yaml")).system
     space = mdp.StateSpace(system)
-    actions = mdp.ActionSet(system.n_sensors, system.m_budget)
     before = threading.active_count()
-    kernels = mdp.build_kernels(mdp.build_factors(system, space), space, actions)
+    kernels = mdp.build_kernels(space)
     assert len(kernels.shares) == 1 and kernels.n_rows <= mdp.TABLE_CHUNK
     vt, _ = mdp.relative_value_iteration(
-        kernels, mdp.cost_vector(space, system), space.reference_index()
+        kernels, mdp.cost_vector(space), space.reference_index()
     )
     assert vt.iterations == 24
     assert threading.active_count() == before
@@ -576,9 +568,8 @@ def test_padded_product_is_scipy_product_bit_for_bit(spec, seed):
     entries and exact zeros in q, has scipy's bits."""
     space = mdp.StateSpace(spec)
     assume(space.n_states <= 3000)
-    actions = mdp.ActionSet(spec.n_sensors, spec.m_budget)
-    kernels = mdp.build_kernels(mdp.build_factors(spec, space), space, actions)
-    padded = mdp.build_padded_kernels(spec, space, actions)
+    kernels = mdp.build_kernels(space)
+    padded = mdp.build_padded_kernels(space)
     assert np.array_equal(padded.row_of, kernels.row_of)
     assert len(padded.shares) == 1 and len(padded.shares[0]) == 1
     rng = np.random.default_rng(seed)
@@ -595,10 +586,10 @@ def test_myopic_solve_is_the_scipy_solve_bit_for_bit(config):
     gain, iteration count and table on the shipped configs."""
     system = cli.load_config(str(CONFIGS / f"{config}.yaml")).system
     reduced = pol.myopic_system(system)
-    space, actions, vt, pt = mdp.solve_optimal_policy(reduced)
-    kernels = mdp.build_padded_kernels(reduced, space, actions)
+    space, _, vt, pt = mdp.solve_optimal_policy(reduced)
+    kernels = mdp.build_padded_kernels(space)
     got, _ = mdp.relative_value_iteration(
-        kernels, mdp.cost_vector(space, reduced), space.reference_index()
+        kernels, mdp.cost_vector(space), space.reference_index()
     )
     assert got.values.tobytes() == vt.values.tobytes()
     assert got.iterations == vt.iterations
@@ -627,7 +618,7 @@ def test_myopic_decide_reads_monitor_ages_and_channel():
     spec = markov3_system(1)
     policy = pol.build_myopic_policy(spec)
     full = mdp.StateSpace(spec)
-    table = pol.policy_to_table(policy, full, mdp.ActionSet(spec.n_sensors, spec.m_budget))
+    table = pol.policy_to_table(policy, full)
     for idx in range(full.n_states):
         js = full.decode(idx)
         reduced = a.JointState(
@@ -644,12 +635,9 @@ def test_myopic_decide_reads_monitor_ages_and_channel():
 def test_pruning_count_matches_recorded(spec, copied):
     """Counts recorded from the state-by-state pruned construction it replaced."""
     space = mdp.StateSpace(spec)
-    actions = mdp.ActionSet(spec.n_sensors, spec.m_budget)
     values = decomposed.solve_sisp_values(spec, decomposed.default_randomized_probs(spec))
-    plain = decomposed.build_policy_table(values, space, actions)
-    pruned, n_copied, violations = decomposed.build_policy_table_with_pruning(
-        values, space, actions
-    )
+    plain = decomposed.build_policy_table(values, space)
+    pruned, n_copied, violations = decomposed.build_policy_table_with_pruning(values, space)
     assert n_copied == copied
     assert violations.size == 0
     assert np.array_equal(plain.action_index, pruned.action_index)
@@ -688,14 +676,11 @@ def test_pruning_reports_persistence_violations(tmp_path, capsys):
     # scheduled one monitor-age step up, but its partner changes
     spec = markov3_system(2)
     space = mdp.StateSpace(spec)
-    actions = mdp.ActionSet(3, 2)
     values = decomposed.solve_sisp_values(spec, decomposed.default_randomized_probs(spec))
-    table, _, violations = decomposed.build_policy_table_with_pruning(
-        values, space, actions
-    )
+    table, _, violations = decomposed.build_policy_table_with_pruning(values, space)
     assert len(violations) == 4
     assert np.all(np.diff(violations) > 0)
-    plain = decomposed.build_policy_table(values, space, actions)
+    plain = decomposed.build_policy_table(values, space)
     assert np.array_equal(table.action_index, plain.action_index)
 
     # solve writes that argmin table and reports the count
@@ -722,7 +707,7 @@ def test_sisp_policy_simulates_like_its_table():
     spec = markov3_system(2)
     space = mdp.StateSpace(spec)
     values = decomposed.solve_sisp_values(spec, decomposed.default_randomized_probs(spec))
-    table = decomposed.build_policy_table(values, space, mdp.ActionSet(3, 2))
+    table = decomposed.build_policy_table(values, space)
     policies = [decomposed.SispPolicy(values), pol.TablePolicy("sisp", space, table)]
     sinks = [io.StringIO(), io.StringIO()]
     plan = sim.ExperimentPlan(spec, policies, 400, 5, 7, warmup=25)

@@ -31,15 +31,15 @@ def test_state_space_roundtrip_with_markov_arrivals(va_penalty):
 
 
 def test_lanes_are_the_decoded_states(va_penalty):
-    """Column i of lanes() is lane_state(decode(i), 1), and encode_array
+    """Column i of lanes is lane_state(decode(i), 1), and encode_array
     maps the lanes back to their indices; a Bernoulli sensor's arrival bit
     is aoli == 0."""
     markov = a.SensorSpec(a.MarkovArrival(0.6, 0.7), va_penalty, 0.3, 0.9, 2, 3)
     bern = a.SensorSpec(a.BernoulliArrival(0.4), va_penalty, 0.5, 1.0, 1, 2)
     spec = a.SystemSpec((bern, markov, bern), a.ChannelSpec(0.5, 0.8), 2)
     space = mdp.StateSpace(spec)
-    lanes = space.lanes()
-    assert lanes is space.lanes()
+    lanes = space.lanes
+    assert lanes is space.lanes
     for idx in range(space.n_states):
         expected = dynamics.lane_state(space.decode(idx), 1)
         for field, column, want in zip(lanes._fields, lanes, expected):
@@ -139,6 +139,55 @@ def test_action_set_ordering_and_size():
     assert actions.index((0, 0, 0)) == 0
 
 
+def test_space_keeps_its_action_set_and_factors(va_penalty):
+    """A space builds its action set and factors on first use and keeps
+    them: every access returns the same objects, with the bytes of a fresh
+    ActionSet and a fresh build_factors."""
+    markov = a.SensorSpec(a.MarkovArrival(0.6, 0.7), va_penalty, 0.3, 0.9, 2, 3)
+    bern = a.SensorSpec(a.BernoulliArrival(0.4), va_penalty, 0.5, 1.0, 1, 2)
+    space = mdp.StateSpace(a.SystemSpec((markov, bern), a.ChannelSpec(0.5, 0.8), 2))
+    actions, factors = space.action_set, space.factors
+    assert space.action_set is actions and space.factors is factors
+    fresh = mdp.ActionSet(2, 2)
+    assert actions.actions == fresh.actions
+    for name in ("schedules", "code_index"):
+        assert getattr(actions, name).tobytes() == getattr(fresh, name).tobytes()
+    built = mdp.build_factors(space)
+    assert built is not factors and built.n_states == factors.n_states
+    arrays = [(factors.row_of, built.row_of), (factors.omega, built.omega)]
+    for kept, made in zip(factors.tables, built.tables, strict=True):
+        for kept_table, made_table in zip(kept, made, strict=True):
+            arrays += zip(kept_table, made_table, strict=True)
+    for kept, made in arrays:
+        assert (kept.dtype, kept.shape, kept.tobytes()) == (made.dtype, made.shape, made.tobytes())
+
+
+def test_making_a_space_builds_no_model(va_system, monkeypatch):
+    """StateSpace, and the state budget check that makes one to refuse it,
+    build neither the action set nor the factors; the first access to each
+    builds it, once."""
+    built = []
+    build_factors, action_set = mdp.build_factors, mdp.ActionSet
+
+    def counted_factors(space):
+        built.append("factors")
+        return build_factors(space)
+
+    def counted_actions(n, m):
+        built.append("actions")
+        return action_set(n, m)
+
+    monkeypatch.setattr(mdp, "build_factors", counted_factors)
+    monkeypatch.setattr(mdp, "ActionSet", counted_actions)
+    space = cli._check_state_budget(va_system, 6272)
+    with pytest.raises(cli.ConfigError):
+        cli._check_state_budget(va_system, 6271)
+    assert built == []
+    for _ in range(2):
+        space.factors, space.action_set
+    assert built == ["factors", "actions"]
+
+
 def test_transition_distribution_reference_case(va_penalty):
     sensor = a.SensorSpec(a.BernoulliArrival(0.9), va_penalty, 0.5, 1.0, 7, 7)
     spec = a.SystemSpec((sensor,), a.ChannelSpec(0.5, 0.8), 1)
@@ -184,8 +233,7 @@ def test_kernel_rows_sum_to_one(va_penalty):
     bern = a.SensorSpec(a.BernoulliArrival(0.6), va_penalty, 0.5, 1.0, 2, 3)
     spec = a.SystemSpec((markov, bern), a.ChannelSpec(0.4, 0.7), 2)
     space = mdp.StateSpace(spec)
-    actions = mdp.ActionSet(2, 2)
-    for k in stacked_rows(mdp.build_kernels(mdp.build_factors(spec, space), space, actions)):
+    for k in stacked_rows(mdp.build_kernels(space)):
         assert np.allclose(np.asarray(k.sum(axis=1)).ravel(), 1.0, atol=1e-12)
 
 
@@ -364,9 +412,7 @@ def test_markov_arrival_instance_end_to_end(va_penalty):
     space, actions, vt, pt = a.solve_optimal_policy(spec)
     assert vt.gain > 0
     assert mdp.check_value_monotonicity(vt.values, space, 1e-8) == []
-    factors = mdp.build_factors(spec, space)
-    cost = mdp.cost_vector(space, spec)
-    got = table_cost(pt, factors, cost, space.reference_index())
+    got = table_cost(pt, space, mdp.cost_vector(space))
     assert got == pytest.approx(vt.gain, abs=1e-6)
 
 
@@ -374,13 +420,13 @@ def test_always_idle_cost_saturates(va_solved):
     b = va_solved
     idle = mdp.PolicyTable(np.zeros(b.space.n_states, dtype=int), b.actions)
     cap_cost = sum(s.penalty(s.max_aori) for s in b.system.sensors)
-    got = table_cost(idle, b.factors, b.cost, b.start)
+    got = table_cost(idle, b.space, b.cost)
     assert got == pytest.approx(cap_cost, rel=1e-9)
 
 
 def test_optimal_policy_average_cost_matches_gain(tiny_solved):
     b = tiny_solved
-    got = table_cost(b.pt, b.factors, b.cost, b.start)
+    got = table_cost(b.pt, b.space, b.cost)
     assert got == pytest.approx(b.vt.gain, abs=1e-6)
 
 
@@ -391,7 +437,7 @@ def test_optimal_gain_dominates_all_deterministic_tables(tiny_solved):
         table = mdp.PolicyTable(
             rng.integers(len(b.actions), size=b.space.n_states), b.actions
         )
-        cost = table_cost(table, b.factors, b.cost, b.start)
+        cost = table_cost(table, b.space, b.cost)
         assert b.vt.gain <= cost + 1e-6
 
 

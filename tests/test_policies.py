@@ -33,7 +33,7 @@ def test_mef_decide_heterogeneous_penalties():
 
 def test_mef_equals_maf_on_homogeneous_system(va_system):
     space = mdp.StateSpace(va_system)
-    table = pol.policy_to_table(pol.MefPolicy(va_system), space, mdp.ActionSet(2, 1))
+    table = pol.policy_to_table(pol.MefPolicy(va_system), space)
     for idx in range(space.n_states):
         assert action_at(table, idx) == pol.maf_decide(space.decode(idx), 1)
 
@@ -143,13 +143,11 @@ def test_myopic_optimal_when_arrivals_certain(va_penalty):
     # with certain arrivals the buffer is always fresh, so the single-age
     # model is exact and its policy matches the optimal average cost
     spec = make_va_system(va_penalty, 1.0, 1.0, cap=4)
-    bundle_space, actions, vt, pt = a.solve_optimal_policy(spec)
-    factors = mdp.build_factors(spec, bundle_space)
-    cost = mdp.cost_vector(bundle_space, spec)
-    start = bundle_space.reference_index()
+    bundle_space, _, vt, pt = a.solve_optimal_policy(spec)
+    cost = mdp.cost_vector(bundle_space)
     myopic = pol.build_myopic_policy(spec)
-    table = pol.policy_to_table(myopic, bundle_space, actions)
-    myopic_cost = table_cost(table, factors, cost, start)
+    table = pol.policy_to_table(myopic, bundle_space)
+    myopic_cost = table_cost(table, bundle_space, cost)
     assert myopic_cost == pytest.approx(vt.gain, abs=1e-7)
 
 
@@ -169,7 +167,7 @@ def test_every_policy_returns_feasible_actions(va_hetero, va_hetero_sisp):
     for policy in candidates:
         for t in range(3):
             u = rng.random((policy.uniforms, space.n_states))
-            idx = policy.decide_array(actions, space.lanes(), t, u)
+            idx = policy.decide_array(actions, space.lanes, t, u)
             assert len(idx) == space.n_states
             assert all(sum(actions.actions[k]) <= actions.m for k in idx)
 
@@ -177,14 +175,14 @@ def test_every_policy_returns_feasible_actions(va_hetero, va_hetero_sisp):
 def test_round_robin_chain_symmetric_marginals(va_solved):
     """Symmetric two-sensor instance: round robin splits cost equally."""
     b = va_solved
-    chain = pol.round_robin_chain(b.space, b.factors, 2, 1)
+    chain = pol.round_robin_chain(b.space)
     cost_aug = np.tile(b.cost, 2)
     n = b.space.n_states
     # the chain is lumped on its keys: each augmented state's mass is the
     # mass of the keys that step to it
     xi_aug = mdp.stationary_distribution(chain.p) @ chain.rep
     xi = xi_aug[:n] + xi_aug[n:]
-    per_sensor = mdp.average_cost_by_sensor(xi, b.space, b.system)
+    per_sensor = mdp.average_cost_by_sensor(xi, b.space)
     assert per_sensor[0] == pytest.approx(per_sensor[1], abs=1e-9)
     assert per_sensor.sum() == pytest.approx(float(xi_aug @ cost_aug), abs=1e-9)
 
@@ -192,7 +190,7 @@ def test_round_robin_chain_symmetric_marginals(va_solved):
 def test_table_policy_round_trip(tiny_solved):
     b = tiny_solved
     policy = pol.TablePolicy("optimal", b.space, b.pt)
-    table = pol.policy_to_table(policy, b.space, b.actions)
+    table = pol.policy_to_table(policy, b.space)
     assert np.array_equal(table.action_index, b.pt.action_index)
 
 
@@ -269,13 +267,14 @@ def test_policy_to_table_matches_decide(case, tmp_path):
     at every state."""
     cfg = _config(case, tmp_path)
     cache = {}
-    space, actions, _ = cli._joint_mdp(cfg, cache)
+    space = cli._joint_mdp(cfg, cache)
+    actions = space.action_set
     states = [space.decode(i) for i in range(space.n_states)]
     for name in ("optimal", "sisp", "maf", "mef", "myopic", "idle"):
         policy = cli._build_policy(name, cfg, cache)
         rule = _reference_rule(name, policy, cfg.system)
         expected = [actions.index(rule(state)) for state in states]
-        table = pol.policy_to_table(policy, space, actions)
+        table = pol.policy_to_table(policy, space)
         assert table.action_set is actions
         np.testing.assert_array_equal(table.action_index, expected, err_msg=name)
 
@@ -290,7 +289,7 @@ def test_time_and_stream_rules_match_references(case, tmp_path):
     n, m = spec.n_sensors, spec.m_budget
     space = mdp.StateSpace(spec)
     actions = mdp.ActionSet(n, m)
-    lanes = space.lanes()
+    lanes = space.lanes
     rr = cli._build_policy("rr", cfg, {})
     cursor = 0
     for t in range(2 * n + 1):

@@ -114,7 +114,7 @@ def test_divergence_probe_single_cap(va_system):
 def test_mc_mean_matches_exact_cost(va_solved, va_sisp):
     """Long simulated episodes agree with the stationary-distribution value."""
     b = va_solved
-    exact = table_cost(va_sisp.pruned_table, b.factors, b.cost, b.start)
+    exact = table_cost(va_sisp.pruned_table, b.space, b.cost)
     policy = pol.TablePolicy("sisp", b.space, va_sisp.pruned_table)
     plan = sim.ExperimentPlan(
         b.system, [policy], horizon=10_000, replications=30, base_seed=21, warmup=500

@@ -2,7 +2,7 @@
 
 The oracle decodes every index with StateSpace.decode and writes the rows
 one at a time, each cell formatted by cli._fmt: a state-by-state reference
-for the tables that mdp.table_rows builds from StateSpace.lanes(). Each
+for the tables that mdp.table_rows builds from StateSpace.lanes. Each
 table is compared byte for byte.
 """
 
@@ -99,9 +99,9 @@ def oracle_table(path, cfg, space, values, policy, myopic=False):
 
 def expected_tables(cfg, tmp_path):
     system = cfg.system
-    space, actions, vt, pt = mdp.solve_optimal_policy(system)
+    space, _, vt, pt = mdp.solve_optimal_policy(system)
     sisp, _, _ = decomposed.build_policy_table_with_pruning(
-        decomposed.solve_sisp_values(system, cli._scheduling_probs(cfg)), space, actions
+        decomposed.solve_sisp_values(system, cli._scheduling_probs(cfg)), space
     )
     myopic = pol.build_myopic_policy(system)
     return {

@@ -3,16 +3,20 @@ and a traced run still derives its counts.
 
 perfbench/tracer.py wraps, by name, the functions listed in its TARGETS
 dictionary, so deleting or renaming one of them breaks every traced
-benchmark run. Its hooks also bind arguments by name (space, cost, p) and
-read return values (RVI's iterations, the pruning count, the kernels' nnz
-and data, the stationary masses), which only a traced run exercises. The
-tracer file is read and run here, not edited.
+benchmark run. Its hooks also bind arguments by name (space, cost, p,
+horizon), each of which must stay a parameter of its target, and read
+return values (RVI's iterations, the pruning count, the kernels' nnz and
+data, the stationary masses), which only a traced run exercises. The tracer
+file is read and run here, not edited.
 """
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import math
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -26,11 +30,43 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 TWO_SENSOR = ROOT / "configs" / "twosensor.yaml"
 
 
-def load_targets():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
+
+
+def load_targets():
+    return load_tracer().TARGETS
+
+
+def bound_keys(hook) -> set:
+    """The keys of every args["..."] that an AFTER hook reads."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(hook)))
+    return {
+        node.slice.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "args"
+        and isinstance(node.slice, ast.Constant)
+    }
+
+
+def test_every_hook_binding_is_a_parameter_of_its_target():
+    """A hook reads its target's arguments by parameter name, so renaming
+    one breaks the traced run that calls the target; no traced run calls
+    run_episode, so only this test sees its binding."""
+    after = load_tracer().AFTER
+    assert after
+    for name, hook in after.items():
+        module_name, function_name = name.split(".")
+        target = getattr(importlib.import_module(f"aoisched.{module_name}"), function_name)
+        keys = bound_keys(hook)
+        assert keys, f"{name}'s hook reads no argument"
+        missing = keys - set(inspect.signature(target).parameters)
+        assert not missing, f"{name} has no parameter {sorted(missing)}"
 
 
 def test_every_tracer_target_resolves():
