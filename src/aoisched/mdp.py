@@ -4,13 +4,16 @@ State enumeration, the factored transition kernel (channel factor times
 per-sensor case table, with a Markov-arrival variant), relative value
 iteration for the average-cost optimal policy, a value-monotonicity checker,
 and exact policy evaluation through the stationary distribution of the
-policy-induced chain's one closed class, by GMRES or sparse LU, certified by
-its L1 balance residual (stationary_distribution). A chain is searched from
-the start state only, so its closed classes are the ones the start reaches,
-with rows generated from the per-sensor factors as the search first needs
-them, never from assembled kernels, and it is built lumped: the reached
-states that share a distinct row and the policy's group (action, round-robin
-cursor, or the mixture's one group) are one state (reachable_chain).
+policy-induced chain's one closed class, found by frontier searches
+(_closed_class) and solved by a numpy GMRES (_gmres) or sparse LU, certified
+by its L1 balance residual (stationary_distribution). No sum in it is left to
+BLAS, so exact costs have the same bits for any BLAS thread count. A chain
+is searched from the start state only, so its closed classes are the ones
+the start reaches, with rows generated from the per-sensor factors as the
+search first needs them, never from assembled kernels, and it is built
+lumped: the reached states that share a distinct row and the policy's group
+(action, round-robin cursor, or the mixture's one group) are one state
+(reachable_chain).
 
 factor_rows is the one row generator: the joint solver, exact policy
 evaluation, the per-sensor SISP solves, the randomized chain and the myopic
@@ -40,7 +43,8 @@ Kernels, backs up the distinct rows block by block, takes the minimum over
 actions there and spreads it by row_of.
 scipy.sparse is imported only where a sparse matrix is made or combined,
 so the per-sensor SISP solves, which densify kernel_rows with numpy, and
-the myopic solve never load it.
+the myopic solve never load it; scipy.sparse.linalg only on the sparse-LU
+fallback, and scipy.sparse.csgraph never.
 table_rows writes every solve table as byte blocks assembled in numpy,
 with no per-row object: a column's cells index a small table of its
 labels, the value column's labels being its distinct bit patterns, each
@@ -133,16 +137,29 @@ RVI_EPSILON = 1e-9
 RVI_MAX_ITER = 100000
 
 # Stationary solve: the L1 balance residual a returned distribution must meet,
-# and the GMRES restart length, tolerance, restart cycles and passes
+# and the GMRES restart length, tolerance, restart cycles and passes. The
+# passes after the first solve for the correction of the residual left, to
+# a tolerance of their own: on the shipped and benchmark configs 1e-6 gives
+# every exact cost the bits of 1e-12 with a fifth fewer products
 STATIONARY_RESIDUAL = 1e-12
 GMRES_RESTART = 20
 GMRES_RTOL = 1e-12
+GMRES_CORRECTION_RTOL = 1e-6
 GMRES_CYCLES = 100
 GMRES_PASSES = 2
+# The least share of the largest mass the pinned first state of a class may
+# hold; below it the class is solved again pinned at its largest mass. A
+# pinned system that near to singular can pass the certificate far from the
+# truth (a pinned mass of 4e-12 where it is about 1e-47, on a degenerate
+# round-robin chain), while a slowly mixing chain whose masses fall
+# geometrically (2.4e-9 across the 50-state birth-death chain of the tests)
+# solves accurately as pinned
+PIN_MASS = 1e-10
 # The largest closed class the sparse-LU fallback solves; above it a class
 # GMRES cannot certify raises ConvergenceError at once, since the LU fill-in
-# grows so fast that a large class would appear to hang
-LU_MAX_STATES = 20_000
+# grows so fast that a large class would appear to hang (61.5 s on a
+# 15,016-state class)
+LU_MAX_STATES = 8_000
 
 
 class StateSpace:
@@ -999,11 +1016,12 @@ def relative_value_iteration(kernels: Kernels, cost: np.ndarray, ref_index: int)
 
 
 def solve_optimal_policy(spec: SystemSpec) -> tuple:
-    """Build the truncated MDP and solve it; returns (space, actions, vt, pt)."""
+    """Build the truncated MDP and solve it; returns (space, vt, pt), the
+    actions being space.action_set."""
     space = StateSpace(spec)
     kernels = build_kernels(space)
     vt, pi = relative_value_iteration(kernels, cost_vector(space), space.reference_index())
-    return space, space.action_set, vt, PolicyTable(pi, space.action_set)
+    return space, vt, PolicyTable(pi, space.action_set)
 
 
 def check_value_monotonicity(values: np.ndarray, space: StateSpace, slack: float) -> list:
@@ -1052,11 +1070,11 @@ def reachable_chain(make, locate, shape: tuple, start_index: int, n: int) -> Cha
     make(group, rows) returns the CSR arrays (data, indices, indptr) of
     that group's rows for increasing row indices `rows`, sorted by column,
     their columns numbered in the chain. A frontier search from start_index
-    follows every stored entry, explicit zeros included, as csgraph's
-    breadth-first search does. Each key's row is made once, when a frontier
-    first reaches a state of it, and its columns are read then: every state
-    a row made earlier reaches is already seen, so a frontier reads the
-    columns of the rows made for it alone.
+    follows every stored entry, explicit zeros included, as
+    stationary_distribution's closed-class search does. Each key's row is
+    made once, when a frontier first reaches a state of it, and its columns
+    are read then: every state a row made earlier reaches is already seen,
+    so a frontier reads the columns of the rows made for it alone.
 
     The keys are numbered by their smallest reached state, so the closed
     class's first key, the one stationary_distribution pins, is the key of
@@ -1190,41 +1208,157 @@ def mixture_chain_matrix(weights: Sequence[float], space: StateSpace, actions: A
     )
 
 
-def _gmres_solve(a: sparse.csr_matrix, b: np.ndarray) -> np.ndarray:
-    """Restarted GMRES on the pinned system a[1:, 1:] x = b, then passes on
-    the remaining residual while each pass converges; one that runs out of
+def _dot(x: np.ndarray, y: np.ndarray, buf: np.ndarray) -> float:
+    """x . y as numpy's pairwise sum of the products, through buf: a fixed
+    order of adds, where BLAS ddot's order depends on its thread count."""
+    return float(np.add.reduce(np.multiply(x, y, out=buf)))
+
+
+def _givens(f: float, g: float) -> tuple:
+    """(c, s, r) of the plane rotation [c s; -s c] that takes (f, g) to
+    (r, 0), with c >= 0, as LAPACK's dlartg."""
+    if g == 0.0:
+        return 1.0, 0.0, f
+    if f == 0.0:
+        return 0.0, math.copysign(1.0, g), abs(g)
+    d = math.hypot(f, g)
+    r = math.copysign(d, f)
+    return abs(f) / d, g / r, r
+
+
+def _gmres(matvec, b: np.ndarray, rtol: float) -> tuple:
+    """Restarted GMRES (Saad & Schultz 1986) on A x = b from x = 0: (x, info),
+    info 0 once |b - A x| <= rtol |b|, else GMRES_CYCLES.
+
+    A port of scipy 1.17's gmres with no preconditioner: GMRES_RESTART
+    Arnoldi steps a cycle by modified Gram-Schmidt, the least-squares
+    problem kept triangular by Givens rotations, at most GMRES_CYCLES
+    cycles, and the same tolerance control on the inner residual estimate
+    from one cycle to the next. matvec(x, out) writes A x into out. Every
+    inner product and norm is _dot and the update of x adds the basis
+    vectors one at a time, so the bits do not depend on the BLAS thread
+    count. The Krylov basis is written in place, with no copy of A x."""
+    n = len(b)
+    buf = np.empty(n)
+    bnrm2 = math.sqrt(_dot(b, b, buf))
+    x = np.zeros(n)
+    if bnrm2 == 0.0:
+        return x, 0
+    atol = rtol * bnrm2
+    eps = np.finfo(float).eps
+    restart = min(GMRES_RESTART, n)
+    ptol_max_factor = 1.0
+    ptol = bnrm2 * min(ptol_max_factor, atol / bnrm2)
+    v = np.empty((restart + 1, n))
+    h = np.zeros((restart, restart + 1))
+    givens = np.zeros((restart, 2))
+    r = b.copy()
+    for _ in range(GMRES_CYCLES):
+        s_norm = math.sqrt(_dot(r, r, buf))
+        np.multiply(r, 1.0 / s_norm, out=v[0])
+        s = np.zeros(restart + 1)
+        s[0] = s_norm
+        breakdown = False
+        for col in range(restart):
+            w = v[col + 1]
+            matvec(v[col], w)
+            h0 = math.sqrt(_dot(w, w, buf))
+            for k in range(col + 1):
+                h[col, k] = _dot(v[k], w, buf)
+                w -= np.multiply(v[k], h[col, k], out=buf)
+            h1 = math.sqrt(_dot(w, w, buf))
+            h[col, col + 1] = h1
+            if h1 <= eps * h0:
+                h[col, col + 1] = 0.0
+                breakdown = True
+            else:
+                w *= 1.0 / h1
+            for k in range(col):
+                c, sn = givens[k]
+                n0, n1 = h[col, k], h[col, k + 1]
+                h[col, k], h[col, k + 1] = c * n0 + sn * n1, -sn * n0 + c * n1
+            c, sn, h[col, col] = _givens(h[col, col], h[col, col + 1])
+            givens[col] = c, sn
+            h[col, col + 1] = 0.0
+            s[col], s[col + 1] = c * s[col], -sn * s[col]
+            presid = abs(s[col + 1])
+            if presid <= ptol or breakdown:
+                break
+        if h[col, col] == 0.0:
+            s[col] = 0.0
+        y = s[: col + 1].copy()
+        for k in range(col, 0, -1):
+            if y[k] != 0.0:
+                y[k] /= h[k, k]
+                y[:k] -= y[k] * h[k, :k]
+        if y[0] != 0.0:
+            y[0] /= h[0, 0]
+        for k in range(col + 1):
+            x += np.multiply(v[k], y[k], out=buf)
+        matvec(x, r)
+        np.subtract(b, r, out=r)
+        rnorm = math.sqrt(_dot(r, r, buf))
+        if rnorm <= atol or breakdown:
+            break
+        if presid <= ptol:
+            ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
+        else:
+            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
+        ptol = presid * min(ptol_max_factor, atol / rnorm)
+    return x, 0 if rnorm <= atol else GMRES_CYCLES
+
+
+def _gmres_solve(q: sparse.csr_matrix, b: np.ndarray) -> np.ndarray:
+    """_gmres on the pinned system A[1:, 1:] x = b of the class q,
+    A = (I - Q)^T, to GMRES_RTOL, then passes on the remaining residual, to
+    GMRES_CORRECTION_RTOL, while each pass converges; one that runs out of
     cycles would stall again.
 
-    The operator is x -> (a @ [0, x])[1:], over a itself, with no copy of
-    a[1:, 1:]. Its products have the bits of a[1:, 1:] @ x: csr_matvec sums
-    each row from +0.0, and an entry in column 0 adds its product with 0.0,
-    a signed zero, which leaves any such sum unchanged."""
-    from scipy.sparse.linalg import LinearOperator, gmres
+    The operator is x -> (a @ [0, x])[1:] over a, A as a CSR matrix, with
+    no copy of a[1:, 1:]. Its products have the bits of a[1:, 1:] @ x:
+    csr_matvec sums each row from +0.0, and an entry in column 0 adds its
+    product with 0.0, a signed zero, which leaves any such sum unchanged.
 
-    padded = np.zeros(a.shape[0])
+    The residual a correction pass solves for is the balance residual
+    (Q^T xi - xi)[1:] of xi = [1, x], computed in numpy's longdouble from q
+    itself (mixed-precision iterative refinement, Moler 1967): a rounds each
+    1 - q_ii, and on an ill-conditioned class a double residual of a moves
+    the masses by many ulps. Where longdouble is wider than a double (80
+    bits on x86), two degenerate test chains whose lumped costs a double
+    residual left 4 and 5 ulps from their state chains' agree to the bit."""
+    from scipy import sparse
 
-    def matvec(x):
-        padded[1:] = x.ravel()
-        return (a @ padded)[1:]
+    m = q.shape[0]
+    a = (sparse.identity(m, format="csr") - q).T.tocsr()
+    padded = np.zeros(m)
 
-    a11 = LinearOperator((len(b), len(b)), matvec=matvec, dtype=np.float64)
-    x = np.zeros(len(b))
-    for _ in range(GMRES_PASSES):
-        dx, info = gmres(
-            a11, b - a11 @ x, rtol=GMRES_RTOL, atol=0.0,
-            restart=GMRES_RESTART, maxiter=GMRES_CYCLES,
-        )
+    def matvec(x, out):
+        padded[1:] = x
+        out[...] = (a @ padded)[1:]
+
+    wide = sparse.csr_matrix((q.data.astype(np.longdouble), q.indices, q.indptr), shape=q.shape)
+    xi = np.ones(m, dtype=np.longdouble)
+    x = np.zeros(m - 1)
+    r = b
+    for k in range(GMRES_PASSES):
+        if k:
+            xi[1:] = x
+            r = (wide.T @ xi - xi)[1:].astype(float)
+        dx, info = _gmres(matvec, r, GMRES_RTOL if k == 0 else GMRES_CORRECTION_RTOL)
         x += dx
         if info != 0:
             break
     return x
 
 
-def _lu_solve(a: sparse.csr_matrix, b: np.ndarray) -> np.ndarray:
-    """Sparse LU on the pinned system a[1:, 1:] x = b, the one path that
-    copies a[1:, 1:]."""
+def _lu_solve(q: sparse.csr_matrix, b: np.ndarray) -> np.ndarray:
+    """Sparse LU on the pinned system A[1:, 1:] x = b of the class q,
+    A = (I - Q)^T: the one path that copies A[1:, 1:], and the one that
+    imports scipy.sparse.linalg."""
+    from scipy import sparse
     from scipy.sparse.linalg import spsolve
 
+    a = (sparse.identity(q.shape[0], format="csr") - q).T.tocsr()
     return spsolve(a[1:, 1:].tocsc(), b)
 
 
@@ -1243,14 +1377,12 @@ def _certified(xi: np.ndarray, residual: float) -> bool:
 
 def _pinned_solve(q: sparse.csr_matrix) -> tuple:
     """(xi, its L1 residual) on the class q with its first state pinned,
-    by GMRES, then by sparse LU (stationary_distribution)."""
-    from scipy import sparse
-
+    by GMRES, then by sparse LU (stationary_distribution). The right-hand
+    side -A[1:, 0] is row 0 of q past its first column."""
     m = q.shape[0]
-    a = (sparse.identity(m, format="csr") - q).T.tocsr()
-    b = -a[1:, 0].toarray().ravel()
+    b = q[0, 1:].toarray().ravel()
     for solve in (_gmres_solve,) if m > LU_MAX_STATES else (_gmres_solve, _lu_solve):
-        xi = np.concatenate(([1.0], solve(a, b)))
+        xi = np.concatenate(([1.0], solve(q, b)))
         xi /= xi.sum()
         residual = float(np.abs(q.T @ xi - xi).sum())
         if _certified(xi, residual):
@@ -1258,14 +1390,71 @@ def _pinned_solve(q: sparse.csr_matrix) -> tuple:
     return xi, residual
 
 
+def _reach(indptr: np.ndarray, indices: np.ndarray, start: int, seen: np.ndarray) -> np.ndarray:
+    """seen, with every state marked that a frontier search from start
+    reaches over the stored entries of the CSR structure (indptr, indices),
+    start included; the states already marked are not searched from."""
+    frontier = np.array([start])
+    seen[start] = True
+    while len(frontier):
+        counts = indptr[frontier + 1] - indptr[frontier]
+        first = np.cumsum(counts) - counts
+        at = np.arange(first[-1] + counts[-1]) + np.repeat(indptr[frontier] - first, counts)
+        fresh = np.zeros(len(seen), dtype=bool)
+        fresh[indices[at]] = True
+        fresh &= ~seen
+        seen |= fresh
+        frontier = np.flatnonzero(fresh)
+    return seen
+
+
+def _closed_class(p: sparse.csr_matrix) -> tuple:
+    """(the states of one closed class of p, increasing; how many closed
+    classes p has), by frontier searches over p's stored entries, explicit
+    zeros included: forward on p's CSR, backward on its CSC.
+
+    A search starts at the state that the most entries enter. While
+    the states it reaches include one that does not reach it back, it
+    moves there, where the reach is smaller. Otherwise the reach is
+    strongly connected and no entry leaves it: a closed class, and its
+    backward reach is every state that can enter it. Those are set aside.
+    The states left reach no class found so far, so every entry out of one
+    of them stays among them, and they hold the other closed classes,
+    which are searched for among them in the same way until none is left.
+    """
+    from scipy import sparse
+
+    n = p.shape[0]
+    # p's pattern by columns, with no values: each state's predecessors
+    pc = sparse.csr_matrix((np.ones(p.nnz, dtype=bool), p.indices, p.indptr), shape=p.shape).tocsc()
+    inflow = np.diff(pc.indptr)
+    left = np.ones(n, dtype=bool)
+    members, count = None, 0
+    state = int(np.argmax(inflow))
+    while True:
+        forward = _reach(p.indptr, p.indices, state, np.zeros(n, dtype=bool))
+        back = _reach(pc.indptr, pc.indices, state, ~left)
+        candidates = np.flatnonzero(forward & ~back)
+        if len(candidates) == 0:
+            count += 1
+            if members is None:
+                members = np.flatnonzero(forward)
+            left &= ~back
+            candidates = np.flatnonzero(left)
+            if len(candidates) == 0:
+                return members, count
+        state = int(candidates[np.argmax(inflow[candidates])])
+
+
 def stationary_distribution(p: sparse.csr_matrix) -> np.ndarray:
     """Stationary distribution of the one recurrent class of p.
 
     The strongly connected components of p that no edge leaves are its
-    closed classes. Raises RuntimeError unless there is exactly one (the
-    long-run cost would otherwise depend on chance); the other states get
-    zero mass. The chain builders (reachable_chain) build only the states
-    their start reaches, so their closed classes are the start's.
+    closed classes (_closed_class). Raises RuntimeError unless there is
+    exactly one (the long-run cost would otherwise depend on chance); the
+    other states get zero mass. The chain builders (reachable_chain) build
+    only the states their start reaches, so their closed classes are the
+    start's.
 
     On that class, with transition matrix Q (p itself when the class is all
     of p), the balance equations A xi = 0 with A = (I - Q)^T fix xi only up
@@ -1273,10 +1462,13 @@ def stationary_distribution(p: sparse.csr_matrix) -> np.ndarray:
     lumped chain) is pinned to xi_0 = 1 and its equation dropped, leaving
     the nonsingular system A[1:, 1:] xi[1:] = -A[1:, 0] (Stewart 1994,
     ch. 2), as every state of an irreducible class has positive mass.
-    Restarted GMRES solves it (Saad & Schultz 1986), and a second pass
-    solves for the correction of the first pass's residual, which takes the
-    answer down to rounding level. Power iteration is not used: it does not
-    converge on periodic chains such as round robin's.
+    Restarted GMRES solves it (Saad & Schultz 1986; _gmres, a numpy port
+    of scipy's whose sums run in a fixed order, so that the masses have the
+    same bits for any BLAS thread count), and a second pass solves for the
+    correction of the first pass's balance residual, computed in longdouble
+    from Q itself, which takes the answer down to rounding level. Power
+    iteration is not used: it does not converge on periodic chains such as
+    round robin's.
 
     GMRES's own convergence flag is not trusted (its tolerance is relative
     to a right-hand side that can be tiny). The answer certifies itself
@@ -1286,9 +1478,12 @@ def stationary_distribution(p: sparse.csr_matrix) -> np.ndarray:
     can stall restarted GMRES short of that; their system is then solved
     again by sparse LU, whose cost does not depend on the mixing, on a class
     of at most LU_MAX_STATES states. A first state of negligible mass makes
-    the pinned system singular to rounding and the masses non-finite; the
-    class is then solved again, pinned at the state most probability flows
-    into. A mass within rounding of zero (at least -eps, the total being 1)
+    the pinned system singular or near to it: when the answer is not finite,
+    or gives the first state less than PIN_MASS of its largest mass, the
+    class is solved again, pinned at the state of the largest mass or, with
+    no finite answer, at the state most probability flows into. (No class
+    of the shipped and benchmark configs is solved twice.) A mass within
+    rounding of zero (at least -eps, the total being 1)
     is the one exception to positivity: a state entered with probability
     1e-288, say, has a mass far below what a double resolves next to 1, and
     its computed sign is noise. When no solve is certified, such masses are
@@ -1296,33 +1491,25 @@ def stationary_distribution(p: sparse.csr_matrix) -> np.ndarray:
     An answer that fails the check raises ConvergenceError with its
     residual and the class size.
     """
-    from scipy.sparse.csgraph import connected_components
-
-    n_comp, labels = connected_components(p, directed=True, connection="strong")
-    # a class is closed when no stored entry leaves it: compare each entry's
-    # row label with its column's, TABLE_CHUNK rows at a time
-    is_closed = np.ones(n_comp, dtype=bool)
-    for lo in range(0, len(labels), TABLE_CHUNK):
-        hi = min(len(labels), lo + TABLE_CHUNK)
-        span = slice(p.indptr[lo], p.indptr[hi])
-        row_label = np.repeat(labels[lo:hi], np.diff(p.indptr[lo:hi + 1]))
-        is_closed[row_label[row_label != labels[p.indices[span]]]] = False
-    closed = np.flatnonzero(is_closed)
-    if len(closed) != 1:
-        raise RuntimeError(f"{len(closed)} recurrent classes in the chain")
-    members = np.flatnonzero(labels == closed[0])
+    members, count = _closed_class(p)
+    if count != 1:
+        raise RuntimeError(f"{count} recurrent classes in the chain")
     m = len(members)
     xi = np.ones(1)
     if m > 1:
         q = _restricted(p, members)
         xi, residual = _pinned_solve(q)
-        if not np.isfinite(residual):
-            # singular to rounding: the first state's mass is negligible,
-            # so pin the state most probability flows into
-            order = np.roll(np.arange(m), -int(np.argmax(q.sum(axis=0))))
-            moved = _pinned_solve(q[order][:, order].tocsr())
-            if np.isfinite(moved[1]):
-                xi[order], residual = moved
+        finite = np.isfinite(residual)
+        if not (finite and xi[0] >= PIN_MASS * xi.max()):
+            # the first state's mass is too small to pin: pin the state of
+            # the largest mass or, with no finite answer, the state most
+            # probability flows into
+            k = int(np.argmax(xi if finite else q.sum(axis=0)))
+            if k:
+                order = np.roll(np.arange(m), -k)
+                moved = _pinned_solve(q[order][:, order].tocsr())
+                if np.isfinite(moved[1]):
+                    xi[order], residual = moved
         if not _certified(xi, residual) and xi.min() >= -np.finfo(float).eps:
             # no solve is certified, but every mass is positive or within
             # rounding of zero: the latter are zero
@@ -1348,14 +1535,16 @@ def chain_average_cost(chain: Chain, cost: np.ndarray) -> float:
     costs are `cost`: the stationary distribution of chain.p times
     chain.rep @ cost, each key's expected cost of its next state. The
     chain's columns are read modulo len(cost), so that round robin's
-    cursor-augmented states read their state's cost."""
+    cursor-augmented states read their state's cost. The products are
+    added by math.fsum, which rounds their exact sum once: no order of
+    adds, and so no BLAS thread count, can move its bits."""
     from scipy import sparse
 
     rep = chain.rep
     rep_cost = sparse.csr_matrix(
         (rep.data, rep.indices % len(cost), rep.indptr), shape=(rep.shape[0], len(cost))
     ) @ cost
-    return float(stationary_distribution(chain.p) @ rep_cost)
+    return math.fsum(stationary_distribution(chain.p) * rep_cost)
 
 
 def average_cost_by_sensor(xi: np.ndarray, space: StateSpace) -> np.ndarray:

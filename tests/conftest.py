@@ -121,7 +121,6 @@ def va_hetero(va_penalty):
 class SolvedBundle:
     system: object
     space: object
-    actions: object
     kernels: object
     cost: np.ndarray
     start: int
@@ -130,12 +129,10 @@ class SolvedBundle:
 
 
 def solve_bundle(system) -> SolvedBundle:
-    space, actions, vt, pt = a.solve_optimal_policy(system)
+    space, vt, pt = a.solve_optimal_policy(system)
     kernels = mdp.build_kernels(space)
     cost = mdp.cost_vector(space)
-    return SolvedBundle(
-        system, space, actions, kernels, cost, space.reference_index(), vt, pt
-    )
+    return SolvedBundle(system, space, kernels, cost, space.reference_index(), vt, pt)
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,13 @@
-"""The stationary solve as it was before GMRES ran on an operator over
-(I - Q)^T: GMRES and sparse LU on a copy of the pinned block a[1:, 1:], and
-the closed-class test on the COO edges of the reachable chain; it shares
-only the re-pin of a singular pinned system and the zeroing of masses
-within rounding of zero. Kept as the oracle that
-mdp.stationary_distribution must match bit for bit, on the states reachable
-from a start."""
+"""The stationary solve with its own operator and class search: GMRES and
+sparse LU on a copy of the pinned block A[1:, 1:] of A = (I - Q)^T, where
+mdp.stationary_distribution runs GMRES on an operator over all of A, and the
+closed classes from csgraph's strongly connected components, tested on the
+COO edges of the chain that a breadth-first search from the start reaches,
+where mdp searches by frontiers itself. It shares only the GMRES iteration
+(mdp._gmres) and its passes on a longdouble balance residual, the re-pin of
+a first state of too little mass and the zeroing of masses within rounding
+of zero. Kept as the oracle that mdp.stationary_distribution must match bit
+for bit, on the states reachable from a start."""
 
 import numpy as np
 
@@ -12,22 +15,28 @@ from aoisched import mdp
 from aoisched.model import ConvergenceError
 
 
-def _gmres_solve(a11, b):
-    from scipy.sparse.linalg import gmres
+def _gmres_solve(q, a11, b):
+    from scipy import sparse
 
+    def matvec(x, out):
+        out[...] = a11 @ x
+
+    wide = sparse.csr_matrix((q.data.astype(np.longdouble), q.indices, q.indptr), shape=q.shape)
+    xi = np.ones(q.shape[0], dtype=np.longdouble)
     x = np.zeros(len(b))
-    for _ in range(mdp.GMRES_PASSES):
-        dx, info = gmres(
-            a11, b - a11 @ x, rtol=mdp.GMRES_RTOL, atol=0.0,
-            restart=mdp.GMRES_RESTART, maxiter=mdp.GMRES_CYCLES,
-        )
+    r = b
+    for k in range(mdp.GMRES_PASSES):
+        if k:
+            xi[1:] = x
+            r = (wide.T @ xi - xi)[1:].astype(float)
+        dx, info = mdp._gmres(matvec, r, mdp.GMRES_RTOL if k == 0 else mdp.GMRES_CORRECTION_RTOL)
         x += dx
         if info != 0:
             break
     return x
 
 
-def _lu_solve(a11, b):
+def _lu_solve(q, a11, b):
     from scipy.sparse.linalg import spsolve
 
     return spsolve(a11.tocsc(), b)
@@ -39,12 +48,10 @@ def _pinned_solve(q):
     from scipy import sparse
 
     m = q.shape[0]
-    a = (sparse.identity(m, format="csr") - q).T.tocsr()
-    a11 = a[1:, 1:]
-    b = -a[1:, 0].toarray().ravel()
-    del a
+    a11 = (sparse.identity(m, format="csr") - q).T.tocsr()[1:, 1:]
+    b = q[0, 1:].toarray().ravel()
     for solve in (_gmres_solve, _lu_solve):
-        xi = np.concatenate(([1.0], solve(a11, b)))
+        xi = np.concatenate(([1.0], solve(q, a11, b)))
         xi /= xi.sum()
         residual = float(np.abs(q.T @ xi - xi).sum())
         if residual <= mdp.STATIONARY_RESIDUAL and np.all(xi > 0.0):
@@ -75,12 +82,16 @@ def stationary_distribution(p, start_index):
     if m > 1:
         q = mdp._restricted(sub, members)
         xi, residual = _pinned_solve(q)
-        if not np.isfinite(residual):
-            # the pinned system is singular: re-pin where most probability flows
-            order = np.roll(np.arange(m), -int(np.argmax(q.sum(axis=0))))
-            moved, moved_residual = _pinned_solve(q[order][:, order].tocsr())
-            if np.isfinite(moved_residual):
-                xi[order], residual = moved, moved_residual
+        finite = np.isfinite(residual)
+        if not (finite and xi[0] >= mdp.PIN_MASS * xi.max()):
+            # too little mass to pin: re-pin at the largest mass, or where
+            # most probability flows when no mass is finite
+            k = int(np.argmax(xi if finite else q.sum(axis=0)))
+            if k:
+                order = np.roll(np.arange(m), -k)
+                moved, moved_residual = _pinned_solve(q[order][:, order].tocsr())
+                if np.isfinite(moved_residual):
+                    xi[order], residual = moved, moved_residual
         if not (residual <= mdp.STATIONARY_RESIDUAL and np.all(xi > 0.0)):
             if xi.min() >= -np.finfo(float).eps:
                 xi = np.maximum(xi, 0.0)

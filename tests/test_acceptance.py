@@ -59,7 +59,7 @@ def test_criterion_01_riccati_reproduction():
 
 def test_criterion_02_rvi_vs_brute_force():
     t0 = time.perf_counter()
-    _, _, vt, _ = a.solve_optimal_policy(tiny_system())
+    _, vt, _ = a.solve_optimal_policy(tiny_system())
     brute = tiny_brute_force_optimum()
     elapsed = time.perf_counter() - t0
     assert vt.gain == pytest.approx(brute, abs=1e-6)
@@ -97,7 +97,7 @@ def _scheduling_upward_closed(table, space, actions):
 
 def test_criterion_04_threshold_structure(va_solved, va_sisp, va_hetero_solved, va_hetero_sisp):
     for bundle, sb in ((va_solved, va_sisp), (va_hetero_solved, va_hetero_sisp)):
-        assert _scheduling_upward_closed(sb.table, bundle.space, bundle.actions) == 0
+        assert _scheduling_upward_closed(sb.table, bundle.space, bundle.space.action_set) == 0
         assert np.array_equal(sb.table.action_index, sb.pruned_table.action_index)
         assert sb.violations.size == 0
         assert sb.copied > 0
@@ -137,8 +137,9 @@ def _exact_costs(bundle, sisp_table, p_r):
         out[name] = table_cost(table, b.space, b.cost)
     chain = pol.round_robin_chain(b.space)
     out["rr"] = mdp.chain_average_cost(chain, b.cost)
-    weights = pol.randomized_action_weights(p_r, b.system.m_budget, b.actions)
-    chain = mdp.mixture_chain_matrix(weights, b.space, b.actions)
+    actions = b.space.action_set
+    weights = pol.randomized_action_weights(p_r, b.system.m_budget, actions)
+    chain = mdp.mixture_chain_matrix(weights, b.space, actions)
     out["rand"] = mdp.chain_average_cost(chain, b.cost)
     return out
 

@@ -556,6 +556,26 @@ def test_cli_start_loads_no_stationary_solver_modules():
     assert run_python("-c", code).strip() == "[]"
 
 
+def test_compare_loads_no_scipy_solver_or_graph_modules(tmp_path):
+    """compare's stationary solves (GMRES, the closed-class search) are
+    numpy code over scipy.sparse matrices: a twosensor compare of every
+    policy leaves scipy.sparse.linalg and scipy.sparse.csgraph unloaded,
+    whose imports would set the command's peak memory."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "twosensor.yaml"
+    modules = ("scipy.sparse.linalg", "scipy.sparse.csgraph")
+    code = textwrap.dedent(
+        f"""
+        import sys
+        from aoisched import cli
+        argv = ["compare", "--config", {str(config)!r}, "--replications", "2",
+                "--out", {str(tmp_path)!r}]
+        assert cli.main(argv) == 0
+        print([m for m in {modules!r} if m in sys.modules])
+        """
+    )
+    assert run_python("-c", code).splitlines()[-1] == "[]"
+
+
 def test_only_joint_kernels_load_scipy_sparse(tmp_path):
     """SISP (its table, thresholds and the cap probe), the stability check,
     the kernel-free baselines and the myopic policy (solved on numpy

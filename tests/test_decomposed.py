@@ -25,9 +25,7 @@ def small_system():
 def small_solution(small_system):
     p_r = decomposed.default_randomized_probs(small_system)
     values = decomposed.solve_sisp_values(small_system, p_r)
-    space = mdp.StateSpace(small_system)
-    actions = mdp.ActionSet(2, 1)
-    return small_system, values, space, actions
+    return small_system, values, mdp.StateSpace(small_system)
 
 
 def test_randomized_policy_validation(small_system):
@@ -176,11 +174,11 @@ def _oracle_theta(state, values, actions, spec):
 
 def test_sisp_decide_matches_joint_expansion(small_solution):
     """The production SISP table against the joint-kernel expansion."""
-    system, values, space, actions = small_solution
+    system, values, space = small_solution
     table = decomposed.build_policy_table(values, space)
     for idx in range(space.n_states):
         state = space.decode(idx)
-        oracle = _oracle_theta(state, values, actions, system)
+        oracle = _oracle_theta(state, values, space.action_set, system)
         best = oracle.min()
         k = table.action_index[space.encode(state)]
         assert oracle[k] <= best + 1e-8
@@ -285,7 +283,7 @@ def test_sisp_scheduling_region_is_staircase(va_hetero_solved, va_hetero_sisp):
 
 
 def test_pruned_table_equals_unpruned(small_solution):
-    system, values, space, _ = small_solution
+    system, values, space = small_solution
     plain = decomposed.build_policy_table(values, space)
     pruned, copied, violations = decomposed.build_policy_table_with_pruning(values, space)
     assert violations.size == 0
@@ -344,7 +342,7 @@ def test_threshold_inf_for_hopeless_sensor(va_penalty):
 
 def test_decomposition_gain_identity(small_solution):
     """Sum of per-sensor gains equals the exact joint randomized cost."""
-    _, values, space, _ = small_solution
+    _, values, space = small_solution
     p_r = [pv.p_r for pv in values]
     chain = decomposed.randomized_chain_matrix(space, p_r)
     cost = mdp.cost_vector(space)
@@ -404,8 +402,8 @@ def test_three_sensor_two_slot_budget():
         )
     )
     system = a.SystemSpec(sensors, a.ChannelSpec(0.45, 0.75), 2)
-    space, actions, vt, pt = a.solve_optimal_policy(system)
-    assert len(actions) == 1 + 3 + 3
+    space, vt, pt = a.solve_optimal_policy(system)
+    assert len(space.action_set) == 1 + 3 + 3
     kernels = mdp.build_kernels(space)
     for k in stacked_rows(kernels):
         assert np.allclose(np.asarray(k.sum(axis=1)).ravel(), 1.0, atol=1e-12)
@@ -451,7 +449,7 @@ def test_decomposition_with_markov_arrivals():
 
 
 def test_sisp_dominates_randomized(small_solution):
-    _, values, space, _ = small_solution
+    _, values, space = small_solution
     cost = mdp.cost_vector(space)
     table = decomposed.build_policy_table(values, space)
     sisp_cost = table_cost(table, space, cost)

@@ -586,7 +586,7 @@ def test_myopic_solve_is_the_scipy_solve_bit_for_bit(config):
     gain, iteration count and table on the shipped configs."""
     system = cli.load_config(str(CONFIGS / f"{config}.yaml")).system
     reduced = pol.myopic_system(system)
-    space, _, vt, pt = mdp.solve_optimal_policy(reduced)
+    space, vt, pt = mdp.solve_optimal_policy(reduced)
     kernels = mdp.build_padded_kernels(space)
     got, _ = mdp.relative_value_iteration(
         kernels, mdp.cost_vector(space), space.reference_index()

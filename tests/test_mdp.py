@@ -368,10 +368,10 @@ def test_rvi_gain_invariant_under_reference_state(tiny_solved):
 def test_rvi_degenerate_always_fresh(va_penalty):
     sensor = a.SensorSpec(a.BernoulliArrival(1.0), va_penalty, 1.0, 1.0, 3, 3)
     spec = a.SystemSpec((sensor,), a.ChannelSpec(0.5, 0.8), 1)
-    space, actions, vt, pt = a.solve_optimal_policy(spec)
+    space, vt, pt = a.solve_optimal_policy(spec)
     assert vt.gain == pytest.approx(va_penalty(1), rel=1e-9)
     # transmitting is optimal at the start state
-    assert actions.actions[pt.action_index[space.reference_index()]] == (1,)
+    assert space.action_set.actions[pt.action_index[space.reference_index()]] == (1,)
 
 
 def test_rvi_bellman_residual(va_hetero_solved):
@@ -409,7 +409,7 @@ def test_markov_arrival_instance_end_to_end(va_penalty):
         a.SensorSpec(a.BernoulliArrival(0.5), va_penalty, 0.5, 1.0, 2, 3),
     )
     spec = a.SystemSpec(sensors, a.ChannelSpec(0.5, 0.8), 1)
-    space, actions, vt, pt = a.solve_optimal_policy(spec)
+    space, vt, pt = a.solve_optimal_policy(spec)
     assert vt.gain > 0
     assert mdp.check_value_monotonicity(vt.values, space, 1e-8) == []
     got = table_cost(pt, space, mdp.cost_vector(space))
@@ -418,7 +418,7 @@ def test_markov_arrival_instance_end_to_end(va_penalty):
 
 def test_always_idle_cost_saturates(va_solved):
     b = va_solved
-    idle = mdp.PolicyTable(np.zeros(b.space.n_states, dtype=int), b.actions)
+    idle = mdp.PolicyTable(np.zeros(b.space.n_states, dtype=int), b.space.action_set)
     cap_cost = sum(s.penalty(s.max_aori) for s in b.system.sensors)
     got = table_cost(idle, b.space, b.cost)
     assert got == pytest.approx(cap_cost, rel=1e-9)
@@ -434,9 +434,8 @@ def test_optimal_gain_dominates_all_deterministic_tables(tiny_solved):
     b = tiny_solved
     rng = np.random.default_rng(0)
     for _ in range(25):
-        table = mdp.PolicyTable(
-            rng.integers(len(b.actions), size=b.space.n_states), b.actions
-        )
+        actions = b.space.action_set
+        table = mdp.PolicyTable(rng.integers(len(actions), size=b.space.n_states), actions)
         cost = table_cost(table, b.space, b.cost)
         assert b.vt.gain <= cost + 1e-6
 

@@ -143,7 +143,7 @@ def test_myopic_optimal_when_arrivals_certain(va_penalty):
     # with certain arrivals the buffer is always fresh, so the single-age
     # model is exact and its policy matches the optimal average cost
     spec = make_va_system(va_penalty, 1.0, 1.0, cap=4)
-    bundle_space, _, vt, pt = a.solve_optimal_policy(spec)
+    bundle_space, vt, pt = a.solve_optimal_policy(spec)
     cost = mdp.cost_vector(bundle_space)
     myopic = pol.build_myopic_policy(spec)
     table = pol.policy_to_table(myopic, bundle_space)

@@ -1,5 +1,9 @@
 """mdp.stationary_distribution: class detection, mass placement and accuracy."""
 
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse import linalg as splinalg
-from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 import aoisched as a
 from aoisched import cli, mdp, policies as pol
@@ -137,7 +141,7 @@ def test_sticky_channel_matches_dense_solve(va_penalty):
         assert residual(p, xi) <= 1e-12
 
 
-def wrong_gmres(a, b, **kwargs):
+def wrong_gmres(matvec, b, rtol):
     return np.ones_like(b), 0
 
 
@@ -174,13 +178,13 @@ def test_slowly_mixing_chain_falls_back_to_lu(monkeypatch, lu_calls):
     # xi_{i+1} = 1.5 xi_i. The stalled pass uses up its cycles, so no second
     # GMRES pass runs: each GMRES call records the LU solves before it.
     gmres_calls = []
-    real_gmres = splinalg.gmres
+    real_gmres = mdp._gmres
 
-    def logged(*args, **kwargs):
+    def logged(*args):
         gmres_calls.append(len(lu_calls))
-        return real_gmres(*args, **kwargs)
+        return real_gmres(*args)
 
-    monkeypatch.setattr(splinalg, "gmres", logged)
+    monkeypatch.setattr(mdp, "_gmres", logged)
     p = birth_death(50, 0.6)
     xi = mdp.stationary_distribution(p)
     assert gmres_calls == [0]
@@ -207,9 +211,28 @@ def test_class_above_the_lu_bound_raises_without_lu(monkeypatch, lu_calls):
     assert lu_calls == [49]
 
 
+def cycle(n):
+    """The deterministic n-cycle: its one class has uniform mass."""
+    return sparse.csr_matrix((np.ones(n), np.roll(np.arange(n), -1), np.arange(n + 1)))
+
+
+def test_lu_bound_is_8000_states(monkeypatch, lu_calls):
+    # with GMRES's answer wrong, a class of LU_MAX_STATES = 8,000 states is
+    # solved by LU, and one state more raises at once with no LU solve
+    monkeypatch.setattr(mdp, "_gmres", wrong_gmres)
+    np.testing.assert_allclose(mdp.stationary_distribution(cycle(8_000)), 1 / 8_000, rtol=1e-12)
+    assert lu_calls == [7_999]
+    with pytest.raises(
+        ConvergenceError,
+        match=r"on a 8001-state closed class, by GMRES; sparse LU skipped above 8000 states$",
+    ):
+        mdp.stationary_distribution(cycle(8_001))
+    assert lu_calls == [7_999]
+
+
 def test_wrong_gmres_answer_falls_back_to_lu(monkeypatch, lu_calls):
     p = chain([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.6, 0.0, 0.4]])
-    monkeypatch.setattr(splinalg, "gmres", wrong_gmres)
+    monkeypatch.setattr(mdp, "_gmres", wrong_gmres)
     xi = mdp.stationary_distribution(p)
     assert lu_calls == [2]
     np.testing.assert_allclose(xi, dense_solve(p.toarray()), rtol=0, atol=1e-15)
@@ -217,7 +240,7 @@ def test_wrong_gmres_answer_falls_back_to_lu(monkeypatch, lu_calls):
 
 def test_wrong_answer_of_both_solvers_raises(monkeypatch):
     p = chain([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.6, 0.0, 0.4]])
-    monkeypatch.setattr(splinalg, "gmres", wrong_gmres)
+    monkeypatch.setattr(mdp, "_gmres", wrong_gmres)
     monkeypatch.setattr(splinalg, "spsolve", wrong_lu)
     with pytest.raises(
         ConvergenceError,
@@ -228,10 +251,116 @@ def test_wrong_answer_of_both_solvers_raises(monkeypatch):
 
 def test_compare_exits_1_on_wrong_solver_answer(tmp_path, monkeypatch, capsys):
     cfg, _ = write_config(tmp_path, ONE_SENSOR_YAML)
-    monkeypatch.setattr(splinalg, "gmres", wrong_gmres)
+    monkeypatch.setattr(mdp, "_gmres", wrong_gmres)
     monkeypatch.setattr(splinalg, "spsolve", wrong_lu)
     assert cli.main(["compare", "--config", str(cfg), "--policies", "maf"]) == 1
     assert "solver error: stationary solve: L1 residual" in capsys.readouterr().err
+
+
+def csgraph_closed_classes(p) -> tuple:
+    """(how many, labels, is_closed) of csgraph's strongly connected
+    components of p: each state's component, and whether no stored entry
+    leaves each component."""
+    n_comp, labels = connected_components(p, directed=True, connection="strong")
+    edges = p.tocoo()
+    is_closed = np.ones(n_comp, dtype=bool)
+    is_closed[labels[edges.row[labels[edges.row] != labels[edges.col]]]] = False
+    return int(is_closed.sum()), labels, is_closed
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_closed_class_search_counts_as_csgraph(data):
+    """_closed_class counts the closed classes of a chain as csgraph's
+    strongly connected components do, explicit zeros counting as entries,
+    and its states are one of them."""
+    dense, _ = data.draw(stochastic_matrices())
+    if data.draw(st.booleans()):
+        p = sparse.csr_matrix(dense)
+    else:
+        # every entry stored, zeros included
+        rows, cols = np.indices(dense.shape).reshape(2, -1)
+        p = sparse.csr_matrix((dense.ravel(), (rows, cols)), shape=dense.shape)
+    members, count = mdp._closed_class(p)
+    want, labels, is_closed = csgraph_closed_classes(p)
+    assert count == want
+    assert len(np.unique(labels[members])) == 1 and is_closed[labels[members[0]]]
+    assert np.array_equal(members, np.flatnonzero(labels == labels[members[0]]))
+
+
+def pinned_system(p):
+    """The pinned balance system of p's closed class, as
+    stationary_distribution builds it: (x -> A[1:, 1:] x, b)."""
+    members, _ = mdp._closed_class(p)
+    q = mdp._restricted(p, members)
+    a = (sparse.identity(q.shape[0], format="csr") - q).T.tocsr()
+
+    def product(x):
+        return (a @ np.concatenate(([0.0], x)))[1:]
+
+    return product, q[0, 1:].toarray().ravel()
+
+
+def test_gmres_agrees_with_scipy(twosensor_chains):
+    """mdp._gmres, the numpy port of scipy's restarted GMRES, gives scipy's
+    convergence flag and, when both converge, answers within 1e-12 of
+    each other relative to the largest entry (at most 2e-14 measured), on
+    the pinned systems of the twosensor compare chains and of a slowly
+    mixing chain that stalls both."""
+    from scipy.sparse.linalg import LinearOperator, gmres
+
+    systems = [p for (p, _), _ in twosensor_chains.values()] + [birth_death(50, 0.6)]
+    for p in systems:
+        product, b = pinned_system(p)
+
+        def matvec(x, out):
+            out[...] = product(x)
+
+        got, got_info = mdp._gmres(matvec, b, mdp.GMRES_RTOL)
+        op = LinearOperator((len(b), len(b)), matvec=product, dtype=np.float64)
+        want, want_info = gmres(
+            op, b, rtol=mdp.GMRES_RTOL, atol=0.0,
+            restart=mdp.GMRES_RESTART, maxiter=mdp.GMRES_CYCLES,
+        )
+        assert (got_info == 0) == (want_info == 0)
+        if want_info == 0:
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert got_info != 0  # the birth-death chain stalls both
+
+
+EXACT_MAF = textwrap.dedent(
+    """
+    import sys
+    from types import SimpleNamespace
+    from aoisched import cli, mdp
+    cfg = cli.load_config(sys.argv[1])
+    cache = {}
+    (policy,) = cli._policy_list(SimpleNamespace(policies="maf"), cfg, cache)
+    space = cli._joint_mdp(cfg, cache)
+    chain = cli._policy_chain(policy, space)
+    print(mdp.chain_average_cost(chain, mdp.cost_vector(space)).hex())
+    """
+)
+
+
+def test_exact_cost_bits_do_not_depend_on_the_blas_thread_count():
+    """maf's exact cost on threesensor (a 45,142-state chain, large enough
+    for OpenBLAS to thread its dot products) has the same bits with one
+    BLAS thread and with two."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "threesensor.yaml"
+    src = str(Path(mdp.__file__).resolve().parents[1])
+    bits = set()
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ, OPENBLAS_NUM_THREADS=threads,
+            PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", EXACT_MAF, str(config)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        bits.add(done.stdout.strip())
+    assert len(bits) == 1, bits
 
 
 def closed_classes(p: np.ndarray) -> list:
@@ -425,14 +554,14 @@ TINY_MASS = [[0.5, 0.5 - 1e-14, 1e-14], [0.5, 0.5, 0.0], [1.0, 0.0, 0.0]]
 
 
 def test_negative_mass_is_refused(monkeypatch):
-    monkeypatch.setattr(splinalg, "gmres", flip_last(splinalg.gmres))
+    monkeypatch.setattr(mdp, "_gmres", flip_last(mdp._gmres))
     monkeypatch.setattr(splinalg, "spsolve", flip_last(splinalg.spsolve))
     with pytest.raises(ConvergenceError, match="smallest mass -"):
         mdp.stationary_distribution(chain(TINY_MASS))
 
 
 def test_negative_gmres_mass_falls_back_to_lu(monkeypatch, lu_calls):
-    monkeypatch.setattr(splinalg, "gmres", flip_last(splinalg.gmres))
+    monkeypatch.setattr(mdp, "_gmres", flip_last(mdp._gmres))
     xi = mdp.stationary_distribution(chain(TINY_MASS))
     assert lu_calls == [2]
     assert np.all(xi > 0.0)
