@@ -5,7 +5,8 @@ per-sensor case table, with a Markov-arrival variant), relative value
 iteration for the average-cost optimal policy, a value-monotonicity checker,
 and exact policy evaluation through the stationary distribution of the
 policy-induced chain's one closed class, found by frontier searches
-(_closed_class) and solved by a numpy GMRES (_gmres) or sparse LU, certified
+(_closed_class) and solved by a numpy GMRES (_gmres), sparse LU or, on a
+nearly decomposable class, GTH (_gth), certified
 by its L1 balance residual (stationary_distribution). No sum in it is left to
 BLAS, so exact costs have the same bits for any BLAS thread count. A chain
 is searched from the start state only, so its closed classes are the ones
@@ -160,6 +161,15 @@ PIN_MASS = 1e-10
 # grows so fast that a large class would appear to hang (61.5 s on a
 # 15,016-state class)
 LU_MAX_STATES = 8_000
+# A class whose entries of at least WEAK_COUPLING close more than one class
+# is nearly decomposable: the split of its mass between those parts rests on
+# the weak entries, and GMRES's answer can be off by the inverse of their
+# size times the rounding (1e-10 on a 6e-8 coupling, and wholly wrong on a
+# 2e-16 one). Such a class of at most GTH_MAX_STATES states is solved by GTH
+# instead, whose dense elimination takes 0.2 s on 1,442 states (one x86
+# core), where GMRES takes 0.01 s
+WEAK_COUPLING = 1e-4
+GTH_MAX_STATES = 2_000
 
 
 class StateSpace:
@@ -1070,8 +1080,8 @@ def reachable_chain(make, locate, shape: tuple, start_index: int, n: int) -> Cha
     make(group, rows) returns the CSR arrays (data, indices, indptr) of
     that group's rows for increasing row indices `rows`, sorted by column,
     their columns numbered in the chain. A frontier search from start_index
-    follows every stored entry, explicit zeros included, as
-    stationary_distribution's closed-class search does. Each key's row is
+    follows every stored entry, explicit zeros included (stationary_distribution
+    reads a zero as no step). Each key's row is
     made once, when a frontier first reaches a state of it, and its columns
     are read then: every state a row made earlier reaches is already seen,
     so a frontier reads the columns of the rows made for it alone.
@@ -1308,11 +1318,42 @@ def _gmres(matvec, b: np.ndarray, rtol: float) -> tuple:
     return x, 0 if rnorm <= atol else GMRES_CYCLES
 
 
+def _generator(q: sparse.csr_matrix) -> tuple:
+    """(off, out): q's off-diagonal entries as CSR, in q's stored order, and
+    each row's sum of them, the rate at which its state is left. The balance
+    equations are (D - Off)^T xi = 0 with D = diag(out), as in the GTH
+    algorithm (Grassmann, Taksar & Heyman 1985): a state's outflow is the
+    sum of its steps to other states, not 1 - q_ii. A float chain's rows do
+    not sum to 1 exactly, and where a state is left with a small
+    probability, 1 - q_ii moves its outflow by a large share of itself and
+    the masses by up to 1e-10 (on a 6e-8 step). The stationary distribution
+    of D - Off depends on the off-diagonal entries alone, each mass to
+    within a few ulps of them (O'Cinneide 1993), so that a chain and its
+    lumping, whose entries are sums of the chain's, have one answer."""
+    from scipy import sparse
+
+    m = q.shape[0]
+    off = q
+    if q.diagonal().any():
+        rows = np.repeat(np.arange(m), np.diff(q.indptr))
+        keep = q.indices != rows
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[keep], minlength=m))))
+        off = sparse.csr_matrix((q.data[keep], q.indices[keep], indptr), shape=q.shape)
+    return off, off @ np.ones(m)
+
+
+def _operator(off: sparse.csr_matrix, out: np.ndarray) -> sparse.csr_matrix:
+    """A = (D - Off)^T as CSR, D = diag(out) (_generator)."""
+    from scipy import sparse
+
+    return (sparse.diags(out) - off).T.tocsr()
+
+
 def _gmres_solve(q: sparse.csr_matrix, b: np.ndarray) -> np.ndarray:
     """_gmres on the pinned system A[1:, 1:] x = b of the class q,
-    A = (I - Q)^T, to GMRES_RTOL, then passes on the remaining residual, to
-    GMRES_CORRECTION_RTOL, while each pass converges; one that runs out of
-    cycles would stall again.
+    A = (D - Off)^T (_generator), to GMRES_RTOL, then passes on the
+    remaining residual, to GMRES_CORRECTION_RTOL, while each pass
+    converges; one that runs out of cycles would stall again.
 
     The operator is x -> (a @ [0, x])[1:] over a, A as a CSR matrix, with
     no copy of a[1:, 1:]. Its products have the bits of a[1:, 1:] @ x:
@@ -1320,30 +1361,31 @@ def _gmres_solve(q: sparse.csr_matrix, b: np.ndarray) -> np.ndarray:
     product with 0.0, a signed zero, which leaves any such sum unchanged.
 
     The residual a correction pass solves for is the balance residual
-    (Q^T xi - xi)[1:] of xi = [1, x], computed in numpy's longdouble from q
-    itself (mixed-precision iterative refinement, Moler 1967): a rounds each
-    1 - q_ii, and on an ill-conditioned class a double residual of a moves
-    the masses by many ulps. Where longdouble is wider than a double (80
-    bits on x86), two degenerate test chains whose lumped costs a double
-    residual left 4 and 5 ulps from their state chains' agree to the bit."""
+    (Off^T xi - out xi)[1:] of xi = [1, x], computed in numpy's longdouble
+    (mixed-precision iterative refinement, Moler 1967): on an
+    ill-conditioned class, a residual in doubles leaves the masses many
+    ulps from the answer. Where longdouble is no wider than a double, the
+    refinement gains nothing."""
     from scipy import sparse
 
     m = q.shape[0]
-    a = (sparse.identity(m, format="csr") - q).T.tocsr()
+    off, out = _generator(q)
+    a = _operator(off, out)
     padded = np.zeros(m)
 
-    def matvec(x, out):
+    def matvec(x, y):
         padded[1:] = x
-        out[...] = (a @ padded)[1:]
+        y[...] = (a @ padded)[1:]
 
-    wide = sparse.csr_matrix((q.data.astype(np.longdouble), q.indices, q.indptr), shape=q.shape)
+    wide = sparse.csr_matrix((off.data.astype(np.longdouble), off.indices, off.indptr), shape=q.shape)
+    wide_out = wide @ np.ones(m, dtype=np.longdouble)
     xi = np.ones(m, dtype=np.longdouble)
     x = np.zeros(m - 1)
     r = b
     for k in range(GMRES_PASSES):
         if k:
             xi[1:] = x
-            r = (wide.T @ xi - xi)[1:].astype(float)
+            r = (wide.T @ xi - wide_out * xi)[1:].astype(float)
         dx, info = _gmres(matvec, r, GMRES_RTOL if k == 0 else GMRES_CORRECTION_RTOL)
         x += dx
         if info != 0:
@@ -1353,13 +1395,11 @@ def _gmres_solve(q: sparse.csr_matrix, b: np.ndarray) -> np.ndarray:
 
 def _lu_solve(q: sparse.csr_matrix, b: np.ndarray) -> np.ndarray:
     """Sparse LU on the pinned system A[1:, 1:] x = b of the class q,
-    A = (I - Q)^T: the one path that copies A[1:, 1:], and the one that
-    imports scipy.sparse.linalg."""
-    from scipy import sparse
+    A = (D - Off)^T (_generator): the one path that copies A[1:, 1:], and
+    the one that imports scipy.sparse.linalg."""
     from scipy.sparse.linalg import spsolve
 
-    a = (sparse.identity(q.shape[0], format="csr") - q).T.tocsr()
-    return spsolve(a[1:, 1:].tocsc(), b)
+    return spsolve(_operator(*_generator(q))[1:, 1:].tocsc(), b)
 
 
 def _restricted(p: sparse.csr_matrix, keep: np.ndarray) -> sparse.csr_matrix:
@@ -1446,6 +1486,36 @@ def _closed_class(p: sparse.csr_matrix) -> tuple:
         state = int(candidates[np.argmax(inflow[candidates])])
 
 
+def _weakly_coupled(q: sparse.csr_matrix) -> bool:
+    """Whether q's entries of at least WEAK_COUPLING close more than one
+    class (Courtois 1977: a nearly completely decomposable chain)."""
+    strong = q.copy()
+    strong.data[strong.data < WEAK_COUPLING] = 0.0
+    strong.eliminate_zeros()
+    return _closed_class(strong)[1] > 1
+
+
+def _gth(q: sparse.csr_matrix) -> np.ndarray:
+    """The stationary distribution of the irreducible class q by the GTH
+    algorithm (Grassmann, Taksar & Heyman 1985): the states are eliminated
+    from the last, each pivot the sum of its row's remaining off-diagonal
+    entries, so that no step subtracts and each mass is accurate to a few
+    ulps of itself however weakly the class's parts are coupled (O'Cinneide
+    1993). Dense; a state's elimination updates only the rows that enter it
+    and the columns it leaves to, and every sum is numpy's, with no BLAS."""
+    a = q.toarray()
+    m = len(a)
+    for k in range(m - 1, 0, -1):
+        rows = np.flatnonzero(a[:k, k])
+        cols = np.flatnonzero(a[k, :k])
+        a[rows, k] /= np.add.reduce(a[k, cols])
+        a[np.ix_(rows, cols)] += np.multiply.outer(a[rows, k], a[k, cols])
+    xi = np.ones(m)
+    for k in range(1, m):
+        xi[k] = np.add.reduce(xi[:k] * a[:k, k])
+    return xi / np.add.reduce(xi)
+
+
 def stationary_distribution(p: sparse.csr_matrix) -> np.ndarray:
     """Stationary distribution of the one recurrent class of p.
 
@@ -1456,9 +1526,16 @@ def stationary_distribution(p: sparse.csr_matrix) -> np.ndarray:
     only the states their start reaches, so their closed classes are the
     start's.
 
+    The classes are those of p's positive entries: the explicit zeros that
+    a stuck channel stores are no steps.
+
     On that class, with transition matrix Q (p itself when the class is all
-    of p), the balance equations A xi = 0 with A = (I - Q)^T fix xi only up
-    to scale. The class's first state (reachable_chain says which on a
+    of p), the balance equations A xi = 0 with A = (D - Off)^T, Off the
+    off-diagonal part of Q and D its row sums (_generator), fix xi only up
+    to scale. A class whose entries of at least WEAK_COUPLING close more
+    than one class is solved by GTH (_gth) when it has at most
+    GTH_MAX_STATES states, and by the pinned solve below when that has no
+    finite answer. The class's first state (reachable_chain says which on a
     lumped chain) is pinned to xi_0 = 1 and its equation dropped, leaving
     the nonsingular system A[1:, 1:] xi[1:] = -A[1:, 0] (Stewart 1994,
     ch. 2), as every state of an irreducible class has positive mass.
@@ -1466,7 +1543,7 @@ def stationary_distribution(p: sparse.csr_matrix) -> np.ndarray:
     of scipy's whose sums run in a fixed order, so that the masses have the
     same bits for any BLAS thread count), and a second pass solves for the
     correction of the first pass's balance residual, computed in longdouble
-    from Q itself, which takes the answer down to rounding level. Power
+    from Off itself, which takes the answer down to rounding level. Power
     iteration is not used: it does not converge on periodic chains such as
     round robin's.
 
@@ -1491,6 +1568,12 @@ def stationary_distribution(p: sparse.csr_matrix) -> np.ndarray:
     An answer that fails the check raises ConvergenceError with its
     residual and the class size.
     """
+    if not p.data.all():
+        # an explicit zero (a stuck channel's) is no step: it would join to
+        # a class states that no probability enters, or that leave it only
+        # by zeros, and make the pinned system singular
+        p = p.copy()
+        p.eliminate_zeros()
     members, count = _closed_class(p)
     if count != 1:
         raise RuntimeError(f"{count} recurrent classes in the chain")
@@ -1498,18 +1581,25 @@ def stationary_distribution(p: sparse.csr_matrix) -> np.ndarray:
     xi = np.ones(1)
     if m > 1:
         q = _restricted(p, members)
-        xi, residual = _pinned_solve(q)
-        finite = np.isfinite(residual)
-        if not (finite and xi[0] >= PIN_MASS * xi.max()):
-            # the first state's mass is too small to pin: pin the state of
-            # the largest mass or, with no finite answer, the state most
-            # probability flows into
-            k = int(np.argmax(xi if finite else q.sum(axis=0)))
-            if k:
-                order = np.roll(np.arange(m), -k)
-                moved = _pinned_solve(q[order][:, order].tocsr())
-                if np.isfinite(moved[1]):
-                    xi[order], residual = moved
+        residual = np.nan
+        if m <= GTH_MAX_STATES and _weakly_coupled(q):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xi = _gth(q)
+            residual = float(np.abs(q.T @ xi - xi).sum())
+        if not np.isfinite(residual):
+            xi, residual = _pinned_solve(q)
+            finite = np.isfinite(residual)
+            if not (finite and xi[0] >= PIN_MASS * xi.max()):
+                # the first state's mass is too small to pin: pin the state
+                # of the largest mass or, with no finite answer, the state
+                # most probability flows into
+                k = int(np.argmax(xi if finite else q.sum(axis=0)))
+                if k:
+                    order = np.roll(np.arange(m), -k)
+                    # sorted, so that each outflow adds its row by column
+                    moved = _pinned_solve(q[order][:, order].tocsr().sorted_indices())
+                    if np.isfinite(moved[1]):
+                        xi[order], residual = moved
         if not _certified(xi, residual) and xi.min() >= -np.finfo(float).eps:
             # no solve is certified, but every mass is positive or within
             # rounding of zero: the latter are zero

@@ -242,6 +242,21 @@ def idle_first(max_aori):
     )
 
 
+def nearly_periodic(first, p0, max_aori):
+    """Two sensors, the first never delivering, the second with success
+    p0 in the bad channel state only and Markov arrivals that alternate,
+    staying active with probability 2^-23 only: round robin's chain splits
+    into two parts that steps of about 6e-8 couple."""
+    return a.SystemSpec(
+        (
+            _sensor(first, 0.0, 0.0, 0, 2),
+            _sensor(a.MarkovArrival(0.0, 1.192092896e-07), p0, 0.0, 0, max_aori),
+        ),
+        a.ChannelSpec(0.5, 0.5),
+        1,
+    )
+
+
 # three sensors, one with Markov arrivals, and a budget of two
 MARKOV_M2 = a.SystemSpec(
     (
@@ -265,6 +280,8 @@ MARKOV_M2 = a.SystemSpec(
 @example(STUCK_MARKOV, 8, [0.5, 0.5, 0.5])
 @example(MARKOV_M2, 9, [0.6, 0.3, 0.5])
 @example(idle_first(2), 0, [1.1125369292536007e-308, 0.0, 0.0])
+@example(nearly_periodic(a.BernoulliArrival(0.0), 0.0, 1), 0, [0.0, 0.0, 0.0])
+@example(nearly_periodic(a.MarkovArrival(0.0, 0.0), 1.0, 2), 1, [0.0, 0.0, 0.0])
 def test_lumped_chains_are_the_quotient_of_the_state_chain(spec, seed, p):
     """The table, mixture and round-robin chains are the oracle's state
     chains lumped on their (action, row), (0, row) and (cursor, row) keys."""

@@ -112,6 +112,38 @@ def test_negligible_first_state_is_not_pinned():
     assert residual(p, xi) <= 1e-12
 
 
+def test_weakly_coupled_masses_rest_on_the_off_diagonal_entries(monkeypatch):
+    # two states left with probabilities a and b: the masses are
+    # (b, a) / (a + b). 1 - (1 - b) is b only to about 4e-8 of itself, so
+    # an outflow of 1 - q_ii would move them by that much
+    a, b = 1e-9, 3e-9
+    p = chain([[1 - a, a], [b, 1 - b]])
+    want = np.array([b, a]) / (a + b)
+    eps = np.finfo(float).eps
+    # the class is nearly decomposable, so GTH solves it
+    np.testing.assert_allclose(mdp.stationary_distribution(p), want, rtol=4 * eps, atol=0)
+    # and so does the pinned solve, on outflows that are sums of steps
+    monkeypatch.setattr(mdp, "GTH_MAX_STATES", 1)
+    np.testing.assert_allclose(mdp.stationary_distribution(p), want, rtol=4 * eps, atol=0)
+
+
+def test_explicit_zeros_are_no_steps():
+    # 2 is absorbing, and its explicit zeros to 0 and 3 make all four
+    # states one class of stored entries. Pinned at 0, or again at 0, which
+    # the most probability flows into, that class's balance system is
+    # singular.
+    rows, cols = [0, 1, 1, 2, 2, 2, 3], [1, 0, 2, 0, 2, 3, 0]
+    data = [1.0, 0.9, 0.1, 0.0, 1.0, 0.0, 1.0]
+    p = sparse.csr_matrix((data, (rows, cols)), shape=(4, 4))
+    members, count = mdp._closed_class(p)
+    assert count == 1 and len(members) == 4
+    np.testing.assert_array_equal(mdp.stationary_distribution(p), [0.0, 0.0, 1.0, 0.0])
+    # two absorbing states that explicit zeros join are two classes
+    p = sparse.csr_matrix(([1.0, 0.0, 0.0, 1.0], ([0, 0, 1, 1], [0, 1, 0, 1])), shape=(2, 2))
+    with pytest.raises(RuntimeError, match="2 recurrent classes in the chain"):
+        mdp.stationary_distribution(p)
+
+
 def test_deterministic_three_cycle_gets_uniform_mass():
     # period 3: power iteration would cycle forever on it
     p = chain([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
@@ -293,7 +325,7 @@ def pinned_system(p):
     stationary_distribution builds it: (x -> A[1:, 1:] x, b)."""
     members, _ = mdp._closed_class(p)
     q = mdp._restricted(p, members)
-    a = (sparse.identity(q.shape[0], format="csr") - q).T.tocsr()
+    a = mdp._operator(*mdp._generator(q))
 
     def product(x):
         return (a @ np.concatenate(([0.0], x)))[1:]
@@ -409,6 +441,18 @@ def test_stationary_distribution_properties(case):
     assert residual(p, xi) <= 1e-12
     assert np.all(xi[outside] == 0.0)
     assert np.all(xi[members] > 0.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(stochastic_matrices())
+def test_gth_matches_dense_solve(case):
+    """mdp._gth, the elimination that weakly coupled classes take, gives
+    the dense LU answer on the one closed class of a drawn chain."""
+    dense, _ = case
+    classes = closed_classes(dense)
+    assume(len(classes) == 1 and len(classes[0]) > 1)
+    q = dense[np.ix_(classes[0], classes[0])]
+    np.testing.assert_allclose(mdp._gth(sparse.csr_matrix(q)), dense_solve(q), rtol=0, atol=1e-13)
 
 
 def assert_solve_is_the_oracle(p, start):

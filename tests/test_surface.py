@@ -84,6 +84,7 @@ ALLOWED = {
     ("policies", "_top_m"): f"{REFERENCE} (maf_decide's and mef_decide's rule)",
     ("policies", "randomized_decide"): REFERENCE,
     ("mdp", "_lu_solve"): "the sparse-LU fallback of a stationary solve GMRES misses",
+    ("mdp", "_gth"): "the stationary solve of a weakly coupled class, which no config has",
     ("mdp", "check_value_monotonicity"): ACCEPTANCE,
     ("mdp", "StateSpace.aoli_stride"): f"{ACCEPTANCE} (check_value_monotonicity's step)",
     ("mdp", "average_cost_by_sensor"): ACCEPTANCE,
