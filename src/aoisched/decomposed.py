@@ -2,11 +2,13 @@
 
 Under a policy that schedules sensor i independently with probability
 p_i, the joint value function splits into per-sensor value functions, each
-solvable on the small (aoli, aori, channel) space. The structure-informed
-policy (SispPolicy) takes, in any joint state, the action minimizing the
-stage cost plus the expected sum of those per-sensor values, read at the
-state's per-sensor indices with no joint space. Its rule is a threshold in
-each sensor's monitor-side age per channel state, checked on the table.
+solvable on the small (aoli, aori, channel) space by RVI on a dense
+n_i x n_i kernel; a solve holds one such matrix at a time, plus a block of
+rows. The structure-informed policy (SispPolicy) takes, in any joint state,
+the action minimizing the stage cost plus the expected sum of those
+per-sensor values, read at the state's per-sensor indices with no joint
+space. Its rule is a threshold in each sensor's monitor-side age per
+channel state, checked on the table.
 """
 
 from __future__ import annotations
@@ -60,22 +62,34 @@ def default_randomized_probs(spec: SystemSpec) -> tuple:
     return tuple(float(x) for x in p)
 
 
-def _single_sensor_kernels(sensor: SensorSpec, channel: ChannelSpec) -> tuple:
-    """(space, K_idle, K_transmit) of the sensor alone, kernels dense.
+# rows of the idle kernel densified at a time while the mix is formed
+MIX_ROWS = 64
 
-    The distinct rows of kernel_rows are densified with numpy, so SISP never
+
+def _single_sensor_kernels(sensor: SensorSpec, channel: ChannelSpec) -> tuple:
+    """(space, rows) of the sensor alone: rows[a] is action a's (idle,
+    then transmit) distinct rows from kernel_rows, which _dense_kernel
+    densifies a row block at a time."""
+    space = StateSpace(SystemSpec(sensors=(sensor,), channel=channel, m_budget=1))
+    return space, kernel_rows(space)
+
+
+def _dense_kernel(space: StateSpace, rows: tuple, lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi-1 of the dense n x n kernel whose distinct rows are the
+    CSR arrays rows = (data, indices, indptr): state s's row is distinct row
+    row_of[s], written straight into its place with numpy, so SISP never
     loads scipy.sparse. A CSR row holds each column at most once, so every
     entry is written once, as toarray writes it.
     """
-    space = StateSpace(SystemSpec(sensors=(sensor,), channel=channel, m_budget=1))
-    factors = space.factors
-    n_rows = factors.n_rows
-    dense = []
-    for data, indices, indptr in kernel_rows(space):
-        k = np.zeros((n_rows, space.n_states))
-        k[np.repeat(np.arange(n_rows), np.diff(indptr)), indices] = data
-        dense.append(k[factors.row_of])
-    return (space, *dense)
+    data, indices, indptr = rows
+    distinct = space.factors.row_of[lo:hi]
+    starts = indptr[distinct]
+    counts = indptr[distinct + 1] - starts
+    # entry t of state j's row sits at starts[j] + t in data and indices
+    at = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    k = np.zeros((hi - lo, space.n_states))
+    k[np.repeat(np.arange(hi - lo), counts), indices[at]] = data[at]
+    return k
 
 
 @dataclass
@@ -102,15 +116,26 @@ def solve_per_sensor_value(
     Stage cost is the sensor's own penalty at its monitor-side age; the value
     is normalized to zero at the reference state ((0,1), bad channel).
     """
-    space, k_idle, k_tx = _single_sensor_kernels(sensor, channel)
-    # in place: the same two rounded products and one rounded add per entry
-    mixed = p_r_i * k_tx
-    mixed += (1.0 - p_r_i) * k_idle
+    space, (idle, tx) = _single_sensor_kernels(sensor, channel)
+    n = space.n_states
+    # p K_tx + (1 - p) K_idle with one dense matrix live: the same two
+    # rounded products and one rounded add per entry, the idle rows a block
+    # at a time
+    mixed = _dense_kernel(space, tx, 0, n)
+    mixed *= p_r_i
+    for lo in range(0, n, MIX_ROWS):
+        block = _dense_kernel(space, idle, lo, min(n, lo + MIX_ROWS))
+        block *= 1.0 - p_r_i
+        mixed[lo : lo + MIX_ROWS] += block
     cost = cost_vector(space)
     # every state its own row: the dense mixed kernel is already assembled
-    kernels = Kernels((((0, space.n_states, (mixed,)),),), np.arange(space.n_states))
+    kernels = Kernels((((0, n, (mixed,)),),), np.arange(n))
     vt, _ = relative_value_iteration(kernels, cost, space.reference_index())
-    eq = np.stack([k_idle @ vt.values, k_tx @ vt.values], axis=1)
+    del mixed, kernels
+    # each action's kernel densified again in turn, for the same product
+    eq = np.empty((n, 2))
+    for a, rows in enumerate((idle, tx)):
+        eq[:, a] = _dense_kernel(space, rows, 0, n) @ vt.values
     return PerSensorValue(space, vt.values, vt.gain, p_r_i, eq)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,14 +67,19 @@ def test_default_randomized_probs(va_penalty):
 )
 def test_per_sensor_kernel_boundaries(va_penalty, arrival):
     """The numpy-densified per-sensor kernels are the scipy path's
-    assembled kernels, byte for byte."""
+    assembled kernels, byte for byte, whole and a row block at a time."""
     sensor = a.SensorSpec(arrival, va_penalty, 0.5, 1.0, 3, 3)
     system = a.SystemSpec((sensor,), VA_CHANNEL, 1)
     kernels = mdp.build_kernels(mdp.StateSpace(system))
     k_idle, k_tx = (rows[kernels.row_of].toarray() for rows in stacked_rows(kernels))
-    _, dense_idle, dense_tx = decomposed._single_sensor_kernels(sensor, VA_CHANNEL)
+    space, (idle, tx) = decomposed._single_sensor_kernels(sensor, VA_CHANNEL)
+    n = space.n_states
+    dense_idle, dense_tx = (decomposed._dense_kernel(space, r, 0, n) for r in (idle, tx))
     assert np.array_equal(dense_idle, k_idle)
     assert np.array_equal(dense_tx, k_tx)
+    for lo, hi in ((0, 1), (5, 17), (n - 3, n)):
+        assert np.array_equal(decomposed._dense_kernel(space, idle, lo, hi), k_idle[lo:hi])
+        assert np.array_equal(decomposed._dense_kernel(space, tx, lo, hi), k_tx[lo:hi])
     # the mix solve_per_sensor_value solves on, at p_r = 0.5
     mixed = 0.5 * dense_tx + (1.0 - 0.5) * dense_idle
     assert np.allclose(mixed, 0.5 * k_tx + 0.5 * k_idle)
@@ -84,9 +90,8 @@ def test_per_sensor_kernel_reference_row(va_penalty):
     # state ((3,5), bad channel), scheduled with probability one half:
     # convex combination of the four transmit cases and two idle cases
     sensor = make_va_sensor(va_penalty, 0.9)
-    system = a.SystemSpec((sensor,), VA_CHANNEL, 1)
-    space = mdp.StateSpace(system)
-    _, k_idle, k_tx = decomposed._single_sensor_kernels(sensor, VA_CHANNEL)
+    space, rows = decomposed._single_sensor_kernels(sensor, VA_CHANNEL)
+    k_idle, k_tx = (decomposed._dense_kernel(space, r, 0, space.n_states) for r in rows)
     kernel = 0.5 * k_tx + (1.0 - 0.5) * k_idle  # solve_per_sensor_value's mix
     row_state = dynamics.JointState((dynamics.SensorState(3, 5),), 0, (False,))
     row = kernel[space.encode(row_state)]
@@ -102,6 +107,67 @@ def test_per_sensor_kernel_reference_row(va_penalty):
         # unscheduled (prob .5) and scheduled-but-lost (prob .5 * (1-p)) both age
         assert at(0, 6, theta) == pytest.approx(ch * lam * (0.5 * (1 - p) + 0.5))
         assert at(4, 6, theta) == pytest.approx(ch * (1 - lam) * (0.5 * (1 - p) + 0.5))
+
+
+def whole_kernel_solve(sensor, p):
+    """(values, eq, gain, iterations) by the whole-kernel recipe: the scipy
+    kernels assembled dense, mixed as p K_tx + (1 - p) K_idle, RVI on the
+    mix, and eq from K_a @ values."""
+    space = mdp.StateSpace(a.SystemSpec((sensor,), VA_CHANNEL, 1))
+    kernels = mdp.build_kernels(space)
+    k_idle, k_tx = (rows[kernels.row_of].toarray() for rows in stacked_rows(kernels))
+    mixed = p * k_tx + (1.0 - p) * k_idle
+    n = space.n_states
+    vt, _ = mdp.relative_value_iteration(
+        mdp.Kernels((((0, n, (mixed,)),),), np.arange(n)),
+        mdp.cost_vector(space),
+        space.reference_index(),
+    )
+    eq = np.stack([k_idle @ vt.values, k_tx @ vt.values], axis=1)
+    return vt.values, eq, vt.gain, vt.iterations
+
+
+@pytest.mark.parametrize(
+    "arrival", [a.BernoulliArrival(0.9), a.MarkovArrival(0.6, 0.7)], ids=["bernoulli", "markov"]
+)
+def test_per_sensor_solve_is_the_whole_kernel_solve(va_penalty, arrival, monkeypatch):
+    """solve_per_sensor_value, which holds one dense kernel at a time and
+    mixes it a row block at a time, gives the whole-kernel recipe's values,
+    eq, gain and iteration count, bit for bit, on more states than one
+    block."""
+    sensor = a.SensorSpec(arrival, va_penalty, 0.5, 1.0, 10, 10)
+    iterations = []
+    solve = decomposed.relative_value_iteration
+
+    def counted(*args):
+        vt, policy = solve(*args)
+        iterations.append(vt.iterations)
+        return vt, policy
+
+    monkeypatch.setattr(decomposed, "relative_value_iteration", counted)
+    pv = decomposed.solve_per_sensor_value(sensor, VA_CHANNEL, 0.3)
+    assert pv.space.n_states >= 200 > decomposed.MIX_ROWS
+    values, eq, gain, its = whole_kernel_solve(sensor, 0.3)
+    assert pv.values.tobytes() == values.tobytes()
+    assert pv.eq.tobytes() == eq.tobytes()
+    assert pv.gain.hex() == gain.hex()
+    assert iterations == [its]
+
+
+def test_per_sensor_solve_holds_one_dense_kernel(va_penalty):
+    """One solve at twosensor's first sensor with cap 14 (420 states) peaks
+    below two dense 420 x 420 matrices; holding both kernels, the mix and
+    a product of one of them, it peaked at four."""
+    sensor = make_va_sensor(va_penalty, 0.9, cap=14)
+    tracemalloc.start()
+    try:
+        pv = decomposed.solve_per_sensor_value(sensor, VA_CHANNEL, 0.6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = pv.space.n_states
+    assert n == 420
+    assert peak < 2 * n * n * 8
 
 
 def test_per_sensor_value_always_fresh(va_penalty):

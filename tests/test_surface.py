@@ -111,10 +111,20 @@ SETTABLE = [
 ]
 
 
+def code_key(code) -> tuple:
+    """The key of a code object in defined_functions: its file and qualified
+    name from Python 3.11, which do not change when a source file is edited
+    after import; before 3.11, which has no co_qualname, its file, first
+    line and name."""
+    if sys.version_info >= (3, 11):
+        return code.co_filename, code.co_qualname
+    return code.co_filename, code.co_firstlineno, code.co_name
+
+
 def defined_functions():
-    """{(file, first line, name): (module, qualified name)} of every function
-    and method under SRC, nested ones included; the first line is that of
-    the first decorator, as in the code object."""
+    """{key: (module, qualified name)} of every function and method under
+    SRC, nested ones included, keyed as code_key keys their code objects;
+    a first line is that of the first decorator, as in the code object."""
     out = {}
 
     def visit(node, module, path, prefix):
@@ -122,9 +132,14 @@ def defined_functions():
             if isinstance(child, ast.ClassDef):
                 visit(child, module, path, f"{prefix}{child.name}.")
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                out[(str(path), first, child.name)] = (module, prefix + child.name)
-                visit(child, module, path, f"{prefix}{child.name}.<locals>.")
+                name = prefix + child.name
+                if sys.version_info >= (3, 11):
+                    key = (str(path), name)
+                else:
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    key = (str(path), first, child.name)
+                out[key] = (module, name)
+                visit(child, module, path, f"{name}.<locals>.")
             else:
                 visit(child, module, path, prefix)
 
@@ -166,11 +181,7 @@ def test_every_function_is_reached_or_allowed(tmp_path, monkeypatch):
         threading.setprofile(None)
 
     defined = defined_functions()
-    reached = {
-        defined[key]
-        for key in ((c.co_filename, c.co_firstlineno, c.co_name) for c in started)
-        if key in defined
-    }
+    reached = {defined[key] for key in map(code_key, started) if key in defined}
     assert ("mdp", "_shares.<locals>.run") in reached  # the threaded path ran
     names = set(defined.values())
     assert not set(ALLOWED) - names, "an allowed function no longer exists"
