@@ -2,9 +2,9 @@
 
     python tests/sisp_bits.py <config> [<config> ...] [--caps 7,10,14]
 
-Prints `# <config> cap <cap>` and then one line per sensor: its number, its
-gain's float.hex, its RVI iteration count, and the sha256 of its values and
-of its eq columns. Without --caps each config is solved at its own caps, as
+Prints `# <config> cap <cap>` (`cap own` without --caps) and then one line
+per sensor: its number, its gain's float.hex, its RVI iteration count, and
+the sha256 of its values and of its eq columns. Without --caps each config is solved at its own caps, as
 `solve --policy sisp` solves it; with --caps at each cap in turn, as the
 `simulate --caps` probe solves it. Run it on two checkouts (with
 PYTHONPATH=src) to see whether a change moves a bit of SISP. pytest does
