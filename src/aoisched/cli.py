@@ -293,6 +293,8 @@ def load_config(path) -> LoadedConfig:
 
 
 def _check_state_budget(system: SystemSpec, max_states: int) -> mdp.StateSpace:
+    """The full grid of system, refused when it has more than max_states
+    states."""
     space = mdp.StateSpace(system)
     if space.n_states > max_states:
         raise ConfigError(
@@ -338,21 +340,23 @@ def _sisp_table(cfg: LoadedConfig) -> tuple:
 
 
 def _joint_mdp(cfg: LoadedConfig, cache: dict) -> mdp.StateSpace:
-    """The joint MDP's checked state space, one per cache: the optimal
-    solve and the exact evaluations of one compare share its factors."""
+    """The joint MDP's closed sub-grid, one per cache, once the full grid
+    has passed the state budget: the optimal solve and the exact
+    evaluations of one compare share its factors."""
     if "joint" not in cache:
-        cache["joint"] = _check_state_budget(cfg.system, cfg.max_states)
+        _check_state_budget(cfg.system, cfg.max_states)
+        cache["joint"] = mdp.StateSpace(cfg.system, closed=True)
     return cache["joint"]
 
 
-def _solve_optimal(cfg: LoadedConfig, cache: dict) -> tuple:
-    """RVI on the joint kernels, which live for this solve only: the exact
-    evaluations build their chains from the per-sensor factors."""
-    space = _joint_mdp(cfg, cache)
+def _solve_optimal(space: mdp.StateSpace) -> tuple:
+    """(vt, pt) of RVI on the joint kernels of space, stopped on its closed
+    sub-grid. The kernels live for this solve only: the exact evaluations
+    build their chains from the per-sensor factors."""
     kernels = mdp.build_kernels(space)
     cost = mdp.cost_vector(space)
-    vt, pi = mdp.relative_value_iteration(kernels, cost, space.reference_index())
-    return space, vt, mdp.PolicyTable(pi, space.action_set)
+    vt, pi = mdp.relative_value_iteration(kernels, cost, space.reference_index(), space.closed_max)
+    return vt, mdp.PolicyTable(pi, space.action_set)
 
 
 def _scheduling_probs(cfg: LoadedConfig) -> tuple:
@@ -376,7 +380,8 @@ def _build_policy(name: str, cfg: LoadedConfig, cache: dict) -> pol.Policy:
     if name in cache:
         return cache[name]
     if name == "optimal":
-        space, _, pt = _solve_optimal(cfg, cache)
+        space = _joint_mdp(cfg, cache)
+        _, pt = _solve_optimal(space)
         policy = pol.TablePolicy("optimal", space, pt)
     elif name == "sisp":
         _check_sisp(system, cfg)
@@ -405,7 +410,8 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     # summary columns in file order; wall_time_s is set once the solve is done
     if args.policy == "optimal":
-        space, vt, pt = _solve_optimal(cfg, {})
+        space = _check_state_budget(cfg.system, cfg.max_states)
+        vt, pt = _solve_optimal(space)
         rows = mdp.table_rows(space, vt.values, pt)
         gain = vt.gain
         summary = {"gain": gain, "iterations": vt.iterations, "wall_time_s": None}

@@ -183,7 +183,7 @@ def build_policy_table(values: Sequence[PerSensorValue], space: StateSpace) -> P
     """SISP table: SispPolicy tabulated at every state of space, over
     space.action_set (no pruning)."""
     for i, pv in enumerate(values):
-        if pv.space.sub_sizes[0] != space.sub_sizes[i]:
+        if pv.space.dims[:3] != space.dims[3 * i : 3 * i + 3]:
             raise ValueError(f"per-sensor space of sensor {i} does not match the system")
     return policy_to_table(SispPolicy(values), space)
 

@@ -1,5 +1,14 @@
 """Exact truncated-MDP machinery.
 
+A StateSpace numbers either the full truncated grid, which solve writes, or
+its closed sub-grid (closed=True), the product of each sensor's closure
+from the start (on threesensor 85,750 of 351,232 states), which compare and
+simulate solve and evaluate on: no chain and no simulated lane ever leaves
+it. The transition model, the cost vector, the lanes, RVI, the tables and
+the chains are built on the space they are given, and RVI stops on the
+closed sub-grid on both, so the two solves take the same iterations and
+give the same values and table there.
+
 State enumeration, the factored transition kernel (channel factor times
 per-sensor case table, with a Markov-arrival variant), relative value
 iteration for the average-cost optimal policy, a value-monotonicity checker,
@@ -29,7 +38,8 @@ assembled kernels are byte-identical to a state-by-state assembly from
 transition_distribution (kernel_rows says why that matters). factor_rows
 fills listed rows: kernel_rows lists every row of every action, for the
 one-chunk models, and the chain builders list the rows their chain reaches
-(on threesensor, at most 38,275 of the 148,176 distinct rows).
+(on threesensor, at most 38,275 of the closed sub-grid's 39,366 distinct
+rows, or of the full grid's 148,176).
 build_kernels fills the joint model's rows on the open grid of whole
 leading-sensor classes instead, as the blocks of Kernels: each CPU's share
 of classes is two blocks, its theta = 0 rows and its theta = 1 rows, and a
@@ -87,7 +97,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import JointState, LaneState, SensorState, initial_state, lane_cost
+from .dynamics import JointState, LaneState, SensorState, initial_state, lane_cost, lane_state
 from .model import ConvergenceError, SensorSpec, SystemSpec, penalty_rows
 
 if TYPE_CHECKING:
@@ -173,37 +183,94 @@ GTH_MAX_STATES = 2_000
 
 
 class StateSpace:
-    """Bijective index <-> JointState codec over the truncated rectangle.
+    """Bijective index <-> JointState codec over the full truncated grid, or
+    over its closed sub-grid.
 
-    The index is the row-major ravel of the state's coordinates over the
-    radix tuple dims = (l_1, r_1, g_1, ..., l_N, r_N, g_N, 2): each sensor's
-    aoli < l = max_aoli + 1, aori - 1 < r = max_aori and arrival-memory bit
-    g, which only exists (g = 2) for sensors with Markov arrivals, sensor 1
-    most significant, then the channel bit theta fastest. A sensor's
-    sub-index ravels its own three axes, so stepping one age coordinate is
-    a fixed positive stride.
+    The full grid is the rectangle of the radix tuple dims = (l_1, r_1, g_1,
+    ..., l_N, r_N, g_N, 2): each sensor's aoli < l = max_aoli + 1, aori - 1
+    < r = max_aori and arrival-memory bit g, which only exists (g = 2) for
+    sensors with Markov arrivals, then the channel bit theta. A sensor's
+    sub-index ravels its own three axes. members[i] holds the sub-indices of
+    sensor i that the space keeps, increasing: every one on the full grid,
+    and on a closed space (closed=True) the sensor's closure, the ones its
+    start reaches (closure). The index is the row-major ravel of each
+    sensor's position in members[i], sensor 1 most significant, then theta
+    fastest; so a closed space numbers its states in the full grid's order,
+    and on the full grid stepping one age coordinate is a fixed positive
+    stride.
+
+    Data reach the monitor only from the sensor's own buffer, so from the
+    start a sensor never has aoli > aori: its closure is 35 of its 56
+    sub-indices on threesensor. The closures' product with theta is closed
+    under every joint action and holds the start, so RVI's iterates, every
+    chain and every simulated lane restricted to it are the full grid's
+    (Puterman 1994, 8.3): compare and simulate solve and evaluate on the
+    closed space, and solve writes the full grid. n_states counts the
+    space's states and grid_states the full grid's, which the state budget
+    reads.
 
     The space is also the model of its spec: action_set, factors (the
     transition model, build_factors) and lanes are built on first use and
     kept, so a space made only to count its states builds none of them.
     """
 
-    def __init__(self, spec: SystemSpec):
+    def __init__(self, spec: SystemSpec, closed: bool = False):
         self.spec = spec
+        self.closed = closed
         sizes = [
             (s.max_aoli + 1, s.max_aori, 2 if s.has_markov_arrivals else 1) for s in spec.sensors
         ]
         self.dims = (*itertools.chain(*sizes), 2)
         self.l_sizes, self.r_sizes, self.g_sizes = zip(*sizes)
-        self.sub_sizes = [math.prod(size) for size in sizes]
         # exact integer products: an int64 product wraps at large caps and
         # would slip past the state budget
-        self.n_states = math.prod(self.dims)
-        self.strides = tuple(math.prod(self.dims[k + 1 :]) for k in range(len(self.dims)))
+        self.grid_states = math.prod(self.dims)
+        self.sub_sizes = [len(c) for c in self.closure] if closed else [math.prod(s) for s in sizes]
+        self.n_states = 2 * math.prod(self.sub_sizes)
+        # the step of the joint index per position of each sensor
+        self.sub_strides = [2 * math.prod(self.sub_sizes[i + 1 :]) for i in range(len(sizes))]
 
     @property
     def n_sensors(self) -> int:
         return self.spec.n_sensors
+
+    @functools.cached_property
+    def closure(self) -> tuple:
+        """Each sensor's closed sub-indices of the full grid, increasing:
+        those its sub-index at reference_index() reaches under both
+        decisions and both channel states. They are searched (_reach) over
+        the full grid's successor tables, not assumed from aoli <= aori, so
+        unequal caps and Markov arrivals stay exact."""
+        grid = StateSpace(self.spec) if self.closed else self
+        start = np.unravel_index(grid.reference_index(), [*grid.sub_sizes, 2])
+        out = []
+        for i, n in enumerate(grid.sub_sizes):
+            tables = [_successor_table(grid, i, scheduled) for scheduled in (False, True)]
+            succ = np.concatenate([t[0].reshape(n, -1) for t in tables], axis=1)
+            valid = np.concatenate([t[2].reshape(n, -1) for t in tables], axis=1)
+            indptr = np.concatenate(([0], np.cumsum(valid.sum(axis=1))))
+            seen = _reach(indptr, succ[valid] // grid.sub_strides[i], start[i], np.zeros(n, bool))
+            out.append(np.flatnonzero(seen))
+        return tuple(out)
+
+    @functools.cached_property
+    def members(self) -> tuple:
+        """Each sensor's sub-indices of the full grid in the space, increasing."""
+        return self.closure if self.closed else tuple(map(np.arange, self.sub_sizes))
+
+    def closed_max(self, x: np.ndarray) -> float:
+        """The largest entry of x, a vector over the space's states, on the
+        closed sub-grid: the stopping rule of the joint solves
+        (relative_value_iteration). On the full grid it reads the block of
+        states of each closed sub-index of the leading sensor at the closed
+        offsets within it, so no index or copy of the whole sub-grid is made.
+        """
+        if self.closed:
+            return x.max()
+        blocks = x.reshape(self.sub_sizes[0], -1)
+        rest = np.ix_(*self.closure[1:], [0, 1])
+        inner = np.ravel_multi_index(rest, [*self.sub_sizes[1:], 2]).ravel()
+        return max(blocks[i][inner].max() for i in self.closure[0])
 
     @functools.cached_property
     def action_set(self) -> ActionSet:
@@ -222,48 +289,66 @@ class StateSpace:
         return (aoli * self.r_sizes[i] + (aori - 1)) * self.g_sizes[i] + g_eff
 
     def sensor_states(self, i: int) -> tuple:
-        """(aoli, aori, g) of each of sensor i's sub-indices, in order."""
-        aoli, aori, g = np.unravel_index(np.arange(self.sub_sizes[i]), self.dims[3 * i : 3 * i + 3])
+        """(aoli, aori, g) of each of sensor i's sub-indices in the space, in
+        order."""
+        aoli, aori, g = np.unravel_index(self.members[i], self.dims[3 * i : 3 * i + 3])
         return aoli, aori + 1, g
 
     def encode(self, js: JointState) -> int:
-        if js.theta not in (0, 1):
-            raise ValueError(f"channel state theta {js.theta} is not 0 or 1")
-        idx = 0
-        for i in range(self.n_sensors):
-            st = js.sensors[i]
-            g = 1 if js.prev_arrival[i] else 0
-            idx = idx * self.sub_sizes[i] + self.sensor_sub_index(i, st.aoli, st.aori, g)
-        return idx * 2 + js.theta
+        """encode_array of the state as one lane."""
+        return int(self.encode_array(lane_state(js, 1))[0])
 
     def encode_array(self, lanes: LaneState) -> np.ndarray:
-        """encode in every lane of a LaneState, one ravel_multi_index over
-        dims; a Bernoulli sensor's arrival bit is ignored, as encode ignores
-        its prev_arrival. An age outside the truncation, on either side, or
-        a theta outside {0, 1} is refused, as encode refuses it, naming the
-        first sensor (or theta) out of range."""
+        """The index of every lane of a LaneState: one ravel_multi_index over
+        dims, and on a closed space one gather of that full-grid index; a
+        Bernoulli sensor's arrival bit is ignored. An age outside the
+        truncation, on either side, or a theta outside {0, 1} is refused,
+        naming the first sensor (or theta) out of range, and on a closed
+        space so is a state outside the closed sub-grid."""
         coords = [
             c
             for i, g_size in enumerate(self.g_sizes)
             for c in (lanes.aoli[i], lanes.aori[i] - 1, lanes.arrival[i] if g_size == 2 else 0)
         ] + [lanes.theta]
         try:
-            return np.ravel_multi_index(coords, self.dims)
+            idx = np.ravel_multi_index(coords, self.dims)
         except ValueError:
             for k, (c, d) in enumerate(zip(coords, self.dims)):
                 if np.any((c < 0) | (c >= d)):
                     what = "theta" if k == len(coords) - 1 else f"sensor {k // 3} state"
                     raise ValueError(f"{what} outside truncation") from None
             raise
+        if not self.closed:
+            return idx
+        idx = self._index_of[idx]
+        if (idx < 0).any():
+            for i, members in enumerate(self.members):
+                sub = np.ravel_multi_index(coords[3 * i : 3 * i + 3], self.dims[3 * i : 3 * i + 3])
+                if not np.isin(sub, members).all():
+                    raise ValueError(f"sensor {i} state outside the closed sub-grid")
+        return idx
+
+    @functools.cached_property
+    def _index_of(self) -> np.ndarray:
+        """Each full-grid state's index in the space, -1 outside it."""
+        grid = [math.prod(self.dims[3 * i : 3 * i + 3]) for i in range(self.n_sensors)]
+        at = np.ravel_multi_index(np.ix_(*self.members, [0, 1]), [*grid, 2])
+        index = np.full(self.grid_states, -1)
+        index[at.ravel()] = np.arange(self.n_states)
+        return index
 
     def decode(self, idx: int) -> JointState:
         if not (0 <= idx < self.n_states):
             raise ValueError(f"state index {idx} out of range")
-        *coords, theta = map(int, np.unravel_index(idx, self.dims))
-        sensors = tuple(SensorState(l, r + 1) for l, r in zip(coords[0::3], coords[1::3]))
+        *at, theta = map(int, np.unravel_index(idx, [*self.sub_sizes, 2]))
+        coords = [
+            np.unravel_index(members[k], self.dims[3 * i : 3 * i + 3])
+            for i, (members, k) in enumerate(zip(self.members, at))
+        ]
+        sensors = tuple(SensorState(int(l), int(r) + 1) for l, r, _ in coords)
         prev = tuple(
             bool(g) if g_size == 2 else st.aoli == 0
-            for g, g_size, st in zip(coords[2::3], self.g_sizes, sensors)
+            for (_, _, g), g_size, st in zip(coords, self.g_sizes, sensors)
         )
         return JointState(sensors, theta, prev)
 
@@ -290,11 +375,18 @@ class StateSpace:
             arrival[i].reshape(grid)[...] = g == 1 if self.g_sizes[i] == 2 else l == 0
         return LaneState(np.tile(np.arange(2), self.n_states // 2), aoli, aori, arrival)
 
+    def _grid_stride(self, k: int) -> int:
+        """The full grid's index step along axis k of dims; the closed
+        sub-grid has no fixed age step."""
+        if self.closed:
+            raise ValueError("a closed space has no fixed age strides")
+        return math.prod(self.dims[k + 1 :])
+
     def aori_stride(self, i: int) -> int:
-        return self.strides[3 * i + 1]
+        return self._grid_stride(3 * i + 1)
 
     def aoli_stride(self, i: int) -> int:
-        return self.strides[3 * i]
+        return self._grid_stride(3 * i)
 
 
 class ActionSet:
@@ -440,16 +532,18 @@ def _successor_table(space: StateSpace, i: int, scheduled: bool) -> tuple:
     """Sensor i's successors for one scheduling decision, as padded arrays.
 
     Returns (offset, prob, valid), each of shape (sub_size, 2, k): entry
-    [sub, theta, c] is a pair of sensor_delta_transitions from sub-index sub
-    under pre-transition channel state theta, with the successor given as
-    its offset in the joint index. The pairs are sorted by offset, k is the
-    longest list, and `valid` marks the real entries, which come first.
+    [sub, theta, c] is a pair of sensor_delta_transitions from the space's
+    sub-index sub under pre-transition channel state theta, with the
+    successor given as its offset in the joint index. The pairs are sorted
+    by offset, k is the longest list, and `valid` marks the real entries,
+    which come first. The space's sub-indices are closed, so every
+    successor is one of them.
     """
-    stride, sensor = space.strides[3 * i + 2], space.spec.sensors[i]
+    sensor = space.spec.sensors[i]
     rows = [
         [
             sorted(
-                (space.sensor_sub_index(i, *key) * stride, pr)
+                (space.sensor_sub_index(i, *key), pr)
                 for key, pr in sensor_delta_transitions(sensor, *state, theta, scheduled)
             )
             for theta in (0, 1)
@@ -457,15 +551,17 @@ def _successor_table(space: StateSpace, i: int, scheduled: bool) -> tuple:
         for state in zip(*(c.tolist() for c in space.sensor_states(i)))
     ]
     shape = (space.sub_sizes[i], 2, max(len(row) for pair in rows for row in pair))
-    offset = np.zeros(shape, dtype=np.int64)
+    sub = np.zeros(shape, dtype=np.int64)
     prob = np.zeros(shape)
     valid = np.zeros(shape, dtype=bool)
-    for sub, pair in enumerate(rows):
+    for k, pair in enumerate(rows):
         for theta, row in enumerate(pair):
-            for c, (off, pr) in enumerate(row):
-                offset[sub, theta, c] = off
-                prob[sub, theta, c] = pr
-                valid[sub, theta, c] = True
+            for c, (s, pr) in enumerate(row):
+                sub[k, theta, c] = s
+                prob[k, theta, c] = pr
+                valid[k, theta, c] = True
+    # a full-grid sub-index's position in the space, in the same order
+    offset = np.searchsorted(space.members[i], sub) * space.sub_strides[i]
     return offset, prob, valid
 
 
@@ -947,12 +1043,18 @@ def build_padded_kernels(space: StateSpace) -> Kernels:
     return Kernels((((0, factors.n_rows, rows),),), factors.row_of)
 
 
-def relative_value_iteration(kernels: Kernels, cost: np.ndarray, ref_index: int) -> tuple:
+def relative_value_iteration(
+    kernels: Kernels, cost: np.ndarray, ref_index: int, sup_norm=np.max
+) -> tuple:
     """Average-cost relative value iteration, normalized at ref_index.
 
-    Iterates Q' = min_a [c + K_a Q] - (same at the reference state) until the
-    sup norm of successive iterates is <= RVI_EPSILON, raising
-    ConvergenceError after RVI_MAX_ITER iterations. Returns (ValueTable,
+    Iterates Q' = min_a [c + K_a Q] - (same at the reference state) until
+    sup_norm of the absolute difference of successive iterates (by default
+    its largest entry, over every state) is <= RVI_EPSILON, raising
+    ConvergenceError after RVI_MAX_ITER iterations. The joint MDP stops on
+    its closed sub-grid (StateSpace.closed_max), so the full grid and the
+    closed space take the same iterations; the full grid's values outside
+    it are then not held to RVI_EPSILON. Returns (ValueTable,
     policy), policy holding each state's action index; the gain is
     min_a Theta(ref, a) at termination and argmin ties resolve to the lowest
     action index.
@@ -1007,7 +1109,7 @@ def relative_value_iteration(kernels: Kernels, cost: np.ndarray, ref_index: int)
             q_next -= gain
             # the next take overwrites q, so the difference goes there
             np.subtract(q_next, q, out=q)
-            sup_diff = np.abs(q, out=q).max()
+            sup_diff = sup_norm(np.abs(q, out=q))
             q, q_next = q_next, q
             if sup_diff <= RVI_EPSILON:
                 break
@@ -1026,11 +1128,13 @@ def relative_value_iteration(kernels: Kernels, cost: np.ndarray, ref_index: int)
 
 
 def solve_optimal_policy(spec: SystemSpec) -> tuple:
-    """Build the truncated MDP and solve it; returns (space, vt, pt), the
-    actions being space.action_set."""
+    """Build the truncated MDP on the full grid and solve it as solve does,
+    stopping on the closed sub-grid; returns (space, vt, pt), the actions
+    being space.action_set."""
     space = StateSpace(spec)
     kernels = build_kernels(space)
-    vt, pi = relative_value_iteration(kernels, cost_vector(space), space.reference_index())
+    cost, start = cost_vector(space), space.reference_index()
+    vt, pi = relative_value_iteration(kernels, cost, start, space.closed_max)
     return space, vt, PolicyTable(pi, space.action_set)
 
 
@@ -1377,15 +1481,19 @@ def _gmres_solve(q: sparse.csr_matrix, b: np.ndarray) -> np.ndarray:
         padded[1:] = x
         y[...] = (a @ padded)[1:]
 
-    wide = sparse.csr_matrix((off.data.astype(np.longdouble), off.indices, off.indptr), shape=q.shape)
-    wide_out = wide @ np.ones(m, dtype=np.longdouble)
-    xi = np.ones(m, dtype=np.longdouble)
     x = np.zeros(m - 1)
     r = b
     for k in range(GMRES_PASSES):
         if k:
+            # Off in longdouble lives for this residual only, not beside a
+            # pass's Krylov basis
+            wide = sparse.csr_matrix(
+                (off.data.astype(np.longdouble), off.indices, off.indptr), shape=q.shape
+            )
+            xi = np.ones(m, dtype=np.longdouble)
             xi[1:] = x
-            r = (wide.T @ xi - wide_out * xi)[1:].astype(float)
+            r = (wide.T @ xi - (wide @ np.ones(m, dtype=np.longdouble)) * xi)[1:].astype(float)
+            del wide, xi
         dx, info = _gmres(matvec, r, GMRES_RTOL if k == 0 else GMRES_CORRECTION_RTOL)
         x += dx
         if info != 0:
@@ -1630,11 +1738,14 @@ def chain_average_cost(chain: Chain, cost: np.ndarray) -> float:
     adds, and so no BLAS thread count, can move its bits."""
     from scipy import sparse
 
-    rep = chain.rep
+    p, rep = chain
+    # rep is freed once its cost is taken, before the stationary solve
+    del chain
     rep_cost = sparse.csr_matrix(
         (rep.data, rep.indices % len(cost), rep.indptr), shape=(rep.shape[0], len(cost))
     ) @ cost
-    return math.fsum(stationary_distribution(chain.p) * rep_cost)
+    del rep
+    return math.fsum(stationary_distribution(p) * rep_cost)
 
 
 def average_cost_by_sensor(xi: np.ndarray, space: StateSpace) -> np.ndarray:

@@ -100,22 +100,22 @@ def _lane_actions(actions: ActionSet, codes) -> np.ndarray:
     return idx
 
 
-def _table_codes(table: PolicyTable) -> np.ndarray:
-    return np.array([_action_code(a) for a in table.action_set.actions])
-
-
 class TablePolicy(Policy):
-    """Lookup policy over the full truncated state space."""
+    """Lookup policy over the states of its space: the closed sub-grid for
+    the optimal table of compare and simulate, the full grid for the myopic
+    table. A lane is decided by one encode and one gather of its state's
+    schedule; a lane outside the space is refused by encode_array."""
 
     def __init__(self, name: str, space: StateSpace, table: PolicyTable):
         self.name = name
         self.space = space
         self.table = table
-        self._codes = _table_codes(table)
+        # the schedule bitmask of every state's action
+        codes = np.array([_action_code(a) for a in table.action_set.actions])
+        self._codes = codes[table.action_index]
 
     def decide_array(self, actions, lanes, t, u):
-        idx = self.space.encode_array(lanes)
-        return _lane_actions(actions, self._codes[self.table.action_index[idx]])
+        return _lane_actions(actions, self._codes[self.space.encode_array(lanes)])
 
 
 def _top_m(scores: Sequence[float], m: int) -> tuple:
@@ -318,7 +318,7 @@ class MyopicPolicy(TablePolicy):
 
 
 def policy_to_table(policy: Policy, space: StateSpace) -> PolicyTable:
-    """Tabulate a decision rule over the full truncated space.
+    """Tabulate a decision rule over every state of space.
 
     Only valid for policies whose decision is a function of the state alone
     (not round robin, which reads the slot count, not randomized):

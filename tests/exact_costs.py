@@ -3,10 +3,12 @@ computes it (the chain_average_cost of cli._policy_chain), in full precision.
 
     python tests/exact_costs.py <config> [<config> ...]
 
-Prints `# <config>` and then one line per policy: its name, the cost's
-float.hex and its .12g cell. Run it on two checkouts (with PYTHONPATH=src)
-to see which raw costs a change moves and by how many ulps. pytest does not
-collect this file (its name does not start with test_).
+Prints `# <config>: <n> states`, n the state count of the space the costs
+are evaluated on (compare's closed sub-grid), and then one line per policy:
+its name, the cost's float.hex and its .12g cell. Run it on two checkouts
+(with PYTHONPATH=src) to see which raw costs a change moves and by how many
+ulps, and on which space each side evaluated them. pytest does not collect
+this file (its name does not start with test_).
 """
 
 import sys
@@ -16,14 +18,15 @@ from aoisched import cli, mdp
 from aoisched.policies import POLICY_NAMES
 
 
-def exact_costs(config: str) -> dict:
-    """{policy: exact cost} of the eight compare policies on config."""
+def exact_costs(config: str) -> tuple:
+    """(state count of the space evaluated on, {policy: exact cost}) of the
+    eight compare policies on config."""
     cfg = cli.load_config(config)
     cache = {}
     policies = cli._policy_list(SimpleNamespace(policies=",".join(POLICY_NAMES)), cfg, cache)
     space = cli._joint_mdp(cfg, cache)
     cost = mdp.cost_vector(space)
-    return {
+    return space.n_states, {
         policy.name: mdp.chain_average_cost(cli._policy_chain(policy, space), cost)
         for policy in policies
     }
@@ -34,6 +37,7 @@ if __name__ == "__main__":
         print("usage: python tests/exact_costs.py <config> [<config> ...]", file=sys.stderr)
         sys.exit(2)
     for config in sys.argv[1:]:
-        print(f"# {config}")
-        for name, cost in exact_costs(config).items():
+        n_states, costs = exact_costs(config)
+        print(f"# {config}: {n_states} states")
+        for name, cost in costs.items():
             print(f"{name:8s} {cost.hex():24s} {cost:{mdp.VALUE_FORMAT}}")

@@ -415,8 +415,9 @@ def test_compare_builds_joint_kernels_only_for_optimal(tmp_path, monkeypatch, po
 
 def test_compare_builds_the_joint_factors_once(tmp_path, monkeypatch):
     """The optimal solve and the exact evaluations of one compare share the
-    joint model's factors; the myopic model's have another state count."""
-    joint = mdp.StateSpace(cli.load_config(str(TWOSENSOR)).system).n_states
+    factors of the joint model's closed sub-grid; the myopic model's have
+    another state count."""
+    joint = mdp.StateSpace(cli.load_config(str(TWOSENSOR)).system, closed=True).n_states
     calls = []
     build = mdp.build_factors
 
