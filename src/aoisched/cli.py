@@ -349,16 +349,6 @@ def _joint_mdp(cfg: LoadedConfig, cache: dict) -> mdp.StateSpace:
     return cache["joint"]
 
 
-def _solve_optimal(space: mdp.StateSpace) -> tuple:
-    """(vt, pt) of RVI on the joint kernels of space, stopped on its closed
-    sub-grid. The kernels live for this solve only: the exact evaluations
-    build their chains from the per-sensor factors."""
-    kernels = mdp.build_kernels(space)
-    cost = mdp.cost_vector(space)
-    vt, pi = mdp.relative_value_iteration(kernels, cost, space.reference_index(), space.closed_max)
-    return vt, mdp.PolicyTable(pi, space.action_set)
-
-
 def _scheduling_probs(cfg: LoadedConfig) -> tuple:
     """policy.p_r, or when it is not given the arrival-rate proportional
     default, which needs every arrival rate positive."""
@@ -381,7 +371,7 @@ def _build_policy(name: str, cfg: LoadedConfig, cache: dict) -> pol.Policy:
         return cache[name]
     if name == "optimal":
         space = _joint_mdp(cfg, cache)
-        _, pt = _solve_optimal(space)
+        _, pt = mdp.solve_optimal_policy(space)
         policy = pol.TablePolicy("optimal", space, pt)
     elif name == "sisp":
         _check_sisp(system, cfg)
@@ -411,7 +401,7 @@ def cmd_solve(args) -> int:
     # summary columns in file order; wall_time_s is set once the solve is done
     if args.policy == "optimal":
         space = _check_state_budget(cfg.system, cfg.max_states)
-        vt, pt = _solve_optimal(space)
+        vt, pt = mdp.solve_optimal_policy(space)
         rows = mdp.table_rows(space, vt.values, pt)
         gain = vt.gain
         summary = {"gain": gain, "iterations": vt.iterations, "wall_time_s": None}

@@ -77,8 +77,8 @@ def _single_sensor_kernels(sensor: SensorSpec, channel: ChannelSpec) -> tuple:
 def _dense_kernel(space: StateSpace, rows: tuple, lo: int, hi: int) -> np.ndarray:
     """Rows lo..hi-1 of the dense n x n kernel whose distinct rows are the
     CSR arrays rows = (data, indices, indptr): state s's row is distinct row
-    row_of[s], written straight into its place with numpy, so SISP never
-    loads scipy.sparse. A CSR row holds each column at most once, so every
+    row_of[s], written straight into its place with numpy, so SISP loads
+    no sparse routine. A CSR row holds each column at most once, so every
     entry is written once, as toarray writes it.
     """
     data, indices, indptr = rows

@@ -43,19 +43,20 @@ rows, or of the full grid's 148,176).
 build_kernels fills the joint model's rows on the open grid of whole
 leading-sensor classes instead, as the blocks of Kernels: each CPU's share
 of classes is two blocks, its theta = 0 rows and its theta = 1 rows, and a
-block's rows of an action are one scipy CSR matrix. The theta = 1 matrix
-reads the theta = 0 matrix's columns wherever the sensors' successor tables
-agree in both channel states (on threesensor, everywhere). The blocks
-stacked in row order and indexed by row_of are the assembled kernels.
-build_padded_kernels pads kernel_rows into PaddedRows instead, a numpy
-operator whose product adds in scipy's order and so gives the same bits;
-the myopic baseline is solved on it, as one block. RVI, the one reader of
-Kernels, backs up the distinct rows block by block, takes the minimum over
-actions there and spreads it by row_of.
-scipy.sparse is imported only where a sparse matrix is made or combined,
-so the per-sensor SISP solves, which densify kernel_rows with numpy, and
-the myopic solve never load it; scipy.sparse.linalg only on the sparse-LU
-fallback, and scipy.sparse.csgraph never.
+block's rows of an action are one CSR matrix (_csr.CSR). The theta = 1
+matrix reads the theta = 0 matrix's columns wherever the sensors' successor
+tables agree in both channel states (on threesensor, everywhere). The
+blocks stacked in row order and indexed by row_of are the assembled
+kernels. The joint solve and the myopic baseline are both solved on them.
+RVI, the one reader of Kernels, backs up the distinct rows block by block,
+takes the minimum over actions there and spreads it by row_of.
+Every sparse product and conversion is a call of scipy's compiled CSR
+routines, which _csr loads on first use without scipy.sparse, with the
+operands and order scipy.sparse gives them, so no command imports
+scipy.sparse and every result keeps scipy's bits. The per-sensor SISP
+solves densify kernel_rows with numpy and load not even those routines.
+scipy.sparse and scipy.sparse.linalg are imported only by the sparse-LU
+fallback, which no shipped or benchmark config reaches.
 table_rows writes every solve table as byte blocks assembled in numpy,
 with no per-row object: a column's cells index a small table of its
 labels, the value column's labels being its distinct bit patterns, each
@@ -93,15 +94,13 @@ import math
 import os
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import _csr
 from .dynamics import JointState, LaneState, SensorState, initial_state, lane_cost, lane_state
 from .model import ConvergenceError, SensorSpec, SystemSpec, penalty_rows
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 __all__ = [
     "StateSpace",
@@ -118,8 +117,6 @@ __all__ = [
     "Kernels",
     "kernel_rows",
     "build_kernels",
-    "PaddedRows",
-    "build_padded_kernels",
     "relative_value_iteration",
     "solve_optimal_policy",
     "check_value_monotonicity",
@@ -572,12 +569,12 @@ class Kernels:
     in a thread each.
 
     shares holds one tuple of blocks per thread, and a block is (lo, hi,
-    mats), where mats[a] is action a's distinct rows lo..hi-1: a scipy CSR
-    matrix from build_kernels, PaddedRows from build_padded_kernels, or any
-    matrix whose `@ q` gives those rows' sums. The blocks cover the rows
-    0..n_rows-1 once. row_of maps each state to its distinct row, one map
-    shared by every action, so the assembled kernel K_a is the blocks'
-    mats[a] stacked in row order, indexed by row_of.
+    mats), where mats[a] is action a's distinct rows lo..hi-1 as a CSR
+    matrix (_csr.CSR, or any object with its data, indices, indptr and
+    shape) or, in the per-sensor SISP solve, a dense array. The blocks
+    cover the rows 0..n_rows-1 once. row_of maps each state to its
+    distinct row, one map shared by every action, so the assembled kernel
+    K_a is the blocks' mats[a] stacked in row order, indexed by row_of.
     """
 
     shares: tuple
@@ -893,9 +890,9 @@ def kernel_rows(space: StateSpace) -> list:
     as the numpy arrays (data, indices, indptr) of a CSR matrix of shape
     (factors.n_rows, n_states), factor_rows of every row of space.factors,
     so that with its row_of, row row_of[s] is state s's row of K_a. The
-    per-sensor SISP solves densify them and build_padded_kernels pads them,
-    all on the calling thread; build_kernels generates the joint model's
-    rows itself, in its row blocks. On threesensor the distinct rows hold
+    per-sensor SISP solves densify them, on the calling thread;
+    build_kernels generates the joint and myopic models' rows itself, in
+    its row blocks. On threesensor the distinct rows hold
     15.6 M nonzeros out of 36.6 M.
 
     The assembled kernels are byte-identical to a state-by-state assembly
@@ -910,7 +907,7 @@ def kernel_rows(space: StateSpace) -> list:
 
 def _theta_blocks(factors: Factors, action, lo: int, hi: int) -> tuple:
     """One action's distinct rows of whole leading-sensor classes in both
-    channel states, as two scipy CSR matrices: rows lo..hi-1, which have
+    channel states, as two CSR matrices: rows lo..hi-1, which have
     theta = 0, and the theta = 1 rows of the same classes, n_rows // 2
     further on. Each is the bytes of its rows of kernel_rows, filled on the
     open grid of the classes, about TABLE_CHUNK // 2 rows at a time.
@@ -923,8 +920,6 @@ def _theta_blocks(factors: Factors, action, lo: int, hi: int) -> tuple:
     the theta = 0 matrix's indices and indptr. Where a table differs (a
     success probability of 0 or 1 under a transmit decision drops outcomes
     in one channel state only), each keeps its own; no entry is padded in."""
-    from scipy import sparse
-
     shape = factors.shape
     lead = math.prod(shape[2:])
     tables = [factors.tables[i][action[i]] for i in range(len(shape) - 1)]
@@ -957,15 +952,14 @@ def _theta_blocks(factors: Factors, action, lo: int, hi: int) -> tuple:
                 indices[theta][span] = cols[mask]
             data[theta][span] = _grid_values(tables, factors.omega, block, theta)[mask]
     return tuple(
-        sparse.csr_matrix(arrays, shape=(hi - lo, factors.n_states))
-        for arrays in zip(data, indices, indptr)
+        _csr.CSR(*arrays, (hi - lo, factors.n_states)) for arrays in zip(data, indices, indptr)
     )
 
 
 def build_kernels(space: StateSpace) -> Kernels:
     """Every action of space.action_set's distinct rows, from
-    space.factors, as Kernels of scipy CSR matrices: the first import of
-    scipy.sparse in the commands that build a joint kernel.
+    space.factors, as Kernels of CSR matrices: the joint MDP's and the
+    myopic model's.
 
     A model of more than TABLE_CHUNK distinct rows is cut into one share
     per CPU in the process's affinity mask, and a smaller one, or any model
@@ -999,50 +993,6 @@ def build_kernels(space: StateSpace) -> Kernels:
         return Kernels(tuple(run(share)), factors.row_of)
 
 
-class PaddedRows:
-    """One action's CSR rows padded to (slots, n_rows) arrays of values and
-    columns: slot k of a row is its k-th entry, and the rows shorter than
-    the longest end in zero values at column 0. Only `@ q` and `.shape`
-    are offered, the parts of a scipy matrix that RVI reads."""
-
-    def __init__(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple):
-        counts = np.diff(indptr)
-        rows = np.repeat(np.arange(shape[0]), counts)
-        slot = np.arange(len(data)) - np.repeat(indptr[:-1], counts)
-        width = (int(counts.max()), shape[0])
-        self.values = np.zeros(width)
-        self.columns = np.zeros(width, dtype=indices.dtype)
-        self.values[slot, rows] = data
-        self.columns[slot, rows] = indices
-        self.shape = shape
-
-    def __matmul__(self, q: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.shape[0])
-        for values, columns in zip(self.values, self.columns):
-            out += values * q[columns]
-        return out
-
-
-def build_padded_kernels(space: StateSpace) -> Kernels:
-    """kernel_rows as Kernels of PaddedRows, in one block, with no
-    scipy.sparse.
-
-    Each action's `rows @ q` equals the scipy CSR product bit for bit when
-    q is finite. scipy's csr_matvec sums each row from 0.0, left to right,
-    with one rounded multiply and one rounded add per entry, and so does
-    PaddedRows: every row starts at np.zeros, slot k adds entry k, and
-    numpy rounds the product before the add (no fused multiply-add). The
-    padding comes after a row's last entry and adds 0.0 * q[0], a zero,
-    which leaves any sum unchanged (a sum that starts at +0.0 never becomes
-    -0.0). A Python loop over the slots costs about 3x the scipy product on
-    the joint kernels, so this is for small models: the myopic baseline.
-    """
-    factors = space.factors
-    shape = (factors.n_rows, space.n_states)
-    rows = tuple(PaddedRows(*part, shape) for part in kernel_rows(space))
-    return Kernels((((0, factors.n_rows, rows),),), factors.row_of)
-
-
 def relative_value_iteration(
     kernels: Kernels, cost: np.ndarray, ref_index: int, sup_norm=np.max
 ) -> tuple:
@@ -1067,10 +1017,11 @@ def relative_value_iteration(
     fl(c + min_a x_a) exactly. The argmin at termination still reads each
     state's own sums c + x_a, because rounding can tie fl(c + x_a) where
     the x_a differ, and ties go to the lowest index; it is taken
-    TABLE_CHUNK states at a time into a preallocated table. The backups are
-    written into a preallocated (actions, n_rows) stack, and the iterates
-    swap two buffers (the sup norm is taken in the one the next spread
-    overwrites), so an iteration allocates only the matrix-vector products.
+    TABLE_CHUNK states at a time into a preallocated table. csr_matvec
+    adds each backup into its zeroed slice of a preallocated (actions,
+    n_rows) stack, a sum from +0.0 as scipy's A @ q, and the iterates swap
+    two buffers (the sup norm is taken in the one the next spread
+    overwrites), so the products allocate nothing.
 
     Each of kernels.shares has the backups and the columns' minimum of its
     blocks computed in a thread of its own, the calling thread taking share
@@ -1094,7 +1045,12 @@ def relative_value_iteration(
     def back_up(k):
         for lo, hi, mats in shares[k]:
             for a, mat in enumerate(mats):
-                backups[a, lo:hi] = mat @ q
+                out = backups[a, lo:hi]
+                if isinstance(mat, np.ndarray):
+                    out[...] = mat @ q
+                else:
+                    out.fill(0.0)
+                    _csr.accumulate(mat, q, out)
             np.min(backups[:, lo:hi], axis=0, out=best[lo:hi])
 
     sup_diff = np.inf
@@ -1127,15 +1083,17 @@ def relative_value_iteration(
     return ValueTable(q, float(gain), it + 1), policy
 
 
-def solve_optimal_policy(spec: SystemSpec) -> tuple:
-    """Build the truncated MDP on the full grid and solve it as solve does,
-    stopping on the closed sub-grid; returns (space, vt, pt), the actions
-    being space.action_set."""
-    space = StateSpace(spec)
+def solve_optimal_policy(space: StateSpace) -> tuple:
+    """(vt, pt) of the joint MDP on space, the full grid (solve) or the
+    closed sub-grid (compare, simulate): RVI on its kernels, stopped on the
+    closed sub-grid (closed_max), so both spaces take the same iterations
+    and give the same values and table there. The kernels live for this
+    solve only: the exact evaluations build their chains from the
+    per-sensor factors."""
     kernels = build_kernels(space)
     cost, start = cost_vector(space), space.reference_index()
     vt, pi = relative_value_iteration(kernels, cost, start, space.closed_max)
-    return space, vt, PolicyTable(pi, space.action_set)
+    return vt, PolicyTable(pi, space.action_set)
 
 
 def check_value_monotonicity(values: np.ndarray, space: StateSpace, slack: float) -> list:
@@ -1165,12 +1123,12 @@ def check_value_monotonicity(values: np.ndarray, space: StateSpace, slack: float
 
 class Chain(NamedTuple):
     """A chain lumped on its keys (reachable_chain): p on the keys, rep
-    the row of each key on the states. With pi the stationary distribution
-    of p, the state masses are pi @ rep and the exact cost
-    pi @ (rep @ cost) (chain_average_cost)."""
+    the row of each key on the states, both CSR matrices (_csr.CSR). With
+    pi the stationary distribution of p, the state masses are rep.T @ pi
+    and the exact cost pi @ (rep @ cost) (chain_average_cost)."""
 
-    p: sparse.csr_matrix
-    rep: sparse.csr_matrix
+    p: _csr.CSR
+    rep: _csr.CSR
 
 
 def reachable_chain(make, locate, shape: tuple, start_index: int, n: int) -> Chain:
@@ -1199,9 +1157,11 @@ def reachable_chain(make, locate, shape: tuple, start_index: int, n: int) -> Cha
     sum stays stored. Merging states with equal rows is an ordinary lumping
     (Kemeny & Snell 1960, 6.3): p's stationary distribution is the chain's,
     summed over each key.
-    """
-    from scipy import sparse
 
+    The parts are joined, reordered and merged by scipy's routines
+    (_csr.vstack, take_rows, sum_duplicates), so p and rep have the bytes
+    of scipy.sparse's vstack, a[order] and sum_duplicates.
+    """
     parts = []
     # the number, in making order, of each (group, row) made so far; -1
     # before it is made
@@ -1222,7 +1182,7 @@ def reachable_chain(make, locate, shape: tuple, start_index: int, n: int) -> Cha
             rows = new_row[new_group == g]
             where[g, rows] = made + np.arange(len(rows))
             made += len(rows)
-            parts.append(sparse.csr_matrix(make(g, rows), shape=(len(rows), n)))
+            parts.append(_csr.CSR(*make(g, rows), (len(rows), n)))
             cols.append(parts[-1].indices)
         return np.concatenate(cols)
 
@@ -1244,12 +1204,12 @@ def reachable_chain(make, locate, shape: tuple, start_index: int, n: int) -> Cha
     k = len(order)
     key_of = np.empty(n, dtype=np.int32 if k <= np.iinfo(np.int32).max else np.int64)
     key_of[states] = np.argsort(order)[made_of]
-    rep = sparse.vstack(parts, format="csr")
+    rep = _csr.vstack(parts, n)
     parts.clear()
-    rep = rep[order]
+    rep = _csr.take_rows(rep, order)
     # each row's entries by key, in column order within a key: a stable
-    # sort, so that scipy's sum_duplicates, which sums runs of one column
-    # in stored order, sorts nothing. The rows are in order and most of
+    # sort, so that sum_duplicates, which sums runs of one column in stored
+    # order, finds each run sorted. The rows are in order and most of
     # their keys too, which a stable sort of one integer key runs through
     # about ten times faster than np.lexsort
     cols = key_of[rep.indices]
@@ -1257,10 +1217,8 @@ def reachable_chain(make, locate, shape: tuple, start_index: int, n: int) -> Cha
     entry *= k
     entry += cols
     entry = np.argsort(entry, kind="stable")
-    p = sparse.csr_matrix((rep.data[entry], cols[entry], rep.indptr.copy()), shape=(k, k))
-    p.has_sorted_indices = True
-    p.sum_duplicates()
-    return Chain(p, rep)
+    p = _csr.CSR(rep.data[entry], cols[entry], rep.indptr.copy(), (k, k))
+    return Chain(_csr.sum_duplicates(p), rep)
 
 
 def policy_chain_matrix(policy: PolicyTable, space: StateSpace) -> Chain:
@@ -1288,15 +1246,13 @@ def mixture_chain_matrix(weights: Sequence[float], space: StateSpace, actions: A
     space reachable from space.reference_index(), lumped on its distinct
     rows (one group). Returns the Chain of reachable_chain.
 
-    The weighted sum is taken in action order, with the same scipy products
-    and sums as over every distinct row, but only over the distinct rows
-    the search reaches, each mixed once, when a frontier first uses it: a
-    row's sum reads that row alone. A sum of two or more actions drops the
-    entries that come to zero, so the search follows the mixed rows, not
-    the kernels'.
+    The weighted sum is taken in action order, with scipy's products and
+    sums (w * K_a, then csr_plus_csr, _csr.plus) as over every distinct
+    row, but only over the distinct rows the search reaches, each mixed
+    once, when a frontier first uses it: a row's sum reads that row alone.
+    A sum of two or more actions drops the entries that come to zero, so
+    the search follows the mixed rows, not the kernels'.
     """
-    from scipy import sparse
-
     if len(weights) != len(actions) or abs(sum(weights) - 1.0) > 1e-9:
         raise ValueError("weights must match actions and sum to one")
     factors = space.factors
@@ -1306,11 +1262,10 @@ def mixture_chain_matrix(weights: Sequence[float], space: StateSpace, actions: A
         for w, action in zip(weights, actions.actions):
             if w == 0.0:
                 continue
-            term = sparse.csr_matrix(
-                factor_rows(factors, action, rows), shape=(len(rows), space.n_states)
-            )
-            out = w * term if out is None else out + w * term
-        out = out.tocsr()
+            data, indices, indptr = factor_rows(factors, action, rows)
+            data *= w
+            term = _csr.CSR(data, indices, indptr, (len(rows), space.n_states))
+            out = term if out is None else _csr.plus(out, term)
         return out.data, out.indices, out.indptr
 
     return reachable_chain(
@@ -1422,7 +1377,7 @@ def _gmres(matvec, b: np.ndarray, rtol: float) -> tuple:
     return x, 0 if rnorm <= atol else GMRES_CYCLES
 
 
-def _generator(q: sparse.csr_matrix) -> tuple:
+def _generator(q: _csr.CSR) -> tuple:
     """(off, out): q's off-diagonal entries as CSR, in q's stored order, and
     each row's sum of them, the rate at which its state is left. The balance
     equations are (D - Off)^T xi = 0 with D = diag(out), as in the GTH
@@ -1434,35 +1389,35 @@ def _generator(q: sparse.csr_matrix) -> tuple:
     of D - Off depends on the off-diagonal entries alone, each mass to
     within a few ulps of them (O'Cinneide 1993), so that a chain and its
     lumping, whose entries are sums of the chain's, have one answer."""
-    from scipy import sparse
-
     m = q.shape[0]
     off = q
-    if q.diagonal().any():
-        rows = np.repeat(np.arange(m), np.diff(q.indptr))
-        keep = q.indices != rows
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[keep], minlength=m))))
-        off = sparse.csr_matrix((q.data[keep], q.indices[keep], indptr), shape=q.shape)
+    on_diagonal = q.indices == np.repeat(np.arange(m), np.diff(q.indptr))
+    if q.data[on_diagonal].any():
+        off = _csr.kept(q, ~on_diagonal)
     return off, off @ np.ones(m)
 
 
-def _operator(off: sparse.csr_matrix, out: np.ndarray) -> sparse.csr_matrix:
-    """A = (D - Off)^T as CSR, D = diag(out) (_generator)."""
-    from scipy import sparse
+def _operator(off: _csr.CSR, out: np.ndarray) -> _csr.CSR:
+    """A = (D - Off)^T as CSR, D = diag(out) (_generator): csr_minus_csr,
+    which drops zero differences, then csr_tocsc, as scipy's
+    (sparse.diags(out) - off).T.tocsr()."""
+    at = np.arange(len(out) + 1, dtype=off.indptr.dtype)
+    diagonal = _csr.CSR(out, at[:-1], at, off.shape)
+    return _csr.transpose(_csr.minus(diagonal, off))
 
-    return (sparse.diags(out) - off).T.tocsr()
 
-
-def _gmres_solve(q: sparse.csr_matrix, b: np.ndarray) -> np.ndarray:
+def _gmres_solve(q: _csr.CSR, b: np.ndarray) -> np.ndarray:
     """_gmres on the pinned system A[1:, 1:] x = b of the class q,
     A = (D - Off)^T (_generator), to GMRES_RTOL, then passes on the
     remaining residual, to GMRES_CORRECTION_RTOL, while each pass
     converges; one that runs out of cycles would stall again.
 
     The operator is x -> (a @ [0, x])[1:] over a, A as a CSR matrix, with
-    no copy of a[1:, 1:]. Its products have the bits of a[1:, 1:] @ x:
-    csr_matvec sums each row from +0.0, and an entry in column 0 adds its
-    product with 0.0, a signed zero, which leaves any such sum unchanged.
+    no copy of a[1:, 1:]: csr_matvec sums rows 1.. of a, read through
+    a.indptr[1:], straight into the Krylov vector. Its products have the
+    bits of a[1:, 1:] @ x: csr_matvec sums each row from +0.0, and an entry
+    in column 0 adds its product with 0.0, a signed zero, which leaves any
+    such sum unchanged.
 
     The residual a correction pass solves for is the balance residual
     (Off^T xi - out xi)[1:] of xi = [1, x], computed in numpy's longdouble
@@ -1470,16 +1425,17 @@ def _gmres_solve(q: sparse.csr_matrix, b: np.ndarray) -> np.ndarray:
     ill-conditioned class, a residual in doubles leaves the masses many
     ulps from the answer. Where longdouble is no wider than a double, the
     refinement gains nothing."""
-    from scipy import sparse
-
     m = q.shape[0]
     off, out = _generator(q)
     a = _operator(off, out)
+    # rows 1.. of a: indptr holds absolute offsets into data and indices
+    rest = _csr.CSR(a.data, a.indices, a.indptr[1:], (m - 1, m))
     padded = np.zeros(m)
 
     def matvec(x, y):
         padded[1:] = x
-        y[...] = (a @ padded)[1:]
+        y.fill(0.0)
+        _csr.accumulate(rest, padded, y)
 
     x = np.zeros(m - 1)
     r = b
@@ -1487,9 +1443,7 @@ def _gmres_solve(q: sparse.csr_matrix, b: np.ndarray) -> np.ndarray:
         if k:
             # Off in longdouble lives for this residual only, not beside a
             # pass's Krylov basis
-            wide = sparse.csr_matrix(
-                (off.data.astype(np.longdouble), off.indices, off.indptr), shape=q.shape
-            )
+            wide = _csr.CSR(off.data.astype(np.longdouble), off.indices, off.indptr, q.shape)
             xi = np.ones(m, dtype=np.longdouble)
             xi[1:] = x
             r = (wide.T @ xi - (wide @ np.ones(m, dtype=np.longdouble)) * xi)[1:].astype(float)
@@ -1501,34 +1455,38 @@ def _gmres_solve(q: sparse.csr_matrix, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _lu_solve(q: sparse.csr_matrix, b: np.ndarray) -> np.ndarray:
+def _lu_solve(q: _csr.CSR, b: np.ndarray) -> np.ndarray:
     """Sparse LU on the pinned system A[1:, 1:] x = b of the class q,
     A = (D - Off)^T (_generator): the one path that copies A[1:, 1:], and
-    the one that imports scipy.sparse.linalg."""
+    the one that imports scipy.sparse, whose matrix it hands to
+    scipy.sparse.linalg."""
+    from scipy import sparse
     from scipy.sparse.linalg import spsolve
 
-    return spsolve(_operator(*_generator(q))[1:, 1:].tocsc(), b)
+    a = _operator(*_generator(q))
+    a = sparse.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
+    return spsolve(a[1:, 1:].tocsc(), b)
 
 
-def _restricted(p: sparse.csr_matrix, keep: np.ndarray) -> sparse.csr_matrix:
-    """p[ix_(keep, keep)] as CSR, for increasing indices keep; p itself when
-    keep is every state and p is CSR in canonical format, where the copy
+def _restricted(p: _csr.CSR, keep: np.ndarray) -> _csr.CSR:
+    """p[ix_(keep, keep)] as CSR, for increasing indices keep
+    (_csr.restrict); p itself when keep is every state, where the copy
     would have the same bytes."""
-    if len(keep) == p.shape[0] and p.format == "csr" and p.has_canonical_format:
+    if len(keep) == p.shape[0]:
         return p
-    return p[np.ix_(keep, keep)].tocsr()
+    return _csr.restrict(p, keep)
 
 
 def _certified(xi: np.ndarray, residual: float) -> bool:
     return residual <= STATIONARY_RESIDUAL and bool(np.all(xi > 0.0))
 
 
-def _pinned_solve(q: sparse.csr_matrix) -> tuple:
+def _pinned_solve(q: _csr.CSR) -> tuple:
     """(xi, its L1 residual) on the class q with its first state pinned,
     by GMRES, then by sparse LU (stationary_distribution). The right-hand
     side -A[1:, 0] is row 0 of q past its first column."""
     m = q.shape[0]
-    b = q[0, 1:].toarray().ravel()
+    b = _csr.CSR(q.data, q.indices, q.indptr[:2], (1, m)).toarray()[0, 1:]
     for solve in (_gmres_solve,) if m > LU_MAX_STATES else (_gmres_solve, _lu_solve):
         xi = np.concatenate(([1.0], solve(q, b)))
         xi /= xi.sum()
@@ -1556,7 +1514,7 @@ def _reach(indptr: np.ndarray, indices: np.ndarray, start: int, seen: np.ndarray
     return seen
 
 
-def _closed_class(p: sparse.csr_matrix) -> tuple:
+def _closed_class(p: _csr.CSR) -> tuple:
     """(the states of one closed class of p, increasing; how many closed
     classes p has), by frontier searches over p's stored entries, explicit
     zeros included: forward on p's CSR, backward on its CSC.
@@ -1570,11 +1528,10 @@ def _closed_class(p: sparse.csr_matrix) -> tuple:
     of them stays among them, and they hold the other closed classes,
     which are searched for among them in the same way until none is left.
     """
-    from scipy import sparse
-
     n = p.shape[0]
     # p's pattern by columns, with no values: each state's predecessors
-    pc = sparse.csr_matrix((np.ones(p.nnz, dtype=bool), p.indices, p.indptr), shape=p.shape).tocsc()
+    pattern = _csr.CSR(np.ones(len(p.indices), dtype=bool), p.indices, p.indptr, p.shape)
+    pc = _csr.transpose(pattern)
     inflow = np.diff(pc.indptr)
     left = np.ones(n, dtype=bool)
     members, count = None, 0
@@ -1594,16 +1551,13 @@ def _closed_class(p: sparse.csr_matrix) -> tuple:
         state = int(candidates[np.argmax(inflow[candidates])])
 
 
-def _weakly_coupled(q: sparse.csr_matrix) -> bool:
+def _weakly_coupled(q: _csr.CSR) -> bool:
     """Whether q's entries of at least WEAK_COUPLING close more than one
     class (Courtois 1977: a nearly completely decomposable chain)."""
-    strong = q.copy()
-    strong.data[strong.data < WEAK_COUPLING] = 0.0
-    strong.eliminate_zeros()
-    return _closed_class(strong)[1] > 1
+    return _closed_class(_csr.kept(q, ~(q.data < WEAK_COUPLING)))[1] > 1
 
 
-def _gth(q: sparse.csr_matrix) -> np.ndarray:
+def _gth(q: _csr.CSR) -> np.ndarray:
     """The stationary distribution of the irreducible class q by the GTH
     algorithm (Grassmann, Taksar & Heyman 1985): the states are eliminated
     from the last, each pivot the sum of its row's remaining off-diagonal
@@ -1624,8 +1578,10 @@ def _gth(q: sparse.csr_matrix) -> np.ndarray:
     return xi / np.add.reduce(xi)
 
 
-def stationary_distribution(p: sparse.csr_matrix) -> np.ndarray:
-    """Stationary distribution of the one recurrent class of p.
+def stationary_distribution(p: _csr.CSR) -> np.ndarray:
+    """Stationary distribution of the one recurrent class of p, a CSR
+    matrix (_csr.CSR, or any object with its data, indices, indptr and
+    shape, which are all that is read).
 
     The strongly connected components of p that no edge leaves are its
     closed classes (_closed_class). Raises RuntimeError unless there is
@@ -1680,8 +1636,7 @@ def stationary_distribution(p: sparse.csr_matrix) -> np.ndarray:
         # an explicit zero (a stuck channel's) is no step: it would join to
         # a class states that no probability enters, or that leave it only
         # by zeros, and make the pinned system singular
-        p = p.copy()
-        p.eliminate_zeros()
+        p = _csr.kept(p, p.data != 0)
     members, count = _closed_class(p)
     if count != 1:
         raise RuntimeError(f"{count} recurrent classes in the chain")
@@ -1701,11 +1656,11 @@ def stationary_distribution(p: sparse.csr_matrix) -> np.ndarray:
                 # the first state's mass is too small to pin: pin the state
                 # of the largest mass or, with no finite answer, the state
                 # most probability flows into
-                k = int(np.argmax(xi if finite else q.sum(axis=0)))
+                k = int(np.argmax(xi if finite else q.T @ np.ones(m)))
                 if k:
                     order = np.roll(np.arange(m), -k)
                     # sorted, so that each outflow adds its row by column
-                    moved = _pinned_solve(q[order][:, order].tocsr().sorted_indices())
+                    moved = _pinned_solve(_csr.permuted(q, order))
                     if np.isfinite(moved[1]):
                         xi[order], residual = moved
         if not _certified(xi, residual) and xi.min() >= -np.finfo(float).eps:
@@ -1736,14 +1691,11 @@ def chain_average_cost(chain: Chain, cost: np.ndarray) -> float:
     cursor-augmented states read their state's cost. The products are
     added by math.fsum, which rounds their exact sum once: no order of
     adds, and so no BLAS thread count, can move its bits."""
-    from scipy import sparse
-
     p, rep = chain
     # rep is freed once its cost is taken, before the stationary solve
     del chain
-    rep_cost = sparse.csr_matrix(
-        (rep.data, rep.indices % len(cost), rep.indptr), shape=(rep.shape[0], len(cost))
-    ) @ cost
+    rep_cost = _csr.CSR(rep.data, rep.indices % len(cost), rep.indptr, (rep.shape[0], len(cost)))
+    rep_cost = rep_cost @ cost
     del rep
     return math.fsum(stationary_distribution(p) * rep_cost)
 

@@ -27,7 +27,7 @@ from .mdp import (
     Chain,
     PolicyTable,
     StateSpace,
-    build_padded_kernels,
+    build_kernels,
     cost_vector,
     factor_rows,
     reachable_chain,
@@ -291,14 +291,12 @@ def build_myopic_policy(spec: SystemSpec) -> MyopicPolicy:
     staleness; evaluating it under the true dual-age dynamics quantifies
     that model mismatch.
 
-    The model is solved by relative value iteration on
-    build_padded_kernels, whose numpy product gives scipy's bits, so the
-    table and gain are those of solve_optimal_policy(myopic_system(spec))
-    and no myopic run loads scipy.sparse.
+    The model is solved by relative value iteration on its build_kernels
+    kernels, stopped on the largest change over every state.
     """
     space = StateSpace(myopic_system(spec))
     vt, pi = relative_value_iteration(
-        build_padded_kernels(space), cost_vector(space), space.reference_index()
+        build_kernels(space), cost_vector(space), space.reference_index()
     )
     return MyopicPolicy(space, PolicyTable(pi, space.action_set), vt.gain)
 
@@ -344,10 +342,14 @@ def round_robin_chain(space: StateSpace) -> Chain:
     n, n_states, factors = space.n_sensors, space.n_states, space.factors
     schedule = [round_robin_decide(cursor, n, space.spec.m_budget) for cursor in range(n)]
 
+    # the augmented columns in int32 where they fit, the dtype scipy's
+    # constructor gave them
+    index_dtype = np.int32 if n * n_states <= np.iinfo(np.int32).max else np.int64
+
     def make(cursor, rows):
         action, nxt = schedule[cursor]
         data, indices, indptr = factor_rows(factors, action, rows)
-        return data, np.add(indices, nxt * n_states, dtype=np.int64), indptr
+        return data, np.add(indices, nxt * n_states, dtype=index_dtype), indptr
 
     def locate(states):
         cursor, s = np.divmod(states, n_states)

@@ -47,12 +47,18 @@ def action_at(table, idx):
     return table.action_set.actions[table.action_index[idx]]
 
 
+def as_scipy(mat):
+    """A CSR matrix of the package (mdp's kernels and chains) as a scipy
+    matrix on the same arrays."""
+    return sparse.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
+
+
 def stacked_rows(kernels):
-    """Each action's distinct rows as one CSR matrix: the blocks of every
-    share stacked in row order."""
+    """Each action's distinct rows as one scipy CSR matrix: the blocks of
+    every share stacked in row order."""
     blocks = sorted((block for share in kernels.shares for block in share), key=lambda b: b[0])
     return [
-        sparse.vstack([mats[a] for _, _, mats in blocks], format="csr")
+        sparse.vstack([as_scipy(mats[a]) for _, _, mats in blocks], format="csr")
         for a in range(len(blocks[0][2]))
     ]
 
@@ -129,7 +135,8 @@ class SolvedBundle:
 
 
 def solve_bundle(system) -> SolvedBundle:
-    space, vt, pt = a.solve_optimal_policy(system)
+    space = mdp.StateSpace(system)
+    vt, pt = a.solve_optimal_policy(space)
     kernels = mdp.build_kernels(space)
     cost = mdp.cost_vector(space)
     return SolvedBundle(system, space, kernels, cost, space.reference_index(), vt, pt)

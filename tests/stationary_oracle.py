@@ -90,7 +90,7 @@ def stationary_distribution(p, start_index):
 
     n = p.shape[0]
     reach = np.sort(breadth_first_order(p, start_index, return_predecessors=False))
-    sub = mdp._restricted(p, reach).copy()
+    sub = p[np.ix_(reach, reach)].tocsr()
     sub.eliminate_zeros()  # an explicit zero is no step
     closed = _closed_classes(sub)
     if len(closed) != 1:
@@ -101,7 +101,7 @@ def stationary_distribution(p, start_index):
     m = len(members)
     xi = np.ones(1)
     if m > 1:
-        q = mdp._restricted(sub, members)
+        q = sub[np.ix_(members, members)].tocsr()
         residual = np.nan
         strong = q.copy()
         strong.data[strong.data < mdp.WEAK_COUPLING] = 0.0

@@ -59,7 +59,7 @@ def test_criterion_01_riccati_reproduction():
 
 def test_criterion_02_rvi_vs_brute_force():
     t0 = time.perf_counter()
-    _, vt, _ = a.solve_optimal_policy(tiny_system())
+    vt, _ = a.solve_optimal_policy(a.StateSpace(tiny_system()))
     brute = tiny_brute_force_optimum()
     elapsed = time.perf_counter() - t0
     assert vt.gain == pytest.approx(brute, abs=1e-6)

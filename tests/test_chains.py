@@ -30,7 +30,7 @@ from aoisched.model import ConvergenceError
 
 import chain_oracle
 import stationary_oracle
-from conftest import recorded_chains, stacked_rows, stuck_channel
+from conftest import as_scipy, recorded_chains, stacked_rows, stuck_channel
 from test_kernel_assembly import PROBS, _sensor, small_systems
 
 TWOSENSOR = Path(__file__).resolve().parents[1] / "configs" / "twosensor.yaml"
@@ -156,7 +156,7 @@ def assert_quotient(oracle, chain, keys, cost, copies=1):
             mdp.stationary_distribution(chain.p)
         assert failure(lumped_exc.value) == failure(exc)
         return
-    spread = (mdp.stationary_distribution(chain.p) @ chain.rep)[states]
+    spread = (chain.rep.T @ mdp.stationary_distribution(chain.p))[states]
     assert np.abs(spread - xi).sum() <= mdp.STATIONARY_RESIDUAL
     assert np.abs(p.T @ spread - spread).sum() <= mdp.STATIONARY_RESIDUAL
     got = mdp.chain_average_cost(chain, cost)
@@ -362,7 +362,7 @@ def test_compare_solves_each_policy_once_on_reachable_states(tmp_path, monkeypat
     assert len(solved) == len(built) == len(pol.POLICY_NAMES)
     for (chain, start, keys, states), p in zip(built, solved):
         assert p is chain.p
-        reached = breadth_first_order(p, start, return_predecessors=False)
+        reached = breadth_first_order(as_scipy(p), start, return_predecessors=False)
         assert p.shape[0] == keys == len(reached)
         assert keys < states
 

@@ -2,8 +2,9 @@
 
 .github/workflows/tier1.yml can only be checked offline, so this reads it:
 each job's test step runs ROADMAP's tier-1 command exactly (the one-cpu job
-pinned to CPU 0 by taskset), the matrix holds Python 3.11 and 3.12, and the
-extra that the install step installs lists pytest and hypothesis.
+pinned to CPU 0 by taskset), the matrix holds Python 3.11 and 3.12, the
+scipy-floor job installs the scipy release pyproject.toml's floor names,
+and the extra that the install step installs lists pytest and hypothesis.
 """
 
 import re
@@ -39,7 +40,18 @@ def test_every_job_runs_the_tier1_command():
     assert pinned != command
     assert runs(jobs["tests"], "pytest") == [command]
     assert runs(jobs["one-cpu"], "pytest") == [pinned]
-    assert set(jobs) == {"tests", "one-cpu"}
+    assert runs(jobs["scipy-floor"], "pytest") == [command]
+    assert set(jobs) == {"tests", "one-cpu", "scipy-floor"}
+
+
+def test_floor_job_installs_the_scipy_floor():
+    jobs = yaml.safe_load(WORKFLOW.read_text())["jobs"]
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        dependencies = tomllib.load(f)["project"]["dependencies"]
+    (floor,) = [re.fullmatch(r"scipy>=([\d.]+)", dep).group(1) for dep in dependencies
+                if dep.startswith("scipy")]
+    (install,) = runs(jobs["scipy-floor"], "pip install")
+    assert f'"scipy=={floor}.*"' in install
 
 
 def test_matrix_holds_python_311_and_312():

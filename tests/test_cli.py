@@ -542,9 +542,12 @@ def test_exact_costs_without_a_config_exits_2_with_its_usage():
 
 def test_cli_start_loads_no_stationary_solver_modules():
     """Importing the CLI and loading a config leaves scipy.sparse, its
-    solvers and its graph routines unloaded."""
+    solvers and its graph routines unloaded, and scipy's compiled sparse
+    routines too, which load on first use (aoisched._csr.tools)."""
     config = Path(__file__).resolve().parents[1] / "configs" / "twosensor.yaml"
-    modules = ("scipy.sparse", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+    modules = (
+        "scipy.sparse", "scipy.sparse.linalg", "scipy.sparse.csgraph", "aoisched._sparsetools"
+    )
     code = textwrap.dedent(
         f"""
         import sys
@@ -577,11 +580,11 @@ def test_compare_loads_no_scipy_solver_or_graph_modules(tmp_path):
 
 
 def test_only_joint_kernels_load_scipy_sparse(tmp_path):
-    """SISP (its table, thresholds and the cap probe), the stability check,
-    the kernel-free baselines and the myopic policy (solved on numpy
-    PaddedRows) run without scipy.sparse; the optimal solve's joint kernel
-    build loads it. The commands run in order in one process, so each False
-    also clears the commands before it."""
+    """No command loads scipy.sparse: SISP (its table, thresholds and the
+    cap probe), the stability check, the kernel-free baselines, the myopic
+    policy, the optimal solve and a compare of every policy call scipy's
+    compiled sparse routines directly, or none. The commands run in order
+    in one process, so each False also clears the commands before it."""
     cfg, _ = write_config(tmp_path, TWO_SENSOR_YAML)
     short = ["--horizon", "20", "--replications", "2"]
     runs = [
@@ -593,6 +596,7 @@ def test_only_joint_kernels_load_scipy_sparse(tmp_path):
         ["simulate", "--policies", "myopic", *short],
         ["solve", "--policy", "myopic"],
         ["solve", "--policy", "optimal"],
+        ["compare", *short],
     ]
     code = textwrap.dedent(
         f"""
@@ -606,15 +610,16 @@ def test_only_joint_kernels_load_scipy_sparse(tmp_path):
         """
     )
     last = run_python("-c", code).splitlines()[-1]
-    assert last == str([False] * 7 + [True])
+    assert last == str([False] * 9)
 
 
 def test_one_chunk_models_start_no_threads(tmp_path):
-    """The per-sensor SISP models, the myopic model and the kernel-free
-    baselines have at most TABLE_CHUNK distinct rows, so they are built and
-    solved on the calling thread: no pool is imported and no thread is left.
-    (scipy.sparse itself imports concurrent.futures, so a joint solve cannot
-    be checked this way.)"""
+    """The per-sensor SISP models, the myopic model, the kernel-free
+    baselines and twosensor's joint model have at most TABLE_CHUNK distinct
+    rows, so they are built and solved on the calling thread: no pool is
+    imported and no thread is left, by the optimal solve and by compare
+    too. (scipy.sparse itself imports concurrent.futures, which hid the
+    joint solves from this check while they loaded it.)"""
     cfg, _ = write_config(tmp_path, TWO_SENSOR_YAML)
     short = ["--horizon", "20", "--replications", "2"]
     runs = [
@@ -622,6 +627,8 @@ def test_one_chunk_models_start_no_threads(tmp_path):
         ["simulate", "--policies", "sisp,myopic,maf,mef,rr,rand,idle", *short],
         ["solve", "--policy", "sisp"],
         ["solve", "--policy", "myopic"],
+        ["solve", "--policy", "optimal"],
+        ["compare", *short],
     ]
     code = textwrap.dedent(
         f"""

@@ -44,7 +44,7 @@ def solved(request, tmp_path_factory):
     full = cli._check_state_budget(cfg.system, cfg.max_states)
     cache = {}
     cli._build_policy("optimal", cfg, cache)
-    return cfg, full, cli._solve_optimal(full), cache
+    return cfg, full, mdp.solve_optimal_policy(full), cache
 
 
 def test_closure_is_the_search_over_transition_distribution(va_penalty):
@@ -116,7 +116,7 @@ def test_compare_table_is_the_solve_table_on_the_closure(solved):
     assert closed is cache["joint"] and closed.closed
     at = full.encode_array(closed.lanes)
     np.testing.assert_array_equal(policy.table.action_index, pt_full.action_index[at])
-    vt, pt = cli._solve_optimal(closed)
+    vt, pt = mdp.solve_optimal_policy(closed)
     assert vt.iterations == vt_full.iterations
     assert vt.gain.hex() == vt_full.gain.hex()
     assert vt.values.tobytes() == vt_full.values[at].tobytes()
@@ -191,13 +191,13 @@ def test_simulate_and_compare_write_the_full_grid_bytes(command, tmp_path, monke
     the joint MDP on the full grid, the optimal table being solve's."""
     policies = "optimal" if command == "simulate" else ",".join(pol.POLICY_NAMES)
     solved_on = []
-    solve = cli._solve_optimal
+    solve = mdp.solve_optimal_policy
 
     def recorded(space):
         solved_on.append(space.n_states)
         return solve(space)
 
-    monkeypatch.setattr(cli, "_solve_optimal", recorded)
+    monkeypatch.setattr(mdp, "solve_optimal_policy", recorded)
     outputs = []
     for side in ("closed", "full"):
         if side == "full":

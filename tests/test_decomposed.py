@@ -468,7 +468,8 @@ def test_three_sensor_two_slot_budget():
         )
     )
     system = a.SystemSpec(sensors, a.ChannelSpec(0.45, 0.75), 2)
-    space, vt, pt = a.solve_optimal_policy(system)
+    space = mdp.StateSpace(system)
+    vt, pt = a.solve_optimal_policy(space)
     assert len(space.action_set) == 1 + 3 + 3
     kernels = mdp.build_kernels(space)
     for k in stacked_rows(kernels):

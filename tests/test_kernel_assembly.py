@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import aoisched as a
-from aoisched import cli, decomposed, mdp, policies as pol, sim
+from aoisched import _csr, cli, decomposed, mdp, policies as pol, sim
 
 from conftest import action_at, stacked_rows, stuck_channel
 
@@ -424,8 +424,8 @@ def theta_halves_agree(parts):
 @example(THETA_EDGES[2], 1, 2)
 @example(TWO_ROWS, 3, 3)
 def test_theta_pairs_are_kernel_rows_bit_for_bit(spec, workers, seed):
-    """Each share's theta = 0 and theta = 1 blocks are plain CSR matrices,
-    those rows of kernel_rows byte for byte, and each one's product, q
+    """Each share's theta = 0 and theta = 1 blocks are CSR matrices of the
+    package (_csr.CSR), those rows of kernel_rows byte for byte, and each one's product, q
     holding negative entries, is the CSR product of those rows of
     kernel_rows bit for bit. The theta = 1 block reads the theta = 0
     block's columns and row pointers exactly when the two channel states'
@@ -443,7 +443,7 @@ def test_theta_pairs_are_kernel_rows_bit_for_bit(spec, workers, seed):
     for share in kernels.shares:
         for lo, hi, mats in share:
             for mat, rows in zip(mats, whole, strict=True):
-                assert type(mat) is sparse.csr_matrix and mat.shape == (hi - lo, space.n_states)
+                assert type(mat) is _csr.CSR and mat.shape == (hi - lo, space.n_states)
                 assert csr_bytes(mat) == csr_bytes(rows[lo:hi])
                 assert (mat @ q).tobytes() == (rows[lo:hi] @ q).tobytes()
         (lo, hi, mats0), (_, _, mats1) = share
@@ -518,7 +518,7 @@ def test_kernels_iterate_every_buffer_they_hold(monkeypatch):
         seen.add(id(obj))
         if isinstance(obj, np.ndarray):
             held[id(_buffer(obj))] = _buffer(obj)
-        elif isinstance(obj, (tuple, list, dict, mdp.Kernels)) or sparse.issparse(obj):
+        elif isinstance(obj, (tuple, list, dict, mdp.Kernels, _csr.CSR)):
             todo.extend(gc.get_referents(obj))
     del held[id(_buffer(kernels.row_of))]
     iterated = [arr for rows in kernels for arr in (rows.data, rows.indices, rows.indptr)]
@@ -561,35 +561,17 @@ def test_one_chunk_joint_model_runs_on_one_share(monkeypatch):
     assert threading.active_count() == before
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(small_systems(), st.integers(0, 2**32 - 1))
-def test_padded_product_is_scipy_product_bit_for_bit(spec, seed):
-    """PaddedRows adds in csr_matvec's order, so every backup, with negative
-    entries and exact zeros in q, has scipy's bits."""
-    space = mdp.StateSpace(spec)
-    assume(space.n_states <= 3000)
-    kernels = mdp.build_kernels(space)
-    padded = mdp.build_padded_kernels(space)
-    assert np.array_equal(padded.row_of, kernels.row_of)
-    assert len(padded.shares) == 1 and len(padded.shares[0]) == 1
-    rng = np.random.default_rng(seed)
-    q = rng.normal(scale=10.0, size=space.n_states)
-    q[rng.random(space.n_states) < 0.2] = 0.0
-    for rows, want_rows in zip(padded.shares[0][0][2], stacked_rows(kernels), strict=True):
-        assert rows.shape == want_rows.shape
-        assert (rows @ q).tobytes() == (want_rows @ q).tobytes()
-
-
 @pytest.mark.parametrize("config", ["twosensor", "threesensor"])
 def test_myopic_solve_is_the_scipy_solve_bit_for_bit(config):
-    """The myopic model on PaddedRows gives solve_optimal_policy's values,
-    gain, iteration count and table on the shipped configs."""
+    """The myopic model, solved on its kernels with RVI's default stopping
+    rule, gives solve_optimal_policy's values, gain, iteration count and
+    table on the shipped configs, where the closed sub-grid's rule stops
+    at the same iteration."""
     system = cli.load_config(str(CONFIGS / f"{config}.yaml")).system
-    reduced = pol.myopic_system(system)
-    space, vt, pt = mdp.solve_optimal_policy(reduced)
-    kernels = mdp.build_padded_kernels(space)
+    space = mdp.StateSpace(pol.myopic_system(system))
+    vt, pt = mdp.solve_optimal_policy(space)
     got, _ = mdp.relative_value_iteration(
-        kernels, mdp.cost_vector(space), space.reference_index()
+        mdp.build_kernels(space), mdp.cost_vector(space), space.reference_index()
     )
     assert got.values.tobytes() == vt.values.tobytes()
     assert got.iterations == vt.iterations

@@ -368,7 +368,8 @@ def test_rvi_gain_invariant_under_reference_state(tiny_solved):
 def test_rvi_degenerate_always_fresh(va_penalty):
     sensor = a.SensorSpec(a.BernoulliArrival(1.0), va_penalty, 1.0, 1.0, 3, 3)
     spec = a.SystemSpec((sensor,), a.ChannelSpec(0.5, 0.8), 1)
-    space, vt, pt = a.solve_optimal_policy(spec)
+    space = mdp.StateSpace(spec)
+    vt, pt = a.solve_optimal_policy(space)
     assert vt.gain == pytest.approx(va_penalty(1), rel=1e-9)
     # transmitting is optimal at the start state
     assert space.action_set.actions[pt.action_index[space.reference_index()]] == (1,)
@@ -409,7 +410,8 @@ def test_markov_arrival_instance_end_to_end(va_penalty):
         a.SensorSpec(a.BernoulliArrival(0.5), va_penalty, 0.5, 1.0, 2, 3),
     )
     spec = a.SystemSpec(sensors, a.ChannelSpec(0.5, 0.8), 1)
-    space, vt, pt = a.solve_optimal_policy(spec)
+    space = mdp.StateSpace(spec)
+    vt, pt = a.solve_optimal_policy(space)
     assert vt.gain > 0
     assert mdp.check_value_monotonicity(vt.values, space, 1e-8) == []
     got = table_cost(pt, space, mdp.cost_vector(space))

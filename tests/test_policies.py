@@ -143,7 +143,8 @@ def test_myopic_optimal_when_arrivals_certain(va_penalty):
     # with certain arrivals the buffer is always fresh, so the single-age
     # model is exact and its policy matches the optimal average cost
     spec = make_va_system(va_penalty, 1.0, 1.0, cap=4)
-    bundle_space, vt, pt = a.solve_optimal_policy(spec)
+    bundle_space = mdp.StateSpace(spec)
+    vt, pt = a.solve_optimal_policy(bundle_space)
     cost = mdp.cost_vector(bundle_space)
     myopic = pol.build_myopic_policy(spec)
     table = pol.policy_to_table(myopic, bundle_space)
@@ -180,7 +181,7 @@ def test_round_robin_chain_symmetric_marginals(va_solved):
     n = b.space.n_states
     # the chain is lumped on its keys: each augmented state's mass is the
     # mass of the keys that step to it
-    xi_aug = mdp.stationary_distribution(chain.p) @ chain.rep
+    xi_aug = chain.rep.T @ mdp.stationary_distribution(chain.p)
     xi = xi_aug[:n] + xi_aug[n:]
     per_sensor = mdp.average_cost_by_sensor(xi, b.space)
     assert per_sensor[0] == pytest.approx(per_sensor[1], abs=1e-9)

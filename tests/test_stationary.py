@@ -20,7 +20,7 @@ from aoisched import cli, mdp, policies as pol
 from aoisched.model import ConvergenceError
 
 import stationary_oracle
-from conftest import make_va_system, recorded_chains, solve_bundle
+from conftest import as_scipy, make_va_system, recorded_chains, solve_bundle
 from test_chains import STUCK_MARKOV, chain_systems, idle_first
 from test_cli import ONE_SENSOR_YAML, write_config
 from test_kernel_assembly import PROBS
@@ -91,6 +91,7 @@ def dense_solve(q):
 def test_optimal_chain_matches_dense_solve(va_solved):
     p, _ = mdp.policy_chain_matrix(va_solved.pt, va_solved.space)
     xi = mdp.stationary_distribution(p)
+    p = as_scipy(p)
     support = np.flatnonzero(xi > 0)
     # the support is closed: no edge leaves it
     assert np.all(np.isin(p[support].indices, support))
@@ -165,6 +166,7 @@ def test_sticky_channel_matches_dense_solve(va_penalty):
         # next state
         cost = rep @ cost
         xi = mdp.stationary_distribution(p)
+        p = as_scipy(p)
         support = np.flatnonzero(xi > 0)
         assert np.all(np.isin(p[support].indices, support))
         dense = dense_solve(p[np.ix_(support, support)].toarray())
@@ -330,7 +332,7 @@ def pinned_system(p):
     def product(x):
         return (a @ np.concatenate(([0.0], x)))[1:]
 
-    return product, q[0, 1:].toarray().ravel()
+    return product, as_scipy(q)[0, 1:].toarray().ravel()
 
 
 def test_gmres_agrees_with_scipy(twosensor_chains):
@@ -508,9 +510,10 @@ def test_chain_solves_are_the_oracle_bit_for_bit(spec, seed, p):
     for chain, start_key, n_keys, _ in built:
         # the chain is the keys its start's key reaches, so the oracle's
         # search from that key keeps every key
-        reached = breadth_first_order(chain.p, start_key, return_predecessors=False)
-        assert len(reached) == chain.p.shape[0] == n_keys
-        assert_solve_is_the_oracle(chain.p, start_key)
+        p = as_scipy(chain.p)
+        reached = breadth_first_order(p, start_key, return_predecessors=False)
+        assert len(reached) == p.shape[0] == n_keys
+        assert_solve_is_the_oracle(p, start_key)
 
 
 # Exact costs of the eight compare policies, recorded from a direct sparse LU

@@ -85,11 +85,12 @@ ALLOWED = {
     ("policies", "randomized_decide"): REFERENCE,
     ("mdp", "_lu_solve"): "the sparse-LU fallback of a stationary solve GMRES misses",
     ("mdp", "_gth"): "the stationary solve of a weakly coupled class, which no config has",
+    ("_csr", "permuted"): "the re-pin of a class whose first state is too light to pin, "
+    "which no config has",
     ("mdp", "check_value_monotonicity"): ACCEPTANCE,
     ("mdp", "StateSpace.aoli_stride"): f"{ACCEPTANCE} (check_value_monotonicity's step)",
     ("mdp", "average_cost_by_sensor"): ACCEPTANCE,
     ("decomposed", "randomized_chain_matrix"): ACCEPTANCE,
-    ("mdp", "solve_optimal_policy"): TRACER,
     ("mdp", "Kernels.__iter__"): "read by perfbench/tracer.py's build_kernels hook and by tests",
     ("policies", "Policy.decide_array"): "the abstract decision rule every policy overrides",
 }

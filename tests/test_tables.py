@@ -99,7 +99,8 @@ def oracle_table(path, cfg, space, values, policy, myopic=False):
 
 def expected_tables(cfg, tmp_path):
     system = cfg.system
-    space, vt, pt = mdp.solve_optimal_policy(system)
+    space = mdp.StateSpace(system)
+    vt, pt = mdp.solve_optimal_policy(space)
     sisp, _, _ = decomposed.build_policy_table_with_pruning(
         decomposed.solve_sisp_values(system, cli._scheduling_probs(cfg)), space
     )
