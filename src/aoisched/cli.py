@@ -316,7 +316,7 @@ def _check_sisp(system: SystemSpec, cfg: LoadedConfig) -> None:
             f"policy.p_r: sum of scheduling probabilities {sum(p_r):g} exceeds budget {m}"
         )
     for i, sensor in enumerate(system.sensors):
-        n_i = mdp.StateSpace(SystemSpec((sensor,), system.channel, 1)).n_states
+        n_i = mdp.sensor_space(sensor, system.channel).n_states
         if n_i**2 > max_states:
             raise ConfigError(
                 f"state space too large: sensor {i + 1} has {n_i} states, and its "
@@ -574,19 +574,6 @@ def cmd_thresholds(args) -> int:
     return 0
 
 
-def _policy_chain(policy: pol.Policy, space: mdp.StateSpace) -> mdp.Chain:
-    """One policy's chain on the joint MDP's space, lumped on the keys
-    reachable from the start: round robin's, the randomized mixture's, or a
-    deterministic table's."""
-    if policy.name == "rr":
-        return pol.round_robin_chain(space)
-    if policy.name == "rand":
-        actions = space.action_set
-        weights = pol.randomized_action_weights(policy.p, space.spec.m_budget, actions)
-        return mdp.mixture_chain_matrix(weights, space, actions)
-    return mdp.policy_chain_matrix(pol.policy_to_table(policy, space), space)
-
-
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     out_dir = Path(args.out) if args.out else cfg.out_dir
@@ -595,7 +582,6 @@ def cmd_compare(args) -> int:
     # an optimal policy's kernels are freed before the first evaluation
     policies = _policy_list(args, cfg, cache)
     space = _joint_mdp(cfg, cache)
-    cost = mdp.cost_vector(space)
     plan = sim.ExperimentPlan(cfg.system, policies, horizon, replications, seed, cfg.warmup)
 
     def share(k):
@@ -603,11 +589,7 @@ def cmd_compare(args) -> int:
         # solves; the Monte Carlo runs beside them in a child, or after
         # them on one CPU
         if k == 0:
-            # each chain is freed before the next policy's is built
-            return {
-                policy.name: mdp.chain_average_cost(_policy_chain(policy, space), cost)
-                for policy in policies
-            }
+            return {policy.name: pol.exact_cost(policy, space) for policy in policies}
         return sim.monte_carlo(plan)
 
     with mdp._forks(2) as run:

@@ -28,9 +28,10 @@ from .mdp import (
     kernel_rows,
     mixture_chain_matrix,
     relative_value_iteration,
+    sensor_space,
 )
 from .model import ChannelSpec, SensorSpec, SystemSpec
-from .policies import Policy, policy_to_table, randomized_action_weights
+from .policies import Policy, RandomizedSchedule, policy_to_table
 
 __all__ = [
     "default_randomized_probs",
@@ -64,14 +65,6 @@ def default_randomized_probs(spec: SystemSpec) -> tuple:
 
 # rows of the idle kernel densified at a time while the mix is formed
 MIX_ROWS = 64
-
-
-def _single_sensor_kernels(sensor: SensorSpec, channel: ChannelSpec) -> tuple:
-    """(space, rows) of the sensor alone: rows[a] is action a's (idle,
-    then transmit) distinct rows from kernel_rows, which _dense_kernel
-    densifies a row block at a time."""
-    space = StateSpace(SystemSpec(sensors=(sensor,), channel=channel, m_budget=1))
-    return space, kernel_rows(space)
 
 
 def _dense_kernel(space: StateSpace, rows: tuple, lo: int, hi: int) -> np.ndarray:
@@ -116,7 +109,10 @@ def solve_per_sensor_value(
     Stage cost is the sensor's own penalty at its monitor-side age; the value
     is normalized to zero at the reference state ((0,1), bad channel).
     """
-    space, (idle, tx) = _single_sensor_kernels(sensor, channel)
+    space = sensor_space(sensor, channel)
+    # each action's distinct rows, which _dense_kernel densifies a row
+    # block at a time
+    idle, tx = kernel_rows(space)
     n = space.n_states
     # p K_tx + (1 - p) K_idle with one dense matrix live: the same two
     # rounded products and one rounded add per entry, the idle rows a block
@@ -265,11 +261,10 @@ def randomized_chain_matrix(space: StateSpace, p_r: Sequence[float]):
     mixture_chain_matrix.
 
     Mixes the kernels of all 2^N schedule vectors with product Bernoulli
-    weights: the thinned randomized policy's weights with budget N, where
-    nothing is thinned. The budget holds in expectation only, matching the
+    weights: the randomized policy's one-cursor schedule with budget N,
+    where nothing is thinned. The budget holds in expectation only, matching the
     policy the value decomposition is defined against.
     """
-    n = space.n_sensors
-    full_actions = ActionSet(n, n)
-    weights = randomized_action_weights(p_r, n, full_actions)
-    return mixture_chain_matrix(weights, space, full_actions)
+    full_actions = ActionSet(space.n_sensors, space.n_sensors)
+    schedule = RandomizedSchedule(p_r, space.n_sensors).schedule(full_actions)
+    return mixture_chain_matrix(schedule, space, full_actions)

@@ -22,24 +22,24 @@ is searched from the start state only, so its closed classes are the ones
 the start reaches, with rows generated from the per-sensor factors as the
 search first needs them, never from assembled kernels, and it is built
 lumped: the reached states that share a distinct row and the policy's group
-(action, round-robin cursor, or the mixture's one group) are one state
-(reachable_chain).
+(action, or a state-blind schedule's cursor) are one state (reachable_chain).
 
 factor_rows is the one row generator: the joint solver, exact policy
-evaluation, the per-sensor SISP solves, the randomized chain and the myopic
-baseline all read from it. Truncation saturates the ages, so most kernel
-rows repeat (a sensor's successors are the same one step below a cap as at
-it), and a state's row is one of the distinct rows that Factors indexes by
-theta and its sensors' row classes, theta slowest, with row_of, the state
--> distinct-row map all actions share. The rows are written straight from
+evaluation, the per-sensor SISP solves and chains, the randomized chain and
+the myopic baseline all read from it. Truncation saturates the ages, so most
+kernel rows repeat (a sensor's successors are the same one step below a cap
+as at it), and a state's row is one of the distinct rows that Factors
+indexes by theta and its sensors' row classes, theta slowest, with row_of,
+the state -> distinct-row map all actions share. The rows are written straight from
 the per-sensor successor tables, whose entries are ordered so that every
 row comes out sorted by column, with no COO step or duplicate summing; the
 assembled kernels are byte-identical to a state-by-state assembly from
 transition_distribution (kernel_rows says why that matters). factor_rows
 fills listed rows: kernel_rows lists every row of every action, for the
 one-chunk models, and the chain builders list the rows their chain reaches
-(on threesensor, at most 38,275 of the closed sub-grid's 39,366 distinct
-rows, or of the full grid's 148,176).
+(on threesensor, compare's chains make at most 45,333 rows, maf's, of the
+closed sub-grid's 39,366 distinct rows per action, and a state-blind
+policy's per-sensor chains at most 145).
 build_kernels fills the joint model's rows on the open grid of whole
 leading-sensor classes instead, as the blocks of Kernels: each CPU's share
 of classes is two blocks, its theta = 0 rows and its theta = 1 rows, and a
@@ -100,10 +100,11 @@ import numpy as np
 
 from . import _csr
 from .dynamics import JointState, LaneState, SensorState, initial_state, lane_cost, lane_state
-from .model import ConvergenceError, SensorSpec, SystemSpec, penalty_rows
+from .model import ChannelSpec, ConvergenceError, SensorSpec, SystemSpec, penalty_rows
 
 __all__ = [
     "StateSpace",
+    "sensor_space",
     "ActionSet",
     "ValueTable",
     "PolicyTable",
@@ -163,6 +164,11 @@ GMRES_PASSES = 2
 # geometrically (2.4e-9 across the 50-state birth-death chain of the tests)
 # solves accurately as pinned
 PIN_MASS = 1e-10
+# The most states a class is pinned at in turn, until one gives a finite
+# answer, when its first state is too light to pin: where the masses span
+# more than a double's range (steps of 1e-309), the state the most
+# probability flows into can be too light as well
+PIN_TRIES = 4
 # The largest closed class the sparse-LU fallback solves; above it a class
 # GMRES cannot certify raises ConvergenceError at once, since the LU fill-in
 # grows so fast that a large class would appear to hang (61.5 s on a
@@ -384,6 +390,14 @@ class StateSpace:
 
     def aoli_stride(self, i: int) -> int:
         return self._grid_stride(3 * i)
+
+
+def sensor_space(sensor: SensorSpec, channel: ChannelSpec) -> StateSpace:
+    """The full grid of one sensor alone on the channel, budget 1: its
+    sub-indices and theta, in the joint space's per-sensor order. The
+    per-sensor SISP solves and the state-blind policies' per-sensor chains
+    are built on it."""
+    return StateSpace(SystemSpec(sensors=(sensor,), channel=channel, m_budget=1))
 
 
 class ActionSet:
@@ -1137,8 +1151,8 @@ def reachable_chain(make, locate, shape: tuple, start_index: int, n: int) -> Cha
 
     locate(states) returns (group, row): state s's row is row row[s] of
     group group[s], where shape = (groups, rows per group); a group is an
-    action, a round-robin cursor, or the one group of a mixture. Such a
-    (group, row) pair is a key, and every state of a key has the same row.
+    action, or a state-blind schedule's cursor. Such a (group, row) pair
+    is a key, and every state of a key has the same row.
     make(group, rows) returns the CSR arrays (data, indices, indptr) of
     that group's rows for increasing row indices `rows`, sorted by column,
     their columns numbered in the chain. A frontier search from start_index
@@ -1240,41 +1254,49 @@ def policy_chain_matrix(policy: PolicyTable, space: StateSpace) -> Chain:
     )
 
 
-def mixture_chain_matrix(weights: Sequence[float], space: StateSpace, actions: ActionSet) -> Chain:
-    """Chain of a state-independent randomized policy, sum_a w_a K_a over
-    `actions` (space.action_set, or a larger budget's), on the states of
-    space reachable from space.reference_index(), lumped on its distinct
-    rows (one group). Returns the Chain of reachable_chain.
+def mixture_chain_matrix(schedule: Sequence[tuple], space: StateSpace, actions: ActionSet) -> Chain:
+    """Chain of a state-blind policy on the states of space augmented with
+    its cursor, over those reachable from space.reference_index() at
+    cursor 0, lumped on (cursor, distinct row) keys.
+
+    schedule[c] = (weights, next cursor): at cursor c the policy takes each
+    action of `actions` (space.action_set, or a larger budget's) with its
+    weight and moves to the next cursor, whatever the state, so the
+    augmented pair is Markov, stepping by sum_a w_a K_a. Augmented state
+    c * n_states + s, cursor-major, takes distinct row row_of[s] of that
+    sum, its columns moved into the next cursor's block. Round robin's
+    schedule (round_robin_chain) is one-hot weights over its cursors, a
+    randomized policy's one cursor that steps to itself. Returns the Chain
+    of reachable_chain, whose rep columns are augmented states.
 
     The weighted sum is taken in action order, with scipy's products and
-    sums (w * K_a, then csr_plus_csr, _csr.plus) as over every distinct
-    row, but only over the distinct rows the search reaches, each mixed
-    once, when a frontier first uses it: a row's sum reads that row alone.
-    A sum of two or more actions drops the entries that come to zero, so
-    the search follows the mixed rows, not the kernels'.
+    sums (w * K_a, then csr_plus_csr, _csr.plus), over the distinct rows
+    the search reaches only, each mixed once, when a frontier first uses
+    it: a row's sum reads that row alone. A sum of two or more actions
+    drops the entries that come to zero, so the search follows the mixed
+    rows, not the kernels'.
     """
-    if len(weights) != len(actions) or abs(sum(weights) - 1.0) > 1e-9:
+    if any(len(w) != len(actions) or abs(sum(w) - 1.0) > 1e-9 for w, _ in schedule):
         raise ValueError("weights must match actions and sum to one")
-    factors = space.factors
+    factors, n_states = space.factors, space.n_states
+    n = len(schedule) * n_states
 
-    def mix(_, rows):
+    def mix(cursor, rows):
+        weights, nxt = schedule[cursor]
         out = None
         for w, action in zip(weights, actions.actions):
-            if w == 0.0:
-                continue
-            data, indices, indptr = factor_rows(factors, action, rows)
-            data *= w
-            term = _csr.CSR(data, indices, indptr, (len(rows), space.n_states))
-            out = term if out is None else _csr.plus(out, term)
-        return out.data, out.indices, out.indptr
+            if w:
+                data, indices, indptr = factor_rows(factors, action, rows)
+                data *= w
+                term = _csr.CSR(data, indices, indptr, (len(rows), n_states))
+                out = term if out is None else _csr.plus(out, term)
+        return out.data, out.indices + nxt * n_states, out.indptr
 
-    return reachable_chain(
-        mix,
-        lambda s: (np.zeros(len(s), dtype=np.intp), factors.row_of[s]),
-        (1, factors.n_rows),
-        space.reference_index(),
-        space.n_states,
-    )
+    def locate(states):
+        cursor, s = np.divmod(states, n_states)
+        return cursor, factors.row_of[s]
+
+    return reachable_chain(mix, locate, (len(schedule), factors.n_rows), space.reference_index(), n)
 
 
 def _dot(x: np.ndarray, y: np.ndarray, buf: np.ndarray) -> float:
@@ -1621,8 +1643,9 @@ def stationary_distribution(p: _csr.CSR) -> np.ndarray:
     of at most LU_MAX_STATES states. A first state of negligible mass makes
     the pinned system singular or near to it: when the answer is not finite,
     or gives the first state less than PIN_MASS of its largest mass, the
-    class is solved again, pinned at the state of the largest mass or, with
-    no finite answer, at the state most probability flows into. (No class
+    class is solved again, pinned at the states of the largest masses or,
+    with no finite answer, at those most probability flows into, in turn,
+    up to PIN_TRIES of them, until one gives a finite answer. (No class
     of the shipped and benchmark configs is solved twice.) A mass within
     rounding of zero (at least -eps, the total being 1)
     is the one exception to positivity: a state entered with probability
@@ -1653,16 +1676,18 @@ def stationary_distribution(p: _csr.CSR) -> np.ndarray:
             xi, residual = _pinned_solve(q)
             finite = np.isfinite(residual)
             if not (finite and xi[0] >= PIN_MASS * xi.max()):
-                # the first state's mass is too small to pin: pin the state
-                # of the largest mass or, with no finite answer, the state
-                # most probability flows into
-                k = int(np.argmax(xi if finite else q.T @ np.ones(m)))
-                if k:
-                    order = np.roll(np.arange(m), -k)
-                    # sorted, so that each outflow adds its row by column
-                    moved = _pinned_solve(_csr.permuted(q, order))
-                    if np.isfinite(moved[1]):
-                        xi[order], residual = moved
+                # the first state's mass is too small to pin: pin the states
+                # of the largest masses or, with no finite answer, those most
+                # probability flows into, in turn, until one gives one
+                heavy = xi if finite else q.T @ np.ones(m)
+                for k in np.argsort(-heavy, kind="stable")[:PIN_TRIES]:
+                    if k:
+                        order = np.roll(np.arange(m), -k)
+                        # sorted, so that each outflow adds its row by column
+                        moved = _pinned_solve(_csr.permuted(q, order))
+                        if np.isfinite(moved[1]):
+                            xi[order], residual = moved
+                            break
         if not _certified(xi, residual) and xi.min() >= -np.finfo(float).eps:
             # no solve is certified, but every mass is positive or within
             # rounding of zero: the latter are zero
@@ -1687,10 +1712,12 @@ def chain_average_cost(chain: Chain, cost: np.ndarray) -> float:
     """Exact long-run average cost of a lumped chain whose states' stage
     costs are `cost`: the stationary distribution of chain.p times
     chain.rep @ cost, each key's expected cost of its next state. The
-    chain's columns are read modulo len(cost), so that round robin's
-    cursor-augmented states read their state's cost. The products are
-    added by math.fsum, which rounds their exact sum once: no order of
-    adds, and so no BLAS thread count, can move its bits."""
+    chain's columns are read modulo len(cost), so that the
+    cursor-augmented states of a state-blind schedule's chain
+    (mixture_chain_matrix), a per-sensor one included, read their state's
+    cost. The products are added by math.fsum, which rounds their exact
+    sum once: no order of adds, and so no BLAS thread count, can move its
+    bits."""
     p, rep = chain
     # rep is freed once its cost is taken, before the stationary solve
     del chain

@@ -11,11 +11,18 @@ the Monte Carlo engine can draw them in blocks, as it does the environment's.
 The module-level maf_decide, mef_decide, round_robin_decide and
 randomized_decide state the same rules for one state at a time; the tests
 check decide_array against them.
+
+Round robin, the randomized schedule and idle never read the state, and
+give their schedule (Policy.schedule) instead: exact_cost evaluates them
+on one chain per sensor, the paper's per-sensor decomposition, and every
+other policy on the chain of its table.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import replace
 from typing import Sequence
 
@@ -28,10 +35,12 @@ from .mdp import (
     PolicyTable,
     StateSpace,
     build_kernels,
+    chain_average_cost,
     cost_vector,
-    factor_rows,
-    reachable_chain,
+    mixture_chain_matrix,
+    policy_chain_matrix,
     relative_value_iteration,
+    sensor_space,
 )
 from .model import BernoulliArrival, SystemSpec, penalty_rows
 
@@ -43,6 +52,7 @@ __all__ = [
     "mef_decide",
     "MefPolicy",
     "round_robin_decide",
+    "CursorPolicy",
     "RoundRobinPolicy",
     "randomized_decide",
     "RandomizedSchedule",
@@ -53,6 +63,8 @@ __all__ = [
     "MyopicPolicy",
     "policy_to_table",
     "round_robin_chain",
+    "exact_chains",
+    "exact_cost",
     "POLICY_NAMES",
 ]
 
@@ -82,6 +94,12 @@ class Policy:
         `actions`.
         """
         raise NotImplementedError
+
+    def schedule(self, actions: ActionSet):
+        """The schedule of a policy that never reads the state, the argument
+        of mixture_chain_matrix over `actions`: per cursor, the weight of
+        each action and the next cursor. None for a policy that reads it."""
+        return None
 
 
 def _action_code(action) -> int:
@@ -180,17 +198,29 @@ def round_robin_decide(cursor: int, n: int, m: int) -> tuple:
     return tuple(action), (cursor + m) % n
 
 
-class RoundRobinPolicy(Policy):
+class CursorPolicy(Policy):
+    """A deterministic policy that never reads the state: at cursor c it
+    takes the action cycle[c] and moves to cursor (c + step) % len(cycle),
+    from cursor 0, so after t decisions its cursor is t * step mod
+    len(cycle)."""
+
+    def decide_array(self, actions, lanes, t, u):
+        action = self.cycle[t * self.step % len(self.cycle)]
+        return _lane_actions(actions, np.full(len(lanes.theta), _action_code(action)))
+
+    def schedule(self, actions):
+        eye, k = np.eye(len(actions)), len(self.cycle)
+        return [(eye[actions.index(a)], (c + self.step) % k) for c, a in enumerate(self.cycle)]
+
+
+class RoundRobinPolicy(CursorPolicy):
+    """round_robin_decide's action at each of the n cursors, stepping by m."""
+
     name = "rr"
 
     def __init__(self, n: int, m: int):
-        self.n = n
-        self.m = m
-
-    def decide_array(self, actions, lanes, t, u):
-        # after t decisions the cursor has advanced by t * m
-        action, _ = round_robin_decide(t * self.m % self.n, self.n, self.m)
-        return _lane_actions(actions, np.full(len(lanes.theta), _action_code(action)))
+        self.cycle = [round_robin_decide(c, n, m)[0] for c in range(n)]
+        self.step = m
 
 
 def randomized_decide(p: Sequence[float], m: int, u: Sequence[float]) -> tuple:
@@ -229,6 +259,9 @@ class RandomizedSchedule(Policy):
         kept = np.take_along_axis(fired, top, axis=0)
         return _lane_actions(actions, (kept << top).sum(axis=0))
 
+    def schedule(self, actions):
+        return [(randomized_action_weights(self.p, self.m, actions), 0)]
+
 
 def randomized_action_weights(
     p: Sequence[float], m: int, actions: ActionSet
@@ -245,29 +278,22 @@ def randomized_action_weights(
         fired = [i for i in range(n) if fired_mask >> i & 1]
         prob = 1.0
         for i in range(n):
-            prob *= p[i] if (fired_mask >> i & 1) else 1.0 - p[i]
-        if prob == 0.0:
-            continue
-        if len(fired) <= m:
-            action = tuple(fired_mask >> i & 1 for i in range(n))
-            weights[actions.index(action)] += prob
-        else:
-            subsets = list(itertools.combinations(fired, m))
-            share = prob / len(subsets)
-            for subset in subsets:
-                action = tuple(1 if i in subset else 0 for i in range(n))
-                weights[actions.index(action)] += share
+            prob *= p[i] if i in fired else 1.0 - p[i]
+        # a fired set within the budget is its own one subset: prob / 1
+        subsets = list(itertools.combinations(fired, min(m, len(fired))))
+        for subset in subsets:
+            action = tuple(int(i in subset) for i in range(n))
+            weights[actions.index(action)] += prob / len(subsets)
     return weights
 
 
-class IdlePolicy(Policy):
+class IdlePolicy(CursorPolicy):
+    """No sensor scheduled, at the one cursor."""
+
     name = "idle"
 
     def __init__(self, n: int):
-        self.action = tuple(0 for _ in range(n))
-
-    def decide_array(self, actions, lanes, t, u):
-        return _lane_actions(actions, np.full(len(lanes.theta), _action_code(self.action)))
+        self.cycle, self.step = [(0,) * n], 0
 
 
 def myopic_system(spec: SystemSpec) -> SystemSpec:
@@ -327,34 +353,52 @@ def policy_to_table(policy: Policy, space: StateSpace) -> PolicyTable:
 
 
 def round_robin_chain(space: StateSpace) -> Chain:
-    """Chain of round robin on the state space augmented with the cursor,
-    over the augmented states reachable from the start only, lumped on
-    (cursor, distinct row) keys.
+    """Joint chain of round robin on space augmented with its cursor: the
+    Chain of mixture_chain_matrix on its schedule, augmented state
+    cursor * n_states + s. compare evaluates round robin per sensor
+    (exact_chains); this joint chain is the tests' oracle for that, and a
+    target of perfbench/tracer.py."""
+    schedule = RoundRobinPolicy(space.n_sensors, space.spec.m_budget).schedule(space.action_set)
+    return mixture_chain_matrix(schedule, space, space.action_set)
 
-    The cursor advances by M (mod N) every slot independent of the state,
-    so the augmented pair (state, cursor) is Markov. Augmented state
-    cursor * n_states + s, cursor-major, takes distinct row row_of[s] of
-    space.factors under the cursor's action, generated by factor_rows with
-    its columns moved into the next cursor's block; the start is
-    space.reference_index() at cursor 0. Returns the Chain of
-    mdp.reachable_chain, whose rep columns are augmented states.
+
+def exact_chains(policy: Policy, space: StateSpace):
+    """The (build, cost) pairs whose chain_average_cost(build(), cost)
+    values sum to the policy's exact long-run average cost on space, from
+    its start. build() makes the chain, so that a caller that hands it
+    straight to chain_average_cost holds one chain at a time, whose rep
+    is freed before its stationary solve.
+
+    A policy with no schedule has one chain, of its table on space
+    (policy_chain_matrix), with space's cost vector. A state-blind one has
+    one per sensor. The joint kernel is the channel times per-sensor
+    factors and the stage cost a sum of per-sensor penalties, and its
+    actions do not depend on the state, so each sensor's (sub-index, theta)
+    process, with the schedule's cursor, is a Markov chain by itself, and
+    by linearity the policy's cost is the sum of theirs. Sensor i's chain
+    is mixture_chain_matrix on its own space (sensor_space), whose actions
+    idle and transmit take at each cursor the summed weights of the joint
+    actions that idle and schedule sensor i, with the same next cursors.
     """
-    n, n_states, factors = space.n_sensors, space.n_states, space.factors
-    schedule = [round_robin_decide(cursor, n, space.spec.m_budget) for cursor in range(n)]
+    schedule = policy.schedule(space.action_set)
+    if schedule is None:
 
-    # the augmented columns in int32 where they fit, the dtype scipy's
-    # constructor gave them
-    index_dtype = np.int32 if n * n_states <= np.iinfo(np.int32).max else np.int64
+        def table_chain():
+            return policy_chain_matrix(policy_to_table(policy, space), space)
 
-    def make(cursor, rows):
-        action, nxt = schedule[cursor]
-        data, indices, indptr = factor_rows(factors, action, rows)
-        return data, np.add(indices, nxt * n_states, dtype=index_dtype), indptr
+        yield table_chain, cost_vector(space)
+        return
+    # split[a, i] is (1, 0) where action a idles sensor i, (0, 1) where it
+    # schedules it
+    split = np.eye(2)[space.action_set.schedules]
+    for i, sensor in enumerate(space.spec.sensors):
+        own = sensor_space(sensor, space.spec.channel)
+        marginal = [(w @ split[:, i], nxt) for w, nxt in schedule]
+        build = functools.partial(mixture_chain_matrix, marginal, own, own.action_set)
+        yield build, cost_vector(own)
 
-    def locate(states):
-        cursor, s = np.divmod(states, n_states)
-        return cursor, factors.row_of[s]
 
-    return reachable_chain(
-        make, locate, (n, factors.n_rows), space.reference_index(), n * n_states
-    )
+def exact_cost(policy: Policy, space: StateSpace) -> float:
+    """The policy's exact long-run average cost on space: the math.fsum of
+    the costs of its exact_chains, which rounds their exact sum once."""
+    return math.fsum(chain_average_cost(b(), cost) for b, cost in exact_chains(policy, space))

@@ -72,9 +72,9 @@ def table_cost(table, space, cost):
 @contextmanager
 def recorded_chains():
     """Records (chain, its start's key, keys reached, states reached) for
-    every chain mdp.reachable_chain builds while open, through both modules
-    that call it. The states reached are the start and every column of a
-    made row, and the keys are numbered by their smallest reached state."""
+    every chain mdp.reachable_chain builds while open. The states reached
+    are the start and every column of a made row, and the keys are
+    numbered by their smallest reached state."""
     built = []
     build = mdp.reachable_chain
 
@@ -89,7 +89,6 @@ def recorded_chains():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mdp, "reachable_chain", recorded)
-        mp.setattr(pol, "reachable_chain", recorded)
         yield built
 
 

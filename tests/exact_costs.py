@@ -1,5 +1,7 @@
 """The exact cost of every compare policy on each given config, as compare
-computes it (the chain_average_cost of cli._policy_chain), in full precision.
+computes it (policies.exact_cost: the math.fsum of the chain_average_cost
+of each of its exact_chains, one chain per sensor for round robin, the
+randomized schedule and idle), in full precision.
 
     python tests/exact_costs.py <config> [<config> ...]
 
@@ -15,7 +17,7 @@ import sys
 from types import SimpleNamespace
 
 from aoisched import cli, mdp
-from aoisched.policies import POLICY_NAMES
+from aoisched.policies import POLICY_NAMES, exact_cost
 
 
 def exact_costs(config: str) -> tuple:
@@ -25,11 +27,7 @@ def exact_costs(config: str) -> tuple:
     cache = {}
     policies = cli._policy_list(SimpleNamespace(policies=",".join(POLICY_NAMES)), cfg, cache)
     space = cli._joint_mdp(cfg, cache)
-    cost = mdp.cost_vector(space)
-    return space.n_states, {
-        policy.name: mdp.chain_average_cost(cli._policy_chain(policy, space), cost)
-        for policy in policies
-    }
+    return space.n_states, {policy.name: exact_cost(policy, space) for policy in policies}
 
 
 if __name__ == "__main__":

@@ -115,15 +115,19 @@ def stationary_distribution(p, start_index):
             finite = np.isfinite(residual)
             if not (finite and xi[0] >= mdp.PIN_MASS * xi.max()):
                 # too little mass to pin: re-pin at the largest mass, or
-                # where most probability flows when no mass is finite
-                k = int(np.argmax(xi if finite else q.sum(axis=0)))
-                if k:
+                # where most probability flows when no mass is finite, at
+                # up to mdp.PIN_TRIES states in turn
+                heavy = xi if finite else np.asarray(q.sum(axis=0)).ravel()
+                for k in np.argsort(-heavy, kind="stable")[: mdp.PIN_TRIES]:
+                    if not k:
+                        continue
                     order = np.roll(np.arange(m), -k)
                     moved, moved_residual = _pinned_solve(
                         q[order][:, order].tocsr().sorted_indices()
                     )
                     if np.isfinite(moved_residual):
                         xi[order], residual = moved, moved_residual
+                        break
         if not (residual <= mdp.STATIONARY_RESIDUAL and np.all(xi > 0.0)):
             if xi.min() >= -np.finfo(float).eps:
                 xi = np.maximum(xi, 0.0)

@@ -139,7 +139,7 @@ def _exact_costs(bundle, sisp_table, p_r):
     out["rr"] = mdp.chain_average_cost(chain, b.cost)
     actions = b.space.action_set
     weights = pol.randomized_action_weights(p_r, b.system.m_budget, actions)
-    chain = mdp.mixture_chain_matrix(weights, b.space, actions)
+    chain = mdp.mixture_chain_matrix([(weights, 0)], b.space, actions)
     out["rand"] = mdp.chain_average_cost(chain, b.cost)
     return out
 

@@ -306,7 +306,7 @@ def test_lumped_chains_are_the_quotient_of_the_state_chain(spec, seed, p):
     weights = pol.randomized_action_weights(p[:n], m, actions)
     assert_quotient(
         chain_oracle.mixture_chain_matrix(weights, factors, actions, start),
-        mdp.mixture_chain_matrix(weights, space, actions),
+        mdp.mixture_chain_matrix([(weights, 0)], space, actions),
         (np.zeros_like(row_of), row_of),
         cost,
     )
@@ -318,6 +318,62 @@ def test_lumped_chains_are_the_quotient_of_the_state_chain(spec, seed, p):
         cost,
         copies=n,
     )
+
+
+# two sensors, one with Markov arrivals, each with a buffer cap unlike its
+# monitor cap and unlike the other's
+UNEQUAL_CAPS = a.SystemSpec(
+    (
+        _sensor(a.BernoulliArrival(0.6), 0.3, 0.9, 3, 1),
+        _sensor(a.MarkovArrival(0.5, 0.7), 0.5, 1.0, 0, 3),
+    ),
+    a.ChannelSpec(0.4, 0.7),
+    1,
+)
+
+# four sensors and a budget of two: round robin's cursor visits 0 and 2 only
+FOUR_OF_TWO = a.SystemSpec(
+    tuple(_sensor(a.BernoulliArrival(rate), 0.4, 0.9, 1, 2) for rate in (0.8, 0.6, 0.5, 0.3)),
+    a.ChannelSpec(0.45, 0.75),
+    2,
+)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(chain_systems(), st.lists(PROBS, min_size=4, max_size=4))
+@example(MARKOV_M2, [0.6, 0.3, 0.5, 0.0])
+@example(STUCK_MARKOV, [0.5, 0.5, 0.5, 0.0])
+@example(UNEQUAL_CAPS, [0.7, 0.6, 0.0, 0.0])
+@example(FOUR_OF_TWO, [0.9, 0.7, 0.5, 0.4])
+def test_per_sensor_costs_are_the_joint_chains_costs(spec, p):
+    """Round robin, the thinned randomized schedule and idle cost on their
+    per-sensor chains (exact_cost) what their joint chains cost, to
+    relative 1e-12: round_robin_chain, and the randomized weights and the
+    idle action mixed on the joint space."""
+    space = mdp.StateSpace(spec)
+    assume(space.n_states <= 2_000)
+    n, m = spec.n_sensors, spec.m_budget
+    actions = space.action_set
+    cost = mdp.cost_vector(space)
+    weights = pol.randomized_action_weights(p[:n], m, actions)
+    idle = np.eye(len(actions))[actions.index((0,) * n)]
+    joint = [
+        (pol.RoundRobinPolicy(n, m), pol.round_robin_chain(space)),
+        (
+            pol.RandomizedSchedule(p[:n], m),
+            mdp.mixture_chain_matrix([(weights, 0)], space, actions),
+        ),
+        (pol.IdlePolicy(n), mdp.mixture_chain_matrix([(idle, 0)], space, actions)),
+    ]
+    for policy, chain in joint:
+        try:
+            want = mdp.chain_average_cost(chain, cost)
+        except RuntimeError:
+            # two closed classes: the joint chain has no one long-run cost
+            continue
+        got = pol.exact_cost(policy, space)
+        assert got == pytest.approx(want, rel=1e-12, abs=0), policy.name
 
 
 def test_stuck_channel_kernels_store_explicit_zeros():
@@ -346,9 +402,11 @@ def compare_argv(tmp_path, policies):
 
 def test_compare_solves_each_policy_once_on_reachable_states(tmp_path, monkeypatch):
     """A twosensor compare of all eight policies makes one stationary solve
-    per policy, each on a chain of exactly the keys reached from its start's
+    per chain, each on a chain of exactly the keys reached from its start's
     key, one state per key: a chain over the whole grid, or over the
-    reached states, fails this. So the solve needs no search of its own."""
+    reached states, fails this. So the solve needs no search of its own.
+    A policy that reads the state has one chain, and round robin, the
+    randomized schedule and idle one per sensor (exact_chains)."""
     solved = []
     solve = mdp.stationary_distribution
 
@@ -359,7 +417,8 @@ def test_compare_solves_each_policy_once_on_reachable_states(tmp_path, monkeypat
     monkeypatch.setattr(mdp, "stationary_distribution", recorded_solve)
     with recorded_chains() as built:
         assert cli.main(compare_argv(tmp_path, pol.POLICY_NAMES)) == 0
-    assert len(solved) == len(built) == len(pol.POLICY_NAMES)
+    # five table policies' chains, and each sensor's of rr, rand and idle
+    assert len(solved) == len(built) == 5 + 3 * 2
     for (chain, start, keys, states), p in zip(built, solved):
         assert p is chain.p
         reached = breadth_first_order(as_scipy(p), start, return_predecessors=False)

@@ -579,7 +579,7 @@ def test_compare_loads_no_scipy_solver_or_graph_modules(tmp_path):
     assert run_python("-c", code).splitlines()[-1] == "[]"
 
 
-def test_only_joint_kernels_load_scipy_sparse(tmp_path):
+def test_no_command_loads_scipy_sparse(tmp_path):
     """No command loads scipy.sparse: SISP (its table, thresholds and the
     cap probe), the stability check, the kernel-free baselines, the myopic
     policy, the optimal solve and a compare of every policy call scipy's

@@ -72,7 +72,8 @@ def test_per_sensor_kernel_boundaries(va_penalty, arrival):
     system = a.SystemSpec((sensor,), VA_CHANNEL, 1)
     kernels = mdp.build_kernels(mdp.StateSpace(system))
     k_idle, k_tx = (rows[kernels.row_of].toarray() for rows in stacked_rows(kernels))
-    space, (idle, tx) = decomposed._single_sensor_kernels(sensor, VA_CHANNEL)
+    space = mdp.sensor_space(sensor, VA_CHANNEL)
+    idle, tx = mdp.kernel_rows(space)
     n = space.n_states
     dense_idle, dense_tx = (decomposed._dense_kernel(space, r, 0, n) for r in (idle, tx))
     assert np.array_equal(dense_idle, k_idle)
@@ -90,7 +91,8 @@ def test_per_sensor_kernel_reference_row(va_penalty):
     # state ((3,5), bad channel), scheduled with probability one half:
     # convex combination of the four transmit cases and two idle cases
     sensor = make_va_sensor(va_penalty, 0.9)
-    space, rows = decomposed._single_sensor_kernels(sensor, VA_CHANNEL)
+    space = mdp.sensor_space(sensor, VA_CHANNEL)
+    rows = mdp.kernel_rows(space)
     k_idle, k_tx = (decomposed._dense_kernel(space, r, 0, space.n_states) for r in rows)
     kernel = 0.5 * k_tx + (1.0 - 0.5) * k_idle  # solve_per_sensor_value's mix
     row_state = dynamics.JointState((dynamics.SensorState(3, 5),), 0, (False,))
@@ -448,7 +450,7 @@ def test_randomized_chain_is_the_product_weight_mixture(arrival):
         for i, d in enumerate(action):
             w *= p_r[i] if d else 1.0 - p_r[i]
         weights.append(w)
-    expected = mdp.mixture_chain_matrix(weights, space, full_actions)
+    expected = mdp.mixture_chain_matrix([(weights, 0)], space, full_actions)
     chain = decomposed.randomized_chain_matrix(space, p_r)
     for matrix in ("p", "rep"):
         for field in ("data", "indices", "indptr"):

@@ -91,6 +91,8 @@ ALLOWED = {
     ("mdp", "StateSpace.aoli_stride"): f"{ACCEPTANCE} (check_value_monotonicity's step)",
     ("mdp", "average_cost_by_sensor"): ACCEPTANCE,
     ("decomposed", "randomized_chain_matrix"): ACCEPTANCE,
+    ("policies", "round_robin_chain"): "the joint oracle of round robin's per-sensor chains, "
+    f"and {TRACER}",
     ("mdp", "Kernels.__iter__"): "read by perfbench/tracer.py's build_kernels hook and by tests",
     ("policies", "Policy.decide_array"): "the abstract decision rule every policy overrides",
 }
