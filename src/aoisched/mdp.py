@@ -5,9 +5,12 @@ its closed sub-grid (closed=True), the product of each sensor's closure
 from the start (on threesensor 85,750 of 351,232 states), which compare and
 simulate solve and evaluate on: no chain and no simulated lane ever leaves
 it. The transition model, the cost vector, the lanes, RVI, the tables and
-the chains are built on the space they are given, and RVI stops on the
-closed sub-grid on both, so the two solves take the same iterations and
-give the same values and table there.
+the chains are built on the space they are given. The optimal solve runs
+RVI to convergence on the closed space in both cases; on the full grid it
+then catches the states outside up with D sweeps, D the most steps any of
+them takes to enter the closed sub-grid (StateSpace.depths), so the two
+give the same iterations, values and table there
+(solve_optimal_policy).
 
 State enumeration, the factored transition kernel (channel factor times
 per-sensor case table, with a Markov-arrival variant), relative value
@@ -92,6 +95,7 @@ import functools
 import itertools
 import math
 import os
+from collections import deque
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import NamedTuple, Optional, Sequence
@@ -208,9 +212,12 @@ class StateSpace:
     under every joint action and holds the start, so RVI's iterates, every
     chain and every simulated lane restricted to it are the full grid's
     (Puterman 1994, 8.3): compare and simulate solve and evaluate on the
-    closed space, and solve writes the full grid. n_states counts the
-    space's states and grid_states the full grid's, which the state budget
-    reads.
+    closed space, and solve writes the full grid. Every other sub-index is
+    transient: it enters the closure within depths[i] steps on every path
+    (6 on threesensor), or depths[i] is None where the sub-indices outside
+    hold a cycle, and solve_optimal_policy reads the largest depth to solve
+    the full grid from the closed space. n_states counts the space's states
+    and grid_states the full grid's, which the state budget reads.
 
     The space is also the model of its spec: action_set, factors (the
     transition model, build_factors) and lanes are built on first use and
@@ -238,12 +245,11 @@ class StateSpace:
         return self.spec.n_sensors
 
     @functools.cached_property
-    def closure(self) -> tuple:
-        """Each sensor's closed sub-indices of the full grid, increasing:
-        those its sub-index at reference_index() reaches under both
-        decisions and both channel states. They are searched (_reach) over
-        the full grid's successor tables, not assumed from aoli <= aori, so
-        unequal caps and Markov arrivals stay exact."""
+    def _sensor_graphs(self) -> tuple:
+        """Each sensor's (indptr, indices, start): its full-grid sub-indices'
+        successors under both decisions and both channel states, as a CSR
+        structure from the full grid's successor tables, and its sub-index
+        at reference_index()."""
         grid = StateSpace(self.spec) if self.closed else self
         start = np.unravel_index(grid.reference_index(), [*grid.sub_sizes, 2])
         out = []
@@ -252,28 +258,40 @@ class StateSpace:
             succ = np.concatenate([t[0].reshape(n, -1) for t in tables], axis=1)
             valid = np.concatenate([t[2].reshape(n, -1) for t in tables], axis=1)
             indptr = np.concatenate(([0], np.cumsum(valid.sum(axis=1))))
-            seen = _reach(indptr, succ[valid] // grid.sub_strides[i], start[i], np.zeros(n, bool))
-            out.append(np.flatnonzero(seen))
+            out.append((indptr, succ[valid] // grid.sub_strides[i], start[i]))
+        return tuple(out)
+
+    @functools.cached_property
+    def closure(self) -> tuple:
+        """Each sensor's closed sub-indices of the full grid, increasing:
+        those its sub-index at reference_index() reaches under both
+        decisions and both channel states. They are searched (_reach) over
+        the full grid's successor tables, not assumed from aoli <= aori, so
+        unequal caps and Markov arrivals stay exact."""
+        return tuple(
+            np.flatnonzero(_reach(indptr, indices, start, np.zeros(len(indptr) - 1, bool)))
+            for indptr, indices, start in self._sensor_graphs
+        )
+
+    @functools.cached_property
+    def depths(self) -> tuple:
+        """Each sensor's depth: the most steps in which a sub-index outside
+        its closure enters it, on any path of decisions and channel states
+        (0 when the closure is every sub-index), or None when the
+        sub-indices outside hold a cycle, so that a path can stay out for
+        ever (_depth). A closure is closed, so a joint state enters the
+        closed sub-grid within the largest depth of its sensors."""
+        out = []
+        for (indptr, indices, _), closure in zip(self._sensor_graphs, self.closure):
+            closed = np.zeros(len(indptr) - 1, bool)
+            closed[closure] = True
+            out.append(_depth(indptr, indices, closed))
         return tuple(out)
 
     @functools.cached_property
     def members(self) -> tuple:
         """Each sensor's sub-indices of the full grid in the space, increasing."""
         return self.closure if self.closed else tuple(map(np.arange, self.sub_sizes))
-
-    def closed_max(self, x: np.ndarray) -> float:
-        """The largest entry of x, a vector over the space's states, on the
-        closed sub-grid: the stopping rule of the joint solves
-        (relative_value_iteration). On the full grid it reads the block of
-        states of each closed sub-index of the leading sensor at the closed
-        offsets within it, so no index or copy of the whole sub-grid is made.
-        """
-        if self.closed:
-            return x.max()
-        blocks = x.reshape(self.sub_sizes[0], -1)
-        rest = np.ix_(*self.closure[1:], [0, 1])
-        inner = np.ravel_multi_index(rest, [*self.sub_sizes[1:], 2]).ravel()
-        return max(blocks[i][inner].max() for i in self.closure[0])
 
     @functools.cached_property
     def action_set(self) -> ActionSet:
@@ -1007,21 +1025,15 @@ def build_kernels(space: StateSpace) -> Kernels:
         return Kernels(tuple(run(share)), factors.row_of)
 
 
-def relative_value_iteration(
-    kernels: Kernels, cost: np.ndarray, ref_index: int, sup_norm=np.max
-) -> tuple:
+def relative_value_iteration(kernels: Kernels, cost: np.ndarray, ref_index: int) -> tuple:
     """Average-cost relative value iteration, normalized at ref_index.
 
-    Iterates Q' = min_a [c + K_a Q] - (same at the reference state) until
-    sup_norm of the absolute difference of successive iterates (by default
-    its largest entry, over every state) is <= RVI_EPSILON, raising
-    ConvergenceError after RVI_MAX_ITER iterations. The joint MDP stops on
-    its closed sub-grid (StateSpace.closed_max), so the full grid and the
-    closed space take the same iterations; the full grid's values outside
-    it are then not held to RVI_EPSILON. Returns (ValueTable,
-    policy), policy holding each state's action index; the gain is
-    min_a Theta(ref, a) at termination and argmin ties resolve to the lowest
-    action index.
+    Iterates Q' = min_a [c + K_a Q] - (same at the reference state) from
+    Q = 0 until the largest absolute difference of successive iterates,
+    over every state, is <= RVI_EPSILON, raising ConvergenceError after
+    RVI_MAX_ITER iterations. Returns (ValueTable, policy), policy holding
+    each state's action index; the gain is min_a Theta(ref, a) at
+    termination and argmin ties resolve to the lowest action index.
 
     K_a Q is the backup of the distinct rows spread by row_of. Identical
     rows give identical sums, so this is the assembled kernel's backup bit
@@ -1031,26 +1043,37 @@ def relative_value_iteration(
     fl(c + min_a x_a) exactly. The argmin at termination still reads each
     state's own sums c + x_a, because rounding can tie fl(c + x_a) where
     the x_a differ, and ties go to the lowest index; it is taken
-    TABLE_CHUNK states at a time into a preallocated table. csr_matvec
-    adds each backup into its zeroed slice of a preallocated (actions,
-    n_rows) stack, a sum from +0.0 as scipy's A @ q, and the iterates swap
-    two buffers (the sup norm is taken in the one the next spread
-    overwrites), so the products allocate nothing.
+    TABLE_CHUNK states at a time into a table allocated once the previous
+    iterate and the minima are freed. csr_matvec adds each backup into its
+    zeroed slice of a preallocated (actions, n_rows) stack, a sum from +0.0
+    as scipy's A @ q, and the iterates swap two buffers (the difference is
+    taken in the one the next spread overwrites), so the products allocate
+    nothing.
 
     Each of kernels.shares has the backups and the columns' minimum of its
     blocks computed in a thread of its own, the calling thread taking share
     0, each block's products written into its contiguous columns of the
-    stack, and the spread, the normalization and the sup norm follow on the
-    calling thread. Each row is summed by the same csr_matvec over the same
-    entries in the same order, whether its block reads another's columns
-    or not, and the minimum is per column, so values, gain, iteration count
-    and table are the same bits for any number of shares. The pool is
-    opened in a with block, so it is joined also when ConvergenceError is
-    raised; kernels of one share are backed up on the calling thread with
-    no pool.
+    stack, and the spread, the normalization and the stopping test follow
+    on the calling thread. Each row is summed by the same csr_matvec over
+    the same entries in the same order, whether its block reads another's
+    columns or not, and the minimum is per column, so values, gain,
+    iteration count and table are the same bits for any number of shares.
+    The pool is opened in a with block, so it is joined also when
+    ConvergenceError is raised; kernels of one share are backed up on the
+    calling thread with no pool.
     """
+    return _iterate(kernels, cost, ref_index, np.zeros(len(cost)), None, None)
+
+
+def _iterate(kernels: Kernels, cost: np.ndarray, ref_index: int, q, sweeps, ring) -> tuple:
+    """relative_value_iteration from the iterate q, which it overwrites:
+    with sweeps None until its stopping rule holds, else `sweeps` sweeps
+    with no stopping test. Either way each sweep is the same code, so an
+    iterate depends on the one before it alone. Unless ring is None, a copy
+    of each new iterate is appended to it, a deque that keeps the last
+    few. Returns (ValueTable, policy), the iteration count being the sweeps
+    made."""
     n = len(cost)
-    q = np.zeros(n)
     q_next = np.empty(n)
     shares = kernels.shares
     backups = np.empty((len(shares[0][0][2]), kernels.n_rows))
@@ -1067,9 +1090,10 @@ def relative_value_iteration(
                     _csr.accumulate(mat, q, out)
             np.min(backups[:, lo:hi], axis=0, out=best[lo:hi])
 
+    stopping = sweeps is None
     sup_diff = np.inf
     with _shares(len(shares)) as run:
-        for it in range(RVI_MAX_ITER):
+        for it in range(RVI_MAX_ITER if stopping else sweeps):
             run(back_up)
             # mode="clip" is never clipping (row_of is in range) but, unlike
             # the default, writes into out without a buffer
@@ -1077,17 +1101,24 @@ def relative_value_iteration(
             np.add(cost, q_next, out=q_next)
             gain = q_next[ref_index]
             q_next -= gain
-            # the next take overwrites q, so the difference goes there
-            np.subtract(q_next, q, out=q)
-            sup_diff = sup_norm(np.abs(q, out=q))
+            if ring is not None:
+                ring.append(q_next.copy())
             q, q_next = q_next, q
-            if sup_diff <= RVI_EPSILON:
-                break
+            if stopping:
+                # the next take overwrites the previous iterate, so the
+                # difference goes there
+                np.subtract(q, q_next, out=q_next)
+                sup_diff = np.abs(q_next, out=q_next).max()
+                if sup_diff <= RVI_EPSILON:
+                    break
         else:
-            raise ConvergenceError(
-                f"relative value iteration: sup-diff {sup_diff:.3e} > {RVI_EPSILON:g} "
-                f"after {RVI_MAX_ITER} iterations"
-            )
+            if stopping:
+                raise ConvergenceError(
+                    f"relative value iteration: sup-diff {sup_diff:.3e} > {RVI_EPSILON:g} "
+                    f"after {RVI_MAX_ITER} iterations"
+                )
+    # freed before the table is made, which can take their memory
+    del q_next, best
     policy = np.empty(n, dtype=np.intp)
     for lo in range(0, n, TABLE_CHUNK):
         hi = min(n, lo + TABLE_CHUNK)
@@ -1099,15 +1130,46 @@ def relative_value_iteration(
 
 def solve_optimal_policy(space: StateSpace) -> tuple:
     """(vt, pt) of the joint MDP on space, the full grid (solve) or the
-    closed sub-grid (compare, simulate): RVI on its kernels, stopped on the
-    closed sub-grid (closed_max), so both spaces take the same iterations
-    and give the same values and table there. The kernels live for this
-    solve only: the exact evaluations build their chains from the
-    per-sensor factors."""
+    closed sub-grid (compare, simulate): relative_value_iteration on the
+    closed space's kernels, and on the full grid D catch-up sweeps.
+
+    The closed sub-grid is closed under every action, so its rows read its
+    own columns only and its iterates, gain and iteration count K are the
+    full grid's there (Puterman 1994, 8.3). A state outside it enters it
+    within D steps on every path, D the largest of space.depths, so after t
+    sweeps from iterates that are right on the closed sub-grid every state
+    of depth at most t holds its own. On the full grid the closed solve
+    therefore keeps its last max(D, 1) + 1 iterates, and once its kernels
+    and all but one iterate are freed, that one, h_{K-s} with
+    s = min(max(D, 1), K), lifted onto zeros, takes s sweeps with no
+    stopping test on the full grid's kernels. The last sweep gives h_K on
+    every state and the backups the table is read from, so values, gain, K
+    and table are those of RVI from zero on the full grid stopped on the
+    closed sub-grid, bit for bit. Where a depth is unbounded (None), s = K
+    sweeps from zero are that RVI itself. On threesensor D = 6 and K = 49,
+    and the full grid's 15.58 M nonzeros are backed up 6 times, not 49.
+    The kernels live for this solve only: the exact evaluations build
+    their chains from the per-sensor factors."""
+    closed = space if space.closed else StateSpace(space.spec, closed=True)
+    kernels, cost, start = build_kernels(closed), cost_vector(closed), closed.reference_index()
+    if closed is space:
+        vt, pi = relative_value_iteration(kernels, cost, start)
+        return vt, PolicyTable(pi, space.action_set)
+    depth = None if None in space.depths else max(*space.depths, 1)
+    ring = None if depth is None else deque(maxlen=depth + 1)
+    k = _iterate(kernels, cost, start, np.zeros(len(cost)), None, ring)[0].iterations
+    steps = k if depth is None else min(depth, k)
+    # the oldest kept iterate is h_{k - steps} when steps < k
+    h = ring[0] if steps < k else None
+    del closed, kernels, cost, ring
     kernels = build_kernels(space)
-    cost, start = cost_vector(space), space.reference_index()
-    vt, pi = relative_value_iteration(kernels, cost, start, space.closed_max)
-    return vt, PolicyTable(pi, space.action_set)
+    q = np.zeros(space.n_states)
+    if h is not None:
+        lift = np.ix_(*space.closure, [0, 1])
+        q.reshape([*space.sub_sizes, 2])[lift] = h.reshape([*map(len, space.closure), 2])
+    del h
+    vt, pi = _iterate(kernels, cost_vector(space), space.reference_index(), q, steps, None)
+    return ValueTable(vt.values, vt.gain, k), PolicyTable(pi, space.action_set)
 
 
 def check_value_monotonicity(values: np.ndarray, space: StateSpace, slack: float) -> list:
@@ -1534,6 +1596,24 @@ def _reach(indptr: np.ndarray, indices: np.ndarray, start: int, seen: np.ndarray
         seen |= fresh
         frontier = np.flatnonzero(fresh)
     return seen
+
+
+def _depth(indptr: np.ndarray, indices: np.ndarray, closed: np.ndarray) -> Optional[int]:
+    """The number of layers peeled off the states outside `closed`, a mask
+    of states the CSR structure (indptr, indices) never leaves: each layer
+    is the states left whose every stored successor is in `closed` or an
+    earlier layer, so it is the most steps a state outside takes to enter
+    `closed`. None when a peel finds no such state: those left hold a
+    cycle."""
+    rows = np.repeat(np.arange(len(closed)), np.diff(indptr))
+    done, depth = closed.copy(), 0
+    while not done.all():
+        ready = ~done & (np.bincount(rows, ~done[indices], len(done)) == 0)
+        if not ready.any():
+            return None
+        done |= ready
+        depth += 1
+    return depth
 
 
 def _closed_class(p: _csr.CSR) -> tuple:

@@ -400,7 +400,7 @@ def compare_argv(tmp_path, policies):
             "--horizon", "50", "--replications", "2", "--out", str(tmp_path)]
 
 
-def test_compare_solves_each_policy_once_on_reachable_states(tmp_path, monkeypatch):
+def test_compare_solves_each_chain_once_on_reachable_states(tmp_path, monkeypatch):
     """A twosensor compare of all eight policies makes one stationary solve
     per chain, each on a chain of exactly the keys reached from its start's
     key, one state per key: a chain over the whole grid, or over the
@@ -490,7 +490,11 @@ def test_compare_builds_the_joint_factors_once(tmp_path, monkeypatch):
 
 
 def test_solve_optimal_builds_the_factors_once(tmp_path, monkeypatch):
-    joint = mdp.StateSpace(cli.load_config(str(TWOSENSOR)).system).n_states
+    """solve --policy optimal builds the factors of each space it solves
+    on once: the closed sub-grid's, for RVI to convergence, and then the
+    full grid's, for the catch-up sweeps."""
+    system = cli.load_config(str(TWOSENSOR)).system
+    closed, joint = mdp.StateSpace(system, closed=True).n_states, mdp.StateSpace(system).n_states
     calls = []
     build = mdp.build_factors
 
@@ -501,7 +505,7 @@ def test_solve_optimal_builds_the_factors_once(tmp_path, monkeypatch):
     monkeypatch.setattr(mdp, "build_factors", counted)
     argv = ["solve", "--config", str(TWOSENSOR), "--policy", "optimal", "--out", str(tmp_path)]
     assert cli.main(argv) == 0
-    assert calls == [joint]
+    assert calls == [closed, joint]
 
 
 def test_compare_frees_joint_kernels_before_the_first_evaluation(tmp_path, monkeypatch):

@@ -7,9 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import assume, example, given, settings
 
 import aoisched as a
 from aoisched import cli, dynamics, mdp, policies as pol
+from aoisched.model import ConvergenceError
+
+from conftest import stacked_rows
+from test_kernel_assembly import _sensor, small_systems
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 TWOSENSOR = CONFIGS / "twosensor.yaml"
@@ -166,24 +171,116 @@ def test_encode_array_refuses_a_lane_outside_the_closure():
         closed.aori_stride(0)
 
 
-def test_rvi_stops_on_its_sup_norm(tiny_solved):
-    """RVI's stopping rule reads sup_norm: on the reference state alone,
-    whose value is normalized to 0, it stops after one iteration."""
-    b = tiny_solved
-    assert b.vt.iterations > 1
-    vt, _ = mdp.relative_value_iteration(b.kernels, b.cost, b.start, lambda d: d[b.start])
-    assert vt.iterations == 1
+# one system for each case of the full-grid solve's catch-up sweeps: the
+# depth D below the iteration count K, at least K, unbounded (a sensor that
+# stays active for ever once active leaves a cycle outside its closure) and
+# 0 (no buffer age, so every sub-index is reached)
+DEPTH_CASES = {
+    "below K": a.SystemSpec(
+        (
+            _sensor(a.BernoulliArrival(0.6), 0.4, 0.9, 3, 3),
+            _sensor(a.BernoulliArrival(0.3), 0.5, 1.0, 2, 3),
+        ),
+        a.ChannelSpec(0.5, 0.8),
+        1,
+    ),
+    "at least K": a.SystemSpec(
+        (_sensor(a.MarkovArrival(0.0, 0.0), 0.0, 0.0, 3, 2),), a.ChannelSpec(0.4, 0.3), 1
+    ),
+    "unbounded": a.SystemSpec(
+        (
+            _sensor(a.MarkovArrival(0.6, 1.0), 0.5, 0.9, 2, 3),
+            _sensor(a.BernoulliArrival(0.7), 0.3, 0.8, 2, 2),
+        ),
+        a.ChannelSpec(0.5, 0.8),
+        1,
+    ),
+    "zero": a.SystemSpec(
+        (
+            _sensor(a.BernoulliArrival(0.6), 0.4, 0.9, 0, 3),
+            _sensor(a.MarkovArrival(0.5, 0.7), 0.3, 1.0, 0, 2),
+        ),
+        a.ChannelSpec(0.5, 0.8),
+        2,
+    ),
+}
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_closed_max_is_the_max_over_the_closed_sub_grid(solved, seed):
-    """closed_max of a vector over the full grid is its largest entry at the
-    closed space's states; on the closed space, its largest entry."""
-    _, full, _, cache = solved
-    closed = cache["joint"]
-    x = np.random.default_rng(seed).random(full.n_states)
-    assert full.closed_max(x) == x[full.encode_array(closed.lanes)].max()
-    assert closed.closed_max(x[: closed.n_states]) == x[: closed.n_states].max()
+def test_sensor_depths(tmp_path):
+    """The most steps a sensor's sub-index takes to enter its closure:
+    6 for each threesensor sensor, 3, 3 and 2 on the exact-3s shape, and
+    None for a Markov sensor that stays active for ever, whose sub-indices
+    outside the closure hold a cycle (memory bit 0 at the buffer cap stays
+    there with no arrival). A closed space reports the full grid's depths."""
+    three = cli.load_config(str(CONFIGS / "threesensor.yaml")).system
+    assert mdp.StateSpace(three).depths == (6, 6, 6)
+    exact = cli.load_config(str(exact_3s_config(tmp_path))).system
+    assert mdp.StateSpace(exact).depths == (3, 3, 2)
+    assert mdp.StateSpace(exact, closed=True).depths == (3, 3, 2)
+    assert mdp.StateSpace(DEPTH_CASES["unbounded"]).depths == (None, 1)
+
+
+@pytest.mark.parametrize("case", DEPTH_CASES)
+def test_depth_cases_are_what_they_say(case):
+    """Each DEPTH_CASES system has the depth D its name gives, against the
+    iteration count K of its solve."""
+    space = mdp.StateSpace(DEPTH_CASES[case])
+    depth = None if None in space.depths else max(space.depths)
+    k = mdp.solve_optimal_policy(space)[0].iterations
+    if depth is None:
+        assert case == "unbounded"
+    else:
+        assert case == ("zero" if depth == 0 else "below K" if depth < k else "at least K")
+
+
+def full_grid_rvi(space):
+    """RVI from zero on the full grid's build_kernels, stopped on the
+    largest change over the closed sub-grid's states: (values, gain,
+    iterations, actions), or None when RVI_MAX_ITER runs out."""
+    kernels = mdp.build_kernels(space)
+    rows = stacked_rows(kernels)
+    closed_at = space.encode_array(mdp.StateSpace(space.spec, closed=True).lanes)
+    cost, ref = mdp.cost_vector(space), space.reference_index()
+    q = np.zeros(space.n_states)
+    for it in range(mdp.RVI_MAX_ITER):
+        theta = np.stack([cost + (k @ q)[kernels.row_of] for k in rows])
+        q_next = theta.min(axis=0)
+        gain = q_next[ref]
+        q_next -= gain
+        diff = np.abs(q_next - q)[closed_at].max()
+        q = q_next
+        if diff <= mdp.RVI_EPSILON:
+            return q, float(gain), it + 1, theta.argmin(axis=0)
+    return None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_systems())
+@example(DEPTH_CASES["below K"])
+@example(DEPTH_CASES["at least K"])
+@example(DEPTH_CASES["unbounded"])
+@example(DEPTH_CASES["zero"])
+def test_full_grid_solve_is_rvi_stopped_on_the_closure(spec):
+    """solve_optimal_policy on the full grid (RVI on the closed space, then
+    catch-up sweeps on the full grid) gives the values, gain, iteration
+    count and table of plain RVI from zero on the full grid stopped on the
+    closed sub-grid, bit for bit, or fails where it does."""
+    space = mdp.StateSpace(spec)
+    assume(space.n_states <= 3000)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mdp, "RVI_MAX_ITER", 3000)
+        want = full_grid_rvi(space)
+        try:
+            vt, pt = mdp.solve_optimal_policy(space)
+        except ConvergenceError:
+            assert want is None
+            return
+    assert want is not None
+    values, gain, iterations, actions = want
+    assert vt.values.tobytes() == values.tobytes()
+    assert vt.gain.hex() == gain.hex()
+    assert vt.iterations == iterations
+    np.testing.assert_array_equal(pt.action_index, actions)
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])

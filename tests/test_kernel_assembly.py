@@ -563,8 +563,8 @@ def test_one_chunk_joint_model_runs_on_one_share(monkeypatch):
 
 @pytest.mark.parametrize("config", ["twosensor", "threesensor"])
 def test_myopic_solve_is_the_scipy_solve_bit_for_bit(config):
-    """The myopic model, solved on its kernels with RVI's default stopping
-    rule, gives solve_optimal_policy's values, gain, iteration count and
+    """The myopic model, solved on its kernels by RVI stopped on every
+    state, gives solve_optimal_policy's values, gain, iteration count and
     table on the shipped configs, where the closed sub-grid's rule stops
     at the same iteration."""
     system = cli.load_config(str(CONFIGS / f"{config}.yaml")).system

@@ -107,7 +107,6 @@ SETTABLE = [
     "dynamics.step_system.predraw_delivery",
     "dynamics.step_system_traced.predraw_delivery",
     "mdp.StateSpace.__init__.closed",
-    "mdp.relative_value_iteration.sup_norm",
     "mdp.table_rows.columns",
     "model._check_prob.strict",
     "sim.monte_carlo.sinks",
