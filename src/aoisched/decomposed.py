@@ -3,12 +3,13 @@
 Under a policy that schedules sensor i independently with probability
 p_i, the joint value function splits into per-sensor value functions, each
 solvable on the small (aoli, aori, channel) space by RVI on a dense
-n_i x n_i kernel; a solve holds one such matrix at a time, plus a block of
-rows. The structure-informed policy (SispPolicy) takes, in any joint state,
-the action minimizing the stage cost plus the expected sum of those
-per-sensor values, read at the state's per-sensor indices with no joint
-space. Its rule is a threshold in each sensor's monitor-side age per
-channel state, checked on the table.
+n_i x n_i kernel, p_i K_tx + (1 - p_i) K_idle: the weighted sum of action
+kernels that the randomized chains mix (mdp.mixed_rows), densified. A solve
+holds one such matrix at a time. The structure-informed policy (SispPolicy)
+takes, in any joint state, the action minimizing the stage cost plus the
+expected sum of those per-sensor values, read at the state's per-sensor
+indices with no joint space. Its rule is a threshold in each sensor's
+monitor-side age per channel state, checked on the table.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _csr
 from .dynamics import LaneState
 from .mdp import (
     ActionSet,
@@ -25,7 +27,7 @@ from .mdp import (
     PolicyTable,
     StateSpace,
     cost_vector,
-    kernel_rows,
+    mixed_rows,
     mixture_chain_matrix,
     relative_value_iteration,
     sensor_space,
@@ -63,26 +65,14 @@ def default_randomized_probs(spec: SystemSpec) -> tuple:
     return tuple(float(x) for x in p)
 
 
-# rows of the idle kernel densified at a time while the mix is formed
-MIX_ROWS = 64
-
-
-def _dense_kernel(space: StateSpace, rows: tuple, lo: int, hi: int) -> np.ndarray:
-    """Rows lo..hi-1 of the dense n x n kernel whose distinct rows are the
-    CSR arrays rows = (data, indices, indptr): state s's row is distinct row
-    row_of[s], written straight into its place with numpy, so SISP loads
-    no sparse routine. A CSR row holds each column at most once, so every
-    entry is written once, as toarray writes it.
-    """
-    data, indices, indptr = rows
-    distinct = space.factors.row_of[lo:hi]
-    starts = indptr[distinct]
-    counts = indptr[distinct + 1] - starts
-    # entry t of state j's row sits at starts[j] + t in data and indices
-    at = np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-    k = np.zeros((hi - lo, space.n_states))
-    k[np.repeat(np.arange(hi - lo), counts), indices[at]] = data[at]
-    return k
+def _dense_mixture(space: StateSpace, weights: tuple) -> np.ndarray:
+    """The dense n x n kernel sum_a weights[a] K_a of space's actions:
+    every distinct row mixed once (mixed_rows), then each state's row
+    gathered by row_of and written into zeros (csr_todense), so every entry
+    is the mix's, or an exact zero where the mix stores none."""
+    factors = space.factors
+    rows = mixed_rows(factors, space.action_set.actions, weights, np.arange(factors.n_rows))
+    return _csr.take_rows(rows, factors.row_of).toarray()
 
 
 @dataclass
@@ -107,31 +97,20 @@ def solve_per_sensor_value(
     """Relative value iteration on the expected per-sensor kernel.
 
     Stage cost is the sensor's own penalty at its monitor-side age; the value
-    is normalized to zero at the reference state ((0,1), bad channel).
+    is normalized to zero at the reference state ((0,1), bad channel). The
+    kernel p K_tx + (1 - p) K_idle is densified once (_dense_mixture), and
+    eq's products read each action's kernel densified in turn, so one dense
+    matrix is live at a time.
     """
     space = sensor_space(sensor, channel)
-    # each action's distinct rows, which _dense_kernel densifies a row
-    # block at a time
-    idle, tx = kernel_rows(space)
     n = space.n_states
-    # p K_tx + (1 - p) K_idle with one dense matrix live: the same two
-    # rounded products and one rounded add per entry, the idle rows a block
-    # at a time
-    mixed = _dense_kernel(space, tx, 0, n)
-    mixed *= p_r_i
-    for lo in range(0, n, MIX_ROWS):
-        block = _dense_kernel(space, idle, lo, min(n, lo + MIX_ROWS))
-        block *= 1.0 - p_r_i
-        mixed[lo : lo + MIX_ROWS] += block
-    cost = cost_vector(space)
     # every state its own row: the dense mixed kernel is already assembled
-    kernels = Kernels((((0, n, (mixed,)),),), np.arange(n))
-    vt, _ = relative_value_iteration(kernels, cost, space.reference_index())
-    del mixed, kernels
-    # each action's kernel densified again in turn, for the same product
+    kernels = Kernels((((0, n, (_dense_mixture(space, (1.0 - p_r_i, p_r_i)),)),),), np.arange(n))
+    vt, _ = relative_value_iteration(kernels, cost_vector(space), space.reference_index())
+    del kernels
     eq = np.empty((n, 2))
-    for a, rows in enumerate((idle, tx)):
-        eq[:, a] = _dense_kernel(space, rows, 0, n) @ vt.values
+    for a, weights in enumerate(((1.0, 0.0), (0.0, 1.0))):
+        eq[:, a] = _dense_mixture(space, weights) @ vt.values
     return PerSensorValue(space, vt.values, vt.gain, p_r_i, eq)
 
 

@@ -37,12 +37,15 @@ the state -> distinct-row map all actions share. The rows are written straight f
 the per-sensor successor tables, whose entries are ordered so that every
 row comes out sorted by column, with no COO step or duplicate summing; the
 assembled kernels are byte-identical to a state-by-state assembly from
-transition_distribution (kernel_rows says why that matters). factor_rows
-fills listed rows: kernel_rows lists every row of every action, for the
-one-chunk models, and the chain builders list the rows their chain reaches
+transition_distribution (factor_rows says why that matters). factor_rows
+fills listed rows: the chain builders list the rows their chain reaches
 (on threesensor, compare's chains make at most 45,333 rows, maf's, of the
 closed sub-grid's 39,366 distinct rows per action, and a state-blind
-policy's per-sensor chains at most 145).
+policy's per-sensor chains at most 145). mixed_rows is the one weighted sum
+of action kernels, sum_a w_a K_a over listed rows: a state-blind policy's
+chain mixes the rows its search reaches (mixture_chain_matrix), and each
+per-sensor SISP solve mixes every row of its sensor's own space under the
+randomized schedule, p K_tx + (1 - p) K_idle, and densifies the mix once.
 build_kernels fills the joint model's rows on the open grid of whole
 leading-sensor classes instead, as the blocks of Kernels: each CPU's share
 of classes is two blocks, its theta = 0 rows and its theta = 1 rows, and a
@@ -57,7 +60,8 @@ Every sparse product and conversion is a call of scipy's compiled CSR
 routines, which _csr loads on first use without scipy.sparse, with the
 operands and order scipy.sparse gives them, so no command imports
 scipy.sparse and every result keeps scipy's bits. The per-sensor SISP
-solves densify kernel_rows with numpy and load not even those routines.
+solves mix and densify their kernels with those routines too, and back
+the dense matrices up with numpy's products.
 scipy.sparse and scipy.sparse.linalg are imported only by the sparse-LU
 fallback, which no shipped or benchmark config reaches.
 table_rows writes every solve table as byte blocks assembled in numpy,
@@ -119,8 +123,8 @@ __all__ = [
     "Factors",
     "build_factors",
     "factor_rows",
+    "mixed_rows",
     "Kernels",
-    "kernel_rows",
     "build_kernels",
     "relative_value_iteration",
     "solve_optimal_policy",
@@ -269,7 +273,9 @@ class StateSpace:
         the full grid's successor tables, not assumed from aoli <= aori, so
         unequal caps and Markov arrivals stay exact."""
         return tuple(
-            np.flatnonzero(_reach(indptr, indices, start, np.zeros(len(indptr) - 1, bool)))
+            np.flatnonzero(
+                _reach(_successors(indptr, indices), start, np.zeros(len(indptr) - 1, bool))
+            )
             for indptr, indices, start in self._sensor_graphs
         )
 
@@ -874,8 +880,10 @@ def factor_rows(factors: Factors, action, rows) -> tuple:
     action holds one 0/1 decision per sensor, and rows is an array of
     distinct row indices. Returns the numpy arrays (data, indices, indptr)
     of a CSR matrix whose row k is distinct row rows[k], of n_states
-    columns: the bytes of that row of kernel_rows, which is this function
-    of every row.
+    columns. The rows are byte-identical to a state-by-state assembly from
+    transition_distribution. This matters because the optimal policy has
+    exactly tied actions, and a last-bit change in a kernel entry can flip
+    which one the argmin picks.
 
     Row (theta, class_1, ..., class_N) holds the entries of a grid with
     axes (c_1, ..., c_N, theta'), each class standing for its first
@@ -914,35 +922,34 @@ def factor_rows(factors: Factors, action, rows) -> tuple:
     return data, indices, indptr
 
 
-def kernel_rows(space: StateSpace) -> list:
-    """Transition matrices of every action of space, built as their
-    distinct rows.
+def mixed_rows(factors: Factors, actions: Sequence, weights: Sequence, rows) -> _csr.CSR:
+    """sum_a weights[a] K_a over the distinct rows `rows`, as a CSR matrix
+    of n_states columns whose row k is distinct row rows[k] of the sum: the
+    one weighted sum of action kernels.
 
-    Returns, in the order of space.action_set, each action's distinct rows
-    as the numpy arrays (data, indices, indptr) of a CSR matrix of shape
-    (factors.n_rows, n_states), factor_rows of every row of space.factors,
-    so that with its row_of, row row_of[s] is state s's row of K_a. The
-    per-sensor SISP solves densify them, on the calling thread;
-    build_kernels generates the joint and myopic models' rows itself, in
-    its row blocks. On threesensor the distinct rows hold
-    15.6 M nonzeros out of 36.6 M.
-
-    The assembled kernels are byte-identical to a state-by-state assembly
-    from transition_distribution. This matters because the optimal policy
-    has exactly tied actions, and a last-bit change in a kernel entry can
-    flip which one the argmin picks.
+    Each action of nonzero weight contributes its factor_rows scaled by the
+    weight, and the terms are summed in action order by scipy's sum
+    (_csr.plus, csr_plus_csr), which drops the entries that come to zero;
+    a sum of one term keeps its explicit zeros. Every entry is computed
+    from its own row's terms, so a row's bytes do not depend on the rows
+    mixed beside it.
     """
-    factors = space.factors
-    every = np.arange(factors.n_rows)
-    return [factor_rows(factors, action, every) for action in space.action_set.actions]
+    out = None
+    for w, action in zip(weights, actions):
+        if w:
+            data, indices, indptr = factor_rows(factors, action, rows)
+            data *= w
+            term = _csr.CSR(data, indices, indptr, (len(rows), factors.n_states))
+            out = term if out is None else _csr.plus(out, term)
+    return out
 
 
 def _theta_blocks(factors: Factors, action, lo: int, hi: int) -> tuple:
     """One action's distinct rows of whole leading-sensor classes in both
     channel states, as two CSR matrices: rows lo..hi-1, which have
     theta = 0, and the theta = 1 rows of the same classes, n_rows // 2
-    further on. Each is the bytes of its rows of kernel_rows, filled on the
-    open grid of the classes, about TABLE_CHUNK // 2 rows at a time.
+    further on. Each is factor_rows of its rows byte for byte, filled on
+    the open grid of the classes, about TABLE_CHUNK // 2 rows at a time.
 
     A row's columns are its grid's offsets and its real entries the grid's
     valid ones, so when every sensor's successor table has the same offsets
@@ -1002,10 +1009,10 @@ def build_kernels(space: StateSpace) -> Kernels:
     every action are generated by _theta_blocks in a thread of their own,
     the calling thread taking share 0. A row's bytes do not depend on the
     rows generated beside it, so the blocks stacked in row order are
-    kernel_rows byte for byte, on any number of CPUs. No matrix of every
-    row is made. On threesensor every action's theta = 1 blocks read their
-    theta = 0 twins' columns, and the kernels hold 157 MB where separate
-    columns would take 189 MB.
+    factor_rows of every row byte for byte, on any number of CPUs. No
+    matrix of every row is made. On threesensor every action's theta = 1
+    blocks read their theta = 0 twins' columns, and the kernels hold
+    157 MB where separate columns would take 189 MB.
     """
     factors, actions = space.factors, space.action_set
     half, n_classes = factors.n_rows // 2, factors.shape[1]
@@ -1218,11 +1225,12 @@ def reachable_chain(make, locate, shape: tuple, start_index: int, n: int) -> Cha
     make(group, rows) returns the CSR arrays (data, indices, indptr) of
     that group's rows for increasing row indices `rows`, sorted by column,
     their columns numbered in the chain. A frontier search from start_index
-    follows every stored entry, explicit zeros included (stationary_distribution
-    reads a zero as no step). Each key's row is
-    made once, when a frontier first reaches a state of it, and its columns
-    are read then: every state a row made earlier reaches is already seen,
-    so a frontier reads the columns of the rows made for it alone.
+    (_reach) follows every stored entry, explicit zeros included
+    (stationary_distribution reads a zero as no step), and its successor
+    lookup makes the rows. Each key's row is made once, when a frontier
+    first reaches a state of it, and its columns are read then: every state
+    a row made earlier reaches is already seen, so a frontier reads the
+    columns of the rows made for it alone.
 
     The keys are numbered by their smallest reached state, so the closed
     class's first key, the one stationary_distribution pins, is the key of
@@ -1262,18 +1270,7 @@ def reachable_chain(make, locate, shape: tuple, start_index: int, n: int) -> Cha
             cols.append(parts[-1].indices)
         return np.concatenate(cols)
 
-    seen = np.zeros(n, dtype=bool)
-    seen[start_index] = True
-    frontier = np.array([start_index])
-    while len(frontier):
-        # the states first seen in this step, by a mask, not by np.unique
-        # of the columns, which repeat many times
-        fresh = np.zeros(n, dtype=bool)
-        fresh[new_columns(frontier)] = True
-        fresh &= ~seen
-        seen |= fresh
-        frontier = np.flatnonzero(fresh)
-    states = np.flatnonzero(seen)
+    states = np.flatnonzero(_reach(new_columns, start_index, np.zeros(n, dtype=bool)))
     made_of = where[locate(states)]
     # the made rows in key order: by the first reached state that reads each
     order = np.argsort(np.unique(made_of, return_index=True)[1])
@@ -1331,12 +1328,11 @@ def mixture_chain_matrix(schedule: Sequence[tuple], space: StateSpace, actions: 
     randomized policy's one cursor that steps to itself. Returns the Chain
     of reachable_chain, whose rep columns are augmented states.
 
-    The weighted sum is taken in action order, with scipy's products and
-    sums (w * K_a, then csr_plus_csr, _csr.plus), over the distinct rows
-    the search reaches only, each mixed once, when a frontier first uses
-    it: a row's sum reads that row alone. A sum of two or more actions
-    drops the entries that come to zero, so the search follows the mixed
-    rows, not the kernels'.
+    The weighted sum is mixed_rows over the distinct rows the search
+    reaches only, each mixed once, when a frontier first uses it: a row's
+    sum reads that row alone. A sum of two or more actions drops the
+    entries that come to zero, so the search follows the mixed rows, not
+    the kernels'.
     """
     if any(len(w) != len(actions) or abs(sum(w) - 1.0) > 1e-9 for w, _ in schedule):
         raise ValueError("weights must match actions and sum to one")
@@ -1345,13 +1341,7 @@ def mixture_chain_matrix(schedule: Sequence[tuple], space: StateSpace, actions: 
 
     def mix(cursor, rows):
         weights, nxt = schedule[cursor]
-        out = None
-        for w, action in zip(weights, actions.actions):
-            if w:
-                data, indices, indptr = factor_rows(factors, action, rows)
-                data *= w
-                term = _csr.CSR(data, indices, indptr, (len(rows), n_states))
-                out = term if out is None else _csr.plus(out, term)
+        out = mixed_rows(factors, actions.actions, weights, rows)
         return out.data, out.indices + nxt * n_states, out.indptr
 
     def locate(states):
@@ -1580,22 +1570,35 @@ def _pinned_solve(q: _csr.CSR) -> tuple:
     return xi, residual
 
 
-def _reach(indptr: np.ndarray, indices: np.ndarray, start: int, seen: np.ndarray) -> np.ndarray:
+def _reach(successors, start: int, seen: np.ndarray) -> np.ndarray:
     """seen, with every state marked that a frontier search from start
-    reaches over the stored entries of the CSR structure (indptr, indices),
-    start included; the states already marked are not searched from."""
+    reaches, start included; the states already marked are not searched
+    from. successors(frontier) returns the successors of the states of a
+    frontier, each frontier's states new and increasing."""
     frontier = np.array([start])
     seen[start] = True
     while len(frontier):
-        counts = indptr[frontier + 1] - indptr[frontier]
-        first = np.cumsum(counts) - counts
-        at = np.arange(first[-1] + counts[-1]) + np.repeat(indptr[frontier] - first, counts)
+        # the states first seen in this step, by a mask, not by np.unique
+        # of the successors, which repeat many times
         fresh = np.zeros(len(seen), dtype=bool)
-        fresh[indices[at]] = True
+        fresh[successors(frontier)] = True
         fresh &= ~seen
         seen |= fresh
         frontier = np.flatnonzero(fresh)
     return seen
+
+
+def _successors(indptr: np.ndarray, indices: np.ndarray):
+    """_reach's lookup over the stored entries of the CSR structure
+    (indptr, indices): a frontier's successors are its rows' columns."""
+
+    def successors(frontier):
+        counts = indptr[frontier + 1] - indptr[frontier]
+        first = np.cumsum(counts) - counts
+        at = np.arange(first[-1] + counts[-1]) + np.repeat(indptr[frontier] - first, counts)
+        return indices[at]
+
+    return successors
 
 
 def _depth(indptr: np.ndarray, indices: np.ndarray, closed: np.ndarray) -> Optional[int]:
@@ -1638,9 +1641,10 @@ def _closed_class(p: _csr.CSR) -> tuple:
     left = np.ones(n, dtype=bool)
     members, count = None, 0
     state = int(np.argmax(inflow))
+    forward_of, back_of = _successors(p.indptr, p.indices), _successors(pc.indptr, pc.indices)
     while True:
-        forward = _reach(p.indptr, p.indices, state, np.zeros(n, dtype=bool))
-        back = _reach(pc.indptr, pc.indices, state, ~left)
+        forward = _reach(forward_of, state, np.zeros(n, dtype=bool))
+        back = _reach(back_of, state, ~left)
         candidates = np.flatnonzero(forward & ~back)
         if len(candidates) == 0:
             count += 1

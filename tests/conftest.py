@@ -63,6 +63,13 @@ def stacked_rows(kernels):
     ]
 
 
+def kernel_rows(space):
+    """Every action's distinct rows, in action order, as factor_rows' CSR
+    arrays (data, indices, indptr) of every row of space.factors."""
+    every = np.arange(space.factors.n_rows)
+    return [mdp.factor_rows(space.factors, action, every) for action in space.action_set.actions]
+
+
 def table_cost(table, space, cost):
     """Exact average cost of a deterministic policy table, on its chain
     from the start."""

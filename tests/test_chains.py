@@ -30,7 +30,7 @@ from aoisched.model import ConvergenceError
 
 import chain_oracle
 import stationary_oracle
-from conftest import as_scipy, recorded_chains, stacked_rows, stuck_channel
+from conftest import as_scipy, kernel_rows, recorded_chains, stacked_rows, stuck_channel
 from test_kernel_assembly import PROBS, _sensor, small_systems
 
 TWOSENSOR = Path(__file__).resolve().parents[1] / "configs" / "twosensor.yaml"
@@ -439,7 +439,7 @@ def test_factor_rows_are_kernel_rows_bit_for_bit(spec, seed, chunked):
         if chunked:
             mp.setattr(mdp, "TABLE_CHUNK", 8)
         factors = space.factors
-        parts, n_rows = mdp.kernel_rows(space), factors.n_rows
+        parts, n_rows = kernel_rows(space), factors.n_rows
         rng = np.random.default_rng(seed)
         for action, (data, indices, indptr) in zip(actions.actions, parts):
             rows = rng.permutation(n_rows)[: rng.integers(1, n_rows + 1)]

@@ -66,25 +66,21 @@ def test_default_randomized_probs(va_penalty):
     "arrival", [a.BernoulliArrival(0.9), a.MarkovArrival(0.6, 0.7)], ids=["bernoulli", "markov"]
 )
 def test_per_sensor_kernel_boundaries(va_penalty, arrival):
-    """The numpy-densified per-sensor kernels are the scipy path's
-    assembled kernels, byte for byte, whole and a row block at a time."""
+    """The per-sensor solve's dense kernels (_dense_mixture of one-hot
+    weights) are the scipy path's assembled kernels, byte for byte, and its
+    mix is numpy's p K_tx + (1 - p) K_idle of them, bit for bit."""
     sensor = a.SensorSpec(arrival, va_penalty, 0.5, 1.0, 3, 3)
     system = a.SystemSpec((sensor,), VA_CHANNEL, 1)
     kernels = mdp.build_kernels(mdp.StateSpace(system))
     k_idle, k_tx = (rows[kernels.row_of].toarray() for rows in stacked_rows(kernels))
     space = mdp.sensor_space(sensor, VA_CHANNEL)
-    idle, tx = mdp.kernel_rows(space)
-    n = space.n_states
-    dense_idle, dense_tx = (decomposed._dense_kernel(space, r, 0, n) for r in (idle, tx))
-    assert np.array_equal(dense_idle, k_idle)
-    assert np.array_equal(dense_tx, k_tx)
-    for lo, hi in ((0, 1), (5, 17), (n - 3, n)):
-        assert np.array_equal(decomposed._dense_kernel(space, idle, lo, hi), k_idle[lo:hi])
-        assert np.array_equal(decomposed._dense_kernel(space, tx, lo, hi), k_tx[lo:hi])
-    # the mix solve_per_sensor_value solves on, at p_r = 0.5
-    mixed = 0.5 * dense_tx + (1.0 - 0.5) * dense_idle
-    assert np.allclose(mixed, 0.5 * k_tx + 0.5 * k_idle)
-    assert np.allclose(mixed.sum(axis=1), 1.0, atol=1e-12)
+    assert decomposed._dense_mixture(space, (1.0, 0.0)).tobytes() == k_idle.tobytes()
+    assert decomposed._dense_mixture(space, (0.0, 1.0)).tobytes() == k_tx.tobytes()
+    for p in (0.5, 0.3):
+        # the mix solve_per_sensor_value solves on, at p_r = p
+        mixed = decomposed._dense_mixture(space, (1.0 - p, p))
+        assert np.array_equal(mixed, p * k_tx + (1.0 - p) * k_idle)
+        assert np.allclose(mixed.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_per_sensor_kernel_reference_row(va_penalty):
@@ -92,9 +88,7 @@ def test_per_sensor_kernel_reference_row(va_penalty):
     # convex combination of the four transmit cases and two idle cases
     sensor = make_va_sensor(va_penalty, 0.9)
     space = mdp.sensor_space(sensor, VA_CHANNEL)
-    rows = mdp.kernel_rows(space)
-    k_idle, k_tx = (decomposed._dense_kernel(space, r, 0, space.n_states) for r in rows)
-    kernel = 0.5 * k_tx + (1.0 - 0.5) * k_idle  # solve_per_sensor_value's mix
+    kernel = decomposed._dense_mixture(space, (1.0 - 0.5, 0.5))  # solve_per_sensor_value's mix
     row_state = dynamics.JointState((dynamics.SensorState(3, 5),), 0, (False,))
     row = kernel[space.encode(row_state)]
     lam, p = 0.9, 0.5
@@ -133,10 +127,9 @@ def whole_kernel_solve(sensor, p):
     "arrival", [a.BernoulliArrival(0.9), a.MarkovArrival(0.6, 0.7)], ids=["bernoulli", "markov"]
 )
 def test_per_sensor_solve_is_the_whole_kernel_solve(va_penalty, arrival, monkeypatch):
-    """solve_per_sensor_value, which holds one dense kernel at a time and
-    mixes it a row block at a time, gives the whole-kernel recipe's values,
-    eq, gain and iteration count, bit for bit, on more states than one
-    block."""
+    """solve_per_sensor_value, which holds one dense kernel at a time,
+    mixed from the distinct rows, gives the whole-kernel recipe's values,
+    eq, gain and iteration count, bit for bit."""
     sensor = a.SensorSpec(arrival, va_penalty, 0.5, 1.0, 10, 10)
     iterations = []
     solve = decomposed.relative_value_iteration
@@ -148,7 +141,7 @@ def test_per_sensor_solve_is_the_whole_kernel_solve(va_penalty, arrival, monkeyp
 
     monkeypatch.setattr(decomposed, "relative_value_iteration", counted)
     pv = decomposed.solve_per_sensor_value(sensor, VA_CHANNEL, 0.3)
-    assert pv.space.n_states >= 200 > decomposed.MIX_ROWS
+    assert pv.space.n_states >= 200
     values, eq, gain, its = whole_kernel_solve(sensor, 0.3)
     assert pv.values.tobytes() == values.tobytes()
     assert pv.eq.tobytes() == eq.tobytes()

@@ -21,7 +21,7 @@ from scipy import sparse
 import aoisched as a
 from aoisched import _csr, cli, decomposed, mdp, policies as pol, sim
 
-from conftest import action_at, stacked_rows, stuck_channel
+from conftest import action_at, kernel_rows, stacked_rows, stuck_channel
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -391,7 +391,7 @@ def test_split_work_is_the_one_worker_work_bit_for_bit(spec, workers, chunk):
         assert 0 in classes
     for got, rows in zip(stacked_rows(kernels), stacked_rows(serial), strict=True):
         assert csr_bytes(got) == csr_bytes(rows)
-    for rows, part in zip(stacked_rows(serial), mdp.kernel_rows(space), strict=True):
+    for rows, part in zip(stacked_rows(serial), kernel_rows(space), strict=True):
         assert csr_bytes(rows) == [(arr.dtype, arr.tobytes()) for arr in part]
     assert (solved is None) == (want is None)
     if want is not None:
@@ -436,7 +436,7 @@ def test_theta_pairs_are_kernel_rows_bit_for_bit(spec, workers, seed):
     assume(space.n_states <= 3000)
     kernels, solved = split_solve(spec, workers, 8)
     factors = space.factors
-    parts = mdp.kernel_rows(space)
+    parts = kernel_rows(space)
     whole = tuple(sparse.csr_matrix(part, shape=(factors.n_rows, space.n_states)) for part in parts)
     agree_by_action = theta_halves_agree(parts)
     q = np.random.default_rng(seed).normal(scale=10.0, size=space.n_states)
