@@ -105,7 +105,9 @@ def solve_per_sensor_value(
     space = sensor_space(sensor, channel)
     n = space.n_states
     # every state its own row: the dense mixed kernel is already assembled
-    kernels = Kernels((((0, n, (_dense_mixture(space, (1.0 - p_r_i, p_r_i)),)),),), np.arange(n))
+    kernels = Kernels(
+        (((0, n, (_dense_mixture(space, (1.0 - p_r_i, p_r_i)),)),),), np.arange(n), ()
+    )
     vt, _ = relative_value_iteration(kernels, cost_vector(space), space.reference_index())
     del kernels
     eq = np.empty((n, 2))

@@ -9,7 +9,8 @@ the chains are built on the space they are given. The optimal solve runs
 RVI to convergence on the closed space in both cases; on the full grid it
 then catches the states outside up with D sweeps, D the most steps any of
 them takes to enter the closed sub-grid (StateSpace.depths), so the two
-give the same iterations, values and table there
+give the same iterations, values and table there. The rows that no backup
+reads, a third of threesensor's, are made in the last sweep only
 (solve_optimal_policy).
 
 State enumeration, the factored transition kernel (channel factor times
@@ -239,26 +240,49 @@ class StateSpace:
         # exact integer products: an int64 product wraps at large caps and
         # would slip past the state budget
         self.grid_states = math.prod(self.dims)
-        self.sub_sizes = [len(c) for c in self.closure] if closed else [math.prod(s) for s in sizes]
-        self.n_states = 2 * math.prod(self.sub_sizes)
-        # the step of the joint index per position of each sensor
-        self.sub_strides = [2 * math.prod(self.sub_sizes[i + 1 :]) for i in range(len(sizes))]
 
     @property
     def n_sensors(self) -> int:
         return self.spec.n_sensors
 
     @functools.cached_property
+    def sub_sizes(self) -> list:
+        """Each sensor's number of sub-indices in the space. On a closed
+        space they are counted on first use, so that solve_optimal_policy
+        can give it the full grid's sensor graphs before its closures are
+        searched."""
+        return [len(m) for m in self.members]
+
+    @functools.cached_property
+    def n_states(self) -> int:
+        return 2 * math.prod(self.sub_sizes)
+
+    @functools.cached_property
+    def sub_strides(self) -> list:
+        """The step of the joint index per position of each sensor."""
+        return [2 * math.prod(self.sub_sizes[i + 1 :]) for i in range(self.n_sensors)]
+
+    @functools.cached_property
+    def _tables(self) -> tuple:
+        """Each sensor's successor tables under both decisions
+        (_successor_table), built once for the sensor graphs and the
+        factors."""
+        return tuple(
+            tuple(_successor_table(self, i, scheduled) for scheduled in (False, True))
+            for i in range(self.n_sensors)
+        )
+
+    @functools.cached_property
     def _sensor_graphs(self) -> tuple:
         """Each sensor's (indptr, indices, start): its full-grid sub-indices'
         successors under both decisions and both channel states, as a CSR
         structure from the full grid's successor tables, and its sub-index
-        at reference_index()."""
+        at reference_index(). A closed space that solve_optimal_policy makes
+        is given the full grid's graphs; any other builds a full grid's."""
         grid = StateSpace(self.spec) if self.closed else self
         start = np.unravel_index(grid.reference_index(), [*grid.sub_sizes, 2])
         out = []
-        for i, n in enumerate(grid.sub_sizes):
-            tables = [_successor_table(grid, i, scheduled) for scheduled in (False, True)]
+        for i, (n, tables) in enumerate(zip(grid.sub_sizes, grid._tables)):
             succ = np.concatenate([t[0].reshape(n, -1) for t in tables], axis=1)
             valid = np.concatenate([t[2].reshape(n, -1) for t in tables], axis=1)
             indptr = np.concatenate(([0], np.cumsum(valid.sum(axis=1))))
@@ -297,7 +321,11 @@ class StateSpace:
     @functools.cached_property
     def members(self) -> tuple:
         """Each sensor's sub-indices of the full grid in the space, increasing."""
-        return self.closure if self.closed else tuple(map(np.arange, self.sub_sizes))
+        if self.closed:
+            return self.closure
+        return tuple(
+            np.arange(math.prod(self.dims[3 * i : 3 * i + 3])) for i in range(self.n_sensors)
+        )
 
     @functools.cached_property
     def action_set(self) -> ActionSet:
@@ -380,8 +408,15 @@ class StateSpace:
         return JointState(sensors, theta, prev)
 
     def reference_index(self) -> int:
-        """Index of the canonical start state (all sensors (0,1), bad channel)."""
-        return self.encode(initial_state(self.spec))
+        """Index of the canonical start state (all sensors (0,1), bad
+        channel), from each sensor's position in members: a closed space
+        builds no full-grid index map (_index_of) to find it."""
+        js = initial_state(self.spec)
+        at = [
+            np.searchsorted(members, self.sensor_sub_index(i, st.aoli, st.aori, g))
+            for i, (members, st, g) in enumerate(zip(self.members, js.sensors, js.prev_arrival))
+        ]
+        return int(np.ravel_multi_index((*at, js.theta), [*self.sub_sizes, 2]))
 
     @functools.cached_property
     def lanes(self) -> LaneState:
@@ -609,18 +644,30 @@ class Kernels:
     shares holds one tuple of blocks per thread, and a block is (lo, hi,
     mats), where mats[a] is action a's distinct rows lo..hi-1 as a CSR
     matrix (_csr.CSR, or any object with its data, indices, indptr and
-    shape) or, in the per-sensor SISP solve, a dense array. The blocks
-    cover the rows 0..n_rows-1 once. row_of maps each state to its
-    distinct row, one map shared by every action, so the assembled kernel
-    K_a is the blocks' mats[a] stacked in row order, indexed by row_of.
+    shape) or, in the per-sensor SISP solve, a dense array. row_of maps
+    each state to its distinct row, one map shared by every action, so the
+    assembled kernel K_a is the blocks' rows of action a in row order,
+    indexed by row_of.
+
+    rest holds rows that are not stored, made only where they are backed
+    up: per share, pieces (spans, makers), where makers[a]() generates
+    action a's rows of each span (lo, hi) as one CSR matrix per span. Only
+    the full grid's catch-up kernels have any (_catch_up_kernels): their
+    rest is the rows no backup reads, which RVI makes in its last sweep
+    alone; every other Kernels' rest is (). The blocks and rest's spans
+    cover the rows 0..n_rows-1 once.
     """
 
     shares: tuple
     row_of: np.ndarray
+    rest: tuple
 
     @property
     def n_rows(self) -> int:
-        return sum(hi - lo for share in self.shares for lo, hi, _ in share)
+        stored = sum(hi - lo for share in self.shares for lo, hi, _ in share)
+        return stored + sum(
+            hi - lo for pieces in self.rest for spans, _ in pieces for lo, hi in spans
+        )
 
     def __iter__(self):
         """Every block's matrices, share by share, each block's in action
@@ -798,11 +845,13 @@ class Factors:
 
     tables[i][scheduled] is sensor i's successor table under one decision
     (_successor_table), cut to the first sub-index of each class: arrays
-    (offset, prob, valid) of shape (classes, 2, k). omega is the channel's
+    (offset, prob, valid) of shape (classes, 2, k). class_of[i] is the class
+    of each of sensor i's sub-indices in the space. omega is the channel's
     transition matrix and n_states the joint state count.
     """
 
     tables: tuple
+    class_of: tuple
     row_of: np.ndarray
     omega: np.ndarray
     n_states: int
@@ -821,15 +870,16 @@ def build_factors(space: StateSpace) -> Factors:
     classes, and the state -> distinct-row map: space.factors, which keeps
     them."""
     tables, class_of, n_classes = [], [], []
-    for i in range(space.n_sensors):
-        full = [_successor_table(space, i, scheduled) for scheduled in (False, True)]
+    for full in space._tables:
         classes, first = _row_classes(full)
         class_of.append(classes)
         n_classes.append(len(first))
         tables.append(tuple(tuple(t[first] for t in table) for table in full))
     *classes, theta = np.ix_(*class_of, [0, 1])
     row_of = np.ravel_multi_index((theta, *classes), [2, *n_classes]).ravel()
-    return Factors(tuple(tables), row_of, space.spec.channel.omega(), space.n_states)
+    return Factors(
+        tuple(tables), tuple(class_of), row_of, space.spec.channel.omega(), space.n_states
+    )
 
 
 def _entry_axis(arr: np.ndarray, i: int, n_sensors: int) -> np.ndarray:
@@ -944,12 +994,13 @@ def mixed_rows(factors: Factors, actions: Sequence, weights: Sequence, rows) -> 
     return out
 
 
-def _theta_blocks(factors: Factors, action, lo: int, hi: int) -> tuple:
-    """One action's distinct rows of whole leading-sensor classes in both
-    channel states, as two CSR matrices: rows lo..hi-1, which have
-    theta = 0, and the theta = 1 rows of the same classes, n_rows // 2
-    further on. Each is factor_rows of its rows byte for byte, filled on
-    the open grid of the classes, about TABLE_CHUNK // 2 rows at a time.
+def _theta_blocks(factors: Factors, action, grid: Sequence) -> tuple:
+    """One action's distinct rows of an open grid of classes in both
+    channel states, as two CSR matrices: the theta = 0 rows (0,
+    grid[0][j_1], ..., grid[N-1][j_N]) in the grid's row-major order, and
+    the theta = 1 rows in the same order. grid holds an increasing array of
+    classes per sensor. Each matrix is factor_rows of its rows byte for
+    byte, filled about TABLE_CHUNK // 2 rows at a time.
 
     A row's columns are its grid's offsets and its real entries the grid's
     valid ones, so when every sensor's successor table has the same offsets
@@ -959,14 +1010,13 @@ def _theta_blocks(factors: Factors, action, lo: int, hi: int) -> tuple:
     the theta = 0 matrix's indices and indptr. Where a table differs (a
     success probability of 0 or 1 under a transmit decision drops outcomes
     in one channel state only), each keeps its own; no entry is padded in."""
-    shape = factors.shape
-    lead = math.prod(shape[2:])
-    tables = [factors.tables[i][action[i]] for i in range(len(shape) - 1)]
+    lead = math.prod(map(len, grid[1:]))
+    tables = [factors.tables[i][action[i]] for i in range(len(grid))]
     shared = all(
         np.array_equal(offset[:, 0], offset[:, 1]) and np.array_equal(valid[:, 0], valid[:, 1])
         for offset, _, valid in tables
     )
-    keys = np.ix_(np.arange(lo // lead, hi // lead), *map(np.arange, shape[2:]))
+    keys = np.ix_(*grid)
     counts = [_row_counts(tables, keys, theta) for theta in (0, 1)]
     nnz = [int(c.sum()) for c in counts]
     index_dtype = np.int32 if max(factors.n_states, *nnz) <= np.iinfo(np.int32).max else np.int64
@@ -979,7 +1029,7 @@ def _theta_blocks(factors: Factors, action, lo: int, hi: int) -> tuple:
         # the theta = 1 matrix reads the theta = 0 matrix's arrays
         indptr, indices = indptr * 2, indices * 2
     data = [np.empty(n) for n in nnz]
-    classes = (hi - lo) // lead
+    classes = len(grid[0])
     step = max(1, TABLE_CHUNK // (2 * lead))
     for c in range(0, classes, step):
         block = (keys[0][c : c + step], *keys[1:])
@@ -991,8 +1041,48 @@ def _theta_blocks(factors: Factors, action, lo: int, hi: int) -> tuple:
                 indices[theta][span] = cols[mask]
             data[theta][span] = _grid_values(tables, factors.omega, block, theta)[mask]
     return tuple(
-        _csr.CSR(*arrays, (hi - lo, factors.n_states)) for arrays in zip(data, indices, indptr)
+        _csr.CSR(*arrays, (classes * lead, factors.n_states))
+        for arrays in zip(data, indices, indptr)
     )
+
+
+def _cut(grid: tuple, parts: int) -> list:
+    """The open grid of classes `grid` cut on its leading sensor's classes
+    into `parts` grids, in order, of about equal numbers of them (some are
+    empty when there are more parts than classes)."""
+    lead = grid[0]
+    return [
+        (lead[k * len(lead) // parts : (k + 1) * len(lead) // parts], *grid[1:])
+        for k in range(parts)
+    ]
+
+
+def _share_blocks(factors: Factors, actions: Sequence, grids: Sequence) -> tuple:
+    """Kernels.shares of the distinct rows of the open grids `grids`, one
+    share each, numbered theta slowest, then grid by grid, each grid's rows
+    in _theta_blocks' order: a share is two blocks, its grid's theta = 0
+    rows and its theta = 1 rows, and its rows of every action are generated
+    by _theta_blocks in a thread of their own, the calling thread taking
+    share 0."""
+    sizes = [math.prod(map(len, grid)) for grid in grids]
+    starts, half = np.cumsum([0, *sizes]).tolist(), sum(sizes)
+
+    def share(k):
+        mats = [_theta_blocks(factors, action, grids[k]) for action in actions]
+        return tuple(
+            (theta * half + starts[k], theta * half + starts[k + 1], tuple(m[theta] for m in mats))
+            for theta in (0, 1)
+        )
+
+    with _shares(len(grids)) as run:
+        return tuple(run(share))
+
+
+def _workers(factors: Factors) -> int:
+    """The shares a model's rows are cut into: one per CPU in the process's
+    affinity mask for a model of more than TABLE_CHUNK distinct rows, else
+    one."""
+    return _worker_count() if factors.n_rows > TABLE_CHUNK else 1
 
 
 def build_kernels(space: StateSpace) -> Kernels:
@@ -1003,33 +1093,89 @@ def build_kernels(space: StateSpace) -> Kernels:
     A model of more than TABLE_CHUNK distinct rows is cut into one share
     per CPU in the process's affinity mask, and a smaller one, or any model
     on one CPU, is one share. The cuts fall on leading-sensor class
-    boundaries, the shares taking about equal numbers of classes (some are
-    empty when there are more CPUs than classes). A share is two blocks,
-    its classes' theta = 0 rows and their theta = 1 rows, and its rows of
-    every action are generated by _theta_blocks in a thread of their own,
-    the calling thread taking share 0. A row's bytes do not depend on the
-    rows generated beside it, so the blocks stacked in row order are
-    factor_rows of every row byte for byte, on any number of CPUs. No
-    matrix of every row is made. On threesensor every action's theta = 1
-    blocks read their theta = 0 twins' columns, and the kernels hold
-    157 MB where separate columns would take 189 MB.
+    boundaries, the shares taking about equal numbers of classes (_cut),
+    and each share is generated in a thread of its own (_share_blocks),
+    its blocks numbered as factors numbers its rows. A row's bytes do not
+    depend on the rows generated beside it, so the blocks stacked in row
+    order are factor_rows of every row byte for byte, on any number of
+    CPUs. No matrix of every row is made. On threesensor every action's
+    theta = 1 blocks read their theta = 0 twins' columns, and the kernels
+    hold 157 MB where separate columns would take 189 MB.
     """
-    factors, actions = space.factors, space.action_set
-    half, n_classes = factors.n_rows // 2, factors.shape[1]
-    lead = half // n_classes
-    workers = _worker_count() if factors.n_rows > TABLE_CHUNK else 1
-    bounds = [k * n_classes // workers * lead for k in range(workers + 1)]
+    factors = space.factors
+    every = tuple(map(np.arange, factors.shape[1:]))
+    shares = _share_blocks(factors, space.action_set.actions, _cut(every, _workers(factors)))
+    return Kernels(shares, factors.row_of, ())
 
-    def share(k):
-        lo, hi = bounds[k], bounds[k + 1]
-        mats = [_theta_blocks(factors, action, lo, hi) for action in actions.actions]
-        return tuple(
-            (theta * half + lo, theta * half + hi, tuple(m[theta] for m in mats))
-            for theta in (0, 1)
-        )
 
-    with _shares(workers) as run:
-        return Kernels(tuple(run(share)), factors.row_of)
+def _read_classes(space: StateSpace) -> tuple:
+    """Each sensor's read classes of the full grid space's factors,
+    increasing: those holding a sub-index that some sub-index steps to
+    under either decision and channel state (an entry of _sensor_graphs),
+    or the start's sub-index, whose value every sweep reads for the gain.
+
+    No kernel row of any action has a column at a joint state that holds a
+    sub-index outside the read classes, so no backup reads its value, and
+    RVI needs the rows of such states for their own values and table
+    alone. A distinct row has only such states exactly when one of its
+    classes is not read (on threesensor 5 of each sensor's 42)."""
+    out = []
+    for (_, indices, start), class_of in zip(space._sensor_graphs, space.factors.class_of):
+        read = np.bincount(indices, minlength=len(class_of)) > 0
+        read[start] = True
+        out.append(np.unique(class_of[read]))
+    return tuple(out)
+
+
+def _catch_up_kernels(space: StateSpace) -> Kernels:
+    """The full grid space's kernels for solve_optimal_policy's catch-up
+    sweeps: the rows of read classes stored, and the rest made in the last
+    sweep only.
+
+    The stored rows are the product of each sensor's read classes
+    (_read_classes; on threesensor 101,306 of 148,176 rows and 10.56 M of
+    15.58 M nonzeros), cut on the leading sensor's read classes into one
+    share per CPU as build_kernels cuts every class. The other rows are N
+    product grids, the one of sensor i holding its classes that are not
+    read, the read classes of the sensors before it and every class of
+    those after it. Each is cut into the same shares, and each share's part
+    into pieces of about TABLE_CHUNK rows of whole leading classes, which
+    the last sweep makes one action at a time (Kernels.rest). The rows are
+    numbered in that order, the stored ones theta slowest as _share_blocks
+    numbers them, and each piece's theta = 0 rows before its theta = 1
+    rows, and row_of maps every state into that numbering; the class
+    numbering of space.factors is not changed."""
+    factors, actions = space.factors, space.action_set.actions
+    workers = _workers(factors)
+    read = _read_classes(space)
+    every = [np.arange(n) for n in factors.shape[1:]]
+    stored = _cut(read, workers)
+    spans = [(theta, grid) for theta in (0, 1) for grid in stored]
+    rest = tuple([] for _ in range(workers))
+    lo = 2 * math.prod(map(len, read))
+    for i, classes in enumerate(every):
+        unread = np.setdiff1d(classes, read[i])
+        if not len(unread):
+            continue
+        block = (*read[:i], unread, *every[i + 1 :])
+        lead = math.prod(map(len, block[1:]))
+        step = max(1, TABLE_CHUNK // (2 * lead))
+        for pieces, (first, *tail) in zip(rest, _cut(block, workers)):
+            for c in range(0, len(first), step):
+                grid = (first[c : c + step], *tail)
+                n = len(grid[0]) * lead
+                spans += [(0, grid), (1, grid)]
+                makers = tuple(functools.partial(_theta_blocks, factors, a, grid) for a in actions)
+                pieces.append((((lo, lo + n), (lo + n, lo + 2 * n)), makers))
+                lo += 2 * n
+    number = np.empty(factors.shape, dtype=np.intp)
+    at = 0
+    for theta, grid in spans:
+        n = math.prod(map(len, grid))
+        number[theta][np.ix_(*grid)] = np.arange(at, at + n).reshape([len(g) for g in grid])
+        at += n
+    row_of = number.ravel()[factors.row_of]
+    return Kernels(_share_blocks(factors, actions, stored), row_of, tuple(map(tuple, rest)))
 
 
 def relative_value_iteration(kernels: Kernels, cost: np.ndarray, ref_index: int) -> tuple:
@@ -1079,32 +1225,56 @@ def _iterate(kernels: Kernels, cost: np.ndarray, ref_index: int, q, sweeps, ring
     iterate depends on the one before it alone. Unless ring is None, a copy
     of each new iterate is appended to it, a deque that keeps the last
     few. Returns (ValueTable, policy), the iteration count being the sweeps
-    made."""
+    made.
+
+    The rows of kernels.rest are made and backed up in the last of the
+    `sweeps` alone, each share's in its own thread, one piece and one
+    action at a time, once the stored blocks are backed up and freed: the
+    caller passes such kernels in the call and keeps no reference to them
+    (solve_optimal_policy). Before that sweep their minima are zeros, which
+    the spread writes only to states that no backup reads."""
     n = len(cost)
     q_next = np.empty(n)
-    shares = kernels.shares
+    shares, rest, row_of = kernels.shares, kernels.rest, kernels.row_of
     backups = np.empty((len(shares[0][0][2]), kernels.n_rows))
-    best = np.empty(kernels.n_rows)
+    best = np.zeros(kernels.n_rows)
+    del kernels
+
+    def product(a, lo, hi, mat):
+        out = backups[a, lo:hi]
+        if isinstance(mat, np.ndarray):
+            out[...] = mat @ q
+        else:
+            out.fill(0.0)
+            _csr.accumulate(mat, q, out)
 
     def back_up(k):
         for lo, hi, mats in shares[k]:
             for a, mat in enumerate(mats):
-                out = backups[a, lo:hi]
-                if isinstance(mat, np.ndarray):
-                    out[...] = mat @ q
-                else:
-                    out.fill(0.0)
-                    _csr.accumulate(mat, q, out)
+                product(a, lo, hi, mat)
             np.min(backups[:, lo:hi], axis=0, out=best[lo:hi])
+
+    def make_and_back_up(k):
+        for spans, makers in rest[k]:
+            for a, make in enumerate(makers):
+                for (lo, hi), mat in zip(spans, make()):
+                    product(a, lo, hi, mat)
+                # freed before the next action's rows are made
+                del mat
+            for lo, hi in spans:
+                np.min(backups[:, lo:hi], axis=0, out=best[lo:hi])
 
     stopping = sweeps is None
     sup_diff = np.inf
     with _shares(len(shares)) as run:
         for it in range(RVI_MAX_ITER if stopping else sweeps):
             run(back_up)
+            if rest and it + 1 == sweeps:
+                shares = None
+                run(make_and_back_up)
             # mode="clip" is never clipping (row_of is in range) but, unlike
             # the default, writes into out without a buffer
-            np.take(best, kernels.row_of, out=q_next, mode="clip")
+            np.take(best, row_of, out=q_next, mode="clip")
             np.add(cost, q_next, out=q_next)
             gain = q_next[ref_index]
             q_next -= gain
@@ -1129,7 +1299,7 @@ def _iterate(kernels: Kernels, cost: np.ndarray, ref_index: int, q, sweeps, ring
     policy = np.empty(n, dtype=np.intp)
     for lo in range(0, n, TABLE_CHUNK):
         hi = min(n, lo + TABLE_CHUNK)
-        theta = backups[:, kernels.row_of[lo:hi]]
+        theta = backups[:, row_of[lo:hi]]
         theta += cost[lo:hi]
         theta.argmin(axis=0, out=policy[lo:hi])
     return ValueTable(q, float(gain), it + 1), policy
@@ -1153,15 +1323,28 @@ def solve_optimal_policy(space: StateSpace) -> tuple:
     every state and the backups the table is read from, so values, gain, K
     and table are those of RVI from zero on the full grid stopped on the
     closed sub-grid, bit for bit. Where a depth is unbounded (None), s = K
-    sweeps from zero are that RVI itself. On threesensor D = 6 and K = 49,
-    and the full grid's 15.58 M nonzeros are backed up 6 times, not 49.
+    sweeps from zero are that RVI itself.
+
+    A row whose states no backup reads (_read_classes) is needed for its
+    own states' values and table alone, so only in the last sweep: the
+    full grid's kernels store the other rows, and the sweeps before the
+    last back up those alone; the last backs them up, frees them, and then
+    makes and backs up the rest piece by piece (_catch_up_kernels,
+    _iterate). On threesensor D = 6 and K = 49: the stored 10.56 M
+    nonzeros are backed up 6 times, the other 5.02 M once, and no more
+    than one action's piece per CPU is alive beside the iterates. The
+    closed space searches its closures on the full grid's sensor graphs.
     The kernels live for this solve only: the exact evaluations build
     their chains from the per-sensor factors."""
-    closed = space if space.closed else StateSpace(space.spec, closed=True)
-    kernels, cost, start = build_kernels(closed), cost_vector(closed), closed.reference_index()
-    if closed is space:
-        vt, pi = relative_value_iteration(kernels, cost, start)
+    if space.closed:
+        vt, pi = relative_value_iteration(
+            build_kernels(space), cost_vector(space), space.reference_index()
+        )
         return vt, PolicyTable(pi, space.action_set)
+    closed = StateSpace(space.spec, closed=True)
+    # its closures are searched on the full grid's graphs, which space.depths reads
+    closed._sensor_graphs = space._sensor_graphs
+    kernels, cost, start = build_kernels(closed), cost_vector(closed), closed.reference_index()
     depth = None if None in space.depths else max(*space.depths, 1)
     ring = None if depth is None else deque(maxlen=depth + 1)
     k = _iterate(kernels, cost, start, np.zeros(len(cost)), None, ring)[0].iterations
@@ -1169,13 +1352,16 @@ def solve_optimal_policy(space: StateSpace) -> tuple:
     # the oldest kept iterate is h_{k - steps} when steps < k
     h = ring[0] if steps < k else None
     del closed, kernels, cost, ring
-    kernels = build_kernels(space)
     q = np.zeros(space.n_states)
     if h is not None:
         lift = np.ix_(*space.closure, [0, 1])
         q.reshape([*space.sub_sizes, 2])[lift] = h.reshape([*map(len, space.closure), 2])
     del h
-    vt, pi = _iterate(kernels, cost_vector(space), space.reference_index(), q, steps, None)
+    # the kernels are made in the call, so that _iterate holds the only
+    # reference and can free their stored blocks in the last sweep
+    vt, pi = _iterate(
+        _catch_up_kernels(space), cost_vector(space), space.reference_index(), q, steps, None
+    )
     return ValueTable(vt.values, vt.gain, k), PolicyTable(pi, space.action_set)
 
 

@@ -492,20 +492,30 @@ def test_compare_builds_the_joint_factors_once(tmp_path, monkeypatch):
 def test_solve_optimal_builds_the_factors_once(tmp_path, monkeypatch):
     """solve --policy optimal builds the factors of each space it solves
     on once: the closed sub-grid's, for RVI to convergence, and then the
-    full grid's, for the catch-up sweeps."""
+    full grid's, for the catch-up sweeps. It builds one set of full-grid
+    successor tables, which the sensor graphs, the closed space's closures
+    and the full grid's factors all read."""
     system = cli.load_config(str(TWOSENSOR)).system
     closed, joint = mdp.StateSpace(system, closed=True).n_states, mdp.StateSpace(system).n_states
-    calls = []
-    build = mdp.build_factors
+    calls, tables = [], []
+    build, successor_table = mdp.build_factors, mdp._successor_table
 
     def counted(space):
         calls.append(space.n_states)
         return build(space)
 
+    def counted_table(space, i, scheduled):
+        tables.append((space.n_states, i, scheduled))
+        return successor_table(space, i, scheduled)
+
     monkeypatch.setattr(mdp, "build_factors", counted)
+    monkeypatch.setattr(mdp, "_successor_table", counted_table)
     argv = ["solve", "--config", str(TWOSENSOR), "--policy", "optimal", "--out", str(tmp_path)]
     assert cli.main(argv) == 0
     assert calls == [closed, joint]
+    one_set = [(i, scheduled) for i in range(system.n_sensors) for scheduled in (False, True)]
+    assert [(i, s) for n, i, s in tables if n == joint] == one_set
+    assert [(i, s) for n, i, s in tables if n == closed] == one_set
 
 
 def test_compare_frees_joint_kernels_before_the_first_evaluation(tmp_path, monkeypatch):

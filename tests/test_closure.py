@@ -2,6 +2,7 @@
 closed space that compare and simulate solve and evaluate on, and its
 sameness with the full grid that solve writes."""
 
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from aoisched import cli, dynamics, mdp, policies as pol
 from aoisched.model import ConvergenceError
 
 from conftest import stacked_rows
+from solve_bits import solve_bits
 from test_kernel_assembly import _sensor, small_systems
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -206,6 +208,23 @@ DEPTH_CASES = {
 }
 
 
+# the catch-up's cases: the depth cases, and a sensor that is never
+# delivered to, so that no state steps to its start's sub-index and no
+# other sub-index shares its class: the start's class is read for the gain
+# alone
+CATCH_UP_CASES = {
+    **DEPTH_CASES,
+    "unread start": a.SystemSpec(
+        (
+            _sensor(a.MarkovArrival(0.0, 0.0), 0.0, 0.0, 3, 3),
+            _sensor(a.BernoulliArrival(0.5), 0.4, 0.9, 2, 2),
+        ),
+        a.ChannelSpec(0.4, 0.3),
+        1,
+    ),
+}
+
+
 def test_sensor_depths(tmp_path):
     """The most steps a sensor's sub-index takes to enter its closure:
     6 for each threesensor sensor, 3, 3 and 2 on the exact-3s shape, and
@@ -281,6 +300,115 @@ def test_full_grid_solve_is_rvi_stopped_on_the_closure(spec):
     assert vt.gain.hex() == gain.hex()
     assert vt.iterations == iterations
     np.testing.assert_array_equal(pt.action_index, actions)
+
+
+def test_shipped_full_grid_solves_keep_their_bits():
+    """solve_bits.py's line of the full-grid optimal solve, which solve
+    --policy optimal writes, of both shipped configs: the same depth,
+    iteration count, gain bits and value and action hashes as RVI on the
+    whole full grid stopped on the closed sub-grid gave."""
+    assert solve_bits(str(TWOSENSOR)) == (
+        "D 6 K 24 0x1.3ba0285933bdep+3 "
+        "65b88a94df2b853b8f699bddd27f6da4ab1604f3cd9f7450a5d14bcc3c8396c2 "
+        "9c1ca677249a550d774831b97676cb0e41aa1ef20268fb5aa439e445bce7aaa2"
+    )
+    assert solve_bits(str(CONFIGS / "threesensor.yaml")) == (
+        "D 6 K 49 0x1.067b4fa2069e2p+6 "
+        "b1eb5d5be7ce4b12ca89fc45bc95c3eb09ca4e85790e13bf7b4f0bc6cad7146f "
+        "0e4c35add60386568f52aa3e94644a6bb1992eb17b02916d8cfbc23730377027"
+    )
+
+
+def read_sub_indices(space):
+    """Each sensor's sub-indices that some joint state steps to under some
+    action by transition_distribution, plus the start's: a search over
+    every state of the full grid space, independent of the successor
+    tables."""
+    spec = space.spec
+    start = space.decode(space.reference_index())
+    read = [{(st.aoli, st.aori, g)} for st, g in zip(start.sensors, start.prev_arrival)]
+    for idx in range(space.n_states):
+        state = space.decode(idx)
+        for action in space.action_set.actions:
+            for nxt, _ in mdp.transition_distribution(state, action, spec):
+                for i, (st, g) in enumerate(zip(nxt.sensors, nxt.prev_arrival)):
+                    read[i].add((st.aoli, st.aori, g))
+    return [
+        sorted({space.sensor_sub_index(i, aoli, aori, g) for aoli, aori, g in subs})
+        for i, subs in enumerate(read)
+    ]
+
+
+@pytest.mark.parametrize("case", CATCH_UP_CASES)
+def test_read_classes_are_the_in_degree_search(case):
+    """A class is read when it holds a sub-index that some state steps to
+    under some action, or the start's: the same classes as a search over
+    transition_distribution finds. "zero" reads every class."""
+    space = mdp.StateSpace(CATCH_UP_CASES[case])
+    read = read_sub_indices(space)
+    got = mdp._read_classes(space)
+    for i, class_of in enumerate(space.factors.class_of):
+        assert got[i].tolist() == np.unique(class_of[read[i]]).tolist(), i
+    assert ([len(r) for r in got] == list(space.factors.shape[1:])) == (case == "zero")
+
+
+def test_read_classes_of_the_benchmark_shapes(tmp_path):
+    """threesensor reads 37 of each sensor's 42 classes, so its catch-up
+    kernels store 2 * 37**3 = 101,306 of its 148,176 distinct rows, with
+    10,557,728 of the 15,579,648 nonzeros of its four actions; the exact-3s
+    shape reads 10, 10 and 5 classes."""
+    space = mdp.StateSpace(cli.load_config(str(CONFIGS / "threesensor.yaml")).system)
+    assert [len(r) for r in mdp._read_classes(space)] == [37, 37, 37]
+    assert space.factors.shape == (2, 42, 42, 42)
+    kernels = mdp._catch_up_kernels(space)
+    stored = sum(hi - lo for share in kernels.shares for lo, hi, _ in share)
+    assert (stored, kernels.n_rows) == (101_306, 148_176)
+    assert sum(int(mat.nnz) for mat in kernels) == 10_557_728
+    del kernels
+    exact = mdp.StateSpace(cli.load_config(str(exact_3s_config(tmp_path))).system)
+    assert [len(r) for r in mdp._read_classes(exact)] == [10, 10, 5]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("case", CATCH_UP_CASES)
+def test_streamed_catch_up_is_full_grid_rvi(case, workers):
+    """With a TABLE_CHUNK of 4 rows, so that every share and piece is cut,
+    the full-grid solve gives full_grid_rvi's values, gain, iterations and
+    table bit for bit on 1, 2 and 3 CPUs. The rows of classes that are not
+    read are made in the last sweep alone, each once per action, after
+    every stored kernel row is freed; "zero", which reads every class,
+    makes none there."""
+    space = mdp.StateSpace(CATCH_UP_CASES[case])
+    values, gain, iterations, actions = full_grid_rvi(space)
+    read = mdp._read_classes(space)
+    made, stored = [], []
+    theta_blocks = mdp._theta_blocks
+
+    def recorded(factors, action, grid):
+        mats = theta_blocks(factors, action, grid)
+        if factors is space.factors:
+            if all(np.isin(g, r).all() for g, r in zip(grid, read)):
+                stored.extend(weakref.ref(mat.data) for mat in mats)
+            else:
+                assert all(ref() is None for ref in stored), "a stored row is alive"
+                made.append((tuple(map(tuple, grid)), action))
+        return mats
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mdp, "TABLE_CHUNK", 4)
+        mp.setattr(mdp, "_worker_count", lambda: workers)
+        mp.setattr(mdp, "_theta_blocks", recorded)
+        vt, pt = mdp.solve_optimal_policy(space)
+    assert vt.values.tobytes() == values.tobytes()
+    assert vt.gain.hex() == gain.hex()
+    assert vt.iterations == iterations
+    np.testing.assert_array_equal(pt.action_index, actions)
+    assert len(made) == len(set(made))
+    pieces = {grid for grid, _ in made}
+    rows = sum(np.prod([len(g) for g in grid]) for grid in pieces)
+    assert 2 * rows == space.factors.n_rows - 2 * np.prod([len(r) for r in read])
+    assert len(made) == len(pieces) * len(space.action_set)
+    assert (rows == 0) == (case == "zero")
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])

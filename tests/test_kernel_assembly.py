@@ -279,7 +279,7 @@ def test_rvi_argmin_reads_the_rounded_sums_with_cost():
         np.array([to_ref, [0.0, 0.0, 1.0], to_ref]),
         np.array([to_ref, to_ref, to_ref]),
     )
-    kernels = mdp.Kernels((((0, 3, rows),),), np.arange(3))
+    kernels = mdp.Kernels((((0, 3, rows),),), np.arange(3), ())
     cost = np.array([0.0, 1e16, 0.5])
     want = oracle_rvi(list(kernels), cost, 0, 1e-9, RVI_MAX_ITER)
     vt, pi = mdp.relative_value_iteration(kernels, cost, 0)
@@ -452,7 +452,7 @@ def test_theta_pairs_are_kernel_rows_bit_for_bit(spec, workers, seed):
                 for field in ("indices", "indptr"):
                     assert np.shares_memory(getattr(rows0, field), getattr(rows1, field)) == agree
                 assert not np.shares_memory(rows0.data, rows1.data)
-    one_block = mdp.Kernels((((0, factors.n_rows, whole),),), factors.row_of)
+    one_block = mdp.Kernels((((0, factors.n_rows, whole),),), factors.row_of, ())
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mdp, "RVI_MAX_ITER", RVI_MAX_ITER)
         try:

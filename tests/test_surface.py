@@ -77,6 +77,7 @@ ALLOWED = {
     ("mdp", "transition_distribution"): REFERENCE,
     ("mdp", "stage_cost"): REFERENCE,
     ("mdp", "StateSpace.decode"): REFERENCE,
+    ("mdp", "StateSpace.encode"): REFERENCE,
     ("model", "ChannelSpec.transition_prob"): f"{REFERENCE} (transition_distribution's channel)",
     ("model", "SystemSpec.is_feasible_action"): f"{REFERENCE} (its budget check)",
     ("policies", "maf_decide"): REFERENCE,
