@@ -104,12 +104,12 @@ def solve_per_sensor_value(
     """
     space = sensor_space(sensor, channel)
     n = space.n_states
-    # every state its own row: the dense mixed kernel is already assembled
-    kernels = Kernels(
-        (((0, n, (_dense_mixture(space, (1.0 - p_r_i, p_r_i)),)),),), np.arange(n), ()
-    )
+    # every state its own row: the dense mixed kernel is already assembled,
+    # one share of one piece, one span of every row
+    mixed = _dense_mixture(space, (1.0 - p_r_i, p_r_i))
+    kernels = Kernels((((((0, n),), ((mixed,),)),),), np.arange(n), ())
     vt, _ = relative_value_iteration(kernels, cost_vector(space), space.reference_index())
-    del kernels
+    del mixed, kernels
     eq = np.empty((n, 2))
     for a, weights in enumerate(((1.0, 0.0), (0.0, 1.0))):
         eq[:, a] = _dense_mixture(space, weights) @ vt.values

@@ -9,9 +9,9 @@ the chains are built on the space they are given. The optimal solve runs
 RVI to convergence on the closed space in both cases; on the full grid it
 then catches the states outside up with D sweeps, D the most steps any of
 them takes to enter the closed sub-grid (StateSpace.depths), so the two
-give the same iterations, values and table there. The rows that no backup
-reads, a third of threesensor's, are made in the last sweep only
-(solve_optimal_policy).
+give the same iterations, values and table there. Its kernels store only
+the rows that some backup reads, and make the others, a third of
+threesensor's, in the last sweep (_kernels, solve_optimal_policy).
 
 State enumeration, the factored transition kernel (channel factor times
 per-sensor case table, with a Markov-arrival variant), relative value
@@ -47,16 +47,19 @@ of action kernels, sum_a w_a K_a over listed rows: a state-blind policy's
 chain mixes the rows its search reaches (mixture_chain_matrix), and each
 per-sensor SISP solve mixes every row of its sensor's own space under the
 randomized schedule, p K_tx + (1 - p) K_idle, and densifies the mix once.
-build_kernels fills the joint model's rows on the open grid of whole
-leading-sensor classes instead, as the blocks of Kernels: each CPU's share
-of classes is two blocks, its theta = 0 rows and its theta = 1 rows, and a
-block's rows of an action are one CSR matrix (_csr.CSR). The theta = 1
-matrix reads the theta = 0 matrix's columns wherever the sensors' successor
-tables agree in both channel states (on threesensor, everywhere). The
-blocks stacked in row order and indexed by row_of are the assembled
-kernels. The joint solve and the myopic baseline are both solved on them.
-RVI, the one reader of Kernels, backs up the distinct rows block by block,
-takes the minimum over actions there and spreads it by row_of.
+build_kernels fills the joint model's rows on open grids of whole
+leading-sensor classes instead, as the pieces of Kernels: each CPU's share
+of classes is one piece, its theta = 0 rows and its theta = 1 rows, and a
+piece's rows of an action are one CSR matrix (_csr.CSR) per channel state.
+The theta = 1 matrix reads the theta = 0 matrix's columns wherever the
+sensors' successor tables agree in both channel states (on threesensor,
+everywhere). The pieces stacked in row order and indexed by row_of are the
+assembled kernels. The joint solve and the myopic baseline are both solved
+on them, and the full grid's catch-up on kernels of the same one builder
+(_kernels) that store the rows some backup reads and list the others as
+pieces of the same form, made when they are backed up. RVI, the one reader
+of Kernels, backs up the distinct rows piece by piece, takes the minimum
+over actions there and spreads it by row_of.
 Every sparse product and conversion is a call of scipy's compiled CSR
 routines, which _csr loads on first use without scipy.sparse, with the
 operands and order scipy.sparse gives them, so no command imports
@@ -75,7 +78,7 @@ is built and solved on one thread per CPU in the process's affinity mask,
 with no setting for the count. build_kernels cuts the classes once, on
 leading-sensor class boundaries, into one share per CPU; each share's rows
 of every action are generated in a thread of their own, and RVI backs up
-each share's two blocks in its own thread. scipy's csr_matvec and numpy's
+each share's pieces in its own thread. scipy's csr_matvec and numpy's
 elementwise kernels release the GIL, so the threads overlap. Every entry
 and every row sum is computed by the same code over the same operands in
 the same order as on one thread, so kernels, values, gains, iteration
@@ -222,7 +225,9 @@ class StateSpace:
     (6 on threesensor), or depths[i] is None where the sub-indices outside
     hold a cycle, and solve_optimal_policy reads the largest depth to solve
     the full grid from the closed space. n_states counts the space's states
-    and grid_states the full grid's, which the state budget reads.
+    (the full grid's is what the state budget reads, cli._check_state_budget)
+    and grid_states the full grid's, the length of the closed space's index
+    table (_index_of).
 
     The space is also the model of its spec: action_set, factors (the
     transition model, build_factors) and lanes are built on first use and
@@ -637,25 +642,24 @@ def _successor_table(space: StateSpace, i: int, scheduled: bool) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class Kernels:
-    """Every action's transition kernel, stored as its distinct rows in
-    blocks of consecutive rows, grouped into the shares that RVI backs up
-    in a thread each.
+    """Every action's transition kernel as its distinct rows, cut into
+    pieces of consecutive rows and grouped into the shares that RVI backs
+    up in a thread each.
 
-    shares holds one tuple of blocks per thread, and a block is (lo, hi,
-    mats), where mats[a] is action a's distinct rows lo..hi-1 as a CSR
-    matrix (_csr.CSR, or any object with its data, indices, indptr and
-    shape) or, in the per-sensor SISP solve, a dense array. row_of maps
-    each state to its distinct row, one map shared by every action, so the
-    assembled kernel K_a is the blocks' rows of action a in row order,
-    indexed by row_of.
+    shares and rest hold one tuple of pieces per thread, and a piece is
+    (spans, mats): spans holds the (lo, hi) of each of its runs of rows,
+    and mats[a] holds action a's rows of each span, one matrix per span.
+    A matrix is a CSR matrix (_csr.CSR, or any object with its data,
+    indices, indptr and shape) or, in the per-sensor SISP solve, whose one
+    piece is one span of every row, a dense array. The pieces of shares are
+    stored; in rest, which RVI makes in its last sweep alone, mats[a] is a
+    function that returns the matrices. The spans of both cover the rows
+    0..n_rows-1 once. row_of maps each state to its distinct row, one map
+    shared by every action, so the assembled kernel K_a is the pieces' rows
+    of action a in row order, indexed by row_of.
 
-    rest holds rows that are not stored, made only where they are backed
-    up: per share, pieces (spans, makers), where makers[a]() generates
-    action a's rows of each span (lo, hi) as one CSR matrix per span. Only
-    the full grid's catch-up kernels have any (_catch_up_kernels): their
-    rest is the rows no backup reads, which RVI makes in its last sweep
-    alone; every other Kernels' rest is (). The blocks and rest's spans
-    cover the rows 0..n_rows-1 once.
+    Only the full grid's catch-up kernels have a rest, the rows that no
+    backup reads (_kernels); every other Kernels' rest is ().
     """
 
     shares: tuple
@@ -664,20 +668,22 @@ class Kernels:
 
     @property
     def n_rows(self) -> int:
-        stored = sum(hi - lo for share in self.shares for lo, hi, _ in share)
-        return stored + sum(
-            hi - lo for pieces in self.rest for spans, _ in pieces for lo, hi in spans
+        return sum(
+            hi - lo
+            for pieces in (*self.shares, *self.rest)
+            for spans, _ in pieces
+            for lo, hi in spans
         )
 
     def __iter__(self):
-        """Every block's matrices, share by share, each block's in action
-        order. A CSR matrix that reads the columns of one yielded before it
-        is yielded as its nnz and data alone, with empty views of the
-        indices and indptr it reads: so the data, indices and indptr
-        iterated are every buffer the kernels hold, each once."""
+        """Every stored matrix, share by share and piece by piece, each
+        piece's in action order. A CSR matrix that reads the columns of one
+        yielded before it is yielded as its nnz and data alone, with empty
+        views of the indices and indptr it reads: so the data, indices and
+        indptr iterated are every buffer the kernels hold, each once."""
         read = set()
-        for share in self.shares:
-            for mat in (mat for _, _, mats in share for mat in mats):
+        for pieces in self.shares:
+            for mat in (mat for _, mats in pieces for blocks in mats for mat in blocks):
                 indices = getattr(mat, "indices", None)
                 at = None if indices is None else indices.__array_interface__["data"][0]
                 if at in read:
@@ -1057,27 +1063,6 @@ def _cut(grid: tuple, parts: int) -> list:
     ]
 
 
-def _share_blocks(factors: Factors, actions: Sequence, grids: Sequence) -> tuple:
-    """Kernels.shares of the distinct rows of the open grids `grids`, one
-    share each, numbered theta slowest, then grid by grid, each grid's rows
-    in _theta_blocks' order: a share is two blocks, its grid's theta = 0
-    rows and its theta = 1 rows, and its rows of every action are generated
-    by _theta_blocks in a thread of their own, the calling thread taking
-    share 0."""
-    sizes = [math.prod(map(len, grid)) for grid in grids]
-    starts, half = np.cumsum([0, *sizes]).tolist(), sum(sizes)
-
-    def share(k):
-        mats = [_theta_blocks(factors, action, grids[k]) for action in actions]
-        return tuple(
-            (theta * half + starts[k], theta * half + starts[k + 1], tuple(m[theta] for m in mats))
-            for theta in (0, 1)
-        )
-
-    with _shares(len(grids)) as run:
-        return tuple(run(share))
-
-
 def _workers(factors: Factors) -> int:
     """The shares a model's rows are cut into: one per CPU in the process's
     affinity mask for a model of more than TABLE_CHUNK distinct rows, else
@@ -1085,27 +1070,82 @@ def _workers(factors: Factors) -> int:
     return _worker_count() if factors.n_rows > TABLE_CHUNK else 1
 
 
+def _kernels(space: StateSpace, stored: Sequence) -> Kernels:
+    """Kernels of every action of space.action_set, from space.factors,
+    that store the rows of the open grid `stored` (an increasing array of
+    classes per sensor) and make the others where they are backed up.
+
+    The stored rows are cut on the leading sensor's classes into one share
+    per CPU (_workers), the shares taking about equal numbers of them
+    (_cut), and each share is one piece, its grid's theta = 0 and theta = 1
+    rows of every action (_theta_blocks), generated in a thread of its own,
+    the calling thread taking share 0. The other rows are N product grids,
+    the one of sensor i holding its classes that are not stored, the
+    stored classes of the sensors before it and every class of those after
+    it. Each is cut into the same shares, and each share's part into
+    pieces of about TABLE_CHUNK rows of whole leading classes, which
+    _theta_blocks makes when called (Kernels.rest). The rows are numbered
+    in that order: the stored ones theta slowest, then share by share, and
+    each piece of the rest its theta = 0 rows before its theta = 1 rows.
+    row_of maps every state into that numbering; the class numbering of
+    space.factors is not changed. A row's bytes do not depend on the rows
+    generated beside it, so each is factor_rows of its row byte for byte,
+    on any number of CPUs."""
+    factors, actions = space.factors, space.action_set.actions
+    workers = _workers(factors)
+    every = [np.arange(n) for n in factors.shape[1:]]
+    grids = _cut(stored, workers)
+    starts = np.cumsum([0, *(math.prod(map(len, grid)) for grid in grids)]).tolist()
+    spans = [((lo, hi), (starts[-1] + lo, starts[-1] + hi)) for lo, hi in zip(starts, starts[1:])]
+
+    def makers(grid):
+        return tuple(functools.partial(_theta_blocks, factors, a, grid) for a in actions)
+
+    rest = [[] for _ in grids]
+    lo = 2 * starts[-1]
+    for i, classes in enumerate(every):
+        # classes is an arange, so this is the set difference; np.setdiff1d
+        # would import numpy.ma (1.4 MiB, 16 ms) into every joint solve
+        others = np.delete(classes, stored[i])
+        if not len(others):
+            continue
+        block = (*stored[:i], others, *every[i + 1 :])
+        lead = math.prod(map(len, block[1:]))
+        step = max(1, TABLE_CHUNK // (2 * lead))
+        for pieces, (first, *tail) in zip(rest, _cut(block, workers)):
+            for c in range(0, len(first), step):
+                grids.append((first[c : c + step], *tail))
+                n = len(grids[-1][0]) * lead
+                spans.append(((lo, lo + n), (lo + n, lo + 2 * n)))
+                pieces.append((spans[-1], makers(grids[-1])))
+                lo += 2 * n
+    number = np.empty(factors.shape, dtype=np.intp)
+    for grid, pair in zip(grids, spans):
+        for theta, (lo, hi) in enumerate(pair):
+            number[theta][np.ix_(*grid)] = np.arange(lo, hi).reshape([len(g) for g in grid])
+
+    def share(k):
+        return ((spans[k], tuple(make() for make in makers(grids[k]))),)
+
+    with _shares(workers) as run:
+        shares = tuple(run(share))
+    rest = tuple(map(tuple, rest)) if any(rest) else ()
+    return Kernels(shares, number.ravel()[factors.row_of], rest)
+
+
 def build_kernels(space: StateSpace) -> Kernels:
     """Every action of space.action_set's distinct rows, from
-    space.factors, as Kernels of CSR matrices: the joint MDP's and the
-    myopic model's.
+    space.factors, as Kernels of CSR matrices, every row stored (_kernels
+    over every class), numbered as factors numbers them: the joint MDP's
+    and the myopic model's.
 
-    A model of more than TABLE_CHUNK distinct rows is cut into one share
-    per CPU in the process's affinity mask, and a smaller one, or any model
-    on one CPU, is one share. The cuts fall on leading-sensor class
-    boundaries, the shares taking about equal numbers of classes (_cut),
-    and each share is generated in a thread of its own (_share_blocks),
-    its blocks numbered as factors numbers its rows. A row's bytes do not
-    depend on the rows generated beside it, so the blocks stacked in row
-    order are factor_rows of every row byte for byte, on any number of
-    CPUs. No matrix of every row is made. On threesensor every action's
-    theta = 1 blocks read their theta = 0 twins' columns, and the kernels
-    hold 157 MB where separate columns would take 189 MB.
+    A model of more than TABLE_CHUNK distinct rows is one share per CPU in
+    the process's affinity mask, and a smaller one, or any model on one
+    CPU, is one share. No matrix of every row is made. On threesensor every
+    action's theta = 1 matrices read their theta = 0 twins' columns, and
+    the kernels hold 157 MB where separate columns would take 189 MB.
     """
-    factors = space.factors
-    every = tuple(map(np.arange, factors.shape[1:]))
-    shares = _share_blocks(factors, space.action_set.actions, _cut(every, _workers(factors)))
-    return Kernels(shares, factors.row_of, ())
+    return _kernels(space, tuple(map(np.arange, space.factors.shape[1:])))
 
 
 def _read_classes(space: StateSpace) -> tuple:
@@ -1118,64 +1158,16 @@ def _read_classes(space: StateSpace) -> tuple:
     sub-index outside the read classes, so no backup reads its value, and
     RVI needs the rows of such states for their own values and table
     alone. A distinct row has only such states exactly when one of its
-    classes is not read (on threesensor 5 of each sensor's 42)."""
+    classes is not read (on threesensor 5 of each sensor's 42). So the full
+    grid's catch-up kernels store the rows of the read classes' product
+    and make the others in the last sweep (solve_optimal_policy calls
+    _kernels on these classes)."""
     out = []
     for (_, indices, start), class_of in zip(space._sensor_graphs, space.factors.class_of):
         read = np.bincount(indices, minlength=len(class_of)) > 0
         read[start] = True
         out.append(np.unique(class_of[read]))
     return tuple(out)
-
-
-def _catch_up_kernels(space: StateSpace) -> Kernels:
-    """The full grid space's kernels for solve_optimal_policy's catch-up
-    sweeps: the rows of read classes stored, and the rest made in the last
-    sweep only.
-
-    The stored rows are the product of each sensor's read classes
-    (_read_classes; on threesensor 101,306 of 148,176 rows and 10.56 M of
-    15.58 M nonzeros), cut on the leading sensor's read classes into one
-    share per CPU as build_kernels cuts every class. The other rows are N
-    product grids, the one of sensor i holding its classes that are not
-    read, the read classes of the sensors before it and every class of
-    those after it. Each is cut into the same shares, and each share's part
-    into pieces of about TABLE_CHUNK rows of whole leading classes, which
-    the last sweep makes one action at a time (Kernels.rest). The rows are
-    numbered in that order, the stored ones theta slowest as _share_blocks
-    numbers them, and each piece's theta = 0 rows before its theta = 1
-    rows, and row_of maps every state into that numbering; the class
-    numbering of space.factors is not changed."""
-    factors, actions = space.factors, space.action_set.actions
-    workers = _workers(factors)
-    read = _read_classes(space)
-    every = [np.arange(n) for n in factors.shape[1:]]
-    stored = _cut(read, workers)
-    spans = [(theta, grid) for theta in (0, 1) for grid in stored]
-    rest = tuple([] for _ in range(workers))
-    lo = 2 * math.prod(map(len, read))
-    for i, classes in enumerate(every):
-        unread = np.setdiff1d(classes, read[i])
-        if not len(unread):
-            continue
-        block = (*read[:i], unread, *every[i + 1 :])
-        lead = math.prod(map(len, block[1:]))
-        step = max(1, TABLE_CHUNK // (2 * lead))
-        for pieces, (first, *tail) in zip(rest, _cut(block, workers)):
-            for c in range(0, len(first), step):
-                grid = (first[c : c + step], *tail)
-                n = len(grid[0]) * lead
-                spans += [(0, grid), (1, grid)]
-                makers = tuple(functools.partial(_theta_blocks, factors, a, grid) for a in actions)
-                pieces.append((((lo, lo + n), (lo + n, lo + 2 * n)), makers))
-                lo += 2 * n
-    number = np.empty(factors.shape, dtype=np.intp)
-    at = 0
-    for theta, grid in spans:
-        n = math.prod(map(len, grid))
-        number[theta][np.ix_(*grid)] = np.arange(at, at + n).reshape([len(g) for g in grid])
-        at += n
-    row_of = number.ravel()[factors.row_of]
-    return Kernels(_share_blocks(factors, actions, stored), row_of, tuple(map(tuple, rest)))
 
 
 def relative_value_iteration(kernels: Kernels, cost: np.ndarray, ref_index: int) -> tuple:
@@ -1204,11 +1196,11 @@ def relative_value_iteration(kernels: Kernels, cost: np.ndarray, ref_index: int)
     nothing.
 
     Each of kernels.shares has the backups and the columns' minimum of its
-    blocks computed in a thread of its own, the calling thread taking share
-    0, each block's products written into its contiguous columns of the
+    pieces computed in a thread of its own, the calling thread taking share
+    0, each span's products written into its contiguous columns of the
     stack, and the spread, the normalization and the stopping test follow
     on the calling thread. Each row is summed by the same csr_matvec over
-    the same entries in the same order, whether its block reads another's
+    the same entries in the same order, whether its matrix reads another's
     columns or not, and the minimum is per column, so values, gain,
     iteration count and table are the same bits for any number of shares.
     The pool is opened in a with block, so it is joined also when
@@ -1227,39 +1219,32 @@ def _iterate(kernels: Kernels, cost: np.ndarray, ref_index: int, q, sweeps, ring
     few. Returns (ValueTable, policy), the iteration count being the sweeps
     made.
 
-    The rows of kernels.rest are made and backed up in the last of the
-    `sweeps` alone, each share's in its own thread, one piece and one
-    action at a time, once the stored blocks are backed up and freed: the
-    caller passes such kernels in the call and keeps no reference to them
-    (solve_optimal_policy). Before that sweep their minima are zeros, which
-    the spread writes only to states that no backup reads."""
+    Every sweep backs up the pieces of kernels.shares, and the last of the
+    `sweeps` then the pieces of kernels.rest, each share's in its own
+    thread, once the stored pieces are freed: the caller passes such
+    kernels in the call and keeps no reference to them
+    (solve_optimal_policy). A made piece is made one action at a time, and
+    each action's matrices are freed before the next action's are made.
+    Before that sweep the rest's minima are zeros, which the spread writes
+    only to states that no backup reads."""
     n = len(cost)
     q_next = np.empty(n)
     shares, rest, row_of = kernels.shares, kernels.rest, kernels.row_of
-    backups = np.empty((len(shares[0][0][2]), kernels.n_rows))
+    backups = np.empty((len(shares[0][0][1]), kernels.n_rows))
     best = np.zeros(kernels.n_rows)
     del kernels
 
-    def product(a, lo, hi, mat):
-        out = backups[a, lo:hi]
-        if isinstance(mat, np.ndarray):
-            out[...] = mat @ q
-        else:
-            out.fill(0.0)
-            _csr.accumulate(mat, q, out)
-
-    def back_up(k):
-        for lo, hi, mats in shares[k]:
-            for a, mat in enumerate(mats):
-                product(a, lo, hi, mat)
-            np.min(backups[:, lo:hi], axis=0, out=best[lo:hi])
-
-    def make_and_back_up(k):
-        for spans, makers in rest[k]:
-            for a, make in enumerate(makers):
-                for (lo, hi), mat in zip(spans, make()):
-                    product(a, lo, hi, mat)
-                # freed before the next action's rows are made
+    def back_up(pieces):
+        for spans, mats in pieces:
+            for a, blocks in enumerate(mats):
+                for (lo, hi), mat in zip(spans, blocks() if callable(blocks) else blocks):
+                    out = backups[a, lo:hi]
+                    if isinstance(mat, np.ndarray):
+                        out[...] = mat @ q
+                    else:
+                        out.fill(0.0)
+                        _csr.accumulate(mat, q, out)
+                # a made matrix is freed before the next action's are made
                 del mat
             for lo, hi in spans:
                 np.min(backups[:, lo:hi], axis=0, out=best[lo:hi])
@@ -1268,10 +1253,10 @@ def _iterate(kernels: Kernels, cost: np.ndarray, ref_index: int, q, sweeps, ring
     sup_diff = np.inf
     with _shares(len(shares)) as run:
         for it in range(RVI_MAX_ITER if stopping else sweeps):
-            run(back_up)
+            run(lambda k: back_up(shares[k]))
             if rest and it + 1 == sweeps:
                 shares = None
-                run(make_and_back_up)
+                run(lambda k: back_up(rest[k]))
             # mode="clip" is never clipping (row_of is in range) but, unlike
             # the default, writes into out without a buffer
             np.take(best, row_of, out=q_next, mode="clip")
@@ -1327,10 +1312,10 @@ def solve_optimal_policy(space: StateSpace) -> tuple:
 
     A row whose states no backup reads (_read_classes) is needed for its
     own states' values and table alone, so only in the last sweep: the
-    full grid's kernels store the other rows, and the sweeps before the
-    last back up those alone; the last backs them up, frees them, and then
-    makes and backs up the rest piece by piece (_catch_up_kernels,
-    _iterate). On threesensor D = 6 and K = 49: the stored 10.56 M
+    full grid's kernels store the rows of the read classes (_kernels), and
+    the sweeps before the last back up those alone; the last backs them
+    up, frees them, and then makes and backs up the rest piece by piece
+    (_iterate). On threesensor D = 6 and K = 49: the stored 10.56 M
     nonzeros are backed up 6 times, the other 5.02 M once, and no more
     than one action's piece per CPU is alive beside the iterates. The
     closed space searches its closures on the full grid's sensor graphs.
@@ -1358,10 +1343,9 @@ def solve_optimal_policy(space: StateSpace) -> tuple:
         q.reshape([*space.sub_sizes, 2])[lift] = h.reshape([*map(len, space.closure), 2])
     del h
     # the kernels are made in the call, so that _iterate holds the only
-    # reference and can free their stored blocks in the last sweep
-    vt, pi = _iterate(
-        _catch_up_kernels(space), cost_vector(space), space.reference_index(), q, steps, None
-    )
+    # reference and can free their stored pieces in the last sweep
+    cost, start = cost_vector(space), space.reference_index()
+    vt, pi = _iterate(_kernels(space, _read_classes(space)), cost, start, q, steps, None)
     return ValueTable(vt.values, vt.gain, k), PolicyTable(pi, space.action_set)
 
 

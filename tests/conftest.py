@@ -54,12 +54,20 @@ def as_scipy(mat):
 
 
 def stacked_rows(kernels):
-    """Each action's distinct rows as one scipy CSR matrix: the blocks of
-    every share stacked in row order."""
-    blocks = sorted((block for share in kernels.shares for block in share), key=lambda b: b[0])
+    """Each action's stored distinct rows as one scipy CSR matrix: the
+    matrices of every span of every share's pieces stacked in row order."""
+    spans = sorted(
+        (
+            (lo, [blocks[j] for blocks in mats])
+            for share in kernels.shares
+            for spans, mats in share
+            for j, (lo, _) in enumerate(spans)
+        ),
+        key=lambda span: span[0],
+    )
     return [
-        sparse.vstack([as_scipy(mats[a]) for _, _, mats in blocks], format="csr")
-        for a in range(len(blocks[0][2]))
+        sparse.vstack([as_scipy(mats[a]) for _, mats in spans], format="csr")
+        for a in range(len(spans[0][1]))
     ]
 
 

@@ -383,9 +383,9 @@ def test_stuck_channel_kernels_store_explicit_zeros():
     space = mdp.StateSpace(STUCK_MARKOV)
     actions = space.action_set
     kernels = mdp.build_kernels(space)
-    (theta0, theta1), = kernels.shares
-    assert all(np.any(rows.data == 0.0) for rows in theta0[2])
-    assert not any(np.any(rows.data == 0.0) for rows in theta1[2])
+    ((_, mats),), = kernels.shares
+    assert all(np.any(rows0.data == 0.0) for rows0, _ in mats)
+    assert not any(np.any(rows1.data == 0.0) for _, rows1 in mats)
     idle = mdp.PolicyTable(np.zeros(space.n_states, dtype=np.intp), actions)
     chain = mdp.policy_chain_matrix(idle, space)
     assert np.any(chain.rep.data == 0.0)

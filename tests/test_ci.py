@@ -2,7 +2,8 @@
 
 .github/workflows/tier1.yml can only be checked offline, so this reads it:
 each job's test step runs ROADMAP's tier-1 command exactly (the one-cpu job
-pinned to CPU 0 by taskset), the matrix holds Python 3.11 and 3.12, the
+pinned to CPU 0 by taskset), the matrix holds pyproject.toml's
+requires-python floor, 3.11 and 3.12, the
 scipy-floor job installs the scipy release pyproject.toml's floor names,
 and the extra that the install step installs lists pytest and hypothesis.
 """
@@ -54,10 +55,15 @@ def test_floor_job_installs_the_scipy_floor():
     assert f'"scipy=={floor}.*"' in install
 
 
-def test_matrix_holds_python_311_and_312():
+def test_matrix_holds_the_python_floor_311_and_312():
+    """The oldest Python that requires-python allows is run too, since it
+    installs an older numpy than the others."""
     jobs = yaml.safe_load(WORKFLOW.read_text())["jobs"]
     versions = jobs["tests"]["strategy"]["matrix"]["python-version"]
-    assert {"3.11", "3.12"} <= set(versions)
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        requires = tomllib.load(f)["project"]["requires-python"]
+    floor = re.fullmatch(r">=\s*(\d+\.\d+)", requires).group(1)
+    assert {floor, "3.11", "3.12"} <= set(versions)
 
 
 def test_installed_extra_lists_pytest_and_hypothesis():

@@ -302,11 +302,12 @@ def test_full_grid_solve_is_rvi_stopped_on_the_closure(spec):
     np.testing.assert_array_equal(pt.action_index, actions)
 
 
-def test_shipped_full_grid_solves_keep_their_bits():
+def test_shipped_full_grid_solves_keep_their_bits(tmp_path):
     """solve_bits.py's line of the full-grid optimal solve, which solve
-    --policy optimal writes, of both shipped configs: the same depth,
-    iteration count, gain bits and value and action hashes as RVI on the
-    whole full grid stopped on the closed sub-grid gave."""
+    --policy optimal writes, of both shipped configs and of the exact-3s
+    shape: the same depth, iteration count, gain bits and value and action
+    hashes as RVI on the whole full grid stopped on the closed sub-grid
+    gave."""
     assert solve_bits(str(TWOSENSOR)) == (
         "D 6 K 24 0x1.3ba0285933bdep+3 "
         "65b88a94df2b853b8f699bddd27f6da4ab1604f3cd9f7450a5d14bcc3c8396c2 "
@@ -316,6 +317,11 @@ def test_shipped_full_grid_solves_keep_their_bits():
         "D 6 K 49 0x1.067b4fa2069e2p+6 "
         "b1eb5d5be7ce4b12ca89fc45bc95c3eb09ca4e85790e13bf7b4f0bc6cad7146f "
         "0e4c35add60386568f52aa3e94644a6bb1992eb17b02916d8cfbc23730377027"
+    )
+    assert solve_bits(str(exact_3s_config(tmp_path))) == (
+        "D 3 K 22 0x1.7148d8e4481ecp+5 "
+        "30ad57d43d08d4adc86802ff08b1579f96da140821f25736c4142507678a6758 "
+        "f6f4e9bc02451a5183b5ea6c272ef2ec8f1dae90a9e02450e13284717d77a25d"
     )
 
 
@@ -360,13 +366,30 @@ def test_read_classes_of_the_benchmark_shapes(tmp_path):
     space = mdp.StateSpace(cli.load_config(str(CONFIGS / "threesensor.yaml")).system)
     assert [len(r) for r in mdp._read_classes(space)] == [37, 37, 37]
     assert space.factors.shape == (2, 42, 42, 42)
-    kernels = mdp._catch_up_kernels(space)
-    stored = sum(hi - lo for share in kernels.shares for lo, hi, _ in share)
+    kernels = mdp._kernels(space, mdp._read_classes(space))
+    stored = sum(hi - lo for share in kernels.shares for spans, _ in share for lo, hi in spans)
     assert (stored, kernels.n_rows) == (101_306, 148_176)
     assert sum(int(mat.nnz) for mat in kernels) == 10_557_728
     del kernels
     exact = mdp.StateSpace(cli.load_config(str(exact_3s_config(tmp_path))).system)
     assert [len(r) for r in mdp._read_classes(exact)] == [10, 10, 5]
+
+
+def assert_pieces_cover_the_rows(kernels, n_rows):
+    """The spans of kernels' pieces, in shares and in rest, cover the rows
+    0..n_rows-1 once, and each piece's matrices of every action, stored in
+    shares and made by a call in rest, have their spans' row counts."""
+    spans = []
+    for pieces, made in ((kernels.shares, False), (kernels.rest, True)):
+        for piece_spans, mats in (piece for share in pieces for piece in share):
+            for blocks in mats:
+                assert callable(blocks) == made
+                blocks = blocks() if made else blocks
+                assert [mat.shape[0] for mat in blocks] == [hi - lo for lo, hi in piece_spans]
+            spans.extend(piece_spans)
+    rows = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
+    assert np.array_equal(np.sort(rows), np.arange(n_rows))
+    assert kernels.n_rows == n_rows
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -377,7 +400,10 @@ def test_streamed_catch_up_is_full_grid_rvi(case, workers):
     table bit for bit on 1, 2 and 3 CPUs. The rows of classes that are not
     read are made in the last sweep alone, each once per action, after
     every stored kernel row is freed; "zero", which reads every class,
-    makes none there."""
+    makes none there. build_kernels and the catch-up build both cover every
+    distinct row once with pieces of the one form; build_kernels numbers
+    the rows as the factors do and, like the catch-up of "zero", has no
+    rest."""
     space = mdp.StateSpace(CATCH_UP_CASES[case])
     values, gain, iterations, actions = full_grid_rvi(space)
     read = mdp._read_classes(space)
@@ -397,8 +423,14 @@ def test_streamed_catch_up_is_full_grid_rvi(case, workers):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mdp, "TABLE_CHUNK", 4)
         mp.setattr(mdp, "_worker_count", lambda: workers)
+        every, catch_up = mdp.build_kernels(space), mdp._kernels(space, read)
         mp.setattr(mdp, "_theta_blocks", recorded)
         vt, pt = mdp.solve_optimal_policy(space)
+    for kernels in (every, catch_up):
+        assert_pieces_cover_the_rows(kernels, space.factors.n_rows)
+    np.testing.assert_array_equal(every.row_of, space.factors.row_of)
+    assert every.rest == ()
+    assert (catch_up.rest == ()) == (case == "zero")
     assert vt.values.tobytes() == values.tobytes()
     assert vt.gain.hex() == gain.hex()
     assert vt.iterations == iterations

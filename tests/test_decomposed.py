@@ -115,7 +115,7 @@ def whole_kernel_solve(sensor, p):
     mixed = p * k_tx + (1.0 - p) * k_idle
     n = space.n_states
     vt, _ = mdp.relative_value_iteration(
-        mdp.Kernels((((0, n, (mixed,)),),), np.arange(n), ()),
+        mdp.Kernels((((((0, n),), ((mixed,),)),),), np.arange(n), ()),
         mdp.cost_vector(space),
         space.reference_index(),
     )

@@ -279,7 +279,7 @@ def test_rvi_argmin_reads_the_rounded_sums_with_cost():
         np.array([to_ref, [0.0, 0.0, 1.0], to_ref]),
         np.array([to_ref, to_ref, to_ref]),
     )
-    kernels = mdp.Kernels((((0, 3, rows),),), np.arange(3), ())
+    kernels = mdp.Kernels((((((0, 3),), tuple((r,) for r in rows)),),), np.arange(3), ())
     cost = np.array([0.0, 1e16, 0.5])
     want = oracle_rvi(list(kernels), cost, 0, 1e-9, RVI_MAX_ITER)
     vt, pi = mdp.relative_value_iteration(kernels, cost, 0)
@@ -355,7 +355,7 @@ def assert_shares_cut_classes(kernels, factors, n_shares):
     per_class = half // factors.shape[1]
     assert len(kernels.shares) == n_shares
     bounds = [0]
-    for (lo, hi, _), (lo1, hi1, _) in kernels.shares:
+    for ((((lo, hi), (lo1, hi1)), _),) in kernels.shares:
         assert (lo, lo1 - half, hi1 - half) == (bounds[-1], lo, hi)
         bounds.append(hi)
     assert bounds[-1] == half
@@ -440,19 +440,21 @@ def test_theta_pairs_are_kernel_rows_bit_for_bit(spec, workers, seed):
     whole = tuple(sparse.csr_matrix(part, shape=(factors.n_rows, space.n_states)) for part in parts)
     agree_by_action = theta_halves_agree(parts)
     q = np.random.default_rng(seed).normal(scale=10.0, size=space.n_states)
-    for share in kernels.shares:
-        for lo, hi, mats in share:
-            for mat, rows in zip(mats, whole, strict=True):
+    for ((spans, mats),) in kernels.shares:
+        for j, (lo, hi) in enumerate(spans):
+            for blocks, rows in zip(mats, whole, strict=True):
+                mat = blocks[j]
                 assert type(mat) is _csr.CSR and mat.shape == (hi - lo, space.n_states)
                 assert csr_bytes(mat) == csr_bytes(rows[lo:hi])
                 assert (mat @ q).tobytes() == (rows[lo:hi] @ q).tobytes()
-        (lo, hi, mats0), (_, _, mats1) = share
+        (lo, hi), _ = spans
         if lo < hi:
-            for rows0, rows1, agree in zip(mats0, mats1, agree_by_action, strict=True):
+            for (rows0, rows1), agree in zip(mats, agree_by_action, strict=True):
                 for field in ("indices", "indptr"):
                     assert np.shares_memory(getattr(rows0, field), getattr(rows1, field)) == agree
                 assert not np.shares_memory(rows0.data, rows1.data)
-    one_block = mdp.Kernels((((0, factors.n_rows, whole),),), factors.row_of, ())
+    one_span = (((0, factors.n_rows),), tuple((rows,) for rows in whole))
+    one_block = mdp.Kernels(((one_span,),), factors.row_of, ())
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mdp, "RVI_MAX_ITER", RVI_MAX_ITER)
         try:
@@ -481,8 +483,8 @@ def test_theta_halves_share_columns_where_the_tables_agree(config, shared):
     system = cli.load_config(str(CONFIGS / f"{config}.yaml")).system
     space = mdp.StateSpace(system)
     kernels = mdp.build_kernels(space)
-    for (_, _, mats0), (_, _, mats1) in kernels.shares:
-        for rows0, rows1, one in zip(mats0, mats1, shared, strict=True):
+    for ((_, mats),) in kernels.shares:
+        for (rows0, rows1), one in zip(mats, shared, strict=True):
             for field in ("indices", "indptr"):
                 assert np.shares_memory(getattr(rows0, field), getattr(rows1, field)) == one
             if one:
